@@ -18,7 +18,7 @@ from .analytic import (
     snr_moment_active,
     snr_moment_direct,
 )
-from .channel import FadingDraw, PowerParams
+from .channel import PowerParams
 from .config import ExperimentConfig, GeometryConfig, NetworkConfig, parse_config
 from .mathkit import QuadratureRule, exp_e1_scaled, gauss_laguerre, ln_gamma
 from .mixgamma import LinkStats, MixtureGamma, cascaded_power_dist, direct_power_dist
@@ -38,7 +38,6 @@ __all__ = [
     "rate_direct",
     "snr_moment_active",
     "snr_moment_direct",
-    "FadingDraw",
     "PowerParams",
     "ExperimentConfig",
     "GeometryConfig",

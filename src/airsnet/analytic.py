@@ -11,7 +11,8 @@ Conventions baked in here (see README for the full discussion):
 * the component rate xi_i multiplies BOTH the moment-kernel exponential and
   the noise-Laplace argument (the reading that reproduces the Rayleigh
   closed form exactly and matches the model-consistent Monte-Carlo oracle;
-  the alternative reading stays available behind component_rate_in_noise);
+  noise_laplace's component_rate_in_noise=False evaluates the alternative
+  reading as a diagnostic);
 * the amplified-noise law is path-loss-free on the reflector->user hop, i.e.
   noise = (eta/N) * N * sigma_F^2 * G with G a unit-mean Gamma(m_IU) power;
   the physical simulator keeps the path loss, and `validate` reports the
@@ -147,8 +148,8 @@ def _active_components(d_bi: float, d_iu: float, cfg: NetworkConfig):
     return mix, masses, decay, noise_rates
 
 
-def snr_moment_active(ell: float, d_bi: float, d_iu: float, cfg: NetworkConfig,
-                      component_rate_in_noise: bool = True) -> float:
+def snr_moment_active(ell: float, d_bi: float, d_iu: float,
+                      cfg: NetworkConfig) -> float:
     """Amplified-link conditional SNR moment by semi-infinite quadrature.
 
     Integrates the mixture moment kernel against the noise Laplace transform:
@@ -158,10 +159,6 @@ def snr_moment_active(ell: float, d_bi: float, d_iu: float, cfg: NetworkConfig,
     if not ell > 0:
         raise DomainError(f"moment order must be positive, got {ell}")
     mix, masses, decay, noise_rates = _active_components(d_bi, d_iu, cfg)
-    if not component_rate_in_noise:
-        eta = averaged_amp_gain(d_bi, cfg)
-        noise_rates = np.full_like(noise_rates,
-                                   eta * cfg.power.sigma_f2 / (cfg.power.p_t * cfg.m_iu))
     m_iu = cfg.m_iu
     beta = float(mix.beta[0])
     coeff = math.exp(ln_gamma(beta + ell) - ln_gamma(beta) - ln_gamma(ell))
@@ -311,18 +308,13 @@ def rate_direct(d_bu: float, cfg: NetworkConfig) -> float:
     return LOG2E * value
 
 
-def rate_active(d_bi: float, d_iu: float, cfg: NetworkConfig,
-                component_rate_in_noise: bool = True) -> float:
+def rate_active(d_bi: float, d_iu: float, cfg: NetworkConfig) -> float:
     """Amplified-link conditional achievable rate in bits/s/Hz.
 
     log2(e) sum_i mass_i integral (1/z)(1-(1+z)^-beta) e^(-z xi_i sigma^2/P_t)
     L_i(z) dz, evaluated as one semi-infinite quadrature of the component sum.
     """
     mix, masses, decay, noise_rates = _active_components(d_bi, d_iu, cfg)
-    if not component_rate_in_noise:
-        eta = averaged_amp_gain(d_bi, cfg)
-        noise_rates = np.full_like(noise_rates,
-                                   eta * cfg.power.sigma_f2 / (cfg.power.p_t * cfg.m_iu))
     beta = float(mix.beta[0])
     m_iu = cfg.m_iu
 

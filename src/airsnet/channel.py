@@ -2,9 +2,7 @@
 
 The reflecting surface applies one common amplification factor chosen to
 exhaust its power budget; phases are aligned, so after alignment only
-amplitudes matter. FadingDraw keeps complex entries anyway so that the
-optimality of the aligned design stays testable against arbitrary phase
-choices.
+amplitudes matter and the SNR kernels take (B, N) blocks of amplitudes.
 """
 
 from __future__ import annotations
@@ -14,17 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mathkit import DomainError
-from .mixgamma import LinkStats
 
 __all__ = [
     "PowerParams",
-    "FadingDraw",
     "sample_nakagami_amplitude",
-    "draw_fading",
     "amplification_factor",
-    "snr_direct",
-    "snr_active",
-    "snr_passive",
     "snr_direct_batch",
     "snr_active_batch",
     "snr_passive_batch",
@@ -35,23 +27,14 @@ __all__ = [
 class PowerParams:
     """Transmit/amplification/noise powers, all in watts."""
 
-    p_t: float
-    p_f: float
-    sigma2: float
-    sigma_f2: float
+    p_t: float = 1.0
+    p_f: float = 0.01
+    sigma2: float = 1e-11
+    sigma_f2: float = 1e-10
 
     def __post_init__(self):
         if min(self.p_t, self.p_f, self.sigma2, self.sigma_f2) <= 0:
             raise DomainError("all power parameters must be positive")
-
-
-@dataclass
-class FadingDraw:
-    """One joint small-scale fading realization (unit mean power per entry)."""
-
-    g_bu: complex
-    g_bi: np.ndarray
-    g_iu: np.ndarray
 
 
 def sample_nakagami_amplitude(m: float, rng: np.random.Generator, size=None):
@@ -60,20 +43,6 @@ def sample_nakagami_amplitude(m: float, rng: np.random.Generator, size=None):
         raise DomainError(f"Nakagami shape must be >= 0.5, got {m}")
     power = rng.standard_gamma(m, size=size) / m
     return np.sqrt(power)
-
-
-def draw_fading(n_elements: int, m_bu: float, m_bi: float, m_iu: float,
-                rng: np.random.Generator) -> FadingDraw:
-    """Draw one FadingDraw with independent uniform phases on every entry."""
-    amp_bu = sample_nakagami_amplitude(m_bu, rng)
-    amp_bi = sample_nakagami_amplitude(m_bi, rng, n_elements)
-    amp_iu = sample_nakagami_amplitude(m_iu, rng, n_elements)
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=2 * n_elements + 1)
-    return FadingDraw(
-        g_bu=complex(amp_bu * np.exp(1j * phases[0])),
-        g_bi=amp_bi * np.exp(1j * phases[1 : n_elements + 1]),
-        g_iu=amp_iu * np.exp(1j * phases[n_elements + 1 :]),
-    )
 
 
 def amplification_factor(g_bi_draw: np.ndarray, bi_path_loss: float,
@@ -88,35 +57,6 @@ def amplification_factor(g_bi_draw: np.ndarray, bi_path_loss: float,
     norm_sq = float((np.abs(g) ** 2).sum())
     amp_sq = power.p_f / (power.p_t * bi_path_loss * norm_sq + g.size * power.sigma_f2)
     return float(np.sqrt(amp_sq))
-
-
-def snr_direct(draw: FadingDraw, bu_path_loss: float, power: PowerParams) -> float:
-    """Direct-link SNR: P_t zeta_BU |g_BU|^2 / sigma^2."""
-    return power.p_t * bu_path_loss * abs(draw.g_bu) ** 2 / power.sigma2
-
-
-def snr_active(draw: FadingDraw, bi: LinkStats, iu: LinkStats,
-               power: PowerParams) -> float:
-    """Amplified-reflection SNR with the optimal common gain computed per draw."""
-    a_bi = np.abs(draw.g_bi)
-    a_iu = np.abs(draw.g_iu)
-    if a_bi.size != a_iu.size:
-        raise DomainError("g_bi and g_iu must have the same length")
-    return float(
-        snr_active_batch(a_bi[None, :], a_iu[None, :], bi.path_loss,
-                         iu.path_loss, power)[0]
-    )
-
-
-def snr_passive(draw: FadingDraw, bi: LinkStats, iu: LinkStats,
-                power: PowerParams) -> float:
-    """Phase-aligned reflection SNR without amplification or injected noise."""
-    a_bi = np.abs(draw.g_bi)
-    a_iu = np.abs(draw.g_iu)
-    return float(
-        snr_passive_batch(a_bi[None, :], a_iu[None, :], bi.path_loss,
-                          iu.path_loss, power)[0]
-    )
 
 
 def snr_direct_batch(amp_bu: np.ndarray, bu_path_loss: float,

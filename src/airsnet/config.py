@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -91,11 +91,7 @@ class NetworkConfig:
     """Everything the analytic and Monte-Carlo layers need about the network."""
 
     geometry: GeometryConfig = field(default_factory=GeometryConfig)
-    power: PowerParams = field(
-        default_factory=lambda: PowerParams(
-            p_t=1.0, p_f=0.01, sigma2=1e-11, sigma_f2=1e-10
-        )
-    )
+    power: PowerParams = field(default_factory=PowerParams)
     alpha: float = 3.0
     epsilon_ref: float = 1e-3
     m_bu: float = 1.0
@@ -157,110 +153,109 @@ class ExperimentConfig:
     conversions: tuple = ()
 
 
-def _positive(name):
-    def check(v):
-        if not v > 0:
-            raise ConfigError(f"{name} must be positive, got {v}")
-    return check
+def _positive(key, v):
+    if not v > 0:
+        raise ConfigError(f"{key} must be positive, got {v}")
 
 
-def _shape(name):
-    def check(v):
-        if v < 0.5:
-            raise ConfigError(f"{name} must be >= 0.5, got {v}")
-    return check
+def _shape(key, v):
+    if v < 0.5:
+        raise ConfigError(f"{key} must be >= 0.5, got {v}")
 
 
-def _positive_list(name):
-    def check(v):
-        if len(v) == 0 or any(not x > 0 for x in v):
-            raise ConfigError(f"{name} must be a nonempty list of positive values")
-    return check
-
-
-def _experiment_name(v):
-    if v not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {v!r}; choose from {EXPERIMENTS}")
-
-
-def _glq_order(v):
+def _glq_order(key, v):
     if not (4 <= v <= 64):
-        raise ConfigError(f"glq_order must be in [4, 64], got {v}")
+        raise ConfigError(f"{key} must be in [4, 64], got {v}")
 
 
-# key -> (python type, validator). Floats accept ints; lists are sequences.
-_SCHEMA: dict[str, tuple[type, Any]] = {
-    "experiment": (str, _experiment_name),
-    "seed": (int, lambda v: None),
-    "threads": (int, _positive("threads")),
-    "tolerance": (float, _positive("tolerance")),
-    "l_m": (float, _positive("l_m")),
-    "l_in_m": (float, _positive("l_in_m")),
-    "l_out_m": (float, _positive("l_out_m")),
-    "m_irs": (int, _positive("m_irs")),
-    "n_elements": (int, _positive("n_elements")),
-    "alpha": (float, _positive("alpha")),
-    "epsilon_ref": (float, _positive("epsilon_ref")),
-    "p_t_w": (float, _positive("p_t_w")),
-    "p_f_w": (float, _positive("p_f_w")),
-    "sigma2_w": (float, _positive("sigma2_w")),
-    "sigma2_dbm": (float, lambda v: None),
-    "sigma_f2_w": (float, _positive("sigma_f2_w")),
-    "sigma_f2_dbm": (float, lambda v: None),
-    "m_bu": (float, _shape("m_bu")),
-    "m_bi": (float, _shape("m_bi")),
-    "m_iu": (float, _shape("m_iu")),
-    "glq_order": (int, _glq_order),
-    "distance_floor_m": (float, _positive("distance_floor_m")),
-    "k_ues": (int, _positive("k_ues")),
-    "n_drops": (int, _positive("n_drops")),
-    "n_fading": (int, _positive("n_fading")),
-    "d_bu_m": (float, _positive("d_bu_m")),
-    "d_bi_m": (float, _positive("d_bi_m")),
-    "d_iu_m": (float, _positive("d_iu_m")),
-    "pf_grid_w": (list, _positive_list("pf_grid_w")),
-    "n_total_elements": (int, _positive("n_total_elements")),
-    "density_m_list": (list, _positive_list("density_m_list")),
-    "p_f_total_w": (float, _positive("p_f_total_w")),
-    "density_power_budget": (str, lambda v: None),
-    "sweep_n_drops": (int, _positive("sweep_n_drops")),
-    "sweep_n_fading": (int, _positive("sweep_n_fading")),
-    "assoc_n_list": (list, _positive_list("assoc_n_list")),
-    "assoc_n_drops": (int, _positive("assoc_n_drops")),
-    "assoc_threshold": (float, _positive("assoc_threshold")),
-    "ring_l_in_grid_m": (list, _positive_list("ring_l_in_grid_m")),
-    "ring_l_out_grid_m": (list, _positive_list("ring_l_out_grid_m")),
-    "ring_metric": (str, lambda v: None),
-    "validate_m_iu_list": (list, _positive_list("validate_m_iu_list")),
-    "validate_n_list": (list, _positive_list("validate_n_list")),
-    "validate_d_bi_m": (list, _positive_list("validate_d_bi_m")),
-    "validate_d_iu_m": (list, _positive_list("validate_d_iu_m")),
-    "validate_p_f_w": (list, _positive_list("validate_p_f_w")),
-    "mc_m_iu_list": (list, _positive_list("mc_m_iu_list")),
-    "n_mc_model": (int, _positive("n_mc_model")),
-    "n_mc_physical": (int, _positive("n_mc_physical")),
-}
+def _choice(*allowed):
+    def check(key, v):
+        if v not in allowed:
+            raise ConfigError(f"{key} must be one of {allowed}, got {v!r}")
+    return check
 
 
-def _coerce(key: str, value):
-    want, validate = _SCHEMA[key]
-    if want is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{key} must be a number, got {value!r}")
-        value = float(value)
-    elif want is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{key} must be an integer, got {value!r}")
-    elif want is list:
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{key} must be a list, got {value!r}")
-        value = tuple(float(x) if isinstance(x, (int, float)) else x for x in value)
-        if any(not isinstance(x, float) for x in value):
-            raise ConfigError(f"{key} must be a list of numbers")
-    elif want is str:
+# One row per key: (key, type, validator, target "section.field"). Defaults
+# live on the dataclasses. List types are (list, element type); a list must be
+# nonempty and its validator applies to every element.
+_KEYS: tuple[tuple[str, Any, Any, str], ...] = (
+    ("experiment", str, _choice(*EXPERIMENTS), "cfg.experiment"),
+    ("seed", int, None, "cfg.seed"),
+    ("threads", int, _positive, "cfg.threads"),
+    ("tolerance", float, _positive, "cfg.tolerance"),
+    ("l_m", float, _positive, "geometry.l"),
+    ("l_in_m", float, _positive, "geometry.l_in"),
+    ("l_out_m", float, _positive, "geometry.l_out"),
+    ("m_irs", int, _positive, "geometry.m_irs"),
+    ("n_elements", int, _positive, "geometry.n_elements"),
+    ("alpha", float, _positive, "network.alpha"),
+    ("epsilon_ref", float, _positive, "network.epsilon_ref"),
+    ("p_t_w", float, _positive, "power.p_t"),
+    ("p_f_w", float, _positive, "power.p_f"),
+    ("sigma2_w", float, _positive, "power.sigma2"),
+    ("sigma_f2_w", float, _positive, "power.sigma_f2"),
+    ("m_bu", float, _shape, "network.m_bu"),
+    ("m_bi", float, _shape, "network.m_bi"),
+    ("m_iu", float, _shape, "network.m_iu"),
+    ("glq_order", int, _glq_order, "network.glq_order"),
+    ("distance_floor_m", float, _positive, "network.distance_floor"),
+    ("k_ues", int, _positive, "network.k_ues"),
+    ("n_drops", int, _positive, "network.n_drops"),
+    ("n_fading", int, _positive, "network.n_fading"),
+    ("d_bu_m", float, _positive, "cfg.d_bu"),
+    ("d_bi_m", float, _positive, "cfg.d_bi"),
+    ("d_iu_m", float, _positive, "cfg.d_iu"),
+    ("pf_grid_w", (list, float), _positive, "cfg.pf_grid"),
+    ("n_total_elements", int, _positive, "cfg.n_total_elements"),
+    ("density_m_list", (list, int), _positive, "cfg.density_m_list"),
+    ("p_f_total_w", float, _positive, "cfg.p_f_total"),
+    ("density_power_budget", str, _choice("split-total", "fixed-per-irs"),
+     "cfg.density_power_budget"),
+    ("sweep_n_drops", int, _positive, "cfg.sweep_n_drops"),
+    ("sweep_n_fading", int, _positive, "cfg.sweep_n_fading"),
+    ("assoc_n_list", (list, int), _positive, "cfg.assoc_n_list"),
+    ("assoc_n_drops", int, _positive, "cfg.assoc_n_drops"),
+    ("assoc_threshold", float, _positive, "cfg.assoc_threshold"),
+    ("ring_l_in_grid_m", (list, float), _positive, "cfg.ring_l_in_grid"),
+    ("ring_l_out_grid_m", (list, float), _positive, "cfg.ring_l_out_grid"),
+    ("ring_metric", str, _choice("snr_mean", "achievable_rate", "spatial_throughput"),
+     "cfg.ring_metric"),
+    ("validate_m_iu_list", (list, int), _positive, "cfg.validate_m_iu_list"),
+    ("validate_n_list", (list, int), _positive, "cfg.validate_n_list"),
+    ("validate_d_bi_m", (list, float), _positive, "cfg.validate_d_bi_list"),
+    ("validate_d_iu_m", (list, float), _positive, "cfg.validate_d_iu_list"),
+    ("validate_p_f_w", (list, float), _positive, "cfg.validate_p_f_list"),
+    ("mc_m_iu_list", (list, int), _positive, "cfg.mc_m_iu_list"),
+    ("n_mc_model", int, _positive, "cfg.n_mc_model"),
+    ("n_mc_physical", int, _positive, "cfg.n_mc_physical"),
+)
+_ROWS = {key: (kind, check, target.split(".")) for key, kind, check, target in _KEYS}
+
+# dBm alias -> watts key; converted before coercion and logged in `conversions`.
+_DBM_ALIASES = {"sigma2_dbm": "sigma2_w", "sigma_f2_dbm": "sigma_f2_w"}
+
+
+def _coerce(key: str, kind, check, value):
+    """Type-check one value (recursing into lists) and run its validator."""
+    if isinstance(kind, tuple):
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ConfigError(f"{key} must be a nonempty list, got {value!r}")
+        return tuple(_coerce(key, kind[1], check, x) for x in value)
+    if kind is str:
         if not isinstance(value, str):
             raise ConfigError(f"{key} must be a string, got {value!r}")
-    validate(value)
+    elif isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} must be {what}, got {value!r}")
+    elif kind is float:
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value!r}")
+    if check is not None:
+        check(key, value)
     return value
 
 
@@ -280,11 +275,13 @@ def parse_config(path: str | None = None, overrides: list[str] | None = None,
                  experiment: str | None = None, seed: int | None = None,
                  threads: int | None = None,
                  tolerance: float | None = None) -> ExperimentConfig:
-    """Build a fully validated ExperimentConfig from JSON + CLI overrides.
+    """Build a fully validated ExperimentConfig from JSON, overrides and flags.
 
-    Unknown keys are rejected; noise powers may come in watts or dBm (one of
-    the two, not both); every physical quantity must be positive; geometry
-    must satisfy l_in < l_out < l.
+    Later sources win: the file, then KEY=VALUE overrides, then the explicit
+    keyword flags; all pass the same validators. Unknown keys are rejected;
+    noise powers may come in watts or dBm (one of the two, not both); every
+    physical quantity must be positive and finite; geometry must satisfy
+    l_in < l_out < l.
     """
     raw: dict[str, Any] = {}
     if path is not None:
@@ -298,143 +295,48 @@ def parse_config(path: str | None = None, overrides: list[str] | None = None,
     for item in overrides or []:
         key, value = _parse_override(item)
         raw[key] = value
+    flags = {"experiment": experiment, "seed": seed, "threads": threads,
+             "tolerance": tolerance}
+    raw.update({k: v for k, v in flags.items() if v is not None})
 
-    unknown = sorted(set(raw) - set(_SCHEMA))
+    unknown = sorted(set(raw) - set(_ROWS) - set(_DBM_ALIASES))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    values = {k: _coerce(k, v) for k, v in raw.items()}
 
     conversions = []
-    for w_key, dbm_key in (("sigma2_w", "sigma2_dbm"), ("sigma_f2_w", "sigma_f2_dbm")):
-        if w_key in values and dbm_key in values:
+    for dbm_key, w_key in _DBM_ALIASES.items():
+        if dbm_key not in raw:
+            continue
+        if w_key in raw:
             raise ConfigError(f"give {w_key} or {dbm_key}, not both")
-        if dbm_key in values:
-            watts = dbm_to_watts(values.pop(dbm_key))
-            values[w_key] = watts
-            conversions.append(f"{dbm_key} -> {w_key}={watts:.6g}")
-            _SCHEMA[w_key][1](watts)
+        try:
+            watts = dbm_to_watts(_coerce(dbm_key, float, None, raw.pop(dbm_key)))
+        except OverflowError:
+            raise ConfigError(f"{dbm_key} is too large") from None
+        raw[w_key] = watts
+        conversions.append(f"{dbm_key} -> {w_key}={watts:.6g}")
 
-    geometry = GeometryConfig(
-        l=values.get("l_m", 200.0),
-        l_in=values.get("l_in_m", 100.0),
-        l_out=values.get("l_out_m", 130.0),
-        m_irs=values.get("m_irs", 16),
-        n_elements=values.get("n_elements", 64),
-    )
-    power = PowerParams(
-        p_t=values.get("p_t_w", 1.0),
-        p_f=values.get("p_f_w", 0.01),
-        sigma2=values.get("sigma2_w", 1e-11),
-        sigma_f2=values.get("sigma_f2_w", 1e-10),
-    )
+    sections: dict[str, dict[str, Any]] = {
+        s: {} for s in ("cfg", "network", "geometry", "power")
+    }
+    for key, value in raw.items():
+        kind, check, (section, name) = _ROWS[key]
+        sections[section][name] = _coerce(key, kind, check, value)
     network = NetworkConfig(
-        geometry=geometry,
-        power=power,
-        alpha=values.get("alpha", 3.0),
-        epsilon_ref=values.get("epsilon_ref", 1e-3),
-        m_bu=values.get("m_bu", 1.0),
-        m_bi=values.get("m_bi", 1.0),
-        m_iu=values.get("m_iu", 1.0),
-        glq_order=values.get("glq_order", 20),
-        distance_floor=values.get("distance_floor_m", 1.0),
-        k_ues=values.get("k_ues", 50),
-        n_drops=values.get("n_drops", 40),
-        n_fading=values.get("n_fading", 100),
+        geometry=GeometryConfig(**sections["geometry"]),
+        power=PowerParams(**sections["power"]),
+        **sections["network"],
     )
-    defaults = ExperimentConfig(network=network)
-    cfg = replace(
-        defaults,
-        experiment=experiment or values.get("experiment", "validate"),
-        seed=seed if seed is not None else values.get("seed", 12345),
-        threads=threads if threads is not None else values.get("threads", 1),
-        tolerance=tolerance if tolerance is not None else values.get("tolerance", 1e-6),
-        d_bu=values.get("d_bu_m", defaults.d_bu),
-        d_bi=values.get("d_bi_m", defaults.d_bi),
-        d_iu=values.get("d_iu_m", defaults.d_iu),
-        pf_grid=values.get("pf_grid_w", defaults.pf_grid),
-        n_total_elements=values.get("n_total_elements", defaults.n_total_elements),
-        density_m_list=tuple(int(m) for m in values.get("density_m_list", defaults.density_m_list)),
-        p_f_total=values.get("p_f_total_w", defaults.p_f_total),
-        density_power_budget=values.get("density_power_budget", defaults.density_power_budget),
-        sweep_n_drops=values.get("sweep_n_drops", defaults.sweep_n_drops),
-        sweep_n_fading=values.get("sweep_n_fading", defaults.sweep_n_fading),
-        assoc_n_list=tuple(int(n) for n in values.get("assoc_n_list", defaults.assoc_n_list)),
-        assoc_n_drops=values.get("assoc_n_drops", defaults.assoc_n_drops),
-        assoc_threshold=values.get("assoc_threshold", defaults.assoc_threshold),
-        ring_l_in_grid=values.get("ring_l_in_grid_m", defaults.ring_l_in_grid),
-        ring_l_out_grid=values.get("ring_l_out_grid_m", defaults.ring_l_out_grid),
-        ring_metric=values.get("ring_metric", defaults.ring_metric),
-        validate_m_iu_list=tuple(int(m) for m in values.get("validate_m_iu_list", defaults.validate_m_iu_list)),
-        validate_n_list=tuple(int(n) for n in values.get("validate_n_list", defaults.validate_n_list)),
-        validate_d_bi_list=values.get("validate_d_bi_m", defaults.validate_d_bi_list),
-        validate_d_iu_list=values.get("validate_d_iu_m", defaults.validate_d_iu_list),
-        validate_p_f_list=values.get("validate_p_f_w", defaults.validate_p_f_list),
-        mc_m_iu_list=tuple(int(m) for m in values.get("mc_m_iu_list", defaults.mc_m_iu_list)),
-        n_mc_model=values.get("n_mc_model", defaults.n_mc_model),
-        n_mc_physical=values.get("n_mc_physical", defaults.n_mc_physical),
-        conversions=tuple(conversions),
-    )
-    if cfg.ring_metric not in ("snr_mean", "achievable_rate", "spatial_throughput"):
-        raise ConfigError(f"ring_metric {cfg.ring_metric!r} is not a known metric")
-    if cfg.density_power_budget not in ("split-total", "fixed-per-irs"):
-        raise ConfigError(
-            f"density_power_budget {cfg.density_power_budget!r} must be "
-            "'split-total' or 'fixed-per-irs'"
-        )
-    return cfg
+    return ExperimentConfig(network=network, conversions=tuple(conversions),
+                            **sections["cfg"])
 
 
 def effective_dict(cfg: ExperimentConfig) -> dict:
     """Flat, JSON-ready view of the effective configuration (linear units)."""
     net = cfg.network
-    geo = net.geometry
-    pw = net.power
-    return {
-        "experiment": cfg.experiment,
-        "seed": cfg.seed,
-        "threads": cfg.threads,
-        "tolerance": cfg.tolerance,
-        "l_m": geo.l,
-        "l_in_m": geo.l_in,
-        "l_out_m": geo.l_out,
-        "m_irs": geo.m_irs,
-        "n_elements": geo.n_elements,
-        "alpha": net.alpha,
-        "epsilon_ref": net.epsilon_ref,
-        "p_t_w": pw.p_t,
-        "p_f_w": pw.p_f,
-        "sigma2_w": pw.sigma2,
-        "sigma_f2_w": pw.sigma_f2,
-        "m_bu": net.m_bu,
-        "m_bi": net.m_bi,
-        "m_iu": net.m_iu,
-        "glq_order": net.glq_order,
-        "distance_floor_m": net.distance_floor,
-        "k_ues": net.k_ues,
-        "n_drops": net.n_drops,
-        "n_fading": net.n_fading,
-        "d_bu_m": cfg.d_bu,
-        "d_bi_m": cfg.d_bi,
-        "d_iu_m": cfg.d_iu,
-        "pf_grid_w": list(cfg.pf_grid),
-        "n_total_elements": cfg.n_total_elements,
-        "density_m_list": list(cfg.density_m_list),
-        "p_f_total_w": cfg.p_f_total,
-        "density_power_budget": cfg.density_power_budget,
-        "sweep_n_drops": cfg.sweep_n_drops,
-        "sweep_n_fading": cfg.sweep_n_fading,
-        "assoc_n_list": list(cfg.assoc_n_list),
-        "assoc_n_drops": cfg.assoc_n_drops,
-        "assoc_threshold": cfg.assoc_threshold,
-        "ring_l_in_grid_m": list(cfg.ring_l_in_grid),
-        "ring_l_out_grid_m": list(cfg.ring_l_out_grid),
-        "ring_metric": cfg.ring_metric,
-        "validate_m_iu_list": list(cfg.validate_m_iu_list),
-        "validate_n_list": list(cfg.validate_n_list),
-        "validate_d_bi_m": list(cfg.validate_d_bi_list),
-        "validate_d_iu_m": list(cfg.validate_d_iu_list),
-        "validate_p_f_w": list(cfg.validate_p_f_list),
-        "mc_m_iu_list": list(cfg.mc_m_iu_list),
-        "n_mc_model": cfg.n_mc_model,
-        "n_mc_physical": cfg.n_mc_physical,
-    }
+    objects = {"cfg": cfg, "network": net, "geometry": net.geometry, "power": net.power}
+    out = {}
+    for key, (kind, _, (section, name)) in _ROWS.items():
+        value = getattr(objects[section], name)
+        out[key] = list(value) if isinstance(kind, tuple) else value
+    return out

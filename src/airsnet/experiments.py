@@ -404,13 +404,4 @@ def run_experiment(cfg: ExperimentConfig):
     }
     if cfg.experiment not in dispatch:
         raise ConfigError(f"unknown experiment {cfg.experiment!r}")
-    if cfg.experiment == "density-sweep":
-        bad = [m for m in cfg.density_m_list if cfg.n_total_elements % m != 0]
-        if bad:
-            divisors = [d for d in range(1, cfg.n_total_elements + 1)
-                        if cfg.n_total_elements % d == 0]
-            raise ConfigError(
-                f"density_m_list entries {bad} do not divide "
-                f"n_total_elements={cfg.n_total_elements}; valid divisors: {divisors}"
-            )
     return dispatch[cfg.experiment](cfg)

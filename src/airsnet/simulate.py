@@ -15,7 +15,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import analytic
-from .channel import snr_active_batch, snr_direct_batch, snr_passive_batch
+from .channel import (
+    sample_nakagami_amplitude,
+    snr_active_batch,
+    snr_direct_batch,
+    snr_passive_batch,
+)
 from .config import ConfigError, NetworkConfig
 
 __all__ = [
@@ -135,7 +140,7 @@ def _drop_worker(cfg: NetworkConfig, policy: str, irs_mode: str, n_fading: int,
     # not depend on how drops are scheduled.
     if direct.any():
         idx = np.flatnonzero(direct)
-        amps = np.sqrt(rng.standard_gamma(cfg.m_bu, (idx.size, n_fading)) / cfg.m_bu)
+        amps = sample_nakagami_amplitude(cfg.m_bu, rng, (idx.size, n_fading))
         zeta = cfg.epsilon_ref * np.maximum(ue_radius[idx], cfg.distance_floor) ** (
             -cfg.alpha
         )
@@ -153,12 +158,8 @@ def _drop_worker(cfg: NetworkConfig, policy: str, irs_mode: str, n_fading: int,
         )
         zeta_bi = cfg.epsilon_ref * d_bi ** (-cfg.alpha)
         zeta_iu = cfg.epsilon_ref * d_iu ** (-cfg.alpha)
-        amps_bi = np.sqrt(
-            rng.standard_gamma(cfg.m_bi, (idx.size, n_fading, n)) / cfg.m_bi
-        )
-        amps_iu = np.sqrt(
-            rng.standard_gamma(cfg.m_iu, (idx.size, n_fading, n)) / cfg.m_iu
-        )
+        amps_bi = sample_nakagami_amplitude(cfg.m_bi, rng, (idx.size, n_fading, n))
+        amps_iu = sample_nakagami_amplitude(cfg.m_iu, rng, (idx.size, n_fading, n))
         flat_bi = amps_bi.reshape(idx.size * n_fading, n)
         flat_iu = amps_iu.reshape(idx.size * n_fading, n)
         zb = np.repeat(zeta_bi, n_fading)
@@ -358,8 +359,8 @@ def physical_snr_mc(cfg: NetworkConfig, d_bi: float, d_iu: float,
     done = 0
     while done < n:
         b = min(chunk, n - done)
-        amps_bi = np.sqrt(rng.standard_gamma(cfg.m_bi, (b, n_el)) / cfg.m_bi)
-        amps_iu = np.sqrt(rng.standard_gamma(cfg.m_iu, (b, n_el)) / cfg.m_iu)
+        amps_bi = sample_nakagami_amplitude(cfg.m_bi, rng, (b, n_el))
+        amps_iu = sample_nakagami_amplitude(cfg.m_iu, rng, (b, n_el))
         if irs_mode == "active":
             snr = snr_active_batch(amps_bi, amps_iu, zeta_bi, zeta_iu, cfg.power)
         else:

@@ -4,16 +4,11 @@ import numpy as np
 import pytest
 
 from airsnet.channel import (
-    FadingDraw,
     PowerParams,
     amplification_factor,
-    draw_fading,
     sample_nakagami_amplitude,
-    snr_active,
     snr_active_batch,
-    snr_direct,
     snr_direct_batch,
-    snr_passive,
     snr_passive_batch,
 )
 from airsnet.mathkit import DomainError
@@ -22,12 +17,10 @@ from airsnet.mixgamma import LinkStats
 POWER = PowerParams(p_t=1.0, p_f=0.01, sigma2=1e-11, sigma_f2=1e-10)
 
 
-def unit_draw(n):
-    return FadingDraw(
-        g_bu=1.0 + 0.0j,
-        g_bi=np.ones(n, dtype=complex),
-        g_iu=np.ones(n, dtype=complex),
-    )
+def snr_row(kernel, a_bi, a_iu, bi, iu, power=POWER):
+    """One draw's SNR from a batch kernel given a single (1, N) amplitude row."""
+    return float(kernel(np.atleast_2d(a_bi), np.atleast_2d(a_iu), bi.path_loss,
+                        iu.path_loss, power)[0])
 
 
 def link(m, d, alpha=3.0, eps=1e-3):
@@ -85,7 +78,7 @@ class TestAmplificationFactor:
 
 class TestSnrDirect:
     def test_substitution(self):
-        assert snr_direct(unit_draw(1), 1e-9, POWER) == pytest.approx(100.0, rel=1e-12)
+        assert snr_direct_batch(np.ones(1), 1e-9, POWER)[0] == pytest.approx(100.0, rel=1e-12)
 
     def test_mean_over_fading(self, rng):
         zeta = 1e-9
@@ -108,30 +101,26 @@ class TestSnrActive:
         bi, iu = link(1.0, 1.0, eps=1.0), link(1.0, 1.0, eps=1.0)
         amp_sq = POWER.p_f / (POWER.p_t + POWER.sigma_f2)
         expected = POWER.p_t * amp_sq / (amp_sq * POWER.sigma_f2 + POWER.sigma2)
-        assert snr_active(unit_draw(1), bi, iu, POWER) == pytest.approx(expected, rel=1e-12)
+        got = snr_row(snr_active_batch, np.ones(1), np.ones(1), bi, iu)
+        assert got == pytest.approx(expected, rel=1e-12)
 
     def test_vanishing_irs_noise_recovers_scaled_passive(self):
         power = PowerParams(p_t=1.0, p_f=0.01, sigma2=1e-11, sigma_f2=1e-22)
         bi, iu = link(1.0, 10.0), link(1.0, 10.0)
-        draw = unit_draw(4)
+        ones = np.ones(4)
         amp_sq = power.p_f / (
             power.p_t * bi.path_loss * 4 + 4 * power.sigma_f2
         )
-        passive_scaled = amp_sq * snr_passive(draw, bi, iu, power)
-        assert snr_active(draw, bi, iu, power) == pytest.approx(passive_scaled, rel=1e-9)
-
-    def test_global_phase_rotation_invariance(self, rng):
-        draw = draw_fading(16, 1.0, 1.0, 1.0, np.random.default_rng(7))
-        bi, iu = link(1.0, 100.0), link(1.0, 30.0)
-        base = snr_active(draw, bi, iu, POWER)
-        rot = np.exp(1j * 1.234)
-        rotated = FadingDraw(draw.g_bu, draw.g_bi * rot, draw.g_iu * rot)
-        assert snr_active(rotated, bi, iu, POWER) == pytest.approx(base, rel=1e-12)
+        passive_scaled = amp_sq * snr_row(snr_passive_batch, ones, ones, bi, iu, power)
+        got = snr_row(snr_active_batch, ones, ones, bi, iu, power)
+        assert got == pytest.approx(passive_scaled, rel=1e-9)
 
     def test_noise_power_ratio_homogeneity(self):
-        draw = draw_fading(8, 1.0, 1.0, 1.0, np.random.default_rng(11))
+        rng = np.random.default_rng(11)
+        a_bi = sample_nakagami_amplitude(1.0, rng, 8)
+        a_iu = sample_nakagami_amplitude(1.0, rng, 8)
         bi, iu = link(1.0, 100.0), link(1.0, 30.0)
-        base = snr_active(draw, bi, iu, POWER)
+        base = snr_row(snr_active_batch, a_bi, a_iu, bi, iu)
         c = 7.3
         scaled = PowerParams(
             p_t=c * POWER.p_t,
@@ -139,30 +128,35 @@ class TestSnrActive:
             sigma2=c * POWER.sigma2,
             sigma_f2=c * POWER.sigma_f2,
         )
-        assert snr_active(draw, bi, iu, scaled) == pytest.approx(base, rel=1e-12)
+        got = snr_row(snr_active_batch, a_bi, a_iu, bi, iu, scaled)
+        assert got == pytest.approx(base, rel=1e-12)
 
     def test_power_budget_met_with_equality(self):
         # P_t ||A Phi h_BI||^2 + sigma_F^2 ||A Phi||^2 = P_F for the optimal A
         rng = np.random.default_rng(3)
         bi = link(1.0, 100.0)
         for _ in range(50):
-            draw = draw_fading(16, 1.0, 1.0, 1.0, rng)
-            a = amplification_factor(draw.g_bi, bi.path_loss, POWER)
-            h_bi_sq = bi.path_loss * float(np.abs(draw.g_bi) ** 2 @ np.ones(16))
+            g_bi = sample_nakagami_amplitude(1.0, rng, 16)
+            a = amplification_factor(g_bi, bi.path_loss, POWER)
+            h_bi_sq = bi.path_loss * float(g_bi**2 @ np.ones(16))
             used = POWER.p_t * a**2 * h_bi_sq + POWER.sigma_f2 * a**2 * 16
             assert abs(used / POWER.p_f - 1.0) < 1e-9
 
     def test_phase_alignment_is_optimal(self):
+        # oracle: complex per-element channels with arbitrary reflection phases
         rng = np.random.default_rng(5)
         bi, iu = link(1.0, 100.0), link(1.0, 30.0)
         for _ in range(20):
-            draw = draw_fading(8, 1.0, 1.0, 1.0, rng)
-            aligned = snr_active(draw, bi, iu, POWER)
-            h_bi = np.sqrt(bi.path_loss) * draw.g_bi
-            h_iu = np.sqrt(iu.path_loss) * draw.g_iu
-            a = amplification_factor(draw.g_bi, bi.path_loss, POWER)
+            a_bi = sample_nakagami_amplitude(1.0, rng, 8)
+            a_iu = sample_nakagami_amplitude(1.0, rng, 8)
+            g_bi = a_bi * np.exp(1j * rng.uniform(0, 2 * np.pi, 8))
+            g_iu = a_iu * np.exp(1j * rng.uniform(0, 2 * np.pi, 8))
+            aligned = snr_row(snr_active_batch, a_bi, a_iu, bi, iu)
+            h_bi = np.sqrt(bi.path_loss) * g_bi
+            h_iu = np.sqrt(iu.path_loss) * g_iu
+            a = amplification_factor(g_bi, bi.path_loss, POWER)
             denom = a**2 * iu.path_loss * float(
-                (np.abs(draw.g_iu) ** 2).sum()
+                (np.abs(g_iu) ** 2).sum()
             ) * POWER.sigma_f2 + POWER.sigma2
             for _ in range(100):
                 phases = np.exp(1j * rng.uniform(0, 2 * np.pi, 8))
@@ -185,12 +179,13 @@ class TestSnrPassive:
     def test_single_element(self):
         bi, iu = link(1.0, 1.0, eps=1.0), link(1.0, 1.0, eps=1.0)
         expected = POWER.p_t / POWER.sigma2
-        assert snr_passive(unit_draw(1), bi, iu, POWER) == pytest.approx(expected, rel=1e-12)
+        got = snr_row(snr_passive_batch, np.ones(1), np.ones(1), bi, iu)
+        assert got == pytest.approx(expected, rel=1e-12)
 
     def test_deterministic_doubling_quadruples(self):
         bi, iu = link(1.0, 100.0), link(1.0, 30.0)
-        s1 = snr_passive(unit_draw(8), bi, iu, POWER)
-        s2 = snr_passive(unit_draw(16), bi, iu, POWER)
+        s1 = snr_row(snr_passive_batch, np.ones(8), np.ones(8), bi, iu)
+        s2 = snr_row(snr_passive_batch, np.ones(16), np.ones(16), bi, iu)
         assert s2 == pytest.approx(4.0 * s1, rel=1e-12)
 
     def test_mc_mean_against_moment_oracle(self, rng):

@@ -72,6 +72,50 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(None, ["n_elements"])
 
+    @pytest.mark.parametrize("item", [
+        "validate_m_iu_list=[2.5]",
+        "validate_n_list=[16.7]",
+        "mc_m_iu_list=[true]",
+        "density_m_list=[4, true]",
+        "assoc_n_list=[16.0]",
+        "pf_grid_w=[true]",
+    ])
+    def test_list_elements_are_strictly_typed(self, item):
+        with pytest.raises(ConfigError, match="must be an integer|must be a number"):
+            parse_config(None, [item])
+
+    @pytest.mark.parametrize("item", [
+        "p_f_w=Infinity",
+        "alpha=Infinity",
+        "d_bu_m=Infinity",
+        "validate_d_iu_m=[30, Infinity]",
+        "sigma2_dbm=Infinity",
+        "sigma_f2_dbm=1e6",  # finite in dBm, but beyond any float in watts
+        "p_t_w=1" + "0" * 400,  # a JSON integer beyond any float
+    ])
+    def test_non_finite_rejected(self, item):
+        with pytest.raises(ConfigError):
+            parse_config(None, [item])
+
+    def test_every_key_round_trips_a_non_default_value(self, tmp_path):
+        others = {"experiment": "ring-sweep", "ring_metric": "snr_mean",
+                  "density_power_budget": "fixed-per-irs"}
+        defaults = effective_dict(parse_config())
+        changed = {}
+        for key, value in defaults.items():
+            if isinstance(value, str):
+                changed[key] = others[key]
+            elif isinstance(value, list):
+                changed[key] = [x * (2 if isinstance(x, int) else 1.5) for x in value]
+            else:
+                # scaling every length by 1.5 keeps 0 < l_in < l_out < l
+                changed[key] = value * (2 if isinstance(value, int) else 1.5)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(changed))
+        echo = effective_dict(parse_config(str(path)))
+        assert echo == changed
+        assert all(changed[k] != v for k, v in defaults.items())
+
     def test_density_divisor_check_at_dispatch(self):
         cfg = parse_config(None, ["density_m_list=[5]", "n_total_elements=12"],
                            experiment="density-sweep")
@@ -198,6 +242,10 @@ class TestCliRuns:
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["best_l_in"] == 100.0
+
+    @pytest.mark.parametrize("flag", [["--tolerance", "-1"], ["--threads", "0"]])
+    def test_flags_pass_the_config_validators(self, tmp_path, flag):
+        assert main(["validate", "--out", str(tmp_path / "x")] + flag + FAST_VALIDATE) == 2
 
     def test_bad_config_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
