@@ -11,7 +11,6 @@ from .analytic import (
     mean_snr_closed,
     mean_snr_integral,
     mean_snr_passive,
-    mean_snr_rayleigh,
     noise_laplace,
     rate_active,
     rate_direct,
@@ -20,7 +19,7 @@ from .analytic import (
 )
 from .channel import PowerParams
 from .config import ExperimentConfig, GeometryConfig, NetworkConfig, parse_config
-from .mathkit import QuadratureRule, exp_e1_scaled, gauss_laguerre, ln_gamma
+from .mathkit import QuadratureRule, exp_e1_scaled, exp_en_scaled, gauss_laguerre, ln_gamma
 from .mixgamma import LinkStats, MixtureGamma, cascaded_power_dist, direct_power_dist
 from .simulate import NetworkRealization, SimEstimate, simulate_cell, sweep_density
 
@@ -32,7 +31,6 @@ __all__ = [
     "mean_snr_closed",
     "mean_snr_integral",
     "mean_snr_passive",
-    "mean_snr_rayleigh",
     "noise_laplace",
     "rate_active",
     "rate_direct",
@@ -45,6 +43,7 @@ __all__ = [
     "parse_config",
     "QuadratureRule",
     "exp_e1_scaled",
+    "exp_en_scaled",
     "gauss_laguerre",
     "ln_gamma",
     "LinkStats",

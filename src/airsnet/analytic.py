@@ -1,8 +1,8 @@
 """Closed-form and quadrature performance expressions.
 
 Conditional SNR moments, the amplification-noise Laplace transform, mean SNR
-(quadrature, closed form, and the Rayleigh special case), the passive
-baseline, achievable rates, and the geometry-averaged metric.
+(per-node quadrature and the node-free closed form), the passive baseline,
+achievable rates, and the geometry-averaged metric.
 
 Conventions baked in here (see README for the full discussion):
 
@@ -30,7 +30,7 @@ import numpy as np
 from .config import ConfigError, NetworkConfig
 from .mathkit import (
     DomainError,
-    exp_e1_scaled,
+    exp_en_scaled,
     integrate_interval_with_error,
     integrate_semi_infinite_with_error,
     ln_gamma,
@@ -39,7 +39,6 @@ from .mixgamma import LinkStats, MixtureGamma, cascaded_power_dist
 
 __all__ = [
     "MetricResult",
-    "UnsupportedParameterError",
     "averaged_amp_gain",
     "cascaded_mixture",
     "snr_moment_direct",
@@ -47,7 +46,6 @@ __all__ = [
     "snr_moment_active",
     "mean_snr_integral",
     "mean_snr_closed",
-    "mean_snr_rayleigh",
     "mean_snr_passive",
     "rate_direct",
     "rate_active",
@@ -59,10 +57,6 @@ __all__ = [
 LOG2E = math.log2(math.e)
 QUAD_TOL = 1e-8
 REGION_TOL = 1e-6
-
-
-class UnsupportedParameterError(ValueError):
-    """The closed form does not cover this parameter point."""
 
 
 @dataclass(frozen=True)
@@ -210,70 +204,32 @@ def mean_snr_integral(d_bi: float, d_iu: float, cfg: NetworkConfig) -> float:
     return total
 
 
-def mean_snr_closed(d_bi: float, d_iu: float, cfg: NetworkConfig) -> float:
-    """Closed-form mean amplified-link SNR for integer m_IU in 1..8.
+def mean_snr_closed(d_bi, d_iu, cfg: NetworkConfig):
+    """Closed-form mean amplified-link SNR for any real m_IU >= 1/2.
 
-    Applies the standard identity for integral e^(-a z)(z+D)^-m dz:
-    (1/(m-1)!) [sum_{k=1}^{m-1} (k-1)! (-a)^(m-1-k) D^(-k)
-                + (-a)^(m-1) e^(aD) E1(aD)],
-    evaluated with the scaled exponential integral so the e^(aD) factor can
-    never overflow. The alternating sum loses digits as m grows, which is why
-    the closed form is capped at m_IU = 8 and the quadrature path stays the
-    reference.
+    Each per-node integral of mean_snr_integral is D_i^(1-m) psi_m(kappa),
+    with psi_m(kappa) = e^kappa E_m(kappa) and kappa = a_i D_i =
+    m_IU sigma^2/(eta sigma_F^2) the same at every node, so the node sum
+    collapses to
+    N P_t zeta_BI zeta_IU / (sigma_F^2 Gamma(m)) sum_i w_i t_i^m psi_m(kappa).
+    At m_IU = 1 this is (N P_t/(W sigma_F^2)) e^(Psi/P_F) E1(Psi/P_F) with
+    Psi = sigma^2 (P_t zeta_BI + sigma_F^2)/sigma_F^2. Broadcasts d_bi
+    against d_iu; returns a float for scalar distances.
     """
-    m_f = cfg.m_iu
-    if abs(m_f - round(m_f)) > 1e-12 or not (1 <= round(m_f) <= 8):
-        raise UnsupportedParameterError(
-            f"closed form needs integer m_IU in 1..8, got {m_f}; use mean_snr_integral"
-        )
-    m = int(round(m_f))
-    n = cfg.geometry.n_elements
+    m = cfg.m_iu
     p = cfg.power
     rule = cfg.rule()
-    w_big = _w_product(d_bi, d_iu, cfg)
-    eta = averaged_amp_gain(d_bi, cfg)
-    t = rule.nodes
-    k_coeff = np.exp(
-        np.log(rule.weights)
-        + (2.0 * m - 1.0) * np.log(t)
-        - ln_gamma(float(m))
-        + (1.0 - m) * math.log(cfg.m_bi)
-        + m * math.log(n * p.p_t / (p.sigma_f2 * w_big))
-    )
-    a = cfg.m_bi * m * w_big * p.sigma2 / (t * eta * n * p.p_t)
-    d_shift = n * p.p_t * t / (p.sigma_f2 * cfg.m_bi * w_big)
-    kappa = m * p.sigma2 / (eta * p.sigma_f2)  # = a_i * D_i, node-free
-
-    e1_term = exp_e1_scaled(kappa)
-    fact_m1 = math.factorial(m - 1)
-    total = 0.0
-    for ki, ai, di in zip(k_coeff, a, d_shift):
-        acc = (-ai) ** (m - 1) * e1_term
-        for k in range(1, m):
-            acc += math.factorial(k - 1) * (-ai) ** (m - 1 - k) * di ** (-k)
-        total += ki * acc / fact_m1
-    return total
-
-
-def mean_snr_rayleigh(d_bi, d_iu, cfg: NetworkConfig):
-    """Mean amplified-link SNR for Rayleigh reflector->user fading (m_IU = 1).
-
-    (N P_t / (W sigma_F^2)) e^(Psi/P_F) E1(Psi/P_F) with
-    Psi = sigma^2 (P_t eps d_BI^-alpha + sigma_F^2) / sigma_F^2.
-    Vectorizes over d_bi/d_iu arrays.
-    """
-    if cfg.m_iu != 1.0:
-        raise UnsupportedParameterError("mean_snr_rayleigh requires m_IU = 1")
-    p = cfg.power
     d_bi_f = np.maximum(np.asarray(d_bi, dtype=float), cfg.distance_floor)
     d_iu_f = np.maximum(np.asarray(d_iu, dtype=float), cfg.distance_floor)
     zeta_bi = cfg.epsilon_ref * d_bi_f ** (-cfg.alpha)
     zeta_iu = cfg.epsilon_ref * d_iu_f ** (-cfg.alpha)
-    w_big = 1.0 / (zeta_bi * zeta_iu)
-    psi = p.sigma2 * (p.p_t * zeta_bi + p.sigma_f2) / p.sigma_f2
+    eta = p.p_f / (p.p_t * zeta_bi + p.sigma_f2)
+    kappa = m * p.sigma2 / (eta * p.sigma_f2)
+    # sum_i w_i t_i^m / Gamma(m), termwise in logs so large m cannot overflow
+    glsum = float(np.exp(np.log(rule.weights) + m * np.log(rule.nodes) - ln_gamma(m)).sum())
     n = cfg.geometry.n_elements
-    value = n * p.p_t / (w_big * p.sigma_f2) * exp_e1_scaled(psi / p.p_f)
-    return float(value) if np.asarray(d_bi).ndim == 0 and np.asarray(d_iu).ndim == 0 else value
+    value = n * p.p_t * zeta_bi * zeta_iu / p.sigma_f2 * glsum * exp_en_scaled(m, kappa)
+    return float(value) if np.ndim(d_bi) == 0 and np.ndim(d_iu) == 0 else value
 
 
 def mean_snr_passive(d_bi: float, d_iu: float, cfg: NetworkConfig) -> float:

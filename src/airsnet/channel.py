@@ -16,7 +16,6 @@ from .mathkit import DomainError
 __all__ = [
     "PowerParams",
     "sample_nakagami_amplitude",
-    "amplification_factor",
     "snr_direct_batch",
     "snr_active_batch",
     "snr_passive_batch",
@@ -43,20 +42,6 @@ def sample_nakagami_amplitude(m: float, rng: np.random.Generator, size=None):
         raise DomainError(f"Nakagami shape must be >= 0.5, got {m}")
     power = rng.standard_gamma(m, size=size) / m
     return np.sqrt(power)
-
-
-def amplification_factor(g_bi_draw: np.ndarray, bi_path_loss: float,
-                         power: PowerParams) -> float:
-    """Common per-element gain exhausting the amplification power budget.
-
-    A^2 = P_F / (P_t zeta_BI ||g_BI||^2 + N sigma_F^2); returns A > 0.
-    """
-    g = np.asarray(g_bi_draw)
-    if g.size == 0:
-        raise DomainError("fading vector must be nonempty")
-    norm_sq = float((np.abs(g) ** 2).sum())
-    amp_sq = power.p_f / (power.p_t * bi_path_loss * norm_sq + g.size * power.sigma_f2)
-    return float(np.sqrt(amp_sq))
 
 
 def snr_direct_batch(amp_bu: np.ndarray, bu_path_loss: float,

@@ -1,9 +1,9 @@
 """Special functions and quadrature primitives used by every other module.
 
 Everything here is pure and deterministic: Gauss-Laguerre rules, log-Gamma,
-the overflow-safe scaled exponential integral e^x*E1(x), a regularized lower
-incomplete Gamma (for CDFs), and an adaptive Gauss-Kronrod integrator for
-finite and semi-infinite intervals.
+the overflow-safe scaled exponential integrals e^x*E_p(x) and e^x*E1(x), a
+regularized lower incomplete Gamma (for CDFs), and an adaptive Gauss-Kronrod
+integrator for finite and semi-infinite intervals.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ __all__ = [
     "QuadratureRule",
     "gauss_laguerre",
     "ln_gamma",
+    "exp_en_scaled",
     "exp_e1_scaled",
     "gamma_cdf_regularized",
     "integrate_semi_infinite",
@@ -144,27 +145,63 @@ def ln_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def _e1_series(x: np.ndarray) -> np.ndarray:
-    """E1(x) for 0 < x <= 1 via the alternating power series."""
-    total = -EULER_GAMMA - np.log(x)
+# zeta(k) - 1 for k = 2..27, the coefficients of the ln Gamma(1+a) series.
+_ZETA_MINUS_ONE = np.array([
+    0.6449340668482264, 0.2020569031595943, 0.08232323371113819,
+    0.03692775514336993, 0.01734306198444914, 0.008349277381922827,
+    0.00407735619794434, 0.0020083928260822143, 0.0009945751278180853,
+    0.0004941886041194645, 0.0002460865533080483, 0.00012271334757848915,
+    6.124813505870483e-05, 3.058823630702049e-05, 1.528225940865187e-05,
+    7.637197637899763e-06, 3.81729326499984e-06, 1.908212716553939e-06,
+    9.539620338727962e-07, 4.769329867878064e-07, 2.38450502727733e-07,
+    1.1921992596531106e-07, 5.960818905125948e-08, 2.980350351465228e-08,
+    1.4901554828365043e-08, 7.45071178983543e-09,
+])
+
+
+def _lgamma1p_over_a(a: float) -> float:
+    """ln Gamma(1+a) / a for |a| <= 1/2, without ever forming 1 + a.
+
+    A&S 6.1.41: ln Gamma(1+a) = -ln(1+a) + a(1-gamma)
+    + sum_{k>=2} (-1)^k (zeta(k)-1) a^k / k. Rounding 1 + a would cost
+    ~1e-16/|a| relative, i.e. 1e-9 at a = 1e-7.
+    """
+    if a == 0.0:
+        return -EULER_GAMMA
+    k = np.arange(2.0, 2.0 + _ZETA_MINUS_ONE.size)
+    tail = float(np.sum(_ZETA_MINUS_ONE * (-a) ** (k - 1.0) / k))
+    return -math.log1p(a) / a + (1.0 - EULER_GAMMA) - tail
+
+
+def _exp_en_series(p0: float, x: np.ndarray) -> np.ndarray:
+    """e^x E_p0(x) for 0 < x <= 1 and p0 in [1/2, 3/2) by the power series.
+
+    E_p0(x) = Gamma(a) x^-a - sum_{k>=0} (-x)^k / (k! (k+a)) with a = 1 - p0
+    (DLMF 8.19). The k = 0 term and Gamma(a) x^-a both have a pole at
+    a = 0; their sum is evaluated as expm1(a (ln Gamma(1+a)/a - ln x)) / a,
+    which is the E1 series' -gamma - ln x at a = 0.
+    """
+    a = 1.0 - p0
+    h = _lgamma1p_over_a(a) - np.log(x)
+    total = h if a == 0.0 else np.expm1(a * h) / a
     term = np.ones_like(x)
     for k in range(1, 30):
         term = term * (-x) / k
-        total = total - term / k
-    return total
+        total = total - term / (k + a)
+    return np.exp(x) * total
 
 
-def _exp_e1_cf(x: np.ndarray) -> np.ndarray:
-    """e^x E1(x) for x > 1 via the modified Lentz continued fraction."""
+def _exp_en_cf(p: float, x: np.ndarray) -> np.ndarray:
+    """e^x E_p(x) for x > 1 via the modified Lentz continued fraction."""
     tiny = 1e-300
-    b = x + 1.0
+    b = x + p
     f = b.copy()
     c = f.copy()
     d = np.zeros_like(x)
     converged = np.zeros(x.shape, dtype=bool)
     for k in range(1, 200):
-        a = -float(k * k)
-        b = x + 2.0 * k + 1.0
+        a = -k * (k + (p - 1.0))
+        b = x + 2.0 * k + p
         d = b + a * d
         d = np.where(np.abs(d) < tiny, tiny, d)
         c = b + a / c
@@ -178,26 +215,44 @@ def _exp_e1_cf(x: np.ndarray) -> np.ndarray:
     return 1.0 / f
 
 
-def exp_e1_scaled(x):
-    """Overflow-safe e^x * E1(x) for x > 0 (E1 the exponential integral).
+def exp_en_scaled(p: float, x):
+    """Overflow-safe e^x * E_p(x) for real order p >= 1/2 and x > 0.
 
-    Accepts a scalar or ndarray. Strictly decreasing, with
-    1/(x+1) < e^x E1(x) < 1/x on the whole domain. Relative error is
-    ~1e-14 (series below x=1, continued fraction above).
+    E_p is the generalized exponential integral (DLMF 8.19), so this is
+    integral_0^inf e^(-x u) (1+u)^-p du. Accepts a scalar or ndarray x.
+    Above x = 1 a continued fraction; at or below it the series for the
+    order p0 = p - n in [1/2, 3/2), then the upward recurrence
+    psi_(q+1) = (1 - x psi_q) / q, which damps errors for x <= 1. Relative
+    error ~1e-14, near-integer orders included.
     """
+    if not p >= 0.5:
+        raise DomainError(f"exp_en_scaled requires p >= 1/2, got {p!r}")
     arr = np.asarray(x, dtype=float)
     if np.any(arr <= 0) or not np.all(np.isfinite(arr)):
-        raise DomainError("exp_e1_scaled requires x > 0")
+        raise DomainError("exp_en_scaled requires x > 0")
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
     out = np.empty_like(arr)
     small = arr <= 1.0
     if small.any():
         xs = arr[small]
-        out[small] = np.exp(xs) * _e1_series(xs)
+        n = math.floor(p - 0.5)
+        psi = _exp_en_series(p - n, xs)
+        for q in (p - n) + np.arange(n):
+            psi = (1.0 - xs * psi) / q
+        out[small] = psi
     if (~small).any():
-        out[~small] = _exp_e1_cf(arr[~small])
+        out[~small] = _exp_en_cf(p, arr[~small])
     return float(out[0]) if scalar else out
+
+
+def exp_e1_scaled(x):
+    """Overflow-safe e^x * E1(x) for x > 0 (E1 the exponential integral).
+
+    The p = 1 case of exp_en_scaled. Strictly decreasing, with
+    1/(x+1) < e^x E1(x) < 1/x on the whole domain.
+    """
+    return exp_en_scaled(1.0, x)
 
 
 def gamma_cdf_regularized(a: float, x):

@@ -107,17 +107,7 @@ def associate(real: NetworkRealization, policy: str,
         choice = np.argmin(d_iu, axis=1)
     else:
         d_bi = np.linalg.norm(real.irs_positions, axis=1)
-        if cfg.m_iu == 1.0:
-            score = analytic.mean_snr_rayleigh(
-                np.broadcast_to(d_bi, d_iu.shape), d_iu, cfg
-            )
-        else:
-            score = np.array(
-                [
-                    [analytic.mean_snr_integral(b, r, cfg) for b, r in zip(d_bi, row)]
-                    for row in d_iu
-                ]
-            )
+        score = analytic.mean_snr_closed(d_bi, d_iu, cfg)  # (users, reflectors)
         choice = np.argmax(score, axis=1)
     association = np.where(ue_radius < geo.l_in, -1, choice)
     return NetworkRealization(real.irs_positions, real.ue_positions, association)

@@ -34,6 +34,20 @@ def ref_exp_e1_scaled(x: float) -> float:
     return float(rule.weights @ (1.0 / (rule.nodes + x)))
 
 
+def rayleigh_mean_snr(d_bi: float, d_iu: float, cfg) -> float:
+    """Mean amplified-link SNR for Rayleigh reflector->user fading (m_IU = 1).
+
+    (N P_t zeta_BI zeta_IU / sigma_F^2) e^(Psi/P_F) E1(Psi/P_F) with
+    Psi = sigma^2 (P_t zeta_BI + sigma_F^2) / sigma_F^2, on ref_exp_e1_scaled.
+    """
+    p = cfg.power
+    zeta_bi = cfg.epsilon_ref * cfg.floored(d_bi) ** -cfg.alpha
+    zeta_iu = cfg.epsilon_ref * cfg.floored(d_iu) ** -cfg.alpha
+    psi = p.sigma2 * (p.p_t * zeta_bi + p.sigma_f2) / p.sigma_f2
+    n = cfg.geometry.n_elements
+    return n * p.p_t * zeta_bi * zeta_iu / p.sigma_f2 * ref_exp_e1_scaled(psi / p.p_f)
+
+
 def passive_cascade_k(m_bi: float, m_iu: float) -> float:
     """k = (E a * E b)^2 for unit-power Nakagami amplitudes a ~ m_BI, b ~ m_IU.
 

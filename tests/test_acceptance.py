@@ -26,7 +26,7 @@ from airsnet.simulate import (
     simulate_cell,
     sweep_density,
 )
-from conftest import passive_cascade_k, passive_moment_ratio
+from conftest import passive_cascade_k, passive_moment_ratio, rayleigh_mean_snr
 
 SEED = 20260808
 
@@ -62,7 +62,7 @@ def test_criterion_01_closed_form_quadrature_equivalence():
                         closed = an.mean_snr_closed(d_bi, d_iu, cfg)
                         worst_cq = max(worst_cq, abs(closed - quad) / quad)
                         if m_iu == 1:
-                            ray = an.mean_snr_rayleigh(d_bi, d_iu, cfg)
+                            ray = rayleigh_mean_snr(d_bi, d_iu, cfg)
                             worst_ray = max(
                                 worst_ray,
                                 abs(ray - quad) / quad,
@@ -146,7 +146,7 @@ def test_criterion_05_physical_gap_monotone():
     for n in (16, 64):
         cfg = grid_cfg(1, n, 0.01)
         phys, se = physical_snr_mc(cfg, 100.0, 30.0, n=1_000_000, seed=SEED)
-        eq17 = an.mean_snr_rayleigh(100.0, 30.0, cfg)
+        eq17 = an.mean_snr_closed(100.0, 30.0, cfg)
         gaps[n] = abs(phys - eq17) / eq17
         print(f"  physical N={n}: MC {phys:.4f} +- {se:.4f}, analytic {eq17:.4e}, "
               f"relative gap {gaps[n]:.4e}")
@@ -214,7 +214,7 @@ def test_criterion_07_budget_shape():
     grid = [float(x) for x in np.logspace(-4, 1, 12)]
     values = []
     for p_f in grid:
-        values.append(an.mean_snr_rayleigh(100.0, 30.0, grid_cfg(1, 64, p_f)))
+        values.append(an.mean_snr_closed(100.0, 30.0, grid_cfg(1, 64, p_f)))
     increasing = all(a < b for a, b in zip(values, values[1:]))
     slopes = [
         (values[i + 1] - values[i]) / (grid[i + 1] - grid[i])

@@ -9,7 +9,7 @@ from airsnet.channel import PowerParams
 from airsnet.config import ConfigError, GeometryConfig, NetworkConfig
 from airsnet.mathkit import exp_e1_scaled, integrate_interval, integrate_semi_infinite
 from airsnet.simulate import model_snr_moment_mc, physical_snr_mc
-from conftest import rel_err
+from conftest import rayleigh_mean_snr, rel_err
 
 BASE_POWER = PowerParams(p_t=1.0, p_f=0.01, sigma2=1e-11, sigma_f2=1e-10)
 
@@ -90,10 +90,12 @@ class TestEquivalenceTriangle:
         assert rel_err(closed, quad) < 1e-6
 
     def test_rayleigh_matches_both(self):
+        # at m_IU = 1 the closed form is the Rayleigh expression, rebuilt here
+        # from the series/Laguerre E1 oracle
         cfg = make_cfg(m_iu=1)
-        ray = an.mean_snr_rayleigh(100.0, 30.0, cfg)
-        assert rel_err(ray, an.mean_snr_integral(100.0, 30.0, cfg)) < 1e-6
-        assert rel_err(ray, an.mean_snr_closed(100.0, 30.0, cfg)) < 1e-12
+        closed = an.mean_snr_closed(100.0, 30.0, cfg)
+        assert rel_err(closed, an.mean_snr_integral(100.0, 30.0, cfg)) < 1e-6
+        assert rel_err(closed, rayleigh_mean_snr(100.0, 30.0, cfg)) < 1e-12
 
     @pytest.mark.parametrize("m_iu", [1, 2, 3])
     @pytest.mark.parametrize("d_pair", [(80.0, 10.0), (130.0, 60.0)])
@@ -115,11 +117,24 @@ class TestEquivalenceTriangle:
         cfg = make_cfg(m_iu=2)
         assert rel_err(an.mean_snr_closed(100.0, 30.0, cfg), 4.740738961967e-05) < 1e-6
 
-    def test_non_integer_shape_rejected_by_closed_form(self):
-        cfg = make_cfg(m_iu=1.5)
-        with pytest.raises(an.UnsupportedParameterError):
-            an.mean_snr_closed(100.0, 30.0, cfg)
-        assert an.mean_snr_integral(100.0, 30.0, cfg) > 0
+    def test_non_integer_shape_matches_quadrature(self):
+        for m_iu in (0.5, 1.5, 2.5):
+            cfg = make_cfg(m_iu=m_iu)
+            quad = an.mean_snr_integral(100.0, 30.0, cfg)
+            assert rel_err(an.mean_snr_closed(100.0, 30.0, cfg), quad) < 1e-7, m_iu
+
+    @pytest.mark.parametrize("m_iu", [1.0, 2.5])
+    def test_closed_form_broadcasts(self, m_iu):
+        cfg = make_cfg(m_iu=m_iu)
+        # one d_BI per reflector against a (user, reflector) d_IU grid
+        d_bi = np.array([80.0, 100.0, 130.0])
+        d_iu = np.array([[0.5, 30.0, 60.0], [10.0, 1.0, 190.0]])
+        grid = an.mean_snr_closed(d_bi, d_iu, cfg)
+        assert grid.shape == (2, 3)
+        for idx in np.ndindex(grid.shape):
+            point = an.mean_snr_closed(float(d_bi[idx[1]]), float(d_iu[idx]), cfg)
+            assert type(point) is float
+            assert rel_err(grid[idx], point) < 1e-14
 
 
 class TestSnrMomentActive:
@@ -149,6 +164,8 @@ class TestSnrMomentActive:
 
 
 class TestMeanSnrRayleigh:
+    """mean_snr_closed at the default m_IU = 1."""
+
     def test_unit_scaled_exponential_integral(self):
         cfg = make_cfg()
         zeta_bi = cfg.epsilon_ref * 100.0**-3
@@ -158,11 +175,11 @@ class TestMeanSnrRayleigh:
         )
         w = (100.0**3 * 30.0**3) / cfg.epsilon_ref**2
         expected = 64 * 1.0 / (w * 1e-10) * 0.5963473623231941
-        assert rel_err(an.mean_snr_rayleigh(100.0, 30.0, cfg_pf), expected) < 1e-9
+        assert rel_err(an.mean_snr_closed(100.0, 30.0, cfg_pf), expected) < 1e-9
 
     def test_exact_doubling_in_elements(self):
-        v1 = an.mean_snr_rayleigh(100.0, 30.0, make_cfg(n=64))
-        v2 = an.mean_snr_rayleigh(100.0, 30.0, make_cfg(n=128))
+        v1 = an.mean_snr_closed(100.0, 30.0, make_cfg(n=64))
+        v2 = an.mean_snr_closed(100.0, 30.0, make_cfg(n=128))
         assert v2 == pytest.approx(2.0 * v1, rel=1e-14)
 
     def test_deep_budget_asymptote(self):
@@ -174,21 +191,17 @@ class TestMeanSnrRayleigh:
         )
         w = (100.0**3 * 30.0**3) / cfg.epsilon_ref**2
         prefactor = 64 * 1.0 / (w * 1e-10)
-        got = an.mean_snr_rayleigh(100.0, 30.0, cfg_pf)
+        got = an.mean_snr_closed(100.0, 30.0, cfg_pf)
         assert abs(got / prefactor - (1e-3 - 1e-6)) < 1e-8
 
     def test_monotone_in_budget_and_elements(self):
         values_pf = [
-            an.mean_snr_rayleigh(100.0, 30.0, make_cfg(p_f=p))
+            an.mean_snr_closed(100.0, 30.0, make_cfg(p_f=p))
             for p in np.logspace(-4, 1, 10)
         ]
         assert all(a < b for a, b in zip(values_pf, values_pf[1:]))
-        values_n = [an.mean_snr_rayleigh(100.0, 30.0, make_cfg(n=n)) for n in (16, 32, 64, 128)]
+        values_n = [an.mean_snr_closed(100.0, 30.0, make_cfg(n=n)) for n in (16, 32, 64, 128)]
         assert all(a < b for a, b in zip(values_n, values_n[1:]))
-
-    def test_requires_rayleigh_shape(self):
-        with pytest.raises(an.UnsupportedParameterError):
-            an.mean_snr_rayleigh(100.0, 30.0, make_cfg(m_iu=2))
 
 
 class TestMeanSnrIntegralShape:
@@ -329,7 +342,7 @@ class TestAverageMetric:
         s_t = geo.s_total
 
         def region2_floor(b):
-            return an.mean_snr_rayleigh(b, cfg.distance_floor, cfg)
+            return an.mean_snr_closed(b, cfg.distance_floor, cfg)
 
         r2 = (
             2.0
@@ -364,7 +377,7 @@ class TestAverageMetric:
             * integrate_interval(
                 lambda b: np.array(
                     [
-                        an.mean_snr_rayleigh(geo.l_out, max(x - geo.l_out, 1.0), cfg)
+                        an.mean_snr_closed(geo.l_out, max(x - geo.l_out, 1.0), cfg)
                         for x in np.atleast_1d(b)
                     ]
                 )
@@ -404,7 +417,7 @@ class TestPhysicalModelGapRecord:
         # measured ratio's ballpark so regressions in either side surface
         cfg = make_cfg(m_iu=1, n=64)
         phys, se = physical_snr_mc(cfg, 100.0, 30.0, n=200_000, seed=5)
-        model = an.mean_snr_rayleigh(100.0, 30.0, cfg)
+        model = an.mean_snr_closed(100.0, 30.0, cfg)
         ratio = phys / model
         print(f"physical/model mean-SNR ratio at N=64: {ratio:.3e} "
               f"(physical {phys:.4g} +- {se:.2g}, analytic {model:.4g})")

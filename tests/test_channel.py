@@ -5,7 +5,6 @@ import pytest
 
 from airsnet.channel import (
     PowerParams,
-    amplification_factor,
     sample_nakagami_amplitude,
     snr_active_batch,
     snr_direct_batch,
@@ -48,18 +47,54 @@ class TestNakagamiSampler:
             sample_nakagami_amplitude(0.4, rng)
 
 
+def budget_gain_sq(amp_bi, zeta_bi, power=POWER):
+    """Oracle: the common power gain A^2 exhausting the amplification budget.
+
+    A^2 = P_F / (P_t zeta_BI ||g_BI||^2 + N sigma_F^2) for one draw.
+    """
+    amp_bi = np.asarray(amp_bi, dtype=float)
+    return power.p_f / (power.p_t * zeta_bi * float(amp_bi @ amp_bi)
+                        + amp_bi.size * power.sigma_f2)
+
+
+def snr_at_gain(a_sq, amp_bi, amp_iu, zeta_bi, zeta_iu, power=POWER):
+    """Oracle: the phase-aligned SNR of one draw amplified by power gain a_sq."""
+    cascade = float(np.dot(amp_bi, amp_iu))
+    signal = power.p_t * a_sq * zeta_bi * zeta_iu * cascade**2
+    return signal / (a_sq * zeta_iu * float(np.dot(amp_iu, amp_iu)) * power.sigma_f2
+                     + power.sigma2)
+
+
+def kernel_gain_sq(amp_bi, amp_iu, zeta_bi, zeta_iu, power=POWER):
+    """The power gain snr_active_batch applied, solved back from its SNR."""
+    snr = float(snr_active_batch(np.atleast_2d(amp_bi), np.atleast_2d(amp_iu),
+                                 zeta_bi, zeta_iu, power)[0])
+    signal = power.p_t * zeta_bi * zeta_iu * float(np.dot(amp_bi, amp_iu)) ** 2
+    noise = zeta_iu * float(np.dot(amp_iu, amp_iu)) * power.sigma_f2
+    return snr * power.sigma2 / (signal - snr * noise)
+
+
 class TestAmplificationFactor:
+    """The budget-exhausting gain inside snr_active_batch."""
+
     def test_vanishing_transmit_power(self):
         power = PowerParams(p_t=1e-30, p_f=0.01, sigma2=1e-11, sigma_f2=1e-10)
         n = 16
-        a = amplification_factor(np.ones(n, dtype=complex), 1e-9, power)
-        assert a**2 == pytest.approx(power.p_f / (n * power.sigma_f2), rel=1e-9)
+        ones = np.ones(n)
+        a_sq = budget_gain_sq(ones, 1e-9, power)
+        assert a_sq == pytest.approx(power.p_f / (n * power.sigma_f2), rel=1e-9)
+        got = snr_active_batch(ones[None, :], ones[None, :], 1e-9, 1e-8, power)[0]
+        assert got == pytest.approx(snr_at_gain(a_sq, ones, ones, 1e-9, 1e-8, power),
+                                    rel=1e-12, abs=0.0)
 
     def test_unit_amplitudes(self):
         n = 8
-        a = amplification_factor(np.ones(n, dtype=complex), 1.0, POWER)
+        ones = np.ones(n)
+        a_sq = budget_gain_sq(ones, 1.0)
         expected = POWER.p_f / (n * (POWER.p_t + POWER.sigma_f2))
-        assert a**2 == pytest.approx(expected, rel=1e-12)
+        assert a_sq == pytest.approx(expected, rel=1e-12)
+        got = snr_active_batch(ones[None, :], ones[None, :], 1.0, 1e-6, POWER)[0]
+        assert got == pytest.approx(snr_at_gain(a_sq, ones, ones, 1.0, 1e-6), rel=1e-12)
 
     def test_average_denominator_supports_mean_gain(self, rng):
         # E||g_BI||^2 = N, so the averaged denominator is N (P_t zeta + sigma_F^2)
@@ -70,10 +105,6 @@ class TestAmplificationFactor:
         denom = POWER.p_t * zeta * (g**2).sum(axis=1) + n * POWER.sigma_f2
         expected = n * (POWER.p_t * zeta + POWER.sigma_f2)
         assert abs(denom.mean() / expected - 1.0) < 0.005
-
-    def test_empty_vector_rejected(self):
-        with pytest.raises(DomainError):
-            amplification_factor(np.array([], dtype=complex), 1e-9, POWER)
 
 
 class TestSnrDirect:
@@ -135,11 +166,13 @@ class TestSnrActive:
         # P_t ||A Phi h_BI||^2 + sigma_F^2 ||A Phi||^2 = P_F for the optimal A
         rng = np.random.default_rng(3)
         bi = link(1.0, 100.0)
+        iu = link(1.0, 30.0)
         for _ in range(50):
             g_bi = sample_nakagami_amplitude(1.0, rng, 16)
-            a = amplification_factor(g_bi, bi.path_loss, POWER)
+            g_iu = sample_nakagami_amplitude(1.0, rng, 16)
+            a_sq = kernel_gain_sq(g_bi, g_iu, bi.path_loss, iu.path_loss)
             h_bi_sq = bi.path_loss * float(g_bi**2 @ np.ones(16))
-            used = POWER.p_t * a**2 * h_bi_sq + POWER.sigma_f2 * a**2 * 16
+            used = POWER.p_t * a_sq * h_bi_sq + POWER.sigma_f2 * a_sq * 16
             assert abs(used / POWER.p_f - 1.0) < 1e-9
 
     def test_phase_alignment_is_optimal(self):
@@ -154,13 +187,13 @@ class TestSnrActive:
             aligned = snr_row(snr_active_batch, a_bi, a_iu, bi, iu)
             h_bi = np.sqrt(bi.path_loss) * g_bi
             h_iu = np.sqrt(iu.path_loss) * g_iu
-            a = amplification_factor(g_bi, bi.path_loss, POWER)
-            denom = a**2 * iu.path_loss * float(
+            a_sq = budget_gain_sq(a_bi, bi.path_loss)
+            denom = a_sq * iu.path_loss * float(
                 (np.abs(g_iu) ** 2).sum()
             ) * POWER.sigma_f2 + POWER.sigma2
             for _ in range(100):
                 phases = np.exp(1j * rng.uniform(0, 2 * np.pi, 8))
-                num = POWER.p_t * a**2 * abs(np.conj(h_iu) @ (phases * h_bi)) ** 2
+                num = POWER.p_t * a_sq * abs(np.conj(h_iu) @ (phases * h_bi)) ** 2
                 assert num / denom <= aligned * (1.0 + 1e-12)
 
     def test_record_model_gap_inputs_finite(self, rng):

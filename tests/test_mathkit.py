@@ -8,6 +8,7 @@ from airsnet.mathkit import (
     DomainError,
     IntegrationError,
     exp_e1_scaled,
+    exp_en_scaled,
     gamma_cdf_regularized,
     gauss_laguerre,
     integrate_interval,
@@ -113,6 +114,42 @@ class TestExpE1Scaled:
     def test_domain(self, x):
         with pytest.raises(DomainError):
             exp_e1_scaled(x)
+
+
+class TestExpEnScaled:
+    ORDERS = [0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 8.0, 20.0,
+              1.0 + 1e-7, 1.0 - 1e-7, 2.0 + 1e-7, 2.0 - 1e-7]
+
+    @pytest.mark.parametrize("p", ORDERS)
+    def test_against_mpmath(self, p):
+        mp = pytest.importorskip("mpmath")
+        xs = np.logspace(-10.0, 5.0, 61)
+        got = exp_en_scaled(p, xs)
+        with mp.workdps(30):
+            ref = [float(mp.exp(x) * mp.expint(mp.mpf(p), mp.mpf(x))) for x in xs]
+        for x, g, r in zip(xs, got, ref):
+            assert rel_err(g, r) < 1e-12, (p, x)
+
+    @pytest.mark.parametrize("p", [0.5, 1.0 + 1e-7, 2.5, 7.0])
+    def test_recurrence_across_branches(self, p):
+        # p E_(p+1)(x) + x E_p(x) = e^-x (DLMF 8.19), on both sides of x = 1
+        xs = np.array([1e-6, 0.3, 0.999, 1.0, 1.001, 4.0, 300.0])
+        lhs = p * exp_en_scaled(p + 1.0, xs) + xs * exp_en_scaled(p, xs)
+        assert np.all(np.abs(lhs - 1.0) < 1e-13)
+
+    def test_array_and_scalar_forms_agree(self):
+        xs = np.array([1e-9, 0.7, 1.0, 2.0, 90.0])
+        arr = exp_en_scaled(2.5, xs)
+        for i, x in enumerate(xs):
+            value = exp_en_scaled(2.5, float(x))
+            assert type(value) is float
+            assert arr[i] == value
+
+    @pytest.mark.parametrize("p, x", [(0.49, 1.0), (float("nan"), 1.0), (1.5, 0.0),
+                                      (1.5, -2.0), (1.5, float("inf"))])
+    def test_domain(self, p, x):
+        with pytest.raises(DomainError):
+            exp_en_scaled(p, x)
 
 
 class TestGammaCdf:

@@ -109,9 +109,37 @@ class TestAssociate:
         best = associate(real, "best_irs", cfg)
         assert near.association[0] == 1
         assert best.association[0] == 0
-        score_a = an.mean_snr_rayleigh(100.0, 16.0, cfg)
-        score_b = an.mean_snr_rayleigh(130.0, 14.0, cfg)
+        score_a = an.mean_snr_closed(100.0, 16.0, cfg)
+        score_b = an.mean_snr_closed(130.0, 14.0, cfg)
         assert score_a > score_b
+
+    def test_half_shape_fine_rule_scores_without_quadrature(self):
+        # at m_IU = 0.5, glq_order = 64 and a large budget the per-node
+        # quadrature of the mean SNR exhausts its panel budget for the user
+        # 0.5 m from reflector 0; the closed form has no budget to exhaust
+        cfg = make_cfg(geom={"m_irs": 2}, m_iu=0.5, glq_order=64,
+                       power=PowerParams(p_t=1.0, p_f=10.0, sigma2=1e-11, sigma_f2=1e-10))
+        real = NetworkRealization(
+            irs_positions=np.array([[100.0, 0.0], [0.0, 120.0]]),
+            ue_positions=np.array([[100.5, 0.0], [0.0, 130.0]]),
+            association=np.full(2, -1),
+        )
+        assert associate(real, "best_irs", cfg).association.tolist() == [0, 1]
+
+    @pytest.mark.parametrize("m_iu", [2.0, 2.5])
+    def test_best_irs_is_quadrature_argmax(self, m_iu):
+        # oracle: the per-pair argmax of the independent per-node quadrature
+        cfg = make_cfg(geom={"m_irs": 6, "n_elements": 32}, k_ues=12, m_iu=m_iu)
+        for drop_index in (0, 1):
+            real = drop(cfg, seed=404, drop_index=drop_index)
+            best = associate(real, "best_irs", cfg).association
+            d_bi = np.linalg.norm(real.irs_positions, axis=1)
+            outside = np.linalg.norm(real.ue_positions, axis=1) >= cfg.geometry.l_in
+            assert outside.any()
+            for k in np.flatnonzero(outside):
+                d_iu = np.linalg.norm(real.irs_positions - real.ue_positions[k], axis=1)
+                scores = [an.mean_snr_integral(b, r, cfg) for b, r in zip(d_bi, d_iu)]
+                assert best[k] == int(np.argmax(scores)), (drop_index, k)
 
     def test_partition_depends_only_on_radius(self):
         cfg = make_cfg()
@@ -165,7 +193,7 @@ class TestSimulateCell:
         # n_fading draws at one position: SE of the per-user mean
         per_draw_se = ref_se * math.sqrt(400_000 / 200_000.0)
         assert abs(got - ref_mean) < 4.0 * math.hypot(ref_se, per_draw_se)
-        model = an.mean_snr_rayleigh(d_bi, d_iu, cfg)
+        model = an.mean_snr_closed(d_bi, d_iu, cfg)
         print(f"fixed-geometry gap: physical {got:.4g} vs analytic {model:.4g} "
               f"(ratio {got / model:.3e})")
         assert got / model > 1e3
