@@ -30,6 +30,7 @@ import numpy as np
 from .config import ConfigError, NetworkConfig
 from .mathkit import (
     DomainError,
+    IntegrationError,
     exp_en_scaled,
     integrate_interval_with_error,
     integrate_semi_infinite_with_error,
@@ -175,7 +176,8 @@ def mean_snr_integral(d_bi: float, d_iu: float, cfg: NetworkConfig) -> float:
 
     sum_i K_i phi_i with K_i = w_i t_i^(2m-1) m_BI^(1-m) (N P_t/(sigma_F^2 W))^m
     / Gamma(m) and phi_i = integral e^(-a_i z) (z + D_i)^-m dz, where
-    a_i D_i = m_IU sigma^2/(eta sigma_F^2) for every node.
+    a_i D_i = m_IU sigma^2/(eta sigma_F^2) for every node. An exhausted
+    integration budget is re-raised as an IntegrationError naming the point.
     """
     m = cfg.m_iu
     n = cfg.geometry.n_elements
@@ -197,9 +199,16 @@ def mean_snr_integral(d_bi: float, d_iu: float, cfg: NetworkConfig) -> float:
 
     total = 0.0
     for ki, ai, di in zip(k_coeff, a, d_shift):
-        phi, _ = integrate_semi_infinite_with_error(
-            lambda z: np.exp(-ai * z - m * np.log(z + di)), QUAD_TOL, max_panels=16384
-        )
+        try:
+            phi, _ = integrate_semi_infinite_with_error(
+                lambda z: np.exp(-ai * z - m * np.log(z + di)), QUAD_TOL, max_panels=16384
+            )
+        except IntegrationError as exc:
+            raise IntegrationError(
+                f"mean_snr_integral at m_iu={m:g}, glq_order={rule.order}, "
+                f"p_f={p.p_f:g} W, d_bi={d_bi:g} m, d_iu={d_iu:g} m: {exc}",
+                exc.estimate, exc.achieved_rel_error,
+            ) from exc
         total += ki * phi
     return total
 

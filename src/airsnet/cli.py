@@ -4,7 +4,7 @@ Subcommands: validate, mean-snr-vs-pf, density-sweep, association-compare,
 ring-sweep (experiments writing results.csv + summary.json + config.echo.json
 into the output directory), plus glq-table and dump-dist inspection utilities
 printing to stdout. Exit status is nonzero iff a validation tolerance fails
-or the configuration is invalid.
+(1), or the configuration is invalid or a quadrature exhausts its budget (2).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path
 from .analytic import averaged_amp_gain
 from .config import ConfigError, EXPERIMENTS, effective_dict, parse_config
 from .experiments import run_experiment
-from .mathkit import DomainError, gauss_laguerre
+from .mathkit import DomainError, IntegrationError, gauss_laguerre
 from .mixgamma import LinkStats, cascaded_power_dist, direct_power_dist
 
 CSV_HEADER = "experiment,swept_name,swept_value,metric,method,value,std_error"
@@ -153,7 +153,8 @@ def main(argv=None) -> int:
         if args.command == "dump-dist":
             return _cmd_dump_dist(args)
         return _cmd_experiment(args.command, args)
-    except (ConfigError, DomainError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ConfigError, DomainError, IntegrationError, FileNotFoundError,
+            json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

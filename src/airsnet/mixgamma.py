@@ -159,7 +159,14 @@ class MixtureGamma:
         return masses / total
 
     def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
-        """Draw variates: component by renormalized mass, then Gamma(beta, xi).
+        """Draw `size` variates: component counts ~ Multinomial(size,
+        renormalized masses), then one Gamma(beta_i, xi_i) block per component.
+
+        The draws come back grouped by component (all of component 0 first,
+        then component 1, ...), not in iid order. As a multiset they are an
+        iid sample, so any symmetric statistic (mean, variance, histogram) is
+        unaffected, and pairing them elementwise with independent iid-ordered
+        draws is safe; pairing them with another grouped sequence is not.
 
         Requires a near-normalized mixture (defect <= 1e-3); sampling from a
         badly unnormalized coefficient set would silently change the law.
@@ -168,9 +175,15 @@ class MixtureGamma:
             raise InvalidDistributionError(
                 "normalization defect exceeds 1e-3; not a samplable distribution"
             )
-        probs = self.component_probabilities()
-        idx = rng.choice(self.count, size=size, p=probs)
-        return rng.standard_gamma(self.beta[idx]) / self.xi[idx]
+        counts = rng.multinomial(size, self.component_probabilities())
+        out = np.empty(size)
+        stop = 0
+        for count, beta, xi in zip(counts, self.beta, self.xi):
+            block = out[stop:stop + count]
+            rng.standard_gamma(beta, out=block)
+            block /= xi
+            stop += count
+        return out
 
     def to_json_obj(self) -> list[dict]:
         return [

@@ -1,9 +1,10 @@
 """Network-scale Monte Carlo: random drops, association, cell simulation.
 
 Randomness is counter-keyed: every (seed, drop, purpose) tuple maps to its
-own Philox stream, and within a drop the draw order is fixed, so results are
+own SFC64 stream, and within a drop the draw order is fixed, so results are
 bit-identical no matter how drops are scheduled across threads. Per-drop
-partials are merged in drop order.
+partials are merged in drop order. The validation estimators draw in
+cache-sized blocks and merge block means and variances.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import analytic
 from .channel import (
-    sample_nakagami_amplitude,
+    sample_nakagami_power,
     snr_active_batch,
     snr_direct_batch,
     snr_passive_batch,
@@ -37,6 +38,7 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 _TAG_GEOMETRY = 1
 _TAG_FADING = 2
+_MODEL_BLOCK = 1 << 16  # model-MC draws per block: its temporaries stay in cache
 
 
 @dataclass
@@ -61,14 +63,47 @@ class SimEstimate:
     seed: int
 
 
+class _Moments:
+    """Streaming count, mean and sum of squared deviations over blocks.
+
+    Blocks are merged by the Chan-Golub-LeVeque pairwise update, on values
+    shifted by the first block's mean so that a large common offset costs no
+    digits.
+    """
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.shift = 0.0
+        self.mean = 0.0  # of the shifted values
+        self.m2 = 0.0
+
+    def add(self, block: np.ndarray) -> None:
+        """Merge one non-empty block of values."""
+        if self.count == 0:
+            self.shift = float(block.mean())
+        dev = block - self.shift
+        n_b = block.size
+        mean_b = float(dev.mean())
+        dev -= mean_b
+        m2_b = float(np.dot(dev, dev))
+        total = self.count + n_b
+        delta = mean_b - self.mean
+        self.mean += delta * n_b / total
+        self.m2 += m2_b + delta * delta * self.count * n_b / total
+        self.count = total
+
+    def mean_se(self) -> tuple[float, float]:
+        """(mean, standard error of the mean); the error is 0 below two values."""
+        if self.count < 2:
+            return self.shift + self.mean, 0.0
+        var = self.m2 / (self.count - 1)
+        return self.shift + self.mean, math.sqrt(var / self.count)
+
+
 def _stream(seed: int, *path: int) -> np.random.Generator:
-    """Philox generator keyed by (seed, mixed path); schedule-independent."""
-    acc = 0xCBF29CE484222325
-    for p in path:
-        acc ^= (int(p) + 0x9E3779B97F4A7C15) & _MASK64
-        acc = (acc * 0x100000001B3) & _MASK64
-    key = np.array([int(seed) & _MASK64, acc], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """SFC64 generator keyed by SeedSequence([seed, *path]); schedule-independent."""
+    key = np.random.SeedSequence([int(seed) & _MASK64, *(int(p) for p in path)])
+    return np.random.Generator(np.random.SFC64(key))
 
 
 def drop(cfg: NetworkConfig, seed: int, drop_index: int) -> NetworkRealization:
@@ -130,11 +165,11 @@ def _drop_worker(cfg: NetworkConfig, policy: str, irs_mode: str, n_fading: int,
     # not depend on how drops are scheduled.
     if direct.any():
         idx = np.flatnonzero(direct)
-        amps = sample_nakagami_amplitude(cfg.m_bu, rng, (idx.size, n_fading))
+        pows = sample_nakagami_power(cfg.m_bu, rng, (idx.size, n_fading))
         zeta = cfg.epsilon_ref * np.maximum(ue_radius[idx], cfg.distance_floor) ** (
             -cfg.alpha
         )
-        snr = snr_direct_batch(amps, zeta[:, None], p)
+        snr = snr_direct_batch(pows, zeta[:, None], p)
         snr_mean[idx] = snr.mean(axis=1)
         rate_mean[idx] = np.log2(1.0 + snr).mean(axis=1)
     if (~direct).any():
@@ -148,10 +183,8 @@ def _drop_worker(cfg: NetworkConfig, policy: str, irs_mode: str, n_fading: int,
         )
         zeta_bi = cfg.epsilon_ref * d_bi ** (-cfg.alpha)
         zeta_iu = cfg.epsilon_ref * d_iu ** (-cfg.alpha)
-        amps_bi = sample_nakagami_amplitude(cfg.m_bi, rng, (idx.size, n_fading, n))
-        amps_iu = sample_nakagami_amplitude(cfg.m_iu, rng, (idx.size, n_fading, n))
-        flat_bi = amps_bi.reshape(idx.size * n_fading, n)
-        flat_iu = amps_iu.reshape(idx.size * n_fading, n)
+        flat_bi = sample_nakagami_power(cfg.m_bi, rng, (idx.size * n_fading, n))
+        flat_iu = sample_nakagami_power(cfg.m_iu, rng, (idx.size * n_fading, n))
         zb = np.repeat(zeta_bi, n_fading)
         zi = np.repeat(zeta_iu, n_fading)
         if irs_mode == "active":
@@ -291,7 +324,9 @@ def model_snr_moment_mc(cfg: NetworkConfig, d_bi: float, d_iu: float,
     integrand's variance finite, so the estimator is unbiased with honest
     standard errors.
 
-    Returns (mean, standard error).
+    The draws run in blocks of _MODEL_BLOCK whose means and variances are
+    merged, so no full-length temporary is ever built. Returns (mean,
+    standard error).
     """
     rng = _stream(seed, 999, 3)
     mix = analytic.cascaded_mixture(d_bi, d_iu, cfg)
@@ -300,41 +335,57 @@ def model_snr_moment_mc(cfg: NetworkConfig, d_bi: float, d_iu: float,
     m = cfg.m_iu
     noise_scale = eta * p.sigma_f2
 
-    x1 = mix.sample(rng, n)
-
     kappa = p.sigma2 / noise_scale
     lo = min(kappa, 0.1)
     hi = 10.0 * max(1.0, m)
     log_range = math.log(hi / lo)
+    log_norm = m * math.log(m) - math.lgamma(m)
 
-    pick = rng.uniform(size=n)
-    g = np.empty(n)
-    bulk = pick < 0.5
-    fade = (pick >= 0.5) & (pick < 0.75)
-    bridge = pick >= 0.75
-    g[bulk] = rng.standard_gamma(m, int(bulk.sum())) / m
-    u = rng.uniform(size=int(fade.sum()))
-    g[fade] = kappa * u / (1.0 - u)
-    g[bridge] = lo * np.exp(rng.uniform(0.0, log_range, int(bridge.sum())))
+    acc = _Moments()
+    for start in range(0, n, _MODEL_BLOCK):
+        b = min(_MODEL_BLOCK, n - start)
+        # x1 comes back grouped by mixture component; that is harmless only
+        # because g below is drawn in iid order (pick), never grouped by part.
+        x1 = mix.sample(rng, b)
+        pick = rng.random(b)
+        bulk = np.flatnonzero(pick < 0.5)
+        fade = np.flatnonzero((pick >= 0.5) & (pick < 0.75))
+        bridge = np.flatnonzero(pick >= 0.75)
+        g = np.empty(b)
+        g[bulk] = rng.standard_gamma(m, bulk.size) / m
+        u = rng.random(fade.size)
+        g[fade] = kappa * u / (1.0 - u)
+        g[bridge] = lo * np.exp(rng.uniform(0.0, log_range, bridge.size))
 
-    log_pdf = m * math.log(m) + (m - 1.0) * np.log(g) - m * g - math.lgamma(m)
-    pdf = np.exp(log_pdf)
-    tilt = kappa / (g + kappa) ** 2
-    in_band = (g >= lo) & (g <= hi)
-    log_unif = np.where(in_band, 1.0 / (g * log_range), 0.0)
-    weight = pdf / (0.5 * pdf + 0.25 * tilt + 0.25 * log_unif)
-
-    snr = p.p_t * x1 / (noise_scale * g + p.sigma2)
-    values = snr**ell * weight
-    mean = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(n))
-    return mean, se
+        # nominal Gamma(m, m) density of g
+        pdf = np.log(g)
+        pdf *= m - 1.0
+        pdf -= m * g
+        pdf += log_norm
+        np.exp(pdf, out=pdf)
+        # proposal density 0.5 pdf + 0.25 kappa/(g+kappa)^2 + 0.25 log-uniform
+        mix_pdf = g + kappa
+        mix_pdf *= mix_pdf
+        np.divide(kappa, mix_pdf, out=mix_pdf)
+        np.add(mix_pdf, np.divide(1.0 / log_range, g), out=mix_pdf,
+               where=(g >= lo) & (g <= hi))
+        mix_pdf *= 0.25
+        mix_pdf += 0.5 * pdf
+        # SNR^ell times the importance weight pdf / mix_pdf
+        snr = noise_scale * g
+        snr += p.sigma2
+        np.divide(p.p_t * x1, snr, out=snr)
+        snr **= ell
+        snr *= pdf
+        snr /= mix_pdf
+        acc.add(snr)
+    return acc.mean_se()
 
 
 def physical_snr_mc(cfg: NetworkConfig, d_bi: float, d_iu: float,
                     n: int = 1_000_000, seed: int = 0,
                     irs_mode: str = "active",
-                    chunk: int = 50_000) -> tuple[float, float]:
+                    chunk: int = 4096) -> tuple[float, float]:
     """Monte-Carlo mean SNR of the physical per-element channel at fixed
     distances, with the budget-exhausting gain recomputed per draw.
 
@@ -344,21 +395,13 @@ def physical_snr_mc(cfg: NetworkConfig, d_bi: float, d_iu: float,
     n_el = cfg.geometry.n_elements
     zeta_bi = cfg.epsilon_ref * cfg.floored(d_bi) ** (-cfg.alpha)
     zeta_iu = cfg.epsilon_ref * cfg.floored(d_iu) ** (-cfg.alpha)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < n:
-        b = min(chunk, n - done)
-        amps_bi = sample_nakagami_amplitude(cfg.m_bi, rng, (b, n_el))
-        amps_iu = sample_nakagami_amplitude(cfg.m_iu, rng, (b, n_el))
-        if irs_mode == "active":
-            snr = snr_active_batch(amps_bi, amps_iu, zeta_bi, zeta_iu, cfg.power)
-        else:
-            snr = snr_passive_batch(amps_bi, amps_iu, zeta_bi, zeta_iu, cfg.power)
-        total += float(snr.sum())
-        total_sq += float((snr * snr).sum())
-        done += b
-    mean = total / n
-    var = max(total_sq / n - mean * mean, 0.0)
-    se = math.sqrt(var / n)
-    return mean, se
+    if irs_mode not in ("active", "passive"):
+        raise ConfigError(f"unknown irs_mode {irs_mode!r}")
+    kernel = snr_active_batch if irs_mode == "active" else snr_passive_batch
+    acc = _Moments()
+    for start in range(0, n, chunk):
+        b = min(chunk, n - start)
+        pow_bi = sample_nakagami_power(cfg.m_bi, rng, (b, n_el))
+        pow_iu = sample_nakagami_power(cfg.m_iu, rng, (b, n_el))
+        acc.add(kernel(pow_bi, pow_iu, zeta_bi, zeta_iu, cfg.power))
+    return acc.mean_se()

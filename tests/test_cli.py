@@ -252,6 +252,17 @@ class TestCliRuns:
         bad.write_text(json.dumps({"l_in_m": -5}))
         assert main(["validate", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
 
+    def test_exhausted_quadrature_names_the_point(self, tmp_path, capsys):
+        # the quadrature route runs out of panels at this admissible point
+        code = main(["mean-snr-vs-pf", "--set", "m_iu=0.5", "--set", "glq_order=64",
+                     "--set", "d_iu_m=0.5", "--set", "pf_grid_w=[10]",
+                     "--set", "n_mc_model=1000", "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        for part in ("m_iu=0.5", "glq_order=64", "p_f=10 W", "d_bi=100 m", "d_iu=0.5 m"):
+            assert part in err
+
 
 class TestMeanSnrVsPfShape:
     def test_increasing_with_decreasing_slopes(self, tmp_path):

@@ -261,6 +261,28 @@ class TestSampling:
         assert probs.sum() == pytest.approx(1.0, abs=1e-15)
         assert np.all(probs > 0)
 
+    def test_sample_size_and_component_counts(self, rng):
+        # four narrow components (shape 400, sd = mean/20) at means 1, 2, 4, 8:
+        # each draw's component is read off its value, so the counts can be
+        # checked against component_probabilities() without peeking inside
+        beta, means = 400.0, np.array([1.0, 2.0, 4.0, 8.0])
+        probs_in = np.array([0.1, 0.2, 0.3, 0.4])
+        xi = beta / means
+        log_eps = np.log(probs_in) - math.lgamma(beta) + beta * np.log(xi)
+        mix = MixtureGamma(log_epsilon=log_eps, beta=np.full(4, beta), xi=xi)
+        for size in (1, 7, 1000):
+            assert mix.sample(rng, size).shape == (size,)
+        n = 100_000
+        samples = mix.sample(rng, n)
+        assert samples.shape == (n,)
+        labels = np.searchsorted(np.sqrt(means[:-1] * means[1:]), samples)
+        # documented order: draws come back grouped by component
+        assert np.all(np.diff(labels) >= 0)
+        counts = np.bincount(labels, minlength=4)
+        expected = n * mix.component_probabilities()
+        chi2 = float(((counts - expected) ** 2 / expected).sum())
+        assert chi2 < 16.27  # 0.999 quantile of chi-square with 3 degrees of freedom
+
     def test_unnormalized_distribution_rejected(self, rng):
         bad = single(5.0, 1, 1)  # mass 5, defect far beyond 1e-3
         with pytest.raises(InvalidDistributionError):

@@ -8,7 +8,9 @@ from airsnet.channel import PowerParams
 from airsnet.config import ConfigError, GeometryConfig, NetworkConfig
 from airsnet.mathkit import integrate_interval
 from airsnet.simulate import (
+    _MODEL_BLOCK,
     NetworkRealization,
+    _Moments,
     associate,
     drop,
     model_snr_moment_mc,
@@ -330,3 +332,48 @@ class TestModelMc:
         a = physical_snr_mc(cfg, 100.0, 30.0, n=50_000, seed=12)
         b = physical_snr_mc(cfg, 100.0, 30.0, n=50_000, seed=12)
         assert a == b
+
+    def test_physical_mc_rejects_unknown_mode(self):
+        with pytest.raises(ConfigError, match="pasive"):
+            physical_snr_mc(make_cfg(), 100.0, 30.0, n=10, irs_mode="pasive")
+
+
+class TestMoments:
+    CUTS = [0, 1, 2, 5, 100, 1000, 1001, 4096, 9000, 10_007]
+
+    @pytest.mark.parametrize("offset, spread", [(3.0, 1.0), (1e8, 1.0), (1e-12, 1e-13)])
+    def test_matches_numpy_over_uneven_blocks(self, offset, spread):
+        x = offset + spread * np.random.default_rng(17).standard_normal(self.CUTS[-1])
+        acc = _Moments()
+        for lo, hi in zip(self.CUTS, self.CUTS[1:]):
+            acc.add(x[lo:hi])
+        mean, se = acc.mean_se()
+        std = np.std(x, ddof=1)
+        assert mean == pytest.approx(np.mean(x), rel=1e-12)
+        assert se * math.sqrt(x.size) == pytest.approx(std, rel=1e-12)
+        if offset == 1e8:
+            # the sum-of-squares form E[x^2] - E[x]^2 loses every digit here
+            naive = max(float((x * x).mean()) - float(x.mean()) ** 2, 0.0)
+            assert abs(math.sqrt(naive) / std - 1.0) > 0.5
+
+    def test_single_value_has_zero_error(self):
+        acc = _Moments()
+        acc.add(np.array([2.5]))
+        assert acc.mean_se() == (2.5, 0.0)
+
+
+class TestBlockBoundaries:
+    @pytest.mark.parametrize("n", [1, 1000, 3 * _MODEL_BLOCK + 1])
+    def test_model_mc_finite_and_reproducible(self, n):
+        cfg = make_cfg(m_iu=2.0)
+        first = model_snr_moment_mc(cfg, 100.0, 30.0, n=n, seed=5)
+        assert all(math.isfinite(v) for v in first)
+        assert model_snr_moment_mc(cfg, 100.0, 30.0, n=n, seed=5) == first
+
+    @pytest.mark.parametrize("irs_mode", ["active", "passive"])
+    @pytest.mark.parametrize("n", [1, 1000, 3 * 4096 + 1])
+    def test_physical_mc_finite_and_reproducible(self, n, irs_mode):
+        cfg = make_cfg(geom={"n_elements": 16})
+        first = physical_snr_mc(cfg, 100.0, 30.0, n=n, seed=9, irs_mode=irs_mode)
+        assert all(math.isfinite(v) for v in first)
+        assert physical_snr_mc(cfg, 100.0, 30.0, n=n, seed=9, irs_mode=irs_mode) == first
