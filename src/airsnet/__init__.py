@@ -11,7 +11,6 @@ from .analytic import (
     mean_snr_closed,
     mean_snr_integral,
     mean_snr_passive,
-    noise_laplace,
     rate_active,
     rate_direct,
     snr_moment_active,
@@ -19,7 +18,7 @@ from .analytic import (
 )
 from .channel import PowerParams
 from .config import ExperimentConfig, GeometryConfig, NetworkConfig, parse_config
-from .mathkit import QuadratureRule, exp_e1_scaled, exp_en_scaled, gauss_laguerre, ln_gamma
+from .mathkit import QuadratureRule, exp_en_scaled, gauss_laguerre, ln_gamma
 from .mixgamma import LinkStats, MixtureGamma, cascaded_power_dist, direct_power_dist
 from .simulate import NetworkRealization, SimEstimate, simulate_cell, sweep_density
 
@@ -31,7 +30,6 @@ __all__ = [
     "mean_snr_closed",
     "mean_snr_integral",
     "mean_snr_passive",
-    "noise_laplace",
     "rate_active",
     "rate_direct",
     "snr_moment_active",
@@ -42,7 +40,6 @@ __all__ = [
     "NetworkConfig",
     "parse_config",
     "QuadratureRule",
-    "exp_e1_scaled",
     "exp_en_scaled",
     "gauss_laguerre",
     "ln_gamma",

@@ -1,8 +1,8 @@
 """Closed-form and quadrature performance expressions.
 
-Conditional SNR moments, the amplification-noise Laplace transform, mean SNR
-(per-node quadrature and the node-free closed form), the passive baseline,
-achievable rates, and the geometry-averaged metric.
+Conditional SNR moments, mean SNR (per-node quadrature and the node-free
+closed form), the passive baseline, achievable rates, and the
+geometry-averaged metric.
 
 Conventions baked in here (see README for the full discussion):
 
@@ -10,9 +10,7 @@ Conventions baked in here (see README for the full discussion):
   analytic expressions, with eta = P_F / (P_t eps d_BI^-alpha + sigma_F^2);
 * the component rate xi_i multiplies BOTH the moment-kernel exponential and
   the noise-Laplace argument (the reading that reproduces the Rayleigh
-  closed form exactly and matches the model-consistent Monte-Carlo oracle;
-  noise_laplace's component_rate_in_noise=False evaluates the alternative
-  reading as a diagnostic);
+  closed form exactly and matches the model-consistent Monte-Carlo oracle);
 * the amplified-noise law is path-loss-free on the reflector->user hop, i.e.
   noise = (eta/N) * N * sigma_F^2 * G with G a unit-mean Gamma(m_IU) power;
   the physical simulator keeps the path loss, and `validate` reports the
@@ -43,7 +41,6 @@ __all__ = [
     "averaged_amp_gain",
     "cascaded_mixture",
     "snr_moment_direct",
-    "noise_laplace",
     "snr_moment_active",
     "mean_snr_integral",
     "mean_snr_closed",
@@ -51,7 +48,6 @@ __all__ = [
     "rate_direct",
     "rate_active",
     "average_metric",
-    "region_weight_calibration",
     "region2_nearest_pdf_mass",
 ]
 
@@ -109,27 +105,6 @@ def snr_moment_direct(ell: float, d_bu: float, cfg: NetworkConfig) -> float:
     m = cfg.m_bu
     scale = m * d**cfg.alpha * cfg.power.sigma2 / (cfg.epsilon_ref * cfg.power.p_t)
     return math.exp(ln_gamma(m + ell) - ln_gamma(m) - ell * math.log(scale))
-
-
-def noise_laplace(z, xi_i: float, d_bi: float, d_iu: float, cfg: NetworkConfig,
-                  component_rate_in_noise: bool = True):
-    """Laplace transform of the amplified thermal noise at (scaled) argument z.
-
-    (1 + z * (eta/N) N sigma_F^2 xi_i / (P_t m_IU))^-m_IU, with xi_i included
-    by default (component_rate_in_noise=False drops it; kept as a diagnostic
-    for the alternative typographic reading, which the MC oracle rejects).
-    Value is in (0, 1], equals 1 at z = 0, and tends to 1 as sigma_F^2 -> 0.
-    """
-    arr = np.asarray(z, dtype=float)
-    if np.any(arr < 0):
-        raise DomainError("noise_laplace requires z >= 0")
-    eta = averaged_amp_gain(d_bi, cfg)
-    m = cfg.m_iu
-    rate = eta * cfg.power.sigma_f2 / (cfg.power.p_t * m)
-    if component_rate_in_noise:
-        rate = rate * xi_i
-    out = np.exp(-m * np.log1p(arr * rate))
-    return float(out) if np.asarray(z).ndim == 0 else out
 
 
 def _active_components(d_bi: float, d_iu: float, cfg: NetworkConfig):
@@ -305,8 +280,6 @@ def region2_nearest_pdf_mass(cfg: NetworkConfig) -> float:
 
 
 def _conditional_metrics(metric_kind: str, ell: float, cfg: NetworkConfig):
-    if metric_kind == "calibration":
-        return (lambda d: 1.0), (lambda b, r: 1.0)
     if metric_kind == "snr_moment":
         return (
             lambda d: snr_moment_direct(ell, d, cfg),
@@ -390,7 +363,3 @@ def average_metric(metric_kind: str, cfg: NetworkConfig, ell: float = 1.0) -> Me
         value=value, metric_kind=kind, method="quadrature", error_estimate=err_total
     )
 
-
-def region_weight_calibration(cfg: NetworkConfig) -> float:
-    """average_metric with the constant-1 integrand; equals 1 for exact regions."""
-    return average_metric("calibration", cfg).value

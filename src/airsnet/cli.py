@@ -15,11 +15,11 @@ import sys
 import time
 from pathlib import Path
 
-from .analytic import averaged_amp_gain
+from .analytic import cascaded_mixture
 from .config import ConfigError, EXPERIMENTS, effective_dict, parse_config
 from .experiments import run_experiment
 from .mathkit import DomainError, IntegrationError, gauss_laguerre
-from .mixgamma import LinkStats, cascaded_power_dist, direct_power_dist
+from .mixgamma import LinkStats, direct_power_dist
 
 CSV_HEADER = "experiment,swept_name,swept_value,metric,method,value,std_error"
 SCHEMA_VERSION = 1
@@ -113,15 +113,7 @@ def _cmd_dump_dist(args: argparse.Namespace) -> int:
         )
         dist = direct_power_dist(link)
     else:
-        bi = LinkStats.from_distance(
-            net.m_bi, net.floored(cfg.d_bi), net.alpha, net.epsilon_ref
-        )
-        iu = LinkStats.from_distance(
-            net.m_iu, net.floored(cfg.d_iu), net.alpha, net.epsilon_ref
-        )
-        eta = averaged_amp_gain(cfg.d_bi, net)
-        n = net.geometry.n_elements
-        dist = cascaded_power_dist(bi, iu, eta / n, n, net.rule())
+        dist = cascaded_mixture(cfg.d_bi, cfg.d_iu, net)
     print(json.dumps(dist.to_json_obj(), indent=2))
     return 0
 

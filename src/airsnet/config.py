@@ -70,16 +70,8 @@ class GeometryConfig:
         return math.pi * self.l**2
 
     @property
-    def s1(self) -> float:
-        return math.pi * self.l_in**2
-
-    @property
     def s2(self) -> float:
         return math.pi * (self.l_out**2 - self.l_in**2)
-
-    @property
-    def s3(self) -> float:
-        return math.pi * (self.l**2 - self.l_out**2)
 
     @property
     def lambda_irs(self) -> float:
@@ -100,8 +92,6 @@ class NetworkConfig:
     glq_order: int = 20
     distance_floor: float = 1.0
     k_ues: int = 50
-    n_drops: int = 40
-    n_fading: int = 100
 
     def rule(self) -> QuadratureRule:
         return gauss_laguerre(self.glq_order)
@@ -200,8 +190,6 @@ _KEYS: tuple[tuple[str, Any, Any, str], ...] = (
     ("glq_order", int, _glq_order, "network.glq_order"),
     ("distance_floor_m", float, _positive, "network.distance_floor"),
     ("k_ues", int, _positive, "network.k_ues"),
-    ("n_drops", int, _positive, "network.n_drops"),
-    ("n_fading", int, _positive, "network.n_fading"),
     ("d_bu_m", float, _positive, "cfg.d_bu"),
     ("d_bi_m", float, _positive, "cfg.d_bi"),
     ("d_iu_m", float, _positive, "cfg.d_iu"),

@@ -1,9 +1,9 @@
 """Special functions and quadrature primitives used by every other module.
 
 Everything here is pure and deterministic: Gauss-Laguerre rules, log-Gamma,
-the overflow-safe scaled exponential integrals e^x*E_p(x) and e^x*E1(x), a
-regularized lower incomplete Gamma (for CDFs), and an adaptive Gauss-Kronrod
-integrator for finite and semi-infinite intervals.
+the overflow-safe scaled exponential integral e^x*E_p(x), and an adaptive
+Gauss-Kronrod integrator for finite and semi-infinite intervals. Integrands
+take and return 1-D arrays; the integrators return (value, error bound).
 """
 
 from __future__ import annotations
@@ -23,10 +23,8 @@ __all__ = [
     "gauss_laguerre",
     "ln_gamma",
     "exp_en_scaled",
-    "exp_e1_scaled",
-    "gamma_cdf_regularized",
-    "integrate_semi_infinite",
-    "integrate_interval",
+    "integrate_interval_with_error",
+    "integrate_semi_infinite_with_error",
 ]
 
 EULER_GAMMA = 0.5772156649015328606
@@ -246,70 +244,6 @@ def exp_en_scaled(p: float, x):
     return float(out[0]) if scalar else out
 
 
-def exp_e1_scaled(x):
-    """Overflow-safe e^x * E1(x) for x > 0 (E1 the exponential integral).
-
-    The p = 1 case of exp_en_scaled. Strictly decreasing, with
-    1/(x+1) < e^x E1(x) < 1/x on the whole domain.
-    """
-    return exp_en_scaled(1.0, x)
-
-
-def gamma_cdf_regularized(a: float, x):
-    """Regularized lower incomplete Gamma P(a, x) for a > 0, x >= 0.
-
-    Series expansion for x < a + 1, continued fraction for the complement
-    otherwise (both to ~1e-14). Vectorized over x.
-    """
-    if not a > 0:
-        raise DomainError(f"gamma_cdf_regularized requires a > 0, got {a!r}")
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0):
-        raise DomainError("gamma_cdf_regularized requires x >= 0")
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr).astype(float)
-    out = np.zeros_like(arr)
-    lg = math.lgamma(a)
-
-    use_series = (arr > 0) & (arr < a + 1.0)
-    if use_series.any():
-        xs = arr[use_series]
-        term = np.full_like(xs, 1.0 / a)
-        total = term.copy()
-        ak = a
-        for _ in range(400):
-            ak += 1.0
-            term = term * xs / ak
-            total += term
-            if np.all(term <= 1e-17 * total):
-                break
-        out[use_series] = total * np.exp(-xs + a * np.log(xs) - lg)
-
-    use_cf = arr >= a + 1.0
-    if use_cf.any():
-        xs = arr[use_cf]
-        tiny = 1e-300
-        b = xs + 1.0 - a
-        c = np.full_like(xs, 1e300)
-        d = 1.0 / b
-        h = d.copy()
-        for i in range(1, 400):
-            an = -i * (i - a)
-            b = b + 2.0
-            d = an * d + b
-            d = np.where(np.abs(d) < tiny, tiny, d)
-            c = b + an / c
-            c = np.where(np.abs(c) < tiny, tiny, c)
-            d = 1.0 / d
-            delta = d * c
-            h = h * delta
-            if np.all(np.abs(delta - 1.0) < 1e-16):
-                break
-        out[use_cf] = 1.0 - h * np.exp(-xs + a * np.log(xs) - lg)
-
-    return float(out[0]) if scalar else out
-
-
 # ---------------------------------------------------------------------------
 # Adaptive Gauss-Kronrod integration
 # ---------------------------------------------------------------------------
@@ -346,22 +280,6 @@ _GK_X = np.concatenate([-_KRONROD_NODES[:-1], _KRONROD_NODES[::-1]])  # 15 ascen
 _GK_WK = np.concatenate([_KRONROD_WEIGHTS[:-1], _KRONROD_WEIGHTS[::-1]])
 _GK_WG = np.zeros(15)
 _GK_WG[1:-1:2] = np.concatenate([_GAUSS_WEIGHTS[:-1], _GAUSS_WEIGHTS[::-1]])
-
-
-def _ensure_vectorized(f: Callable) -> Callable:
-    """Wrap a scalar-only integrand so it maps ndarray -> ndarray."""
-    probe = np.array([0.25, 0.5])
-    try:
-        y = np.asarray(f(probe), dtype=float)
-        if y.shape == probe.shape:
-            return f
-    except Exception:
-        pass
-
-    def wrapped(x: np.ndarray) -> np.ndarray:
-        return np.array([float(f(v)) for v in x])
-
-    return wrapped
 
 
 def _adaptive_core(
@@ -457,14 +375,17 @@ def _adaptive_core(
     return estimate, err_bound
 
 
-def integrate_interval(f: Callable, a: float, b: float, rel_tol: float = 1e-10,
-                       max_panels: int = 4096) -> float:
-    """Adaptive integral of f over the finite interval [a, b]."""
+def integrate_interval_with_error(f: Callable[[np.ndarray], np.ndarray], a: float,
+                                  b: float, rel_tol: float = 1e-10,
+                                  max_panels: int = 4096) -> tuple[float, float]:
+    """Adaptive integral of f over the finite interval [a, b].
+
+    Returns (value, error bound). f maps a 1-D array of abscissae to the
+    array of integrand values.
+    """
     if not (math.isfinite(a) and math.isfinite(b) and b > a):
         raise DomainError(f"invalid interval [{a}, {b}]")
-    fv = _ensure_vectorized(f)
-    value, _ = _adaptive_core(fv, a, b, rel_tol, max_panels)
-    return value
+    return _adaptive_core(f, a, b, rel_tol, max_panels)
 
 
 # Initial mesh for the u = z/(1+z) map: one breakpoint per decade of z from
@@ -474,15 +395,17 @@ _DECADE_Z = 10.0 ** np.arange(-14.0, 15.0)
 _DECADE_BREAKS = _DECADE_Z / (1.0 + _DECADE_Z)
 
 
-def integrate_semi_infinite(f: Callable, rel_tol: float = 1e-10,
-                            max_panels: int = 4096) -> float:
+def integrate_semi_infinite_with_error(f: Callable[[np.ndarray], np.ndarray],
+                                       rel_tol: float = 1e-10,
+                                       max_panels: int = 4096) -> tuple[float, float]:
     """Adaptive integral of f over (0, inf) for absolutely integrable f.
 
-    The half line is mapped to (0, 1) via z = u/(1-u) and the transformed
-    integrand is handled by adaptive Gauss-Kronrod bisection over a
-    decade-graded initial mesh, which resolves exponential decay, sharply
-    concentrated kernels and mild (integrable) behavior at z -> 0.
-    Deterministic: identical inputs give identical outputs.
+    Returns (value, error bound). f maps a 1-D array of abscissae to the
+    array of integrand values. The half line is mapped to (0, 1) via
+    z = u/(1-u) and the transformed integrand is handled by adaptive
+    Gauss-Kronrod bisection over a decade-graded initial mesh, which resolves
+    exponential decay, sharply concentrated kernels and mild (integrable)
+    behavior at z -> 0. Deterministic: identical inputs give identical outputs.
 
     Raises
     ------
@@ -490,14 +413,6 @@ def integrate_semi_infinite(f: Callable, rel_tol: float = 1e-10,
         If the panel budget is exhausted before the tolerance is met; the
         exception carries the best estimate and the achieved relative error.
     """
-    value, _ = integrate_semi_infinite_with_error(f, rel_tol, max_panels)
-    return value
-
-
-def integrate_semi_infinite_with_error(f: Callable, rel_tol: float = 1e-10,
-                                       max_panels: int = 4096) -> tuple[float, float]:
-    """Like integrate_semi_infinite but also returns the error bound."""
-    fv = _ensure_vectorized(f)
 
     def transformed(u: np.ndarray) -> np.ndarray:
         w = 1.0 - u
@@ -506,16 +421,8 @@ def integrate_semi_infinite_with_error(f: Callable, rel_tol: float = 1e-10,
         if ok.any():
             uw = u[ok]
             ww = w[ok]
-            out[ok] = np.asarray(fv(uw / ww), dtype=float) / (ww * ww)
+            out[ok] = np.asarray(f(uw / ww), dtype=float) / (ww * ww)
         return out
 
     return _adaptive_core(transformed, 0.0, 1.0, rel_tol, max_panels,
                           initial_breaks=_DECADE_BREAKS)
-
-
-def integrate_interval_with_error(f: Callable, a: float, b: float,
-                                  rel_tol: float = 1e-10,
-                                  max_panels: int = 4096) -> tuple[float, float]:
-    """Like integrate_interval but also returns the error bound."""
-    fv = _ensure_vectorized(f)
-    return _adaptive_core(fv, a, b, rel_tol, max_panels)

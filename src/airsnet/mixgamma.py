@@ -4,8 +4,8 @@ Two parameterizations cover the network's links: an exact single-component
 Gamma for the direct base-station link, and a Laguerre-node mixture for the
 amplified cascaded link, whose component rates scale with the product
 path-loss over the averaged amplification gain. All distribution algebra
-(pdf, Laplace transform, moments, CDF, sampling) is evaluated in log space
-per term so that rate parameters of order 1e9+ survive.
+(pdf, moments, sampling) is evaluated in log space per term so that rate
+parameters of order 1e9+ survive.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mathkit import DomainError, QuadratureRule, gamma_cdf_regularized
+from .mathkit import DomainError, QuadratureRule
 
 __all__ = [
     "AccuracyError",
@@ -87,10 +87,6 @@ class MixtureGamma:
             raise InvalidDistributionError("beta and xi must be positive")
 
     @property
-    def count(self) -> int:
-        return self.log_epsilon.size
-
-    @property
     def epsilon(self) -> np.ndarray:
         return np.exp(self.log_epsilon)
 
@@ -117,22 +113,6 @@ class MixtureGamma:
         out = np.exp(logs).sum(axis=1)
         return float(out[0]) if scalar else out
 
-    def laplace(self, s) -> float:
-        """Laplace transform sum_i eps_i Gamma(beta_i) / (xi_i + s)^beta_i at s >= 0."""
-        arr = np.asarray(s, dtype=float)
-        if np.any(arr < 0):
-            raise DomainError("laplace requires s >= 0")
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
-        lgam = np.array([math.lgamma(b) for b in self.beta])
-        logs = (
-            self.log_epsilon[None, :]
-            + lgam[None, :]
-            - self.beta[None, :] * np.log(self.xi[None, :] + arr[:, None])
-        )
-        out = np.exp(logs).sum(axis=1)
-        return float(out[0]) if scalar else out
-
     def moment(self, ell: float) -> float:
         """Raw moment E[X^ell] for ell > 0."""
         if not ell > 0:
@@ -140,15 +120,6 @@ class MixtureGamma:
         lgam = np.array([math.lgamma(b + ell) for b in self.beta])
         logs = self.log_epsilon + lgam - (self.beta + ell) * np.log(self.xi)
         return float(np.exp(logs).sum())
-
-    def cdf(self, x):
-        """Distribution function (same raw-coefficient convention as pdf)."""
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        masses = np.exp(self._log_masses())
-        out = np.zeros_like(arr)
-        for mass, b, r in zip(masses, self.beta, self.xi):
-            out += mass * gamma_cdf_regularized(float(b), r * arr)
-        return float(out[0]) if np.asarray(x).ndim == 0 else out
 
     def component_probabilities(self) -> np.ndarray:
         """Component masses renormalized to sum exactly to 1."""

@@ -39,6 +39,7 @@ _MASK64 = (1 << 64) - 1
 _TAG_GEOMETRY = 1
 _TAG_FADING = 2
 _MODEL_BLOCK = 1 << 16  # model-MC draws per block: its temporaries stay in cache
+_PHYSICAL_BLOCK = 4096  # physical-MC channel rows per block
 
 
 @dataclass
@@ -148,7 +149,14 @@ def associate(real: NetworkRealization, policy: str,
     return NetworkRealization(real.irs_positions, real.ue_positions, association)
 
 
-def _drop_worker(cfg: NetworkConfig, policy: str, irs_mode: str, n_fading: int,
+def _snr_kernel(irs_mode: str):
+    """The reflected-link SNR kernel of irs_mode, read from the module globals."""
+    if irs_mode not in ("active", "passive"):
+        raise ConfigError(f"unknown irs_mode {irs_mode!r}")
+    return snr_active_batch if irs_mode == "active" else snr_passive_batch
+
+
+def _drop_worker(cfg: NetworkConfig, policy: str, kernel, n_fading: int,
                  seed: int, drop_index: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-user fading-averaged SNR and rate for one drop, in user order."""
     real = associate(drop(cfg, seed, drop_index), policy, cfg)
@@ -187,20 +195,14 @@ def _drop_worker(cfg: NetworkConfig, policy: str, irs_mode: str, n_fading: int,
         flat_iu = sample_nakagami_power(cfg.m_iu, rng, (idx.size * n_fading, n))
         zb = np.repeat(zeta_bi, n_fading)
         zi = np.repeat(zeta_iu, n_fading)
-        if irs_mode == "active":
-            snr = snr_active_batch(flat_bi, flat_iu, zb, zi, p)
-        elif irs_mode == "passive":
-            snr = snr_passive_batch(flat_bi, flat_iu, zb, zi, p)
-        else:
-            raise ConfigError(f"unknown irs_mode {irs_mode!r}")
-        snr = snr.reshape(idx.size, n_fading)
+        snr = kernel(flat_bi, flat_iu, zb, zi, p).reshape(idx.size, n_fading)
         snr_mean[idx] = snr.mean(axis=1)
         rate_mean[idx] = np.log2(1.0 + snr).mean(axis=1)
     return snr_mean, rate_mean
 
 
-def simulate_cell(cfg: NetworkConfig, policy: str = "nearest",
-                  n_drops: int | None = None, n_fading: int | None = None,
+def simulate_cell(cfg: NetworkConfig, policy: str = "nearest", *,
+                  n_drops: int, n_fading: int,
                   seed: int = 0, irs_mode: str = "active",
                   threads: int = 1) -> dict[str, SimEstimate]:
     """Monte-Carlo estimates of mean SNR, achievable rate and spatial throughput.
@@ -210,24 +212,23 @@ def simulate_cell(cfg: NetworkConfig, policy: str = "nearest",
     (fading draws at a fixed position are not independent positional
     samples). spatial throughput = positional rate average / cell area.
     """
-    n_drops = cfg.n_drops if n_drops is None else n_drops
-    n_fading = cfg.n_fading if n_fading is None else n_fading
     if n_drops < 1 or n_fading < 1:
         raise ConfigError("n_drops and n_fading must be >= 1")
+    kernel = _snr_kernel(irs_mode)
 
     results: list[tuple[np.ndarray, np.ndarray] | None] = [None] * n_drops
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             for i, res in enumerate(
                 pool.map(
-                    lambda d: _drop_worker(cfg, policy, irs_mode, n_fading, seed, d),
+                    lambda d: _drop_worker(cfg, policy, kernel, n_fading, seed, d),
                     range(n_drops),
                 )
             ):
                 results[i] = res
     else:
         for i in range(n_drops):
-            results[i] = _drop_worker(cfg, policy, irs_mode, n_fading, seed, i)
+            results[i] = _drop_worker(cfg, policy, kernel, n_fading, seed, i)
 
     snr_ue = np.concatenate([r[0] for r in results])
     rate_ue = np.concatenate([r[1] for r in results])
@@ -384,8 +385,7 @@ def model_snr_moment_mc(cfg: NetworkConfig, d_bi: float, d_iu: float,
 
 def physical_snr_mc(cfg: NetworkConfig, d_bi: float, d_iu: float,
                     n: int = 1_000_000, seed: int = 0,
-                    irs_mode: str = "active",
-                    chunk: int = 4096) -> tuple[float, float]:
+                    irs_mode: str = "active") -> tuple[float, float]:
     """Monte-Carlo mean SNR of the physical per-element channel at fixed
     distances, with the budget-exhausting gain recomputed per draw.
 
@@ -395,12 +395,10 @@ def physical_snr_mc(cfg: NetworkConfig, d_bi: float, d_iu: float,
     n_el = cfg.geometry.n_elements
     zeta_bi = cfg.epsilon_ref * cfg.floored(d_bi) ** (-cfg.alpha)
     zeta_iu = cfg.epsilon_ref * cfg.floored(d_iu) ** (-cfg.alpha)
-    if irs_mode not in ("active", "passive"):
-        raise ConfigError(f"unknown irs_mode {irs_mode!r}")
-    kernel = snr_active_batch if irs_mode == "active" else snr_passive_batch
+    kernel = _snr_kernel(irs_mode)
     acc = _Moments()
-    for start in range(0, n, chunk):
-        b = min(chunk, n - start)
+    for start in range(0, n, _PHYSICAL_BLOCK):
+        b = min(_PHYSICAL_BLOCK, n - start)
         pow_bi = sample_nakagami_power(cfg.m_bi, rng, (b, n_el))
         pow_iu = sample_nakagami_power(cfg.m_iu, rng, (b, n_el))
         acc.add(kernel(pow_bi, pow_iu, zeta_bi, zeta_iu, cfg.power))

@@ -2,8 +2,8 @@
 
 These deliberately avoid the library's own code paths: the exponential
 integral oracle uses an fsum'd power series (small x) and a high-order
-Laguerre sum of 1/(t+x) (large x); incomplete-Gamma style checks go through
-brute-force quadrature where needed.
+Laguerre sum of 1/(t+x) (large x); the mixture CDF uses scipy's regularized
+incomplete Gamma; the noise Laplace transform is written out from its law.
 """
 
 import math
@@ -67,6 +67,35 @@ def passive_moment_ratio(n: int, m_bi: float, m_iu: float) -> float:
     so the ratio to the N^2 form is 1/N + (1 - 1/N) k.
     """
     return 1.0 / n + (1.0 - 1.0 / n) * passive_cascade_k(m_bi, m_iu)
+
+
+def mixture_cdf(mix, x):
+    """P(X <= x) of a MixtureGamma: sum_i mass_i P(beta_i, xi_i x).
+
+    mass_i = eps_i Gamma(beta_i) xi_i^-beta_i, and P is scipy's regularized
+    lower incomplete Gamma. Accepts a scalar or 1-D array x.
+    """
+    from scipy.special import gammainc, gammaln
+
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    masses = np.exp(mix.log_epsilon + gammaln(mix.beta) - mix.beta * np.log(mix.xi))
+    out = masses @ gammainc(mix.beta[:, None], mix.xi[:, None] * xs[None, :])
+    return float(out[0]) if np.ndim(x) == 0 else out
+
+
+def noise_laplace(z, xi_i: float, d_bi: float, cfg, component_rate: bool = True):
+    """E exp(-z eta sigma_F^2 c G / P_t) for unit-mean G ~ Gamma(m_IU, 1/m_IU).
+
+    The amplified-noise Laplace transform (1 + z eta sigma_F^2 c/(P_t m_IU))^-m_IU
+    with eta = P_F/(P_t eps d_BI^-alpha + sigma_F^2), under the two readings
+    of where the mixture component rate belongs: c = xi_i (component_rate)
+    or c = 1.
+    """
+    p = cfg.power
+    zeta_bi = cfg.epsilon_ref * max(d_bi, cfg.distance_floor) ** -cfg.alpha
+    eta = p.p_f / (p.p_t * zeta_bi + p.sigma_f2)
+    c = xi_i if component_rate else 1.0
+    return (1.0 + z * eta * p.sigma_f2 * c / (p.p_t * cfg.m_iu)) ** -cfg.m_iu
 
 
 def rel_err(got: float, expected: float) -> float:

@@ -7,9 +7,13 @@ import pytest
 from airsnet import analytic as an
 from airsnet.channel import PowerParams
 from airsnet.config import ConfigError, GeometryConfig, NetworkConfig
-from airsnet.mathkit import exp_e1_scaled, integrate_interval, integrate_semi_infinite
+from airsnet.mathkit import (
+    exp_en_scaled,
+    integrate_interval_with_error,
+    integrate_semi_infinite_with_error,
+)
 from airsnet.simulate import model_snr_moment_mc, physical_snr_mc
-from conftest import rayleigh_mean_snr, rel_err
+from conftest import noise_laplace, rayleigh_mean_snr, rel_err
 
 BASE_POWER = PowerParams(p_t=1.0, p_f=0.01, sigma2=1e-11, sigma_f2=1e-10)
 
@@ -43,21 +47,28 @@ class TestSnrMomentDirect:
         assert rel_err(an.snr_moment_direct(2.0, 100.0, cfg), 2.0 * mean**2) < 1e-12
 
 
+def kernel_noise_laplace(z, d_bi, d_iu, cfg):
+    """The per-component noise-Laplace factor the moment and rate kernels use."""
+    noise_rates = an._active_components(d_bi, d_iu, cfg)[3]
+    return (1.0 + z * noise_rates) ** -cfg.m_iu
+
+
 class TestNoiseLaplace:
     def test_unity_at_origin(self):
         cfg = make_cfg(m_iu=2.0)
-        assert an.noise_laplace(0.0, 1e8, 100.0, 30.0, cfg) == 1.0
+        assert np.all(kernel_noise_laplace(0.0, 100.0, 30.0, cfg) == 1.0)
 
     def test_unity_without_amplifier_noise(self):
         cfg = replace(
             make_cfg(), power=PowerParams(p_t=1.0, p_f=0.01, sigma2=1e-11, sigma_f2=1e-30)
         )
-        assert an.noise_laplace(5.0, 1e8, 100.0, 30.0, cfg) == pytest.approx(1.0, abs=1e-12)
+        got = kernel_noise_laplace(5.0, 100.0, 30.0, cfg)
+        assert np.all(np.abs(got - 1.0) < 1e-12)
 
     def test_mc_cross_check_accepts_component_rate_reading(self, rng):
         # the reading with xi_i inside the argument must match a direct MC
-        # average of exp(-z * avg_gain * N * sigma_F^2 * xi_i * G / P_t);
-        # the other reading is kept only as a rejected diagnostic
+        # average of exp(-z * avg_gain * N * sigma_F^2 * xi_i * G / P_t); the
+        # other reading must not, and the kernels must use the accepted one
         cfg = make_cfg(m_iu=2.0)
         mix = an.cascaded_mixture(100.0, 30.0, cfg)
         xi = float(mix.xi[7])
@@ -65,20 +76,22 @@ class TestNoiseLaplace:
         z = 0.6 / (eta * cfg.power.sigma_f2 * xi)
         g = rng.standard_gamma(2.0, 1_000_000) / 2.0
         mc = float(np.exp(-z * eta * cfg.power.sigma_f2 * xi * g / cfg.power.p_t).mean())
-        with_rate = an.noise_laplace(z, xi, 100.0, 30.0, cfg)
-        without_rate = an.noise_laplace(
-            z, xi, 100.0, 30.0, cfg, component_rate_in_noise=False
-        )
+        with_rate = noise_laplace(z, xi, 100.0, cfg)
+        without_rate = noise_laplace(z, xi, 100.0, cfg, component_rate=False)
         assert abs(with_rate - mc) / mc < 0.01
         assert abs(without_rate - mc) / mc > 0.1
+        in_kernel = kernel_noise_laplace(z, 100.0, 30.0, cfg)
+        expected = [noise_laplace(z, float(x), 100.0, cfg) for x in mix.xi]
+        assert np.allclose(in_kernel, expected, rtol=1e-12, atol=0.0)
 
     def test_rayleigh_shape(self):
         cfg = make_cfg(m_iu=1.0)
+        mix = an.cascaded_mixture(100.0, 30.0, cfg)
         eta = an.averaged_amp_gain(100.0, cfg)
-        xi = 3.0e7
-        z = 1.0 / (eta * cfg.power.sigma_f2 * xi)
-        expected = 1.0 / (1.0 + z * eta * cfg.power.sigma_f2 * xi / cfg.power.p_t)
-        assert rel_err(an.noise_laplace(z, xi, 100.0, 30.0, cfg), expected) < 1e-12
+        z = 1.0 / (eta * cfg.power.sigma_f2 * float(mix.xi[10]))
+        expected = 1.0 / (1.0 + z * eta * cfg.power.sigma_f2 * mix.xi / cfg.power.p_t)
+        got = kernel_noise_laplace(z, 100.0, 30.0, cfg)
+        assert np.all(np.abs(got - expected) <= 1e-12 * expected)
 
 
 class TestEquivalenceTriangle:
@@ -246,7 +259,7 @@ class TestRates:
     def test_direct_rayleigh_identity(self):
         cfg = make_cfg()
         c = 100.0**3 * cfg.power.sigma2 / (cfg.epsilon_ref * cfg.power.p_t)
-        expected = math.log2(math.e) * exp_e1_scaled(c)
+        expected = math.log2(math.e) * exp_en_scaled(1.0, c)
         assert rel_err(an.rate_direct(100.0, cfg), expected) < 1e-8
 
     def test_direct_vanishes_at_zero_snr(self):
@@ -279,9 +292,9 @@ class TestRates:
             q = -np.expm1(-float(mix.beta[0]) * np.log1p(z)) / z
             return q * (np.exp(-z[:, None] * decay[None, :]) @ masses)
 
-        expected = math.log2(math.e) * integrate_semi_infinite(
+        expected = math.log2(math.e) * integrate_semi_infinite_with_error(
             no_laplace, 1e-8, max_panels=16384
-        )
+        )[0]
         assert rel_err(got, expected) < 1e-3
 
     @pytest.mark.parametrize("m_iu", [1, 2])
@@ -307,8 +320,14 @@ class TestRates:
 
 
 class TestAverageMetric:
-    def test_region_weight_calibration(self):
-        assert abs(an.region_weight_calibration(make_cfg()) - 1.0) < 1e-9
+    def test_region_weight_calibration(self, monkeypatch):
+        # with constant-1 conditional metrics the three region weights must
+        # sum to the whole cell
+        monkeypatch.setattr(
+            an, "_conditional_metrics",
+            lambda kind, ell, cfg: ((lambda d: 1.0), (lambda b, r: 1.0)),
+        )
+        assert abs(an.average_metric("achievable_rate", make_cfg()).value - 1.0) < 1e-9
 
     def test_collapsed_ring_reduces_to_direct_average(self):
         cfg = make_cfg(
@@ -321,7 +340,7 @@ class TestAverageMetric:
             2.0
             * math.pi
             / s_t
-            * integrate_interval(
+            * integrate_interval_with_error(
                 lambda d: np.array(
                     [an.snr_moment_direct(1.0, x, cfg) for x in np.atleast_1d(d)]
                 )
@@ -329,7 +348,7 @@ class TestAverageMetric:
                 cfg.distance_floor,
                 200.0,
                 1e-9,
-            )
+            )[0]
         )
         assert rel_err(got, direct_only) < 1e-4
 
@@ -348,19 +367,19 @@ class TestAverageMetric:
             2.0
             * math.pi
             / s_t
-            * integrate_interval(
+            * integrate_interval_with_error(
                 lambda b: np.array([region2_floor(x) for x in np.atleast_1d(b)]) * b,
                 geo.l_in,
                 geo.l_out,
                 1e-8,
-            )
+            )[0]
         )
         r1 = an.snr_moment_direct(1.0, cfg.distance_floor, cfg) * math.pi / s_t
         r1 += (
             2.0
             * math.pi
             / s_t
-            * integrate_interval(
+            * integrate_interval_with_error(
                 lambda d: np.array(
                     [an.snr_moment_direct(1.0, x, cfg) for x in np.atleast_1d(d)]
                 )
@@ -368,13 +387,13 @@ class TestAverageMetric:
                 cfg.distance_floor,
                 geo.l_in,
                 1e-9,
-            )
+            )[0]
         )
         r3 = (
             2.0
             * math.pi
             / s_t
-            * integrate_interval(
+            * integrate_interval_with_error(
                 lambda b: np.array(
                     [
                         an.mean_snr_closed(geo.l_out, max(x - geo.l_out, 1.0), cfg)
@@ -385,7 +404,7 @@ class TestAverageMetric:
                 geo.l_out,
                 geo.l,
                 1e-8,
-            )
+            )[0]
         )
         assert rel_err(got, r1 + r2 + r3) < 0.01
 

@@ -6,9 +6,10 @@ import pytest
 from airsnet import analytic as an
 from airsnet.channel import PowerParams
 from airsnet.config import ConfigError, GeometryConfig, NetworkConfig
-from airsnet.mathkit import integrate_interval
+from airsnet.mathkit import integrate_interval_with_error
 from airsnet.simulate import (
     _MODEL_BLOCK,
+    _PHYSICAL_BLOCK,
     NetworkRealization,
     _Moments,
     associate,
@@ -168,12 +169,12 @@ class TestSimulateCell:
             2.0
             * math.pi
             / s_t
-            * integrate_interval(
+            * integrate_interval_with_error(
                 lambda d: np.array([an.rate_direct(x, cfg) for x in np.atleast_1d(d)]) * d,
                 cfg.distance_floor,
                 cfg.geometry.l,
                 1e-8,
-            )
+            )[0]
         )
         got = est["achievable_rate"]
         assert abs(got.mean - analytic_rate) <= 2.0 * got.std_error
@@ -223,12 +224,12 @@ class TestSimulateCell:
             2.0
             * math.pi
             / s_t
-            * integrate_interval(
+            * integrate_interval_with_error(
                 lambda d: np.array([an.rate_direct(x, cfg) for x in np.atleast_1d(d)]) * d,
                 cfg.distance_floor,
                 cfg.geometry.l,
                 1e-8,
-            )
+            )[0]
         )
         hits = 0
         trials = 20
@@ -246,6 +247,13 @@ class TestSimulateCell:
         assert est["spatial_throughput"].mean == pytest.approx(
             est["achievable_rate"].mean / cfg.geometry.s_total, rel=1e-12
         )
+
+    def test_unknown_mode_rejected_when_every_user_is_direct(self):
+        cfg = all_direct_cfg(k_ues=5)
+        real = associate(drop(cfg, seed=1, drop_index=0), "nearest", cfg)
+        assert np.all(real.association < 0)
+        with pytest.raises(ConfigError, match="bogus"):
+            simulate_cell(cfg, n_drops=2, n_fading=2, seed=1, irs_mode="bogus")
 
 
 class TestSweepDensity:
@@ -371,7 +379,7 @@ class TestBlockBoundaries:
         assert model_snr_moment_mc(cfg, 100.0, 30.0, n=n, seed=5) == first
 
     @pytest.mark.parametrize("irs_mode", ["active", "passive"])
-    @pytest.mark.parametrize("n", [1, 1000, 3 * 4096 + 1])
+    @pytest.mark.parametrize("n", [1, 1000, 3 * _PHYSICAL_BLOCK + 1])
     def test_physical_mc_finite_and_reproducible(self, n, irs_mode):
         cfg = make_cfg(geom={"n_elements": 16})
         first = physical_snr_mc(cfg, 100.0, 30.0, n=n, seed=9, irs_mode=irs_mode)
