@@ -16,6 +16,17 @@ Conventions baked in here (see README for the full discussion):
   the physical simulator keeps the path loss, and `validate` reports the
   resulting measured gap;
 * distances are floored at 1 m (the reference distance of epsilon_ref).
+
+The amplified-link kernels rest on one factorization. The mixture component
+masses w_i t_i^(m_IU-1)/Gamma(m_IU) are distance-free, and component i's
+noise rate is S/t_i and its decay kappa*S/t_i, with
+S = sigma_F^2 m_BI W/(N P_t) (W = 1/(zeta_BI zeta_IU)) and
+kappa = m_IU sigma^2/(eta sigma_F^2), which depends on d_BI alone. After
+y = S z every d_IU at one d_BI shares
+F_b(y) = sum_i mass_i e^(-kappa y/t_i) (1 + y/t_i)^-m_IU, so
+rate_active = log2(e) * integral F_b(y) (1 - (1 + y/S)^-m_BI)/y dy is one
+quadrature over a whole d_IU array on a shared y-mesh, and the SNR moment of
+order ell is S^-ell times a single y-integral per d_BI.
 """
 
 from __future__ import annotations
@@ -75,6 +86,33 @@ def averaged_amp_gain(d_bi: float, cfg: NetworkConfig) -> float:
     return p.p_f / (p.p_t * zeta_bi + p.sigma_f2)
 
 
+def _zeta(d, cfg: NetworkConfig):
+    """Path gain eps * max(d, floor)^-alpha, elementwise."""
+    return cfg.epsilon_ref * np.maximum(np.asarray(d, dtype=float), cfg.distance_floor) ** (
+        -cfg.alpha)
+
+
+def _point(cfg: NetworkConfig) -> str:
+    """The model parameters an error message names beside its distances."""
+    return (f"m_bi={cfg.m_bi:g}, m_iu={cfg.m_iu:g}, glq_order={cfg.glq_order}, "
+            f"p_f={cfg.power.p_f:g} W")
+
+
+def _named(exc: IntegrationError, where: str) -> IntegrationError:
+    """exc re-raised with the parameter point that produced it."""
+    return IntegrationError(f"{where}: {exc}", exc.estimate, exc.achieved_rel_error)
+
+
+def _worst(d, exc: IntegrationError) -> float:
+    """The distance of the batch column that fell furthest short of its tolerance."""
+    return float(np.ravel(d)[int(np.argmax(exc.achieved_rel_error))])
+
+
+def _shaped(values: np.ndarray, like):
+    """(K,) kernel values returned as a float for a scalar input, else in its shape."""
+    return float(values[0]) if np.ndim(like) == 0 else values.reshape(np.shape(like))
+
+
 def _links(d_bi: float, d_iu: float, cfg: NetworkConfig) -> tuple[LinkStats, LinkStats]:
     bi = LinkStats.from_distance(cfg.m_bi, cfg.floored(d_bi), cfg.alpha, cfg.epsilon_ref)
     iu = LinkStats.from_distance(cfg.m_iu, cfg.floored(d_iu), cfg.alpha, cfg.epsilon_ref)
@@ -94,56 +132,68 @@ def cascaded_mixture(d_bi: float, d_iu: float, cfg: NetworkConfig) -> MixtureGam
     return cascaded_power_dist(bi, iu, eta / n, n, cfg.rule())
 
 
-def snr_moment_direct(ell: float, d_bu: float, cfg: NetworkConfig) -> float:
+def snr_moment_direct(ell: float, d_bu, cfg: NetworkConfig):
     """Direct-link conditional SNR moment of order ell.
 
-    Gamma(m+ell)/Gamma(m) * (m d^alpha sigma^2 / (eps P_t))^-ell.
+    Gamma(m+ell)/Gamma(m) * (m d^alpha sigma^2 / (eps P_t))^-ell, elementwise
+    over a distance array; a float for a scalar distance.
     """
     if not ell > 0:
         raise DomainError(f"moment order must be positive, got {ell}")
-    d = cfg.floored(d_bu)
+    d = np.maximum(np.asarray(d_bu, dtype=float), cfg.distance_floor)
     m = cfg.m_bu
     scale = m * d**cfg.alpha * cfg.power.sigma2 / (cfg.epsilon_ref * cfg.power.p_t)
-    return math.exp(ln_gamma(m + ell) - ln_gamma(m) - ell * math.log(scale))
+    value = np.exp(ln_gamma(m + ell) - ln_gamma(m) - ell * np.log(scale))
+    return float(value) if np.ndim(d_bu) == 0 else value
 
 
-def _active_components(d_bi: float, d_iu: float, cfg: NetworkConfig):
-    """Mixture masses and rates plus the noise-Laplace rate per component."""
-    mix = cascaded_mixture(d_bi, d_iu, cfg)
-    lgam_beta = np.array([math.lgamma(b) for b in mix.beta])
-    masses = np.exp(mix.log_epsilon + lgam_beta - mix.beta * np.log(mix.xi))
-    eta = averaged_amp_gain(d_bi, cfg)
-    noise_rates = eta * cfg.power.sigma_f2 * mix.xi / (cfg.power.p_t * cfg.m_iu)
-    decay = mix.xi * cfg.power.sigma2 / cfg.power.p_t
-    return mix, masses, decay, noise_rates
+def _s_scale(d_bi, d_iu, cfg: NetworkConfig):
+    """S = sigma_F^2 m_BI W / (N P_t): component i's noise rate is S/t_i."""
+    p = cfg.power
+    n = cfg.geometry.n_elements
+    return p.sigma_f2 * cfg.m_bi / (n * p.p_t * _zeta(d_bi, cfg) * _zeta(d_iu, cfg))
 
 
-def snr_moment_active(ell: float, d_bi: float, d_iu: float,
-                      cfg: NetworkConfig) -> float:
-    """Amplified-link conditional SNR moment by semi-infinite quadrature.
+def _noise_mixture(d_bi: float, cfg: NetworkConfig):
+    """F_b(y) = sum_i mass_i e^(-kappa y/t_i) (1 + y/t_i)^-m_IU at one d_BI.
 
-    Integrates the mixture moment kernel against the noise Laplace transform:
-    sum_i mass_i * Gamma(beta+ell)/(Gamma(beta) Gamma(ell)) *
-    integral z^(ell-1) e^(-z xi_i sigma^2/P_t) L_i(z) dz.
+    mass_i = w_i t_i^(m_IU-1)/Gamma(m_IU) and kappa = m_IU sigma^2/(eta
+    sigma_F^2); F_b is the same function for every d_IU.
+    """
+    rule = cfg.rule()
+    m = cfg.m_iu
+    masses = np.exp(np.log(rule.weights) + (m - 1.0) * np.log(rule.nodes) - ln_gamma(m))
+    kappa = m * cfg.power.sigma2 / (averaged_amp_gain(d_bi, cfg) * cfg.power.sigma_f2)
+    inv_t = 1.0 / rule.nodes
+
+    def f_b(y: np.ndarray) -> np.ndarray:
+        yt = np.multiply.outer(y, inv_t)
+        return np.exp(-kappa * yt - m * np.log1p(yt)) @ masses
+
+    return f_b
+
+
+def snr_moment_active(ell: float, d_bi: float, d_iu, cfg: NetworkConfig):
+    """Amplified-link conditional SNR moment by one semi-infinite quadrature.
+
+    Gamma(m_BI+ell)/(Gamma(m_BI) Gamma(ell)) * S^-ell * integral y^(ell-1)
+    F_b(y) dy: the mixture moment kernel against the noise Laplace transform,
+    after y = S z. The integral depends on d_BI alone, so a d_IU array costs
+    one quadrature; returns a float for a scalar d_IU.
     """
     if not ell > 0:
         raise DomainError(f"moment order must be positive, got {ell}")
-    mix, masses, decay, noise_rates = _active_components(d_bi, d_iu, cfg)
-    m_iu = cfg.m_iu
-    beta = float(mix.beta[0])
+    beta = cfg.m_bi
     coeff = math.exp(ln_gamma(beta + ell) - ln_gamma(beta) - ln_gamma(ell))
-    weights = masses * coeff
-
-    def kernel(zs: np.ndarray) -> np.ndarray:
-        z = zs[:, None]
-        terms = np.exp(-z * decay[None, :] - m_iu * np.log1p(z * noise_rates[None, :]))
-        mixed = terms @ weights
-        if ell != 1.0:
-            mixed = mixed * zs ** (ell - 1.0)
-        return mixed
-
-    value, _ = integrate_semi_infinite_with_error(kernel, QUAD_TOL, max_panels=16384)
-    return value
+    f_b = _noise_mixture(d_bi, cfg)
+    kernel = f_b if ell == 1.0 else (lambda y: f_b(y) * y ** (ell - 1.0))
+    try:
+        value, _ = integrate_semi_infinite_with_error(kernel, QUAD_TOL, max_panels=16384)
+    except IntegrationError as exc:
+        raise _named(exc, f"snr_moment_active({ell:g}) at {_point(cfg)}, d_bi={d_bi:g} m, "
+                          f"d_iu={_worst(d_iu, exc):g} m") from exc
+    moment = coeff * value * _s_scale(d_bi, d_iu, cfg) ** -ell
+    return float(moment) if np.ndim(d_iu) == 0 else moment
 
 
 def mean_snr_integral(d_bi: float, d_iu: float, cfg: NetworkConfig) -> float:
@@ -179,11 +229,8 @@ def mean_snr_integral(d_bi: float, d_iu: float, cfg: NetworkConfig) -> float:
                 lambda z: np.exp(-ai * z - m * np.log(z + di)), QUAD_TOL, max_panels=16384
             )
         except IntegrationError as exc:
-            raise IntegrationError(
-                f"mean_snr_integral at m_iu={m:g}, glq_order={rule.order}, "
-                f"p_f={p.p_f:g} W, d_bi={d_bi:g} m, d_iu={d_iu:g} m: {exc}",
-                exc.estimate, exc.achieved_rel_error,
-            ) from exc
+            raise _named(exc, f"mean_snr_integral at {_point(cfg)}, d_bi={d_bi:g} m, "
+                              f"d_iu={d_iu:g} m") from exc
         total += ki * phi
     return total
 
@@ -203,10 +250,8 @@ def mean_snr_closed(d_bi, d_iu, cfg: NetworkConfig):
     m = cfg.m_iu
     p = cfg.power
     rule = cfg.rule()
-    d_bi_f = np.maximum(np.asarray(d_bi, dtype=float), cfg.distance_floor)
-    d_iu_f = np.maximum(np.asarray(d_iu, dtype=float), cfg.distance_floor)
-    zeta_bi = cfg.epsilon_ref * d_bi_f ** (-cfg.alpha)
-    zeta_iu = cfg.epsilon_ref * d_iu_f ** (-cfg.alpha)
+    zeta_bi = _zeta(d_bi, cfg)
+    zeta_iu = _zeta(d_iu, cfg)
     eta = p.p_f / (p.p_t * zeta_bi + p.sigma_f2)
     kappa = m * p.sigma2 / (eta * p.sigma_f2)
     # sum_i w_i t_i^m / Gamma(m), termwise in logs so large m cannot overflow
@@ -226,46 +271,51 @@ def mean_snr_passive(d_bi: float, d_iu: float, cfg: NetworkConfig) -> float:
     return n**2 * glsum * cfg.power.p_t / (math.gamma(m + 1.0) * cfg.power.sigma2 * w_big)
 
 
-def _rate_kernel_direct(m: float, c: float):
-    def kernel(z: np.ndarray) -> np.ndarray:
-        q = -np.expm1(-m * np.log1p(z)) / z
-        return q * np.exp(-c * z)
-
-    return kernel
-
-
-def rate_direct(d_bu: float, cfg: NetworkConfig) -> float:
+def rate_direct(d_bu, cfg: NetworkConfig):
     """Direct-link conditional achievable rate in bits/s/Hz.
 
     log2(e) * integral (1/z)(1 - (1+z)^-m_BU) e^(-c z) dz with
-    c = m_BU d^alpha sigma^2 / (eps P_t).
+    c = m_BU d^alpha sigma^2 / (eps P_t); a distance array is integrated on
+    one shared z-mesh. Returns a float for a scalar distance.
     """
-    d = cfg.floored(d_bu)
-    c = cfg.m_bu * d**cfg.alpha * cfg.power.sigma2 / (cfg.epsilon_ref * cfg.power.p_t)
-    value, _ = integrate_semi_infinite_with_error(
-        _rate_kernel_direct(cfg.m_bu, c), QUAD_TOL, max_panels=16384
-    )
-    return LOG2E * value
+    m = cfg.m_bu
+    d = np.maximum(np.ravel(np.asarray(d_bu, dtype=float)), cfg.distance_floor)
+    c = m * d**cfg.alpha * cfg.power.sigma2 / (cfg.epsilon_ref * cfg.power.p_t)
+
+    def kernel(z: np.ndarray) -> np.ndarray:
+        q = -np.expm1(-m * np.log1p(z)) / z
+        return q[:, None] * np.exp(-np.multiply.outer(z, c))
+
+    try:
+        value, _ = integrate_semi_infinite_with_error(kernel, QUAD_TOL, max_panels=16384)
+    except IntegrationError as exc:
+        raise _named(exc, f"rate_direct at m_bu={m:g}, d_bu={_worst(d, exc):g} m") from exc
+    return _shaped(LOG2E * value, d_bu)
 
 
-def rate_active(d_bi: float, d_iu: float, cfg: NetworkConfig) -> float:
+def rate_active(d_bi: float, d_iu, cfg: NetworkConfig):
     """Amplified-link conditional achievable rate in bits/s/Hz.
 
-    log2(e) sum_i mass_i integral (1/z)(1-(1+z)^-beta) e^(-z xi_i sigma^2/P_t)
-    L_i(z) dz, evaluated as one semi-infinite quadrature of the component sum.
+    log2(e) * integral F_b(y) (1 - (1 + y/S)^-m_BI)/y dy, the mixture sum
+    sum_i mass_i integral (1/z)(1-(1+z)^-m_BI) e^(-z kappa S/t_i)
+    (1 + z S/t_i)^-m_IU dz after y = S z. A d_IU array at one d_BI is
+    integrated on one shared y-mesh, F_b evaluated once per mesh point and
+    each column held to its own tolerance. Returns a float for a scalar d_IU.
     """
-    mix, masses, decay, noise_rates = _active_components(d_bi, d_iu, cfg)
-    beta = float(mix.beta[0])
-    m_iu = cfg.m_iu
+    s = np.ravel(_s_scale(d_bi, d_iu, cfg))
+    f_b = _noise_mixture(d_bi, cfg)
+    beta = cfg.m_bi
 
-    def kernel(zs: np.ndarray) -> np.ndarray:
-        q = -np.expm1(-beta * np.log1p(zs)) / zs
-        z = zs[:, None]
-        terms = np.exp(-z * decay[None, :] - m_iu * np.log1p(z * noise_rates[None, :]))
-        return q * (terms @ masses)
+    def kernel(y: np.ndarray) -> np.ndarray:
+        q = -np.expm1(-beta * np.log1p(np.divide.outer(y, s)))
+        return q * (f_b(y) / y)[:, None]
 
-    value, _ = integrate_semi_infinite_with_error(kernel, QUAD_TOL, max_panels=16384)
-    return LOG2E * value
+    try:
+        value, _ = integrate_semi_infinite_with_error(kernel, QUAD_TOL, max_panels=16384)
+    except IntegrationError as exc:
+        raise _named(exc, f"rate_active at {_point(cfg)}, d_bi={d_bi:g} m, "
+                          f"d_iu={_worst(d_iu, exc):g} m") from exc
+    return _shaped(LOG2E * value, d_iu)
 
 
 def region2_nearest_pdf_mass(cfg: NetworkConfig) -> float:
@@ -311,50 +361,41 @@ def average_metric(metric_kind: str, cfg: NetworkConfig, ell: float = 1.0) -> Me
     floor = cfg.distance_floor
     s_t = geo.s_total
     lam = geo.lambda_irs
-    err_total = 0.0
-
-    # Region 1: BS-served disc.
-    r1 = c1(floor) * math.pi * min(floor, geo.l_in) ** 2 / s_t
-    if geo.l_in > floor:
-        val, err = integrate_interval_with_error(
-            lambda d: np.array([c1(x) for x in np.atleast_1d(d)]) * d,
-            floor, geo.l_in, REGION_TOL,
-        )
-        r1 += 2.0 * math.pi * val / s_t
-        err_total += 2.0 * math.pi * err / s_t
-
-    # Region 2: ring-served, nearest-reflector distance density in r.
     near_mass = 1.0 - math.exp(-lam * math.pi * floor**2)
+    split = min(geo.l_out + floor, geo.l)
 
     def inner_r(b: float) -> float:
-        total = c2(b, floor) * near_mass
-        val, err = integrate_interval_with_error(
-            lambda r: np.array([c2(b, x) for x in np.atleast_1d(r)])
-            * 2.0 * math.pi * lam * r * np.exp(-lam * math.pi * r * r),
+        val, _ = integrate_interval_with_error(
+            lambda r: c2(b, r) * 2.0 * math.pi * lam * r * np.exp(-lam * math.pi * r * r),
             floor, geo.l, REGION_TOL,
         )
-        return total + val
+        return c2(b, floor) * near_mass + val
 
-    val, err = integrate_interval_with_error(
-        lambda b: np.array([inner_r(x) for x in np.atleast_1d(b)]) * b,
-        geo.l_in, geo.l_out, REGION_TOL,
+    # Per region: the metric times the area inside the 1 m floor kink, the
+    # metric beyond it as a function of d_BU, and that part's d_BU interval.
+    regions = (
+        # 1: BS-served disc, radial density 2 pi d / S_t.
+        (lambda: c1(floor) * math.pi * min(floor, geo.l_in) ** 2, c1, floor, geo.l_in),
+        # 2: the ring, d_BI ~= d_BU, nearest-reflector distance density in r.
+        (lambda: 0.0, lambda bs: np.array([inner_r(b) for b in bs]), geo.l_in, geo.l_out),
+        # 3: beyond the ring, d_BI ~= L_out and d_IU = d_BU - L_out floored.
+        (lambda: c2(geo.l_out, floor) * math.pi * (split**2 - geo.l_out**2),
+         lambda bs: c2(geo.l_out, bs - geo.l_out), split, geo.l),
     )
-    r2 = 2.0 * math.pi * val / s_t
-    err_total += 2.0 * math.pi * err / s_t
+    value = 0.0
+    err_total = 0.0
+    for k, (at_floor, metric, lo, hi) in enumerate(regions, start=1):
+        try:
+            value += at_floor() / s_t
+            if hi > lo:
+                val, err = integrate_interval_with_error(
+                    lambda x: metric(x) * x, lo, hi, REGION_TOL)
+                value += 2.0 * math.pi * val / s_t
+                err_total += 2.0 * math.pi * err / s_t
+        except IntegrationError as exc:
+            raise _named(exc, f"average_metric({metric_kind}) region {k} at {_point(cfg)}, "
+                              f"l_in={geo.l_in:g} m, l_out={geo.l_out:g} m") from exc
 
-    # Region 3: beyond the ring, d_IU = d_BU - L_out floored.
-    split = min(geo.l_out + floor, geo.l)
-    r3 = c2(geo.l_out, floor) * math.pi * (split**2 - geo.l_out**2) / s_t
-    if geo.l > split:
-        val, err = integrate_interval_with_error(
-            lambda b: np.array([c2(geo.l_out, x - geo.l_out) for x in np.atleast_1d(b)])
-            * b,
-            split, geo.l, REGION_TOL,
-        )
-        r3 += 2.0 * math.pi * val / s_t
-        err_total += 2.0 * math.pi * err / s_t
-
-    value = r1 + r2 + r3
     kind = metric_kind if metric_kind != "snr_moment" else f"snr_moment({ell:g})"
     if metric_kind == "spatial_throughput":
         value /= s_t

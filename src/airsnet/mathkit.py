@@ -3,7 +3,9 @@
 Everything here is pure and deterministic: Gauss-Laguerre rules, log-Gamma,
 the overflow-safe scaled exponential integral e^x*E_p(x), and an adaptive
 Gauss-Kronrod integrator for finite and semi-infinite intervals. Integrands
-take and return 1-D arrays; the integrators return (value, error bound).
+take a 1-D array of abscissae and return an (n,) array, or an (n, K) array of
+K integrands on one shared mesh; the integrators return (value, error bound),
+as floats or as (K,) arrays.
 """
 
 from __future__ import annotations
@@ -284,65 +286,78 @@ _GK_WG[1:-1:2] = np.concatenate([_GAUSS_WEIGHTS[:-1], _GAUSS_WEIGHTS[::-1]])
 
 def _adaptive_core(
     f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
+    grid: np.ndarray,
     rel_tol: float,
     max_panels: int,
-    initial_breaks: np.ndarray | None = None,
-) -> tuple[float, float]:
-    """Adaptive G7/K15 bisection on [a, b]; returns (estimate, error bound).
+):
+    """Adaptive G7/K15 bisection of the sorted initial mesh `grid`.
 
-    Panels whose Kronrod-vs-Gauss discrepancy exceeds their width-prorated
-    share of the tolerance are bisected in vectorized batches. Deterministic:
-    the final sum runs over panels sorted by left endpoint.
+    Returns (estimate, error bound) of the integral over [grid[0], grid[-1]].
+
+    f returns an (n,) array, or an (n, K) array of K integrands sharing the
+    abscissae. Column k is held to rel_tol * |total_k|; a panel is bisected
+    (in vectorized batches) while some unconverged column's Kronrod-vs-Gauss
+    discrepancy there exceeds its width-prorated share of that tolerance.
+    Returns floats for an (n,) integrand and (K,) arrays otherwise; an
+    IntegrationError then carries (K,) estimates and achieved errors.
+    Deterministic: the final sums run over panels sorted by left endpoint.
     """
-    if initial_breaks is None:
-        grid = np.array([a, b], dtype=float)
-    else:
-        grid = np.unique(np.clip(np.asarray(initial_breaks, dtype=float), a, b))
-        grid = np.concatenate([[a], grid, [b]])
-        grid = np.unique(grid)
+    a, b = grid[0], grid[-1]
     lefts = grid[:-1].copy()
     rights = grid[1:].copy()
 
+    # Per-panel values and errors are (K, panels): each column's row is
+    # contiguous, so its sums are the same pairwise sums as a 1-D integrand's.
+    # The accepted panels' running sums add up in acceptance order.
     done_lefts: list[np.ndarray] = []
     done_vals: list[np.ndarray] = []
     done_errs: list[np.ndarray] = []
+    done_total = 0.0
+    done_err = 0.0
     n_panels = lefts.size
+    columns = False
+
+    def result(est, err):
+        return (est, err) if columns else (float(est[0]), float(err[0]))
 
     for _ in range(200):
         mid = 0.5 * (lefts + rights)
         half = 0.5 * (rights - lefts)
         x = mid[:, None] + half[:, None] * _GK_X[None, :]
-        y = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
-        i15 = half * (y @ _GK_WK)
-        i7 = half * (y @ _GK_WG)
+        y = np.asarray(f(x.ravel()), dtype=float)
+        columns = y.ndim == 2
+        y = np.moveaxis(y.reshape(*x.shape, -1), -1, 0) if columns else y.reshape(x.shape)
+        i15 = (half * (y @ _GK_WK)).reshape(-1, lefts.size)
+        i7 = (half * (y @ _GK_WG)).reshape(-1, lefts.size)
         err = np.abs(i15 - i7)
 
-        total = i15.sum() + sum(v.sum() for v in done_vals)
-        err_done = sum(e.sum() for e in done_errs)
-        tol = rel_tol * max(abs(total), 1e-300)
-        if err.sum() + err_done <= tol:
+        total = i15.sum(axis=1) + done_total
+        err_all = err.sum(axis=1) + done_err
+        tol = rel_tol * np.maximum(np.abs(total), 1e-300)
+        converged = err_all <= tol
+        if converged.all():
             done_lefts.append(lefts)
             done_vals.append(i15)
             done_errs.append(err)
             break
 
-        # Accept panels already below their prorated share, split the rest.
-        share = 0.25 * tol * (rights - lefts) / (b - a)
-        keep = err <= share
+        # Accept panels already below their prorated share of every
+        # unconverged column's tolerance, split the rest.
+        share = np.where(converged, math.inf, 0.25 * tol)[:, None] * (rights - lefts) / (b - a)
+        keep = (err <= share).all(axis=0)
         # Bisection below float resolution: accept to avoid infinite loops.
         stuck = (mid - lefts) < np.abs(mid) * 1e-15
         keep |= stuck
         done_lefts.append(lefts[keep])
-        done_vals.append(i15[keep])
-        done_errs.append(err[keep])
+        done_vals.append(i15[:, keep])
+        done_errs.append(err[:, keep])
+        done_total = done_total + done_vals[-1].sum(axis=1)
+        done_err = done_err + done_errs[-1].sum(axis=1)
 
         split_l, split_r, split_m = lefts[~keep], rights[~keep], mid[~keep]
         n_panels += split_l.size
         if n_panels > max_panels:
-            est = total
-            ach = (err.sum() + err_done) / max(abs(total), 1e-300)
+            est, ach = result(total, err_all / np.maximum(np.abs(total), 1e-300))
             raise IntegrationError(
                 f"integration budget exceeded ({n_panels} panels)", est, ach
             )
@@ -353,26 +368,19 @@ def _adaptive_core(
     else:
         # depth budget exhausted with panels still pending: their mass was
         # never accumulated, so the estimate cannot be trusted
-        raise IntegrationError(
-            "integration depth budget exhausted",
-            float(sum(v.sum() for v in done_vals)),
-            math.inf,
-        )
+        est, ach = result(np.zeros(total.shape) + done_total, np.full(total.shape, math.inf))
+        raise IntegrationError("integration depth budget exhausted", est, ach)
 
-    all_lefts = np.concatenate(done_lefts)
-    all_vals = np.concatenate(done_vals)
-    all_errs = np.concatenate(done_errs)
-    order = np.argsort(all_lefts, kind="stable")
-    estimate = float(all_vals[order].sum())
-    err_bound = float(all_errs.sum())
-    achieved = err_bound / max(abs(estimate), 1e-300)
-    if achieved > rel_tol:
+    order = np.argsort(np.concatenate(done_lefts), kind="stable")
+    estimate = np.concatenate(done_vals, axis=1)[:, order].sum(axis=1)
+    err_bound = np.concatenate(done_errs, axis=1).sum(axis=1)
+    achieved = err_bound / np.maximum(np.abs(estimate), 1e-300)
+    if np.any(achieved > rel_tol):
+        est, ach = result(estimate, achieved)
         raise IntegrationError(
-            f"tolerance {rel_tol} not met (achieved {achieved:.2e})",
-            estimate,
-            achieved,
+            f"tolerance {rel_tol} not met (achieved {np.max(achieved):.2e})", est, ach
         )
-    return estimate, err_bound
+    return result(estimate, err_bound)
 
 
 def integrate_interval_with_error(f: Callable[[np.ndarray], np.ndarray], a: float,
@@ -380,19 +388,21 @@ def integrate_interval_with_error(f: Callable[[np.ndarray], np.ndarray], a: floa
                                   max_panels: int = 4096) -> tuple[float, float]:
     """Adaptive integral of f over the finite interval [a, b].
 
-    Returns (value, error bound). f maps a 1-D array of abscissae to the
-    array of integrand values.
+    Returns (value, error bound). f maps a 1-D array of n abscissae to the
+    (n,) array of integrand values, or to an (n, K) array of K integrands
+    integrated together to K relative tolerances; values and bounds are then
+    (K,) arrays.
     """
     if not (math.isfinite(a) and math.isfinite(b) and b > a):
         raise DomainError(f"invalid interval [{a}, {b}]")
-    return _adaptive_core(f, a, b, rel_tol, max_panels)
+    return _adaptive_core(f, np.array([a, b], dtype=float), rel_tol, max_panels)
 
 
 # Initial mesh for the u = z/(1+z) map: one breakpoint per decade of z from
 # 1e-14 to 1e14, so kernels concentrated at any physically occurring scale are
 # seen by the first sweep instead of vanishing between coarse panel nodes.
 _DECADE_Z = 10.0 ** np.arange(-14.0, 15.0)
-_DECADE_BREAKS = _DECADE_Z / (1.0 + _DECADE_Z)
+_DECADE_GRID = np.concatenate([[0.0], _DECADE_Z / (1.0 + _DECADE_Z), [1.0]])
 
 
 def integrate_semi_infinite_with_error(f: Callable[[np.ndarray], np.ndarray],
@@ -400,8 +410,10 @@ def integrate_semi_infinite_with_error(f: Callable[[np.ndarray], np.ndarray],
                                        max_panels: int = 4096) -> tuple[float, float]:
     """Adaptive integral of f over (0, inf) for absolutely integrable f.
 
-    Returns (value, error bound). f maps a 1-D array of abscissae to the
-    array of integrand values. The half line is mapped to (0, 1) via
+    Returns (value, error bound). f maps a 1-D array of n abscissae to the
+    (n,) array of integrand values, or to an (n, K) array of K integrands
+    integrated together, each to its own relative tolerance; values and
+    bounds are then (K,) arrays. The half line is mapped to (0, 1) via
     z = u/(1-u) and the transformed integrand is handled by adaptive
     Gauss-Kronrod bisection over a decade-graded initial mesh, which resolves
     exponential decay, sharply concentrated kernels and mild (integrable)
@@ -417,12 +429,10 @@ def integrate_semi_infinite_with_error(f: Callable[[np.ndarray], np.ndarray],
     def transformed(u: np.ndarray) -> np.ndarray:
         w = 1.0 - u
         ok = w > 0.0
-        out = np.zeros_like(u)
-        if ok.any():
-            uw = u[ok]
-            ww = w[ok]
-            out[ok] = np.asarray(f(uw / ww), dtype=float) / (ww * ww)
+        ww = w[ok]
+        vals = np.asarray(f(u[ok] / ww), dtype=float)
+        out = np.zeros(u.shape + vals.shape[1:])
+        out[ok] = (vals.T / (ww * ww)).T
         return out
 
-    return _adaptive_core(transformed, 0.0, 1.0, rel_tol, max_panels,
-                          initial_breaks=_DECADE_BREAKS)
+    return _adaptive_core(transformed, _DECADE_GRID, rel_tol, max_panels)

@@ -254,8 +254,8 @@ def simulate_cell(cfg: NetworkConfig, policy: str = "nearest", *,
 
 def sweep_density(cfg: NetworkConfig, n_total_elements: int, m_values,
                   policy: str = "nearest", seed: int = 0,
-                  irs_mode: str = "active", p_f_total: float | None = None,
-                  n_drops: int = 2000, n_fading: int = 2,
+                  irs_mode: str = "active", p_f_total: float | None = None, *,
+                  n_drops: int, n_fading: int,
                   threads: int = 1, power_budget: str = "split-total") -> list[dict]:
     """Spatial throughput versus reflector count at a fixed element budget.
 

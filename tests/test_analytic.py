@@ -8,14 +8,17 @@ from airsnet import analytic as an
 from airsnet.channel import PowerParams
 from airsnet.config import ConfigError, GeometryConfig, NetworkConfig
 from airsnet.mathkit import (
+    IntegrationError,
     exp_en_scaled,
     integrate_interval_with_error,
     integrate_semi_infinite_with_error,
 )
 from airsnet.simulate import model_snr_moment_mc, physical_snr_mc
-from conftest import noise_laplace, rayleigh_mean_snr, rel_err
+from conftest import noise_laplace, rate_active_oracle, rayleigh_mean_snr, rel_err
 
 BASE_POWER = PowerParams(p_t=1.0, p_f=0.01, sigma2=1e-11, sigma_f2=1e-10)
+# reflector->user distances of the kernel accuracy grids; 0.3 m sits below the floor
+D_IU = np.array([0.3, 1.0, 12.0, 190.0])
 
 
 def make_cfg(m_iu=1.0, n=64, p_f=0.01, m_bi=1.0, m_bu=1.0, **kw):
@@ -48,8 +51,12 @@ class TestSnrMomentDirect:
 
 
 def kernel_noise_laplace(z, d_bi, d_iu, cfg):
-    """The per-component noise-Laplace factor the moment and rate kernels use."""
-    noise_rates = an._active_components(d_bi, d_iu, cfg)[3]
+    """The per-component noise-Laplace factor the moment and rate kernels use.
+
+    The kernels integrate over y = S z and apply (1 + y/t_i)^-m_IU, i.e. the
+    noise rate S/t_i per component at the original variable z.
+    """
+    noise_rates = an._s_scale(d_bi, d_iu, cfg) / cfg.rule().nodes
     return (1.0 + z * noise_rates) ** -cfg.m_iu
 
 
@@ -175,6 +182,32 @@ class TestSnrMomentActive:
         got = an.snr_moment_active(1.0, 100.0, 30.0, cfg)
         assert abs(got - mc) < 3.0 * se
 
+    @pytest.mark.parametrize("p_f", [0.01, 10.0])
+    @pytest.mark.parametrize("m_iu", [0.5, 1.0, 2.5, 4.0])
+    @pytest.mark.parametrize("m_bi", [0.5, 1.0, 3.0])
+    def test_first_moment_matches_closed_form(self, m_bi, m_iu, p_f):
+        # held to the 1e-7 bound of validate's moment_route check: the
+        # 1/y tail of F_b over ~12 decades at p_f = 10 W leaves ~2.3e-8
+        for order in (20, 40):
+            cfg = make_cfg(m_bi=m_bi, m_iu=m_iu, p_f=p_f, glq_order=order)
+            got = an.snr_moment_active(1.0, 100.0, D_IU, cfg)
+            closed = an.mean_snr_closed(100.0, D_IU, cfg)
+            assert got.shape == D_IU.shape
+            assert np.all(np.abs(got / closed - 1.0) < 1e-7), (order, got / closed - 1.0)
+
+    @pytest.mark.parametrize("ell", [0.5, 1.0, 2.0])
+    def test_moment_times_s_power_is_constant_in_d_iu(self, ell):
+        # S = sigma_F^2 m_BI W/(N P_t) with W = (d_BI d_IU)^alpha/eps^2 at
+        # floored distances; the rest of the moment depends on d_BI alone
+        cfg = make_cfg(m_iu=2.5, m_bi=0.5)
+        moments = an.snr_moment_active(ell, 100.0, D_IU, cfg)
+        w = (100.0 * np.maximum(D_IU, 1.0)) ** 3 / cfg.epsilon_ref**2
+        s = cfg.power.sigma_f2 * cfg.m_bi * w / (64 * cfg.power.p_t)
+        scaled = moments * s**ell
+        assert np.all(np.abs(scaled / scaled[0] - 1.0) < 1e-13)
+        for d, moment in zip(D_IU, moments):
+            assert rel_err(an.snr_moment_active(ell, 100.0, float(d), cfg), moment) < 1e-14
+
 
 class TestMeanSnrRayleigh:
     """mean_snr_closed at the default m_IU = 1."""
@@ -297,6 +330,26 @@ class TestRates:
         )[0]
         assert rel_err(got, expected) < 1e-3
 
+    def test_direct_batch_rayleigh_identity(self):
+        cfg = make_cfg()
+        d = np.array([0.5, 1.0, 20.0, 90.0, 200.0])
+        got = an.rate_direct(d, cfg)
+        c = np.maximum(d, 1.0) ** 3 * cfg.power.sigma2 / (cfg.epsilon_ref * cfg.power.p_t)
+        expected = math.log2(math.e) * exp_en_scaled(1.0, c)
+        assert got.shape == d.shape
+        assert np.all(np.abs(got / expected - 1.0) < 1e-8)
+
+    @pytest.mark.parametrize("p_f", [0.01, 10.0])
+    @pytest.mark.parametrize("glq_order", [20, 40])
+    @pytest.mark.parametrize("m_iu", [0.5, 1.0, 2.5, 4.0])
+    @pytest.mark.parametrize("m_bi", [0.5, 1.0, 3.0])
+    def test_active_batch_matches_per_pair_oracle(self, m_bi, m_iu, glq_order, p_f):
+        cfg = make_cfg(m_bi=m_bi, m_iu=m_iu, p_f=p_f, glq_order=glq_order)
+        got = an.rate_active(100.0, D_IU, cfg)
+        assert got.shape == D_IU.shape
+        for d, value in zip(D_IU, got):
+            assert rel_err(value, rate_active_oracle(100.0, float(d), cfg)) < 1e-8, d
+
     @pytest.mark.parametrize("m_iu", [1, 2])
     def test_active_jensen(self, m_iu):
         cfg = make_cfg(m_iu=m_iu)
@@ -328,6 +381,17 @@ class TestAverageMetric:
             lambda kind, ell, cfg: ((lambda d: 1.0), (lambda b, r: 1.0)),
         )
         assert abs(an.average_metric("achievable_rate", make_cfg()).value - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("kw, expected", [
+        ({}, 0.02649146253255729),
+        ({"m_iu": 2.5, "m_bi": 0.5}, 0.020230301935951572),
+    ])
+    def test_ring_dominated_rate_pinned(self, kw, expected):
+        # with l_in = 5 m the reflector-served regions 2 and 3 cover all but
+        # 0.06% of the cell, so the average reads the amplified-link kernel;
+        # values frozen from the per-pair z-domain rate kernel
+        cfg = make_cfg(geom={"l_in": 5.0, "l_out": 150.0}, **kw)
+        assert rel_err(an.average_metric("achievable_rate", cfg).value, expected) < 1e-9
 
     def test_collapsed_ring_reduces_to_direct_average(self):
         cfg = make_cfg(
@@ -427,6 +491,72 @@ class TestAverageMetric:
         assert 0.0 < mass <= 1.0
         lam = cfg.geometry.lambda_irs
         assert rel_err(mass, 1.0 - math.exp(-lam * math.pi * 200.0**2)) < 1e-12
+
+
+def budget_stub(f, *args, **kwargs):
+    """An integrator that runs one sweep, then fails with the last column worst."""
+    values = np.asarray(f(np.array([0.5, 1.0, 2.0])))
+    achieved = np.arange(1.0, values.shape[1] + 1.0) if values.ndim == 2 else 1.0
+    raise IntegrationError("integration budget exceeded (16385 panels)",
+                           values.sum(axis=0), achieved)
+
+
+class TestErrorsNameThePoint:
+    POINT = ("m_bi=0.5", "m_iu=2.5", "glq_order=24", "p_f=0.02 W")
+
+    @staticmethod
+    def cfg():
+        return make_cfg(m_bi=0.5, m_iu=2.5, p_f=0.02, glq_order=24)
+
+    def message(self, call):
+        with pytest.raises(IntegrationError) as exc:
+            call()
+        msg = str(exc.value)
+        assert msg.endswith("integration budget exceeded (16385 panels)")
+        return msg
+
+    def test_kernels(self, monkeypatch):
+        monkeypatch.setattr(an, "integrate_semi_infinite_with_error", budget_stub)
+        cfg = self.cfg()
+        msg = self.message(lambda: an.rate_active(100.0, np.array([5.0, 30.0, 60.0]), cfg))
+        for part in (*self.POINT, "rate_active", "d_bi=100 m", "d_iu=60 m"):
+            assert part in msg
+        msg = self.message(lambda: an.snr_moment_active(2.0, 90.0, 30.0, cfg))
+        for part in (*self.POINT, "snr_moment_active(2)", "d_bi=90 m", "d_iu=30 m"):
+            assert part in msg
+        msg = self.message(lambda: an.rate_direct(np.array([5.0, 70.0]), cfg))
+        assert "rate_direct at m_bu=1, d_bu=70 m" in msg
+
+    def test_average_metric_regions(self, monkeypatch):
+        cfg = self.cfg()
+        geometry = ("l_in=100 m", "l_out=130 m")
+        with monkeypatch.context() as patch:
+            patch.setattr(an, "integrate_semi_infinite_with_error", budget_stub)
+            msg = self.message(lambda: an.average_metric("achievable_rate", cfg))
+        for part in (*self.POINT, *geometry, "region 1", "rate_direct"):
+            assert part in msg
+
+        def failing_rate(d_bi, d_iu, cfg, only_at=None):
+            if only_at is None or d_bi == only_at:
+                raise IntegrationError("integration budget exceeded (16385 panels)",
+                                       math.nan, math.inf)
+            return np.zeros(np.shape(d_iu)) if np.ndim(d_iu) else 0.0
+
+        with monkeypatch.context() as patch:
+            patch.setattr(an, "rate_active", failing_rate)
+            msg = self.message(lambda: an.average_metric("spatial_throughput", cfg))
+        for part in (*self.POINT, *geometry, "spatial_throughput", "region 2"):
+            assert part in msg
+        with monkeypatch.context() as patch:
+            patch.setattr(an, "rate_active",
+                          lambda b, r, c: failing_rate(b, r, c, only_at=130.0))
+            msg = self.message(lambda: an.average_metric("achievable_rate", cfg))
+        assert "region 3" in msg
+        with monkeypatch.context() as patch:
+            patch.setattr(an, "integrate_interval_with_error", budget_stub)
+            msg = self.message(lambda: an.average_metric("snr_moment", cfg))
+        for part in (*self.POINT, *geometry, "snr_moment", "region 1"):
+            assert part in msg
 
 
 class TestPhysicalModelGapRecord:

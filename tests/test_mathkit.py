@@ -252,3 +252,52 @@ class TestIntegrandContract:
     def test_invalid_interval(self, a, b):
         with pytest.raises(DomainError):
             integrate_interval_with_error(lambda x: x, a, b)
+
+
+class TestColumnIntegrands:
+    """(n, K) integrands: K integrals on one shared mesh, each to its own tolerance."""
+
+    def test_single_column_matches_one_dimensional_bitwise(self):
+        # a one-column integrand takes the same panel decisions and the same
+        # sorted final sums as the plain 1-D integrand
+        f = lambda z: np.exp(-0.3 * z) / (1.0 + z * z)
+        value, err = integrate_semi_infinite_with_error(f, 1e-10)
+        col_value, col_err = integrate_semi_infinite_with_error(lambda z: f(z)[:, None], 1e-10)
+        assert col_value.shape == col_err.shape == (1,)
+        assert col_value[0] == value and col_err[0] == err
+        g = lambda x: np.sin(3.0 * x) ** 2 + x
+        assert (integrate_interval_with_error(lambda x: g(x)[:, None], 0.0, 5.0, 1e-12)[0][0]
+                == integrate_interval_with_error(g, 0.0, 5.0, 1e-12)[0])
+
+    def test_columns_match_their_separate_integrals(self):
+        rates = np.array([1e-6, 0.3, 1.0, 40.0])
+        values, errs = integrate_semi_infinite_with_error(
+            lambda z: np.exp(-np.multiply.outer(z, rates)) / (1.0 + z[:, None]), 1e-10
+        )
+        assert values.shape == errs.shape == (4,)
+        for rate, value, err in zip(rates, values, errs):
+            expected = exp_en_scaled(1.0, rate)
+            assert rel_err(value, expected) < 1e-10
+            assert 0.0 <= err <= 1e-10 * abs(value)
+
+    def test_each_column_meets_its_own_relative_tolerance(self):
+        # a column 1e-30 times smaller than its neighbour is still resolved
+        # to rel_tol of itself, not of the larger column
+        values, _ = integrate_interval_with_error(
+            lambda x: np.stack([np.exp(x), 1e-30 * np.cos(20.0 * x) ** 2], axis=1),
+            0.0, 2.0, 1e-11,
+        )
+        assert rel_err(values[0], math.expm1(2.0)) < 1e-11
+        small = 1e-30 * (1.0 + math.sin(80.0) / 80.0)
+        assert rel_err(values[1], small) < 1e-11
+
+    def test_budget_error_carries_per_column_arrays(self):
+        with pytest.raises(IntegrationError) as exc:
+            integrate_semi_infinite_with_error(
+                lambda z: np.stack([np.exp(-z), np.cos(40.0 * z) ** 2 * np.exp(-z)
+                                    / (z + 1e-7)], axis=1),
+                1e-12,
+                max_panels=40,
+            )
+        assert exc.value.estimate.shape == exc.value.achieved_rel_error.shape == (2,)
+        assert int(np.argmax(exc.value.achieved_rel_error)) == 1

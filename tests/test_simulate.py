@@ -324,7 +324,8 @@ class TestDensityFindings:
 
     def test_unknown_power_budget_rejected(self):
         with pytest.raises(ConfigError):
-            sweep_density(make_cfg(), 16, [1], power_budget="per-element")
+            sweep_density(make_cfg(), 16, [1], n_drops=1, n_fading=1,
+                          power_budget="per-element")
 
 
 class TestModelMc:
