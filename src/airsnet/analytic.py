@@ -1,13 +1,14 @@
 """Closed-form and quadrature performance expressions.
 
-Conditional SNR moments, mean SNR (per-node quadrature and the node-free
-closed form), the passive baseline, achievable rates, and the
-geometry-averaged metric.
+Conditional SNR moments, mean SNR (the per-node quadrature, all nodes in one
+column call, and the node-free closed form), the passive baseline,
+achievable rates, and the geometry-averaged metric.
 
 Conventions baked in here (see README for the full discussion):
 
 * the averaged amplification gain eta/N replaces the per-draw gain in all
-  analytic expressions, with eta = P_F / (P_t eps d_BI^-alpha + sigma_F^2);
+  analytic expressions, with eta = P_F / (P_t zeta_BI + sigma_F^2)
+  (averaged_amp_gain, the only copy of eta);
 * the component rate xi_i multiplies BOTH the moment-kernel exponential and
   the noise-Laplace argument (the reading that reproduces the Rayleigh
   closed form exactly and matches the model-consistent Monte-Carlo oracle);
@@ -15,7 +16,8 @@ Conventions baked in here (see README for the full discussion):
   noise = (eta/N) * N * sigma_F^2 * G with G a unit-mean Gamma(m_IU) power;
   the physical simulator keeps the path loss, and `validate` reports the
   resulting measured gap;
-* distances are floored at 1 m (the reference distance of epsilon_ref).
+* every distance becomes a channel gain zeta = eps * max(d, 1 m)^-alpha
+  through NetworkConfig.path_gain; 1 m is the reference distance of eps.
 
 The amplified-link kernels rest on one factorization. The mixture component
 masses w_i t_i^(m_IU-1)/Gamma(m_IU) are distance-free, and component i's
@@ -79,17 +81,10 @@ class MetricResult:
             raise ValueError("error_estimate must be nonnegative")
 
 
-def averaged_amp_gain(d_bi: float, cfg: NetworkConfig) -> float:
-    """eta = P_F / (P_t eps d_BI^-alpha + sigma_F^2); avg amp gain is eta/N."""
+def averaged_amp_gain(d_bi, cfg: NetworkConfig):
+    """eta = P_F / (P_t zeta_BI + sigma_F^2), elementwise; avg amp gain is eta/N."""
     p = cfg.power
-    zeta_bi = cfg.epsilon_ref * cfg.floored(d_bi) ** (-cfg.alpha)
-    return p.p_f / (p.p_t * zeta_bi + p.sigma_f2)
-
-
-def _zeta(d, cfg: NetworkConfig):
-    """Path gain eps * max(d, floor)^-alpha, elementwise."""
-    return cfg.epsilon_ref * np.maximum(np.asarray(d, dtype=float), cfg.distance_floor) ** (
-        -cfg.alpha)
+    return p.p_f / (p.p_t * cfg.path_gain(d_bi) + p.sigma_f2)
 
 
 def _point(cfg: NetworkConfig) -> str:
@@ -113,20 +108,10 @@ def _shaped(values: np.ndarray, like):
     return float(values[0]) if np.ndim(like) == 0 else values.reshape(np.shape(like))
 
 
-def _links(d_bi: float, d_iu: float, cfg: NetworkConfig) -> tuple[LinkStats, LinkStats]:
-    bi = LinkStats.from_distance(cfg.m_bi, cfg.floored(d_bi), cfg.alpha, cfg.epsilon_ref)
-    iu = LinkStats.from_distance(cfg.m_iu, cfg.floored(d_iu), cfg.alpha, cfg.epsilon_ref)
-    return bi, iu
-
-
-def _w_product(d_bi: float, d_iu: float, cfg: NetworkConfig) -> float:
-    bi, iu = _links(d_bi, d_iu, cfg)
-    return 1.0 / (bi.path_loss * iu.path_loss)
-
-
 def cascaded_mixture(d_bi: float, d_iu: float, cfg: NetworkConfig) -> MixtureGamma:
-    """The cascaded-power mixture at floored distances with the averaged gain."""
-    bi, iu = _links(d_bi, d_iu, cfg)
+    """The cascaded-power mixture at the links' path gains with the averaged gain."""
+    bi = LinkStats(cfg.m_bi, d_bi, cfg.alpha, cfg.epsilon_ref, cfg.path_gain(d_bi))
+    iu = LinkStats(cfg.m_iu, d_iu, cfg.alpha, cfg.epsilon_ref, cfg.path_gain(d_iu))
     eta = averaged_amp_gain(d_bi, cfg)
     n = cfg.geometry.n_elements
     return cascaded_power_dist(bi, iu, eta / n, n, cfg.rule())
@@ -135,14 +120,13 @@ def cascaded_mixture(d_bi: float, d_iu: float, cfg: NetworkConfig) -> MixtureGam
 def snr_moment_direct(ell: float, d_bu, cfg: NetworkConfig):
     """Direct-link conditional SNR moment of order ell.
 
-    Gamma(m+ell)/Gamma(m) * (m d^alpha sigma^2 / (eps P_t))^-ell, elementwise
+    Gamma(m+ell)/Gamma(m) * (m sigma^2 / (P_t zeta_BU))^-ell, elementwise
     over a distance array; a float for a scalar distance.
     """
     if not ell > 0:
         raise DomainError(f"moment order must be positive, got {ell}")
-    d = np.maximum(np.asarray(d_bu, dtype=float), cfg.distance_floor)
     m = cfg.m_bu
-    scale = m * d**cfg.alpha * cfg.power.sigma2 / (cfg.epsilon_ref * cfg.power.p_t)
+    scale = m * cfg.power.sigma2 / (cfg.power.p_t * cfg.path_gain(d_bu))
     value = np.exp(ln_gamma(m + ell) - ln_gamma(m) - ell * np.log(scale))
     return float(value) if np.ndim(d_bu) == 0 else value
 
@@ -151,7 +135,7 @@ def _s_scale(d_bi, d_iu, cfg: NetworkConfig):
     """S = sigma_F^2 m_BI W / (N P_t): component i's noise rate is S/t_i."""
     p = cfg.power
     n = cfg.geometry.n_elements
-    return p.sigma_f2 * cfg.m_bi / (n * p.p_t * _zeta(d_bi, cfg) * _zeta(d_iu, cfg))
+    return p.sigma_f2 * cfg.m_bi / (n * p.p_t * cfg.path_gain(d_bi) * cfg.path_gain(d_iu))
 
 
 def _noise_mixture(d_bi: float, cfg: NetworkConfig):
@@ -192,8 +176,7 @@ def snr_moment_active(ell: float, d_bi: float, d_iu, cfg: NetworkConfig):
     except IntegrationError as exc:
         raise _named(exc, f"snr_moment_active({ell:g}) at {_point(cfg)}, d_bi={d_bi:g} m, "
                           f"d_iu={_worst(d_iu, exc):g} m") from exc
-    moment = coeff * value * _s_scale(d_bi, d_iu, cfg) ** -ell
-    return float(moment) if np.ndim(d_iu) == 0 else moment
+    return coeff * value * _s_scale(d_bi, d_iu, cfg) ** -ell
 
 
 def mean_snr_integral(d_bi: float, d_iu: float, cfg: NetworkConfig) -> float:
@@ -201,14 +184,16 @@ def mean_snr_integral(d_bi: float, d_iu: float, cfg: NetworkConfig) -> float:
 
     sum_i K_i phi_i with K_i = w_i t_i^(2m-1) m_BI^(1-m) (N P_t/(sigma_F^2 W))^m
     / Gamma(m) and phi_i = integral e^(-a_i z) (z + D_i)^-m dz, where
-    a_i D_i = m_IU sigma^2/(eta sigma_F^2) for every node. An exhausted
-    integration budget is re-raised as an IntegrationError naming the point.
+    a_i D_i = m_IU sigma^2/(eta sigma_F^2) for every node. The K node
+    integrals are the K columns of one quadrature call on a shared z-mesh,
+    each held to its own tolerance. An exhausted integration budget is
+    re-raised as an IntegrationError naming the point.
     """
     m = cfg.m_iu
     n = cfg.geometry.n_elements
     p = cfg.power
     rule = cfg.rule()
-    w_big = _w_product(d_bi, d_iu, cfg)
+    w_big = 1.0 / (cfg.path_gain(d_bi) * cfg.path_gain(d_iu))
     eta = averaged_amp_gain(d_bi, cfg)
     t = rule.nodes
     log_pref = m * math.log(n * p.p_t / (p.sigma_f2 * w_big))
@@ -222,17 +207,15 @@ def mean_snr_integral(d_bi: float, d_iu: float, cfg: NetworkConfig) -> float:
     a = cfg.m_bi * m * w_big * p.sigma2 / (t * eta * n * p.p_t)
     d_shift = n * p.p_t * t / (p.sigma_f2 * cfg.m_bi * w_big)
 
-    total = 0.0
-    for ki, ai, di in zip(k_coeff, a, d_shift):
-        try:
-            phi, _ = integrate_semi_infinite_with_error(
-                lambda z: np.exp(-ai * z - m * np.log(z + di)), QUAD_TOL, max_panels=16384
-            )
-        except IntegrationError as exc:
-            raise _named(exc, f"mean_snr_integral at {_point(cfg)}, d_bi={d_bi:g} m, "
-                              f"d_iu={d_iu:g} m") from exc
-        total += ki * phi
-    return total
+    try:
+        phi, _ = integrate_semi_infinite_with_error(
+            lambda z: np.exp(-np.multiply.outer(z, a) - m * np.log(np.add.outer(z, d_shift))),
+            QUAD_TOL, max_panels=16384,
+        )
+    except IntegrationError as exc:
+        raise _named(exc, f"mean_snr_integral at {_point(cfg)}, d_bi={d_bi:g} m, "
+                          f"d_iu={d_iu:g} m") from exc
+    return float(k_coeff @ phi)
 
 
 def mean_snr_closed(d_bi, d_iu, cfg: NetworkConfig):
@@ -250,37 +233,36 @@ def mean_snr_closed(d_bi, d_iu, cfg: NetworkConfig):
     m = cfg.m_iu
     p = cfg.power
     rule = cfg.rule()
-    zeta_bi = _zeta(d_bi, cfg)
-    zeta_iu = _zeta(d_iu, cfg)
-    eta = p.p_f / (p.p_t * zeta_bi + p.sigma_f2)
-    kappa = m * p.sigma2 / (eta * p.sigma_f2)
+    kappa = m * p.sigma2 / (averaged_amp_gain(d_bi, cfg) * p.sigma_f2)
     # sum_i w_i t_i^m / Gamma(m), termwise in logs so large m cannot overflow
     glsum = float(np.exp(np.log(rule.weights) + m * np.log(rule.nodes) - ln_gamma(m)).sum())
     n = cfg.geometry.n_elements
-    value = n * p.p_t * zeta_bi * zeta_iu / p.sigma_f2 * glsum * exp_en_scaled(m, kappa)
-    return float(value) if np.ndim(d_bi) == 0 and np.ndim(d_iu) == 0 else value
+    return (n * p.p_t * cfg.path_gain(d_bi) * cfg.path_gain(d_iu) / p.sigma_f2 * glsum
+            * exp_en_scaled(m, kappa))
 
 
 def mean_snr_passive(d_bi: float, d_iu: float, cfg: NetworkConfig) -> float:
-    """Mean phase-only reflection SNR: N^2 sum_i w_i t_i^m P_t/(Gamma(m+1) sigma^2 W)."""
+    """Mean phase-only reflection SNR.
+
+    N^2 sum_i w_i t_i^m P_t zeta_BI zeta_IU / (Gamma(m+1) sigma^2).
+    """
     rule = cfg.rule()
     m = cfg.m_iu
-    w_big = _w_product(d_bi, d_iu, cfg)
     glsum = float(rule.weights @ rule.nodes**m)
     n = cfg.geometry.n_elements
-    return n**2 * glsum * cfg.power.p_t / (math.gamma(m + 1.0) * cfg.power.sigma2 * w_big)
+    zeta = cfg.path_gain(d_bi) * cfg.path_gain(d_iu)
+    return n**2 * glsum * cfg.power.p_t * zeta / (math.gamma(m + 1.0) * cfg.power.sigma2)
 
 
 def rate_direct(d_bu, cfg: NetworkConfig):
     """Direct-link conditional achievable rate in bits/s/Hz.
 
     log2(e) * integral (1/z)(1 - (1+z)^-m_BU) e^(-c z) dz with
-    c = m_BU d^alpha sigma^2 / (eps P_t); a distance array is integrated on
-    one shared z-mesh. Returns a float for a scalar distance.
+    c = m_BU sigma^2 / (P_t zeta_BU); a distance array is integrated on one
+    shared z-mesh. Returns a float for a scalar distance.
     """
     m = cfg.m_bu
-    d = np.maximum(np.ravel(np.asarray(d_bu, dtype=float)), cfg.distance_floor)
-    c = m * d**cfg.alpha * cfg.power.sigma2 / (cfg.epsilon_ref * cfg.power.p_t)
+    c = m * cfg.power.sigma2 / (cfg.power.p_t * np.ravel(cfg.path_gain(d_bu)))
 
     def kernel(z: np.ndarray) -> np.ndarray:
         q = -np.expm1(-m * np.log1p(z)) / z
@@ -289,7 +271,7 @@ def rate_direct(d_bu, cfg: NetworkConfig):
     try:
         value, _ = integrate_semi_infinite_with_error(kernel, QUAD_TOL, max_panels=16384)
     except IntegrationError as exc:
-        raise _named(exc, f"rate_direct at m_bu={m:g}, d_bu={_worst(d, exc):g} m") from exc
+        raise _named(exc, f"rate_direct at m_bu={m:g}, d_bu={_worst(d_bu, exc):g} m") from exc
     return _shaped(LOG2E * value, d_bu)
 
 
@@ -350,13 +332,11 @@ def average_metric(metric_kind: str, cfg: NetworkConfig, ell: float = 1.0) -> Me
     against the radial density 2 pi d / S_t. Region 2 (the ring): the
     amplified-link metric with d_BI ~= d_BU and the nearest-reflector
     distance density over (0, L). Region 3 (beyond the ring): d_BI ~= L_out
-    and d_IU ~= d_BU - L_out. Distances are floored at the 1 m reference, so
+    and d_IU ~= d_BU - L_out. Distances are clamped at the 1 m reference, so
     each region splits at the floor kink. spatial_throughput additionally
     divides the positional rate average by the cell area.
     """
     geo = cfg.geometry
-    if not (0.0 < geo.l_in < geo.l_out < geo.l):
-        raise ConfigError("degenerate geometry: need 0 < l_in < l_out < l")
     c1, c2 = _conditional_metrics(metric_kind, ell, cfg)
     floor = cfg.distance_floor
     s_t = geo.s_total
@@ -378,7 +358,7 @@ def average_metric(metric_kind: str, cfg: NetworkConfig, ell: float = 1.0) -> Me
         (lambda: c1(floor) * math.pi * min(floor, geo.l_in) ** 2, c1, floor, geo.l_in),
         # 2: the ring, d_BI ~= d_BU, nearest-reflector distance density in r.
         (lambda: 0.0, lambda bs: np.array([inner_r(b) for b in bs]), geo.l_in, geo.l_out),
-        # 3: beyond the ring, d_BI ~= L_out and d_IU = d_BU - L_out floored.
+        # 3: beyond the ring, d_BI ~= L_out and d_IU = d_BU - L_out, clamped.
         (lambda: c2(geo.l_out, floor) * math.pi * (split**2 - geo.l_out**2),
          lambda bs: c2(geo.l_out, bs - geo.l_out), split, geo.l),
     )

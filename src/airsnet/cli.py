@@ -108,10 +108,10 @@ def _cmd_dump_dist(args: argparse.Namespace) -> int:
     cfg = parse_config(args.config, args.overrides)
     net = cfg.network
     if args.kind == "direct":
-        link = LinkStats.from_distance(
-            net.m_bu, net.floored(cfg.d_bu), net.alpha, net.epsilon_ref
-        )
-        dist = direct_power_dist(link)
+        # LinkStats derives its gain from the distance, so it gets the clamped one
+        d_bu = max(cfg.d_bu, net.distance_floor)
+        dist = direct_power_dist(LinkStats.from_distance(net.m_bu, d_bu, net.alpha,
+                                                         net.epsilon_ref))
     else:
         dist = cascaded_mixture(cfg.d_bi, cfg.d_iu, net)
     print(json.dumps(dist.to_json_obj(), indent=2))

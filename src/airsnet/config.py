@@ -96,9 +96,14 @@ class NetworkConfig:
     def rule(self) -> QuadratureRule:
         return gauss_laguerre(self.glq_order)
 
-    def floored(self, distance: float) -> float:
-        """Distances below the reference distance of epsilon_ref are clamped."""
-        return max(float(distance), self.distance_floor)
+    def path_gain(self, distance):
+        """Channel power gain eps * max(d, floor)^-alpha, elementwise; a float for a scalar.
+
+        Distances below the reference distance of epsilon_ref are clamped.
+        """
+        d = np.maximum(np.asarray(distance, dtype=float), self.distance_floor)
+        gain = self.epsilon_ref * d ** -self.alpha
+        return float(gain) if np.ndim(distance) == 0 else gain
 
 
 @dataclass

@@ -161,23 +161,30 @@ def _check_model_mc(cfg: ExperimentConfig, rows, checks):
     checks["model_mc_agreement"] = {"passed": bool(worst_z <= 3.0), "max_abs_z": worst_z}
 
 
-def _check_physical_gap(cfg: ExperimentConfig, rows, checks):
-    gaps = {}
+def _physical_vs_closed(cfg: ExperimentConfig, rows, section: str, irs_mode: str,
+                        closed_form):
+    """Rows of physical MC vs closed_form at m_IU=1, N=16 and 64; returns (gaps, means)."""
+    gaps, means = {}, {}
     for n in (16, 64):
         net = _network_at(cfg, m_iu=1, n=n)
-        phys, se = simulate.physical_snr_mc(
-            net, cfg.d_bi, cfg.d_iu, n=cfg.n_mc_physical, seed=cfg.seed
-        )
-        eq17 = analytic.mean_snr_closed(cfg.d_bi, cfg.d_iu, net)
-        gap = abs(phys - eq17) / eq17
-        gaps[n] = gap
+        phys, se = simulate.physical_snr_mc(net, cfg.d_bi, cfg.d_iu, n=cfg.n_mc_physical,
+                                            seed=cfg.seed, irs_mode=irs_mode)
+        closed = closed_form(cfg.d_bi, cfg.d_iu, net)
+        gaps[n] = abs(phys - closed) / closed
+        means[n] = phys
         label = _point_label(m_iu=1, n=n, d_bi=cfg.d_bi, d_iu=cfg.d_iu)
-        rows.append(ResultRow(cfg.experiment, "physical_gap", label,
+        rows.append(ResultRow(cfg.experiment, section, label,
                               "mean_snr_physical", "monte_carlo", phys, se))
-        rows.append(ResultRow(cfg.experiment, "physical_gap", label,
-                              "mean_snr", "closed_form", eq17))
-        rows.append(ResultRow(cfg.experiment, "physical_gap", label,
-                              "relative_gap", "monte_carlo", gap))
+        rows.append(ResultRow(cfg.experiment, section, label,
+                              "mean_snr", "closed_form", closed))
+        rows.append(ResultRow(cfg.experiment, section, label,
+                              "relative_gap", "monte_carlo", gaps[n]))
+    return gaps, means
+
+
+def _check_physical_gap(cfg: ExperimentConfig, rows, checks):
+    gaps, _ = _physical_vs_closed(cfg, rows, "physical_gap", "active",
+                                  analytic.mean_snr_closed)
     checks["physical_gap_shrinks"] = {
         "passed": bool(gaps[64] < gaps[16]),
         "gap_n16": gaps[16],
@@ -193,24 +200,8 @@ def _check_passive(cfg: ExperimentConfig, rows, checks):
     quadruple_exact = (v32 == 4.0 * v16)
     rows.append(ResultRow(cfg.experiment, "passive_scaling", "n16_to_n32",
                           "quadrupling_ratio", "closed_form", v32 / v16))
-    gaps = {}
-    means = {}
-    for n in (16, 64):
-        net = _network_at(cfg, m_iu=1, n=n)
-        phys, se = simulate.physical_snr_mc(
-            net, cfg.d_bi, cfg.d_iu, n=cfg.n_mc_physical, seed=cfg.seed,
-            irs_mode="passive",
-        )
-        eq18 = analytic.mean_snr_passive(cfg.d_bi, cfg.d_iu, net)
-        gaps[n] = abs(phys - eq18) / eq18
-        means[n] = phys
-        label = _point_label(m_iu=1, n=n, d_bi=cfg.d_bi, d_iu=cfg.d_iu)
-        rows.append(ResultRow(cfg.experiment, "passive_gap", label,
-                              "mean_snr_physical", "monte_carlo", phys, se))
-        rows.append(ResultRow(cfg.experiment, "passive_gap", label,
-                              "mean_snr", "closed_form", eq18))
-        rows.append(ResultRow(cfg.experiment, "passive_gap", label,
-                              "relative_gap", "monte_carlo", gaps[n]))
+    gaps, means = _physical_vs_closed(cfg, rows, "passive_gap", "passive",
+                                      analytic.mean_snr_passive)
     # scaling diagnostics: the measured growth exponent between the two sizes
     exponent = math.log(means[64] / means[16]) / math.log(4.0)
     checks["passive_baseline"] = {
@@ -224,24 +215,30 @@ def _check_passive(cfg: ExperimentConfig, rows, checks):
     }
 
 
+def _budget_shape(grid, values) -> dict:
+    """Whether values rise strictly over grid with strictly falling slopes (concave)."""
+    slopes = [(values[i + 1] - values[i]) / (grid[i + 1] - grid[i]) for i in range(len(grid) - 1)]
+    return {
+        "strictly_increasing": bool(all(a < b for a, b in zip(values, values[1:]))),
+        "slopes_strictly_decreasing": bool(all(a > b for a, b in zip(slopes, slopes[1:]))),
+    }
+
+
 def _check_budget_shape(cfg: ExperimentConfig, rows, checks):
-    net = _network_at(cfg, m_iu=1)
     grid = list(cfg.pf_grid)
     values = [analytic.mean_snr_closed(cfg.d_bi, cfg.d_iu, _network_at(cfg, m_iu=1, p_f=p))
               for p in grid]
     for p, v in zip(grid, values):
         rows.append(ResultRow(cfg.experiment, "p_f_w", f"{p:g}", "mean_snr", "closed_form", v))
-    increasing = all(a < b for a, b in zip(values, values[1:]))
-    slopes = [(values[i + 1] - values[i]) / (grid[i + 1] - grid[i]) for i in range(len(grid) - 1)]
-    slopes_decreasing = all(a > b for a, b in zip(slopes, slopes[1:]))
-    checks["budget_shape"] = {
-        "passed": bool(increasing and slopes_decreasing),
-        "strictly_increasing": bool(increasing),
-        "slopes_strictly_decreasing": bool(slopes_decreasing),
-    }
+    shape = _budget_shape(grid, values)
+    checks["budget_shape"] = {"passed": all(shape.values()), **shape}
 
 
 def _run_validate(cfg: ExperimentConfig):
+    stray = sorted(set(cfg.mc_m_iu_list) - set(cfg.validate_m_iu_list))
+    if stray:
+        raise ConfigError(f"mc_m_iu_list values {stray} are not in validate_m_iu_list, "
+                          "the only grid the model MC runs on")
     rows: list[ResultRow] = []
     checks: dict = {}
     _check_glq(cfg, rows, checks)
@@ -280,16 +277,13 @@ def _run_mean_snr_vs_pf(cfg: ExperimentConfig):
             net, cfg.d_bi, cfg.d_iu, ell=1.0, n=cfg.n_mc_model, seed=cfg.seed
         )
         rows.append(ResultRow(cfg.experiment, "p_f_w", label, "mean_snr", "monte_carlo", mc, se))
-    grid = list(cfg.pf_grid)
-    slopes = [(values[i + 1] - values[i]) / (grid[i + 1] - grid[i]) for i in range(len(grid) - 1)]
-    summary = {
-        "strictly_increasing": bool(all(a < b for a, b in zip(values, values[1:]))),
-        "slopes_strictly_decreasing": bool(all(a > b for a, b in zip(slopes, slopes[1:]))),
-    }
-    return rows, summary, 0
+    return rows, _budget_shape(list(cfg.pf_grid), values), 0
 
 
 def _run_density_sweep(cfg: ExperimentConfig):
+    if cfg.sweep_n_drops * cfg.network.k_ues < 2:
+        raise ConfigError("standard errors need sweep_n_drops * k_ues >= 2 per-user samples, "
+                          f"got {cfg.sweep_n_drops} * {cfg.network.k_ues}")
     rows: list[ResultRow] = []
     summary: dict = {}
     for mode in ("active", "passive"):

@@ -161,36 +161,27 @@ def _drop_worker(cfg: NetworkConfig, policy: str, kernel, n_fading: int,
     """Per-user fading-averaged SNR and rate for one drop, in user order."""
     real = associate(drop(cfg, seed, drop_index), policy, cfg)
     rng = _stream(seed, drop_index, _TAG_FADING)
-    geo = cfg.geometry
     p = cfg.power
     k = cfg.k_ues
     snr_mean = np.empty(k)
     rate_mean = np.empty(k)
 
-    ue_radius = np.linalg.norm(real.ue_positions, axis=1)
     direct = real.association < 0
     # Draw order is fixed (direct block, then reflector block) so results do
     # not depend on how drops are scheduled.
     if direct.any():
         idx = np.flatnonzero(direct)
         pows = sample_nakagami_power(cfg.m_bu, rng, (idx.size, n_fading))
-        zeta = cfg.epsilon_ref * np.maximum(ue_radius[idx], cfg.distance_floor) ** (
-            -cfg.alpha
-        )
+        zeta = cfg.path_gain(np.linalg.norm(real.ue_positions[idx], axis=1))
         snr = snr_direct_batch(pows, zeta[:, None], p)
         snr_mean[idx] = snr.mean(axis=1)
         rate_mean[idx] = np.log2(1.0 + snr).mean(axis=1)
     if (~direct).any():
         idx = np.flatnonzero(~direct)
-        n = geo.n_elements
+        n = cfg.geometry.n_elements
         serving = real.irs_positions[real.association[idx]]
-        d_bi = np.maximum(np.linalg.norm(serving, axis=1), cfg.distance_floor)
-        d_iu = np.maximum(
-            np.linalg.norm(real.ue_positions[idx] - serving, axis=1),
-            cfg.distance_floor,
-        )
-        zeta_bi = cfg.epsilon_ref * d_bi ** (-cfg.alpha)
-        zeta_iu = cfg.epsilon_ref * d_iu ** (-cfg.alpha)
+        zeta_bi = cfg.path_gain(np.linalg.norm(serving, axis=1))
+        zeta_iu = cfg.path_gain(np.linalg.norm(real.ue_positions[idx] - serving, axis=1))
         flat_bi = sample_nakagami_power(cfg.m_bi, rng, (idx.size * n_fading, n))
         flat_iu = sample_nakagami_power(cfg.m_iu, rng, (idx.size * n_fading, n))
         zb = np.repeat(zeta_bi, n_fading)
@@ -393,8 +384,8 @@ def physical_snr_mc(cfg: NetworkConfig, d_bi: float, d_iu: float,
     """
     rng = _stream(seed, 998, 4)
     n_el = cfg.geometry.n_elements
-    zeta_bi = cfg.epsilon_ref * cfg.floored(d_bi) ** (-cfg.alpha)
-    zeta_iu = cfg.epsilon_ref * cfg.floored(d_iu) ** (-cfg.alpha)
+    zeta_bi = cfg.path_gain(d_bi)
+    zeta_iu = cfg.path_gain(d_iu)
     kernel = _snr_kernel(irs_mode)
     acc = _Moments()
     for start in range(0, n, _PHYSICAL_BLOCK):

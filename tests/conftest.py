@@ -42,8 +42,8 @@ def rayleigh_mean_snr(d_bi: float, d_iu: float, cfg) -> float:
     Psi = sigma^2 (P_t zeta_BI + sigma_F^2) / sigma_F^2, on ref_exp_e1_scaled.
     """
     p = cfg.power
-    zeta_bi = cfg.epsilon_ref * cfg.floored(d_bi) ** -cfg.alpha
-    zeta_iu = cfg.epsilon_ref * cfg.floored(d_iu) ** -cfg.alpha
+    zeta_bi = cfg.epsilon_ref * max(d_bi, cfg.distance_floor) ** -cfg.alpha
+    zeta_iu = cfg.epsilon_ref * max(d_iu, cfg.distance_floor) ** -cfg.alpha
     psi = p.sigma2 * (p.p_t * zeta_bi + p.sigma_f2) / p.sigma_f2
     n = cfg.geometry.n_elements
     return n * p.p_t * zeta_bi * zeta_iu / p.sigma_f2 * ref_exp_e1_scaled(psi / p.p_f)

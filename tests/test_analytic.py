@@ -32,6 +32,28 @@ def make_cfg(m_iu=1.0, n=64, p_f=0.01, m_bi=1.0, m_bu=1.0, **kw):
     )
 
 
+class TestPathGain:
+    def test_scalar_gives_float_and_array_keeps_shape(self):
+        cfg = make_cfg()
+        for d in (30.0, 30, np.float64(30.0), np.array(30.0)):
+            assert type(cfg.path_gain(d)) is float
+        d = np.array([[0.5, 1.0, 30.0], [2.0, 100.0, 190.0]])
+        gain = cfg.path_gain(d)
+        assert isinstance(gain, np.ndarray) and gain.shape == d.shape
+        assert np.array_equal(gain.ravel(), [cfg.path_gain(x) for x in d.ravel()])
+
+    def test_clamps_at_the_floor_and_follows_the_law_above_it(self):
+        cfg = make_cfg()
+        eps = cfg.epsilon_ref
+        assert cfg.path_gain(0.5) == eps
+        assert cfg.path_gain(1.0) == eps
+        for d in (1.0 + 1e-9, 1.5, 30.0, 190.0):
+            assert rel_err(cfg.path_gain(d), eps * d**-3.0) < 1e-15
+        far = replace(cfg, distance_floor=2.0, alpha=2.5)
+        assert far.path_gain(1.5) == far.path_gain(2.0)
+        assert rel_err(far.path_gain(2.0), eps * 2.0**-2.5) < 1e-15
+
+
 class TestSnrMomentDirect:
     @pytest.mark.parametrize("m", [0.5, 1.0, 2.0, 4.0])
     def test_first_moment_is_shape_free(self, m):
@@ -251,6 +273,19 @@ class TestMeanSnrRayleigh:
 
 
 class TestMeanSnrIntegralShape:
+    def test_all_nodes_in_one_quadrature_call(self, monkeypatch):
+        calls = []
+
+        def counting(f, *args, **kwargs):
+            calls.append(f)
+            return integrate_semi_infinite_with_error(f, *args, **kwargs)
+
+        monkeypatch.setattr(an, "integrate_semi_infinite_with_error", counting)
+        cfg = make_cfg(m_iu=2)
+        quad = an.mean_snr_integral(100.0, 30.0, cfg)
+        assert len(calls) == 1
+        assert rel_err(quad, an.mean_snr_closed(100.0, 30.0, cfg)) < 1e-7
+
     def test_monotone_in_amplification_power(self):
         values = [
             an.mean_snr_integral(100.0, 30.0, make_cfg(m_iu=2, p_f=p))

@@ -163,6 +163,10 @@ class TestDumpDist:
         assert all(set(c) == {"epsilon", "beta", "xi"} for c in obj)
 
 
+def no_work(*args, **kwargs):
+    pytest.fail("a rejected configuration ran experiment work")
+
+
 class TestCliRuns:
     def test_validate_outputs_and_exit(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -251,6 +255,30 @@ class TestCliRuns:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"l_in_m": -5}))
         assert main(["validate", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("shapes, stray", [("[7]", "[7]"), ("[2,7,9]", "[7, 9]")])
+    def test_model_mc_shapes_outside_the_validate_grid_rejected(
+            self, tmp_path, capsys, monkeypatch, shapes, stray):
+        # model_mc_agreement runs only on validate_m_iu_list; a stray shape
+        # used to be dropped, and with no shape left the check passed vacuously
+        monkeypatch.setattr("airsnet.simulate.model_snr_moment_mc", no_work)
+        out = tmp_path / "x"
+        code = main(["validate", "--out", str(out), "--set", f"mc_m_iu_list={shapes}"]
+                    + FAST_VALIDATE)
+        assert code == 2
+        err = capsys.readouterr().err
+        for part in ("mc_m_iu_list", "validate_m_iu_list", stray):
+            assert part in err
+        assert not out.exists()
+
+    def test_density_sweep_needs_two_samples(self, tmp_path, capsys, monkeypatch):
+        # one drop of one user leaves both standard errors at 0
+        monkeypatch.setattr("airsnet.simulate.drop", no_work)
+        code = main(["density-sweep", "--out", str(tmp_path / "x"),
+                     "--set", "sweep_n_drops=1", "--set", "k_ues=1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "sweep_n_drops" in err and "k_ues" in err
 
     def test_exhausted_quadrature_names_the_point(self, tmp_path, capsys):
         # the quadrature route runs out of panels at this admissible point
