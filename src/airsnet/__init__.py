@@ -6,34 +6,32 @@ simulation, cross-validated by the `validate` CLI experiment.
 """
 
 from .analytic import (
-    MetricResult,
     average_metric,
     mean_snr_closed,
+    mean_snr_direct,
     mean_snr_integral,
     mean_snr_passive,
     rate_active,
     rate_direct,
     snr_moment_active,
-    snr_moment_direct,
 )
 from .channel import PowerParams
 from .config import ExperimentConfig, GeometryConfig, NetworkConfig, parse_config
 from .mathkit import QuadratureRule, exp_en_scaled, gauss_laguerre, ln_gamma
-from .mixgamma import LinkStats, MixtureGamma, cascaded_power_dist, direct_power_dist
+from .mixgamma import MixtureGamma, cascaded_power_dist, direct_power_dist
 from .simulate import NetworkRealization, SimEstimate, simulate_cell, sweep_density
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "MetricResult",
     "average_metric",
     "mean_snr_closed",
+    "mean_snr_direct",
     "mean_snr_integral",
     "mean_snr_passive",
     "rate_active",
     "rate_direct",
     "snr_moment_active",
-    "snr_moment_direct",
     "PowerParams",
     "ExperimentConfig",
     "GeometryConfig",
@@ -43,7 +41,6 @@ __all__ = [
     "exp_en_scaled",
     "gauss_laguerre",
     "ln_gamma",
-    "LinkStats",
     "MixtureGamma",
     "cascaded_power_dist",
     "direct_power_dist",

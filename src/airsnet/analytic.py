@@ -1,8 +1,9 @@
 """Closed-form and quadrature performance expressions.
 
-Conditional SNR moments, mean SNR (the per-node quadrature, all nodes in one
-column call, and the node-free closed form), the passive baseline,
-achievable rates, and the geometry-averaged metric.
+Mean SNR (direct link; amplified link by the per-node quadrature with all
+nodes in one column call, by the y-integral of the factorized kernel, and by
+the node-free closed form), the passive baseline, achievable rates, and the
+geometry-averaged metric.
 
 Conventions baked in here (see README for the full discussion):
 
@@ -27,33 +28,30 @@ kappa = m_IU sigma^2/(eta sigma_F^2), which depends on d_BI alone. After
 y = S z every d_IU at one d_BI shares
 F_b(y) = sum_i mass_i e^(-kappa y/t_i) (1 + y/t_i)^-m_IU, so
 rate_active = log2(e) * integral F_b(y) (1 - (1 + y/S)^-m_BI)/y dy is one
-quadrature over a whole d_IU array on a shared y-mesh, and the SNR moment of
-order ell is S^-ell times a single y-integral per d_BI.
+quadrature over a whole d_IU array on a shared y-mesh, and the mean SNR is
+m_BI/S times a single y-integral per d_BI.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .config import ConfigError, NetworkConfig
 from .mathkit import (
-    DomainError,
     IntegrationError,
     exp_en_scaled,
     integrate_interval_with_error,
     integrate_semi_infinite_with_error,
     ln_gamma,
 )
-from .mixgamma import LinkStats, MixtureGamma, cascaded_power_dist
+from .mixgamma import MixtureGamma, cascaded_power_dist
 
 __all__ = [
-    "MetricResult",
     "averaged_amp_gain",
     "cascaded_mixture",
-    "snr_moment_direct",
+    "mean_snr_direct",
     "snr_moment_active",
     "mean_snr_integral",
     "mean_snr_closed",
@@ -67,18 +65,6 @@ __all__ = [
 LOG2E = math.log2(math.e)
 QUAD_TOL = 1e-8
 REGION_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class MetricResult:
-    value: float
-    metric_kind: str
-    method: str
-    error_estimate: float
-
-    def __post_init__(self):
-        if self.error_estimate < 0:
-            raise ValueError("error_estimate must be nonnegative")
 
 
 def averaged_amp_gain(d_bi, cfg: NetworkConfig):
@@ -110,25 +96,15 @@ def _shaped(values: np.ndarray, like):
 
 def cascaded_mixture(d_bi: float, d_iu: float, cfg: NetworkConfig) -> MixtureGamma:
     """The cascaded-power mixture at the links' path gains with the averaged gain."""
-    bi = LinkStats(cfg.m_bi, d_bi, cfg.alpha, cfg.epsilon_ref, cfg.path_gain(d_bi))
-    iu = LinkStats(cfg.m_iu, d_iu, cfg.alpha, cfg.epsilon_ref, cfg.path_gain(d_iu))
-    eta = averaged_amp_gain(d_bi, cfg)
+    gain = cfg.path_gain(d_bi) * cfg.path_gain(d_iu)
     n = cfg.geometry.n_elements
-    return cascaded_power_dist(bi, iu, eta / n, n, cfg.rule())
+    amp_sq = averaged_amp_gain(d_bi, cfg) / n
+    return cascaded_power_dist(cfg.m_bi, cfg.m_iu, gain, amp_sq, n, cfg.rule())
 
 
-def snr_moment_direct(ell: float, d_bu, cfg: NetworkConfig):
-    """Direct-link conditional SNR moment of order ell.
-
-    Gamma(m+ell)/Gamma(m) * (m sigma^2 / (P_t zeta_BU))^-ell, elementwise
-    over a distance array; a float for a scalar distance.
-    """
-    if not ell > 0:
-        raise DomainError(f"moment order must be positive, got {ell}")
-    m = cfg.m_bu
-    scale = m * cfg.power.sigma2 / (cfg.power.p_t * cfg.path_gain(d_bu))
-    value = np.exp(ln_gamma(m + ell) - ln_gamma(m) - ell * np.log(scale))
-    return float(value) if np.ndim(d_bu) == 0 else value
+def mean_snr_direct(d_bu, cfg: NetworkConfig):
+    """Direct-link mean SNR P_t zeta_BU / sigma^2, elementwise; a float for a scalar."""
+    return cfg.power.p_t * cfg.path_gain(d_bu) / cfg.power.sigma2
 
 
 def _s_scale(d_bi, d_iu, cfg: NetworkConfig):
@@ -157,26 +133,21 @@ def _noise_mixture(d_bi: float, cfg: NetworkConfig):
     return f_b
 
 
-def snr_moment_active(ell: float, d_bi: float, d_iu, cfg: NetworkConfig):
-    """Amplified-link conditional SNR moment by one semi-infinite quadrature.
+def snr_moment_active(d_bi: float, d_iu, cfg: NetworkConfig):
+    """Mean amplified-link SNR by one semi-infinite quadrature of the factorized kernel.
 
-    Gamma(m_BI+ell)/(Gamma(m_BI) Gamma(ell)) * S^-ell * integral y^(ell-1)
-    F_b(y) dy: the mixture moment kernel against the noise Laplace transform,
-    after y = S z. The integral depends on d_BI alone, so a d_IU array costs
-    one quadrature; returns a float for a scalar d_IU.
+    m_BI/S * integral F_b(y) dy: the mixture mean against the noise Laplace
+    transform, after y = S z. The integral depends on d_BI alone, so a d_IU
+    array costs one quadrature; returns a float for a scalar d_IU. This is
+    the route `validate` checks the other mean-SNR routes against.
     """
-    if not ell > 0:
-        raise DomainError(f"moment order must be positive, got {ell}")
-    beta = cfg.m_bi
-    coeff = math.exp(ln_gamma(beta + ell) - ln_gamma(beta) - ln_gamma(ell))
-    f_b = _noise_mixture(d_bi, cfg)
-    kernel = f_b if ell == 1.0 else (lambda y: f_b(y) * y ** (ell - 1.0))
     try:
-        value, _ = integrate_semi_infinite_with_error(kernel, QUAD_TOL, max_panels=16384)
+        value, _ = integrate_semi_infinite_with_error(_noise_mixture(d_bi, cfg), QUAD_TOL,
+                                                      max_panels=16384)
     except IntegrationError as exc:
-        raise _named(exc, f"snr_moment_active({ell:g}) at {_point(cfg)}, d_bi={d_bi:g} m, "
+        raise _named(exc, f"snr_moment_active at {_point(cfg)}, d_bi={d_bi:g} m, "
                           f"d_iu={_worst(d_iu, exc):g} m") from exc
-    return coeff * value * _s_scale(d_bi, d_iu, cfg) ** -ell
+    return cfg.m_bi * value / _s_scale(d_bi, d_iu, cfg)
 
 
 def mean_snr_integral(d_bi: float, d_iu: float, cfg: NetworkConfig) -> float:
@@ -311,11 +282,11 @@ def region2_nearest_pdf_mass(cfg: NetworkConfig) -> float:
     return 1.0 - math.exp(-lam * math.pi * cfg.geometry.l**2)
 
 
-def _conditional_metrics(metric_kind: str, ell: float, cfg: NetworkConfig):
-    if metric_kind == "snr_moment":
+def _conditional_metrics(metric_kind: str, cfg: NetworkConfig):
+    if metric_kind == "snr_mean":
         return (
-            lambda d: snr_moment_direct(ell, d, cfg),
-            lambda b, r: snr_moment_active(ell, b, r, cfg),
+            lambda d: mean_snr_direct(d, cfg),
+            lambda b, r: mean_snr_closed(b, r, cfg),
         )
     if metric_kind in ("achievable_rate", "spatial_throughput"):
         return (
@@ -325,9 +296,11 @@ def _conditional_metrics(metric_kind: str, ell: float, cfg: NetworkConfig):
     raise ConfigError(f"unknown metric kind {metric_kind!r}")
 
 
-def average_metric(metric_kind: str, cfg: NetworkConfig, ell: float = 1.0) -> MetricResult:
-    """Position-averaged performance over the three-region decomposition.
+def average_metric(metric_kind: str, cfg: NetworkConfig) -> tuple[float, float]:
+    """Position-averaged performance and its quadrature error estimate.
 
+    metric_kind is a ring_metric name: snr_mean, achievable_rate or
+    spatial_throughput, averaged over the three-region decomposition.
     Region 1 (disc of radius L_in): the direct-link conditional metric
     against the radial density 2 pi d / S_t. Region 2 (the ring): the
     amplified-link metric with d_BI ~= d_BU and the nearest-reflector
@@ -337,7 +310,7 @@ def average_metric(metric_kind: str, cfg: NetworkConfig, ell: float = 1.0) -> Me
     divides the positional rate average by the cell area.
     """
     geo = cfg.geometry
-    c1, c2 = _conditional_metrics(metric_kind, ell, cfg)
+    c1, c2 = _conditional_metrics(metric_kind, cfg)
     floor = cfg.distance_floor
     s_t = geo.s_total
     lam = geo.lambda_irs
@@ -376,11 +349,8 @@ def average_metric(metric_kind: str, cfg: NetworkConfig, ell: float = 1.0) -> Me
             raise _named(exc, f"average_metric({metric_kind}) region {k} at {_point(cfg)}, "
                               f"l_in={geo.l_in:g} m, l_out={geo.l_out:g} m") from exc
 
-    kind = metric_kind if metric_kind != "snr_moment" else f"snr_moment({ell:g})"
     if metric_kind == "spatial_throughput":
         value /= s_t
         err_total /= s_t
-    return MetricResult(
-        value=value, metric_kind=kind, method="quadrature", error_estimate=err_total
-    )
+    return value, err_total
 

@@ -19,7 +19,7 @@ from .analytic import cascaded_mixture
 from .config import ConfigError, EXPERIMENTS, effective_dict, parse_config
 from .experiments import run_experiment
 from .mathkit import DomainError, IntegrationError, gauss_laguerre
-from .mixgamma import LinkStats, direct_power_dist
+from .mixgamma import direct_power_dist
 
 CSV_HEADER = "experiment,swept_name,swept_value,metric,method,value,std_error"
 SCHEMA_VERSION = 1
@@ -108,10 +108,7 @@ def _cmd_dump_dist(args: argparse.Namespace) -> int:
     cfg = parse_config(args.config, args.overrides)
     net = cfg.network
     if args.kind == "direct":
-        # LinkStats derives its gain from the distance, so it gets the clamped one
-        d_bu = max(cfg.d_bu, net.distance_floor)
-        dist = direct_power_dist(LinkStats.from_distance(net.m_bu, d_bu, net.alpha,
-                                                         net.epsilon_ref))
+        dist = direct_power_dist(net.m_bu, net.path_gain(cfg.d_bu))
     else:
         dist = cascaded_mixture(cfg.d_bi, cfg.d_iu, net)
     print(json.dumps(dist.to_json_obj(), indent=2))

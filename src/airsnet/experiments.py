@@ -16,7 +16,7 @@ import numpy as np
 from . import analytic, simulate
 from .config import ConfigError, ExperimentConfig
 from .mathkit import gauss_laguerre, ln_gamma
-from .mixgamma import LinkStats, direct_power_dist
+from .mixgamma import direct_power_dist
 
 __all__ = ["ResultRow", "run_experiment"]
 
@@ -76,19 +76,19 @@ def _check_glq(cfg: ExperimentConfig, rows, checks):
 
 def _check_direct_link_reductions(cfg: ExperimentConfig, rows, checks):
     net = cfg.network
+    p = net.power
+    d = max(cfg.d_bu, net.distance_floor)  # the reference law, written out independently
     worst_pdf = 0.0
     worst_moment = 0.0
     for m in (0.5, 1.0, 2.0, 4.0):
-        link = LinkStats.from_distance(m, cfg.d_bu, net.alpha, net.epsilon_ref)
-        dist = direct_power_dist(link)
+        dist = direct_power_dist(m, net.path_gain(cfg.d_bu))
         mean = dist.moment(1)
-        xi = m * cfg.d_bu**net.alpha / net.epsilon_ref
+        xi = m * d**net.alpha / net.epsilon_ref
         for x in (0.1 * mean, mean, 10.0 * mean):
             ref = math.exp(m * math.log(xi) + (m - 1.0) * math.log(x) - xi * x - ln_gamma(m))
             worst_pdf = max(worst_pdf, abs(dist.pdf(x) - ref) / ref)
-        net_m = replace(net, m_bu=m)
-        got = analytic.snr_moment_direct(1.0, cfg.d_bu, net_m)
-        expected = net.power.p_t * net.epsilon_ref * cfg.d_bu**-net.alpha / net.power.sigma2
+        got = p.p_t * mean / p.sigma2
+        expected = p.p_t * net.epsilon_ref * d**-net.alpha / p.sigma2
         worst_moment = max(worst_moment, abs(got - expected) / expected)
     rows.append(ResultRow(cfg.experiment, "direct_gamma", "m_grid",
                           "pdf_pointwise_max_rel_err", "closed_form", worst_pdf))
@@ -125,7 +125,7 @@ def _check_equivalence(cfg: ExperimentConfig, rows, checks):
         rows.append(ResultRow(cfg.experiment, "point", label, "mean_snr", "closed_form", closed))
         if m_iu == 1:
             worst_ray = max(worst_ray, rel)
-        route13 = analytic.snr_moment_active(1.0, d_bi, d_iu, net)
+        route13 = analytic.snr_moment_active(d_bi, d_iu, net)
         worst_l1 = max(worst_l1, abs(route13 - quad) / quad)
     rows.append(ResultRow(cfg.experiment, "equivalence", "grid",
                           "closed_vs_quadrature_max_rel_err", "closed_form", worst_cq))
@@ -152,9 +152,7 @@ def _check_model_mc(cfg: ExperimentConfig, rows, checks):
         net = _network_at(cfg, m_iu=m_iu, n=n, p_f=p_f)
         label = _point_label(m_iu=m_iu, n=n, d_bi=d_bi, d_iu=d_iu, p_f=p_f)
         closed = analytic.mean_snr_closed(d_bi, d_iu, net)
-        mc, se = simulate.model_snr_moment_mc(
-            net, d_bi, d_iu, ell=1.0, n=cfg.n_mc_model, seed=cfg.seed
-        )
+        mc, se = simulate.model_snr_moment_mc(net, d_bi, d_iu, n=cfg.n_mc_model, seed=cfg.seed)
         z = abs(mc - closed) / se if se > 0 else math.inf
         worst_z = max(worst_z, z)
         rows.append(ResultRow(cfg.experiment, "point", label, "mean_snr", "monte_carlo", mc, se))
@@ -273,9 +271,8 @@ def _run_mean_snr_vs_pf(cfg: ExperimentConfig):
         rows.append(ResultRow(cfg.experiment, "p_f_w", label, "mean_snr", "quadrature", quad))
         closed = analytic.mean_snr_closed(cfg.d_bi, cfg.d_iu, net)
         rows.append(ResultRow(cfg.experiment, "p_f_w", label, "mean_snr", "closed_form", closed))
-        mc, se = simulate.model_snr_moment_mc(
-            net, cfg.d_bi, cfg.d_iu, ell=1.0, n=cfg.n_mc_model, seed=cfg.seed
-        )
+        mc, se = simulate.model_snr_moment_mc(net, cfg.d_bi, cfg.d_iu, n=cfg.n_mc_model,
+                                              seed=cfg.seed)
         rows.append(ResultRow(cfg.experiment, "p_f_w", label, "mean_snr", "monte_carlo", mc, se))
     return rows, _budget_shape(list(cfg.pf_grid), values), 0
 
@@ -360,7 +357,6 @@ def _run_association_compare(cfg: ExperimentConfig):
 def _run_ring_sweep(cfg: ExperimentConfig):
     rows: list[ResultRow] = []
     metric = cfg.ring_metric
-    kind = "snr_moment" if metric == "snr_mean" else metric
     best = None
     for l_in in cfg.ring_l_in_grid:
         for l_out in cfg.ring_l_out_grid:
@@ -370,12 +366,11 @@ def _run_ring_sweep(cfg: ExperimentConfig):
                 cfg.network,
                 geometry=replace(cfg.network.geometry, l_in=l_in, l_out=l_out),
             )
-            result = analytic.average_metric(kind, net, ell=1.0)
+            value, err = analytic.average_metric(metric, net)
             label = _point_label(l_in=l_in, l_out=l_out)
-            rows.append(ResultRow(cfg.experiment, "ring", label, result.metric_kind,
-                                  "quadrature", result.value, result.error_estimate))
-            if best is None or result.value > best[2]:
-                best = (l_in, l_out, result.value)
+            rows.append(ResultRow(cfg.experiment, "ring", label, metric, "quadrature", value, err))
+            if best is None or value > best[2]:
+                best = (l_in, l_out, value)
     if not rows:
         raise ConfigError("ring grids produced no valid (l_in < l_out < l) pairs")
     summary = {"best_l_in": best[0], "best_l_out": best[1], "best_value": best[2],

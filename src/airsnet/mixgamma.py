@@ -20,7 +20,6 @@ from .mathkit import DomainError, QuadratureRule
 __all__ = [
     "AccuracyError",
     "InvalidDistributionError",
-    "LinkStats",
     "MixtureGamma",
     "direct_power_dist",
     "cascaded_power_dist",
@@ -33,36 +32,6 @@ class AccuracyError(ValueError):
 
 class InvalidDistributionError(ValueError):
     """The distribution is not usable for the requested operation."""
-
-
-@dataclass(frozen=True)
-class LinkStats:
-    """Static description of one fading link.
-
-    path_loss is the dimensionless channel power gain eps * d^(-alpha),
-    referenced to the gain eps at 1 m.
-    """
-
-    m: float
-    distance: float
-    alpha: float
-    epsilon_ref: float
-    path_loss: float
-
-    @classmethod
-    def from_distance(cls, m: float, distance: float, alpha: float,
-                      epsilon_ref: float) -> "LinkStats":
-        if m < 0.5:
-            raise DomainError(f"Nakagami shape must be >= 0.5, got {m}")
-        if distance <= 0 or alpha <= 0 or epsilon_ref <= 0:
-            raise DomainError("distance, alpha and epsilon_ref must be positive")
-        return cls(
-            m=float(m),
-            distance=float(distance),
-            alpha=float(alpha),
-            epsilon_ref=float(epsilon_ref),
-            path_loss=epsilon_ref * float(distance) ** (-alpha),
-        )
 
 
 @dataclass(frozen=True)
@@ -163,22 +132,24 @@ class MixtureGamma:
         ]
 
 
-def direct_power_dist(link: LinkStats) -> MixtureGamma:
+def direct_power_dist(m: float, gain: float) -> MixtureGamma:
     """Exact Gamma law of the direct-link channel power as a one-term mixture.
 
-    beta = m, xi = m d^alpha / eps, eps = xi^m / Gamma(m); the mean equals the
-    link path loss exactly.
+    beta = m, xi = m / gain, eps = xi^m / Gamma(m); the mean equals the link's
+    channel power gain exactly.
     """
-    xi = link.m * link.distance**link.alpha / link.epsilon_ref
-    log_eps = link.m * math.log(xi) - math.lgamma(link.m)
+    if m < 0.5 or not gain > 0:
+        raise DomainError(f"need Nakagami shape m >= 0.5 and gain > 0, got {m}, {gain}")
+    xi = m / gain
+    log_eps = m * math.log(xi) - math.lgamma(m)
     return MixtureGamma(
         log_epsilon=np.array([log_eps]),
-        beta=np.array([link.m]),
+        beta=np.array([float(m)]),
         xi=np.array([xi]),
     )
 
 
-def cascaded_power_dist(bi: LinkStats, iu: LinkStats, amp_sq: float,
+def cascaded_power_dist(m_bi: float, m_iu: float, gain: float, amp_sq: float,
                         n_elements: int, rule: QuadratureRule) -> MixtureGamma:
     """Laguerre-mixture approximation of the amplified cascaded channel power.
 
@@ -189,7 +160,7 @@ def cascaded_power_dist(bi: LinkStats, iu: LinkStats, amp_sq: float,
         eps_i  = (m_bi m_iu)^m_bi w_i t_i^(m_iu - m_bi - 1)
                  / (Gamma(m_bi) Gamma(m_iu)) * (W / (amp_sq N^2))^m_bi
 
-    with W = d_bi^alpha d_iu^alpha / eps^2 the product path loss and amp_sq
+    with W = 1/gain the inverse product path gain zeta_BI zeta_IU and amp_sq
     the deterministic averaged amplification gain. The defect of
     sum_i eps_i Gamma(beta_i) xi_i^(-beta_i) from 1 shrinks with the rule
     order; order 20 keeps it under 1e-4 for the shapes this model targets.
@@ -202,9 +173,7 @@ def cascaded_power_dist(bi: LinkStats, iu: LinkStats, amp_sq: float,
         raise DomainError(f"amp_sq must be positive, got {amp_sq}")
     if n_elements < 1:
         raise DomainError(f"n_elements must be >= 1, got {n_elements}")
-    m_bi, m_iu = bi.m, iu.m
-    w_big = 1.0 / (bi.path_loss * iu.path_loss)
-    v = w_big / (amp_sq * float(n_elements) ** 2)
+    v = (1.0 / gain) / (amp_sq * float(n_elements) ** 2)
 
     t = rule.nodes
     log_eps = (

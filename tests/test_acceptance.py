@@ -9,7 +9,6 @@ with the split total budget's monotone sweep asserted as its own finding
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ from airsnet.channel import PowerParams
 from airsnet.cli import main
 from airsnet.config import GeometryConfig, NetworkConfig
 from airsnet.mathkit import gauss_laguerre, ln_gamma
-from airsnet.mixgamma import LinkStats, direct_power_dist
+from airsnet.mixgamma import direct_power_dist
 from airsnet.simulate import (
     model_snr_moment_mc,
     physical_snr_mc,
@@ -80,8 +79,7 @@ def test_criterion_02_direct_link_reductions():
     worst_moment = 0.0
     for m in (0.5, 1.0, 2.0, 4.0):
         for d in (50.0, 100.0, 150.0):
-            link = LinkStats.from_distance(m, d, 3.0, 1e-3)
-            dist = direct_power_dist(link)
+            dist = direct_power_dist(m, 1e-3 * d**-3.0)
             mean = dist.moment(1)
             xi = m * d**3 / 1e-3
             for x in (0.1 * mean, mean, 10.0 * mean):
@@ -89,8 +87,7 @@ def test_criterion_02_direct_link_reductions():
                     m * math.log(xi) + (m - 1.0) * math.log(x) - xi * x - ln_gamma(m)
                 )
                 worst_pdf = max(worst_pdf, abs(dist.pdf(x) - ref) / ref)
-        cfg = replace(grid_cfg(1, 64, 0.01), m_bu=m)
-        got = an.snr_moment_direct(1.0, 100.0, cfg)
+        got = 1.0 * direct_power_dist(m, 1e-3 * 100.0**-3.0).moment(1) / 1e-11
         expected = 1.0 * 1e-3 * 100.0**-3 / 1e-11
         worst_moment = max(worst_moment, abs(got - expected) / expected)
     passed = worst_pdf <= 1e-12 and worst_moment <= 1e-13
@@ -129,9 +126,8 @@ def test_criterion_04_model_consistent_mc():
                     for p_f in P_F_GRID:
                         cfg = grid_cfg(m_iu, n, p_f)
                         closed = an.mean_snr_closed(d_bi, d_iu, cfg)
-                        mc, se = model_snr_moment_mc(
-                            cfg, d_bi, d_iu, ell=1.0, n=1_000_000, seed=SEED
-                        )
+                        mc, se = model_snr_moment_mc(cfg, d_bi, d_iu, n=1_000_000,
+                                                     seed=SEED)
                         z = abs(mc - closed) / se
                         if z > worst_z:
                             worst_z, worst_pt = z, (m_iu, n, d_bi, d_iu, p_f)

@@ -58,18 +58,13 @@ class TestSnrMomentDirect:
     @pytest.mark.parametrize("m", [0.5, 1.0, 2.0, 4.0])
     def test_first_moment_is_shape_free(self, m):
         cfg = make_cfg(m_bu=m)
-        got = an.snr_moment_direct(1.0, 100.0, cfg)
+        got = an.mean_snr_direct(100.0, cfg)
         expected = cfg.power.p_t * cfg.epsilon_ref * 100.0**-3 / cfg.power.sigma2
         assert rel_err(got, expected) < 1e-13
 
     def test_substitution(self):
         cfg = make_cfg()
-        assert an.snr_moment_direct(1.0, 100.0, cfg) == pytest.approx(100.0, rel=1e-12)
-
-    def test_second_moment_rayleigh(self):
-        cfg = make_cfg()
-        mean = an.snr_moment_direct(1.0, 100.0, cfg)
-        assert rel_err(an.snr_moment_direct(2.0, 100.0, cfg), 2.0 * mean**2) < 1e-12
+        assert an.mean_snr_direct(100.0, cfg) == pytest.approx(100.0, rel=1e-12)
 
 
 def kernel_noise_laplace(z, d_bi, d_iu, cfg):
@@ -146,7 +141,7 @@ class TestEquivalenceTriangle:
         d_bi, d_iu = d_pair
         assert (
             rel_err(
-                an.snr_moment_active(1.0, d_bi, d_iu, cfg),
+                an.snr_moment_active(d_bi, d_iu, cfg),
                 an.mean_snr_integral(d_bi, d_iu, cfg),
             )
             < 1e-7
@@ -189,19 +184,13 @@ class TestSnrMomentActive:
         )
         mix = an.cascaded_mixture(100.0, 30.0, cfg)
         expected = cfg.power.p_t * mix.moment(1) / cfg.power.sigma2
-        got = an.snr_moment_active(1.0, 100.0, 30.0, cfg)
+        got = an.snr_moment_active(100.0, 30.0, cfg)
         assert rel_err(got, expected) < 5e-3
-
-    def test_second_moment_against_model_mc(self):
-        cfg = make_cfg(m_iu=1, n=64)
-        mc, se = model_snr_moment_mc(cfg, 100.0, 30.0, ell=2.0, n=1_000_000, seed=42)
-        got = an.snr_moment_active(2.0, 100.0, 30.0, cfg)
-        assert abs(got - mc) < 3.0 * se
 
     def test_first_moment_against_model_mc(self):
         cfg = make_cfg(m_iu=2, n=64)
-        mc, se = model_snr_moment_mc(cfg, 100.0, 30.0, ell=1.0, n=500_000, seed=7)
-        got = an.snr_moment_active(1.0, 100.0, 30.0, cfg)
+        mc, se = model_snr_moment_mc(cfg, 100.0, 30.0, n=500_000, seed=7)
+        got = an.snr_moment_active(100.0, 30.0, cfg)
         assert abs(got - mc) < 3.0 * se
 
     @pytest.mark.parametrize("p_f", [0.01, 10.0])
@@ -212,23 +201,22 @@ class TestSnrMomentActive:
         # 1/y tail of F_b over ~12 decades at p_f = 10 W leaves ~2.3e-8
         for order in (20, 40):
             cfg = make_cfg(m_bi=m_bi, m_iu=m_iu, p_f=p_f, glq_order=order)
-            got = an.snr_moment_active(1.0, 100.0, D_IU, cfg)
+            got = an.snr_moment_active(100.0, D_IU, cfg)
             closed = an.mean_snr_closed(100.0, D_IU, cfg)
             assert got.shape == D_IU.shape
             assert np.all(np.abs(got / closed - 1.0) < 1e-7), (order, got / closed - 1.0)
 
-    @pytest.mark.parametrize("ell", [0.5, 1.0, 2.0])
-    def test_moment_times_s_power_is_constant_in_d_iu(self, ell):
+    def test_moment_times_s_power_is_constant_in_d_iu(self):
         # S = sigma_F^2 m_BI W/(N P_t) with W = (d_BI d_IU)^alpha/eps^2 at
-        # floored distances; the rest of the moment depends on d_BI alone
+        # floored distances; the rest of the mean depends on d_BI alone
         cfg = make_cfg(m_iu=2.5, m_bi=0.5)
-        moments = an.snr_moment_active(ell, 100.0, D_IU, cfg)
+        means = an.snr_moment_active(100.0, D_IU, cfg)
         w = (100.0 * np.maximum(D_IU, 1.0)) ** 3 / cfg.epsilon_ref**2
         s = cfg.power.sigma_f2 * cfg.m_bi * w / (64 * cfg.power.p_t)
-        scaled = moments * s**ell
+        scaled = means * s
         assert np.all(np.abs(scaled / scaled[0] - 1.0) < 1e-13)
-        for d, moment in zip(D_IU, moments):
-            assert rel_err(an.snr_moment_active(ell, 100.0, float(d), cfg), moment) < 1e-14
+        for d, mean in zip(D_IU, means):
+            assert rel_err(an.snr_moment_active(100.0, float(d), cfg), mean) < 1e-14
 
 
 class TestMeanSnrRayleigh:
@@ -340,7 +328,7 @@ class TestRates:
         for m_bu in (0.5, 1.0, 3.0):
             cfg = make_cfg(m_bu=m_bu)
             rate = an.rate_direct(90.0, cfg)
-            assert rate <= math.log2(1.0 + an.snr_moment_direct(1.0, 90.0, cfg))
+            assert rate <= math.log2(1.0 + an.mean_snr_direct(90.0, cfg))
 
     def test_active_noise_free_limit_drops_laplace_factor(self):
         cfg = replace(
@@ -389,7 +377,7 @@ class TestRates:
     def test_active_jensen(self, m_iu):
         cfg = make_cfg(m_iu=m_iu)
         rate = an.rate_active(100.0, 30.0, cfg)
-        mean = an.snr_moment_active(1.0, 100.0, 30.0, cfg)
+        mean = an.snr_moment_active(100.0, 30.0, cfg)
         assert rate <= math.log2(1.0 + mean)
 
     def test_active_against_model_mc(self):
@@ -413,9 +401,9 @@ class TestAverageMetric:
         # sum to the whole cell
         monkeypatch.setattr(
             an, "_conditional_metrics",
-            lambda kind, ell, cfg: ((lambda d: 1.0), (lambda b, r: 1.0)),
+            lambda kind, cfg: ((lambda d: 1.0), (lambda b, r: 1.0)),
         )
-        assert abs(an.average_metric("achievable_rate", make_cfg()).value - 1.0) < 1e-9
+        assert abs(an.average_metric("achievable_rate", make_cfg())[0] - 1.0) < 1e-9
 
     @pytest.mark.parametrize("kw, expected", [
         ({}, 0.02649146253255729),
@@ -426,22 +414,22 @@ class TestAverageMetric:
         # 0.06% of the cell, so the average reads the amplified-link kernel;
         # values frozen from the per-pair z-domain rate kernel
         cfg = make_cfg(geom={"l_in": 5.0, "l_out": 150.0}, **kw)
-        assert rel_err(an.average_metric("achievable_rate", cfg).value, expected) < 1e-9
+        assert rel_err(an.average_metric("achievable_rate", cfg)[0], expected) < 1e-9
 
     def test_collapsed_ring_reduces_to_direct_average(self):
         cfg = make_cfg(
             geom={"l": 200.0, "l_in": 199.9999, "l_out": 199.99995}
         )
-        got = an.average_metric("snr_moment", cfg, ell=1.0).value
+        got, _ = an.average_metric("snr_mean", cfg)
         s_t = cfg.geometry.s_total
-        direct_only = an.snr_moment_direct(1.0, cfg.distance_floor, cfg) * math.pi / s_t
+        direct_only = an.mean_snr_direct(cfg.distance_floor, cfg) * math.pi / s_t
         direct_only += (
             2.0
             * math.pi
             / s_t
             * integrate_interval_with_error(
                 lambda d: np.array(
-                    [an.snr_moment_direct(1.0, x, cfg) for x in np.atleast_1d(d)]
+                    [an.mean_snr_direct(x, cfg) for x in np.atleast_1d(d)]
                 )
                 * d,
                 cfg.distance_floor,
@@ -455,7 +443,7 @@ class TestAverageMetric:
         # with very many reflectors the nearest-distance density piles onto
         # the 1 m floor, so region 2 approaches the floored-d_IU evaluation
         cfg = make_cfg(geom={"m_irs": 60000}, m_iu=1)
-        got = an.average_metric("snr_moment", cfg, ell=1.0).value
+        got, _ = an.average_metric("snr_mean", cfg)
         geo = cfg.geometry
         s_t = geo.s_total
 
@@ -473,14 +461,14 @@ class TestAverageMetric:
                 1e-8,
             )[0]
         )
-        r1 = an.snr_moment_direct(1.0, cfg.distance_floor, cfg) * math.pi / s_t
+        r1 = an.mean_snr_direct(cfg.distance_floor, cfg) * math.pi / s_t
         r1 += (
             2.0
             * math.pi
             / s_t
             * integrate_interval_with_error(
                 lambda d: np.array(
-                    [an.snr_moment_direct(1.0, x, cfg) for x in np.atleast_1d(d)]
+                    [an.mean_snr_direct(x, cfg) for x in np.atleast_1d(d)]
                 )
                 * d,
                 cfg.distance_floor,
@@ -509,12 +497,23 @@ class TestAverageMetric:
 
     def test_spatial_throughput_is_rate_over_area(self):
         cfg = make_cfg(geom={"m_irs": 16})
-        rate = an.average_metric("achievable_rate", cfg)
-        nu = an.average_metric("spatial_throughput", cfg)
-        assert rel_err(nu.value, rate.value / cfg.geometry.s_total) < 1e-12
-        assert nu.metric_kind == "spatial_throughput"
-        assert nu.method == "quadrature"
-        assert nu.error_estimate >= 0
+        rate, rate_err = an.average_metric("achievable_rate", cfg)
+        nu, nu_err = an.average_metric("spatial_throughput", cfg)
+        assert rel_err(nu, rate / cfg.geometry.s_total) < 1e-12
+        assert rel_err(nu_err, rate_err / cfg.geometry.s_total) < 1e-12
+        assert nu_err >= 0
+
+    def test_snr_mean_matches_the_quadrature_route(self, monkeypatch):
+        # the amplified-link conditional is the closed form; the same average
+        # over the factorized-kernel quadrature must agree. The direct link
+        # outweighs regions 2-3 by ~13 decades, so it is zeroed to expose them.
+        cfg = make_cfg(m_iu=2.5, m_bi=0.5)
+        monkeypatch.setattr(an, "mean_snr_direct", lambda d, cfg: 0.0 * np.asarray(d))
+        closed, _ = an.average_metric("snr_mean", cfg)
+        monkeypatch.setattr(an, "mean_snr_closed", an.snr_moment_active)
+        quad, _ = an.average_metric("snr_mean", cfg)
+        assert closed != quad
+        assert rel_err(closed, quad) < 1e-7
 
     def test_degenerate_geometry_rejected(self):
         with pytest.raises(ConfigError):
@@ -556,8 +555,8 @@ class TestErrorsNameThePoint:
         msg = self.message(lambda: an.rate_active(100.0, np.array([5.0, 30.0, 60.0]), cfg))
         for part in (*self.POINT, "rate_active", "d_bi=100 m", "d_iu=60 m"):
             assert part in msg
-        msg = self.message(lambda: an.snr_moment_active(2.0, 90.0, 30.0, cfg))
-        for part in (*self.POINT, "snr_moment_active(2)", "d_bi=90 m", "d_iu=30 m"):
+        msg = self.message(lambda: an.snr_moment_active(90.0, 30.0, cfg))
+        for part in (*self.POINT, "snr_moment_active", "d_bi=90 m", "d_iu=30 m"):
             assert part in msg
         msg = self.message(lambda: an.rate_direct(np.array([5.0, 70.0]), cfg))
         assert "rate_direct at m_bu=1, d_bu=70 m" in msg
@@ -589,8 +588,8 @@ class TestErrorsNameThePoint:
         assert "region 3" in msg
         with monkeypatch.context() as patch:
             patch.setattr(an, "integrate_interval_with_error", budget_stub)
-            msg = self.message(lambda: an.average_metric("snr_moment", cfg))
-        for part in (*self.POINT, *geometry, "snr_moment", "region 1"):
+            msg = self.message(lambda: an.average_metric("snr_mean", cfg))
+        for part in (*self.POINT, *geometry, "snr_mean", "region 1"):
             assert part in msg
 
 

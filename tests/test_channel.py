@@ -11,19 +11,19 @@ from airsnet.channel import (
     snr_passive_batch,
 )
 from airsnet.mathkit import DomainError
-from airsnet.mixgamma import LinkStats
 
 POWER = PowerParams(p_t=1.0, p_f=0.01, sigma2=1e-11, sigma_f2=1e-10)
 
 
 def snr_row(kernel, p_bi, p_iu, bi, iu, power=POWER):
-    """One draw's SNR from a batch kernel given a single (1, N) channel-power row."""
-    return float(kernel(np.atleast_2d(p_bi), np.atleast_2d(p_iu), bi.path_loss,
-                        iu.path_loss, power)[0])
+    """One draw's SNR from a batch kernel given a single (1, N) channel-power row
+    and the two hops' path gains."""
+    return float(kernel(np.atleast_2d(p_bi), np.atleast_2d(p_iu), bi, iu, power)[0])
 
 
-def link(m, d, alpha=3.0, eps=1e-3):
-    return LinkStats.from_distance(m, d, alpha, eps)
+def gain(d, eps=1e-3):
+    """Path gain eps * d^-3 of a hop of length d."""
+    return eps * d**-3.0
 
 
 class TestNakagamiSampler:
@@ -129,7 +129,7 @@ class TestSnrDirect:
 
 class TestSnrActive:
     def test_single_element_substitution(self):
-        bi, iu = link(1.0, 1.0, eps=1.0), link(1.0, 1.0, eps=1.0)
+        bi, iu = gain(1.0, eps=1.0), gain(1.0, eps=1.0)
         amp_sq = POWER.p_f / (POWER.p_t + POWER.sigma_f2)
         expected = POWER.p_t * amp_sq / (amp_sq * POWER.sigma_f2 + POWER.sigma2)
         got = snr_row(snr_active_batch, np.ones(1), np.ones(1), bi, iu)
@@ -137,10 +137,10 @@ class TestSnrActive:
 
     def test_vanishing_irs_noise_recovers_scaled_passive(self):
         power = PowerParams(p_t=1.0, p_f=0.01, sigma2=1e-11, sigma_f2=1e-22)
-        bi, iu = link(1.0, 10.0), link(1.0, 10.0)
+        bi, iu = gain(10.0), gain(10.0)
         ones = np.ones(4)
         amp_sq = power.p_f / (
-            power.p_t * bi.path_loss * 4 + 4 * power.sigma_f2
+            power.p_t * bi * 4 + 4 * power.sigma_f2
         )
         passive_scaled = amp_sq * snr_row(snr_passive_batch, ones, ones, bi, iu, power)
         got = snr_row(snr_active_batch, ones, ones, bi, iu, power)
@@ -150,7 +150,7 @@ class TestSnrActive:
         rng = np.random.default_rng(11)
         p_bi = sample_nakagami_power(1.0, rng, 8)
         p_iu = sample_nakagami_power(1.0, rng, 8)
-        bi, iu = link(1.0, 100.0), link(1.0, 30.0)
+        bi, iu = gain(100.0), gain(30.0)
         base = snr_row(snr_active_batch, p_bi, p_iu, bi, iu)
         c = 7.3
         scaled = PowerParams(
@@ -165,30 +165,30 @@ class TestSnrActive:
     def test_power_budget_met_with_equality(self):
         # P_t ||A Phi h_BI||^2 + sigma_F^2 ||A Phi||^2 = P_F for the optimal A
         rng = np.random.default_rng(3)
-        bi = link(1.0, 100.0)
-        iu = link(1.0, 30.0)
+        bi = gain(100.0)
+        iu = gain(30.0)
         for _ in range(50):
             g_bi = np.sqrt(sample_nakagami_power(1.0, rng, 16))
             g_iu = np.sqrt(sample_nakagami_power(1.0, rng, 16))
-            a_sq = kernel_gain_sq(g_bi, g_iu, bi.path_loss, iu.path_loss)
-            h_bi_sq = bi.path_loss * float(g_bi**2 @ np.ones(16))
+            a_sq = kernel_gain_sq(g_bi, g_iu, bi, iu)
+            h_bi_sq = bi * float(g_bi**2 @ np.ones(16))
             used = POWER.p_t * a_sq * h_bi_sq + POWER.sigma_f2 * a_sq * 16
             assert abs(used / POWER.p_f - 1.0) < 1e-9
 
     def test_phase_alignment_is_optimal(self):
         # oracle: complex per-element channels with arbitrary reflection phases
         rng = np.random.default_rng(5)
-        bi, iu = link(1.0, 100.0), link(1.0, 30.0)
+        bi, iu = gain(100.0), gain(30.0)
         for _ in range(20):
             a_bi = np.sqrt(sample_nakagami_power(1.0, rng, 8))
             a_iu = np.sqrt(sample_nakagami_power(1.0, rng, 8))
             g_bi = a_bi * np.exp(1j * rng.uniform(0, 2 * np.pi, 8))
             g_iu = a_iu * np.exp(1j * rng.uniform(0, 2 * np.pi, 8))
             aligned = snr_row(snr_active_batch, a_bi**2, a_iu**2, bi, iu)
-            h_bi = np.sqrt(bi.path_loss) * g_bi
-            h_iu = np.sqrt(iu.path_loss) * g_iu
-            a_sq = budget_gain_sq(a_bi, bi.path_loss)
-            denom = a_sq * iu.path_loss * float(
+            h_bi = np.sqrt(bi) * g_bi
+            h_iu = np.sqrt(iu) * g_iu
+            a_sq = budget_gain_sq(a_bi, bi)
+            denom = a_sq * iu * float(
                 (np.abs(g_iu) ** 2).sum()
             ) * POWER.sigma_f2 + POWER.sigma2
             for _ in range(100):
@@ -202,21 +202,21 @@ class TestSnrActive:
         # produces finite positive SNR at network-scale parameters
         pows_bi = sample_nakagami_power(1.0, rng, (1000, 64))
         pows_iu = sample_nakagami_power(1.0, rng, (1000, 64))
-        bi, iu = link(1.0, 100.0), link(1.0, 30.0)
-        snrs = snr_active_batch(pows_bi, pows_iu, bi.path_loss, iu.path_loss, POWER)
+        bi, iu = gain(100.0), gain(30.0)
+        snrs = snr_active_batch(pows_bi, pows_iu, bi, iu, POWER)
         assert np.all(np.isfinite(snrs))
         assert np.all(snrs > 0)
 
 
 class TestSnrPassive:
     def test_single_element(self):
-        bi, iu = link(1.0, 1.0, eps=1.0), link(1.0, 1.0, eps=1.0)
+        bi, iu = gain(1.0, eps=1.0), gain(1.0, eps=1.0)
         expected = POWER.p_t / POWER.sigma2
         got = snr_row(snr_passive_batch, np.ones(1), np.ones(1), bi, iu)
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_deterministic_doubling_quadruples(self):
-        bi, iu = link(1.0, 100.0), link(1.0, 30.0)
+        bi, iu = gain(100.0), gain(30.0)
         s1 = snr_row(snr_passive_batch, np.ones(8), np.ones(8), bi, iu)
         s2 = snr_row(snr_passive_batch, np.ones(16), np.ones(16), bi, iu)
         assert s2 == pytest.approx(4.0 * s1, rel=1e-12)
@@ -225,11 +225,11 @@ class TestSnrPassive:
         # E[(sum |g||g|)^2] = N + N(N-1) (pi/4)^2 for Rayleigh hops
         n = 16
         draws = 200_000
-        bi, iu = link(1.0, 100.0), link(1.0, 30.0)
+        bi, iu = gain(100.0), gain(30.0)
         p_bi = sample_nakagami_power(1.0, rng, (draws, n))
         p_iu = sample_nakagami_power(1.0, rng, (draws, n))
-        snrs = snr_passive_batch(p_bi, p_iu, bi.path_loss, iu.path_loss, POWER)
+        snrs = snr_passive_batch(p_bi, p_iu, bi, iu, POWER)
         s2 = n + n * (n - 1) * (math.pi / 4.0) ** 2
-        expected = POWER.p_t * bi.path_loss * iu.path_loss * s2 / POWER.sigma2
+        expected = POWER.p_t * bi * iu * s2 / POWER.sigma2
         se = snrs.std(ddof=1) / math.sqrt(draws)
         assert abs(snrs.mean() - expected) < 4.0 * se

@@ -187,6 +187,15 @@ class TestCliRuns:
         assert not checks["passive_baseline"]["gap_shrinks"]
         assert checks["passive_baseline"]["quadrupling_exact"]
 
+    def test_direct_link_check_holds_below_the_floor(self, tmp_path):
+        # d_BU = 0.5 m is clamped to the 1 m reference distance, so the
+        # check's written-out reference must clamp too
+        out = tmp_path / "x"
+        main(["validate", "--out", str(out), "--set", "d_bu_m=0.5"] + FAST_VALIDATE)
+        check = json.loads((out / "summary.json").read_text())["checks"]["direct_link_reductions"]
+        assert check["passed"], check
+        assert check["moment_max_rel_err"] <= 1e-13
+
     def test_byte_identical_rerun(self, tmp_path):
         args = ["mean-snr-vs-pf", "--seed", "9", "--set", "n_mc_model=5000",
                 "--set", "pf_grid_w=[0.001,0.01,0.1]"]

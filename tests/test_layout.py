@@ -1,13 +1,17 @@
-"""Every def and class in src/airsnet is referenced somewhere in src/.
+"""Every def, class and dataclass field in src/airsnet is used somewhere in src/.
 
 A definition that only the tests use is API surface that exists for tests.
 The walk collects each module's function and class definitions and every
 `Name` / `Attribute` reference across the package, and lists the
 definitions nothing in src/ refers to. Dunders are called by Python itself
-and are exempt. Run this file directly to print the list.
+and are exempt. A second walk lists the `@dataclass` fields src/ never
+reads: a read is an attribute load, or the tail of a "section.field" string
+such as the config schema's targets. Run this file directly to print both
+lists.
 """
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "airsnet"
@@ -28,8 +32,34 @@ def unreferenced_definitions(root: Path = SRC) -> list[str]:
     return sorted(d for d in defined if d.split(":", 1)[1] not in used)
 
 
+def _is_dataclass(decorator: ast.expr) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return isinstance(target, ast.Name) and target.id == "dataclass"
+
+
+def unread_dataclass_fields(root: Path = SRC) -> list[str]:
+    fields = []
+    read = set()
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list)):
+                fields += [f"{path.name}:{node.name}.{stmt.target.id}" for stmt in node.body
+                           if isinstance(stmt, ast.AnnAssign)
+                           and isinstance(stmt.target, ast.Name)]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if re.fullmatch(r"\w+\.\w+", node.value):
+                    read.add(node.value.split(".")[1])
+    return sorted(f for f in fields if f.rsplit(".", 1)[1] not in read)
+
+
 def test_every_definition_is_referenced_in_src():
     assert unreferenced_definitions() == []
+
+
+def test_every_dataclass_field_is_read_in_src():
+    assert unread_dataclass_fields() == []
 
 
 def test_walk_flags_what_nothing_references(tmp_path):
@@ -43,8 +73,23 @@ def test_walk_flags_what_nothing_references(tmp_path):
         "        pass\n"
     )
     (tmp_path / "b.py").write_text("def used():\n    pass\n")
+    (tmp_path / "c.py").write_text(
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class Record:\n"
+        "    shown: int\n"
+        "    keyed: int\n"
+        "    orphan: int\n"
+        "    stored: int\n"
+        "def show(r: Record):\n"
+        "    r.stored = 0\n"
+        "    return r.shown, 'cfg.keyed', 'a.orphan.x', 'see orphan.'\n"
+        "show(Record(1, 2, 3, 4))\n"
+    )
     assert unreferenced_definitions(tmp_path) == ["a.py:Orphan", "a.py:helper"]
+    assert unread_dataclass_fields(tmp_path) == ["c.py:Record.orphan", "c.py:Record.stored"]
 
 
 if __name__ == "__main__":
     print(unreferenced_definitions())
+    print(unread_dataclass_fields())

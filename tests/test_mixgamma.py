@@ -7,7 +7,6 @@ from airsnet.mathkit import DomainError, gauss_laguerre, integrate_semi_infinite
 from airsnet.mixgamma import (
     AccuracyError,
     InvalidDistributionError,
-    LinkStats,
     MixtureGamma,
     cascaded_power_dist,
     direct_power_dist,
@@ -17,10 +16,15 @@ from conftest import mixture_cdf, rel_err
 RULE = gauss_laguerre(20)
 
 
-def unit_link(m):
-    # distance 1 at reference gain 1: path loss exactly 1, so the mixture's
-    # scale factor W/(amp_sq N^2) is 1 for amp_sq = N = 1
-    return LinkStats.from_distance(m, 1.0, 3.0, 1.0)
+def unit_cascade(m_bi, m_iu, rule=RULE):
+    # product path gain exactly 1, so the mixture's scale factor
+    # W/(amp_sq N^2) is 1 for amp_sq = N = 1
+    return cascaded_power_dist(m_bi, m_iu, 1.0, 1.0, 1, rule)
+
+
+def gain(d):
+    """Path gain 1e-3 d^-3 of a link of length d."""
+    return 1e-3 * d**-3.0
 
 
 def single(eps, beta, xi):
@@ -63,8 +67,7 @@ def product_cdf_bruteforce(z):
 
 class TestDirectPowerDist:
     def test_rayleigh_at_100m(self):
-        link = LinkStats.from_distance(1.0, 100.0, 3.0, 1e-3)
-        dist = direct_power_dist(link)
+        dist = direct_power_dist(1.0, gain(100.0))
         assert dist.beta.size == 1
         assert dist.beta[0] == 1.0
         assert dist.xi[0] == pytest.approx(1e9, rel=1e-12)
@@ -72,21 +75,19 @@ class TestDirectPowerDist:
         assert dist.moment(1) == pytest.approx(1e-9, rel=1e-12)
 
     def test_unit_distance_shape_two(self):
-        dist = direct_power_dist(unit_link(2.0))
+        dist = direct_power_dist(2.0, 1.0)
         assert dist.beta[0] == 2.0
         assert dist.xi[0] == 2.0
         assert dist.epsilon[0] == pytest.approx(4.0, rel=1e-12)
         assert dist.moment(1) == pytest.approx(1.0, rel=1e-12)
 
     def test_mean_is_path_loss(self):
-        link = LinkStats.from_distance(3.0, 50.0, 3.0, 1e-3)
-        dist = direct_power_dist(link)
+        dist = direct_power_dist(3.0, gain(50.0))
         assert rel_err(dist.moment(1), 1e-3 * 50.0**-3) < 1e-12
 
     @pytest.mark.parametrize("m", [0.5, 1.0, 2.0, 4.0])
     def test_pdf_matches_gamma_density_pointwise(self, m):
-        link = LinkStats.from_distance(m, 80.0, 3.0, 1e-3)
-        dist = direct_power_dist(link)
+        dist = direct_power_dist(m, gain(80.0))
         mean = dist.moment(1)
         xi = m * 80.0**3 / 1e-3
         for x in (0.1 * mean, mean, 10.0 * mean):
@@ -96,23 +97,22 @@ class TestDirectPowerDist:
             assert rel_err(dist.pdf(x), ref) < 1e-12
 
     def test_moments(self):
-        link = LinkStats.from_distance(1.0, 10.0, 3.0, 1e-3)
-        dist = direct_power_dist(link)
+        dist = direct_power_dist(1.0, gain(10.0))
         mean = 1e-3 * 10.0**-3
         assert rel_err(dist.moment(2), 2.0 * mean**2) < 1e-12
 
     def test_link_invariants(self):
         with pytest.raises(DomainError):
-            LinkStats.from_distance(0.3, 10.0, 3.0, 1e-3)
-        with pytest.raises(DomainError):
-            LinkStats.from_distance(1.0, -5.0, 3.0, 1e-3)
-        link = LinkStats.from_distance(2.0, 37.0, 2.7, 1e-3)
-        assert link.path_loss == 1e-3 * 37.0**-2.7
+            direct_power_dist(0.3, gain(10.0))
+        for bad_gain in (0.0, -1e-6):
+            with pytest.raises(DomainError):
+                direct_power_dist(1.0, bad_gain)
+        assert direct_power_dist(2.0, 1e-3 * 37.0**-2.7).xi[0] == 2.0 / (1e-3 * 37.0**-2.7)
 
 
 class TestCascadedPowerDist:
     def test_rayleigh_component_structure(self):
-        mix = cascaded_power_dist(unit_link(1.0), unit_link(1.0), 1.0, 1, RULE)
+        mix = unit_cascade(1.0, 1.0)
         assert mix.beta.size == 20
         assert np.all(mix.beta == 1.0)
         # exponent m_iu - m_bi - 1 = -1: eps_i proportional to w_i / t_i
@@ -125,42 +125,35 @@ class TestCascadedPowerDist:
         # frozen behavior: the mixture mean equals the mean of the product of
         # two unit-mean Gamma powers (= 1) times amp_sq N^2 / W
         oracle = product_mean_bruteforce(m_bi, m_iu)
-        mix = cascaded_power_dist(unit_link(m_bi), unit_link(m_iu), 1.0, 1, RULE)
+        mix = unit_cascade(m_bi, m_iu)
         assert rel_err(mix.moment(1), oracle) < 1e-6
 
     def test_mean_scaling_with_physical_parameters(self):
-        bi = LinkStats.from_distance(1.0, 100.0, 3.0, 1e-3)
-        iu = LinkStats.from_distance(1.0, 30.0, 3.0, 1e-3)
+        product = gain(100.0) * gain(30.0)
         amp_sq, n = 2.0e5 / 64.0, 64
-        mix = cascaded_power_dist(bi, iu, amp_sq, n, RULE)
-        expected = amp_sq * n**2 * bi.path_loss * iu.path_loss
+        mix = cascaded_power_dist(1.0, 1.0, product, amp_sq, n, RULE)
+        expected = amp_sq * n**2 * product
         assert rel_err(mix.moment(1), expected) < 1e-9
 
     @pytest.mark.parametrize("m_bi", [1.0, 2.0, 3.0])
     @pytest.mark.parametrize("m_iu", [1.0, 2.0, 3.0])
     def test_normalization_defect(self, m_bi, m_iu):
-        mix = cascaded_power_dist(unit_link(m_bi), unit_link(m_iu), 1.0, 1, RULE)
+        mix = unit_cascade(m_bi, m_iu)
         assert abs(mix.normalization_mass() - 1.0) <= 1e-4
 
     @pytest.mark.parametrize("m_bi", [1.0, 2.0, 3.0])
     @pytest.mark.parametrize("m_iu", [1.0, 2.0, 3.0])
     def test_defect_improves_with_order(self, m_bi, m_iu):
         # for integer shapes both defects sit at roundoff, hence the floor
-        mix20 = cascaded_power_dist(unit_link(m_bi), unit_link(m_iu), 1.0, 1, RULE)
-        mix10 = cascaded_power_dist(
-            unit_link(m_bi), unit_link(m_iu), 1.0, 1, gauss_laguerre(10)
-        )
+        mix20 = unit_cascade(m_bi, m_iu)
+        mix10 = unit_cascade(m_bi, m_iu, gauss_laguerre(10))
         d20 = abs(mix20.normalization_mass() - 1.0)
         d10 = abs(mix10.normalization_mass() - 1.0)
         assert d20 <= d10 + 1e-13
 
     def test_defect_improvement_is_strict_off_integer(self):
-        bi, iu = unit_link(1.5), unit_link(2.5)
-        d20 = abs(cascaded_power_dist(bi, iu, 1.0, 1, RULE).normalization_mass() - 1.0)
-        d10 = abs(
-            cascaded_power_dist(bi, iu, 1.0, 1, gauss_laguerre(10)).normalization_mass()
-            - 1.0
-        )
+        d20 = abs(unit_cascade(1.5, 2.5).normalization_mass() - 1.0)
+        d10 = abs(unit_cascade(1.5, 2.5, gauss_laguerre(10)).normalization_mass() - 1.0)
         assert d20 < d10
         assert d20 <= 1e-4
 
@@ -174,12 +167,12 @@ class TestCascadedPowerDist:
             else:
                 hi = mid
         median = 0.5 * (lo + hi)
-        mix = cascaded_power_dist(unit_link(1.0), unit_link(1.0), 1.0, 1, RULE)
+        mix = unit_cascade(1.0, 1.0)
         assert abs(mixture_cdf(mix, median) - 0.5) <= 0.01
 
     def test_coarse_rule_rejected(self):
         with pytest.raises(AccuracyError):
-            cascaded_power_dist(unit_link(1.0), unit_link(1.0), 1.0, 1, gauss_laguerre(3))
+            unit_cascade(1.0, 1.0, gauss_laguerre(3))
 
 
 class TestMixtureAlgebra:
@@ -194,14 +187,12 @@ class TestMixtureAlgebra:
             single(1, 1, 1).pdf(0.0)
 
     def test_cascade_pdf_integrates_to_mass(self):
-        bi = LinkStats.from_distance(1.0, 100.0, 3.0, 1e-3)
-        iu = LinkStats.from_distance(1.0, 30.0, 3.0, 1e-3)
-        mix = cascaded_power_dist(bi, iu, 2.0e5 / 64.0, 64, RULE)
+        mix = cascaded_power_dist(1.0, 1.0, gain(100.0) * gain(30.0), 2.0e5 / 64.0, 64, RULE)
         mass, _ = integrate_semi_infinite_with_error(mix.pdf, 1e-8, max_panels=16384)
         assert abs(mass - 1.0) <= 1e-4
 
     def test_moment_finite_through_four(self):
-        mix = cascaded_power_dist(unit_link(1.0), unit_link(1.0), 1.0, 1, RULE)
+        mix = unit_cascade(1.0, 1.0)
         for ell in (1.0, 2.0, 3.0, 4.0):
             assert math.isfinite(mix.moment(ell))
 
@@ -220,7 +211,7 @@ class TestSampling:
         assert abs(samples.mean() - 2.0) < 0.01
 
     def test_cascade_sampling_matches_moments(self, rng):
-        mix = cascaded_power_dist(unit_link(1.0), unit_link(1.0), 1.0, 1, RULE)
+        mix = unit_cascade(1.0, 1.0)
         n = 1_000_000
         samples = mix.sample(rng, n)
         for ell in (1.0, 2.0):
@@ -230,7 +221,7 @@ class TestSampling:
             assert abs(x.mean() - target) < 4.0 * se, ell
 
     def test_cascade_sampling_ks_against_own_cdf(self, rng):
-        mix = cascaded_power_dist(unit_link(1.0), unit_link(1.0), 1.0, 1, RULE)
+        mix = unit_cascade(1.0, 1.0)
         n = 100_000
         samples = np.sort(mix.sample(rng, n))
         cdf = mixture_cdf(mix, samples)
@@ -240,7 +231,7 @@ class TestSampling:
         assert ks <= 0.005
 
     def test_component_probabilities_renormalized(self):
-        mix = cascaded_power_dist(unit_link(1.5), unit_link(2.5), 1.0, 1, RULE)
+        mix = unit_cascade(1.5, 2.5)
         probs = mix.component_probabilities()
         assert probs.sum() == pytest.approx(1.0, abs=1e-15)
         assert np.all(probs > 0)
@@ -273,7 +264,7 @@ class TestSampling:
             bad.sample(rng, 10)
 
     def test_serialization_round_trip(self):
-        mix = cascaded_power_dist(unit_link(1.0), unit_link(2.0), 1.0, 1, RULE)
+        mix = unit_cascade(1.0, 2.0)
         obj = mix.to_json_obj()
         assert len(obj) == 20
         assert obj[0].keys() == {"epsilon", "beta", "xi"}

@@ -278,7 +278,7 @@ class TestSweepDensity:
     def test_non_divisor_rejected_with_divisor_list(self):
         cfg = make_cfg()
         with pytest.raises(ConfigError) as exc:
-            sweep_density(cfg, 12, [5], seed=0, n_drops=1, n_fading=1)
+            sweep_density(cfg, 12, [5], seed=0, p_f_total=0.01, n_drops=1, n_fading=1)
         msg = str(exc.value)
         assert "valid divisors" in msg
         assert "6" in msg and "12" in msg
@@ -324,14 +324,14 @@ class TestDensityFindings:
 
     def test_unknown_power_budget_rejected(self):
         with pytest.raises(ConfigError):
-            sweep_density(make_cfg(), 16, [1], n_drops=1, n_fading=1,
+            sweep_density(make_cfg(), 16, [1], p_f_total=0.01, n_drops=1, n_fading=1,
                           power_budget="per-element")
 
 
 class TestModelMc:
     def test_importance_weights_unbiased_on_closed_form(self):
         cfg = make_cfg(geom={"n_elements": 64})
-        mc, se = model_snr_moment_mc(cfg, 100.0, 30.0, ell=1.0, n=400_000, seed=3)
+        mc, se = model_snr_moment_mc(cfg, 100.0, 30.0, n=400_000, seed=3)
         closed = an.mean_snr_closed(100.0, 30.0, cfg)
         assert abs(mc - closed) < 3.0 * se
         assert se / closed < 0.02
