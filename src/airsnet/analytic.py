@@ -1,9 +1,8 @@
 """Closed-form and quadrature performance expressions.
 
-Mean SNR (direct link; amplified link by the per-node quadrature with all
-nodes in one column call, by the y-integral of the factorized kernel, and by
-the node-free closed form), the passive baseline, achievable rates, and the
-geometry-averaged metric.
+Mean SNR (direct link; amplified link as a scale times psi_m(kappa), psi in
+closed form or by its v-integral, and by the y-integral of the factorized
+kernel), the passive baseline, achievable rates, and the geometry average.
 
 Conventions baked in here (see README for the full discussion):
 
@@ -24,12 +23,13 @@ The amplified-link kernels rest on one factorization. The mixture component
 masses w_i t_i^(m_IU-1)/Gamma(m_IU) are distance-free, and component i's
 noise rate is S/t_i and its decay kappa*S/t_i, with
 S = sigma_F^2 m_BI W/(N P_t) (W = 1/(zeta_BI zeta_IU)) and
-kappa = m_IU sigma^2/(eta sigma_F^2), which depends on d_BI alone. After
-y = S z every d_IU at one d_BI shares
+kappa = m_IU sigma^2/(eta sigma_F^2) (_kappa), which depends on d_BI alone.
+After y = S z every d_IU at one d_BI shares
 F_b(y) = sum_i mass_i e^(-kappa y/t_i) (1 + y/t_i)^-m_IU, so
 rate_active = log2(e) * integral F_b(y) (1 - (1 + y/S)^-m_BI)/y dy is one
-quadrature over a whole d_IU array on a shared y-mesh, and the mean SNR is
-m_BI/S times a single y-integral per d_BI.
+quadrature over a whole d_IU array on a shared y-mesh. The mean SNR is
+_mean_snr_scale times psi_m(kappa) = e^kappa E_m(kappa), and m_BI/S times
+one integral of F_b per d_BI.
 """
 
 from __future__ import annotations
@@ -114,16 +114,30 @@ def _s_scale(d_bi, d_iu, cfg: NetworkConfig):
     return p.sigma_f2 * cfg.m_bi / (n * p.p_t * cfg.path_gain(d_bi) * cfg.path_gain(d_iu))
 
 
+def _kappa(d_bi, cfg: NetworkConfig):
+    """kappa = m_IU sigma^2/(eta sigma_F^2), elementwise; it depends on d_BI alone."""
+    return cfg.m_iu * cfg.power.sigma2 / (averaged_amp_gain(d_bi, cfg) * cfg.power.sigma_f2)
+
+
+def _mean_snr_scale(d_bi, d_iu, cfg: NetworkConfig):
+    """Mean SNR / psi_m(kappa) = N P_t zeta_BI zeta_IU/sigma_F^2 * sum_i w_i t_i^m/Gamma(m)."""
+    m = cfg.m_iu
+    rule = cfg.rule()
+    # sum_i w_i t_i^m / Gamma(m), termwise in logs so large m cannot overflow
+    glsum = float(np.exp(np.log(rule.weights) + m * np.log(rule.nodes) - ln_gamma(m)).sum())
+    return (cfg.geometry.n_elements * cfg.power.p_t * cfg.path_gain(d_bi) * cfg.path_gain(d_iu)
+            / cfg.power.sigma_f2 * glsum)
+
+
 def _noise_mixture(d_bi: float, cfg: NetworkConfig):
     """F_b(y) = sum_i mass_i e^(-kappa y/t_i) (1 + y/t_i)^-m_IU at one d_BI.
 
-    mass_i = w_i t_i^(m_IU-1)/Gamma(m_IU) and kappa = m_IU sigma^2/(eta
-    sigma_F^2); F_b is the same function for every d_IU.
+    mass_i = w_i t_i^(m_IU-1)/Gamma(m_IU); F_b is the same for every d_IU.
     """
     rule = cfg.rule()
     m = cfg.m_iu
     masses = np.exp(np.log(rule.weights) + (m - 1.0) * np.log(rule.nodes) - ln_gamma(m))
-    kappa = m * cfg.power.sigma2 / (averaged_amp_gain(d_bi, cfg) * cfg.power.sigma_f2)
+    kappa = _kappa(d_bi, cfg)
     inv_t = 1.0 / rule.nodes
 
     def f_b(y: np.ndarray) -> np.ndarray:
@@ -136,80 +150,46 @@ def _noise_mixture(d_bi: float, cfg: NetworkConfig):
 def snr_moment_active(d_bi: float, d_iu, cfg: NetworkConfig):
     """Mean amplified-link SNR by one semi-infinite quadrature of the factorized kernel.
 
-    m_BI/S * integral F_b(y) dy: the mixture mean against the noise Laplace
-    transform, after y = S z. The integral depends on d_BI alone, so a d_IU
+    m_BI/S * integral F_b(y) dy (y = S z), run in v = kappa y, where F_b's
+    decay no longer depends on kappa. It depends on d_BI alone, so a d_IU
     array costs one quadrature; returns a float for a scalar d_IU. This is
     the route `validate` checks the other mean-SNR routes against.
     """
+    f_b = _noise_mixture(d_bi, cfg)
+    kappa = _kappa(d_bi, cfg)
     try:
-        value, _ = integrate_semi_infinite_with_error(_noise_mixture(d_bi, cfg), QUAD_TOL,
+        value, _ = integrate_semi_infinite_with_error(lambda v: f_b(v / kappa), QUAD_TOL,
                                                       max_panels=16384)
     except IntegrationError as exc:
         raise _named(exc, f"snr_moment_active at {_point(cfg)}, d_bi={d_bi:g} m, "
                           f"d_iu={_worst(d_iu, exc):g} m") from exc
-    return cfg.m_bi * value / _s_scale(d_bi, d_iu, cfg)
+    return cfg.m_bi * (value / kappa) / _s_scale(d_bi, d_iu, cfg)
 
 
 def mean_snr_integral(d_bi: float, d_iu: float, cfg: NetworkConfig) -> float:
-    """Mean amplified-link SNR as the per-node integral sum.
+    """Mean amplified-link SNR: the scale times psi_m(kappa) by quadrature.
 
-    sum_i K_i phi_i with K_i = w_i t_i^(2m-1) m_BI^(1-m) (N P_t/(sigma_F^2 W))^m
-    / Gamma(m) and phi_i = integral e^(-a_i z) (z + D_i)^-m dz, where
-    a_i D_i = m_IU sigma^2/(eta sigma_F^2) for every node. The K node
-    integrals are the K columns of one quadrature call on a shared z-mesh,
-    each held to its own tolerance. An exhausted integration budget is
-    re-raised as an IntegrationError naming the point.
+    psi_m(kappa) = integral e^(-kappa u) (1 + u)^-m du, integrated in
+    v = kappa u. An exhausted budget is re-raised naming the point.
     """
-    m = cfg.m_iu
-    n = cfg.geometry.n_elements
-    p = cfg.power
-    rule = cfg.rule()
-    w_big = 1.0 / (cfg.path_gain(d_bi) * cfg.path_gain(d_iu))
-    eta = averaged_amp_gain(d_bi, cfg)
-    t = rule.nodes
-    log_pref = m * math.log(n * p.p_t / (p.sigma_f2 * w_big))
-    k_coeff = np.exp(
-        np.log(rule.weights)
-        + (2.0 * m - 1.0) * np.log(t)
-        - ln_gamma(m)
-        + (1.0 - m) * math.log(cfg.m_bi)
-        + log_pref
-    )
-    a = cfg.m_bi * m * w_big * p.sigma2 / (t * eta * n * p.p_t)
-    d_shift = n * p.p_t * t / (p.sigma_f2 * cfg.m_bi * w_big)
-
+    kappa = _kappa(d_bi, cfg)
     try:
-        phi, _ = integrate_semi_infinite_with_error(
-            lambda z: np.exp(-np.multiply.outer(z, a) - m * np.log(np.add.outer(z, d_shift))),
-            QUAD_TOL, max_panels=16384,
-        )
+        psi, _ = integrate_semi_infinite_with_error(
+            lambda v: np.exp(-v - cfg.m_iu * np.log1p(v / kappa)), QUAD_TOL, max_panels=16384)
     except IntegrationError as exc:
         raise _named(exc, f"mean_snr_integral at {_point(cfg)}, d_bi={d_bi:g} m, "
                           f"d_iu={d_iu:g} m") from exc
-    return float(k_coeff @ phi)
+    return float(_mean_snr_scale(d_bi, d_iu, cfg) * (psi / kappa))
 
 
 def mean_snr_closed(d_bi, d_iu, cfg: NetworkConfig):
     """Closed-form mean amplified-link SNR for any real m_IU >= 1/2.
 
-    Each per-node integral of mean_snr_integral is D_i^(1-m) psi_m(kappa),
-    with psi_m(kappa) = e^kappa E_m(kappa) and kappa = a_i D_i =
-    m_IU sigma^2/(eta sigma_F^2) the same at every node, so the node sum
-    collapses to
-    N P_t zeta_BI zeta_IU / (sigma_F^2 Gamma(m)) sum_i w_i t_i^m psi_m(kappa).
-    At m_IU = 1 this is (N P_t/(W sigma_F^2)) e^(Psi/P_F) E1(Psi/P_F) with
-    Psi = sigma^2 (P_t zeta_BI + sigma_F^2)/sigma_F^2. Broadcasts d_bi
-    against d_iu; returns a float for scalar distances.
+    The scale times psi_m(kappa) = e^kappa E_m(kappa) (DLMF 8.19), to which
+    each integral of the paper's per-node sum reduces (kappa = a_i D_i at
+    every node). Broadcasts d_bi against d_iu; a float for scalar distances.
     """
-    m = cfg.m_iu
-    p = cfg.power
-    rule = cfg.rule()
-    kappa = m * p.sigma2 / (averaged_amp_gain(d_bi, cfg) * p.sigma_f2)
-    # sum_i w_i t_i^m / Gamma(m), termwise in logs so large m cannot overflow
-    glsum = float(np.exp(np.log(rule.weights) + m * np.log(rule.nodes) - ln_gamma(m)).sum())
-    n = cfg.geometry.n_elements
-    return (n * p.p_t * cfg.path_gain(d_bi) * cfg.path_gain(d_iu) / p.sigma_f2 * glsum
-            * exp_en_scaled(m, kappa))
+    return _mean_snr_scale(d_bi, d_iu, cfg) * exp_en_scaled(cfg.m_iu, _kappa(d_bi, cfg))
 
 
 def mean_snr_passive(d_bi: float, d_iu: float, cfg: NetworkConfig) -> float:

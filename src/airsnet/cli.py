@@ -4,7 +4,7 @@ Subcommands: validate, mean-snr-vs-pf, density-sweep, association-compare,
 ring-sweep (experiments writing results.csv + summary.json + config.echo.json
 into the output directory), plus glq-table and dump-dist inspection utilities
 printing to stdout. Exit status is nonzero iff a validation tolerance fails
-(1), or the configuration is invalid or a quadrature exhausts its budget (2).
+(1), or the configuration is invalid or a point cannot be evaluated (2).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .analytic import cascaded_mixture
 from .config import ConfigError, EXPERIMENTS, effective_dict, parse_config
 from .experiments import run_experiment
 from .mathkit import DomainError, IntegrationError, gauss_laguerre
-from .mixgamma import direct_power_dist
+from .mixgamma import InvalidDistributionError, direct_power_dist
 
 CSV_HEADER = "experiment,swept_name,swept_value,metric,method,value,std_error"
 SCHEMA_VERSION = 1
@@ -142,8 +142,8 @@ def main(argv=None) -> int:
         if args.command == "dump-dist":
             return _cmd_dump_dist(args)
         return _cmd_experiment(args.command, args)
-    except (ConfigError, DomainError, IntegrationError, FileNotFoundError,
-            json.JSONDecodeError) as exc:
+    except (ConfigError, DomainError, IntegrationError, InvalidDistributionError,
+            FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

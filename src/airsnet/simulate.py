@@ -23,6 +23,7 @@ from .channel import (
     snr_passive_batch,
 )
 from .config import ConfigError, NetworkConfig
+from .mixgamma import InvalidDistributionError
 
 __all__ = [
     "NetworkRealization",
@@ -327,7 +328,11 @@ def model_snr_moment_mc(cfg: NetworkConfig, d_bi: float, d_iu: float,
         b = min(_MODEL_BLOCK, n - start)
         # x1 comes back grouped by mixture component; that is harmless only
         # because g below is drawn in iid order (pick), never grouped by part.
-        x1 = mix.sample(rng, b)
+        try:
+            x1 = mix.sample(rng, b)
+        except InvalidDistributionError as exc:
+            raise InvalidDistributionError(f"model_snr_moment_mc at {analytic._point(cfg)}, "
+                                           f"d_bi={d_bi:g} m, d_iu={d_iu:g} m: {exc}") from exc
         pick = rng.random(b)
         bulk = np.flatnonzero(pick < 0.5)
         fade = np.flatnonzero((pick >= 0.5) & (pick < 0.75))

@@ -4,9 +4,11 @@ from pathlib import Path
 
 import pytest
 
+from airsnet import analytic
 from airsnet.cli import main
 from airsnet.config import ConfigError, dbm_to_watts, effective_dict, parse_config
 from airsnet.experiments import run_experiment
+from airsnet.mathkit import IntegrationError
 
 
 FAST_VALIDATE = [
@@ -289,15 +291,38 @@ class TestCliRuns:
         err = capsys.readouterr().err
         assert "sweep_n_drops" in err and "k_ues" in err
 
-    def test_exhausted_quadrature_names_the_point(self, tmp_path, capsys):
-        # the quadrature route runs out of panels at this admissible point
+    def test_exhausted_quadrature_names_the_point(self, tmp_path, capsys, monkeypatch):
+        def exhausted(f, *args, **kwargs):
+            raise IntegrationError("integration budget exceeded (16385 panels)",
+                                   math.nan, math.inf)
+
+        monkeypatch.setattr(analytic, "integrate_semi_infinite_with_error", exhausted)
         code = main(["mean-snr-vs-pf", "--set", "m_iu=0.5", "--set", "glq_order=64",
                      "--set", "d_iu_m=0.5", "--set", "pf_grid_w=[10]",
                      "--set", "n_mc_model=1000", "--out", str(tmp_path / "x")])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        for part in ("m_iu=0.5", "glq_order=64", "p_f=10 W", "d_bi=100 m", "d_iu=0.5 m"):
+        assert err.startswith("error: mean_snr_integral at ")
+        for part in ("m_iu=0.5", "glq_order=64", "p_f=10 W", "d_bi=100 m", "d_iu=0.5 m",
+                     "integration budget exceeded"):
+            assert part in err
+
+    @pytest.mark.parametrize("extra, point", [
+        ([], ("glq_order=20", "d_iu=30 m")),
+        (["glq_order=64", "d_iu_m=0.5", "pf_grid_w=[10]"], ("glq_order=64", "d_iu=0.5 m")),
+    ])
+    def test_unsamplable_model_mixture_names_the_point(self, tmp_path, capsys, extra, point):
+        # the m_IU = 1/2 Laguerre mixture misses unit mass by 6-24% at every
+        # glq_order, so the model MC refuses to sample it: an input error
+        # (exit 2), not a failed validation (exit 1) or a traceback
+        args = ["mean-snr-vs-pf", "--out", str(tmp_path / "x"), "--set", "m_iu=0.5",
+                "--set", "n_mc_model=1000"]
+        for item in extra:
+            args += ["--set", item]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: model_snr_moment_mc at ")
+        for part in ("m_bi=1", "m_iu=0.5", "d_bi=100 m", "normalization defect", *point):
             assert part in err
 
 
