@@ -8,7 +8,6 @@ simulation, cross-validated by the `validate` CLI experiment.
 from .analytic import (
     average_metric,
     mean_snr_closed,
-    mean_snr_direct,
     mean_snr_integral,
     mean_snr_passive,
     rate_active,
@@ -26,7 +25,6 @@ __version__ = "0.1.0"
 __all__ = [
     "average_metric",
     "mean_snr_closed",
-    "mean_snr_direct",
     "mean_snr_integral",
     "mean_snr_passive",
     "rate_active",

@@ -1,8 +1,8 @@
 """Closed-form and quadrature performance expressions.
 
-Mean SNR (direct link; amplified link as a scale times psi_m(kappa), psi in
-closed form or by its v-integral, and by the y-integral of the factorized
-kernel), the passive baseline, achievable rates, and the geometry average.
+Amplified-link mean SNR (a scale times psi_m(kappa), psi in closed form or
+by its v-integral, and by the y-integral of the factorized kernel), the
+passive baseline, achievable rates, and the spatial-throughput average.
 
 Conventions baked in here (see README for the full discussion):
 
@@ -38,7 +38,7 @@ import math
 
 import numpy as np
 
-from .config import ConfigError, NetworkConfig
+from .config import NetworkConfig
 from .mathkit import (
     IntegrationError,
     exp_en_scaled,
@@ -51,7 +51,6 @@ from .mixgamma import MixtureGamma, cascaded_power_dist
 __all__ = [
     "averaged_amp_gain",
     "cascaded_mixture",
-    "mean_snr_direct",
     "snr_moment_active",
     "mean_snr_integral",
     "mean_snr_closed",
@@ -64,6 +63,7 @@ __all__ = [
 
 LOG2E = math.log2(math.e)
 QUAD_TOL = 1e-8
+QUAD_PANELS = 16384  # panel budget of every semi-infinite kernel quadrature
 REGION_TOL = 1e-6
 
 
@@ -100,11 +100,6 @@ def cascaded_mixture(d_bi: float, d_iu: float, cfg: NetworkConfig) -> MixtureGam
     n = cfg.geometry.n_elements
     amp_sq = averaged_amp_gain(d_bi, cfg) / n
     return cascaded_power_dist(cfg.m_bi, cfg.m_iu, gain, amp_sq, n, cfg.rule())
-
-
-def mean_snr_direct(d_bu, cfg: NetworkConfig):
-    """Direct-link mean SNR P_t zeta_BU / sigma^2, elementwise; a float for a scalar."""
-    return cfg.power.p_t * cfg.path_gain(d_bu) / cfg.power.sigma2
 
 
 def _s_scale(d_bi, d_iu, cfg: NetworkConfig):
@@ -159,7 +154,7 @@ def snr_moment_active(d_bi: float, d_iu, cfg: NetworkConfig):
     kappa = _kappa(d_bi, cfg)
     try:
         value, _ = integrate_semi_infinite_with_error(lambda v: f_b(v / kappa), QUAD_TOL,
-                                                      max_panels=16384)
+                                                      max_panels=QUAD_PANELS)
     except IntegrationError as exc:
         raise _named(exc, f"snr_moment_active at {_point(cfg)}, d_bi={d_bi:g} m, "
                           f"d_iu={_worst(d_iu, exc):g} m") from exc
@@ -175,7 +170,8 @@ def mean_snr_integral(d_bi: float, d_iu: float, cfg: NetworkConfig) -> float:
     kappa = _kappa(d_bi, cfg)
     try:
         psi, _ = integrate_semi_infinite_with_error(
-            lambda v: np.exp(-v - cfg.m_iu * np.log1p(v / kappa)), QUAD_TOL, max_panels=16384)
+            lambda v: np.exp(-v - cfg.m_iu * np.log1p(v / kappa)), QUAD_TOL,
+            max_panels=QUAD_PANELS)
     except IntegrationError as exc:
         raise _named(exc, f"mean_snr_integral at {_point(cfg)}, d_bi={d_bi:g} m, "
                           f"d_iu={d_iu:g} m") from exc
@@ -220,7 +216,7 @@ def rate_direct(d_bu, cfg: NetworkConfig):
         return q[:, None] * np.exp(-np.multiply.outer(z, c))
 
     try:
-        value, _ = integrate_semi_infinite_with_error(kernel, QUAD_TOL, max_panels=16384)
+        value, _ = integrate_semi_infinite_with_error(kernel, QUAD_TOL, max_panels=QUAD_PANELS)
     except IntegrationError as exc:
         raise _named(exc, f"rate_direct at m_bu={m:g}, d_bu={_worst(d_bu, exc):g} m") from exc
     return _shaped(LOG2E * value, d_bu)
@@ -244,7 +240,7 @@ def rate_active(d_bi: float, d_iu, cfg: NetworkConfig):
         return q * (f_b(y) / y)[:, None]
 
     try:
-        value, _ = integrate_semi_infinite_with_error(kernel, QUAD_TOL, max_panels=16384)
+        value, _ = integrate_semi_infinite_with_error(kernel, QUAD_TOL, max_panels=QUAD_PANELS)
     except IntegrationError as exc:
         raise _named(exc, f"rate_active at {_point(cfg)}, d_bi={d_bi:g} m, "
                           f"d_iu={_worst(d_iu, exc):g} m") from exc
@@ -262,35 +258,18 @@ def region2_nearest_pdf_mass(cfg: NetworkConfig) -> float:
     return 1.0 - math.exp(-lam * math.pi * cfg.geometry.l**2)
 
 
-def _conditional_metrics(metric_kind: str, cfg: NetworkConfig):
-    if metric_kind == "snr_mean":
-        return (
-            lambda d: mean_snr_direct(d, cfg),
-            lambda b, r: mean_snr_closed(b, r, cfg),
-        )
-    if metric_kind in ("achievable_rate", "spatial_throughput"):
-        return (
-            lambda d: rate_direct(d, cfg),
-            lambda b, r: rate_active(b, r, cfg),
-        )
-    raise ConfigError(f"unknown metric kind {metric_kind!r}")
+def average_metric(cfg: NetworkConfig) -> tuple[float, float]:
+    """Spatial throughput and its quadrature error estimate.
 
-
-def average_metric(metric_kind: str, cfg: NetworkConfig) -> tuple[float, float]:
-    """Position-averaged performance and its quadrature error estimate.
-
-    metric_kind is a ring_metric name: snr_mean, achievable_rate or
-    spatial_throughput, averaged over the three-region decomposition.
-    Region 1 (disc of radius L_in): the direct-link conditional metric
-    against the radial density 2 pi d / S_t. Region 2 (the ring): the
-    amplified-link metric with d_BI ~= d_BU and the nearest-reflector
-    distance density over (0, L). Region 3 (beyond the ring): d_BI ~= L_out
-    and d_IU ~= d_BU - L_out. Distances are clamped at the 1 m reference, so
-    each region splits at the floor kink. spatial_throughput additionally
-    divides the positional rate average by the cell area.
+    The conditional rate averaged over the three-region decomposition, then
+    divided by the cell area. Region 1 (disc of radius L_in): rate_direct
+    against the radial density 2 pi d / S_t. Region 2 (the ring): rate_active
+    with d_BI ~= d_BU and the nearest-reflector distance density over (0, L).
+    Region 3 (beyond the ring): d_BI ~= L_out and d_IU ~= d_BU - L_out.
+    Distances are clamped at the 1 m reference, so each region splits at the
+    floor kink.
     """
     geo = cfg.geometry
-    c1, c2 = _conditional_metrics(metric_kind, cfg)
     floor = cfg.distance_floor
     s_t = geo.s_total
     lam = geo.lambda_irs
@@ -299,38 +278,36 @@ def average_metric(metric_kind: str, cfg: NetworkConfig) -> tuple[float, float]:
 
     def inner_r(b: float) -> float:
         val, _ = integrate_interval_with_error(
-            lambda r: c2(b, r) * 2.0 * math.pi * lam * r * np.exp(-lam * math.pi * r * r),
+            lambda r: (rate_active(b, r, cfg) * 2.0 * math.pi * lam * r
+                       * np.exp(-lam * math.pi * r * r)),
             floor, geo.l, REGION_TOL,
         )
-        return c2(b, floor) * near_mass + val
+        return rate_active(b, floor, cfg) * near_mass + val
 
-    # Per region: the metric times the area inside the 1 m floor kink, the
-    # metric beyond it as a function of d_BU, and that part's d_BU interval.
+    # Per region: the rate times the area inside the 1 m floor kink, the
+    # rate beyond it as a function of d_BU, and that part's d_BU interval.
     regions = (
         # 1: BS-served disc, radial density 2 pi d / S_t.
-        (lambda: c1(floor) * math.pi * min(floor, geo.l_in) ** 2, c1, floor, geo.l_in),
+        (lambda: rate_direct(floor, cfg) * math.pi * min(floor, geo.l_in) ** 2,
+         lambda ds: rate_direct(ds, cfg), floor, geo.l_in),
         # 2: the ring, d_BI ~= d_BU, nearest-reflector distance density in r.
         (lambda: 0.0, lambda bs: np.array([inner_r(b) for b in bs]), geo.l_in, geo.l_out),
         # 3: beyond the ring, d_BI ~= L_out and d_IU = d_BU - L_out, clamped.
-        (lambda: c2(geo.l_out, floor) * math.pi * (split**2 - geo.l_out**2),
-         lambda bs: c2(geo.l_out, bs - geo.l_out), split, geo.l),
+        (lambda: rate_active(geo.l_out, floor, cfg) * math.pi * (split**2 - geo.l_out**2),
+         lambda bs: rate_active(geo.l_out, bs - geo.l_out, cfg), split, geo.l),
     )
     value = 0.0
     err_total = 0.0
-    for k, (at_floor, metric, lo, hi) in enumerate(regions, start=1):
+    for k, (at_floor, rate, lo, hi) in enumerate(regions, start=1):
         try:
             value += at_floor() / s_t
             if hi > lo:
                 val, err = integrate_interval_with_error(
-                    lambda x: metric(x) * x, lo, hi, REGION_TOL)
+                    lambda x: rate(x) * x, lo, hi, REGION_TOL)
                 value += 2.0 * math.pi * val / s_t
                 err_total += 2.0 * math.pi * err / s_t
         except IntegrationError as exc:
-            raise _named(exc, f"average_metric({metric_kind}) region {k} at {_point(cfg)}, "
+            raise _named(exc, f"average_metric region {k} at {_point(cfg)}, "
                               f"l_in={geo.l_in:g} m, l_out={geo.l_out:g} m") from exc
-
-    if metric_kind == "spatial_throughput":
-        value /= s_t
-        err_total /= s_t
-    return value, err_total
+    return value / s_t, err_total / s_t
 

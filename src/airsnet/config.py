@@ -135,7 +135,6 @@ class ExperimentConfig:
     # ring sweep
     ring_l_in_grid: tuple = (60.0, 90.0, 120.0)
     ring_l_out_grid: tuple = (110.0, 130.0, 150.0)
-    ring_metric: str = "spatial_throughput"
     # validate
     validate_m_iu_list: tuple = (1, 2, 3, 4)
     validate_n_list: tuple = (16, 64, 256)
@@ -211,8 +210,6 @@ _KEYS: tuple[tuple[str, Any, Any, str], ...] = (
     ("assoc_threshold", float, _positive, "cfg.assoc_threshold"),
     ("ring_l_in_grid_m", (list, float), _positive, "cfg.ring_l_in_grid"),
     ("ring_l_out_grid_m", (list, float), _positive, "cfg.ring_l_out_grid"),
-    ("ring_metric", str, _choice("snr_mean", "achievable_rate", "spatial_throughput"),
-     "cfg.ring_metric"),
     ("validate_m_iu_list", (list, int), _positive, "cfg.validate_m_iu_list"),
     ("validate_n_list", (list, int), _positive, "cfg.validate_n_list"),
     ("validate_d_bi_m", (list, float), _positive, "cfg.validate_d_bi_list"),

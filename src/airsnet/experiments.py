@@ -159,55 +159,56 @@ def _check_model_mc(cfg: ExperimentConfig, rows, checks):
     checks["model_mc_agreement"] = {"passed": bool(worst_z <= 3.0), "max_abs_z": worst_z}
 
 
-def _physical_vs_closed(cfg: ExperimentConfig, rows, section: str, irs_mode: str,
-                        closed_form):
-    """Rows of physical MC vs closed_form at m_IU=1, N=16 and 64; returns (gaps, means)."""
-    gaps, means = {}, {}
+def _check_physical(cfg: ExperimentConfig, rows, checks):
+    """Physical MC vs the closed forms at m_IU=1, N=16 and 64.
+
+    One channel draw per N feeds both the amplified section (physical_gap,
+    against mean_snr_closed) and the passive one (passive_gap, against
+    mean_snr_passive); the rows list the amplified section first.
+    """
+    sections = {"active": [], "passive": []}
+    gaps = {"active": {}, "passive": {}}
+    means = {}
     for n in (16, 64):
         net = _network_at(cfg, m_iu=1, n=n)
-        phys, se = simulate.physical_snr_mc(net, cfg.d_bi, cfg.d_iu, n=cfg.n_mc_physical,
-                                            seed=cfg.seed, irs_mode=irs_mode)
-        closed = closed_form(cfg.d_bi, cfg.d_iu, net)
-        gaps[n] = abs(phys - closed) / closed
-        means[n] = phys
+        phys = simulate.physical_snr_mc(net, cfg.d_bi, cfg.d_iu, n=cfg.n_mc_physical,
+                                        seed=cfg.seed)
         label = _point_label(m_iu=1, n=n, d_bi=cfg.d_bi, d_iu=cfg.d_iu)
-        rows.append(ResultRow(cfg.experiment, section, label,
-                              "mean_snr_physical", "monte_carlo", phys, se))
-        rows.append(ResultRow(cfg.experiment, section, label,
-                              "mean_snr", "closed_form", closed))
-        rows.append(ResultRow(cfg.experiment, section, label,
-                              "relative_gap", "monte_carlo", gaps[n]))
-    return gaps, means
-
-
-def _check_physical_gap(cfg: ExperimentConfig, rows, checks):
-    gaps, _ = _physical_vs_closed(cfg, rows, "physical_gap", "active",
-                                  analytic.mean_snr_closed)
+        for mode, section, closed_form in (("active", "physical_gap", analytic.mean_snr_closed),
+                                           ("passive", "passive_gap", analytic.mean_snr_passive)):
+            mean, se = phys[mode]
+            closed = closed_form(cfg.d_bi, cfg.d_iu, net)
+            gaps[mode][n] = abs(mean - closed) / closed
+            sections[mode] += [
+                ResultRow(cfg.experiment, section, label, "mean_snr_physical", "monte_carlo",
+                          mean, se),
+                ResultRow(cfg.experiment, section, label, "mean_snr", "closed_form", closed),
+                ResultRow(cfg.experiment, section, label, "relative_gap", "monte_carlo",
+                          gaps[mode][n]),
+            ]
+        means[n] = phys["passive"][0]
+    active, passive = gaps["active"], gaps["passive"]
+    rows += sections["active"]
     checks["physical_gap_shrinks"] = {
-        "passed": bool(gaps[64] < gaps[16]),
-        "gap_n16": gaps[16],
-        "gap_n64": gaps[64],
+        "passed": bool(active[64] < active[16]),
+        "gap_n16": active[16],
+        "gap_n64": active[64],
     }
 
-
-def _check_passive(cfg: ExperimentConfig, rows, checks):
-    net16 = _network_at(cfg, m_iu=1, n=16)
-    net32 = _network_at(cfg, m_iu=1, n=32)
-    v16 = analytic.mean_snr_passive(cfg.d_bi, cfg.d_iu, net16)
-    v32 = analytic.mean_snr_passive(cfg.d_bi, cfg.d_iu, net32)
+    v16 = analytic.mean_snr_passive(cfg.d_bi, cfg.d_iu, _network_at(cfg, m_iu=1, n=16))
+    v32 = analytic.mean_snr_passive(cfg.d_bi, cfg.d_iu, _network_at(cfg, m_iu=1, n=32))
     quadruple_exact = (v32 == 4.0 * v16)
     rows.append(ResultRow(cfg.experiment, "passive_scaling", "n16_to_n32",
                           "quadrupling_ratio", "closed_form", v32 / v16))
-    gaps, means = _physical_vs_closed(cfg, rows, "passive_gap", "passive",
-                                      analytic.mean_snr_passive)
+    rows += sections["passive"]
     # scaling diagnostics: the measured growth exponent between the two sizes
     exponent = math.log(means[64] / means[16]) / math.log(4.0)
     checks["passive_baseline"] = {
-        "passed": bool(quadruple_exact and gaps[64] < gaps[16]),
+        "passed": bool(quadruple_exact and passive[64] < passive[16]),
         "quadrupling_exact": bool(quadruple_exact),
-        "gap_n16": gaps[16],
-        "gap_n64": gaps[64],
-        "gap_shrinks": bool(gaps[64] < gaps[16]),
+        "gap_n16": passive[16],
+        "gap_n64": passive[64],
+        "gap_shrinks": bool(passive[64] < passive[16]),
         "mc_growth_exponent": exponent,
         "mc_ratio_64_over_16": means[64] / means[16],
     }
@@ -243,8 +244,7 @@ def _run_validate(cfg: ExperimentConfig):
     _check_direct_link_reductions(cfg, rows, checks)
     _check_equivalence(cfg, rows, checks)
     _check_model_mc(cfg, rows, checks)
-    _check_physical_gap(cfg, rows, checks)
-    _check_passive(cfg, rows, checks)
+    _check_physical(cfg, rows, checks)
     _check_budget_shape(cfg, rows, checks)
     summary = {
         "checks": checks,
@@ -277,10 +277,16 @@ def _run_mean_snr_vs_pf(cfg: ExperimentConfig):
     return rows, _budget_shape(list(cfg.pf_grid), values), 0
 
 
+def _require_two_samples(cfg: ExperimentConfig, drops_key: str):
+    """Reject a cell MC whose standard errors would rest on one per-user sample."""
+    n_drops = getattr(cfg, drops_key)
+    if n_drops * cfg.network.k_ues < 2:
+        raise ConfigError(f"standard errors need {drops_key} * k_ues >= 2 per-user samples, "
+                          f"got {n_drops} * {cfg.network.k_ues}")
+
+
 def _run_density_sweep(cfg: ExperimentConfig):
-    if cfg.sweep_n_drops * cfg.network.k_ues < 2:
-        raise ConfigError("standard errors need sweep_n_drops * k_ues >= 2 per-user samples, "
-                          f"got {cfg.sweep_n_drops} * {cfg.network.k_ues}")
+    _require_two_samples(cfg, "sweep_n_drops")
     rows: list[ResultRow] = []
     summary: dict = {}
     for mode in ("active", "passive"):
@@ -288,7 +294,6 @@ def _run_density_sweep(cfg: ExperimentConfig):
             cfg.network,
             cfg.n_total_elements,
             cfg.density_m_list,
-            policy="nearest",
             seed=cfg.seed,
             irs_mode=mode,
             p_f_total=cfg.p_f_total,
@@ -325,6 +330,7 @@ def _run_density_sweep(cfg: ExperimentConfig):
 
 
 def _run_association_compare(cfg: ExperimentConfig):
+    _require_two_samples(cfg, "assoc_n_drops")
     rows: list[ResultRow] = []
     summary: dict = {}
     for n in cfg.assoc_n_list:
@@ -356,7 +362,7 @@ def _run_association_compare(cfg: ExperimentConfig):
 
 def _run_ring_sweep(cfg: ExperimentConfig):
     rows: list[ResultRow] = []
-    metric = cfg.ring_metric
+    metric = "spatial_throughput"
     best = None
     for l_in in cfg.ring_l_in_grid:
         for l_out in cfg.ring_l_out_grid:
@@ -366,7 +372,7 @@ def _run_ring_sweep(cfg: ExperimentConfig):
                 cfg.network,
                 geometry=replace(cfg.network.geometry, l_in=l_in, l_out=l_out),
             )
-            value, err = analytic.average_metric(metric, net)
+            value, err = analytic.average_metric(net)
             label = _point_label(l_in=l_in, l_out=l_out)
             rows.append(ResultRow(cfg.experiment, "ring", label, metric, "quadrature", value, err))
             if best is None or value > best[2]:

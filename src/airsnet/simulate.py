@@ -147,13 +147,6 @@ def associate(real: NetworkRealization, policy: str,
     return NetworkRealization(real.irs_positions, real.ue_positions, association)
 
 
-def _snr_kernel(irs_mode: str):
-    """The reflected-link SNR kernel of irs_mode, read from the module globals."""
-    if irs_mode not in ("active", "passive"):
-        raise ConfigError(f"unknown irs_mode {irs_mode!r}")
-    return snr_active_batch if irs_mode == "active" else snr_passive_batch
-
-
 def _drop_worker(cfg: NetworkConfig, policy: str, kernel, n_fading: int,
                  seed: int, drop_index: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-user fading-averaged SNR and rate for one drop, in user order."""
@@ -203,7 +196,9 @@ def simulate_cell(cfg: NetworkConfig, policy: str = "nearest", *,
     """
     if n_drops < 1 or n_fading < 1:
         raise ConfigError("n_drops and n_fading must be >= 1")
-    kernel = _snr_kernel(irs_mode)
+    if irs_mode not in ("active", "passive"):
+        raise ConfigError(f"unknown irs_mode {irs_mode!r}")
+    kernel = snr_active_batch if irs_mode == "active" else snr_passive_batch
 
     results: list[tuple[np.ndarray, np.ndarray] | None] = [None] * n_drops
     if threads > 1:
@@ -236,13 +231,13 @@ def simulate_cell(cfg: NetworkConfig, policy: str = "nearest", *,
 
 
 def sweep_density(cfg: NetworkConfig, n_total_elements: int, m_values,
-                  policy: str = "nearest", seed: int = 0,
-                  irs_mode: str = "active", *, p_f_total: float,
+                  seed: int = 0, irs_mode: str = "active", *, p_f_total: float,
                   n_drops: int, n_fading: int,
                   threads: int = 1, power_budget: str = "split-total") -> list[dict]:
     """Spatial throughput versus reflector count at a fixed element budget.
 
-    Each entry runs simulate_cell with M reflectors of N = n_total/M elements.
+    Each entry runs simulate_cell with M reflectors of N = n_total/M elements,
+    users served by the nearest reflector.
     power_budget="split-total" (default) gives each reflector p_f_total / M so
     the network-wide amplification power stays constant across the sweep;
     "fixed-per-irs" gives every reflector p_f_total regardless of M (total
@@ -269,7 +264,7 @@ def sweep_density(cfg: NetworkConfig, n_total_elements: int, m_values,
             power=replace(cfg.power, p_f=p_f_each),
         )
         est = simulate_cell(
-            swept, policy=policy, n_drops=n_drops, n_fading=n_fading,
+            swept, n_drops=n_drops, n_fading=n_fading,
             seed=seed, irs_mode=irs_mode, threads=threads,
         )
         rows.append(
@@ -368,22 +363,22 @@ def model_snr_moment_mc(cfg: NetworkConfig, d_bi: float, d_iu: float,
 
 
 def physical_snr_mc(cfg: NetworkConfig, d_bi: float, d_iu: float,
-                    n: int = 1_000_000, seed: int = 0,
-                    irs_mode: str = "active") -> tuple[float, float]:
+                    n: int = 1_000_000, seed: int = 0) -> dict[str, tuple[float, float]]:
     """Monte-Carlo mean SNR of the physical per-element channel at fixed
-    distances, with the budget-exhausting gain recomputed per draw.
+    distances, amplified (budget-exhausting gain recomputed per draw) and
+    phase-only passive, both from the same channel draws.
 
-    Returns (mean, standard error).
+    Returns {"active": (mean, standard error), "passive": (mean, standard error)}.
     """
     rng = _stream(seed, 998, 4)
     n_el = cfg.geometry.n_elements
     zeta_bi = cfg.path_gain(d_bi)
     zeta_iu = cfg.path_gain(d_iu)
-    kernel = _snr_kernel(irs_mode)
-    acc = _Moments()
+    active, passive = _Moments(), _Moments()
     for start in range(0, n, _PHYSICAL_BLOCK):
         b = min(_PHYSICAL_BLOCK, n - start)
         pow_bi = sample_nakagami_power(cfg.m_bi, rng, (b, n_el))
         pow_iu = sample_nakagami_power(cfg.m_iu, rng, (b, n_el))
-        acc.add(kernel(pow_bi, pow_iu, zeta_bi, zeta_iu, cfg.power))
-    return acc.mean_se()
+        active.add(snr_active_batch(pow_bi, pow_iu, zeta_bi, zeta_iu, cfg.power))
+        passive.add(snr_passive_batch(pow_bi, pow_iu, zeta_bi, zeta_iu, cfg.power))
+    return {"active": active.mean_se(), "passive": passive.mean_se()}

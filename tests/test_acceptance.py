@@ -141,7 +141,7 @@ def test_criterion_05_physical_gap_monotone():
     gaps = {}
     for n in (16, 64):
         cfg = grid_cfg(1, n, 0.01)
-        phys, se = physical_snr_mc(cfg, 100.0, 30.0, n=1_000_000, seed=SEED)
+        phys, se = physical_snr_mc(cfg, 100.0, 30.0, n=1_000_000, seed=SEED)["active"]
         eq17 = an.mean_snr_closed(100.0, 30.0, cfg)
         gaps[n] = abs(phys - eq17) / eq17
         print(f"  physical N={n}: MC {phys:.4f} +- {se:.4f}, analytic {eq17:.4e}, "
@@ -172,9 +172,7 @@ def test_criterion_06_passive_baseline():
     dev_k = {}
     for n in (16, 64):
         cfg = grid_cfg(1, n, 0.01)
-        phys, se = physical_snr_mc(
-            cfg, 100.0, 30.0, n=1_000_000, seed=SEED, irs_mode="passive"
-        )
+        phys, se = physical_snr_mc(cfg, 100.0, 30.0, n=1_000_000, seed=SEED)["passive"]
         eq18 = an.mean_snr_passive(100.0, 30.0, cfg)
         exact = passive_moment_ratio(n, cfg.m_bi, cfg.m_iu) * eq18
         gaps[n] = abs(phys - eq18) / eq18
@@ -243,7 +241,7 @@ def test_criterion_08_density_sweep_findings():
 
     def sweep(mode, m_values, budget):
         rows = sweep_density(
-            net, 512, m_values, policy="nearest", seed=SEED, irs_mode=mode,
+            net, 512, m_values, seed=SEED, irs_mode=mode,
             p_f_total=1e-5, n_drops=2000, n_fading=2, power_budget=budget,
         )
         tps = [r["spatial_throughput"] for r in rows]

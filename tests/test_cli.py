@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from airsnet import analytic
+from airsnet import analytic, simulate
 from airsnet.cli import main
 from airsnet.config import ConfigError, dbm_to_watts, effective_dict, parse_config
 from airsnet.experiments import run_experiment
@@ -100,8 +100,7 @@ class TestParseConfig:
             parse_config(None, [item])
 
     def test_every_key_round_trips_a_non_default_value(self, tmp_path):
-        others = {"experiment": "ring-sweep", "ring_metric": "snr_mean",
-                  "density_power_budget": "fixed-per-irs"}
+        others = {"experiment": "ring-sweep", "density_power_budget": "fixed-per-irs"}
         defaults = effective_dict(parse_config())
         changed = {}
         for key, value in defaults.items():
@@ -248,15 +247,17 @@ class TestCliRuns:
         assert "n16" in summary
         assert summary["n16"]["ratio_nearest_over_best"] > 0.5
 
-    def test_ring_sweep_smoke(self, tmp_path):
+    def test_ring_sweep_smoke(self, tmp_path, capsys):
         out = tmp_path / "ring"
-        code = main(["ring-sweep", "--out", str(out),
-                     "--set", "ring_l_in_grid_m=[100]",
-                     "--set", "ring_l_out_grid_m=[130]",
-                     "--set", "ring_metric=achievable_rate"])
-        assert code == 0
+        args = ["ring-sweep", "--out", str(out),
+                "--set", "ring_l_in_grid_m=[100]", "--set", "ring_l_out_grid_m=[130]"]
+        assert main(args) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["best_l_in"] == 100.0
+        assert summary["metric"] == "spatial_throughput"
+        # spatial throughput is the only positional metric
+        assert main(args + ["--set", "ring_metric=achievable_rate"]) == 2
+        assert "ring_metric" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", [["--tolerance", "-1"], ["--threads", "0"]])
     def test_flags_pass_the_config_validators(self, tmp_path, flag):
@@ -282,14 +283,32 @@ class TestCliRuns:
             assert part in err
         assert not out.exists()
 
-    def test_density_sweep_needs_two_samples(self, tmp_path, capsys, monkeypatch):
-        # one drop of one user leaves both standard errors at 0
+    @pytest.mark.parametrize("experiment, drops_key, extra", [
+        ("density-sweep", "sweep_n_drops", []),
+        ("association-compare", "assoc_n_drops", ["--set", "assoc_n_list=[16]"]),
+    ], ids=["density-sweep", "association-compare"])
+    def test_density_sweep_needs_two_samples(self, tmp_path, capsys, monkeypatch,
+                                             experiment, drops_key, extra):
+        # one drop of one user leaves every standard error at 0
         monkeypatch.setattr("airsnet.simulate.drop", no_work)
-        code = main(["density-sweep", "--out", str(tmp_path / "x"),
-                     "--set", "sweep_n_drops=1", "--set", "k_ues=1"])
+        code = main([experiment, "--out", str(tmp_path / "x"),
+                     "--set", f"{drops_key}=1", "--set", "k_ues=1", *extra])
         assert code == 2
         err = capsys.readouterr().err
-        assert "sweep_n_drops" in err and "k_ues" in err
+        assert drops_key in err and "k_ues" in err
+
+    def test_validate_draws_the_physical_channel_once_per_n(self, tmp_path, monkeypatch):
+        # the amplified and passive physical checks share each N's draw
+        calls = []
+        physical = simulate.physical_snr_mc
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["n"])
+            return physical(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "physical_snr_mc", counted)
+        assert main(["validate", "--out", str(tmp_path / "x")] + FAST_VALIDATE) in (0, 1)
+        assert calls == [20000, 20000]
 
     def test_exhausted_quadrature_names_the_point(self, tmp_path, capsys, monkeypatch):
         def exhausted(f, *args, **kwargs):
