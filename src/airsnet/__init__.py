@@ -18,7 +18,7 @@ from .channel import PowerParams
 from .config import ExperimentConfig, GeometryConfig, NetworkConfig, parse_config
 from .mathkit import QuadratureRule, exp_en_scaled, gauss_laguerre, ln_gamma
 from .mixgamma import MixtureGamma, cascaded_power_dist, direct_power_dist
-from .simulate import NetworkRealization, SimEstimate, simulate_cell, sweep_density
+from .simulate import SimEstimate, simulate_cell, sweep_density
 
 __version__ = "0.1.0"
 
@@ -42,7 +42,6 @@ __all__ = [
     "MixtureGamma",
     "cascaded_power_dist",
     "direct_power_dist",
-    "NetworkRealization",
     "SimEstimate",
     "simulate_cell",
     "sweep_density",

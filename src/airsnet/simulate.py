@@ -1,17 +1,20 @@
 """Network-scale Monte Carlo: random drops, association, cell simulation.
 
-Randomness is counter-keyed: every (seed, drop, purpose) tuple maps to its
-own SFC64 stream, and within a drop the draw order is fixed, so results are
-bit-identical no matter how drops are scheduled across threads. Per-drop
-partials are merged in drop order. The validation estimators draw in
+A drop is two position arrays, and its association one array of serving
+indices. Randomness is counter-keyed: every (seed, drop, purpose) tuple maps
+to its own SFC64 stream, and within a drop the draw order is fixed, so results
+are bit-identical no matter how drops are scheduled across threads. Per-drop
+means are concatenated in drop order. The validation estimators draw in
 cache-sized blocks and merge block means and variances.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -26,7 +29,6 @@ from .config import ConfigError, NetworkConfig
 from .mixgamma import InvalidDistributionError
 
 __all__ = [
-    "NetworkRealization",
     "SimEstimate",
     "drop",
     "associate",
@@ -41,19 +43,6 @@ _TAG_GEOMETRY = 1
 _TAG_FADING = 2
 _MODEL_BLOCK = 1 << 16  # model-MC draws per block: its temporaries stay in cache
 _PHYSICAL_BLOCK = 4096  # physical-MC channel rows per block
-
-
-@dataclass
-class NetworkRealization:
-    """One random drop: reflector/user positions and the association map.
-
-    association[k] is -1 for BS-served users and otherwise the index of the
-    serving reflector.
-    """
-
-    irs_positions: np.ndarray
-    ue_positions: np.ndarray
-    association: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -105,8 +94,8 @@ def _stream(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(key))
 
 
-def drop(cfg: NetworkConfig, seed: int, drop_index: int) -> NetworkRealization:
-    """Draw one realization: reflectors area-uniform in the ring, users in the disc."""
+def drop(cfg: NetworkConfig, seed: int, drop_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """Draw one drop: (M, 2) reflectors area-uniform in the ring, (K, 2) users in the disc."""
     geo = cfg.geometry
     rng = _stream(seed, drop_index, _TAG_GEOMETRY)
     u = rng.uniform(size=geo.m_irs)
@@ -116,16 +105,12 @@ def drop(cfg: NetworkConfig, seed: int, drop_index: int) -> NetworkRealization:
     ue_th = rng.uniform(0.0, 2.0 * math.pi, size=cfg.k_ues)
     irs = np.column_stack([irs_r * np.cos(irs_th), irs_r * np.sin(irs_th)])
     ue = np.column_stack([ue_r * np.cos(ue_th), ue_r * np.sin(ue_th)])
-    return NetworkRealization(
-        irs_positions=irs,
-        ue_positions=ue,
-        association=np.full(cfg.k_ues, -1, dtype=np.int64),
-    )
+    return irs, ue
 
 
-def associate(real: NetworkRealization, policy: str,
-              cfg: NetworkConfig) -> NetworkRealization:
-    """Tag each user: BS if inside the coverage radius, else per policy.
+def associate(irs: np.ndarray, ue: np.ndarray, policy: str,
+              cfg: NetworkConfig) -> np.ndarray:
+    """Each user's server: -1 (the BS) inside the coverage radius, else a reflector index.
 
     nearest: the geometrically closest reflector. best_irs: the reflector
     maximizing the analytic mean SNR at the user's (d_BI, d_IU) pair. Ties
@@ -133,54 +118,40 @@ def associate(real: NetworkRealization, policy: str,
     """
     if policy not in ("nearest", "best_irs"):
         raise ConfigError(f"unknown association policy {policy!r}")
-    geo = cfg.geometry
-    ue_radius = np.linalg.norm(real.ue_positions, axis=1)
-    deltas = real.ue_positions[:, None, :] - real.irs_positions[None, :, :]
-    d_iu = np.linalg.norm(deltas, axis=2)
+    d_iu = np.linalg.norm(ue[:, None, :] - irs[None, :, :], axis=2)  # (users, reflectors)
     if policy == "nearest":
         choice = np.argmin(d_iu, axis=1)
     else:
-        d_bi = np.linalg.norm(real.irs_positions, axis=1)
-        score = analytic.mean_snr_closed(d_bi, d_iu, cfg)  # (users, reflectors)
-        choice = np.argmax(score, axis=1)
-    association = np.where(ue_radius < geo.l_in, -1, choice)
-    return NetworkRealization(real.irs_positions, real.ue_positions, association)
+        d_bi = np.linalg.norm(irs, axis=1)
+        choice = np.argmax(analytic.mean_snr_closed(d_bi, d_iu, cfg), axis=1)
+    return np.where(np.linalg.norm(ue, axis=1) < cfg.geometry.l_in, -1, choice)
 
 
 def _drop_worker(cfg: NetworkConfig, policy: str, kernel, n_fading: int,
                  seed: int, drop_index: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-user fading-averaged SNR and rate for one drop, in user order."""
-    real = associate(drop(cfg, seed, drop_index), policy, cfg)
+    irs, ue = drop(cfg, seed, drop_index)
+    server = associate(irs, ue, policy, cfg)
     rng = _stream(seed, drop_index, _TAG_FADING)
     p = cfg.power
-    k = cfg.k_ues
-    snr_mean = np.empty(k)
-    rate_mean = np.empty(k)
-
-    direct = real.association < 0
-    # Draw order is fixed (direct block, then reflector block) so results do
+    direct = np.flatnonzero(server < 0)
+    relayed = np.flatnonzero(server >= 0)
+    snr = np.empty((cfg.k_ues, n_fading))
+    # Draw order is fixed (direct rows, then reflector rows) so results do
     # not depend on how drops are scheduled.
-    if direct.any():
-        idx = np.flatnonzero(direct)
-        pows = sample_nakagami_power(cfg.m_bu, rng, (idx.size, n_fading))
-        zeta = cfg.path_gain(np.linalg.norm(real.ue_positions[idx], axis=1))
-        snr = snr_direct_batch(pows, zeta[:, None], p)
-        snr_mean[idx] = snr.mean(axis=1)
-        rate_mean[idx] = np.log2(1.0 + snr).mean(axis=1)
-    if (~direct).any():
-        idx = np.flatnonzero(~direct)
+    if direct.size:
+        pows = sample_nakagami_power(cfg.m_bu, rng, (direct.size, n_fading))
+        zeta = cfg.path_gain(np.linalg.norm(ue[direct], axis=1))
+        snr[direct] = snr_direct_batch(pows, zeta[:, None], p)
+    if relayed.size:
         n = cfg.geometry.n_elements
-        serving = real.irs_positions[real.association[idx]]
-        zeta_bi = cfg.path_gain(np.linalg.norm(serving, axis=1))
-        zeta_iu = cfg.path_gain(np.linalg.norm(real.ue_positions[idx] - serving, axis=1))
-        flat_bi = sample_nakagami_power(cfg.m_bi, rng, (idx.size * n_fading, n))
-        flat_iu = sample_nakagami_power(cfg.m_iu, rng, (idx.size * n_fading, n))
-        zb = np.repeat(zeta_bi, n_fading)
-        zi = np.repeat(zeta_iu, n_fading)
-        snr = kernel(flat_bi, flat_iu, zb, zi, p).reshape(idx.size, n_fading)
-        snr_mean[idx] = snr.mean(axis=1)
-        rate_mean[idx] = np.log2(1.0 + snr).mean(axis=1)
-    return snr_mean, rate_mean
+        at = irs[server[relayed]]
+        zeta_bi = np.repeat(cfg.path_gain(np.linalg.norm(at, axis=1)), n_fading)
+        zeta_iu = np.repeat(cfg.path_gain(np.linalg.norm(ue[relayed] - at, axis=1)), n_fading)
+        pow_bi = sample_nakagami_power(cfg.m_bi, rng, (relayed.size * n_fading, n))
+        pow_iu = sample_nakagami_power(cfg.m_iu, rng, (relayed.size * n_fading, n))
+        snr[relayed] = kernel(pow_bi, pow_iu, zeta_bi, zeta_iu, p).reshape(relayed.size, n_fading)
+    return snr.mean(axis=1), np.log2(1.0 + snr).mean(axis=1)
 
 
 def simulate_cell(cfg: NetworkConfig, policy: str = "nearest", *,
@@ -193,6 +164,7 @@ def simulate_cell(cfg: NetworkConfig, policy: str = "nearest", *,
     standard errors treat those per-user means as the independent samples
     (fading draws at a fixed position are not independent positional
     samples). spatial throughput = positional rate average / cell area.
+    At most os.cpu_count() threads run the drops.
     """
     if n_drops < 1 or n_fading < 1:
         raise ConfigError("n_drops and n_fading must be >= 1")
@@ -200,22 +172,14 @@ def simulate_cell(cfg: NetworkConfig, policy: str = "nearest", *,
         raise ConfigError(f"unknown irs_mode {irs_mode!r}")
     kernel = snr_active_batch if irs_mode == "active" else snr_passive_batch
 
-    results: list[tuple[np.ndarray, np.ndarray] | None] = [None] * n_drops
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for i, res in enumerate(
-                pool.map(
-                    lambda d: _drop_worker(cfg, policy, kernel, n_fading, seed, d),
-                    range(n_drops),
-                )
-            ):
-                results[i] = res
+    work = partial(_drop_worker, cfg, policy, kernel, n_fading, seed)
+    workers = min(threads, os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            per_drop = list(pool.map(work, range(n_drops)))
     else:
-        for i in range(n_drops):
-            results[i] = _drop_worker(cfg, policy, kernel, n_fading, seed, i)
-
-    snr_ue = np.concatenate([r[0] for r in results])
-    rate_ue = np.concatenate([r[1] for r in results])
+        per_drop = list(map(work, range(n_drops)))
+    snr_ue, rate_ue = np.concatenate(per_drop, axis=1)
 
     def estimate(values: np.ndarray, scale: float = 1.0) -> SimEstimate:
         n = values.size
@@ -247,7 +211,10 @@ def sweep_density(cfg: NetworkConfig, n_total_elements: int, m_values,
     m_values = [int(m) for m in m_values]
     bad = [m for m in m_values if n_total_elements % m != 0]
     if bad:
-        divisors = [d for d in range(1, n_total_elements + 1) if n_total_elements % d == 0]
+        small = [d for d in range(1, math.isqrt(n_total_elements) + 1)
+                 if n_total_elements % d == 0]
+        divisors = small + [n_total_elements // d for d in reversed(small)
+                            if d * d != n_total_elements]
         raise ConfigError(
             f"m_values {bad} do not divide n_total_elements={n_total_elements}; "
             f"valid divisors: {divisors}"

@@ -190,10 +190,13 @@ class TestEquivalenceTriangle:
             ({}, 100.0, 30.0, 0.00042069700990758055),
             ({"m_iu": 0.5, "p_f": 10.0, "glq_order": 64}, 100.0, 0.5, 241902.87414270442),
             ({"m_iu": 2.5, "m_bi": 0.5, "n": 16, "p_f": 1e-4}, 1.0, 190.0, 0.012711800525993612),
-            ({"m_iu": 37.3, "n": 512, "glq_order": 4}, 200.0, 12.0, 9.771631364829776e-15),
+            ({"m_iu": 37.3, "n": 512, "glq_order": 20}, 200.0, 12.0, 0.00038057340997163806),
         ]
         for kw, d_bi, d_iu, frozen in points:
             assert an.mean_snr_closed(d_bi, d_iu, make_cfg(**kw)) == frozen, kw
+        # an order-4 rule is exact only up to m_iu = 7
+        with pytest.raises(ConfigError, match="m_iu=37.3 needs glq_order >= 20"):
+            an.mean_snr_closed(200.0, 12.0, make_cfg(m_iu=37.3, n=512, glq_order=4))
         grid = an.mean_snr_closed(np.array([[1.0], [100.0], [200.0]]),
                                   np.array([0.5, 30.0, 190.0]), make_cfg(m_iu=4.0, p_f=10.0))
         assert np.array_equal(grid, [
@@ -556,6 +559,34 @@ def budget_stub(f, *args, **kwargs):
     achieved = np.arange(1.0, values.shape[1] + 1.0) if values.ndim == 2 else 1.0
     raise IntegrationError("integration budget exceeded (16385 panels)",
                            values.sum(axis=0), achieved)
+
+
+class TestLaguerreOrderBound:
+    @pytest.mark.parametrize("order", [4, 20, 64])
+    def test_mixture_keeps_its_mean_up_to_the_bound(self, order):
+        # sum_i mass_i t_i = Gamma(m+1)/Gamma(m) = m holds exactly while the
+        # order-n rule integrates t^m, that is for integer m <= 2n - 1
+        nodes, weights = np.polynomial.laguerre.laggauss(order)
+        m = 2 * order - 1
+        mean = math.fsum(weights * nodes**m) / math.gamma(m)
+        assert rel_err(mean, m) < 1e-9
+        cfg = make_cfg(m_iu=m, glq_order=order)
+        assert math.isfinite(an.mean_snr_closed(100.0, 30.0, cfg))
+
+    def test_past_the_bound_every_route_refuses(self):
+        # at order 20 the m_iu = 100 mixture keeps 3.5e-4 of its mean, so the
+        # closed form and the moment quadrature would agree on a value
+        # thousands of times too low
+        cfg = make_cfg(m_iu=100)
+        for call in (lambda: an.mean_snr_closed(100.0, 30.0, cfg),
+                     lambda: an.mean_snr_integral(100.0, 30.0, cfg),
+                     lambda: an.snr_moment_active(100.0, 30.0, cfg),
+                     lambda: an.rate_active(100.0, 30.0, cfg),
+                     lambda: an.mean_snr_passive(100.0, 30.0, cfg)):
+            with pytest.raises(ConfigError, match=r"m_iu=100 needs glq_order >= 51, "
+                                                  r"got glq_order=20"):
+                call()
+        assert math.isfinite(an.rate_active(100.0, 30.0, replace(cfg, glq_order=64)))
 
 
 class TestErrorsNameThePoint:

@@ -310,6 +310,16 @@ class TestCliRuns:
         assert main(["validate", "--out", str(tmp_path / "x")] + FAST_VALIDATE) in (0, 1)
         assert calls == [20000, 20000]
 
+    def test_shape_past_the_laguerre_order_exits_2(self, tmp_path, capsys):
+        # an order-20 rule is exact only up to m_iu = 39; at m_iu = 100 it would
+        # report rates thousands of times too low
+        ring = ["ring-sweep", "--set", "m_iu=100", "--set", "ring_l_in_grid_m=[90]",
+                "--set", "ring_l_out_grid_m=[130]"]
+        assert main(ring + ["--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "m_iu=100" in err and "glq_order=20" in err
+        assert main(ring + ["--set", "glq_order=64", "--out", str(tmp_path / "y")]) == 0
+
     def test_exhausted_quadrature_names_the_point(self, tmp_path, capsys, monkeypatch):
         def exhausted(f, *args, **kwargs):
             raise IntegrationError("integration budget exceeded (16385 panels)",

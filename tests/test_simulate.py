@@ -1,16 +1,17 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from airsnet import analytic as an
+from airsnet import simulate
 from airsnet.channel import PowerParams
 from airsnet.config import ConfigError, GeometryConfig, NetworkConfig
 from airsnet.mathkit import integrate_interval_with_error
 from airsnet.simulate import (
     _MODEL_BLOCK,
     _PHYSICAL_BLOCK,
-    NetworkRealization,
     _Moments,
     associate,
     drop,
@@ -40,8 +41,8 @@ class TestDrop:
         cfg = make_cfg(geom={"m_irs": 8})
         total, count = 0.0, 0
         for i in range(2000):
-            real = drop(cfg, seed=11, drop_index=i)
-            r2 = (real.irs_positions**2).sum(axis=1)
+            irs, _ = drop(cfg, seed=11, drop_index=i)
+            r2 = (irs**2).sum(axis=1)
             total += r2.sum()
             count += r2.size
         expected = (cfg.geometry.l_in**2 + cfg.geometry.l_out**2) / 2.0
@@ -51,8 +52,8 @@ class TestDrop:
         cfg = make_cfg()
         inside, total = 0, 0
         for i in range(400):
-            real = drop(cfg, seed=2, drop_index=i)
-            radius = np.linalg.norm(real.ue_positions, axis=1)
+            _, ue = drop(cfg, seed=2, drop_index=i)
+            radius = np.linalg.norm(ue, axis=1)
             inside += int((radius < cfg.geometry.l_in).sum())
             total += radius.size
         p = cfg.geometry.l_in**2 / cfg.geometry.l**2
@@ -61,57 +62,50 @@ class TestDrop:
 
     def test_positions_within_bounds(self):
         cfg = make_cfg()
-        real = drop(cfg, seed=5, drop_index=0)
-        irs_r = np.linalg.norm(real.irs_positions, axis=1)
-        ue_r = np.linalg.norm(real.ue_positions, axis=1)
+        irs, ue = drop(cfg, seed=5, drop_index=0)
+        assert irs.shape == (cfg.geometry.m_irs, 2) and ue.shape == (cfg.k_ues, 2)
+        irs_r = np.linalg.norm(irs, axis=1)
+        ue_r = np.linalg.norm(ue, axis=1)
         assert np.all((irs_r >= cfg.geometry.l_in) & (irs_r <= cfg.geometry.l_out))
         assert np.all(ue_r <= cfg.geometry.l)
 
     def test_deterministic_per_index(self):
         cfg = make_cfg()
-        a = drop(cfg, seed=9, drop_index=17)
-        b = drop(cfg, seed=9, drop_index=17)
-        assert np.array_equal(a.irs_positions, b.irs_positions)
-        assert np.array_equal(a.ue_positions, b.ue_positions)
-        c = drop(cfg, seed=9, drop_index=18)
-        assert not np.array_equal(a.ue_positions, c.ue_positions)
+        a_irs, a_ue = drop(cfg, seed=9, drop_index=17)
+        b_irs, b_ue = drop(cfg, seed=9, drop_index=17)
+        assert np.array_equal(a_irs, b_irs)
+        assert np.array_equal(a_ue, b_ue)
+        _, c_ue = drop(cfg, seed=9, drop_index=18)
+        assert not np.array_equal(a_ue, c_ue)
 
 
 class TestAssociate:
     def test_single_irs_policies_agree(self):
         cfg = make_cfg(geom={"m_irs": 1})
-        real = drop(cfg, seed=1, drop_index=0)
-        near = associate(real, "nearest", cfg)
-        best = associate(real, "best_irs", cfg)
-        assert np.array_equal(near.association, best.association)
+        irs, ue = drop(cfg, seed=1, drop_index=0)
+        near = associate(irs, ue, "nearest", cfg)
+        best = associate(irs, ue, "best_irs", cfg)
+        assert np.array_equal(near, best)
 
     def test_threshold_rule(self):
         cfg = make_cfg()
-        real = NetworkRealization(
-            irs_positions=np.array([[115.0, 0.0]]),
-            ue_positions=np.array(
-                [[cfg.geometry.l_in - 1e-6, 0.0], [cfg.geometry.l_in + 1e-6, 0.0]]
-            ),
-            association=np.full(2, -1),
-        )
+        irs = np.array([[115.0, 0.0]])
+        ue = np.array([[cfg.geometry.l_in - 1e-6, 0.0], [cfg.geometry.l_in + 1e-6, 0.0]])
         for policy in ("nearest", "best_irs"):
-            out = associate(real, policy, cfg)
-            assert out.association[0] == -1
-            assert out.association[1] == 0
+            out = associate(irs, ue, policy, cfg)
+            assert out[0] == -1
+            assert out[1] == 0
 
     def test_constructed_case_where_nearest_is_not_best(self):
         # reflector B is nearer to the user but has a much longer BS hop;
         # the analytic mean SNR prefers reflector A
         cfg = make_cfg(geom={"m_irs": 2, "n_elements": 16})
-        real = NetworkRealization(
-            irs_positions=np.array([[100.0, 0.0], [130.0, 0.0]]),
-            ue_positions=np.array([[116.0, 0.0]]),
-            association=np.full(1, -1),
-        )
-        near = associate(real, "nearest", cfg)
-        best = associate(real, "best_irs", cfg)
-        assert near.association[0] == 1
-        assert best.association[0] == 0
+        irs = np.array([[100.0, 0.0], [130.0, 0.0]])
+        ue = np.array([[116.0, 0.0]])
+        near = associate(irs, ue, "nearest", cfg)
+        best = associate(irs, ue, "best_irs", cfg)
+        assert near[0] == 1
+        assert best[0] == 0
         score_a = an.mean_snr_closed(100.0, 16.0, cfg)
         score_b = an.mean_snr_closed(130.0, 14.0, cfg)
         assert score_a > score_b
@@ -122,41 +116,38 @@ class TestAssociate:
         # 0.5 m from reflector 0; the closed form has no budget to exhaust
         cfg = make_cfg(geom={"m_irs": 2}, m_iu=0.5, glq_order=64,
                        power=PowerParams(p_t=1.0, p_f=10.0, sigma2=1e-11, sigma_f2=1e-10))
-        real = NetworkRealization(
-            irs_positions=np.array([[100.0, 0.0], [0.0, 120.0]]),
-            ue_positions=np.array([[100.5, 0.0], [0.0, 130.0]]),
-            association=np.full(2, -1),
-        )
-        assert associate(real, "best_irs", cfg).association.tolist() == [0, 1]
+        irs = np.array([[100.0, 0.0], [0.0, 120.0]])
+        ue = np.array([[100.5, 0.0], [0.0, 130.0]])
+        assert associate(irs, ue, "best_irs", cfg).tolist() == [0, 1]
 
     @pytest.mark.parametrize("m_iu", [2.0, 2.5])
     def test_best_irs_is_quadrature_argmax(self, m_iu):
         # oracle: the per-pair argmax of the independent per-node quadrature
         cfg = make_cfg(geom={"m_irs": 6, "n_elements": 32}, k_ues=12, m_iu=m_iu)
         for drop_index in (0, 1):
-            real = drop(cfg, seed=404, drop_index=drop_index)
-            best = associate(real, "best_irs", cfg).association
-            d_bi = np.linalg.norm(real.irs_positions, axis=1)
-            outside = np.linalg.norm(real.ue_positions, axis=1) >= cfg.geometry.l_in
+            irs, ue = drop(cfg, seed=404, drop_index=drop_index)
+            best = associate(irs, ue, "best_irs", cfg)
+            d_bi = np.linalg.norm(irs, axis=1)
+            outside = np.linalg.norm(ue, axis=1) >= cfg.geometry.l_in
             assert outside.any()
             for k in np.flatnonzero(outside):
-                d_iu = np.linalg.norm(real.irs_positions - real.ue_positions[k], axis=1)
+                d_iu = np.linalg.norm(irs - ue[k], axis=1)
                 scores = [an.mean_snr_integral(b, r, cfg) for b, r in zip(d_bi, d_iu)]
                 assert best[k] == int(np.argmax(scores)), (drop_index, k)
 
     def test_partition_depends_only_on_radius(self):
         cfg = make_cfg()
-        real = drop(cfg, seed=21, drop_index=0)
-        radius = np.linalg.norm(real.ue_positions, axis=1)
+        irs, ue = drop(cfg, seed=21, drop_index=0)
+        radius = np.linalg.norm(ue, axis=1)
         for policy in ("nearest", "best_irs"):
-            out = associate(real, policy, cfg)
-            assert np.array_equal(out.association < 0, radius < cfg.geometry.l_in)
+            out = associate(irs, ue, policy, cfg)
+            assert np.array_equal(out < 0, radius < cfg.geometry.l_in)
 
     def test_unknown_policy(self):
         cfg = make_cfg()
-        real = drop(cfg, seed=0, drop_index=0)
+        irs, ue = drop(cfg, seed=0, drop_index=0)
         with pytest.raises(ConfigError):
-            associate(real, "strongest", cfg)
+            associate(irs, ue, "strongest", cfg)
 
 
 class TestSimulateCell:
@@ -184,12 +175,10 @@ class TestSimulateCell:
         # dedicated fixed-distance physical MC at the same (d_BI, d_IU), and
         # its gap to the analytic mean is the known model-vs-physical gap
         cfg = make_cfg(geom={"m_irs": 1, "n_elements": 16}, k_ues=1)
-        real = associate(drop(cfg, seed=77, drop_index=0), "nearest", cfg)
-        assert real.association[0] == 0
-        d_bi = float(np.linalg.norm(real.irs_positions[0]))
-        d_iu = float(
-            np.linalg.norm(real.ue_positions[0] - real.irs_positions[0])
-        )
+        irs, ue = drop(cfg, seed=77, drop_index=0)
+        assert associate(irs, ue, "nearest", cfg)[0] == 0
+        d_bi = float(np.linalg.norm(irs[0]))
+        d_iu = float(np.linalg.norm(ue[0] - irs[0]))
         est = simulate_cell(cfg, n_drops=1, n_fading=200_000, seed=77)
         ref_mean, ref_se = physical_snr_mc(cfg, d_bi, d_iu, n=400_000, seed=123)["active"]
         got = est["snr_mean"].mean
@@ -215,6 +204,64 @@ class TestSimulateCell:
         for key in a:
             assert a[key].mean == b[key].mean
             assert a[key].std_error == b[key].std_error
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_drop_path_bits_are_frozen(self, threads):
+        # every drop holds BS-served and reflector-served users, and best_irs
+        # moves five of the 24 users off their nearest reflector; frozen from
+        # the per-drop record form of the drop path
+        cfg = make_cfg(geom={"l_in": 60.0, "l_out": 150.0, "m_irs": 4, "n_elements": 8},
+                       k_ues=8)
+        frozen = {
+            ("active", "nearest"): [
+                (73.25156651456732, 37.088928544959366),
+                (3.1903212011194912, 0.514597302479037),
+                (2.5387769460451992e-05, 4.0950352195647e-06)],
+            ("active", "best_irs"): [
+                (74.47284161475397, 37.029645255408795),
+                (3.244401225259699, 0.523311643485336),
+                (2.5818124618674147e-05, 4.164381741911744e-06)],
+            ("passive", "nearest"): [
+                (64.73655581030067, 37.650199739204076),
+                (1.0456668284679005, 0.5777464975664107),
+                (8.32115222889457e-06, 4.597560547086197e-06)],
+            ("passive", "best_irs"): [
+                (64.73656269301442, 37.65019922467092),
+                (1.0456767566141865, 0.5777457164360342),
+                (8.321231234572426e-06, 4.597554331048167e-06)],
+        }
+        for (irs_mode, policy), values in frozen.items():
+            est = simulate_cell(cfg, policy, n_drops=3, n_fading=4, seed=2025,
+                                irs_mode=irs_mode, threads=threads)
+            got = [(est[k].mean, est[k].std_error)
+                   for k in ("snr_mean", "achievable_rate", "spatial_throughput")]
+            assert got == values, (irs_mode, policy)
+
+    def test_thread_pool_capped_at_cpu_count(self, monkeypatch):
+        # a stub pool records its size and maps in the calling thread, so the
+        # oversized request starts no thread
+        sizes = []
+
+        class StubPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", StubPool)
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
+        cfg = make_cfg(k_ues=4)
+        capped = simulate_cell(cfg, n_drops=5, n_fading=2, seed=6, threads=100_000)
+        assert sizes == [3]
+        assert capped == simulate_cell(cfg, n_drops=5, n_fading=2, seed=6, threads=1)
+        assert sizes == [3]
 
     def test_estimator_honesty_all_direct(self):
         cfg = all_direct_cfg(k_ues=25)
@@ -250,8 +297,7 @@ class TestSimulateCell:
 
     def test_unknown_mode_rejected_when_every_user_is_direct(self):
         cfg = all_direct_cfg(k_ues=5)
-        real = associate(drop(cfg, seed=1, drop_index=0), "nearest", cfg)
-        assert np.all(real.association < 0)
+        assert np.all(associate(*drop(cfg, seed=1, drop_index=0), "nearest", cfg) < 0)
         with pytest.raises(ConfigError, match="bogus"):
             simulate_cell(cfg, n_drops=2, n_fading=2, seed=1, irs_mode="bogus")
 
@@ -282,6 +328,21 @@ class TestSweepDensity:
         msg = str(exc.value)
         assert "valid divisors" in msg
         assert "6" in msg and "12" in msg
+
+    @pytest.mark.parametrize("n_total", [1, 2, 12, 36, 97, 360, 1024])
+    def test_divisor_list_matches_a_full_scan(self, n_total):
+        bad = next(m for m in range(2, n_total + 2) if n_total % m)
+        with pytest.raises(ConfigError) as exc:
+            sweep_density(make_cfg(), n_total, [bad], p_f_total=0.01, n_drops=1, n_fading=1)
+        divisors = [d for d in range(1, n_total + 1) if n_total % d == 0]
+        assert str(exc.value).endswith(f"valid divisors: {divisors}")
+
+    def test_divisors_of_a_large_budget_are_listed_quickly(self):
+        # 10^9 = 2^9 * 5^9 has 100 divisors; a scan of 1..n would take minutes
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match=r"valid divisors: \[1, 2, 4, 5, 8, .*, 1000000000\]"):
+            sweep_density(make_cfg(), 10**9, [3], p_f_total=0.01, n_drops=1, n_fading=1)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestDensityFindings:
