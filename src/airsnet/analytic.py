@@ -20,9 +20,9 @@ Conventions baked in here (see README for the full discussion):
   through NetworkConfig.path_gain; 1 m is the reference distance of eps.
 
 The amplified-link kernels rest on one factorization. The mixture component
-masses w_i t_i^(m_IU-1)/Gamma(m_IU) are distance-free, and component i's
-noise rate is S/t_i and its decay kappa*S/t_i, with
-S = sigma_F^2 m_BI W/(N P_t) (W = 1/(zeta_BI zeta_IU)) and
+masses w_i t_i^(m_IU-1)/Gamma(m_IU) (mixgamma.laguerre_log_masses) are
+distance-free, and component i's noise rate is S/t_i and its decay
+kappa*S/t_i, with S = sigma_F^2 m_BI W/(N P_t) (W = 1/(zeta_BI zeta_IU)) and
 kappa = m_IU sigma^2/(eta sigma_F^2) (_kappa), which depends on d_BI alone.
 After y = S z every d_IU at one d_BI shares
 F_b(y) = sum_i mass_i e^(-kappa y/t_i) (1 + y/t_i)^-m_IU, so
@@ -44,9 +44,8 @@ from .mathkit import (
     exp_en_scaled,
     integrate_interval_with_error,
     integrate_semi_infinite_with_error,
-    ln_gamma,
 )
-from .mixgamma import MixtureGamma, cascaded_power_dist
+from .mixgamma import MixtureGamma, cascaded_power_dist, laguerre_log_masses, laguerre_mean
 
 __all__ = [
     "averaged_amp_gain",
@@ -99,7 +98,8 @@ def cascaded_mixture(d_bi: float, d_iu: float, cfg: NetworkConfig) -> MixtureGam
     gain = cfg.path_gain(d_bi) * cfg.path_gain(d_iu)
     n = cfg.geometry.n_elements
     amp_sq = averaged_amp_gain(d_bi, cfg) / n
-    return cascaded_power_dist(cfg.m_bi, cfg.m_iu, gain, amp_sq, n, cfg.rule())
+    v = (1.0 / gain) / (amp_sq * float(n) ** 2)
+    return cascaded_power_dist(cfg.m_bi, cfg.m_iu, v, cfg.rule())
 
 
 def _s_scale(d_bi, d_iu, cfg: NetworkConfig):
@@ -116,12 +116,8 @@ def _kappa(d_bi, cfg: NetworkConfig):
 
 def _mean_snr_scale(d_bi, d_iu, cfg: NetworkConfig):
     """Mean SNR / psi_m(kappa) = N P_t zeta_BI zeta_IU/sigma_F^2 * sum_i w_i t_i^m/Gamma(m)."""
-    m = cfg.m_iu
-    rule = cfg.rule()
-    # sum_i w_i t_i^m / Gamma(m), termwise in logs so large m cannot overflow
-    glsum = float(np.exp(np.log(rule.weights) + m * np.log(rule.nodes) - ln_gamma(m)).sum())
     return (cfg.geometry.n_elements * cfg.power.p_t * cfg.path_gain(d_bi) * cfg.path_gain(d_iu)
-            / cfg.power.sigma_f2 * glsum)
+            / cfg.power.sigma_f2 * laguerre_mean(cfg.rule(), cfg.m_iu))
 
 
 def _noise_mixture(d_bi: float, cfg: NetworkConfig):
@@ -131,7 +127,7 @@ def _noise_mixture(d_bi: float, cfg: NetworkConfig):
     """
     rule = cfg.rule()
     m = cfg.m_iu
-    masses = np.exp(np.log(rule.weights) + (m - 1.0) * np.log(rule.nodes) - ln_gamma(m))
+    masses = np.exp(laguerre_log_masses(rule, m))
     kappa = _kappa(d_bi, cfg)
     inv_t = 1.0 / rule.nodes
 
@@ -191,14 +187,12 @@ def mean_snr_closed(d_bi, d_iu, cfg: NetworkConfig):
 def mean_snr_passive(d_bi: float, d_iu: float, cfg: NetworkConfig) -> float:
     """Mean phase-only reflection SNR.
 
-    N^2 sum_i w_i t_i^m P_t zeta_BI zeta_IU / (Gamma(m+1) sigma^2).
+    N^2 (sum_i w_i t_i^m/Gamma(m)) P_t zeta_BI zeta_IU / (m sigma^2).
     """
-    rule = cfg.rule()
     m = cfg.m_iu
-    glsum = float(rule.weights @ rule.nodes**m)
     n = cfg.geometry.n_elements
     zeta = cfg.path_gain(d_bi) * cfg.path_gain(d_iu)
-    return n**2 * glsum * cfg.power.p_t * zeta / (math.gamma(m + 1.0) * cfg.power.sigma2)
+    return n**2 * laguerre_mean(cfg.rule(), m) * cfg.power.p_t * zeta / (m * cfg.power.sigma2)
 
 
 def rate_direct(d_bu, cfg: NetworkConfig):

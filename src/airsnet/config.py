@@ -96,8 +96,11 @@ class NetworkConfig:
     def rule(self) -> QuadratureRule:
         """The cascade mixture's Laguerre rule; order n is exact only for m_iu <= 2n - 1."""
         if self.m_iu > 2 * self.glq_order - 1:
-            raise ConfigError(f"m_iu={self.m_iu:g} needs glq_order >= "
-                              f"{math.ceil((self.m_iu + 1) / 2)}, got glq_order={self.glq_order}")
+            need = math.ceil((self.m_iu + 1) / 2)
+            raise ConfigError(
+                f"m_iu={self.m_iu:g} needs glq_order >= {need}, got glq_order={self.glq_order}"
+                if need <= 64 else f"m_iu={self.m_iu:g} exceeds 127, the largest m_iu any "
+                "analytic route carries (glq_order <= 64)")
         return gauss_laguerre(self.glq_order)
 
     def path_gain(self, distance):

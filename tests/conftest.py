@@ -2,11 +2,12 @@
 
 These deliberately avoid the library's own code paths: the exponential
 integral oracle uses an fsum'd power series (small x) and a high-order
-Laguerre sum of 1/(t+x) (large x); the mixture CDF uses scipy's regularized
-incomplete Gamma; the noise Laplace transform is written out from its law;
-the amplified-link rate is one z-domain quadrature per distance pair; the
-amplified-link mean SNR is the paper's per-node sum with each node integral
-taken by mpmath.
+Laguerre sum of 1/(t+x) (large x); the cascade masses are written out from
+the Laguerre rule with scipy's gammaln; the mixture CDF uses scipy's
+regularized incomplete Gamma; the noise Laplace transform is written out
+from its law; the amplified-link rate is one z-domain quadrature per
+distance pair; the amplified-link mean SNR is the paper's per-node sum with
+each node integral taken by mpmath.
 """
 
 import math
@@ -111,16 +112,27 @@ def passive_moment_ratio(n: int, m_bi: float, m_iu: float) -> float:
     return 1.0 / n + (1.0 - 1.0 / n) * passive_cascade_k(m_bi, m_iu)
 
 
-def mixture_cdf(mix, x):
-    """P(X <= x) of a MixtureGamma: sum_i mass_i P(beta_i, xi_i x).
+def cascade_masses(rule, m_iu: float) -> np.ndarray:
+    """The cascade mixture's masses w_i t_i^(m_IU-1)/Gamma(m_IU), from the rule.
 
-    mass_i = eps_i Gamma(beta_i) xi_i^-beta_i, and P is scipy's regularized
+    Written out with scipy's gammaln, not read from the mixture, so an oracle
+    that uses them checks the library's masses too.
+    """
+    from scipy.special import gammaln
+
+    return rule.weights * np.exp((m_iu - 1.0) * np.log(rule.nodes) - gammaln(m_iu))
+
+
+def mixture_cdf(mix, x, rule, m_iu: float):
+    """P(X <= x) of a cascade mixture: sum_i mass_i P(beta_i, xi_i x).
+
+    mass_i from cascade_masses(rule, m_iu), and P is scipy's regularized
     lower incomplete Gamma. Accepts a scalar or 1-D array x.
     """
-    from scipy.special import gammainc, gammaln
+    from scipy.special import gammainc
 
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    masses = np.exp(mix.log_epsilon + gammaln(mix.beta) - mix.beta * np.log(mix.xi))
+    masses = cascade_masses(rule, m_iu)
     out = masses @ gammainc(mix.beta[:, None], mix.xi[:, None] * xs[None, :])
     return float(out[0]) if np.ndim(x) == 0 else out
 
@@ -145,18 +157,16 @@ def rate_active_oracle(d_bi: float, d_iu: float, cfg) -> float:
 
     log2(e) * integral (1/z)(1 - (1+z)^-beta) sum_i mass_i e^(-z xi_i sigma^2/P_t)
     (1 + z eta sigma_F^2 xi_i/(P_t m_IU))^-m_IU dz over the cascaded mixture's
-    own (beta, xi_i), with masses eps_i Gamma(beta) xi_i^-beta from scipy:
+    own (beta, xi_i), with masses from cascade_masses(cfg.rule(), m_IU):
     one adaptive quadrature of the whole component sum per pair, with none of
     the distance factorization the library kernel uses.
     """
-    from scipy.special import gammaln
-
     from airsnet.analytic import averaged_amp_gain, cascaded_mixture
     from airsnet.mathkit import integrate_semi_infinite_with_error
 
     p = cfg.power
     mix = cascaded_mixture(d_bi, d_iu, cfg)
-    masses = np.exp(mix.log_epsilon + gammaln(mix.beta) - mix.beta * np.log(mix.xi))
+    masses = cascade_masses(cfg.rule(), cfg.m_iu)
     decay = mix.xi * p.sigma2 / p.p_t
     noise_rates = averaged_amp_gain(d_bi, cfg) * p.sigma_f2 * mix.xi / (p.p_t * cfg.m_iu)
     beta = float(mix.beta[0])

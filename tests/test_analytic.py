@@ -395,11 +395,7 @@ class TestRates:
         )
         got = an.rate_active(100.0, 30.0, cfg)
         mix = an.cascaded_mixture(100.0, 30.0, cfg)
-        masses = np.exp(
-            mix.log_epsilon
-            + np.array([math.lgamma(b) for b in mix.beta])
-            - mix.beta * np.log(mix.xi)
-        )
+        masses = np.exp(mix.log_mass)
         decay = mix.xi * cfg.power.sigma2 / cfg.power.p_t
 
         def no_laplace(z):

@@ -1,14 +1,16 @@
+import csv
 import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from airsnet import analytic, simulate
 from airsnet.cli import main
 from airsnet.config import ConfigError, dbm_to_watts, effective_dict, parse_config
 from airsnet.experiments import run_experiment
-from airsnet.mathkit import IntegrationError
+from airsnet.mathkit import IntegrationError, gauss_laguerre
 
 
 FAST_VALIDATE = [
@@ -162,6 +164,34 @@ class TestDumpDist:
         obj = json.loads(capsys.readouterr().out)
         assert len(obj) == 20
         assert all(set(c) == {"epsilon", "beta", "xi"} for c in obj)
+
+    @pytest.mark.parametrize("overrides", [[], ["m_bi=2", "m_iu=2.5", "n_elements=16",
+                                                "d_bi_m=70", "d_iu_m=12"]])
+    def test_cascaded_matches_the_papers_raw_coefficients(self, capsys, overrides):
+        # the paper's raw mixture pdf = sum_i eps_i x^(beta_i-1) e^(-xi_i x), with
+        #   beta_i = m_BI,  xi_i = m_BI m_IU v / t_i,
+        #   eps_i  = (m_BI m_IU v)^m_BI w_i t_i^(m_IU-m_BI-1) / (Gamma(m_BI) Gamma(m_IU)),
+        #   v = W/(amp_sq N^2), W = 1/(zeta_BI zeta_IU), amp_sq = eta/N
+        args = ["dump-dist", "--kind", "cascaded"]
+        for item in overrides:
+            args += ["--set", item]
+        assert main(args) == 0
+        obj = json.loads(capsys.readouterr().out)
+        cfg = parse_config(None, overrides)
+        net = cfg.network
+        rule = gauss_laguerre(net.glq_order)
+        n = net.geometry.n_elements
+        amp_sq = analytic.averaged_amp_gain(cfg.d_bi, net) / n
+        v = (1.0 / (net.path_gain(cfg.d_bi) * net.path_gain(cfg.d_iu))) / (amp_sq * float(n) ** 2)
+        m_bi, m_iu = net.m_bi, net.m_iu
+        log_eps = (m_bi * math.log(m_bi * m_iu * v) + np.log(rule.weights)
+                   + (m_iu - m_bi - 1.0) * np.log(rule.nodes)
+                   - math.lgamma(m_bi) - math.lgamma(m_iu))
+        assert all(set(c) == {"epsilon", "beta", "xi"} for c in obj)
+        assert [c["beta"] for c in obj] == [m_bi] * rule.order
+        assert [c["xi"] for c in obj] == (m_bi * m_iu * v / rule.nodes).tolist()
+        eps = np.array([c["epsilon"] for c in obj])
+        assert np.max(np.abs(eps / np.exp(log_eps) - 1.0)) < 1e-13
 
 
 def no_work(*args, **kwargs):
@@ -319,6 +349,31 @@ class TestCliRuns:
         err = capsys.readouterr().err
         assert "m_iu=100" in err and "glq_order=20" in err
         assert main(ring + ["--set", "glq_order=64", "--out", str(tmp_path / "y")]) == 0
+
+    def test_shape_past_every_laguerre_order_names_127(self, tmp_path, capsys):
+        # glq_order stops at 64, so the message must not ask for order 66;
+        # density-sweep draws the physical channel only and needs no rule
+        ring = ["ring-sweep", "--set", "m_iu=130", "--set", "glq_order=64",
+                "--set", "ring_l_in_grid_m=[90]", "--set", "ring_l_out_grid_m=[130]"]
+        assert main(ring + ["--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "m_iu=130" in err and "127" in err and "glq_order >= 66" not in err
+        assert main(["density-sweep", "--set", "m_iu=130", "--set", "sweep_n_drops=2",
+                     "--out", str(tmp_path / "y")]) == 0
+
+    @pytest.mark.parametrize("m_iu", [101, 113, 127])
+    def test_underflowed_laguerre_mass_runs_the_model_mc(self, tmp_path, m_iu):
+        # at glq_order 64 the first mass w_1 t_1^(m_iu-1)/Gamma(m_iu) is below
+        # the smallest double from m_iu = 101 on; the model MC draws that
+        # component with probability 0 and still matches the closed form
+        out = tmp_path / "x"
+        assert main(["mean-snr-vs-pf", "--set", f"m_iu={m_iu}", "--set", "glq_order=64",
+                     "--set", "pf_grid_w=[0.01]", "--out", str(out)]) == 0
+        with open(out / "results.csv", encoding="utf-8") as fh:
+            rows = {row["method"]: row for row in csv.DictReader(fh)}
+        mc, closed = rows["monte_carlo"], rows["closed_form"]
+        z = (float(mc["value"]) - float(closed["value"])) / float(mc["std_error"])
+        assert abs(z) < 3.0
 
     def test_exhausted_quadrature_names_the_point(self, tmp_path, capsys, monkeypatch):
         def exhausted(f, *args, **kwargs):

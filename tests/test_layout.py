@@ -6,8 +6,9 @@ The walk collects each module's function and class definitions and every
 definitions nothing in src/ refers to. Dunders are called by Python itself
 and are exempt. A second walk lists the `@dataclass` fields src/ never
 reads: a read is an attribute load, or the tail of a "section.field" string
-such as the config schema's targets. Run this file directly to print both
-lists.
+such as the config schema's targets. A third walk lists the src/ code
+outside the Laguerre-mass functions that reads a rule's `.weights`. Run this
+file directly to print all three lists.
 """
 
 import ast
@@ -54,6 +55,43 @@ def unread_dataclass_fields(root: Path = SRC) -> list[str]:
     return sorted(f for f in fields if f.rsplit(".", 1)[1] not in read)
 
 
+# The only places a Gauss-Laguerre rule's weights may be read: the rule itself,
+# the mixture masses built from it, and the two places that print or check
+# the raw rule. Any other read is a second copy of the mass formula.
+WEIGHTS_READERS = {"mathkit.py", "mixgamma.py", "experiments.py:_check_glq",
+                   "cli.py:_cmd_glq_table"}
+
+
+def weights_readers(root: Path = SRC) -> list[str]:
+    """Each top-level def ("module:name") or module statement reading `.weights`."""
+    found = set()
+    for path in sorted(root.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            if any(isinstance(node, ast.Attribute) and node.attr == "weights"
+                   for node in ast.walk(top)):
+                name = getattr(top, "name", None)
+                found.add(f"{path.name}:{name}" if name else path.name)
+    return sorted(found)
+
+
+def stray_weights_readers(root: Path = SRC) -> list[str]:
+    return [w for w in weights_readers(root)
+            if w not in WEIGHTS_READERS and w.split(":")[0] not in WEIGHTS_READERS]
+
+
+def test_laguerre_weights_are_read_only_by_the_mass_functions():
+    assert stray_weights_readers() == []
+
+
+def test_weights_walk_flags_a_second_mass_formula(tmp_path):
+    (tmp_path / "mixgamma.py").write_text("def masses(rule):\n    return rule.weights\n")
+    (tmp_path / "cli.py").write_text(
+        "def _cmd_glq_table(rule):\n    return rule.weights\n"
+        "def _cmd_dump(rule):\n    return [w for w in rule.weights]\n")
+    (tmp_path / "analytic.py").write_text("W = RULE.weights\n")
+    assert stray_weights_readers(tmp_path) == ["analytic.py", "cli.py:_cmd_dump"]
+
+
 def test_every_definition_is_referenced_in_src():
     assert unreferenced_definitions() == []
 
@@ -93,3 +131,4 @@ def test_walk_flags_what_nothing_references(tmp_path):
 if __name__ == "__main__":
     print(unreferenced_definitions())
     print(unread_dataclass_fields())
+    print(stray_weights_readers())

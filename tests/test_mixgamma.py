@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from airsnet.mathkit import DomainError, gauss_laguerre, integrate_semi_infinite_with_error
 from airsnet.mixgamma import (
@@ -10,6 +11,8 @@ from airsnet.mixgamma import (
     MixtureGamma,
     cascaded_power_dist,
     direct_power_dist,
+    laguerre_log_masses,
+    laguerre_mean,
 )
 from conftest import mixture_cdf, rel_err
 
@@ -17,9 +20,13 @@ RULE = gauss_laguerre(20)
 
 
 def unit_cascade(m_bi, m_iu, rule=RULE):
-    # product path gain exactly 1, so the mixture's scale factor
-    # W/(amp_sq N^2) is 1 for amp_sq = N = 1
-    return cascaded_power_dist(m_bi, m_iu, 1.0, 1.0, 1, rule)
+    # the mixture's one scale W/(amp_sq N^2) set to 1
+    return cascaded_power_dist(m_bi, m_iu, 1.0, rule)
+
+
+def cascade_scale(product_gain, amp_sq, n):
+    """v = W/(amp_sq N^2) with W = 1/product_gain."""
+    return (1.0 / product_gain) / (amp_sq * n**2)
 
 
 def gain(d):
@@ -27,9 +34,13 @@ def gain(d):
     return 1e-3 * d**-3.0
 
 
-def single(eps, beta, xi):
+def total_mass(mix):
+    return float(np.exp(mix.log_mass).sum())
+
+
+def single(mass, beta, xi):
     return MixtureGamma(
-        log_epsilon=np.array([math.log(eps)]),
+        log_mass=np.array([math.log(mass)]),
         beta=np.array([float(beta)]),
         xi=np.array([float(xi)]),
     )
@@ -71,14 +82,15 @@ class TestDirectPowerDist:
         assert dist.beta.size == 1
         assert dist.beta[0] == 1.0
         assert dist.xi[0] == pytest.approx(1e9, rel=1e-12)
-        assert dist.epsilon[0] == pytest.approx(1e9, rel=1e-12)
+        assert dist.log_mass[0] == 0.0
+        assert dist.to_json_obj()[0]["epsilon"] == pytest.approx(1e9, rel=1e-12)
         assert dist.moment(1) == pytest.approx(1e-9, rel=1e-12)
 
     def test_unit_distance_shape_two(self):
         dist = direct_power_dist(2.0, 1.0)
         assert dist.beta[0] == 2.0
         assert dist.xi[0] == 2.0
-        assert dist.epsilon[0] == pytest.approx(4.0, rel=1e-12)
+        assert dist.to_json_obj()[0]["epsilon"] == pytest.approx(4.0, rel=1e-12)
         assert dist.moment(1) == pytest.approx(1.0, rel=1e-12)
 
     def test_mean_is_path_loss(self):
@@ -115,9 +127,10 @@ class TestCascadedPowerDist:
         mix = unit_cascade(1.0, 1.0)
         assert mix.beta.size == 20
         assert np.all(mix.beta == 1.0)
-        # exponent m_iu - m_bi - 1 = -1: eps_i proportional to w_i / t_i
-        expected = RULE.weights / RULE.nodes
-        assert np.allclose(mix.epsilon, expected, rtol=1e-12)
+        # m_iu = 1: mass_i = w_i, and the paper's eps_i = mass_i xi_i = w_i / t_i
+        assert np.allclose(np.exp(mix.log_mass), RULE.weights, rtol=1e-12)
+        eps = [c["epsilon"] for c in mix.to_json_obj()]
+        assert np.allclose(eps, RULE.weights / RULE.nodes, rtol=1e-12)
         assert np.allclose(mix.xi, 1.0 / RULE.nodes, rtol=1e-12)
 
     @pytest.mark.parametrize("m_bi,m_iu", [(1.0, 1.0), (2.0, 1.0), (2.0, 3.0)])
@@ -131,7 +144,7 @@ class TestCascadedPowerDist:
     def test_mean_scaling_with_physical_parameters(self):
         product = gain(100.0) * gain(30.0)
         amp_sq, n = 2.0e5 / 64.0, 64
-        mix = cascaded_power_dist(1.0, 1.0, product, amp_sq, n, RULE)
+        mix = cascaded_power_dist(1.0, 1.0, cascade_scale(product, amp_sq, n), RULE)
         expected = amp_sq * n**2 * product
         assert rel_err(mix.moment(1), expected) < 1e-9
 
@@ -139,7 +152,7 @@ class TestCascadedPowerDist:
     @pytest.mark.parametrize("m_iu", [1.0, 2.0, 3.0])
     def test_normalization_defect(self, m_bi, m_iu):
         mix = unit_cascade(m_bi, m_iu)
-        assert abs(mix.normalization_mass() - 1.0) <= 1e-4
+        assert abs(total_mass(mix) - 1.0) <= 1e-4
 
     @pytest.mark.parametrize("m_bi", [1.0, 2.0, 3.0])
     @pytest.mark.parametrize("m_iu", [1.0, 2.0, 3.0])
@@ -147,13 +160,13 @@ class TestCascadedPowerDist:
         # for integer shapes both defects sit at roundoff, hence the floor
         mix20 = unit_cascade(m_bi, m_iu)
         mix10 = unit_cascade(m_bi, m_iu, gauss_laguerre(10))
-        d20 = abs(mix20.normalization_mass() - 1.0)
-        d10 = abs(mix10.normalization_mass() - 1.0)
+        d20 = abs(total_mass(mix20) - 1.0)
+        d10 = abs(total_mass(mix10) - 1.0)
         assert d20 <= d10 + 1e-13
 
     def test_defect_improvement_is_strict_off_integer(self):
-        d20 = abs(unit_cascade(1.5, 2.5).normalization_mass() - 1.0)
-        d10 = abs(unit_cascade(1.5, 2.5, gauss_laguerre(10)).normalization_mass() - 1.0)
+        d20 = abs(total_mass(unit_cascade(1.5, 2.5)) - 1.0)
+        d10 = abs(total_mass(unit_cascade(1.5, 2.5, gauss_laguerre(10))) - 1.0)
         assert d20 < d10
         assert d20 <= 1e-4
 
@@ -168,11 +181,38 @@ class TestCascadedPowerDist:
                 hi = mid
         median = 0.5 * (lo + hi)
         mix = unit_cascade(1.0, 1.0)
-        assert abs(mixture_cdf(mix, median) - 0.5) <= 0.01
+        assert abs(mixture_cdf(mix, median, RULE, 1.0) - 0.5) <= 0.01
 
     def test_coarse_rule_rejected(self):
         with pytest.raises(AccuracyError):
             unit_cascade(1.0, 1.0, gauss_laguerre(3))
+
+
+class TestLaguerreMasses:
+    @pytest.mark.parametrize("m", [0.5, 1.0, 2.5, 7.0])
+    def test_log_masses_are_the_rule_masses(self, m):
+        masses = RULE.weights * RULE.nodes ** (m - 1.0) / math.gamma(m)
+        assert np.allclose(np.exp(laguerre_log_masses(RULE, m)), masses, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("m", [1.0, 2.0, 3.0, 39.0])
+    def test_mean_is_the_shape_while_the_rule_is_exact(self, m):
+        # sum_i w_i t_i^m/Gamma(m) = Gamma(m+1)/Gamma(m) = m for integer m <= 2n - 1
+        assert rel_err(laguerre_mean(RULE, m), m) < 1e-9
+
+    @pytest.mark.parametrize("m_bi,m_iu", [(1.0, 1.0), (2.0, 3.5)])
+    def test_cascade_is_a_unit_mixture_times_one_scale(self, m_bi, m_iu):
+        # masses free of v, rates proportional to v, mean = laguerre_mean/(m_iu v)
+        unit = unit_cascade(m_bi, m_iu)
+        for v in (1e-9, 3.0, 1e9):
+            mix = cascaded_power_dist(m_bi, m_iu, v, RULE)
+            assert np.array_equal(mix.log_mass, unit.log_mass)
+            assert np.allclose(mix.xi, v * unit.xi, rtol=1e-15)
+            assert rel_err(mix.moment(1) * v * m_iu, laguerre_mean(RULE, m_iu)) < 1e-13
+
+    def test_nonpositive_scale_rejected(self):
+        for v in (0.0, -1.0, math.nan):
+            with pytest.raises(DomainError):
+                cascaded_power_dist(1.0, 1.0, v, RULE)
 
 
 class TestMixtureAlgebra:
@@ -180,14 +220,15 @@ class TestMixtureAlgebra:
         assert rel_err(single(1, 1, 1).pdf(0.5), math.exp(-0.5)) < 1e-12
 
     def test_pdf_gamma_2_3(self):
-        assert rel_err(single(9, 2, 3).pdf(1.0), 9.0 * math.exp(-3.0)) < 1e-12
+        assert rel_err(single(1, 2, 3).pdf(1.0), 9.0 * math.exp(-3.0)) < 1e-12
 
     def test_pdf_domain(self):
         with pytest.raises(DomainError):
             single(1, 1, 1).pdf(0.0)
 
     def test_cascade_pdf_integrates_to_mass(self):
-        mix = cascaded_power_dist(1.0, 1.0, gain(100.0) * gain(30.0), 2.0e5 / 64.0, 64, RULE)
+        v = cascade_scale(gain(100.0) * gain(30.0), 2.0e5 / 64.0, 64)
+        mix = cascaded_power_dist(1.0, 1.0, v, RULE)
         mass, _ = integrate_semi_infinite_with_error(mix.pdf, 1e-8, max_panels=16384)
         assert abs(mass - 1.0) <= 1e-4
 
@@ -207,7 +248,7 @@ class TestSampling:
         assert abs(samples.mean() - 1.0) < 0.003
 
     def test_gamma_4_2_mean(self, rng):
-        samples = single(2.0**4 / math.gamma(4.0), 4, 2).sample(rng, 200_000)
+        samples = single(1, 4, 2).sample(rng, 200_000)
         assert abs(samples.mean() - 2.0) < 0.01
 
     def test_cascade_sampling_matches_moments(self, rng):
@@ -224,27 +265,34 @@ class TestSampling:
         mix = unit_cascade(1.0, 1.0)
         n = 100_000
         samples = np.sort(mix.sample(rng, n))
-        cdf = mixture_cdf(mix, samples)
+        cdf = mixture_cdf(mix, samples, RULE, 1.0)
         empirical_hi = np.arange(1, n + 1) / n
         empirical_lo = np.arange(0, n) / n
         ks = max(np.abs(cdf - empirical_hi).max(), np.abs(cdf - empirical_lo).max())
         assert ks <= 0.005
 
-    def test_component_probabilities_renormalized(self):
-        mix = unit_cascade(1.5, 2.5)
-        probs = mix.component_probabilities()
+    def test_underflowed_masses_renormalized(self, rng):
+        # at m_iu = 113 the order-64 rule's first mass w_1 t_1^112/Gamma(113) is
+        # below the smallest double: its log stays finite, the masses still sum
+        # to 1, and sample draws that component with probability 0
+        mix = cascaded_power_dist(1.0, 113.0, 1.0, gauss_laguerre(64))
+        masses = np.exp(mix.log_mass)
+        assert np.all(np.isfinite(mix.log_mass)) and mix.log_mass[0] < -745.0
+        assert masses[0] == 0.0 and np.all(masses[1:] >= 0)
+        probs = masses / masses.sum()
         assert probs.sum() == pytest.approx(1.0, abs=1e-15)
-        assert np.all(probs > 0)
+        assert abs(masses.sum() - 1.0) <= 1e-12
+        samples = mix.sample(rng, 100_000)
+        assert np.all(np.isfinite(samples)) and np.all(samples > 0)
+        assert rel_err(samples.mean(), mix.moment(1)) < 0.01
 
     def test_sample_size_and_component_counts(self, rng):
         # four narrow components (shape 400, sd = mean/20) at means 1, 2, 4, 8:
         # each draw's component is read off its value, so the counts can be
-        # checked against component_probabilities() without peeking inside
+        # checked against the component masses without peeking inside
         beta, means = 400.0, np.array([1.0, 2.0, 4.0, 8.0])
         probs_in = np.array([0.1, 0.2, 0.3, 0.4])
-        xi = beta / means
-        log_eps = np.log(probs_in) - math.lgamma(beta) + beta * np.log(xi)
-        mix = MixtureGamma(log_epsilon=log_eps, beta=np.full(4, beta), xi=xi)
+        mix = MixtureGamma(log_mass=np.log(probs_in), beta=np.full(4, beta), xi=beta / means)
         for size in (1, 7, 1000):
             assert mix.sample(rng, size).shape == (size,)
         n = 100_000
@@ -254,12 +302,12 @@ class TestSampling:
         # documented order: draws come back grouped by component
         assert np.all(np.diff(labels) >= 0)
         counts = np.bincount(labels, minlength=4)
-        expected = n * mix.component_probabilities()
+        expected = n * np.exp(mix.log_mass)
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         assert chi2 < 16.27  # 0.999 quantile of chi-square with 3 degrees of freedom
 
     def test_unnormalized_distribution_rejected(self, rng):
-        bad = single(5.0, 1, 1)  # mass 5, defect far beyond 1e-3
+        bad = single(5.0, 1, 1)  # defect far beyond 1e-3
         with pytest.raises(InvalidDistributionError):
             bad.sample(rng, 10)
 
@@ -268,9 +316,9 @@ class TestSampling:
         obj = mix.to_json_obj()
         assert len(obj) == 20
         assert obj[0].keys() == {"epsilon", "beta", "xi"}
-        rebuilt = MixtureGamma(
-            log_epsilon=np.log([c["epsilon"] for c in obj]),
-            beta=np.array([c["beta"] for c in obj]),
-            xi=np.array([c["xi"] for c in obj]),
-        )
+        # the paper's raw form: mass_i = eps_i Gamma(beta_i) xi_i^-beta_i
+        beta = np.array([c["beta"] for c in obj])
+        xi = np.array([c["xi"] for c in obj])
+        log_mass = np.log([c["epsilon"] for c in obj]) + gammaln(beta) - beta * np.log(xi)
+        rebuilt = MixtureGamma(log_mass=log_mass, beta=beta, xi=xi)
         assert rebuilt.moment(1) == pytest.approx(mix.moment(1), rel=1e-12)
