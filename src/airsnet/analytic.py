@@ -49,6 +49,7 @@ from .mixgamma import MixtureGamma, cascaded_power_dist, laguerre_log_masses, la
 
 __all__ = [
     "averaged_amp_gain",
+    "cascade_scale",
     "cascaded_mixture",
     "snr_moment_active",
     "mean_snr_integral",
@@ -93,13 +94,17 @@ def _shaped(values: np.ndarray, like):
     return float(values[0]) if np.ndim(like) == 0 else values.reshape(np.shape(like))
 
 
-def cascaded_mixture(d_bi: float, d_iu: float, cfg: NetworkConfig) -> MixtureGamma:
-    """The cascaded-power mixture at the links' path gains with the averaged gain."""
+def cascade_scale(d_bi, d_iu, cfg: NetworkConfig):
+    """The cascade mixture's scale v = W/(amp_sq N^2), W = 1/(zeta_BI zeta_IU), elementwise."""
     gain = cfg.path_gain(d_bi) * cfg.path_gain(d_iu)
     n = cfg.geometry.n_elements
     amp_sq = averaged_amp_gain(d_bi, cfg) / n
-    v = (1.0 / gain) / (amp_sq * float(n) ** 2)
-    return cascaded_power_dist(cfg.m_bi, cfg.m_iu, v, cfg.rule())
+    return (1.0 / gain) / (amp_sq * float(n) ** 2)
+
+
+def cascaded_mixture(d_bi: float, d_iu: float, cfg: NetworkConfig) -> MixtureGamma:
+    """The cascaded-power mixture at the links' path gains with the averaged gain."""
+    return cascaded_power_dist(cfg.m_bi, cfg.m_iu, cascade_scale(d_bi, d_iu, cfg), cfg.rule())
 
 
 def _s_scale(d_bi, d_iu, cfg: NetworkConfig):

@@ -159,6 +159,11 @@ def _positive(key, v):
         raise ConfigError(f"{key} must be positive, got {v}")
 
 
+def _two_draws(key, v):
+    if v < 2:
+        raise ConfigError(f"{key} must be >= 2, the fewest draws with a standard error, got {v}")
+
+
 def _shape(key, v):
     if v < 0.5:
         raise ConfigError(f"{key} must be >= 0.5, got {v}")
@@ -223,8 +228,8 @@ _KEYS: tuple[tuple[str, Any, Any, str], ...] = (
     ("validate_d_iu_m", (list, float), _positive, "cfg.validate_d_iu_list"),
     ("validate_p_f_w", (list, float), _positive, "cfg.validate_p_f_list"),
     ("mc_m_iu_list", (list, int), _positive, "cfg.mc_m_iu_list"),
-    ("n_mc_model", int, _positive, "cfg.n_mc_model"),
-    ("n_mc_physical", int, _positive, "cfg.n_mc_physical"),
+    ("n_mc_model", int, _two_draws, "cfg.n_mc_model"),
+    ("n_mc_physical", int, _two_draws, "cfg.n_mc_physical"),
 )
 _ROWS = {key: (kind, check, target.split(".")) for key, kind, check, target in _KEYS}
 

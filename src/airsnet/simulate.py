@@ -26,7 +26,7 @@ from .channel import (
     snr_passive_batch,
 )
 from .config import ConfigError, NetworkConfig
-from .mixgamma import InvalidDistributionError
+from .mixgamma import InvalidDistributionError, cascaded_power_dist
 
 __all__ = [
     "SimEstimate",
@@ -251,8 +251,8 @@ def sweep_density(cfg: NetworkConfig, n_total_elements: int, m_values,
 # ---------------------------------------------------------------------------
 
 
-def model_snr_moment_mc(cfg: NetworkConfig, d_bi: float, d_iu: float,
-                        n: int = 1_000_000, seed: int = 0) -> tuple[float, float]:
+def model_snr_moment_mc(cfg: NetworkConfig, d_bi: float, d_iu,
+                        n: int = 1_000_000, seed: int = 0):
     """Monte-Carlo mean SNR under the analytic model itself.
 
     Samples the cascaded power from its Laguerre mixture and the amplified
@@ -268,12 +268,18 @@ def model_snr_moment_mc(cfg: NetworkConfig, d_bi: float, d_iu: float,
     integrand's variance finite, so the estimator is unbiased with honest
     standard errors.
 
+    One estimate on the unit mixture (scale 1) serves a whole d_IU array:
+    the mixture scales by v (analytic.cascade_scale) and the noise proposal
+    depends on d_BI alone, so each d_IU's mean and standard error are the
+    unit estimate's divided by its v, with no closed form in the rescaling.
+
     The draws run in blocks of _MODEL_BLOCK whose means and variances are
     merged, so no full-length temporary is ever built. Returns (mean,
-    standard error).
+    standard error): floats for a scalar d_iu, else arrays in its shape.
     """
     rng = _stream(seed, 999, 3)
-    mix = analytic.cascaded_mixture(d_bi, d_iu, cfg)
+    v = analytic.cascade_scale(d_bi, d_iu, cfg)
+    mix = cascaded_power_dist(cfg.m_bi, cfg.m_iu, 1.0, cfg.rule())
     eta = analytic.averaged_amp_gain(d_bi, cfg)
     p = cfg.power
     m = cfg.m_iu
@@ -293,8 +299,10 @@ def model_snr_moment_mc(cfg: NetworkConfig, d_bi: float, d_iu: float,
         try:
             x1 = mix.sample(rng, b)
         except InvalidDistributionError as exc:
+            where = (f"{d_iu:g}" if np.ndim(d_iu) == 0
+                     else f"[{', '.join(f'{d:g}' for d in np.ravel(d_iu))}]")
             raise InvalidDistributionError(f"model_snr_moment_mc at {analytic._point(cfg)}, "
-                                           f"d_bi={d_bi:g} m, d_iu={d_iu:g} m: {exc}") from exc
+                                           f"d_bi={d_bi:g} m, d_iu={where} m: {exc}") from exc
         pick = rng.random(b)
         bulk = np.flatnonzero(pick < 0.5)
         fade = np.flatnonzero((pick >= 0.5) & (pick < 0.75))
@@ -326,7 +334,7 @@ def model_snr_moment_mc(cfg: NetworkConfig, d_bi: float, d_iu: float,
         snr *= pdf
         snr /= mix_pdf
         acc.add(snr)
-    return acc.mean_se()
+    return tuple(x / v for x in acc.mean_se())
 
 
 def physical_snr_mc(cfg: NetworkConfig, d_bi: float, d_iu: float,

@@ -340,6 +340,40 @@ class TestCliRuns:
         assert main(["validate", "--out", str(tmp_path / "x")] + FAST_VALIDATE) in (0, 1)
         assert calls == [20000, 20000]
 
+    def test_validate_draws_the_model_mc_once_per_d_iu_row(self, tmp_path, monkeypatch):
+        # the d_IU points of one (m_IU, N, d_BI, P_F) group rescale one estimate
+        calls = []
+        model = simulate.model_snr_moment_mc
+
+        def counted(*args, **kwargs):
+            calls.append((args[1], tuple(args[2]), kwargs["n"]))
+            return model(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "model_snr_moment_mc", counted)
+        out = tmp_path / "x"
+        assert main(["validate", "--out", str(out)] + FAST_VALIDATE
+                    + ["--set", "validate_d_iu_m=[10,30,60]",
+                       "--set", "validate_p_f_w=[0.001,0.1]"]) in (0, 1)
+        assert calls == [(100.0, (10.0, 30.0, 60.0), 20000)] * 4
+        check = json.loads((out / "summary.json").read_text())["checks"]["model_mc_agreement"]
+        assert (check["points"], check["draw_sets"]) == (12, 4)
+        assert check["worst_point"].startswith("m_iu=")
+
+    @pytest.mark.parametrize("experiment, key", [
+        ("validate", "n_mc_model"),
+        ("mean-snr-vs-pf", "n_mc_model"),
+        ("validate", "n_mc_physical"),
+    ])
+    def test_one_mc_draw_rejected(self, tmp_path, capsys, monkeypatch, experiment, key):
+        # one draw has no standard error: it used to give SE 0, an infinite
+        # z-score in validate and a passing physical check on one-draw noise
+        for name in ("model_snr_moment_mc", "physical_snr_mc"):
+            monkeypatch.setattr(simulate, name, no_work)
+        out = tmp_path / "x"
+        assert main([experiment, "--out", str(out), "--set", f"{key}=1"]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
     def test_shape_past_the_laguerre_order_exits_2(self, tmp_path, capsys):
         # an order-20 rule is exact only up to m_iu = 39; at m_iu = 100 it would
         # report rates thousands of times too low

@@ -9,6 +9,7 @@ from airsnet import simulate
 from airsnet.channel import PowerParams
 from airsnet.config import ConfigError, GeometryConfig, NetworkConfig
 from airsnet.mathkit import integrate_interval_with_error
+from airsnet.mixgamma import InvalidDistributionError
 from airsnet.simulate import (
     _MODEL_BLOCK,
     _PHYSICAL_BLOCK,
@@ -396,6 +397,25 @@ class TestModelMc:
         closed = an.mean_snr_closed(100.0, 30.0, cfg)
         assert abs(mc - closed) < 3.0 * se
         assert se / closed < 0.02
+
+    @pytest.mark.parametrize("m_iu", [1.0, 2.0])
+    def test_d_iu_array_rescales_one_estimate(self, m_iu):
+        # one unit-mixture estimate divided by each d_IU's cascade scale v
+        # must reproduce the per-point estimate, mean and standard error
+        cfg = make_cfg(m_iu=m_iu, geom={"n_elements": 64})
+        d_iu = np.array([0.5, 10.0, 30.0, 60.0])
+        n = _MODEL_BLOCK + 1000
+        means, ses = model_snr_moment_mc(cfg, 100.0, d_iu, n=n, seed=4)
+        assert means.shape == ses.shape == d_iu.shape
+        for k, d in enumerate(d_iu):
+            mean, se = model_snr_moment_mc(cfg, 100.0, float(d), n=n, seed=4)
+            assert type(mean) is float and type(se) is float
+            assert rel_err(means[k], mean) <= 1e-15
+            assert rel_err(ses[k], se) <= 1e-15
+
+    def test_unsamplable_array_names_the_d_iu_group(self):
+        with pytest.raises(InvalidDistributionError, match=r"d_bi=100 m, d_iu=\[10, 30, 60\] m"):
+            model_snr_moment_mc(make_cfg(m_iu=0.5), 100.0, np.array([10.0, 30.0, 60.0]), n=1000)
 
     def test_physical_mc_reproducible(self):
         cfg = make_cfg(geom={"n_elements": 16})
