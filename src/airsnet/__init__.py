@@ -14,8 +14,7 @@ from .analytic import (
     rate_direct,
     snr_moment_active,
 )
-from .channel import PowerParams
-from .config import ExperimentConfig, GeometryConfig, NetworkConfig, parse_config
+from .config import ExperimentConfig, GeometryConfig, NetworkConfig, PowerParams, parse_config
 from .mathkit import QuadratureRule, exp_en_scaled, gauss_laguerre, ln_gamma
 from .mixgamma import MixtureGamma, cascaded_power_dist, direct_power_dist
 from .simulate import SimEstimate, simulate_cell, sweep_density

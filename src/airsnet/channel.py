@@ -8,33 +8,17 @@ of powers, and the aligned cascade amplitude is sum_i sqrt(|g_BI,i|^2 |g_IU,i|^2
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .config import PowerParams
 from .mathkit import DomainError
 
 __all__ = [
-    "PowerParams",
     "sample_nakagami_power",
     "snr_direct_batch",
     "snr_active_batch",
     "snr_passive_batch",
 ]
-
-
-@dataclass(frozen=True)
-class PowerParams:
-    """Transmit/amplification/noise powers, all in watts."""
-
-    p_t: float = 1.0
-    p_f: float = 0.01
-    sigma2: float = 1e-11
-    sigma_f2: float = 1e-10
-
-    def __post_init__(self):
-        if min(self.p_t, self.p_f, self.sigma2, self.sigma_f2) <= 0:
-            raise DomainError("all power parameters must be positive")
 
 
 def sample_nakagami_power(m: float, rng: np.random.Generator, size=None):

@@ -1,24 +1,29 @@
 """Experiment configuration: geometry, network parameters, strict JSON schema.
 
+Each config key is declared once, on its dataclass field (`_key`): the JSON
+name, the default, and the validators that run whenever the dataclass is
+built, whether by `parse_config`, by library code or by `dataclasses.replace`.
+The field's annotation is the key's type; a tuple field is a list key.
+
 All internal math runs on linear units (watts, meters); dB(m) keys are
 converted exactly once here, at the parse boundary, and the conversion is
 recorded so runs can echo it.
 """
 
-from __future__ import annotations
-
+# No `from __future__ import annotations`: `_coerce` reads each field's
+# annotation as a type object.
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass, field, fields
+from typing import Any, get_args, get_origin
 
 import numpy as np
 
-from .channel import PowerParams
 from .mathkit import QuadratureRule, gauss_laguerre
 
 __all__ = [
     "ConfigError",
+    "PowerParams",
     "GeometryConfig",
     "NetworkConfig",
     "ExperimentConfig",
@@ -46,24 +51,77 @@ def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
+def _each(test, what):
+    """A validator requiring test(x) of a value, or of every element of a list."""
+    def check(key, value):
+        for x in value if isinstance(value, tuple) else (value,):
+            if not test(x):
+                raise ConfigError(f"{key} must be {what}, got {x!r}")
+    return check
+
+
+_positive = _each(lambda x: x > 0, "positive")
+_two_draws = _each(lambda x: x >= 2, ">= 2, the fewest draws with a standard error")
+_shape = _each(lambda x: x >= 0.5, ">= 0.5")
+_glq_order = _each(lambda x: 4 <= x <= 64, "in [4, 64]")
+_seed = _each(lambda x: 0 <= x < 2**64, "in [0, 2**64)")
+
+
+def _choice(*allowed):
+    return _each(lambda x: x in allowed, f"one of {allowed}")
+
+
+def _increasing(key, value):
+    if any(a >= b for a, b in zip(value, value[1:])):
+        raise ConfigError(f"{key} must be strictly increasing, got {list(value)}")
+
+
+def _key(name: str, default, *checks):
+    """The field of config key `name`: its default and the validators its value passes."""
+    return field(default=default, metadata={"key": name, "checks": checks})
+
+
+def _check_keys(obj) -> None:
+    """Run every keyed field's validators; a list key must also be nonempty."""
+    for f in fields(obj):
+        if "key" in f.metadata:
+            key, value = f.metadata["key"], getattr(obj, f.name)
+            if isinstance(value, tuple) and not value:
+                raise ConfigError(f"{key} must be a nonempty list")
+            for check in f.metadata["checks"]:
+                check(key, value)
+
+
+@dataclass(frozen=True)
+class PowerParams:
+    """Transmit/amplification/noise powers, all in watts."""
+
+    p_t: float = _key("p_t_w", 1.0, _positive)
+    p_f: float = _key("p_f_w", 0.01, _positive)
+    sigma2: float = _key("sigma2_w", 1e-11, _positive)
+    sigma_f2: float = _key("sigma_f2_w", 1e-10, _positive)
+
+    def __post_init__(self):
+        _check_keys(self)
+
+
 @dataclass(frozen=True)
 class GeometryConfig:
     """Cell disc of radius l with the reflector ring [l_in, l_out] inside it."""
 
-    l: float = 200.0
-    l_in: float = 100.0
-    l_out: float = 130.0
-    m_irs: int = 16
-    n_elements: int = 64
+    l: float = _key("l_m", 200.0, _positive)
+    l_in: float = _key("l_in_m", 100.0, _positive)
+    l_out: float = _key("l_out_m", 130.0, _positive)
+    m_irs: int = _key("m_irs", 16, _positive)
+    n_elements: int = _key("n_elements", 64, _positive)
 
     def __post_init__(self):
-        if not (0.0 < self.l_in < self.l_out < self.l):
+        _check_keys(self)
+        if not (self.l_in < self.l_out < self.l):
             raise ConfigError(
                 f"ring radii must satisfy 0 < l_in < l_out < l, got "
                 f"l_in={self.l_in}, l_out={self.l_out}, l={self.l}"
             )
-        if self.m_irs < 1 or self.n_elements < 1:
-            raise ConfigError("m_irs and n_elements must be >= 1")
 
     @property
     def s_total(self) -> float:
@@ -84,14 +142,17 @@ class NetworkConfig:
 
     geometry: GeometryConfig = field(default_factory=GeometryConfig)
     power: PowerParams = field(default_factory=PowerParams)
-    alpha: float = 3.0
-    epsilon_ref: float = 1e-3
-    m_bu: float = 1.0
-    m_bi: float = 1.0
-    m_iu: float = 1.0
-    glq_order: int = 20
-    distance_floor: float = 1.0
-    k_ues: int = 50
+    alpha: float = _key("alpha", 3.0, _positive)
+    epsilon_ref: float = _key("epsilon_ref", 1e-3, _positive)
+    m_bu: float = _key("m_bu", 1.0, _shape)
+    m_bi: float = _key("m_bi", 1.0, _shape)
+    m_iu: float = _key("m_iu", 1.0, _shape)
+    glq_order: int = _key("glq_order", 20, _glq_order)
+    distance_floor: float = _key("distance_floor_m", 1.0, _positive)
+    k_ues: int = _key("k_ues", 50, _positive)
+
+    def __post_init__(self):
+        _check_keys(self)
 
     def rule(self) -> QuadratureRule:
         """The cascade mixture's Laguerre rule; order n is exact only for m_iu <= 2n - 1."""
@@ -115,134 +176,74 @@ class NetworkConfig:
 
 @dataclass
 class ExperimentConfig:
-    """A parsed run: network parameters plus experiment-level knobs."""
+    """A parsed run: network parameters plus experiment-level knobs.
+
+    A tuple field is a list key; `pf_grid` and `density_m_list` must be
+    strictly increasing, since their summaries read list positions.
+    """
 
     network: NetworkConfig
-    experiment: str = "validate"
-    seed: int = 12345
-    threads: int = 1
-    tolerance: float = 1e-6
+    experiment: str = _key("experiment", "validate", _choice(*EXPERIMENTS))
+    seed: int = _key("seed", 12345, _seed)
+    threads: int = _key("threads", 1, _positive)
+    tolerance: float = _key("tolerance", 1e-6, _positive)
     # fixed-distance evaluation points
-    d_bu: float = 80.0
-    d_bi: float = 100.0
-    d_iu: float = 30.0
+    d_bu: float = _key("d_bu_m", 80.0, _positive)
+    d_bi: float = _key("d_bi_m", 100.0, _positive)
+    d_iu: float = _key("d_iu_m", 30.0, _positive)
     # mean-snr-vs-pf
-    pf_grid: tuple = tuple(float(x) for x in np.logspace(-4, 1, 12))
+    pf_grid: tuple[float, ...] = _key(
+        "pf_grid_w", tuple(float(x) for x in np.logspace(-4, 1, 12)), _positive, _increasing)
     # density sweep
-    n_total_elements: int = 512
-    density_m_list: tuple = (1, 2, 4, 8, 16, 32)
-    p_f_total: float = 0.01
-    density_power_budget: str = "split-total"
-    sweep_n_drops: int = 2000
-    sweep_n_fading: int = 2
+    n_total_elements: int = _key("n_total_elements", 512, _positive)
+    density_m_list: tuple[int, ...] = _key(
+        "density_m_list", (1, 2, 4, 8, 16, 32), _positive, _increasing)
+    p_f_total: float = _key("p_f_total_w", 0.01, _positive)
+    density_power_budget: str = _key(
+        "density_power_budget", "split-total", _choice("split-total", "fixed-per-irs"))
+    sweep_n_drops: int = _key("sweep_n_drops", 2000, _positive)
+    sweep_n_fading: int = _key("sweep_n_fading", 2, _positive)
     # association comparison
-    assoc_n_list: tuple = (16, 32)
-    assoc_n_drops: int = 600
-    assoc_threshold: float = 0.9
+    assoc_n_list: tuple[int, ...] = _key("assoc_n_list", (16, 32), _positive)
+    assoc_n_drops: int = _key("assoc_n_drops", 600, _positive)
+    assoc_threshold: float = _key("assoc_threshold", 0.9, _positive)
     # ring sweep
-    ring_l_in_grid: tuple = (60.0, 90.0, 120.0)
-    ring_l_out_grid: tuple = (110.0, 130.0, 150.0)
+    ring_l_in_grid: tuple[float, ...] = _key("ring_l_in_grid_m", (60.0, 90.0, 120.0), _positive)
+    ring_l_out_grid: tuple[float, ...] = _key(
+        "ring_l_out_grid_m", (110.0, 130.0, 150.0), _positive)
     # validate
-    validate_m_iu_list: tuple = (1, 2, 3, 4)
-    validate_n_list: tuple = (16, 64, 256)
-    validate_d_bi_list: tuple = (80.0, 100.0, 130.0)
-    validate_d_iu_list: tuple = (10.0, 30.0, 60.0)
-    validate_p_f_list: tuple = (0.001, 0.01, 0.1)
-    mc_m_iu_list: tuple = (1, 2)
-    n_mc_model: int = 1_000_000
-    n_mc_physical: int = 1_000_000
+    validate_m_iu_list: tuple[int, ...] = _key("validate_m_iu_list", (1, 2, 3, 4), _positive)
+    validate_n_list: tuple[int, ...] = _key("validate_n_list", (16, 64, 256), _positive)
+    validate_d_bi_list: tuple[float, ...] = _key(
+        "validate_d_bi_m", (80.0, 100.0, 130.0), _positive)
+    validate_d_iu_list: tuple[float, ...] = _key(
+        "validate_d_iu_m", (10.0, 30.0, 60.0), _positive)
+    validate_p_f_list: tuple[float, ...] = _key(
+        "validate_p_f_w", (0.001, 0.01, 0.1), _positive)
+    mc_m_iu_list: tuple[int, ...] = _key("mc_m_iu_list", (1, 2), _positive)
+    n_mc_model: int = _key("n_mc_model", 1_000_000, _two_draws)
+    n_mc_physical: int = _key("n_mc_physical", 1_000_000, _two_draws)
     conversions: tuple = ()
 
-
-def _positive(key, v):
-    if not v > 0:
-        raise ConfigError(f"{key} must be positive, got {v}")
+    def __post_init__(self):
+        _check_keys(self)
 
 
-def _two_draws(key, v):
-    if v < 2:
-        raise ConfigError(f"{key} must be >= 2, the fewest draws with a standard error, got {v}")
-
-
-def _shape(key, v):
-    if v < 0.5:
-        raise ConfigError(f"{key} must be >= 0.5, got {v}")
-
-
-def _glq_order(key, v):
-    if not (4 <= v <= 64):
-        raise ConfigError(f"{key} must be in [4, 64], got {v}")
-
-
-def _choice(*allowed):
-    def check(key, v):
-        if v not in allowed:
-            raise ConfigError(f"{key} must be one of {allowed}, got {v!r}")
-    return check
-
-
-# One row per key: (key, type, validator, target "section.field"). Defaults
-# live on the dataclasses. List types are (list, element type); a list must be
-# nonempty and its validator applies to every element.
-_KEYS: tuple[tuple[str, Any, Any, str], ...] = (
-    ("experiment", str, _choice(*EXPERIMENTS), "cfg.experiment"),
-    ("seed", int, None, "cfg.seed"),
-    ("threads", int, _positive, "cfg.threads"),
-    ("tolerance", float, _positive, "cfg.tolerance"),
-    ("l_m", float, _positive, "geometry.l"),
-    ("l_in_m", float, _positive, "geometry.l_in"),
-    ("l_out_m", float, _positive, "geometry.l_out"),
-    ("m_irs", int, _positive, "geometry.m_irs"),
-    ("n_elements", int, _positive, "geometry.n_elements"),
-    ("alpha", float, _positive, "network.alpha"),
-    ("epsilon_ref", float, _positive, "network.epsilon_ref"),
-    ("p_t_w", float, _positive, "power.p_t"),
-    ("p_f_w", float, _positive, "power.p_f"),
-    ("sigma2_w", float, _positive, "power.sigma2"),
-    ("sigma_f2_w", float, _positive, "power.sigma_f2"),
-    ("m_bu", float, _shape, "network.m_bu"),
-    ("m_bi", float, _shape, "network.m_bi"),
-    ("m_iu", float, _shape, "network.m_iu"),
-    ("glq_order", int, _glq_order, "network.glq_order"),
-    ("distance_floor_m", float, _positive, "network.distance_floor"),
-    ("k_ues", int, _positive, "network.k_ues"),
-    ("d_bu_m", float, _positive, "cfg.d_bu"),
-    ("d_bi_m", float, _positive, "cfg.d_bi"),
-    ("d_iu_m", float, _positive, "cfg.d_iu"),
-    ("pf_grid_w", (list, float), _positive, "cfg.pf_grid"),
-    ("n_total_elements", int, _positive, "cfg.n_total_elements"),
-    ("density_m_list", (list, int), _positive, "cfg.density_m_list"),
-    ("p_f_total_w", float, _positive, "cfg.p_f_total"),
-    ("density_power_budget", str, _choice("split-total", "fixed-per-irs"),
-     "cfg.density_power_budget"),
-    ("sweep_n_drops", int, _positive, "cfg.sweep_n_drops"),
-    ("sweep_n_fading", int, _positive, "cfg.sweep_n_fading"),
-    ("assoc_n_list", (list, int), _positive, "cfg.assoc_n_list"),
-    ("assoc_n_drops", int, _positive, "cfg.assoc_n_drops"),
-    ("assoc_threshold", float, _positive, "cfg.assoc_threshold"),
-    ("ring_l_in_grid_m", (list, float), _positive, "cfg.ring_l_in_grid"),
-    ("ring_l_out_grid_m", (list, float), _positive, "cfg.ring_l_out_grid"),
-    ("validate_m_iu_list", (list, int), _positive, "cfg.validate_m_iu_list"),
-    ("validate_n_list", (list, int), _positive, "cfg.validate_n_list"),
-    ("validate_d_bi_m", (list, float), _positive, "cfg.validate_d_bi_list"),
-    ("validate_d_iu_m", (list, float), _positive, "cfg.validate_d_iu_list"),
-    ("validate_p_f_w", (list, float), _positive, "cfg.validate_p_f_list"),
-    ("mc_m_iu_list", (list, int), _positive, "cfg.mc_m_iu_list"),
-    ("n_mc_model", int, _two_draws, "cfg.n_mc_model"),
-    ("n_mc_physical", int, _two_draws, "cfg.n_mc_physical"),
-)
-_ROWS = {key: (kind, check, target.split(".")) for key, kind, check, target in _KEYS}
+_SECTIONS = (ExperimentConfig, NetworkConfig, GeometryConfig, PowerParams)
+# config key -> (owning dataclass, field), from the fields that declare a key
+_FIELDS = {f.metadata["key"]: (cls, f)
+           for cls in _SECTIONS for f in fields(cls) if "key" in f.metadata}
 
 # dBm alias -> watts key; converted before coercion and logged in `conversions`.
 _DBM_ALIASES = {"sigma2_dbm": "sigma2_w", "sigma_f2_dbm": "sigma_f2_w"}
 
 
-def _coerce(key: str, kind, check, value):
-    """Type-check one value (recursing into lists) and run its validator."""
-    if isinstance(kind, tuple):
-        if not isinstance(value, (list, tuple)) or not value:
+def _coerce(key: str, kind, value):
+    """Type-check one value against its field's annotation, recursing into lists."""
+    if get_origin(kind) is tuple:
+        if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{key} must be a nonempty list, got {value!r}")
-        return tuple(_coerce(key, kind[1], check, x) for x in value)
+        return tuple(_coerce(key, get_args(kind)[0], x) for x in value)
     if kind is str:
         if not isinstance(value, str):
             raise ConfigError(f"{key} must be a string, got {value!r}")
@@ -256,8 +257,6 @@ def _coerce(key: str, kind, check, value):
             value = math.inf
         if not math.isfinite(value):
             raise ConfigError(f"{key} must be finite, got {value!r}")
-    if check is not None:
-        check(key, value)
     return value
 
 
@@ -301,7 +300,7 @@ def parse_config(path: str | None = None, overrides: list[str] | None = None,
              "tolerance": tolerance}
     raw.update({k: v for k, v in flags.items() if v is not None})
 
-    unknown = sorted(set(raw) - set(_ROWS) - set(_DBM_ALIASES))
+    unknown = sorted(set(raw) - set(_FIELDS) - set(_DBM_ALIASES))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
 
@@ -312,33 +311,32 @@ def parse_config(path: str | None = None, overrides: list[str] | None = None,
         if w_key in raw:
             raise ConfigError(f"give {w_key} or {dbm_key}, not both")
         try:
-            watts = dbm_to_watts(_coerce(dbm_key, float, None, raw.pop(dbm_key)))
+            watts = dbm_to_watts(_coerce(dbm_key, float, raw.pop(dbm_key)))
         except OverflowError:
             raise ConfigError(f"{dbm_key} is too large") from None
         raw[w_key] = watts
         conversions.append(f"{dbm_key} -> {w_key}={watts:.6g}")
 
-    sections: dict[str, dict[str, Any]] = {
-        s: {} for s in ("cfg", "network", "geometry", "power")
-    }
+    sections: dict[type, dict[str, Any]] = {cls: {} for cls in _SECTIONS}
     for key, value in raw.items():
-        kind, check, (section, name) = _ROWS[key]
-        sections[section][name] = _coerce(key, kind, check, value)
+        cls, f = _FIELDS[key]
+        sections[cls][f.name] = _coerce(key, f.type, value)
     network = NetworkConfig(
-        geometry=GeometryConfig(**sections["geometry"]),
-        power=PowerParams(**sections["power"]),
-        **sections["network"],
+        geometry=GeometryConfig(**sections[GeometryConfig]),
+        power=PowerParams(**sections[PowerParams]),
+        **sections[NetworkConfig],
     )
     return ExperimentConfig(network=network, conversions=tuple(conversions),
-                            **sections["cfg"])
+                            **sections[ExperimentConfig])
 
 
 def effective_dict(cfg: ExperimentConfig) -> dict:
     """Flat, JSON-ready view of the effective configuration (linear units)."""
     net = cfg.network
-    objects = {"cfg": cfg, "network": net, "geometry": net.geometry, "power": net.power}
+    objects = {ExperimentConfig: cfg, NetworkConfig: net,
+               GeometryConfig: net.geometry, PowerParams: net.power}
     out = {}
-    for key, (kind, _, (section, name)) in _ROWS.items():
-        value = getattr(objects[section], name)
-        out[key] = list(value) if isinstance(kind, tuple) else value
+    for key, (cls, f) in _FIELDS.items():
+        value = getattr(objects[cls], f.name)
+        out[key] = list(value) if isinstance(value, tuple) else value
     return out

@@ -400,6 +400,4 @@ def run_experiment(cfg: ExperimentConfig):
         "association-compare": _run_association_compare,
         "ring-sweep": _run_ring_sweep,
     }
-    if cfg.experiment not in dispatch:
-        raise ConfigError(f"unknown experiment {cfg.experiment!r}")
     return dispatch[cfg.experiment](cfg)

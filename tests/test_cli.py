@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 
 from airsnet import analytic, simulate
 from airsnet.cli import main
-from airsnet.config import ConfigError, dbm_to_watts, effective_dict, parse_config
+from airsnet.config import (ConfigError, ExperimentConfig, GeometryConfig, NetworkConfig,
+                            PowerParams, dbm_to_watts, effective_dict, parse_config)
 from airsnet.experiments import run_experiment
 from airsnet.mathkit import IntegrationError, gauss_laguerre
 
@@ -124,6 +126,56 @@ class TestParseConfig:
                            experiment="density-sweep")
         with pytest.raises(ConfigError, match="valid divisors"):
             run_experiment(cfg)
+
+
+class TestOneSchema:
+    """The key validators run at parse time, at construction and on replace."""
+
+    @pytest.mark.parametrize("build, key", [
+        (lambda: PowerParams(p_t=0.0), "p_t_w"),
+        (lambda: GeometryConfig(m_irs=0), "m_irs"),
+        (lambda: NetworkConfig(m_iu=0.3), "m_iu"),
+        (lambda: NetworkConfig(glq_order=65), "glq_order"),
+        (lambda: replace(NetworkConfig(), m_bi=0.2), "m_bi"),
+        (lambda: ExperimentConfig(network=NetworkConfig(), n_mc_model=1), "n_mc_model"),
+        (lambda: ExperimentConfig(network=NetworkConfig(), experiment="bogus"), "experiment"),
+    ], ids=["p_t", "m_irs", "m_iu", "glq_order", "replace-m_bi", "n_mc_model", "experiment"])
+    def test_construction_runs_the_key_validators(self, build, key):
+        with pytest.raises(ConfigError, match=key):
+            build()
+
+    def test_library_config_with_one_draw_never_runs(self, monkeypatch):
+        # built in code, a one-draw model MC used to run and report std_error 0
+        monkeypatch.setattr(simulate, "model_snr_moment_mc", no_work)
+        with pytest.raises(ConfigError, match="n_mc_model"):
+            run_experiment(ExperimentConfig(network=NetworkConfig(), experiment="mean-snr-vs-pf",
+                                            n_mc_model=1, pf_grid=(0.01,)))
+
+    @pytest.mark.parametrize("experiment, item, key", [
+        ("validate", "pf_grid_w=[0.01,0.01]", "pf_grid_w"),
+        ("validate", "pf_grid_w=[0.1,0.01,0.001]", "pf_grid_w"),
+        ("density-sweep", "density_m_list=[32,1,16]", "density_m_list"),
+    ], ids=["repeated-pf", "decreasing-pf", "unsorted-m"])
+    def test_grids_read_by_position_must_increase(self, tmp_path, capsys, experiment, item, key):
+        # the budget-shape and interior-maximum summaries read list positions:
+        # a repeated P_F divided by zero, and an unsorted M list reported its
+        # smallest M as an interior maximum
+        out = tmp_path / "x"
+        assert main([experiment, "--out", str(out), "--set", item,
+                     "--set", "sweep_n_drops=30"]) == 2
+        err = capsys.readouterr().err
+        assert key in err and "strictly increasing" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed, valid", [(-1, False), (2**64, False),
+                                             (0, True), (2**64 - 1, True)])
+    def test_seed_is_64_bit(self, seed, valid):
+        # the streams mask the seed to 64 bits, so a wider seed aliased another
+        if valid:
+            assert parse_config(seed=seed).seed == seed
+        else:
+            with pytest.raises(ConfigError, match="seed"):
+                parse_config(seed=seed)
 
 
 class TestGlqTable:

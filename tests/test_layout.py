@@ -5,15 +5,17 @@ The walk collects each module's function and class definitions and every
 `Name` / `Attribute` reference across the package, and lists the
 definitions nothing in src/ refers to. Dunders are called by Python itself
 and are exempt. A second walk lists the `@dataclass` fields src/ never
-reads: a read is an attribute load, or the tail of a "section.field" string
-such as the config schema's targets. A third walk lists the src/ code
+reads; a read is an attribute load. A third walk lists the src/ code
 outside the Laguerre-mass functions that reads a rule's `.weights`. Run this
-file directly to print all three lists.
+file directly to print all three lists. Last, each config key is declared
+once: on its own field of one of the four config dataclasses.
 """
 
 import ast
-import re
+import dataclasses
 from pathlib import Path
+
+from airsnet.config import ExperimentConfig, GeometryConfig, NetworkConfig, PowerParams
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "airsnet"
 
@@ -49,9 +51,6 @@ def unread_dataclass_fields(root: Path = SRC) -> list[str]:
                            and isinstance(stmt.target, ast.Name)]
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                if re.fullmatch(r"\w+\.\w+", node.value):
-                    read.add(node.value.split(".")[1])
     return sorted(f for f in fields if f.rsplit(".", 1)[1] not in read)
 
 
@@ -116,16 +115,35 @@ def test_walk_flags_what_nothing_references(tmp_path):
         "@dataclass(frozen=True)\n"
         "class Record:\n"
         "    shown: int\n"
-        "    keyed: int\n"
+        "    named: int\n"
         "    orphan: int\n"
         "    stored: int\n"
         "def show(r: Record):\n"
         "    r.stored = 0\n"
-        "    return r.shown, 'cfg.keyed', 'a.orphan.x', 'see orphan.'\n"
+        "    return r.shown, 'cfg.named', 'see orphan.'\n"
         "show(Record(1, 2, 3, 4))\n"
     )
     assert unreferenced_definitions(tmp_path) == ["a.py:Orphan", "a.py:helper"]
-    assert unread_dataclass_fields(tmp_path) == ["c.py:Record.orphan", "c.py:Record.stored"]
+    # a field named only inside a string is not read
+    assert unread_dataclass_fields(tmp_path) == [
+        "c.py:Record.named", "c.py:Record.orphan", "c.py:Record.stored"]
+
+
+CONFIG_CLASSES = (ExperimentConfig, NetworkConfig, GeometryConfig, PowerParams)
+UNKEYED_FIELDS = {"network", "geometry", "power", "conversions"}
+
+
+def test_each_config_key_is_declared_once_on_its_field():
+    keys = []
+    for cls in CONFIG_CLASSES:
+        for f in dataclasses.fields(cls):
+            if f.name not in UNKEYED_FIELDS:
+                assert "key" in f.metadata, f"{cls.__name__}.{f.name} declares no config key"
+                keys.append(f.metadata["key"])
+    # a repeated key would silently shadow another in the parser's key map
+    assert len(set(keys)) == len(keys)
+    # the number of keys config.echo.json records
+    assert len(keys) == 44
 
 
 if __name__ == "__main__":
