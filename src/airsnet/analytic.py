@@ -96,10 +96,12 @@ def _shaped(values: np.ndarray, like):
 
 def cascade_scale(d_bi, d_iu, cfg: NetworkConfig):
     """The cascade mixture's scale v = W/(amp_sq N^2), W = 1/(zeta_BI zeta_IU), elementwise."""
-    gain = cfg.path_gain(d_bi) * cfg.path_gain(d_iu)
     n = cfg.geometry.n_elements
     amp_sq = averaged_amp_gain(d_bi, cfg) / n
-    return (1.0 / gain) / (amp_sq * float(n) ** 2)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # v = 0 or inf off range
+        gain = np.float64(cfg.path_gain(d_bi)) * cfg.path_gain(d_iu)
+        v = (1.0 / gain) / (amp_sq * float(n) ** 2)
+    return float(v) if np.ndim(v) == 0 else v
 
 
 def cascaded_mixture(d_bi: float, d_iu: float, cfg: NetworkConfig) -> MixtureGamma:

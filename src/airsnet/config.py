@@ -82,10 +82,13 @@ def _key(name: str, default, *checks):
 
 
 def _check_keys(obj) -> None:
-    """Run every keyed field's validators; a list key must also be nonempty."""
+    """Type-check (never rewriting) and validate every keyed field; lists must be nonempty."""
     for f in fields(obj):
         if "key" in f.metadata:
             key, value = f.metadata["key"], getattr(obj, f.name)
+            if get_origin(f.type) is tuple and not isinstance(value, tuple):
+                raise ConfigError(f"{key} must be a tuple, got {value!r}")
+            _coerce(key, f.type, value)
             if isinstance(value, tuple) and not value:
                 raise ConfigError(f"{key} must be a nonempty list")
             for check in f.metadata["checks"]:
@@ -174,7 +177,7 @@ class NetworkConfig:
         return float(gain) if np.ndim(distance) == 0 else gain
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """A parsed run: network parameters plus experiment-level knobs.
 

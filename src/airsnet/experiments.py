@@ -296,19 +296,11 @@ def _run_density_sweep(cfg: ExperimentConfig):
     _require_two_samples(cfg, "sweep_n_drops")
     rows: list[ResultRow] = []
     summary: dict = {}
-    for mode in ("active", "passive"):
-        table = simulate.sweep_density(
-            cfg.network,
-            cfg.n_total_elements,
-            cfg.density_m_list,
-            seed=cfg.seed,
-            irs_mode=mode,
-            p_f_total=cfg.p_f_total,
-            n_drops=cfg.sweep_n_drops,
-            n_fading=cfg.sweep_n_fading,
-            threads=cfg.threads,
-            power_budget=cfg.density_power_budget,
-        )
+    tables = simulate.sweep_density(
+        cfg.network, cfg.n_total_elements, cfg.density_m_list, seed=cfg.seed,
+        p_f_total=cfg.p_f_total, n_drops=cfg.sweep_n_drops, n_fading=cfg.sweep_n_fading,
+        threads=cfg.threads, power_budget=cfg.density_power_budget)
+    for mode, table in tables.items():
         tp = []
         for entry in table:
             label = _point_label(mode=mode, m_irs=entry["m_irs"], n=entry["n_elements"])
@@ -347,7 +339,7 @@ def _run_association_compare(cfg: ExperimentConfig):
             est = simulate.simulate_cell(
                 net, policy=policy, n_drops=cfg.assoc_n_drops,
                 n_fading=cfg.sweep_n_fading, seed=cfg.seed, threads=cfg.threads,
-            )["spatial_throughput"]
+            )["active"]["spatial_throughput"]
             estimates[policy] = est
             rows.append(ResultRow(cfg.experiment, "n_elements",
                                   _point_label(n=n, policy=policy),

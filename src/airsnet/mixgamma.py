@@ -153,7 +153,7 @@ def cascaded_power_dist(m_bi: float, m_iu: float, v: float,
     if rule.order < 4:
         raise AccuracyError(
             f"rule order {rule.order} is too coarse for the cascaded mixture; use >= 4")
-    if not v > 0:
-        raise DomainError(f"the cascade scale v must be positive, got {v}")
+    if not 0 < v < np.inf:
+        raise DomainError(f"the cascade scale v must be positive and finite, got {v}")
     return MixtureGamma(log_mass=laguerre_log_masses(rule, m_iu),
                         beta=np.full(rule.order, m_bi), xi=m_bi * m_iu * v / rule.nodes)

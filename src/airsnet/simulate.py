@@ -43,6 +43,7 @@ _TAG_GEOMETRY = 1
 _TAG_FADING = 2
 _MODEL_BLOCK = 1 << 16  # model-MC draws per block: its temporaries stay in cache
 _PHYSICAL_BLOCK = 4096  # physical-MC channel rows per block
+_MODES = ("active", "passive")  # reflector modes, in the order cell results list them
 
 
 @dataclass(frozen=True)
@@ -127,22 +128,22 @@ def associate(irs: np.ndarray, ue: np.ndarray, policy: str,
     return np.where(np.linalg.norm(ue, axis=1) < cfg.geometry.l_in, -1, choice)
 
 
-def _drop_worker(cfg: NetworkConfig, policy: str, kernel, n_fading: int,
+def _drop_worker(cfg: NetworkConfig, policy: str, n_fading: int,
                  seed: int, drop_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-user fading-averaged SNR and rate for one drop, in user order."""
+    """One drop's fading-averaged SNR and rate, (amplified/passive, users) each, on one draw."""
     irs, ue = drop(cfg, seed, drop_index)
     server = associate(irs, ue, policy, cfg)
     rng = _stream(seed, drop_index, _TAG_FADING)
     p = cfg.power
     direct = np.flatnonzero(server < 0)
     relayed = np.flatnonzero(server >= 0)
-    snr = np.empty((cfg.k_ues, n_fading))
+    snr = np.empty((len(_MODES), cfg.k_ues, n_fading))
     # Draw order is fixed (direct rows, then reflector rows) so results do
     # not depend on how drops are scheduled.
     if direct.size:
         pows = sample_nakagami_power(cfg.m_bu, rng, (direct.size, n_fading))
         zeta = cfg.path_gain(np.linalg.norm(ue[direct], axis=1))
-        snr[direct] = snr_direct_batch(pows, zeta[:, None], p)
+        snr[:, direct] = snr_direct_batch(pows, zeta[:, None], p)
     if relayed.size:
         n = cfg.geometry.n_elements
         at = irs[server[relayed]]
@@ -150,16 +151,19 @@ def _drop_worker(cfg: NetworkConfig, policy: str, kernel, n_fading: int,
         zeta_iu = np.repeat(cfg.path_gain(np.linalg.norm(ue[relayed] - at, axis=1)), n_fading)
         pow_bi = sample_nakagami_power(cfg.m_bi, rng, (relayed.size * n_fading, n))
         pow_iu = sample_nakagami_power(cfg.m_iu, rng, (relayed.size * n_fading, n))
-        snr[relayed] = kernel(pow_bi, pow_iu, zeta_bi, zeta_iu, p).reshape(relayed.size, n_fading)
-    return snr.mean(axis=1), np.log2(1.0 + snr).mean(axis=1)
+        for i, kernel in enumerate((snr_active_batch, snr_passive_batch)):
+            snr[i, relayed] = kernel(pow_bi, pow_iu, zeta_bi, zeta_iu, p).reshape(
+                relayed.size, n_fading)
+    return snr.mean(axis=2), np.log2(1.0 + snr).mean(axis=2)
 
 
 def simulate_cell(cfg: NetworkConfig, policy: str = "nearest", *,
-                  n_drops: int, n_fading: int,
-                  seed: int = 0, irs_mode: str = "active",
-                  threads: int = 1) -> dict[str, SimEstimate]:
+                  n_drops: int, n_fading: int, seed: int = 0,
+                  threads: int = 1) -> dict[str, dict[str, SimEstimate]]:
     """Monte-Carlo estimates of mean SNR, achievable rate and spatial throughput.
 
+    Both reflector modes are scored on the same drops, associations and
+    fading draws: returns {"active": {metric: SimEstimate}, "passive": {...}}.
     Each (drop, user) contributes its fading-averaged value; the returned
     standard errors treat those per-user means as the independent samples
     (fading draws at a fixed position are not independent positional
@@ -168,18 +172,15 @@ def simulate_cell(cfg: NetworkConfig, policy: str = "nearest", *,
     """
     if n_drops < 1 or n_fading < 1:
         raise ConfigError("n_drops and n_fading must be >= 1")
-    if irs_mode not in ("active", "passive"):
-        raise ConfigError(f"unknown irs_mode {irs_mode!r}")
-    kernel = snr_active_batch if irs_mode == "active" else snr_passive_batch
 
-    work = partial(_drop_worker, cfg, policy, kernel, n_fading, seed)
+    work = partial(_drop_worker, cfg, policy, n_fading, seed)
     workers = min(threads, os.cpu_count() or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             per_drop = list(pool.map(work, range(n_drops)))
     else:
         per_drop = list(map(work, range(n_drops)))
-    snr_ue, rate_ue = np.concatenate(per_drop, axis=1)
+    snr_ue, rate_ue = np.concatenate(per_drop, axis=2)
 
     def estimate(values: np.ndarray, scale: float = 1.0) -> SimEstimate:
         n = values.size
@@ -187,21 +188,19 @@ def simulate_cell(cfg: NetworkConfig, policy: str = "nearest", *,
         return SimEstimate(mean=float(values.mean() * scale), std_error=float(se * scale))
 
     area = cfg.geometry.s_total
-    return {
-        "snr_mean": estimate(snr_ue),
-        "achievable_rate": estimate(rate_ue),
-        "spatial_throughput": estimate(rate_ue, scale=1.0 / area),
-    }
+    return {mode: {"snr_mean": estimate(snr), "achievable_rate": estimate(rate),
+                   "spatial_throughput": estimate(rate, scale=1.0 / area)}
+            for mode, snr, rate in zip(_MODES, snr_ue, rate_ue)}
 
 
 def sweep_density(cfg: NetworkConfig, n_total_elements: int, m_values,
-                  seed: int = 0, irs_mode: str = "active", *, p_f_total: float,
-                  n_drops: int, n_fading: int,
-                  threads: int = 1, power_budget: str = "split-total") -> list[dict]:
+                  seed: int = 0, *, p_f_total: float, n_drops: int, n_fading: int,
+                  threads: int = 1, power_budget: str = "split-total") -> dict[str, list[dict]]:
     """Spatial throughput versus reflector count at a fixed element budget.
 
     Each entry runs simulate_cell with M reflectors of N = n_total/M elements,
-    users served by the nearest reflector.
+    users served by the nearest reflector; returns one row list per reflector
+    mode, {"active": [...], "passive": [...]}, both scored on the same drops.
     power_budget="split-total" (default) gives each reflector p_f_total / M so
     the network-wide amplification power stays constant across the sweep;
     "fixed-per-irs" gives every reflector p_f_total regardless of M (total
@@ -221,7 +220,7 @@ def sweep_density(cfg: NetworkConfig, n_total_elements: int, m_values,
         )
     if power_budget not in ("split-total", "fixed-per-irs"):
         raise ConfigError(f"unknown power_budget {power_budget!r}")
-    rows = []
+    rows: dict[str, list[dict]] = {mode: [] for mode in _MODES}
     for m in m_values:
         n_per = n_total_elements // m
         p_f_each = p_f_total / m if power_budget == "split-total" else p_f_total
@@ -230,19 +229,10 @@ def sweep_density(cfg: NetworkConfig, n_total_elements: int, m_values,
             geometry=replace(cfg.geometry, m_irs=m, n_elements=n_per),
             power=replace(cfg.power, p_f=p_f_each),
         )
-        est = simulate_cell(
-            swept, n_drops=n_drops, n_fading=n_fading,
-            seed=seed, irs_mode=irs_mode, threads=threads,
-        )
-        rows.append(
-            {
-                "m_irs": m,
-                "n_elements": n_per,
-                "spatial_throughput": est["spatial_throughput"],
-                "achievable_rate": est["achievable_rate"],
-                "snr_mean": est["snr_mean"],
-            }
-        )
+        est = simulate_cell(swept, n_drops=n_drops, n_fading=n_fading, seed=seed,
+                            threads=threads)
+        for mode in _MODES:
+            rows[mode].append({"m_irs": m, "n_elements": n_per, **est[mode]})
     return rows
 
 
@@ -251,6 +241,7 @@ def sweep_density(cfg: NetworkConfig, n_total_elements: int, m_values,
 # ---------------------------------------------------------------------------
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # a non-finite result raises
 def model_snr_moment_mc(cfg: NetworkConfig, d_bi: float, d_iu,
                         n: int = 1_000_000, seed: int = 0):
     """Monte-Carlo mean SNR under the analytic model itself.
@@ -275,10 +266,20 @@ def model_snr_moment_mc(cfg: NetworkConfig, d_bi: float, d_iu,
 
     The draws run in blocks of _MODEL_BLOCK whose means and variances are
     merged, so no full-length temporary is ever built. Returns (mean,
-    standard error): floats for a scalar d_iu, else arrays in its shape.
+    standard error): floats for a scalar d_iu, else arrays in its shape. A
+    cascade scale or an estimate outside the float range raises
+    InvalidDistributionError naming the point.
     """
+    def failure(reason) -> InvalidDistributionError:
+        where = ", ".join(f"{d:g}" for d in np.ravel(d_iu))
+        where = where if np.ndim(d_iu) == 0 else f"[{where}]"
+        return InvalidDistributionError(f"model_snr_moment_mc at {analytic._point(cfg)}, "
+                                        f"d_bi={d_bi:g} m, d_iu={where} m: {reason}")
+
     rng = _stream(seed, 999, 3)
     v = analytic.cascade_scale(d_bi, d_iu, cfg)
+    if not np.all((v > 0) & np.isfinite(v)):
+        raise failure(f"cascade scale v={v} is not a positive finite value")
     mix = cascaded_power_dist(cfg.m_bi, cfg.m_iu, 1.0, cfg.rule())
     eta = analytic.averaged_amp_gain(d_bi, cfg)
     p = cfg.power
@@ -299,10 +300,7 @@ def model_snr_moment_mc(cfg: NetworkConfig, d_bi: float, d_iu,
         try:
             x1 = mix.sample(rng, b)
         except InvalidDistributionError as exc:
-            where = (f"{d_iu:g}" if np.ndim(d_iu) == 0
-                     else f"[{', '.join(f'{d:g}' for d in np.ravel(d_iu))}]")
-            raise InvalidDistributionError(f"model_snr_moment_mc at {analytic._point(cfg)}, "
-                                           f"d_bi={d_bi:g} m, d_iu={where} m: {exc}") from exc
+            raise failure(exc) from exc
         pick = rng.random(b)
         bulk = np.flatnonzero(pick < 0.5)
         fade = np.flatnonzero((pick >= 0.5) & (pick < 0.75))
@@ -334,7 +332,11 @@ def model_snr_moment_mc(cfg: NetworkConfig, d_bi: float, d_iu,
         snr *= pdf
         snr /= mix_pdf
         acc.add(snr)
-    return tuple(x / v for x in acc.mean_se())
+    mean, se = (x / v for x in acc.mean_se())
+    if not np.all(np.isfinite(mean) & np.isfinite(se)):
+        raise failure(f"the estimate is not finite (mean {mean}, standard error {se}): the "
+                      "SNR or its importance weights leave the floating-point range")
+    return mean, se
 
 
 def physical_snr_mc(cfg: NetworkConfig, d_bi: float, d_iu: float,

@@ -239,15 +239,17 @@ def test_criterion_08_density_sweep_findings():
         power=PowerParams(p_t=1.0, p_f=1e-5, sigma2=1e-11, sigma_f2=1e-10),
     )
 
-    def sweep(mode, m_values, budget):
-        rows = sweep_density(
-            net, 512, m_values, seed=SEED, irs_mode=mode,
+    def sweep(m_values, budget):
+        tables = sweep_density(
+            net, 512, m_values, seed=SEED,
             p_f_total=1e-5, n_drops=2000, n_fading=2, power_budget=budget,
         )
-        tps = [r["spatial_throughput"] for r in rows]
-        for m, tp in zip(m_values, tps):
-            print(f"  {mode} {budget} M={m:3d}: {tp.mean:.5e} +- {tp.std_error:.2e}")
-        return tps
+        out = {}
+        for mode, rows in tables.items():
+            out[mode] = [r["spatial_throughput"] for r in rows]
+            for m, tp in zip(m_values, out[mode]):
+                print(f"  {mode} {budget} M={m:3d}: {tp.mean:.5e} +- {tp.std_error:.2e}")
+        return out
 
     def argmax(tps):
         return max(range(len(tps)), key=lambda i: tps[i].mean)
@@ -258,12 +260,13 @@ def test_criterion_08_density_sweep_findings():
         )
 
     split_grid = [1, 2, 4, 8, 16, 32]
-    passive = sweep("passive", split_grid, "split-total")
+    split_sweep = sweep(split_grid, "split-total")
+    passive = split_sweep["passive"]
     passive_ok = split_grid[argmax(passive)] == 1
     report("08b passive sweep maximized at M=1", passive_ok,
            f"argmax M = {split_grid[argmax(passive)]}")
 
-    split = sweep("active", split_grid, "split-total")
+    split = split_sweep["active"]
     split_best = argmax(split)
     split_ok = split_best == 0 and z_sep(split, 0, 1) >= 3.0
     report("08a active sweep, split total budget, maximized at M=1", split_ok,
@@ -271,7 +274,7 @@ def test_criterion_08_density_sweep_findings():
            f"(tol 3)")
 
     fixed_grid = [1, 4, 16, 64, 256, 512]
-    fixed = sweep("active", fixed_grid, "fixed-per-irs")
+    fixed = sweep(fixed_grid, "fixed-per-irs")["active"]
     best = argmax(fixed)
     interior = 0 < best < len(fixed_grid) - 1
     separated = interior and z_sep(fixed, best, 0) >= 3.0 and z_sep(fixed, best, -1) >= 3.0
@@ -301,7 +304,7 @@ def test_criterion_09_association_policies():
         for policy in ("nearest", "best_irs"):
             est[policy] = simulate_cell(
                 net, policy=policy, n_drops=600, n_fading=2, seed=SEED
-            )["spatial_throughput"]
+            )["active"]["spatial_throughput"]
         ratio = est["nearest"].mean / est["best_irs"].mean
         rel_se = math.hypot(
             est["nearest"].std_error / est["nearest"].mean,

@@ -1,7 +1,8 @@
 import csv
 import json
 import math
-from dataclasses import replace
+import re
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -144,6 +145,36 @@ class TestOneSchema:
         with pytest.raises(ConfigError, match=key):
             build()
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: PowerParams(p_f=math.inf), "p_f_w must be finite, got inf"),
+        (lambda: NetworkConfig(m_iu=True), "m_iu must be a number, got True"),
+        (lambda: NetworkConfig(m_iu="2"), "m_iu must be a number, got '2'"),
+        (lambda: GeometryConfig(m_irs=2.0), "m_irs must be an integer, got 2.0"),
+        (lambda: replace(NetworkConfig(), alpha=math.nan), "alpha must be finite, got nan"),
+        (lambda: ExperimentConfig(network=NetworkConfig(), pf_grid=(0.01, "0.1")),
+         "pf_grid_w must be a number, got '0.1'"),
+        (lambda: ExperimentConfig(network=NetworkConfig(), pf_grid=[0.01]),
+         "pf_grid_w must be a tuple, got [0.01]"),
+        (lambda: ExperimentConfig(network=NetworkConfig(), pf_grid=[]),
+         "pf_grid_w must be a tuple, got []"),
+    ], ids=["inf-p_f", "bool-m_iu", "str-m_iu", "float-m_irs", "replace-nan", "str-in-list",
+            "list", "empty-list"])
+    def test_construction_runs_the_type_checks(self, build, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            build()
+
+    def test_construction_keeps_the_values_it_is_given(self):
+        # the type check runs for its errors only; an int for a float key is stored as is
+        net = NetworkConfig(m_iu=2, geometry=GeometryConfig(l=200))
+        assert type(net.m_iu) is int and type(net.geometry.l) is int
+        assert net == NetworkConfig(m_iu=2.0, geometry=GeometryConfig(l=200.0))
+
+    def test_experiment_config_is_frozen(self):
+        cfg = parse_config()
+        with pytest.raises(FrozenInstanceError):
+            cfg.n_mc_model = 1
+        assert cfg.n_mc_model == 1_000_000
+
     def test_library_config_with_one_draw_never_runs(self, monkeypatch):
         # built in code, a one-draw model MC used to run and report std_error 0
         monkeypatch.setattr(simulate, "model_snr_moment_mc", no_work)
@@ -216,6 +247,14 @@ class TestDumpDist:
         obj = json.loads(capsys.readouterr().out)
         assert len(obj) == 20
         assert all(set(c) == {"epsilon", "beta", "xi"} for c in obj)
+
+    @pytest.mark.parametrize("epsilon_ref, v", [("1e200", "0.0"), ("1e-300", "inf")])
+    def test_cascade_scale_out_of_float_range(self, capsys, epsilon_ref, v):
+        # the path-gain product overflows (v = 0) or underflows (v = inf; this
+        # used to end in a ZeroDivisionError traceback, exit 1)
+        args = ["dump-dist", "--kind", "cascaded", "--set", f"epsilon_ref={epsilon_ref}"]
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: the cascade scale v must be positive and finite, got {v}\n"
 
     @pytest.mark.parametrize("overrides", [[], ["m_bi=2", "m_iu=2.5", "n_elements=16",
                                                 "d_bi_m=70", "d_iu_m=12"]])
@@ -411,6 +450,25 @@ class TestCliRuns:
         assert (check["points"], check["draw_sets"]) == (12, 4)
         assert check["worst_point"].startswith("m_iu=")
 
+    def test_density_sweep_draws_each_drop_once_for_both_modes(self, tmp_path, monkeypatch):
+        # the amplified and the passive rows are scored on the same drops
+        calls = []
+        one_drop = simulate.drop
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return one_drop(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "drop", counted)
+        out = tmp_path / "x"
+        assert main(["density-sweep", "--out", str(out), "--set", "sweep_n_drops=3",
+                     "--set", "density_m_list=[1,2,4]", "--set", "k_ues=4"]) == 0
+        assert calls == [0, 1, 2] * 3
+        with open(out / "results.csv", newline="") as fh:
+            labels = [row["swept_value"] for row in csv.DictReader(fh)]
+        assert [label.split("|")[0] for label in labels] == ["mode=active"] * 9 + [
+            "mode=passive"] * 9
+
     @pytest.mark.parametrize("experiment, key", [
         ("validate", "n_mc_model"),
         ("mean-snr-vs-pf", "n_mc_model"),
@@ -494,6 +552,24 @@ class TestCliRuns:
         assert err.startswith("error: model_snr_moment_mc at ")
         for part in ("m_bi=1", "m_iu=0.5", "d_bi=100 m", "normalization defect", *point):
             assert part in err
+
+    @pytest.mark.parametrize("item, reason", [
+        ("epsilon_ref=1e200", "cascade scale v=0.0 is not a positive finite value"),
+        ("epsilon_ref=1e-300", "cascade scale v=inf is not a positive finite value"),
+        ("p_t_w=1e300", "the estimate is not finite"),
+        ("sigma_f2_w=1e-300", "the estimate is not finite"),
+    ])
+    def test_model_mc_out_of_float_range_names_the_point(self, tmp_path, capsys, item, reason):
+        # a cascade scale of 0 used to end in a ZeroDivisionError traceback
+        # (exit 1), and overflowed importance weights in a nan,nan row (exit 0)
+        out = tmp_path / "x"
+        assert main(["mean-snr-vs-pf", "--out", str(out), "--set", item,
+                     "--set", "pf_grid_w=[0.01]", "--set", "n_mc_model=20000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: model_snr_moment_mc at m_bi=1, m_iu=1, glq_order=20, "
+                              "p_f=0.01 W, d_bi=100 m, d_iu=30 m: ")
+        assert reason in err
+        assert not out.exists()
 
 
 class TestMeanSnrVsPfShape:

@@ -154,7 +154,7 @@ class TestAssociate:
 class TestSimulateCell:
     def test_all_direct_matches_analytic(self):
         cfg = all_direct_cfg(k_ues=50)
-        est = simulate_cell(cfg, n_drops=100, n_fading=20, seed=31)
+        est = simulate_cell(cfg, n_drops=100, n_fading=20, seed=31)["active"]
         s_t = cfg.geometry.s_total
         analytic_rate = an.rate_direct(cfg.distance_floor, cfg) * math.pi / s_t
         analytic_rate += (
@@ -180,7 +180,7 @@ class TestSimulateCell:
         assert associate(irs, ue, "nearest", cfg)[0] == 0
         d_bi = float(np.linalg.norm(irs[0]))
         d_iu = float(np.linalg.norm(ue[0] - irs[0]))
-        est = simulate_cell(cfg, n_drops=1, n_fading=200_000, seed=77)
+        est = simulate_cell(cfg, n_drops=1, n_fading=200_000, seed=77)["active"]
         ref_mean, ref_se = physical_snr_mc(cfg, d_bi, d_iu, n=400_000, seed=123)["active"]
         got = est["snr_mean"].mean
         # n_fading draws at one position: SE of the per-user mean
@@ -193,8 +193,8 @@ class TestSimulateCell:
 
     def test_doubling_drops_halves_variance(self):
         cfg = make_cfg(k_ues=20)
-        e1 = simulate_cell(cfg, n_drops=60, n_fading=4, seed=13)
-        e2 = simulate_cell(cfg, n_drops=120, n_fading=4, seed=13)
+        e1 = simulate_cell(cfg, n_drops=60, n_fading=4, seed=13)["active"]
+        e2 = simulate_cell(cfg, n_drops=120, n_fading=4, seed=13)["active"]
         ratio = e2["achievable_rate"].std_error ** 2 / e1["achievable_rate"].std_error ** 2
         assert 0.4 <= ratio <= 0.6
 
@@ -202,9 +202,10 @@ class TestSimulateCell:
         cfg = make_cfg(k_ues=10)
         a = simulate_cell(cfg, n_drops=8, n_fading=5, seed=4, threads=1)
         b = simulate_cell(cfg, n_drops=8, n_fading=5, seed=4, threads=4)
-        for key in a:
-            assert a[key].mean == b[key].mean
-            assert a[key].std_error == b[key].std_error
+        for mode in ("active", "passive"):
+            for key in a[mode]:
+                assert a[mode][key].mean == b[mode][key].mean
+                assert a[mode][key].std_error == b[mode][key].std_error
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_drop_path_bits_are_frozen(self, threads):
@@ -231,12 +232,13 @@ class TestSimulateCell:
                 (1.0456767566141865, 0.5777457164360342),
                 (8.321231234572426e-06, 4.597554331048167e-06)],
         }
-        for (irs_mode, policy), values in frozen.items():
+        for policy in ("nearest", "best_irs"):
             est = simulate_cell(cfg, policy, n_drops=3, n_fading=4, seed=2025,
-                                irs_mode=irs_mode, threads=threads)
-            got = [(est[k].mean, est[k].std_error)
-                   for k in ("snr_mean", "achievable_rate", "spatial_throughput")]
-            assert got == values, (irs_mode, policy)
+                                threads=threads)
+            for irs_mode in ("active", "passive"):
+                got = [(est[irs_mode][k].mean, est[irs_mode][k].std_error)
+                       for k in ("snr_mean", "achievable_rate", "spatial_throughput")]
+                assert got == frozen[irs_mode, policy], (irs_mode, policy)
 
     def test_thread_pool_capped_at_cpu_count(self, monkeypatch):
         # a stub pool records its size and maps in the calling thread, so the
@@ -282,7 +284,7 @@ class TestSimulateCell:
         hits = 0
         trials = 20
         for s in range(trials):
-            est = simulate_cell(cfg, n_drops=12, n_fading=4, seed=1000 + s)
+            est = simulate_cell(cfg, n_drops=12, n_fading=4, seed=1000 + s)["active"]
             got = est["achievable_rate"]
             if abs(got.mean - analytic_rate) <= 4.0 * got.std_error:
                 hits += 1
@@ -290,17 +292,11 @@ class TestSimulateCell:
 
     def test_passive_mode(self):
         cfg = make_cfg(k_ues=10)
-        est = simulate_cell(cfg, n_drops=4, n_fading=4, seed=8, irs_mode="passive")
+        est = simulate_cell(cfg, n_drops=4, n_fading=4, seed=8)["passive"]
         assert est["snr_mean"].mean > 0
         assert est["spatial_throughput"].mean == pytest.approx(
             est["achievable_rate"].mean / cfg.geometry.s_total, rel=1e-12
         )
-
-    def test_unknown_mode_rejected_when_every_user_is_direct(self):
-        cfg = all_direct_cfg(k_ues=5)
-        assert np.all(associate(*drop(cfg, seed=1, drop_index=0), "nearest", cfg) < 0)
-        with pytest.raises(ConfigError, match="bogus"):
-            simulate_cell(cfg, n_drops=2, n_fading=2, seed=1, irs_mode="bogus")
 
 
 class TestSweepDensity:
@@ -317,10 +313,12 @@ class TestSweepDensity:
             power=replace(cfg.power, p_f=0.01),
         )
         direct = simulate_cell(swept, n_drops=5, n_fading=2, seed=6)
-        assert rows[0]["m_irs"] == 1
-        assert rows[0]["n_elements"] == 64
-        assert rows[0]["spatial_throughput"].mean == direct["spatial_throughput"].mean
-        assert rows[1]["n_elements"] == 32
+        for mode in ("active", "passive"):
+            assert rows[mode][0]["m_irs"] == 1
+            assert rows[mode][0]["n_elements"] == 64
+            assert (rows[mode][0]["spatial_throughput"].mean
+                    == direct[mode]["spatial_throughput"].mean)
+            assert rows[mode][1]["n_elements"] == 32
 
     def test_non_divisor_rejected_with_divisor_list(self):
         cfg = make_cfg()
@@ -352,9 +350,9 @@ class TestDensityFindings:
         # claim; the M=1-vs-M=2 pair needs ~5e5 positions to clear 3 sigma
         net = make_cfg(geom={"l": 200.0, "l_in": 30.0, "l_out": 150.0})
         rows = sweep_density(
-            net, 512, [1, 2, 8, 32], seed=515, irs_mode="passive",
+            net, 512, [1, 2, 8, 32], seed=515,
             p_f_total=1e-5, n_drops=5000, n_fading=2,
-        )
+        )["passive"]
         tps = [r["spatial_throughput"] for r in rows]
         for other in range(1, len(tps)):
             z = (tps[0].mean - tps[other].mean) / math.hypot(
@@ -369,9 +367,9 @@ class TestDensityFindings:
         net = make_cfg()
         rows = sweep_density(
             net, 512, [1, 4, 16, 64, 256, 512], seed=99,
-            irs_mode="active", p_f_total=1e-5, n_drops=600, n_fading=2,
+            p_f_total=1e-5, n_drops=600, n_fading=2,
             power_budget="fixed-per-irs",
-        )
+        )["active"]
         tps = [r["spatial_throughput"] for r in rows]
         best = max(range(len(tps)), key=lambda i: tps[i].mean)
         assert 0 < best < len(tps) - 1
