@@ -45,7 +45,8 @@ from .mathkit import (
     integrate_interval_with_error,
     integrate_semi_infinite_with_error,
 )
-from .mixgamma import MixtureGamma, cascaded_power_dist, laguerre_log_masses, laguerre_mean
+from .mixgamma import (InvalidDistributionError, MixtureGamma, cascaded_power_dist,
+                       laguerre_log_masses, laguerre_mean)
 
 __all__ = [
     "averaged_amp_gain",
@@ -113,7 +114,9 @@ def _s_scale(d_bi, d_iu, cfg: NetworkConfig):
     """S = sigma_F^2 m_BI W / (N P_t): component i's noise rate is S/t_i."""
     p = cfg.power
     n = cfg.geometry.n_elements
-    return p.sigma_f2 * cfg.m_bi / (n * p.p_t * cfg.path_gain(d_bi) * cfg.path_gain(d_iu))
+    with np.errstate(divide="ignore", over="ignore"):  # S = 0 or inf off the float range
+        return p.sigma_f2 * cfg.m_bi / (n * p.p_t * np.float64(cfg.path_gain(d_bi))
+                                        * cfg.path_gain(d_iu))
 
 
 def _kappa(d_bi, cfg: NetworkConfig):
@@ -151,7 +154,8 @@ def snr_moment_active(d_bi: float, d_iu, cfg: NetworkConfig):
     m_BI/S * integral F_b(y) dy (y = S z), run in v = kappa y, where F_b's
     decay no longer depends on kappa. It depends on d_BI alone, so a d_IU
     array costs one quadrature; returns a float for a scalar d_IU. This is
-    the route `validate` checks the other mean-SNR routes against.
+    the route `validate` checks the other mean-SNR routes against. A mean
+    outside the float range raises InvalidDistributionError naming the point.
     """
     f_b = _noise_mixture(d_bi, cfg)
     kappa = _kappa(d_bi, cfg)
@@ -161,7 +165,14 @@ def snr_moment_active(d_bi: float, d_iu, cfg: NetworkConfig):
     except IntegrationError as exc:
         raise _named(exc, f"snr_moment_active at {_point(cfg)}, d_bi={d_bi:g} m, "
                           f"d_iu={_worst(d_iu, exc):g} m") from exc
-    return cfg.m_bi * (value / kappa) / _s_scale(d_bi, d_iu, cfg)
+    with np.errstate(divide="ignore", over="ignore"):
+        mean = cfg.m_bi * (value / kappa) / _s_scale(d_bi, d_iu, cfg)
+    ok = np.ravel((mean > 0) & np.isfinite(mean))
+    if not ok.all():
+        raise InvalidDistributionError(
+            f"snr_moment_active at {_point(cfg)}, d_bi={d_bi:g} m, "
+            f"d_iu={np.ravel(d_iu)[np.argmin(ok)]:g} m: the mean SNR is not a positive finite value")
+    return float(mean) if np.ndim(mean) == 0 else mean
 
 
 def mean_snr_integral(d_bi: float, d_iu: float, cfg: NetworkConfig) -> float:

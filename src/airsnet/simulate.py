@@ -2,10 +2,14 @@
 
 A drop is two position arrays, and its association one array of serving
 indices. Randomness is counter-keyed: every (seed, drop, purpose) tuple maps
-to its own SFC64 stream, and within a drop the draw order is fixed, so results
-are bit-identical no matter how drops are scheduled across threads. Per-drop
-means are concatenated in drop order. The validation estimators draw in
-cache-sized blocks and merge block means and variances.
+to its own SFC64 stream, and within a drop the draw order is fixed. A cell
+simulation runs consecutive drops in groups of a fixed number of channel
+elements (_DROP_BLOCK): each drop draws on its own streams into its slice of
+the group's buffers, then association, path gains and the SNR kernels run
+once per group. Group bounds depend on the configuration alone, so results
+are bit-identical no matter how groups are scheduled across threads.
+Per-user means are concatenated in drop order. The validation estimators draw
+in cache-sized blocks and merge block means and variances.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import numpy as np
 
 from . import analytic
 from .channel import (
+    cascade_amplitude,
     sample_nakagami_power,
     snr_active_batch,
     snr_direct_batch,
@@ -43,6 +48,7 @@ _TAG_GEOMETRY = 1
 _TAG_FADING = 2
 _MODEL_BLOCK = 1 << 16  # model-MC draws per block: its temporaries stay in cache
 _PHYSICAL_BLOCK = 4096  # physical-MC channel rows per block
+_DROP_BLOCK = 1 << 15  # channel elements (users x fading draws x N) per drop group
 _MODES = ("active", "passive")  # reflector modes, in the order cell results list them
 
 
@@ -109,51 +115,70 @@ def drop(cfg: NetworkConfig, seed: int, drop_index: int) -> tuple[np.ndarray, np
     return irs, ue
 
 
+def _norm(xy: np.ndarray) -> np.ndarray:
+    """Length of (..., 2) points over the last axis; rounds as np.linalg.norm does."""
+    x, y = xy[..., 0], xy[..., 1]
+    return np.sqrt(x * x + y * y)
+
+
 def associate(irs: np.ndarray, ue: np.ndarray, policy: str,
               cfg: NetworkConfig) -> np.ndarray:
     """Each user's server: -1 (the BS) inside the coverage radius, else a reflector index.
 
     nearest: the geometrically closest reflector. best_irs: the reflector
     maximizing the analytic mean SNR at the user's (d_BI, d_IU) pair. Ties
-    break to the lowest index.
+    break to the lowest index. (..., M, 2) reflectors and (..., K, 2) users
+    with the same leading (drop) axes give (..., K) servers.
     """
     if policy not in ("nearest", "best_irs"):
         raise ConfigError(f"unknown association policy {policy!r}")
-    d_iu = np.linalg.norm(ue[:, None, :] - irs[None, :, :], axis=2)  # (users, reflectors)
+    d_iu = _norm(ue[..., :, None, :] - irs[..., None, :, :])  # (..., users, reflectors)
     if policy == "nearest":
-        choice = np.argmin(d_iu, axis=1)
+        choice = np.argmin(d_iu, axis=-1)
     else:
-        d_bi = np.linalg.norm(irs, axis=1)
-        choice = np.argmax(analytic.mean_snr_closed(d_bi, d_iu, cfg), axis=1)
-    return np.where(np.linalg.norm(ue, axis=1) < cfg.geometry.l_in, -1, choice)
+        d_bi = _norm(irs)[..., None, :]
+        choice = np.argmax(analytic.mean_snr_closed(d_bi, d_iu, cfg), axis=-1)
+    return np.where(_norm(ue) < cfg.geometry.l_in, -1, choice)
 
 
-def _drop_worker(cfg: NetworkConfig, policy: str, n_fading: int,
-                 seed: int, drop_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """One drop's fading-averaged SNR and rate, (amplified/passive, users) each, on one draw."""
-    irs, ue = drop(cfg, seed, drop_index)
+def _group_worker(cfg: NetworkConfig, policy: str, n_fading: int, seed: int,
+                  drops: range) -> tuple[np.ndarray, np.ndarray]:
+    """Fading-averaged SNR and rate of consecutive drops, (amplified/passive, drops x users).
+
+    Users are listed drop by drop; both modes are scored on one fading draw.
+    """
+    irs, ue = (np.stack(xy) for xy in zip(*(drop(cfg, seed, d) for d in drops)))
     server = associate(irs, ue, policy, cfg)
-    rng = _stream(seed, drop_index, _TAG_FADING)
-    p = cfg.power
+    n_direct = (server < 0).sum(axis=1)
+    server = server.ravel()
+    ue = ue.reshape(-1, 2)
     direct = np.flatnonzero(server < 0)
     relayed = np.flatnonzero(server >= 0)
-    snr = np.empty((len(_MODES), cfg.k_ues, n_fading))
-    # Draw order is fixed (direct rows, then reflector rows) so results do
-    # not depend on how drops are scheduled.
-    if direct.size:
-        pows = sample_nakagami_power(cfg.m_bu, rng, (direct.size, n_fading))
-        zeta = cfg.path_gain(np.linalg.norm(ue[direct], axis=1))
-        snr[:, direct] = snr_direct_batch(pows, zeta[:, None], p)
-    if relayed.size:
-        n = cfg.geometry.n_elements
-        at = irs[server[relayed]]
-        zeta_bi = np.repeat(cfg.path_gain(np.linalg.norm(at, axis=1)), n_fading)
-        zeta_iu = np.repeat(cfg.path_gain(np.linalg.norm(ue[relayed] - at, axis=1)), n_fading)
-        pow_bi = sample_nakagami_power(cfg.m_bi, rng, (relayed.size * n_fading, n))
-        pow_iu = sample_nakagami_power(cfg.m_iu, rng, (relayed.size * n_fading, n))
-        for i, kernel in enumerate((snr_active_batch, snr_passive_batch)):
-            snr[i, relayed] = kernel(pow_bi, pow_iu, zeta_bi, zeta_iu, p).reshape(
-                relayed.size, n_fading)
+    pows = np.empty((direct.size, n_fading))
+    pow_bi = np.empty((relayed.size * n_fading, cfg.geometry.n_elements))
+    pow_iu = np.empty_like(pow_bi)
+    # Each drop draws on its own stream in a fixed order (direct rows, then
+    # reflector rows), so results do not depend on grouping or scheduling.
+    d_lo = r_lo = 0
+    for d, d_hi, r_hi in zip(drops, np.cumsum(n_direct),
+                             np.cumsum(cfg.k_ues - n_direct) * n_fading):
+        rng = _stream(seed, d, _TAG_FADING)
+        sample_nakagami_power(cfg.m_bu, rng, out=pows[d_lo:d_hi])
+        sample_nakagami_power(cfg.m_bi, rng, out=pow_bi[r_lo:r_hi])
+        sample_nakagami_power(cfg.m_iu, rng, out=pow_iu[r_lo:r_hi])
+        d_lo, r_lo = d_hi, r_hi
+
+    p = cfg.power
+    snr = np.empty((len(_MODES), server.size, n_fading))
+    snr[:, direct] = snr_direct_batch(pows, cfg.path_gain(_norm(ue[direct]))[:, None], p)
+    at = irs[relayed // cfg.k_ues, server[relayed]]
+    zeta_bi = np.repeat(cfg.path_gain(_norm(at)), n_fading)
+    zeta_iu = np.repeat(cfg.path_gain(_norm(ue[relayed] - at)), n_fading)
+    cascade = cascade_amplitude(pow_bi, pow_iu)
+    rows = (relayed.size, n_fading)
+    snr[0, relayed] = snr_active_batch(pow_bi, pow_iu, cascade, zeta_bi, zeta_iu,
+                                       p).reshape(rows)
+    snr[1, relayed] = snr_passive_batch(cascade, zeta_bi, zeta_iu, p).reshape(rows)
     return snr.mean(axis=2), np.log2(1.0 + snr).mean(axis=2)
 
 
@@ -168,19 +193,22 @@ def simulate_cell(cfg: NetworkConfig, policy: str = "nearest", *,
     standard errors treat those per-user means as the independent samples
     (fading draws at a fixed position are not independent positional
     samples). spatial throughput = positional rate average / cell area.
-    At most os.cpu_count() threads run the drops.
+    Drops run in groups of about _DROP_BLOCK channel elements (at least one
+    drop each), and at most os.cpu_count() threads run the groups.
     """
     if n_drops < 1 or n_fading < 1:
         raise ConfigError("n_drops and n_fading must be >= 1")
 
-    work = partial(_drop_worker, cfg, policy, n_fading, seed)
+    size = max(1, _DROP_BLOCK // (cfg.k_ues * n_fading * cfg.geometry.n_elements))
+    groups = [range(lo, min(lo + size, n_drops)) for lo in range(0, n_drops, size)]
+    work = partial(_group_worker, cfg, policy, n_fading, seed)
     workers = min(threads, os.cpu_count() or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_drop = list(pool.map(work, range(n_drops)))
+            per_group = list(pool.map(work, groups))
     else:
-        per_drop = list(map(work, range(n_drops)))
-    snr_ue, rate_ue = np.concatenate(per_drop, axis=2)
+        per_group = list(map(work, groups))
+    snr_ue, rate_ue = np.concatenate(per_group, axis=2)
 
     def estimate(values: np.ndarray, scale: float = 1.0) -> SimEstimate:
         n = values.size
@@ -343,7 +371,7 @@ def physical_snr_mc(cfg: NetworkConfig, d_bi: float, d_iu: float,
                     n: int = 1_000_000, seed: int = 0) -> dict[str, tuple[float, float]]:
     """Monte-Carlo mean SNR of the physical per-element channel at fixed
     distances, amplified (budget-exhausting gain recomputed per draw) and
-    phase-only passive, both from the same channel draws.
+    phase-only passive, both from the same channel draws and cascade amplitude.
 
     Returns {"active": (mean, standard error), "passive": (mean, standard error)}.
     """
@@ -356,6 +384,7 @@ def physical_snr_mc(cfg: NetworkConfig, d_bi: float, d_iu: float,
         b = min(_PHYSICAL_BLOCK, n - start)
         pow_bi = sample_nakagami_power(cfg.m_bi, rng, (b, n_el))
         pow_iu = sample_nakagami_power(cfg.m_iu, rng, (b, n_el))
-        active.add(snr_active_batch(pow_bi, pow_iu, zeta_bi, zeta_iu, cfg.power))
-        passive.add(snr_passive_batch(pow_bi, pow_iu, zeta_bi, zeta_iu, cfg.power))
+        cascade = cascade_amplitude(pow_bi, pow_iu)
+        active.add(snr_active_batch(pow_bi, pow_iu, cascade, zeta_bi, zeta_iu, cfg.power))
+        passive.add(snr_passive_batch(cascade, zeta_bi, zeta_iu, cfg.power))
     return {"active": active.mean_se(), "passive": passive.mean_se()}

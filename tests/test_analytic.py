@@ -14,7 +14,7 @@ from airsnet.mathkit import (
     integrate_interval_with_error,
     integrate_semi_infinite_with_error,
 )
-from airsnet.mixgamma import direct_power_dist
+from airsnet.mixgamma import InvalidDistributionError, direct_power_dist
 from airsnet.simulate import model_snr_moment_mc, physical_snr_mc
 from conftest import (
     mean_snr_node_sum,
@@ -610,6 +610,17 @@ class TestErrorsNameThePoint:
             assert part in msg
         msg = self.message(lambda: an.rate_direct(np.array([5.0, 70.0]), cfg))
         assert "rate_direct at m_bu=1, d_bu=70 m" in msg
+
+    @pytest.mark.parametrize("epsilon_ref", [1e200, 1e-300])
+    def test_moment_route_out_of_float_range(self, epsilon_ref):
+        # the noise scale S underflows to 0 (1e200) or the path-gain product
+        # to 0 (1e-300); both used to end in a ZeroDivisionError
+        cfg = replace(self.cfg(), epsilon_ref=epsilon_ref)
+        with pytest.raises(InvalidDistributionError) as exc:
+            an.snr_moment_active(90.0, np.array([30.0, 60.0]), cfg)
+        assert str(exc.value) == ("snr_moment_active at m_bi=0.5, m_iu=2.5, glq_order=24, "
+                                  "p_f=0.02 W, d_bi=90 m, d_iu=30 m: the mean SNR is not a "
+                                  "positive finite value")
 
     def test_average_metric_regions(self, monkeypatch):
         cfg = self.cfg()

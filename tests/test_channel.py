@@ -5,6 +5,7 @@ import pytest
 
 from airsnet.channel import (
     PowerParams,
+    cascade_amplitude,
     sample_nakagami_power,
     snr_active_batch,
     snr_direct_batch,
@@ -15,9 +16,19 @@ from airsnet.mathkit import DomainError
 POWER = PowerParams(p_t=1.0, p_f=0.01, sigma2=1e-11, sigma_f2=1e-10)
 
 
+def active(p_bi, p_iu, bi, iu, power=POWER):
+    """snr_active_batch on (B, N) channel-power blocks, fed their cascade amplitude."""
+    return snr_active_batch(p_bi, p_iu, cascade_amplitude(p_bi, p_iu), bi, iu, power)
+
+
+def passive(p_bi, p_iu, bi, iu, power=POWER):
+    """snr_passive_batch on the cascade amplitude of (B, N) channel-power blocks."""
+    return snr_passive_batch(cascade_amplitude(p_bi, p_iu), bi, iu, power)
+
+
 def snr_row(kernel, p_bi, p_iu, bi, iu, power=POWER):
-    """One draw's SNR from a batch kernel given a single (1, N) channel-power row
-    and the two hops' path gains."""
+    """One draw's SNR from `active` or `passive` given a single (1, N) channel-power
+    row and the two hops' path gains."""
     return float(kernel(np.atleast_2d(p_bi), np.atleast_2d(p_iu), bi, iu, power)[0])
 
 
@@ -46,6 +57,22 @@ class TestNakagamiSampler:
         with pytest.raises(DomainError):
             sample_nakagami_power(0.4, rng)
 
+    def test_rayleigh_draws_are_numpys_unit_gamma(self):
+        # m = 1 is drawn by standard_exponential, which numpy's
+        # standard_gamma(1.0) returns draw for draw; a numpy release that
+        # breaks the identity changes every Rayleigh result, so it fails here
+        got = sample_nakagami_power(1.0, np.random.Generator(np.random.SFC64(7)), (300, 7))
+        want = np.random.Generator(np.random.SFC64(7)).standard_gamma(1.0, (300, 7))
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("m", [1.0, 2.0])
+    def test_out_fills_the_draws_of_size(self, m):
+        want = sample_nakagami_power(m, np.random.Generator(np.random.SFC64(8)), (40, 5))
+        buf = np.full((50, 5), -1.0)
+        got = sample_nakagami_power(m, np.random.Generator(np.random.SFC64(8)), out=buf[:40])
+        assert np.array_equal(got, want) and np.array_equal(buf[:40], want)
+        assert np.all(buf[40:] == -1.0)
+
 
 def budget_gain_sq(amp_bi, zeta_bi, power=POWER):
     """Oracle: the common power gain A^2 exhausting the amplification budget.
@@ -67,8 +94,8 @@ def snr_at_gain(a_sq, amp_bi, amp_iu, zeta_bi, zeta_iu, power=POWER):
 
 def kernel_gain_sq(amp_bi, amp_iu, zeta_bi, zeta_iu, power=POWER):
     """The power gain snr_active_batch applied, solved back from its SNR."""
-    snr = float(snr_active_batch(np.atleast_2d(amp_bi) ** 2, np.atleast_2d(amp_iu) ** 2,
-                                 zeta_bi, zeta_iu, power)[0])
+    snr = snr_row(active, np.asarray(amp_bi) ** 2, np.asarray(amp_iu) ** 2, zeta_bi, zeta_iu,
+                  power)
     signal = power.p_t * zeta_bi * zeta_iu * float(np.dot(amp_bi, amp_iu)) ** 2
     noise = zeta_iu * float(np.dot(amp_iu, amp_iu)) * power.sigma_f2
     return snr * power.sigma2 / (signal - snr * noise)
@@ -83,7 +110,7 @@ class TestAmplificationFactor:
         ones = np.ones(n)
         a_sq = budget_gain_sq(ones, 1e-9, power)
         assert a_sq == pytest.approx(power.p_f / (n * power.sigma_f2), rel=1e-9)
-        got = snr_active_batch(ones[None, :], ones[None, :], 1e-9, 1e-8, power)[0]
+        got = active(ones[None, :], ones[None, :], 1e-9, 1e-8, power)[0]
         assert got == pytest.approx(snr_at_gain(a_sq, ones, ones, 1e-9, 1e-8, power),
                                     rel=1e-12, abs=0.0)
 
@@ -93,7 +120,7 @@ class TestAmplificationFactor:
         a_sq = budget_gain_sq(ones, 1.0)
         expected = POWER.p_f / (n * (POWER.p_t + POWER.sigma_f2))
         assert a_sq == pytest.approx(expected, rel=1e-12)
-        got = snr_active_batch(ones[None, :], ones[None, :], 1.0, 1e-6, POWER)[0]
+        got = active(ones[None, :], ones[None, :], 1.0, 1e-6, POWER)[0]
         assert got == pytest.approx(snr_at_gain(a_sq, ones, ones, 1.0, 1e-6), rel=1e-12)
 
     def test_average_denominator_supports_mean_gain(self, rng):
@@ -132,7 +159,7 @@ class TestSnrActive:
         bi, iu = gain(1.0, eps=1.0), gain(1.0, eps=1.0)
         amp_sq = POWER.p_f / (POWER.p_t + POWER.sigma_f2)
         expected = POWER.p_t * amp_sq / (amp_sq * POWER.sigma_f2 + POWER.sigma2)
-        got = snr_row(snr_active_batch, np.ones(1), np.ones(1), bi, iu)
+        got = snr_row(active, np.ones(1), np.ones(1), bi, iu)
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_vanishing_irs_noise_recovers_scaled_passive(self):
@@ -142,8 +169,8 @@ class TestSnrActive:
         amp_sq = power.p_f / (
             power.p_t * bi * 4 + 4 * power.sigma_f2
         )
-        passive_scaled = amp_sq * snr_row(snr_passive_batch, ones, ones, bi, iu, power)
-        got = snr_row(snr_active_batch, ones, ones, bi, iu, power)
+        passive_scaled = amp_sq * snr_row(passive, ones, ones, bi, iu, power)
+        got = snr_row(active, ones, ones, bi, iu, power)
         assert got == pytest.approx(passive_scaled, rel=1e-9)
 
     def test_noise_power_ratio_homogeneity(self):
@@ -151,7 +178,7 @@ class TestSnrActive:
         p_bi = sample_nakagami_power(1.0, rng, 8)
         p_iu = sample_nakagami_power(1.0, rng, 8)
         bi, iu = gain(100.0), gain(30.0)
-        base = snr_row(snr_active_batch, p_bi, p_iu, bi, iu)
+        base = snr_row(active, p_bi, p_iu, bi, iu)
         c = 7.3
         scaled = PowerParams(
             p_t=c * POWER.p_t,
@@ -159,7 +186,7 @@ class TestSnrActive:
             sigma2=c * POWER.sigma2,
             sigma_f2=c * POWER.sigma_f2,
         )
-        got = snr_row(snr_active_batch, p_bi, p_iu, bi, iu, scaled)
+        got = snr_row(active, p_bi, p_iu, bi, iu, scaled)
         assert got == pytest.approx(base, rel=1e-12)
 
     def test_power_budget_met_with_equality(self):
@@ -184,7 +211,7 @@ class TestSnrActive:
             a_iu = np.sqrt(sample_nakagami_power(1.0, rng, 8))
             g_bi = a_bi * np.exp(1j * rng.uniform(0, 2 * np.pi, 8))
             g_iu = a_iu * np.exp(1j * rng.uniform(0, 2 * np.pi, 8))
-            aligned = snr_row(snr_active_batch, a_bi**2, a_iu**2, bi, iu)
+            aligned = snr_row(active, a_bi**2, a_iu**2, bi, iu)
             h_bi = np.sqrt(bi) * g_bi
             h_iu = np.sqrt(iu) * g_iu
             a_sq = budget_gain_sq(a_bi, bi)
@@ -203,7 +230,7 @@ class TestSnrActive:
         pows_bi = sample_nakagami_power(1.0, rng, (1000, 64))
         pows_iu = sample_nakagami_power(1.0, rng, (1000, 64))
         bi, iu = gain(100.0), gain(30.0)
-        snrs = snr_active_batch(pows_bi, pows_iu, bi, iu, POWER)
+        snrs = active(pows_bi, pows_iu, bi, iu, POWER)
         assert np.all(np.isfinite(snrs))
         assert np.all(snrs > 0)
 
@@ -212,13 +239,13 @@ class TestSnrPassive:
     def test_single_element(self):
         bi, iu = gain(1.0, eps=1.0), gain(1.0, eps=1.0)
         expected = POWER.p_t / POWER.sigma2
-        got = snr_row(snr_passive_batch, np.ones(1), np.ones(1), bi, iu)
+        got = snr_row(passive, np.ones(1), np.ones(1), bi, iu)
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_deterministic_doubling_quadruples(self):
         bi, iu = gain(100.0), gain(30.0)
-        s1 = snr_row(snr_passive_batch, np.ones(8), np.ones(8), bi, iu)
-        s2 = snr_row(snr_passive_batch, np.ones(16), np.ones(16), bi, iu)
+        s1 = snr_row(passive, np.ones(8), np.ones(8), bi, iu)
+        s2 = snr_row(passive, np.ones(16), np.ones(16), bi, iu)
         assert s2 == pytest.approx(4.0 * s1, rel=1e-12)
 
     def test_mc_mean_against_moment_oracle(self, rng):
@@ -228,7 +255,7 @@ class TestSnrPassive:
         bi, iu = gain(100.0), gain(30.0)
         p_bi = sample_nakagami_power(1.0, rng, (draws, n))
         p_iu = sample_nakagami_power(1.0, rng, (draws, n))
-        snrs = snr_passive_batch(p_bi, p_iu, bi, iu, POWER)
+        snrs = passive(p_bi, p_iu, bi, iu, POWER)
         s2 = n + n * (n - 1) * (math.pi / 4.0) ** 2
         expected = POWER.p_t * bi * iu * s2 / POWER.sigma2
         se = snrs.std(ddof=1) / math.sqrt(draws)

@@ -571,6 +571,20 @@ class TestCliRuns:
         assert reason in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("epsilon_ref, routes", [("1e200", "quadrature inf, closed form inf"),
+                                                     ("1e-300", "quadrature 0, closed form 0")])
+    def test_validate_out_of_float_range_names_the_point(self, tmp_path, capsys, epsilon_ref,
+                                                         routes):
+        # the path-gain product overflows (mean SNR inf) or underflows (0);
+        # both used to end in a ZeroDivisionError traceback (exit 1)
+        out = tmp_path / "x"
+        assert main(["validate", "--out", str(out), "--set", f"epsilon_ref={epsilon_ref}"]
+                    + FAST_VALIDATE) == 2
+        assert capsys.readouterr().err == (
+            "error: validate at m_iu=1|n=16|d_bi=100|d_iu=30|p_f=0.01: the mean SNR "
+            f"({routes}) is not a positive finite value\n")
+        assert not out.exists()
+
 
 class TestMeanSnrVsPfShape:
     def test_increasing_with_decreasing_slopes(self, tmp_path):

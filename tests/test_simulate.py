@@ -136,6 +136,17 @@ class TestAssociate:
                 scores = [an.mean_snr_integral(b, r, cfg) for b, r in zip(d_bi, d_iu)]
                 assert best[k] == int(np.argmax(scores)), (drop_index, k)
 
+    @pytest.mark.parametrize("policy", ["nearest", "best_irs"])
+    def test_stacked_drops_match_per_drop_calls(self, policy):
+        cfg = make_cfg(geom={"m_irs": 6, "n_elements": 32}, k_ues=12, m_iu=2.0)
+        drops = [drop(cfg, seed=405, drop_index=i) for i in range(5)]
+        irs = np.stack([d[0] for d in drops])
+        ue = np.stack([d[1] for d in drops])
+        stacked = associate(irs, ue, policy, cfg)
+        assert stacked.shape == (5, 12)
+        for g, (irs_g, ue_g) in enumerate(drops):
+            assert np.array_equal(stacked[g], associate(irs_g, ue_g, policy, cfg)), g
+
     def test_partition_depends_only_on_radius(self):
         cfg = make_cfg()
         irs, ue = drop(cfg, seed=21, drop_index=0)
@@ -234,6 +245,43 @@ class TestSimulateCell:
         }
         for policy in ("nearest", "best_irs"):
             est = simulate_cell(cfg, policy, n_drops=3, n_fading=4, seed=2025,
+                                threads=threads)
+            for irs_mode in ("active", "passive"):
+                got = [(est[irs_mode][k].mean, est[irs_mode][k].std_error)
+                       for k in ("snr_mean", "achievable_rate", "spatial_throughput")]
+                assert got == frozen[irs_mode, policy], (irs_mode, policy)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_grouped_drop_bits_are_frozen(self, threads):
+        # 17 drops of 6 users at N = 256 span three drop groups, the last one
+        # short; 7 users are BS-served and best_irs moves 23 of the others
+        # off their nearest reflector. Frozen from the one-drop-at-a-time
+        # form of the drop path.
+        cfg = make_cfg(geom={"l_in": 60.0, "l_out": 150.0, "m_irs": 4, "n_elements": 256},
+                       k_ues=6)
+        n_drops, n_fading = 17, 3
+        group = simulate._DROP_BLOCK // (cfg.k_ues * n_fading * cfg.geometry.n_elements)
+        assert 1 < group and 2 * group < n_drops < 3 * group
+        frozen = {
+            ("active", "nearest"): [
+                (565.0108466189408, 173.2411491574019),
+                (7.508136210599346, 0.1842915890743372),
+                (5.974784956620688e-05, 1.466545868572055e-06)],
+            ("active", "best_irs"): [
+                (558.889846080986, 173.3922783199532),
+                (7.4155843801468775, 0.19055556321531913),
+                (5.901134550077121e-05, 1.5163929909689091e-06)],
+            ("passive", "nearest"): [
+                (275.5177484397935, 172.93516241285982),
+                (0.7122228211942441, 0.25026981487021394),
+                (5.667689128795953e-06, 1.991583907164404e-06)],
+            ("passive", "best_irs"): [
+                (275.5189878989823, 172.93514286320752),
+                (0.7139683736380822, 0.2502229380639335),
+                (5.681579793789102e-06, 1.991210873392609e-06)],
+        }
+        for policy in ("nearest", "best_irs"):
+            est = simulate_cell(cfg, policy, n_drops=n_drops, n_fading=n_fading, seed=31,
                                 threads=threads)
             for irs_mode in ("active", "passive"):
                 got = [(est[irs_mode][k].mean, est[irs_mode][k].std_error)
