@@ -20,8 +20,9 @@ Conventions baked in here (see README for the full discussion):
   through NetworkConfig.path_gain; 1 m is the reference distance of eps.
 
 The amplified-link kernels rest on one factorization. The mixture component
-masses w_i t_i^(m_IU-1)/Gamma(m_IU) (mixgamma.laguerre_log_masses) are
-distance-free, and component i's noise rate is S/t_i and its decay
+masses, the weights w_i of the Gauss rule for the Gamma(m_IU) weight
+(NetworkConfig.rule, mixgamma.cascaded_power_dist), are distance-free and
+have mean sum_i w_i t_i = m_IU; component i's noise rate is S/t_i and its decay
 kappa*S/t_i, with S = sigma_F^2 m_BI W/(N P_t) (W = 1/(zeta_BI zeta_IU)) and
 kappa = m_IU sigma^2/(eta sigma_F^2) (_kappa), which depends on d_BI alone.
 After y = S z every d_IU at one d_BI shares
@@ -35,6 +36,7 @@ one integral of F_b per d_BI.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,8 +47,7 @@ from .mathkit import (
     integrate_interval_with_error,
     integrate_semi_infinite_with_error,
 )
-from .mixgamma import (InvalidDistributionError, MixtureGamma, cascaded_power_dist,
-                       laguerre_log_masses, laguerre_mean)
+from .mixgamma import InvalidDistributionError, MixtureGamma, cascaded_power_dist
 
 __all__ = [
     "averaged_amp_gain",
@@ -90,6 +91,18 @@ def _worst(d, exc: IntegrationError) -> float:
     return float(np.ravel(d)[int(np.argmax(exc.achieved_rel_error))])
 
 
+def _checked(where: str, mean, d_bi, d_iu, cfg: NetworkConfig):
+    """mean (a float if 0-d); InvalidDistributionError names its first non-positive-finite point."""
+    ok = np.ravel((mean > 0) & np.isfinite(mean))
+    if not ok.all():
+        first = np.argmin(ok)
+        d_bi, d_iu = (np.ravel(np.broadcast_to(d, np.shape(mean)))[first] for d in (d_bi, d_iu))
+        raise InvalidDistributionError(
+            f"{where} at {_point(cfg)}, d_bi={d_bi:g} m, d_iu={d_iu:g} m: "
+            "the mean SNR is not a positive finite value")
+    return float(mean) if np.ndim(mean) == 0 else mean
+
+
 def _shaped(values: np.ndarray, like):
     """(K,) kernel values returned as a float for a scalar input, else in its shape."""
     return float(values[0]) if np.ndim(like) == 0 else values.reshape(np.shape(like))
@@ -125,19 +138,25 @@ def _kappa(d_bi, cfg: NetworkConfig):
 
 
 def _mean_snr_scale(d_bi, d_iu, cfg: NetworkConfig):
-    """Mean SNR / psi_m(kappa) = N P_t zeta_BI zeta_IU/sigma_F^2 * sum_i w_i t_i^m/Gamma(m)."""
+    """Mean SNR / psi_m(kappa) = N P_t zeta_BI zeta_IU m_IU/sigma_F^2 (the mixture mean is m_IU)."""
     return (cfg.geometry.n_elements * cfg.power.p_t * cfg.path_gain(d_bi) * cfg.path_gain(d_iu)
-            / cfg.power.sigma_f2 * laguerre_mean(cfg.rule(), cfg.m_iu))
+            / cfg.power.sigma_f2 * cfg.m_iu)
+
+
+@lru_cache(maxsize=64)
+def _unit_cascade(cfg: NetworkConfig) -> MixtureGamma:
+    """The cascade mixture at scale v = 1, built once per configuration."""
+    return cascaded_power_dist(cfg.m_bi, cfg.m_iu, 1.0, cfg.rule())
 
 
 def _noise_mixture(d_bi: float, cfg: NetworkConfig):
     """F_b(y) = sum_i mass_i e^(-kappa y/t_i) (1 + y/t_i)^-m_IU at one d_BI.
 
-    mass_i = w_i t_i^(m_IU-1)/Gamma(m_IU); F_b is the same for every d_IU.
+    mass_i is the cascade mixture's, at nodes t_i; F_b is the same for every d_IU.
     """
     rule = cfg.rule()
     m = cfg.m_iu
-    masses = np.exp(laguerre_log_masses(rule, m))
+    masses = np.exp(_unit_cascade(cfg).log_mass)
     kappa = _kappa(d_bi, cfg)
     inv_t = 1.0 / rule.nodes
 
@@ -167,19 +186,14 @@ def snr_moment_active(d_bi: float, d_iu, cfg: NetworkConfig):
                           f"d_iu={_worst(d_iu, exc):g} m") from exc
     with np.errstate(divide="ignore", over="ignore"):
         mean = cfg.m_bi * (value / kappa) / _s_scale(d_bi, d_iu, cfg)
-    ok = np.ravel((mean > 0) & np.isfinite(mean))
-    if not ok.all():
-        raise InvalidDistributionError(
-            f"snr_moment_active at {_point(cfg)}, d_bi={d_bi:g} m, "
-            f"d_iu={np.ravel(d_iu)[np.argmin(ok)]:g} m: the mean SNR is not a positive finite value")
-    return float(mean) if np.ndim(mean) == 0 else mean
+    return _checked("snr_moment_active", mean, d_bi, d_iu, cfg)
 
 
 def mean_snr_integral(d_bi: float, d_iu: float, cfg: NetworkConfig) -> float:
     """Mean amplified-link SNR: the scale times psi_m(kappa) by quadrature.
 
     psi_m(kappa) = integral e^(-kappa u) (1 + u)^-m du, integrated in
-    v = kappa u. An exhausted budget is re-raised naming the point.
+    v = kappa u. An exhausted budget or an out-of-range mean raises naming the point.
     """
     kappa = _kappa(d_bi, cfg)
     try:
@@ -189,7 +203,8 @@ def mean_snr_integral(d_bi: float, d_iu: float, cfg: NetworkConfig) -> float:
     except IntegrationError as exc:
         raise _named(exc, f"mean_snr_integral at {_point(cfg)}, d_bi={d_bi:g} m, "
                           f"d_iu={d_iu:g} m") from exc
-    return float(_mean_snr_scale(d_bi, d_iu, cfg) * (psi / kappa))
+    return _checked("mean_snr_integral", _mean_snr_scale(d_bi, d_iu, cfg) * (psi / kappa),
+                    d_bi, d_iu, cfg)
 
 
 def mean_snr_closed(d_bi, d_iu, cfg: NetworkConfig):
@@ -198,19 +213,18 @@ def mean_snr_closed(d_bi, d_iu, cfg: NetworkConfig):
     The scale times psi_m(kappa) = e^kappa E_m(kappa) (DLMF 8.19), to which
     each integral of the paper's per-node sum reduces (kappa = a_i D_i at
     every node). Broadcasts d_bi against d_iu; a float for scalar distances.
+    An out-of-range mean raises naming the first such point.
     """
-    return _mean_snr_scale(d_bi, d_iu, cfg) * exp_en_scaled(cfg.m_iu, _kappa(d_bi, cfg))
+    mean = _mean_snr_scale(d_bi, d_iu, cfg) * exp_en_scaled(cfg.m_iu, _kappa(d_bi, cfg))
+    return _checked("mean_snr_closed", mean, d_bi, d_iu, cfg)
 
 
 def mean_snr_passive(d_bi: float, d_iu: float, cfg: NetworkConfig) -> float:
-    """Mean phase-only reflection SNR.
-
-    N^2 (sum_i w_i t_i^m/Gamma(m)) P_t zeta_BI zeta_IU / (m sigma^2).
-    """
-    m = cfg.m_iu
+    """Mean phase-only reflection SNR N^2 P_t zeta_BI zeta_IU/sigma^2 (the m_IU cancels)."""
     n = cfg.geometry.n_elements
     zeta = cfg.path_gain(d_bi) * cfg.path_gain(d_iu)
-    return n**2 * laguerre_mean(cfg.rule(), m) * cfg.power.p_t * zeta / (m * cfg.power.sigma2)
+    return _checked("mean_snr_passive", n**2 * cfg.power.p_t * zeta / cfg.power.sigma2,
+                    d_bi, d_iu, cfg)
 
 
 def rate_direct(d_bu, cfg: NetworkConfig):

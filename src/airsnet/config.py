@@ -63,6 +63,8 @@ def _each(test, what):
 _positive = _each(lambda x: x > 0, "positive")
 _two_draws = _each(lambda x: x >= 2, ">= 2, the fewest draws with a standard error")
 _shape = _each(lambda x: x >= 0.5, ">= 0.5")
+# the cascade rule's Newton polish converges at every glq_order up to m_iu = 1000
+_m_iu_ceiling = _each(lambda x: x <= 1000, "<= 1000")
 _glq_order = _each(lambda x: 4 <= x <= 64, "in [4, 64]")
 _seed = _each(lambda x: 0 <= x < 2**64, "in [0, 2**64)")
 
@@ -149,7 +151,7 @@ class NetworkConfig:
     epsilon_ref: float = _key("epsilon_ref", 1e-3, _positive)
     m_bu: float = _key("m_bu", 1.0, _shape)
     m_bi: float = _key("m_bi", 1.0, _shape)
-    m_iu: float = _key("m_iu", 1.0, _shape)
+    m_iu: float = _key("m_iu", 1.0, _shape, _m_iu_ceiling)
     glq_order: int = _key("glq_order", 20, _glq_order)
     distance_floor: float = _key("distance_floor_m", 1.0, _positive)
     k_ues: int = _key("k_ues", 50, _positive)
@@ -158,14 +160,8 @@ class NetworkConfig:
         _check_keys(self)
 
     def rule(self) -> QuadratureRule:
-        """The cascade mixture's Laguerre rule; order n is exact only for m_iu <= 2n - 1."""
-        if self.m_iu > 2 * self.glq_order - 1:
-            need = math.ceil((self.m_iu + 1) / 2)
-            raise ConfigError(
-                f"m_iu={self.m_iu:g} needs glq_order >= {need}, got glq_order={self.glq_order}"
-                if need <= 64 else f"m_iu={self.m_iu:g} exceeds 127, the largest m_iu any "
-                "analytic route carries (glq_order <= 64)")
-        return gauss_laguerre(self.glq_order)
+        """The cascade mixture's Gauss rule, for the weight t^(m_iu-1) e^-t/Gamma(m_iu)."""
+        return gauss_laguerre(self.glq_order, self.m_iu - 1.0)
 
     def path_gain(self, distance):
         """Channel power gain eps * max(d, floor)^-alpha, elementwise; a float for a scalar.

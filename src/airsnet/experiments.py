@@ -16,7 +16,7 @@ import numpy as np
 from . import analytic, simulate
 from .config import ConfigError, ExperimentConfig
 from .mathkit import gauss_laguerre, ln_gamma
-from .mixgamma import InvalidDistributionError, direct_power_dist
+from .mixgamma import direct_power_dist
 
 __all__ = ["ResultRow", "run_experiment"]
 
@@ -119,10 +119,6 @@ def _check_equivalence(cfg: ExperimentConfig, rows, checks):
         label = _point_label(m_iu=m_iu, n=n, d_bi=d_bi, d_iu=d_iu, p_f=p_f)
         quad = analytic.mean_snr_integral(d_bi, d_iu, net)
         closed = analytic.mean_snr_closed(d_bi, d_iu, net)
-        if not (0.0 < quad < math.inf and 0.0 < closed < math.inf):
-            raise InvalidDistributionError(
-                f"validate at {label}: the mean SNR (quadrature "
-                f"{quad:g}, closed form {closed:g}) is not a positive finite value")
         rel = abs(closed - quad) / quad
         worst_cq = max(worst_cq, rel)
         rows.append(ResultRow(cfg.experiment, "point", label, "mean_snr", "quadrature", quad))

@@ -60,10 +60,10 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes/weights turning integral(0,inf) f(t) e^{-t} dt into sum w_i f(t_i).
+    """Nodes/weights turning integral(0,inf) f(t) t^a e^{-t}/Gamma(a+1) dt into sum w_i f(t_i).
 
-    Nodes are the zeros of the Laguerre polynomial of the given order,
-    strictly increasing and positive; weights are positive and sum to 1.
+    Nodes are the zeros of the generalized Laguerre polynomial of the given
+    order, strictly increasing and positive; weights are positive and sum to 1.
     """
 
     order: int
@@ -75,58 +75,64 @@ class QuadratureRule:
         self.weights.setflags(write=False)
 
 
-def _laguerre_pair(order: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate (L_order(x), L_{order-1}(x)) by the three-term recurrence."""
+def _laguerre_pair(order: int, alpha: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate (L^alpha_order(x), L^alpha_{order-1}(x)) by the three-term recurrence."""
     lk_minus = np.ones_like(x)
-    lk = 1.0 - x
+    lk = 1.0 + alpha - x
     for k in range(1, order):
-        lk, lk_minus = ((2.0 * k + 1.0 - x) * lk - k * lk_minus) / (k + 1.0), lk
+        lk, lk_minus = ((2.0 * k + 1.0 + alpha - x) * lk - (k + alpha) * lk_minus) / (k + 1.0), lk
     return lk, lk_minus
 
 
 @lru_cache(maxsize=None)
-def gauss_laguerre(order: int) -> QuadratureRule:
-    """Construct the Gauss-Laguerre rule of the given order (1..64).
+def gauss_laguerre(order: int, alpha: float = 0.0) -> QuadratureRule:
+    """The Gauss rule of the given order (1..64) for the weight t^alpha e^-t/Gamma(alpha+1).
 
-    Initial node guesses come from the eigenvalues of the symmetric Jacobi
-    matrix (Golub-Welsch); each node is then polished by Newton iteration on
-    the Laguerre recurrence, and weights use w_i = t_i / ((n+1) L_{n+1}(t_i))^2.
+    Its weights sum to 1 and sum_i w_i t_i = alpha + 1; alpha = 0 is plain
+    Gauss-Laguerre. Node guesses are the eigenvalues of the Jacobi matrix
+    (Golub-Welsch: diagonal 2k+1+alpha, off-diagonal sqrt(k(k+alpha))),
+    polished by Newton on the recurrence; weights are
+    Gamma(n+alpha+1)/(n! Gamma(alpha+1)) t_i/((n+1) L^alpha_{n+1}(t_i))^2.
 
     Raises
     ------
     DomainError
-        If order is outside [1, 64].
+        If order is outside [1, 64] or alpha is not a finite number > -1.
     ConvergenceError
         If Newton fails on some node; the message names the node index.
     """
     if not isinstance(order, (int, np.integer)) or order < 1 or order > 64:
         raise DomainError(f"order must be an integer in [1, 64], got {order!r}")
+    if not -1.0 < alpha < math.inf:
+        raise DomainError(f"alpha must be a finite number > -1, got {alpha!r}")
     n = int(order)
 
-    jacobi = np.diag(2.0 * np.arange(n) + 1.0)
-    off = np.arange(1, n, dtype=float)
-    jacobi += np.diag(off, 1) + np.diag(off, -1)
+    k = np.arange(1, n)
+    off = np.sqrt(k * (k + alpha))
+    jacobi = np.diag(2.0 * np.arange(n) + 1.0 + alpha) + np.diag(off, 1) + np.diag(off, -1)
     nodes = np.linalg.eigvalsh(jacobi)
 
     # Newton polish; the eigenvalue guesses are already accurate to ~1e-12.
     for _ in range(64):
-        ln, ln_minus = _laguerre_pair(n, nodes)
-        # x L_n'(x) = n (L_n(x) - L_{n-1}(x))
-        deriv = n * (ln - ln_minus) / nodes
+        ln, ln_minus = _laguerre_pair(n, alpha, nodes)
+        # x L_n'(x) = n L_n(x) - (n + alpha) L_{n-1}(x)
+        deriv = (n * (ln - ln_minus) - alpha * ln_minus) / nodes
         step = ln / deriv
         nodes = nodes - step
         if np.all(np.abs(step) <= 1e-15 * nodes):
             break
 
-    ln, ln_minus = _laguerre_pair(n, nodes)
+    ln, ln_minus = _laguerre_pair(n, alpha, nodes)
     scale = np.maximum(1.0, np.abs(ln_minus))
     bad = np.abs(ln) > 1e-13 * scale * n
     if np.any(bad):
         idx = int(np.argmax(bad))
         raise ConvergenceError(f"node {idx} of Gauss-Laguerre order {n} did not converge")
 
-    lnp1, _ = _laguerre_pair(n + 1, nodes)
+    lnp1, _ = _laguerre_pair(n + 1, alpha, nodes)
     weights = nodes / ((n + 1.0) * lnp1) ** 2
+    weights *= math.exp(math.lgamma(n + alpha + 1.0) - math.lgamma(n + 1.0)
+                        - math.lgamma(alpha + 1.0))
 
     if np.any(np.diff(nodes) <= 0) or np.any(nodes <= 0) or np.any(weights <= 0):
         raise ConvergenceError(f"Gauss-Laguerre order {n} produced an invalid rule")

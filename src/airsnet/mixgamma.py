@@ -1,8 +1,9 @@
 """Mixture-Gamma channel-power distributions, stored as log component masses.
 
 The direct base-station link is an exact one-component Gamma. The amplified
-cascaded link is a Laguerre-node mixture whose masses depend on m_IU alone
-(laguerre_log_masses) and whose rates carry one distance-dependent scale v.
+cascaded link is a mixture over the nodes of the Gauss rule for the Gamma(m_IU)
+weight: its masses are the rule's weights, which depend on m_IU alone, and its
+rates carry one distance-dependent scale v.
 The pdf, moments and sampling work per term in log space, so rates of order
 1e9+ and masses below the smallest double survive.
 """
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mathkit import DomainError, QuadratureRule, ln_gamma
+from .mathkit import DomainError, QuadratureRule
 
 __all__ = [
     "AccuracyError",
@@ -22,8 +23,6 @@ __all__ = [
     "MixtureGamma",
     "direct_power_dist",
     "cascaded_power_dist",
-    "laguerre_log_masses",
-    "laguerre_mean",
 ]
 
 
@@ -90,9 +89,10 @@ class MixtureGamma:
         unaffected, and pairing them elementwise with independent iid-ordered
         draws is safe; pairing them with another grouped sequence is not.
 
-        Requires a near-normalized mixture (defect <= 1e-3); sampling from a
-        badly unnormalized mass set would silently change the law. A mass
-        that underflows to 0 is drawn with probability 0.
+        Requires a near-normalized mixture (defect <= 1e-3), as every mixture
+        built here is; sampling from a badly unnormalized mass set would
+        silently change the law. A mass that underflows to 0 is drawn with
+        probability 0.
         """
         masses = np.exp(self.log_mass)
         total = masses.sum()
@@ -117,19 +117,6 @@ class MixtureGamma:
         ]
 
 
-def laguerre_log_masses(rule: QuadratureRule, m: float) -> np.ndarray:
-    """log(w_i t_i^(m-1)/Gamma(m)), the Laguerre masses of a Gamma(m) average.
-
-    They sum to 1 up to the rule's defect and stay finite where a mass underflows.
-    """
-    return np.log(rule.weights) + (m - 1.0) * np.log(rule.nodes) - ln_gamma(m)
-
-
-def laguerre_mean(rule: QuadratureRule, m: float) -> float:
-    """sum_i w_i t_i^m/Gamma(m), termwise in logs so large m cannot overflow."""
-    return float(np.exp(np.log(rule.weights) + m * np.log(rule.nodes) - ln_gamma(m)).sum())
-
-
 def direct_power_dist(m: float, gain: float) -> MixtureGamma:
     """Exact direct-link channel-power law: one component, beta = m and xi = m / gain."""
     if m < 0.5 or not gain > 0:
@@ -141,19 +128,18 @@ def cascaded_power_dist(m_bi: float, m_iu: float, v: float,
                         rule: QuadratureRule) -> MixtureGamma:
     """Laguerre-mixture approximation of the amplified cascaded channel power.
 
-    Component i sits at quadrature node t_i with mass w_i t_i^(m_iu-1)/Gamma(m_iu)
-    (laguerre_log_masses), shape beta_i = m_bi and rate
-    xi_i = m_bi m_iu v / t_i. Only the scale v = W/(amp_sq N^2) depends on
-    the distances: W = 1/gain is the inverse product path gain
-    zeta_BI zeta_IU and amp_sq the deterministic averaged amplification
-    gain. The masses' defect from 1 shrinks with the rule order. At order 20
-    it is roundoff for integer m_iu and under 6e-5 from m_iu = 2, but 2.5e-3
-    near m_iu = 1.2 and 11% at m_iu = 1/2; `sample` refuses any above 1e-3.
+    `rule` is the Gauss rule for the Gamma(m_iu) weight t^(m_iu-1) e^-t/Gamma(m_iu)
+    (NetworkConfig.rule()). Component i sits at its node t_i with mass w_i,
+    shape beta_i = m_bi and rate xi_i = m_bi m_iu v / t_i. Only the scale
+    v = W/(amp_sq N^2) depends on the distances: W = 1/gain is the inverse
+    product path gain zeta_BI zeta_IU and amp_sq the deterministic averaged
+    amplification gain. The masses sum to 1 and their mean sum_i w_i t_i is
+    m_iu at every shape, up to roundoff.
     """
     if rule.order < 4:
         raise AccuracyError(
             f"rule order {rule.order} is too coarse for the cascaded mixture; use >= 4")
     if not 0 < v < np.inf:
         raise DomainError(f"the cascade scale v must be positive and finite, got {v}")
-    return MixtureGamma(log_mass=laguerre_log_masses(rule, m_iu),
+    return MixtureGamma(log_mass=np.log(rule.weights),
                         beta=np.full(rule.order, m_bi), xi=m_bi * m_iu * v / rule.nodes)

@@ -31,7 +31,7 @@ from .channel import (
     snr_passive_batch,
 )
 from .config import ConfigError, NetworkConfig
-from .mixgamma import InvalidDistributionError, cascaded_power_dist
+from .mixgamma import InvalidDistributionError
 
 __all__ = [
     "SimEstimate",
@@ -308,7 +308,7 @@ def model_snr_moment_mc(cfg: NetworkConfig, d_bi: float, d_iu,
     v = analytic.cascade_scale(d_bi, d_iu, cfg)
     if not np.all((v > 0) & np.isfinite(v)):
         raise failure(f"cascade scale v={v} is not a positive finite value")
-    mix = cascaded_power_dist(cfg.m_bi, cfg.m_iu, 1.0, cfg.rule())
+    mix = analytic._unit_cascade(cfg)
     eta = analytic.averaged_amp_gain(d_bi, cfg)
     p = cfg.power
     m = cfg.m_iu

@@ -2,12 +2,13 @@
 
 These deliberately avoid the library's own code paths: the exponential
 integral oracle uses an fsum'd power series (small x) and a high-order
-Laguerre sum of 1/(t+x) (large x); the cascade masses are written out from
-the Laguerre rule with scipy's gammaln; the mixture CDF uses scipy's
+Laguerre sum of 1/(t+x) (large x); the cascade nodes and masses come from
+scipy's generalized Gauss-Laguerre rule; the mixture CDF uses scipy's
 regularized incomplete Gamma; the noise Laplace transform is written out
 from its law; the amplified-link rate is one z-domain quadrature per
-distance pair; the amplified-link mean SNR is the paper's per-node sum with
-each node integral taken by mpmath.
+distance pair, and independently a nested quadrature free of any rule; the
+amplified-link mean SNR is the paper's per-node sum with each node integral
+taken by mpmath.
 """
 
 import math
@@ -52,13 +53,35 @@ def rayleigh_mean_snr(d_bi: float, d_iu: float, cfg) -> float:
     return n * p.p_t * zeta_bi * zeta_iu / p.sigma_f2 * ref_exp_e1_scaled(psi / p.p_f)
 
 
+def mean_snr_mpmath(d_bi: float, d_iu: float, cfg) -> float:
+    """Mean amplified-link SNR N P_t zeta_BI zeta_IU m_IU/sigma_F^2 e^kappa E_m(kappa).
+
+    The closed form at 40 digits (mpmath.expint), kappa = m_IU sigma^2/(eta sigma_F^2)
+    and eta = P_F/(P_t zeta_BI + sigma_F^2); the mixture mean m_IU is exact.
+    """
+    import mpmath
+
+    with mpmath.workdps(40):
+        mpf = mpmath.mpf
+        p = cfg.power
+        zeta_bi = mpf(cfg.epsilon_ref) * mpf(max(d_bi, cfg.distance_floor)) ** -mpf(cfg.alpha)
+        zeta_iu = mpf(cfg.epsilon_ref) * mpf(max(d_iu, cfg.distance_floor)) ** -mpf(cfg.alpha)
+        eta = mpf(p.p_f) / (mpf(p.p_t) * zeta_bi + mpf(p.sigma_f2))
+        m = mpf(cfg.m_iu)
+        kappa = m * mpf(p.sigma2) / (eta * mpf(p.sigma_f2))
+        scale = cfg.geometry.n_elements * mpf(p.p_t) * zeta_bi * zeta_iu * m / mpf(p.sigma_f2)
+        return float(scale * mpmath.exp(kappa) * mpmath.expint(m, kappa))
+
+
 def mean_snr_node_sum(d_bi: float, d_iu: float, cfg) -> float:
     """Mean amplified-link SNR as the paper's per-node sum sum_i K_i phi_i.
 
     K_i = w_i t_i^(2m-1) m_BI^(1-m) (N P_t/(sigma_F^2 W))^m / Gamma(m) and
     phi_i = integral e^(-a_i z) (z + D_i)^-m dz with
     a_i = m_BI m W sigma^2/(t_i eta N P_t) and D_i = N P_t t_i/(sigma_F^2 m_BI W),
-    W = 1/(zeta_BI zeta_IU), on numpy's Gauss-Laguerre rule. Each phi_i is
+    W = 1/(zeta_BI zeta_IU), written as mass_i t_i^m ... with the nodes and
+    masses of cascade_rule (so w_i t_i^(m-1) there is the Gamma(m)-weight
+    rule's weight). Each phi_i is
     one mpmath.quad over breakpoints three decades apart from min(D_i, 1/a_i)
     to 100 max(D_i, 1/a_i); the oracle never uses the library's collapse
     phi_i = D_i^(1-m) psi_m(a_i D_i).
@@ -72,13 +95,13 @@ def mean_snr_node_sum(d_bi: float, d_iu: float, cfg) -> float:
     zeta_iu = cfg.epsilon_ref * max(d_iu, cfg.distance_floor) ** -cfg.alpha
     w_big = 1.0 / (zeta_bi * zeta_iu)
     eta = p.p_f / (p.p_t * zeta_bi + p.sigma_f2)
-    nodes, weights = np.polynomial.laguerre.laggauss(cfg.glq_order)
+    nodes, masses = cascade_rule(cfg.glq_order, m)
     total = mpmath.mpf(0)
     with mpmath.workdps(20):
-        for t, w in zip(nodes, weights):
-            t, w = mpmath.mpf(t), mpmath.mpf(w)
-            k = (w * t ** (2 * m - 1) * mpmath.mpf(cfg.m_bi) ** (1 - m)
-                 * (n * p.p_t / (p.sigma_f2 * w_big)) ** m / mpmath.gamma(m))
+        for t, mass in zip(nodes, masses):
+            t, mass = mpmath.mpf(t), mpmath.mpf(mass)
+            k = (mass * t ** m * mpmath.mpf(cfg.m_bi) ** (1 - m)
+                 * (n * p.p_t / (p.sigma_f2 * w_big)) ** m)
             a = cfg.m_bi * m * w_big * p.sigma2 / (t * eta * n * p.p_t)
             d = n * p.p_t * t / (p.sigma_f2 * cfg.m_bi * w_big)
             breaks = [0]
@@ -112,27 +135,31 @@ def passive_moment_ratio(n: int, m_bi: float, m_iu: float) -> float:
     return 1.0 / n + (1.0 - 1.0 / n) * passive_cascade_k(m_bi, m_iu)
 
 
-def cascade_masses(rule, m_iu: float) -> np.ndarray:
-    """The cascade mixture's masses w_i t_i^(m_IU-1)/Gamma(m_IU), from the rule.
+def cascade_rule(order: int, m_iu: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes t_i and masses of the cascade mixture: the order-n Gauss rule for
+    the Gamma(m_IU) weight t^(m_IU-1) e^-t/Gamma(m_IU).
 
-    Written out with scipy's gammaln, not read from the mixture, so an oracle
-    that uses them checks the library's masses too.
+    From scipy's roots_genlaguerre (alpha = m_IU - 1), masses = w_i/Gamma(m_IU)
+    with scipy's gammaln, not read from the library, so an oracle that uses
+    them checks the library's rule too. scipy's weights overflow near
+    alpha = 170, so keep m_IU <= 127.
     """
-    from scipy.special import gammaln
+    from scipy.special import gammaln, roots_genlaguerre
 
-    return rule.weights * np.exp((m_iu - 1.0) * np.log(rule.nodes) - gammaln(m_iu))
+    nodes, weights = roots_genlaguerre(order, m_iu - 1.0)
+    return nodes, weights * np.exp(-gammaln(m_iu))
 
 
-def mixture_cdf(mix, x, rule, m_iu: float):
+def mixture_cdf(mix, x, m_iu: float):
     """P(X <= x) of a cascade mixture: sum_i mass_i P(beta_i, xi_i x).
 
-    mass_i from cascade_masses(rule, m_iu), and P is scipy's regularized
-    lower incomplete Gamma. Accepts a scalar or 1-D array x.
+    mass_i from cascade_rule at the mixture's order, and P is scipy's
+    regularized lower incomplete Gamma. Accepts a scalar or 1-D array x.
     """
     from scipy.special import gammainc
 
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    masses = cascade_masses(rule, m_iu)
+    _, masses = cascade_rule(mix.beta.size, m_iu)
     out = masses @ gammainc(mix.beta[:, None], mix.xi[:, None] * xs[None, :])
     return float(out[0]) if np.ndim(x) == 0 else out
 
@@ -157,7 +184,7 @@ def rate_active_oracle(d_bi: float, d_iu: float, cfg) -> float:
 
     log2(e) * integral (1/z)(1 - (1+z)^-beta) sum_i mass_i e^(-z xi_i sigma^2/P_t)
     (1 + z eta sigma_F^2 xi_i/(P_t m_IU))^-m_IU dz over the cascaded mixture's
-    own (beta, xi_i), with masses from cascade_masses(cfg.rule(), m_IU):
+    own (beta, xi_i), with masses from cascade_rule(glq_order, m_IU):
     one adaptive quadrature of the whole component sum per pair, with none of
     the distance factorization the library kernel uses.
     """
@@ -166,7 +193,7 @@ def rate_active_oracle(d_bi: float, d_iu: float, cfg) -> float:
 
     p = cfg.power
     mix = cascaded_mixture(d_bi, d_iu, cfg)
-    masses = cascade_masses(cfg.rule(), cfg.m_iu)
+    _, masses = cascade_rule(cfg.glq_order, cfg.m_iu)
     decay = mix.xi * p.sigma2 / p.p_t
     noise_rates = averaged_amp_gain(d_bi, cfg) * p.sigma_f2 * mix.xi / (p.p_t * cfg.m_iu)
     beta = float(mix.beta[0])
@@ -179,6 +206,51 @@ def rate_active_oracle(d_bi: float, d_iu: float, cfg) -> float:
 
     value, _ = integrate_semi_infinite_with_error(kernel, 1e-10, max_panels=16384)
     return math.log2(math.e) * value
+
+
+def rate_active_reference(d_bi: float, d_iu: float, cfg) -> float:
+    """Amplified-link rate of the exact cascade, free of any Laguerre rule.
+
+    log2(e) * integral F(y) (1 - (1 + y/S)^-m_BI)/y dy with
+    F(y) = E_t[e^(-kappa y/t) (1 + y/t)^-m_IU], t ~ Gamma(m_IU, 1): the
+    mixture's F_b with the rule's sum replaced by the expectation it
+    approximates. S = sigma_F^2 m_BI/(N P_t zeta_BI zeta_IU) and
+    kappa = m_IU sigma^2/(eta sigma_F^2) are written out here. Both
+    integrals run in log coordinates (y = e^u, t = e^s) with scipy's quad,
+    broken at ln S, 0 and ln(1/kappa), where the integrands turn over.
+    """
+    from scipy.integrate import quad
+    from scipy.special import gammaln
+
+    p = cfg.power
+    m, m_bi = cfg.m_iu, cfg.m_bi
+    zeta_bi = cfg.epsilon_ref * max(d_bi, cfg.distance_floor) ** -cfg.alpha
+    zeta_iu = cfg.epsilon_ref * max(d_iu, cfg.distance_floor) ** -cfg.alpha
+    eta = p.p_f / (p.p_t * zeta_bi + p.sigma_f2)
+    s_scale = p.sigma_f2 * m_bi / (cfg.geometry.n_elements * p.p_t * zeta_bi * zeta_iu)
+    kappa = m * p.sigma2 / (eta * p.sigma_f2)
+    log_norm = -gammaln(m)
+    # s = ln t ~ e^(m s - e^s)/Gamma(m): under e^-36 of its peak outside these
+    s_lo, s_hi = math.log(m) - 36.0 / min(m, math.sqrt(m)), math.log(m + 40.0 + 9.0 * math.sqrt(m))
+
+    def f(y: float) -> float:
+        def g(s: float) -> float:
+            t = math.exp(s)
+            return math.exp(m * s - t + log_norm - kappa * y / t - m * math.log1p(y / t))
+
+        # the factors turn over at t = y, t = kappa y and the Gamma peak t = m
+        turns = sorted(x for x in (math.log(y), math.log(kappa * y), math.log(m))
+                       if s_lo < x < s_hi)
+        return quad(g, s_lo, s_hi, points=turns, epsabs=0.0, epsrel=1e-12, limit=400)[0]
+
+    def h(u: float) -> float:
+        y = math.exp(u)
+        return f(y) * -math.expm1(-m_bi * math.log1p(y / s_scale))
+
+    breaks = sorted({math.log(s_scale), 0.0, -math.log(kappa)})
+    total = quad(h, breaks[0] - 40.0, breaks[-1] + 40.0, points=breaks, epsabs=0.0,
+                 epsrel=1e-11, limit=400)[0]
+    return math.log2(math.e) * total
 
 
 def rel_err(got: float, expected: float) -> float:

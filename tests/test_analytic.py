@@ -17,9 +17,11 @@ from airsnet.mathkit import (
 from airsnet.mixgamma import InvalidDistributionError, direct_power_dist
 from airsnet.simulate import model_snr_moment_mc, physical_snr_mc
 from conftest import (
+    mean_snr_mpmath,
     mean_snr_node_sum,
     noise_laplace,
     rate_active_oracle,
+    rate_active_reference,
     rayleigh_mean_snr,
     rel_err,
 )
@@ -184,26 +186,34 @@ class TestEquivalenceTriangle:
                                                                           d_bi, n)
 
     def test_closed_form_bits_are_frozen(self):
-        # best_irs ranks reflectors by these values, so sharing the scale with
-        # the quadrature must not move a bit; frozen from the unshared form
+        # best_irs ranks reflectors by these values, so their bits are pinned.
+        # Each literal lies within 2 ulps of a 40-digit mpmath evaluation of
+        # N P_t zeta_BI zeta_IU m_IU/sigma_F^2 e^kappa E_m(kappa), checked
+        # here too; the old ones carried the plain rule's mean defect (8.9e-15
+        # at the default point, -2.3e-4 at m_iu = 1/2 and order 64, -1.5e-6 at 2.5)
         points = [
-            ({}, 100.0, 30.0, 0.00042069700990758055),
-            ({"m_iu": 0.5, "p_f": 10.0, "glq_order": 64}, 100.0, 0.5, 241902.87414270442),
-            ({"m_iu": 2.5, "m_bi": 0.5, "n": 16, "p_f": 1e-4}, 1.0, 190.0, 0.012711800525993612),
-            ({"m_iu": 37.3, "n": 512, "glq_order": 20}, 200.0, 12.0, 0.00038057340997163806),
+            ({}, 100.0, 30.0, 0.0004206970099075843),
+            ({"m_iu": 0.5, "p_f": 10.0, "glq_order": 64}, 100.0, 0.5, 241847.95566233262),
+            ({"m_iu": 2.5, "m_bi": 0.5, "n": 16, "p_f": 1e-4}, 1.0, 190.0, 0.012711781634278494),
+            ({"m_iu": 37.3, "n": 512, "glq_order": 20}, 200.0, 12.0, 0.000380573409971636),
         ]
         for kw, d_bi, d_iu, frozen in points:
-            assert an.mean_snr_closed(d_bi, d_iu, make_cfg(**kw)) == frozen, kw
-        # an order-4 rule is exact only up to m_iu = 7
-        with pytest.raises(ConfigError, match="m_iu=37.3 needs glq_order >= 20"):
-            an.mean_snr_closed(200.0, 12.0, make_cfg(m_iu=37.3, n=512, glq_order=4))
-        grid = an.mean_snr_closed(np.array([[1.0], [100.0], [200.0]]),
-                                  np.array([0.5, 30.0, 190.0]), make_cfg(m_iu=4.0, p_f=10.0))
+            cfg = make_cfg(**kw)
+            assert an.mean_snr_closed(d_bi, d_iu, cfg) == frozen, kw
+            assert rel_err(frozen, mean_snr_mpmath(d_bi, d_iu, cfg)) < 5e-16, kw
+        # the mean SNR no longer reads the rule, so any glq_order gives these bits
+        assert an.mean_snr_closed(200.0, 12.0, make_cfg(m_iu=37.3, n=512, glq_order=4)) == (
+            0.000380573409971636)
+        cfg = make_cfg(m_iu=4.0, p_f=10.0)
+        d_bi, d_iu = np.array([[1.0], [100.0], [200.0]]), np.array([0.5, 30.0, 190.0])
+        grid = an.mean_snr_closed(d_bi, d_iu, cfg)
         assert np.array_equal(grid, [
-            [853316.2673473655, 31.604306198050573, 0.1244082617506],
-            [0.8533333333145597, 3.1604938270909614e-05, 1.2441074986361852e-07],
-            [0.10666666666618664, 3.950617283932837e-06, 1.5551343733224464e-08],
+            [853316.267347366, 31.60430619805059, 0.12440826175060007],
+            [0.8533333333145602, 3.160493827090963e-05, 1.244107498636186e-07],
+            [0.1066666666661867, 3.95061728393284e-06, 1.5551343733224474e-08],
         ])
+        for (i, j), value in np.ndenumerate(grid):
+            assert rel_err(value, mean_snr_mpmath(d_bi[i, 0], d_iu[j], cfg)) < 5e-16
 
     def test_pinned_value_m_iu_2(self):
         # frozen from the node-sum quadrature at 1e-8 before the closed form
@@ -460,12 +470,13 @@ class TestAverageMetric:
 
     @pytest.mark.parametrize("kw, expected", [
         ({}, 0.02649146253255729),
-        ({"m_iu": 2.5, "m_bi": 0.5}, 0.020230301935951572),
+        ({"m_iu": 2.5, "m_bi": 0.5}, 0.02023030651219063),
     ])
     def test_ring_dominated_rate_pinned(self, kw, expected):
         # with l_in = 5 m the reflector-served regions 2 and 3 cover all but
         # 0.06% of the cell, so the average reads the amplified-link kernel;
         # positional rates frozen from the per-pair z-domain rate kernel
+        # (rate_active_oracle, masses from scipy's rule of the Gamma(m_iu) weight)
         cfg = make_cfg(geom={"l_in": 5.0, "l_out": 150.0}, **kw)
         got = an.average_metric(cfg)[0] * cfg.geometry.s_total
         assert rel_err(got, expected) < 1e-9
@@ -558,31 +569,58 @@ def budget_stub(f, *args, **kwargs):
 
 
 class TestLaguerreOrderBound:
+    """The plain rule's order bound m_iu <= 2n - 1 is gone: the Gamma(m_iu) rule
+    keeps the mixture mean at every shape, up to the m_iu ceiling of 1000."""
+
     @pytest.mark.parametrize("order", [4, 20, 64])
     def test_mixture_keeps_its_mean_up_to_the_bound(self, order):
-        # sum_i mass_i t_i = Gamma(m+1)/Gamma(m) = m holds exactly while the
-        # order-n rule integrates t^m, that is for integer m <= 2n - 1
-        nodes, weights = np.polynomial.laguerre.laggauss(order)
-        m = 2 * order - 1
-        mean = math.fsum(weights * nodes**m) / math.gamma(m)
-        assert rel_err(mean, m) < 1e-9
-        cfg = make_cfg(m_iu=m, glq_order=order)
-        assert math.isfinite(an.mean_snr_closed(100.0, 30.0, cfg))
+        # sum_i mass_i t_i = m, read off the mixture mean 1/v, from m_iu = 1/2
+        # through the old bound 2n - 1 to the ceiling
+        for m in (0.5, 2 * order - 1, 2 * order + 1, 1000):
+            cfg = make_cfg(m_iu=m, glq_order=order)
+            v = an.cascade_scale(100.0, 30.0, cfg)
+            assert rel_err(an.cascaded_mixture(100.0, 30.0, cfg).moment(1) * v, 1.0) < 1e-11
+            assert math.isfinite(an.mean_snr_closed(100.0, 30.0, cfg))
 
-    def test_past_the_bound_every_route_refuses(self):
-        # at order 20 the m_iu = 100 mixture keeps 3.5e-4 of its mean, so the
-        # closed form and the moment quadrature would agree on a value
-        # thousands of times too low
+    def test_past_the_old_bound_every_route_agrees(self):
+        # at order 20 the plain-rule m_iu = 100 mixture kept 3.5e-4 of its mean,
+        # so every route refused it; the routes now agree at order 20 and the
+        # rate matches order 64
         cfg = make_cfg(m_iu=100)
-        for call in (lambda: an.mean_snr_closed(100.0, 30.0, cfg),
-                     lambda: an.mean_snr_integral(100.0, 30.0, cfg),
-                     lambda: an.snr_moment_active(100.0, 30.0, cfg),
-                     lambda: an.rate_active(100.0, 30.0, cfg),
-                     lambda: an.mean_snr_passive(100.0, 30.0, cfg)):
-            with pytest.raises(ConfigError, match=r"m_iu=100 needs glq_order >= 51, "
-                                                  r"got glq_order=20"):
-                call()
-        assert math.isfinite(an.rate_active(100.0, 30.0, replace(cfg, glq_order=64)))
+        closed = an.mean_snr_closed(100.0, 30.0, cfg)
+        assert rel_err(closed, mean_snr_mpmath(100.0, 30.0, cfg)) < 1e-14
+        assert rel_err(an.mean_snr_integral(100.0, 30.0, cfg), closed) < 1e-10
+        assert rel_err(an.snr_moment_active(100.0, 30.0, cfg), closed) < 1e-8
+        assert rel_err(an.mean_snr_passive(100.0, 30.0, cfg),
+                       64**2 * an.mean_snr_passive(100.0, 30.0, make_cfg(m_iu=1, n=1))) < 1e-14
+        rate = an.rate_active(100.0, 30.0, cfg)
+        assert rel_err(rate, an.rate_active(100.0, 30.0, replace(cfg, glq_order=64))) < 1e-10
+
+    def test_shape_above_the_ceiling_rejected(self):
+        with pytest.raises(ConfigError, match=r"m_iu must be <= 1000, got 1000\.5"):
+            make_cfg(m_iu=1000.5)
+        assert make_cfg(m_iu=1000).rule().order == 20
+
+
+class TestRateTruncation:
+    """rate_active (the order-n mixture) against the exact-cascade rate.
+
+    Bands fixed from the errors the order-free reference measured at
+    d_BI = 100 m, d_IU = 30 m before this test existed: at order 20, 1.0e-2
+    at m_IU = 1/2, 6.1e-5 at 1, 8.7e-8 at 1.5 and 1.0e-13 at 2.5; m_IU = 1
+    falls as n^-2 (6.0e-6 predicted at order 64). Near m_IU = 1/2 the
+    error falls slowly with n, so order 64 keeps the order-20 band there.
+    """
+
+    BANDS = {0.5: (1.2e-2, 1.2e-2), 1.0: (1e-4, 1e-5), 1.5: (2e-7, 2e-7), 2.5: (1e-11, 1e-11)}
+
+    @pytest.mark.parametrize("order", [20, 64])
+    @pytest.mark.parametrize("m_iu", [0.5, 1.0, 1.5, 2.5])
+    def test_rate_active_within_its_truncation_band(self, m_iu, order):
+        cfg = make_cfg(m_iu=m_iu, glq_order=order)
+        reference = rate_active_reference(100.0, 30.0, cfg)
+        band = self.BANDS[m_iu][order == 64]
+        assert rel_err(an.rate_active(100.0, 30.0, cfg), reference) < band
 
 
 class TestErrorsNameThePoint:

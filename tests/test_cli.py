@@ -261,8 +261,10 @@ class TestDumpDist:
     def test_cascaded_matches_the_papers_raw_coefficients(self, capsys, overrides):
         # the paper's raw mixture pdf = sum_i eps_i x^(beta_i-1) e^(-xi_i x), with
         #   beta_i = m_BI,  xi_i = m_BI m_IU v / t_i,
-        #   eps_i  = (m_BI m_IU v)^m_BI w_i t_i^(m_IU-m_BI-1) / (Gamma(m_BI) Gamma(m_IU)),
-        #   v = W/(amp_sq N^2), W = 1/(zeta_BI zeta_IU), amp_sq = eta/N
+        #   eps_i  = (m_BI m_IU v)^m_BI w_i t_i^-m_BI / Gamma(m_BI),
+        #   v = W/(amp_sq N^2), W = 1/(zeta_BI zeta_IU), amp_sq = eta/N,
+        # where (t_i, w_i) is the Gauss rule for the Gamma(m_IU) weight, the
+        # paper's w_i t_i^(m_IU-1)/Gamma(m_IU) on the plain Laguerre rule
         args = ["dump-dist", "--kind", "cascaded"]
         for item in overrides:
             args += ["--set", item]
@@ -270,14 +272,13 @@ class TestDumpDist:
         obj = json.loads(capsys.readouterr().out)
         cfg = parse_config(None, overrides)
         net = cfg.network
-        rule = gauss_laguerre(net.glq_order)
+        rule = gauss_laguerre(net.glq_order, net.m_iu - 1.0)
         n = net.geometry.n_elements
         amp_sq = analytic.averaged_amp_gain(cfg.d_bi, net) / n
         v = (1.0 / (net.path_gain(cfg.d_bi) * net.path_gain(cfg.d_iu))) / (amp_sq * float(n) ** 2)
         m_bi, m_iu = net.m_bi, net.m_iu
         log_eps = (m_bi * math.log(m_bi * m_iu * v) + np.log(rule.weights)
-                   + (m_iu - m_bi - 1.0) * np.log(rule.nodes)
-                   - math.lgamma(m_bi) - math.lgamma(m_iu))
+                   - m_bi * np.log(rule.nodes) - math.lgamma(m_bi))
         assert all(set(c) == {"epsilon", "beta", "xi"} for c in obj)
         assert [c["beta"] for c in obj] == [m_bi] * rule.order
         assert [c["xi"] for c in obj] == (m_bi * m_iu * v / rule.nodes).tolist()
@@ -484,32 +485,31 @@ class TestCliRuns:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
-    def test_shape_past_the_laguerre_order_exits_2(self, tmp_path, capsys):
-        # an order-20 rule is exact only up to m_iu = 39; at m_iu = 100 it would
-        # report rates thousands of times too low
+    def test_shape_past_the_old_laguerre_bound_runs_at_order_20(self, tmp_path):
+        # the plain order-20 rule was exact only up to m_iu = 39, so m_iu = 100
+        # exited 2; the Gamma(m_iu) rule keeps the mixture mean at any order
         ring = ["ring-sweep", "--set", "m_iu=100", "--set", "ring_l_in_grid_m=[90]",
                 "--set", "ring_l_out_grid_m=[130]"]
-        assert main(ring + ["--out", str(tmp_path / "x")]) == 2
-        err = capsys.readouterr().err
-        assert "m_iu=100" in err and "glq_order=20" in err
-        assert main(ring + ["--set", "glq_order=64", "--out", str(tmp_path / "y")]) == 0
+        values = []
+        for order in (20, 64):
+            out = tmp_path / str(order)
+            assert main(ring + ["--set", f"glq_order={order}", "--out", str(out)]) == 0
+            with open(out / "results.csv", encoding="utf-8") as fh:
+                values.append(float(next(csv.DictReader(fh))["value"]))
+        assert abs(values[0] / values[1] - 1.0) < 1e-8
 
-    def test_shape_past_every_laguerre_order_names_127(self, tmp_path, capsys):
-        # glq_order stops at 64, so the message must not ask for order 66;
-        # density-sweep draws the physical channel only and needs no rule
-        ring = ["ring-sweep", "--set", "m_iu=130", "--set", "glq_order=64",
-                "--set", "ring_l_in_grid_m=[90]", "--set", "ring_l_out_grid_m=[130]"]
-        assert main(ring + ["--out", str(tmp_path / "x")]) == 2
-        err = capsys.readouterr().err
-        assert "m_iu=130" in err and "127" in err and "glq_order >= 66" not in err
-        assert main(["density-sweep", "--set", "m_iu=130", "--set", "sweep_n_drops=2",
-                     "--out", str(tmp_path / "y")]) == 0
+    @pytest.mark.parametrize("experiment", ["ring-sweep", "density-sweep"])
+    def test_shape_above_the_ceiling_exits_2(self, tmp_path, capsys, experiment):
+        out = tmp_path / "x"
+        assert main([experiment, "--set", "m_iu=1000.5", "--out", str(out)]) == 2
+        assert "m_iu must be <= 1000, got 1000.5" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("m_iu", [101, 113, 127])
     def test_underflowed_laguerre_mass_runs_the_model_mc(self, tmp_path, m_iu):
-        # at glq_order 64 the first mass w_1 t_1^(m_iu-1)/Gamma(m_iu) is below
-        # the smallest double from m_iu = 101 on; the model MC draws that
-        # component with probability 0 and still matches the closed form
+        # on the plain order-64 rule the first mass w_1 t_1^(m_iu-1)/Gamma(m_iu)
+        # underflowed from m_iu = 101 on; the model MC must still match the
+        # closed form there
         out = tmp_path / "x"
         assert main(["mean-snr-vs-pf", "--set", f"m_iu={m_iu}", "--set", "glq_order=64",
                      "--set", "pf_grid_w=[0.01]", "--out", str(out)]) == 0
@@ -535,33 +535,33 @@ class TestCliRuns:
                      "integration budget exceeded"):
             assert part in err
 
-    @pytest.mark.parametrize("extra, point", [
-        ([], ("glq_order=20", "d_iu=30 m")),
-        (["glq_order=64", "d_iu_m=0.5", "pf_grid_w=[10]"], ("glq_order=64", "d_iu=0.5 m")),
-    ])
-    def test_unsamplable_model_mixture_names_the_point(self, tmp_path, capsys, extra, point):
-        # the m_IU = 1/2 Laguerre mixture misses unit mass by 6-24% at every
-        # glq_order, so the model MC refuses to sample it: an input error
-        # (exit 2), not a failed validation (exit 1) or a traceback
-        args = ["mean-snr-vs-pf", "--out", str(tmp_path / "x"), "--set", "m_iu=0.5",
-                "--set", "n_mc_model=1000"]
+    @pytest.mark.parametrize("extra", [
+        ["m_iu=0.5"],
+        ["m_iu=0.5", "glq_order=64", "d_iu_m=0.5", "pf_grid_w=[10]"],
+        ["m_iu=1.5"],
+    ], ids=["m_iu=0.5", "m_iu=0.5-order64-short-hop", "m_iu=1.5"])
+    def test_previously_refused_shapes_run_the_model_mc(self, tmp_path, extra):
+        # the plain-rule masses missed 1 by 6-24% at m_iu = 1/2 and by 1.3e-3
+        # at 1.5, so the model MC refused both (exit 2, "normalization
+        # defect"); on the Gamma(m_iu) rule it runs and matches the closed form
+        out = tmp_path / "x"
+        args = ["mean-snr-vs-pf", "--out", str(out), "--set", "pf_grid_w=[0.01]",
+                "--set", "n_mc_model=200000"]
         for item in extra:
             args += ["--set", item]
-        assert main(args) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: model_snr_moment_mc at ")
-        for part in ("m_bi=1", "m_iu=0.5", "d_bi=100 m", "normalization defect", *point):
-            assert part in err
+        assert main(args) == 0
+        with open(out / "results.csv", encoding="utf-8") as fh:
+            rows = {row["method"]: row for row in csv.DictReader(fh)}
+        mc, closed = rows["monte_carlo"], rows["closed_form"]
+        z = (float(mc["value"]) - float(closed["value"])) / float(mc["std_error"])
+        assert abs(z) < 3.0
 
     @pytest.mark.parametrize("item, reason", [
-        ("epsilon_ref=1e200", "cascade scale v=0.0 is not a positive finite value"),
-        ("epsilon_ref=1e-300", "cascade scale v=inf is not a positive finite value"),
         ("p_t_w=1e300", "the estimate is not finite"),
         ("sigma_f2_w=1e-300", "the estimate is not finite"),
     ])
     def test_model_mc_out_of_float_range_names_the_point(self, tmp_path, capsys, item, reason):
-        # a cascade scale of 0 used to end in a ZeroDivisionError traceback
-        # (exit 1), and overflowed importance weights in a nan,nan row (exit 0)
+        # overflowed importance weights used to give a nan,nan row (exit 0)
         out = tmp_path / "x"
         assert main(["mean-snr-vs-pf", "--out", str(out), "--set", item,
                      "--set", "pf_grid_w=[0.01]", "--set", "n_mc_model=20000"]) == 2
@@ -571,18 +571,40 @@ class TestCliRuns:
         assert reason in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("epsilon_ref, routes", [("1e200", "quadrature inf, closed form inf"),
-                                                     ("1e-300", "quadrature 0, closed form 0")])
-    def test_validate_out_of_float_range_names_the_point(self, tmp_path, capsys, epsilon_ref,
-                                                         routes):
+    @pytest.mark.parametrize("epsilon_ref", ["1e200", "1e-300"])
+    def test_validate_out_of_float_range_names_the_point(self, tmp_path, capsys, epsilon_ref):
         # the path-gain product overflows (mean SNR inf) or underflows (0);
         # both used to end in a ZeroDivisionError traceback (exit 1)
         out = tmp_path / "x"
         assert main(["validate", "--out", str(out), "--set", f"epsilon_ref={epsilon_ref}"]
                     + FAST_VALIDATE) == 2
         assert capsys.readouterr().err == (
-            "error: validate at m_iu=1|n=16|d_bi=100|d_iu=30|p_f=0.01: the mean SNR "
-            f"({routes}) is not a positive finite value\n")
+            "error: mean_snr_integral at m_bi=1, m_iu=1, glq_order=20, p_f=0.01 W, "
+            "d_bi=100 m, d_iu=30 m: the mean SNR is not a positive finite value\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("epsilon_ref", ["1e200", "1e-300"])
+    @pytest.mark.parametrize("experiment, route, extra", [
+        ("association-compare", "mean_snr_closed",
+         ["assoc_n_list=[16]", "assoc_n_drops=2", "k_ues=10"]),
+        ("mean-snr-vs-pf", "mean_snr_integral", ["pf_grid_w=[0.01]"]),
+    ], ids=["association-compare", "mean-snr-vs-pf"])
+    def test_mean_snr_out_of_float_range_names_the_point(self, tmp_path, capsys, experiment,
+                                                         route, extra, epsilon_ref):
+        # best_irs used to rank reflectors by all-inf scores at 1e200 (exit 0)
+        # and divide by a zero throughput at 1e-300 (ZeroDivisionError, exit 1);
+        # mean-snr-vs-pf used to reach the model MC with an inf or 0 row
+        out = tmp_path / "x"
+        args = [experiment, "--out", str(out), "--seed", "1", "--set",
+                f"epsilon_ref={epsilon_ref}"]
+        for item in extra:
+            args += ["--set", item]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {route} at m_bi=1, m_iu=1, glq_order=20, p_f=0.01 W, "
+                              "d_bi=")
+        assert re.search(r"d_bi=[0-9.e+-]+ m, d_iu=[0-9.e+-]+ m: the mean SNR is not a "
+                         r"positive finite value\n$", err)
         assert not out.exists()
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -62,6 +63,54 @@ class TestGaussLaguerre:
     def test_out_of_range_order(self, order):
         with pytest.raises(DomainError):
             gauss_laguerre(order)
+
+    PLAIN_RULE_SHA256 = {
+        4: "4c8c7d9e9627ef6b1c563af4a8fe57c484cd6e755f48b7119dd8db8cd1335ea9",
+        20: "ea25a5845359ac3890bfc389e3b477da56e808e20edf1949cf7e26985d886f3e",
+        64: "7bf5305a4ed3a2277c2323a2fd99bdb44cc6bfbbd01ea1a884490fb02d3bec82",
+    }
+
+    @pytest.mark.parametrize("order", [4, 20, 64])
+    def test_plain_rule_bits_are_frozen(self, order):
+        # sha256 of nodes then weights as float64 bytes, frozen from the
+        # plain-Laguerre builder before it took alpha: alpha = 0 keeps every bit
+        for rule in (gauss_laguerre(order), gauss_laguerre(order, 0.0)):
+            data = rule.nodes.tobytes() + rule.weights.tobytes()
+            assert hashlib.sha256(data).hexdigest() == self.PLAIN_RULE_SHA256[order]
+
+    @pytest.mark.parametrize("order", [4, 20, 64])
+    @pytest.mark.parametrize("alpha", [-0.5, 0.5, 1.5, 36.3, 126.0])
+    def test_generalized_rule_matches_scipy(self, order, alpha):
+        # scipy's roots_genlaguerre integrates against t^alpha e^-t; ours is
+        # normalized by Gamma(alpha + 1)
+        from scipy.special import gammaln, roots_genlaguerre
+
+        nodes, weights = roots_genlaguerre(order, alpha)
+        rule = gauss_laguerre(order, alpha)
+        assert np.allclose(rule.nodes, nodes, rtol=1e-13, atol=0)
+        assert np.allclose(rule.weights, weights * np.exp(-gammaln(alpha + 1.0)),
+                           rtol=1e-11, atol=0)
+
+    @pytest.mark.parametrize("order", [1, 2, 5, 10, 20])
+    @pytest.mark.parametrize("alpha", [-0.5, 0.7, 4.0])
+    def test_generalized_polynomial_exactness(self, order, alpha):
+        # E t^k = Gamma(alpha + 1 + k)/Gamma(alpha + 1) through degree 2 order - 1
+        rule = gauss_laguerre(order, alpha)
+        for k in range(2 * order):
+            exact = math.exp(math.lgamma(alpha + 1.0 + k) - math.lgamma(alpha + 1.0))
+            assert rel_err(float(rule.weights @ rule.nodes**k), exact) < 1e-9, (order, k)
+
+    @pytest.mark.parametrize("order", [4, 20, 64])
+    def test_unit_mass_and_gamma_mean_at_every_shape(self, order):
+        for m in np.geomspace(0.5, 1000.0, 25):
+            rule = gauss_laguerre(order, m - 1.0)
+            assert abs(rule.weights.sum() - 1.0) <= 1e-11, m
+            assert rel_err(float(rule.weights @ rule.nodes), m) <= 1e-11, m
+
+    @pytest.mark.parametrize("alpha", [-1.0, -3.0, math.inf, math.nan])
+    def test_out_of_range_alpha(self, alpha):
+        with pytest.raises(DomainError):
+            gauss_laguerre(4, alpha)
 
 
 class TestLnGamma:

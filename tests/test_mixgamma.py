@@ -11,17 +11,15 @@ from airsnet.mixgamma import (
     MixtureGamma,
     cascaded_power_dist,
     direct_power_dist,
-    laguerre_log_masses,
-    laguerre_mean,
 )
-from conftest import mixture_cdf, rel_err
+from conftest import cascade_rule, mixture_cdf, rel_err
 
-RULE = gauss_laguerre(20)
+RULE = gauss_laguerre(20)  # the Gamma(1) rule, the cascade's at m_iu = 1
 
 
-def unit_cascade(m_bi, m_iu, rule=RULE):
-    # the mixture's one scale W/(amp_sq N^2) set to 1
-    return cascaded_power_dist(m_bi, m_iu, 1.0, rule)
+def unit_cascade(m_bi, m_iu, order=20):
+    # the mixture's one scale W/(amp_sq N^2) set to 1, on the Gamma(m_iu) rule
+    return cascaded_power_dist(m_bi, m_iu, 1.0, gauss_laguerre(order, m_iu - 1.0))
 
 
 def cascade_scale(product_gain, amp_sq, n):
@@ -152,23 +150,26 @@ class TestCascadedPowerDist:
     @pytest.mark.parametrize("m_iu", [1.0, 2.0, 3.0])
     def test_normalization_defect(self, m_bi, m_iu):
         mix = unit_cascade(m_bi, m_iu)
-        assert abs(total_mass(mix) - 1.0) <= 1e-4
+        assert abs(total_mass(mix) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("m_bi", [1.0, 2.0, 3.0])
     @pytest.mark.parametrize("m_iu", [1.0, 2.0, 3.0])
     def test_defect_improves_with_order(self, m_bi, m_iu):
-        # for integer shapes both defects sit at roundoff, hence the floor
+        # on the Gamma(m_iu) rule both defects sit at roundoff, hence the floor
         mix20 = unit_cascade(m_bi, m_iu)
-        mix10 = unit_cascade(m_bi, m_iu, gauss_laguerre(10))
+        mix10 = unit_cascade(m_bi, m_iu, 10)
         d20 = abs(total_mass(mix20) - 1.0)
         d10 = abs(total_mass(mix10) - 1.0)
         assert d20 <= d10 + 1e-13
 
-    def test_defect_improvement_is_strict_off_integer(self):
-        d20 = abs(total_mass(unit_cascade(1.5, 2.5)) - 1.0)
-        d10 = abs(total_mass(unit_cascade(1.5, 2.5, gauss_laguerre(10))) - 1.0)
-        assert d20 < d10
-        assert d20 <= 1e-4
+    @pytest.mark.parametrize("order", [4, 20, 64])
+    def test_unit_mass_and_unit_mean_off_integer(self, order):
+        # the plain-rule masses w_i t_i^(m-1)/Gamma(m) missed 1 by 24%, 11%
+        # and 6% at m_iu = 1/2 (orders 4, 20, 64) and 1.3e-3 at 1.5 (order 20)
+        for m_iu in (0.5, 0.7, 1.5, 2.5, 37.3, 500.0, 1000.0):
+            mix = unit_cascade(1.5, m_iu, order)
+            assert abs(total_mass(mix) - 1.0) <= 1e-11, m_iu
+            assert abs(mix.moment(1) - 1.0) <= 1e-11, m_iu
 
     def test_cdf_at_bruteforce_median(self):
         # median of the product-of-two-exponentials law from direct convolution
@@ -181,33 +182,40 @@ class TestCascadedPowerDist:
                 hi = mid
         median = 0.5 * (lo + hi)
         mix = unit_cascade(1.0, 1.0)
-        assert abs(mixture_cdf(mix, median, RULE, 1.0) - 0.5) <= 0.01
+        assert abs(mixture_cdf(mix, median, 1.0) - 0.5) <= 0.01
 
     def test_coarse_rule_rejected(self):
         with pytest.raises(AccuracyError):
-            unit_cascade(1.0, 1.0, gauss_laguerre(3))
+            unit_cascade(1.0, 1.0, 3)
 
 
 class TestLaguerreMasses:
     @pytest.mark.parametrize("m", [0.5, 1.0, 2.5, 7.0])
     def test_log_masses_are_the_rule_masses(self, m):
-        masses = RULE.weights * RULE.nodes ** (m - 1.0) / math.gamma(m)
-        assert np.allclose(np.exp(laguerre_log_masses(RULE, m)), masses, rtol=1e-12, atol=0)
+        # nodes and masses of scipy's generalized rule, not the library's
+        nodes, masses = cascade_rule(20, m)
+        mix = unit_cascade(1.0, m)
+        assert np.allclose(np.exp(mix.log_mass), masses, rtol=1e-11, atol=0)
+        assert np.allclose(mix.xi, m / nodes, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("m", [1.0, 2.0, 3.0, 39.0])
     def test_mean_is_the_shape_while_the_rule_is_exact(self, m):
-        # sum_i w_i t_i^m/Gamma(m) = Gamma(m+1)/Gamma(m) = m for integer m <= 2n - 1
-        assert rel_err(laguerre_mean(RULE, m), m) < 1e-9
+        # sum_i mass_i t_i = Gamma(m+1)/Gamma(m) = m; the Gamma(m) rule is
+        # exact for it at every shape, here read off the mixture mean 1/v
+        nodes, masses = cascade_rule(20, m)
+        assert rel_err(math.fsum(masses * nodes), m) < 1e-11
+        assert rel_err(unit_cascade(1.0, m).moment(1), 1.0) < 1e-12
 
     @pytest.mark.parametrize("m_bi,m_iu", [(1.0, 1.0), (2.0, 3.5)])
     def test_cascade_is_a_unit_mixture_times_one_scale(self, m_bi, m_iu):
-        # masses free of v, rates proportional to v, mean = laguerre_mean/(m_iu v)
+        # masses free of v, rates proportional to v, mean 1/v
         unit = unit_cascade(m_bi, m_iu)
+        rule = gauss_laguerre(20, m_iu - 1.0)
         for v in (1e-9, 3.0, 1e9):
-            mix = cascaded_power_dist(m_bi, m_iu, v, RULE)
+            mix = cascaded_power_dist(m_bi, m_iu, v, rule)
             assert np.array_equal(mix.log_mass, unit.log_mass)
             assert np.allclose(mix.xi, v * unit.xi, rtol=1e-15)
-            assert rel_err(mix.moment(1) * v * m_iu, laguerre_mean(RULE, m_iu)) < 1e-13
+            assert rel_err(mix.moment(1) * v, 1.0) < 1e-12
 
     def test_nonpositive_scale_rejected(self):
         for v in (0.0, -1.0, math.nan):
@@ -265,26 +273,35 @@ class TestSampling:
         mix = unit_cascade(1.0, 1.0)
         n = 100_000
         samples = np.sort(mix.sample(rng, n))
-        cdf = mixture_cdf(mix, samples, RULE, 1.0)
+        cdf = mixture_cdf(mix, samples, 1.0)
         empirical_hi = np.arange(1, n + 1) / n
         empirical_lo = np.arange(0, n) / n
         ks = max(np.abs(cdf - empirical_hi).max(), np.abs(cdf - empirical_lo).max())
         assert ks <= 0.005
 
     def test_underflowed_masses_renormalized(self, rng):
-        # at m_iu = 113 the order-64 rule's first mass w_1 t_1^112/Gamma(113) is
-        # below the smallest double: its log stays finite, the masses still sum
-        # to 1, and sample draws that component with probability 0
-        mix = cascaded_power_dist(1.0, 113.0, 1.0, gauss_laguerre(64))
+        # a mass below the smallest double keeps a finite log; the masses
+        # still sum to 1 and sample draws that component with probability 0
+        log_mass = np.array([-800.0, math.log(0.25), math.log(0.75)])
+        mix = MixtureGamma(log_mass=log_mass, beta=np.full(3, 2.0), xi=np.array([1e-3, 1.0, 4.0]))
         masses = np.exp(mix.log_mass)
-        assert np.all(np.isfinite(mix.log_mass)) and mix.log_mass[0] < -745.0
-        assert masses[0] == 0.0 and np.all(masses[1:] >= 0)
-        probs = masses / masses.sum()
-        assert probs.sum() == pytest.approx(1.0, abs=1e-15)
-        assert abs(masses.sum() - 1.0) <= 1e-12
+        assert masses[0] == 0.0 and abs(masses.sum() - 1.0) <= 1e-15
         samples = mix.sample(rng, 100_000)
         assert np.all(np.isfinite(samples)) and np.all(samples > 0)
+        # component 0 (mean 2000) never drawn: every draw sits far below it
+        assert samples.max() < 100.0
         assert rel_err(samples.mean(), mix.moment(1)) < 0.01
+
+    @pytest.mark.parametrize("m_iu", [113.0, 1000.0])
+    def test_large_shape_cascade_samples_its_own_mean(self, rng, m_iu):
+        # past m_iu = 2n - 1 the plain rule lost the mixture mean; the
+        # Gamma(m_iu) rule keeps every mass positive and the mean exact
+        mix = cascaded_power_dist(1.0, m_iu, 1.0, gauss_laguerre(64, m_iu - 1.0))
+        assert np.all(np.isfinite(mix.log_mass))
+        samples = mix.sample(rng, 100_000)
+        assert np.all(np.isfinite(samples)) and np.all(samples > 0)
+        se = samples.std(ddof=1) / math.sqrt(samples.size)
+        assert abs(samples.mean() - 1.0) < 4.0 * se
 
     def test_sample_size_and_component_counts(self, rng):
         # four narrow components (shape 400, sd = mean/20) at means 1, 2, 4, 8:

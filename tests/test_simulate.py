@@ -460,8 +460,10 @@ class TestModelMc:
             assert rel_err(ses[k], se) <= 1e-15
 
     def test_unsamplable_array_names_the_d_iu_group(self):
+        # the path-gain product overflows, so the cascade scale v is 0
         with pytest.raises(InvalidDistributionError, match=r"d_bi=100 m, d_iu=\[10, 30, 60\] m"):
-            model_snr_moment_mc(make_cfg(m_iu=0.5), 100.0, np.array([10.0, 30.0, 60.0]), n=1000)
+            model_snr_moment_mc(make_cfg(epsilon_ref=1e200), 100.0, np.array([10.0, 30.0, 60.0]),
+                                n=1000)
 
     def test_physical_mc_reproducible(self):
         cfg = make_cfg(geom={"n_elements": 16})
