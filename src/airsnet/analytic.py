@@ -28,9 +28,10 @@ kappa = m_IU sigma^2/(eta sigma_F^2) (_kappa), which depends on d_BI alone.
 After y = S z every d_IU at one d_BI shares
 F_b(y) = sum_i mass_i e^(-kappa y/t_i) (1 + y/t_i)^-m_IU, so
 rate_active = log2(e) * integral F_b(y) (1 - (1 + y/S)^-m_BI)/y dy is one
-quadrature over a whole d_IU array on a shared y-mesh. The mean SNR is
-_mean_snr_scale times psi_m(kappa) = e^kappa E_m(kappa), and m_BI/S times
-one integral of F_b per d_BI.
+quadrature over a whole d_IU array on a shared y-mesh (_rate, which
+rate_direct calls under the noise factor e^-y; every semi-infinite
+quadrature runs through _quad). The mean SNR is m_BI m_IU/S times
+psi_m(kappa) = e^kappa E_m(kappa), and m_BI/S times one integral of F_b per d_BI.
 """
 
 from __future__ import annotations
@@ -86,9 +87,17 @@ def _named(exc: IntegrationError, where: str) -> IntegrationError:
     return IntegrationError(f"{where}: {exc}", exc.estimate, exc.achieved_rel_error)
 
 
-def _worst(d, exc: IntegrationError) -> float:
-    """The distance of the batch column that fell furthest short of its tolerance."""
-    return float(np.ravel(d)[int(np.argmax(exc.achieved_rel_error))])
+def _quad(kernel, label: str, d):
+    """integral_0^inf kernel to QUAD_TOL, per column for an (n, K) kernel.
+
+    An exhausted budget re-raises as "{label}={d:g} m: ...", d the distance
+    of the column that fell furthest short.
+    """
+    try:
+        return integrate_semi_infinite_with_error(kernel, QUAD_TOL, max_panels=QUAD_PANELS)[0]
+    except IntegrationError as exc:
+        worst = np.ravel(d)[int(np.argmax(exc.achieved_rel_error))]
+        raise _named(exc, f"{label}={worst:g} m") from exc
 
 
 def _checked(where: str, mean, d_bi, d_iu, cfg: NetworkConfig):
@@ -101,11 +110,6 @@ def _checked(where: str, mean, d_bi, d_iu, cfg: NetworkConfig):
             f"{where} at {_point(cfg)}, d_bi={d_bi:g} m, d_iu={d_iu:g} m: "
             "the mean SNR is not a positive finite value")
     return float(mean) if np.ndim(mean) == 0 else mean
-
-
-def _shaped(values: np.ndarray, like):
-    """(K,) kernel values returned as a float for a scalar input, else in its shape."""
-    return float(values[0]) if np.ndim(like) == 0 else values.reshape(np.shape(like))
 
 
 def cascade_scale(d_bi, d_iu, cfg: NetworkConfig):
@@ -137,12 +141,6 @@ def _kappa(d_bi, cfg: NetworkConfig):
     return cfg.m_iu * cfg.power.sigma2 / (averaged_amp_gain(d_bi, cfg) * cfg.power.sigma_f2)
 
 
-def _mean_snr_scale(d_bi, d_iu, cfg: NetworkConfig):
-    """Mean SNR / psi_m(kappa) = N P_t zeta_BI zeta_IU m_IU/sigma_F^2 (the mixture mean is m_IU)."""
-    return (cfg.geometry.n_elements * cfg.power.p_t * cfg.path_gain(d_bi) * cfg.path_gain(d_iu)
-            / cfg.power.sigma_f2 * cfg.m_iu)
-
-
 @lru_cache(maxsize=64)
 def _unit_cascade(cfg: NetworkConfig) -> MixtureGamma:
     """The cascade mixture at scale v = 1, built once per configuration."""
@@ -156,7 +154,7 @@ def _noise_mixture(d_bi: float, cfg: NetworkConfig):
     """
     rule = cfg.rule()
     m = cfg.m_iu
-    masses = np.exp(_unit_cascade(cfg).log_mass)
+    masses = _unit_cascade(cfg).mass
     kappa = _kappa(d_bi, cfg)
     inv_t = 1.0 / rule.nodes
 
@@ -178,12 +176,8 @@ def snr_moment_active(d_bi: float, d_iu, cfg: NetworkConfig):
     """
     f_b = _noise_mixture(d_bi, cfg)
     kappa = _kappa(d_bi, cfg)
-    try:
-        value, _ = integrate_semi_infinite_with_error(lambda v: f_b(v / kappa), QUAD_TOL,
-                                                      max_panels=QUAD_PANELS)
-    except IntegrationError as exc:
-        raise _named(exc, f"snr_moment_active at {_point(cfg)}, d_bi={d_bi:g} m, "
-                          f"d_iu={_worst(d_iu, exc):g} m") from exc
+    value = _quad(lambda v: f_b(v / kappa), f"snr_moment_active at {_point(cfg)}, "
+                  f"d_bi={d_bi:g} m, d_iu", d_iu)
     with np.errstate(divide="ignore", over="ignore"):
         mean = cfg.m_bi * (value / kappa) / _s_scale(d_bi, d_iu, cfg)
     return _checked("snr_moment_active", mean, d_bi, d_iu, cfg)
@@ -196,15 +190,11 @@ def mean_snr_integral(d_bi: float, d_iu: float, cfg: NetworkConfig) -> float:
     v = kappa u. An exhausted budget or an out-of-range mean raises naming the point.
     """
     kappa = _kappa(d_bi, cfg)
-    try:
-        psi, _ = integrate_semi_infinite_with_error(
-            lambda v: np.exp(-v - cfg.m_iu * np.log1p(v / kappa)), QUAD_TOL,
-            max_panels=QUAD_PANELS)
-    except IntegrationError as exc:
-        raise _named(exc, f"mean_snr_integral at {_point(cfg)}, d_bi={d_bi:g} m, "
-                          f"d_iu={d_iu:g} m") from exc
-    return _checked("mean_snr_integral", _mean_snr_scale(d_bi, d_iu, cfg) * (psi / kappa),
-                    d_bi, d_iu, cfg)
+    psi = _quad(lambda v: np.exp(-v - cfg.m_iu * np.log1p(v / kappa)),
+                f"mean_snr_integral at {_point(cfg)}, d_bi={d_bi:g} m, d_iu", d_iu)
+    with np.errstate(divide="ignore"):
+        mean = cfg.m_bi * cfg.m_iu / _s_scale(d_bi, d_iu, cfg) * (psi / kappa)
+    return _checked("mean_snr_integral", mean, d_bi, d_iu, cfg)
 
 
 def mean_snr_closed(d_bi, d_iu, cfg: NetworkConfig):
@@ -215,7 +205,9 @@ def mean_snr_closed(d_bi, d_iu, cfg: NetworkConfig):
     every node). Broadcasts d_bi against d_iu; a float for scalar distances.
     An out-of-range mean raises naming the first such point.
     """
-    mean = _mean_snr_scale(d_bi, d_iu, cfg) * exp_en_scaled(cfg.m_iu, _kappa(d_bi, cfg))
+    with np.errstate(divide="ignore"):
+        mean = (cfg.m_bi * cfg.m_iu / _s_scale(d_bi, d_iu, cfg)
+                * exp_en_scaled(cfg.m_iu, _kappa(d_bi, cfg)))
     return _checked("mean_snr_closed", mean, d_bi, d_iu, cfg)
 
 
@@ -227,50 +219,46 @@ def mean_snr_passive(d_bi: float, d_iu: float, cfg: NetworkConfig) -> float:
                     d_bi, d_iu, cfg)
 
 
+def _rate(m: float, s, laplace, label: str, d):
+    """log2(e) * integral (1 - (1 + y/s)^-m) laplace(y)/y dy, one column per s.
+
+    The MGF lemma E ln(1 + X/N) = integral (1 - M_X(y)) M_N(y)/y dy for a
+    Gamma(m, rate s) signal X over a noise N of Laplace transform `laplace`,
+    every s on one y-mesh. A float for a scalar `d` (the columns' distances).
+    """
+    s = np.ravel(s)
+
+    def kernel(y: np.ndarray) -> np.ndarray:
+        q = -np.expm1(-m * np.log1p(np.divide.outer(y, s)))
+        return q * (laplace(y) / y)[:, None]
+
+    value = LOG2E * _quad(kernel, label, d)
+    return float(value[0]) if np.ndim(d) == 0 else value.reshape(np.shape(d))
+
+
 def rate_direct(d_bu, cfg: NetworkConfig):
     """Direct-link conditional achievable rate in bits/s/Hz.
 
-    log2(e) * integral (1/z)(1 - (1+z)^-m_BU) e^(-c z) dz with
-    c = m_BU sigma^2 / (P_t zeta_BU); a distance array is integrated on one
-    shared z-mesh. Returns a float for a scalar distance.
+    _rate at s = m_BU sigma^2/(P_t zeta_BU) under the unit noise e^-y: the
+    integral (1/z)(1 - (1+z)^-m_BU) e^(-s z) dz after y = s z, whose decay
+    then sits at y = 1 for every distance. A distance array is integrated on
+    one shared y-mesh; returns a float for a scalar distance.
     """
     m = cfg.m_bu
-    c = m * cfg.power.sigma2 / (cfg.power.p_t * np.ravel(cfg.path_gain(d_bu)))
-
-    def kernel(z: np.ndarray) -> np.ndarray:
-        q = -np.expm1(-m * np.log1p(z)) / z
-        return q[:, None] * np.exp(-np.multiply.outer(z, c))
-
-    try:
-        value, _ = integrate_semi_infinite_with_error(kernel, QUAD_TOL, max_panels=QUAD_PANELS)
-    except IntegrationError as exc:
-        raise _named(exc, f"rate_direct at m_bu={m:g}, d_bu={_worst(d_bu, exc):g} m") from exc
-    return _shaped(LOG2E * value, d_bu)
+    s = m * cfg.power.sigma2 / (cfg.power.p_t * cfg.path_gain(d_bu))
+    return _rate(m, s, lambda y: np.exp(-y), f"rate_direct at m_bu={m:g}, d_bu", d_bu)
 
 
 def rate_active(d_bi: float, d_iu, cfg: NetworkConfig):
     """Amplified-link conditional achievable rate in bits/s/Hz.
 
-    log2(e) * integral F_b(y) (1 - (1 + y/S)^-m_BI)/y dy, the mixture sum
-    sum_i mass_i integral (1/z)(1-(1+z)^-m_BI) e^(-z kappa S/t_i)
-    (1 + z S/t_i)^-m_IU dz after y = S z. A d_IU array at one d_BI is
-    integrated on one shared y-mesh, F_b evaluated once per mesh point and
-    each column held to its own tolerance. Returns a float for a scalar d_IU.
+    _rate at s = S under F_b: the mixture sum sum_i mass_i integral
+    (1/z)(1-(1+z)^-m_BI) e^(-z kappa S/t_i) (1 + z S/t_i)^-m_IU dz after
+    y = S z. A d_IU array at one d_BI is integrated on one shared y-mesh.
+    Returns a float for a scalar d_IU.
     """
-    s = np.ravel(_s_scale(d_bi, d_iu, cfg))
-    f_b = _noise_mixture(d_bi, cfg)
-    beta = cfg.m_bi
-
-    def kernel(y: np.ndarray) -> np.ndarray:
-        q = -np.expm1(-beta * np.log1p(np.divide.outer(y, s)))
-        return q * (f_b(y) / y)[:, None]
-
-    try:
-        value, _ = integrate_semi_infinite_with_error(kernel, QUAD_TOL, max_panels=QUAD_PANELS)
-    except IntegrationError as exc:
-        raise _named(exc, f"rate_active at {_point(cfg)}, d_bi={d_bi:g} m, "
-                          f"d_iu={_worst(d_iu, exc):g} m") from exc
-    return _shaped(LOG2E * value, d_iu)
+    return _rate(cfg.m_bi, _s_scale(d_bi, d_iu, cfg), _noise_mixture(d_bi, cfg),
+                 f"rate_active at {_point(cfg)}, d_bi={d_bi:g} m, d_iu", d_iu)
 
 
 def region2_nearest_pdf_mass(cfg: NetworkConfig) -> float:

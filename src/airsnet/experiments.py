@@ -334,13 +334,13 @@ def _run_association_compare(cfg: ExperimentConfig):
     summary: dict = {}
     for n in cfg.assoc_n_list:
         net = _network_at(cfg, n=n)
-        estimates = {}
+        # best_irs first: off the float range its analytic scores name the point
+        estimates = {policy: simulate.simulate_cell(
+            net, policy=policy, n_drops=cfg.assoc_n_drops,
+            n_fading=cfg.sweep_n_fading, seed=cfg.seed, threads=cfg.threads,
+        )["active"]["spatial_throughput"] for policy in ("best_irs", "nearest")}
         for policy in ("nearest", "best_irs"):
-            est = simulate.simulate_cell(
-                net, policy=policy, n_drops=cfg.assoc_n_drops,
-                n_fading=cfg.sweep_n_fading, seed=cfg.seed, threads=cfg.threads,
-            )["active"]["spatial_throughput"]
-            estimates[policy] = est
+            est = estimates[policy]
             rows.append(ResultRow(cfg.experiment, "n_elements",
                                   _point_label(n=n, policy=policy),
                                   "spatial_throughput", "monte_carlo",

@@ -194,7 +194,9 @@ def simulate_cell(cfg: NetworkConfig, policy: str = "nearest", *,
     (fading draws at a fixed position are not independent positional
     samples). spatial throughput = positional rate average / cell area.
     Drops run in groups of about _DROP_BLOCK channel elements (at least one
-    drop each), and at most os.cpu_count() threads run the groups.
+    drop each), and at most os.cpu_count() threads run the groups. An
+    estimate whose mean or standard error leaves the float range raises
+    InvalidDistributionError naming the point.
     """
     if n_drops < 1 or n_fading < 1:
         raise ConfigError("n_drops and n_fading must be >= 1")
@@ -210,14 +212,21 @@ def simulate_cell(cfg: NetworkConfig, policy: str = "nearest", *,
         per_group = list(map(work, groups))
     snr_ue, rate_ue = np.concatenate(per_group, axis=2)
 
-    def estimate(values: np.ndarray, scale: float = 1.0) -> SimEstimate:
-        n = values.size
-        se = values.std(ddof=1) / math.sqrt(n) if n > 1 else 0.0
-        return SimEstimate(mean=float(values.mean() * scale), std_error=float(se * scale))
+    def estimate(mode: str, metric: str, values: np.ndarray, scale: float) -> SimEstimate:
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite estimate raises
+            se = values.std(ddof=1) / math.sqrt(values.size) if values.size > 1 else 0.0
+        est = SimEstimate(mean=float(values.mean() * scale), std_error=float(se * scale))
+        if not (math.isfinite(est.mean) and math.isfinite(est.std_error)):
+            raise InvalidDistributionError(
+                f"simulate_cell at {analytic._point(cfg)}, m_irs={cfg.geometry.m_irs}, "
+                f"n_elements={cfg.geometry.n_elements}, policy={policy}: the {mode} {metric} "
+                f"estimate is not finite (mean {est.mean}, standard error {est.std_error})")
+        return est
 
-    area = cfg.geometry.s_total
-    return {mode: {"snr_mean": estimate(snr), "achievable_rate": estimate(rate),
-                   "spatial_throughput": estimate(rate, scale=1.0 / area)}
+    per_area = 1.0 / cfg.geometry.s_total
+    return {mode: {metric: estimate(mode, metric, values, scale) for metric, values, scale
+                   in (("snr_mean", snr, 1.0), ("achievable_rate", rate, 1.0),
+                       ("spatial_throughput", rate, per_area))}
             for mode, snr, rate in zip(_MODES, snr_ue, rate_ue)}
 
 

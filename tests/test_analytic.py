@@ -22,6 +22,7 @@ from conftest import (
     noise_laplace,
     rate_active_oracle,
     rate_active_reference,
+    rate_direct_mpmath,
     rayleigh_mean_snr,
     rel_err,
 )
@@ -167,8 +168,8 @@ class TestEquivalenceTriangle:
     @pytest.mark.parametrize("d_iu", [0.5, 30.0])
     @pytest.mark.parametrize("m_iu", [0.5, 1.0, 2.5])
     def test_both_psi_routes_match_the_per_node_sum(self, m_iu, d_iu, p_f):
-        # both routes share _mean_snr_scale, so the node algebra it merges is
-        # checked against the paper's sum with each node integral by mpmath
+        # both routes share the scale m_BI m_IU/S, so the node algebra it merges
+        # is checked against the paper's sum with each node integral by mpmath
         cfg = make_cfg(m_iu=m_iu, p_f=p_f)
         oracle = mean_snr_node_sum(100.0, d_iu, cfg)
         assert rel_err(an.mean_snr_closed(100.0, d_iu, cfg), oracle) < 1e-10
@@ -405,26 +406,34 @@ class TestRates:
         )
         got = an.rate_active(100.0, 30.0, cfg)
         mix = an.cascaded_mixture(100.0, 30.0, cfg)
-        masses = np.exp(mix.log_mass)
         decay = mix.xi * cfg.power.sigma2 / cfg.power.p_t
 
         def no_laplace(z):
-            q = -np.expm1(-float(mix.beta[0]) * np.log1p(z)) / z
-            return q * (np.exp(-z[:, None] * decay[None, :]) @ masses)
+            q = -np.expm1(-mix.beta * np.log1p(z)) / z
+            return q * (np.exp(-z[:, None] * decay[None, :]) @ mix.mass)
 
         expected = math.log2(math.e) * integrate_semi_infinite_with_error(
             no_laplace, 1e-8, max_panels=16384
         )[0]
         assert rel_err(got, expected) < 1e-3
 
+    D_BU = np.array([0.5, 1.0, 20.0, 90.0, 200.0])
+
     def test_direct_batch_rayleigh_identity(self):
         cfg = make_cfg()
-        d = np.array([0.5, 1.0, 20.0, 90.0, 200.0])
-        got = an.rate_direct(d, cfg)
-        c = np.maximum(d, 1.0) ** 3 * cfg.power.sigma2 / (cfg.epsilon_ref * cfg.power.p_t)
+        got = an.rate_direct(self.D_BU, cfg)
+        c = np.maximum(self.D_BU, 1.0) ** 3 * cfg.power.sigma2 / (cfg.epsilon_ref * cfg.power.p_t)
         expected = math.log2(math.e) * exp_en_scaled(1.0, c)
-        assert got.shape == d.shape
-        assert np.all(np.abs(got / expected - 1.0) < 1e-8)
+        assert got.shape == self.D_BU.shape
+        assert np.all(np.abs(got / expected - 1.0) < 1e-13)
+
+    @pytest.mark.parametrize("m_bu", [0.5, 2.0])
+    def test_direct_batch_matches_mpmath(self, m_bu):
+        # the e^-y decay sits at y = 1 at every distance, down to the 1 m floor
+        cfg = make_cfg(m_bu=m_bu)
+        got = an.rate_direct(self.D_BU, cfg)
+        for d, value in zip(self.D_BU, got):
+            assert rel_err(value, rate_direct_mpmath(float(d), cfg)) < 1e-12, d
 
     @pytest.mark.parametrize("p_f", [0.01, 10.0])
     @pytest.mark.parametrize("glq_order", [20, 40])

@@ -137,10 +137,12 @@ class TestOneSchema:
         (lambda: GeometryConfig(m_irs=0), "m_irs"),
         (lambda: NetworkConfig(m_iu=0.3), "m_iu"),
         (lambda: NetworkConfig(glq_order=65), "glq_order"),
+        (lambda: NetworkConfig(glq_order=3), "glq_order"),
         (lambda: replace(NetworkConfig(), m_bi=0.2), "m_bi"),
         (lambda: ExperimentConfig(network=NetworkConfig(), n_mc_model=1), "n_mc_model"),
         (lambda: ExperimentConfig(network=NetworkConfig(), experiment="bogus"), "experiment"),
-    ], ids=["p_t", "m_irs", "m_iu", "glq_order", "replace-m_bi", "n_mc_model", "experiment"])
+    ], ids=["p_t", "m_irs", "m_iu", "glq_order", "glq_order-coarse", "replace-m_bi",
+            "n_mc_model", "experiment"])
     def test_construction_runs_the_key_validators(self, build, key):
         with pytest.raises(ConfigError, match=key):
             build()
@@ -569,6 +571,18 @@ class TestCliRuns:
         assert err.startswith("error: model_snr_moment_mc at m_bi=1, m_iu=1, glq_order=20, "
                               "p_f=0.01 W, d_bi=100 m, d_iu=30 m: ")
         assert reason in err
+        assert not out.exists()
+
+    def test_cell_mc_out_of_float_range_names_the_point(self, tmp_path, capsys):
+        # the per-user SNR means stay finite but their variance overflows; this
+        # used to write snr_mean 9.1e205 with std_error inf (exit 0)
+        out = tmp_path / "x"
+        assert main(["density-sweep", "--out", str(out), "--set", "epsilon_ref=1e200",
+                     "--set", "sweep_n_drops=4", "--set", "density_m_list=[1,4]"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: simulate_cell at m_bi=1, m_iu=1, glq_order=20, "
+                              "p_f=0.01 W, m_irs=1, n_elements=512, policy=nearest: ")
+        assert "estimate is not finite" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("epsilon_ref", ["1e200", "1e-300"])

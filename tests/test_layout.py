@@ -6,9 +6,11 @@ The walk collects each module's function and class definitions and every
 definitions nothing in src/ refers to. Dunders are called by Python itself
 and are exempt. A second walk lists the `@dataclass` fields src/ never
 reads; a read is an attribute load. A third walk lists the src/ code
-outside the Laguerre-mass functions that reads a rule's `.weights`. Run this
-file directly to print all three lists. Last, each config key is declared
-once: on its own field of one of the four config dataclasses.
+outside the quadrature rule and the mixture built on it that reads a rule's
+`.weights`. A fourth lists the top-level defs of analytic.py that call the
+semi-infinite quadrature: only _quad may. Run this file directly to print
+all four lists. Last, each config key is declared once: on its own field of
+one of the four config dataclasses.
 """
 
 import ast
@@ -55,8 +57,9 @@ def unread_dataclass_fields(root: Path = SRC) -> list[str]:
 
 
 # The only places a Gauss-Laguerre rule's weights may be read: the rule itself,
-# the mixture masses built from it, and the two places that print or check
-# the raw rule. Any other read is a second copy of the mass formula.
+# mixgamma, whose cascade mixture takes them as its masses, and the two places
+# that print or check the raw rule. Any other read is a second copy of the
+# mass formula.
 WEIGHTS_READERS = {"mathkit.py", "mixgamma.py", "experiments.py:_check_glq",
                    "cli.py:_cmd_glq_table"}
 
@@ -89,6 +92,29 @@ def test_weights_walk_flags_a_second_mass_formula(tmp_path):
         "def _cmd_dump(rule):\n    return [w for w in rule.weights]\n")
     (tmp_path / "analytic.py").write_text("W = RULE.weights\n")
     assert stray_weights_readers(tmp_path) == ["analytic.py", "cli.py:_cmd_dump"]
+
+
+def quadrature_callers(root: Path = SRC) -> list[str]:
+    """Top-level defs of analytic.py referencing integrate_semi_infinite_with_error."""
+    tree = ast.parse((root / "analytic.py").read_text(encoding="utf-8"))
+    return sorted(top.name for top in tree.body if isinstance(top, ast.FunctionDef)
+                  and any(isinstance(node, ast.Name)
+                          and node.id == "integrate_semi_infinite_with_error"
+                          for node in ast.walk(top)))
+
+
+def test_analytic_has_one_semi_infinite_quadrature_call_site():
+    # one place re-raises an exhausted budget with the point that caused it
+    assert quadrature_callers() == ["_quad"]
+
+
+def test_quadrature_walk_flags_a_second_call_site(tmp_path):
+    (tmp_path / "analytic.py").write_text(
+        "def _quad(f):\n    return integrate_semi_infinite_with_error(f)\n"
+        "def rate(f):\n    def inner(g):\n"
+        "        return integrate_semi_infinite_with_error(g)\n    return inner(f)\n"
+        "def mean(f):\n    return _quad(f)\n")
+    assert quadrature_callers(tmp_path) == ["_quad", "rate"]
 
 
 def test_every_definition_is_referenced_in_src():
@@ -150,3 +176,4 @@ if __name__ == "__main__":
     print(unreferenced_definitions())
     print(unread_dataclass_fields())
     print(stray_weights_readers())
+    print(quadrature_callers())
