@@ -183,11 +183,13 @@ def snr_moment_active(d_bi: float, d_iu, cfg: NetworkConfig):
     return _checked("snr_moment_active", mean, d_bi, d_iu, cfg)
 
 
-def mean_snr_integral(d_bi: float, d_iu: float, cfg: NetworkConfig) -> float:
+def mean_snr_integral(d_bi: float, d_iu, cfg: NetworkConfig):
     """Mean amplified-link SNR: the scale times psi_m(kappa) by quadrature.
 
     psi_m(kappa) = integral e^(-kappa u) (1 + u)^-m du, integrated in
-    v = kappa u. An exhausted budget or an out-of-range mean raises naming the point.
+    v = kappa u. kappa depends on d_BI alone, so a d_IU array costs one
+    quadrature; a scalar d_IU gives a float. An exhausted budget or an
+    out-of-range mean raises naming the point.
     """
     kappa = _kappa(d_bi, cfg)
     psi = _quad(lambda v: np.exp(-v - cfg.m_iu * np.log1p(v / kappa)),

@@ -71,4 +71,5 @@ def snr_active_batch(pow_bi: np.ndarray, pow_iu: np.ndarray, cascade: np.ndarray
 
 def snr_passive_batch(cascade: np.ndarray, zeta_bi, zeta_iu, power: PowerParams) -> np.ndarray:
     """Phase-only reflection SNR per row, from the rows' cascade amplitude."""
-    return power.p_t * zeta_bi * zeta_iu * cascade * cascade / power.sigma2
+    with np.errstate(over="ignore"):  # inf off the float range; the caller names the point
+        return power.p_t * zeta_bi * zeta_iu * cascade * cascade / power.sigma2

@@ -8,6 +8,7 @@ check passes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -101,38 +102,52 @@ def _check_direct_link_reductions(cfg: ExperimentConfig, rows, checks):
     }
 
 
-def _equivalence_grid(cfg: ExperimentConfig):
-    for m_iu in cfg.validate_m_iu_list:
-        for n in cfg.validate_n_list:
-            for d_bi in cfg.validate_d_bi_list:
-                for d_iu in cfg.validate_d_iu_list:
-                    for p_f in cfg.validate_p_f_list:
-                        yield m_iu, n, d_bi, d_iu, p_f
+def _check_mean_snr_grid(cfg: ExperimentConfig, rows, checks):
+    """Quadrature, closed form, moment route and model MC over the validate grid.
 
-
-def _check_equivalence(cfg: ExperimentConfig, rows, checks):
-    worst_cq = 0.0
-    worst_ray = 0.0
-    worst_l1 = 0.0
-    for m_iu, n, d_bi, d_iu, p_f in _equivalence_grid(cfg):
+    Each (m_IU, N, d_BI, P_F) group calls each route once on the whole d_IU
+    list; the model MC runs only for m_IU in mc_m_iu_list. Rows list the
+    quadrature/closed-form pairs in (m_IU, N, d_BI, d_IU, P_F) order, then the
+    grid's worst errors, then the MC rows in the same order.
+    """
+    d_iu_list = cfg.validate_d_iu_list
+    routes, draw_sets = {}, {}
+    for group in itertools.product(cfg.validate_m_iu_list, cfg.validate_n_list,
+                                   cfg.validate_d_bi_list, cfg.validate_p_f_list):
+        m_iu, n, d_bi, p_f = group
         net = _network_at(cfg, m_iu=m_iu, n=n, p_f=p_f)
+        routes[group] = [route(d_bi, d_iu_list, net) for route in (
+            analytic.mean_snr_integral, analytic.mean_snr_closed, analytic.snr_moment_active)]
+        if m_iu in cfg.mc_m_iu_list:
+            draw_sets[group] = simulate.model_snr_moment_mc(net, d_bi, d_iu_list,
+                                                            n=cfg.n_mc_model, seed=cfg.seed)
+    worst_cq = worst_ray = worst_l1 = 0.0
+    mc_rows, z = [], {}
+    for m_iu, n, d_bi, (j, d_iu), p_f in itertools.product(
+            cfg.validate_m_iu_list, cfg.validate_n_list, cfg.validate_d_bi_list,
+            enumerate(d_iu_list), cfg.validate_p_f_list):
+        group = (m_iu, n, d_bi, p_f)
+        quad, closed, route13 = (float(values[j]) for values in routes[group])
         label = _point_label(m_iu=m_iu, n=n, d_bi=d_bi, d_iu=d_iu, p_f=p_f)
-        quad = analytic.mean_snr_integral(d_bi, d_iu, net)
-        closed = analytic.mean_snr_closed(d_bi, d_iu, net)
         rel = abs(closed - quad) / quad
         worst_cq = max(worst_cq, rel)
-        rows.append(ResultRow(cfg.experiment, "point", label, "mean_snr", "quadrature", quad))
-        rows.append(ResultRow(cfg.experiment, "point", label, "mean_snr", "closed_form", closed))
         if m_iu == 1:
             worst_ray = max(worst_ray, rel)
-        route13 = analytic.snr_moment_active(d_bi, d_iu, net)
         worst_l1 = max(worst_l1, abs(route13 - quad) / quad)
+        rows.append(ResultRow(cfg.experiment, "point", label, "mean_snr", "quadrature", quad))
+        rows.append(ResultRow(cfg.experiment, "point", label, "mean_snr", "closed_form", closed))
+        if group in draw_sets:
+            mc, se = (float(x[j]) for x in draw_sets[group])
+            z[label] = abs(mc - closed) / se if se > 0 else math.inf
+            mc_rows.append(ResultRow(cfg.experiment, "point", label, "mean_snr", "monte_carlo",
+                                     mc, se))
     rows.append(ResultRow(cfg.experiment, "equivalence", "grid",
                           "closed_vs_quadrature_max_rel_err", "closed_form", worst_cq))
     rows.append(ResultRow(cfg.experiment, "equivalence", "grid",
                           "rayleigh_vs_quadrature_max_rel_err", "closed_form", worst_ray))
     rows.append(ResultRow(cfg.experiment, "equivalence", "grid",
                           "moment_route_max_rel_err", "quadrature", worst_l1))
+    rows += mc_rows
     checks["closed_vs_quadrature"] = {
         "passed": bool(worst_cq <= cfg.tolerance and worst_ray <= cfg.tolerance),
         "max_rel_err": worst_cq,
@@ -142,24 +157,6 @@ def _check_equivalence(cfg: ExperimentConfig, rows, checks):
         "passed": bool(worst_l1 <= 1e-7),
         "max_rel_err": worst_l1,
     }
-
-
-def _check_model_mc(cfg: ExperimentConfig, rows, checks):
-    """Model MC vs the closed form; one draw set per (m_IU, N, d_BI, P_F) covers every d_IU."""
-    d_iu_list = cfg.validate_d_iu_list
-    draw_sets, z = {}, {}
-    for m_iu, n, d_bi, d_iu, p_f in _equivalence_grid(cfg):
-        if m_iu not in cfg.mc_m_iu_list:
-            continue
-        net = _network_at(cfg, m_iu=m_iu, n=n, p_f=p_f)
-        label = _point_label(m_iu=m_iu, n=n, d_bi=d_bi, d_iu=d_iu, p_f=p_f)
-        closed = analytic.mean_snr_closed(d_bi, d_iu, net)
-        if (m_iu, n, d_bi, p_f) not in draw_sets:
-            draw_sets[m_iu, n, d_bi, p_f] = simulate.model_snr_moment_mc(
-                net, d_bi, d_iu_list, n=cfg.n_mc_model, seed=cfg.seed)
-        mc, se = (float(x[d_iu_list.index(d_iu)]) for x in draw_sets[m_iu, n, d_bi, p_f])
-        z[label] = abs(mc - closed) / se if se > 0 else math.inf
-        rows.append(ResultRow(cfg.experiment, "point", label, "mean_snr", "monte_carlo", mc, se))
     worst = max(z, key=z.get)
     checks["model_mc_agreement"] = {"passed": bool(z[worst] <= 3.0), "max_abs_z": z[worst],
                                     "points": len(z), "draw_sets": len(draw_sets),
@@ -171,53 +168,51 @@ def _check_physical(cfg: ExperimentConfig, rows, checks):
 
     One channel draw per N feeds both the amplified section (physical_gap,
     against mean_snr_closed) and the passive one (passive_gap, against
-    mean_snr_passive); the rows list the amplified section first.
+    mean_snr_passive); the passive_scaling row sits between the two.
     """
-    sections = {"active": [], "passive": []}
-    gaps = {"active": {}, "passive": {}}
-    means = {}
-    for n in (16, 64):
-        net = _network_at(cfg, m_iu=1, n=n)
-        phys = simulate.physical_snr_mc(net, cfg.d_bi, cfg.d_iu, n=cfg.n_mc_physical,
-                                        seed=cfg.seed)
-        label = _point_label(m_iu=1, n=n, d_bi=cfg.d_bi, d_iu=cfg.d_iu)
-        for mode, section, closed_form in (("active", "physical_gap", analytic.mean_snr_closed),
-                                           ("passive", "passive_gap", analytic.mean_snr_passive)):
+    draws = {n: simulate.physical_snr_mc(_network_at(cfg, m_iu=1, n=n), cfg.d_bi, cfg.d_iu,
+                                         n=cfg.n_mc_physical, seed=cfg.seed)
+             for n in (16, 64)}
+
+    def section(mode, name, closed_form):
+        """The section's three rows per N; returns its relative gap per N."""
+        gaps = {}
+        for n, phys in draws.items():
             mean, se = phys[mode]
-            closed = closed_form(cfg.d_bi, cfg.d_iu, net)
-            gaps[mode][n] = abs(mean - closed) / closed
-            sections[mode] += [
-                ResultRow(cfg.experiment, section, label, "mean_snr_physical", "monte_carlo",
+            closed = closed_form(cfg.d_bi, cfg.d_iu, _network_at(cfg, m_iu=1, n=n))
+            gaps[n] = abs(mean - closed) / closed
+            label = _point_label(m_iu=1, n=n, d_bi=cfg.d_bi, d_iu=cfg.d_iu)
+            rows.extend([
+                ResultRow(cfg.experiment, name, label, "mean_snr_physical", "monte_carlo",
                           mean, se),
-                ResultRow(cfg.experiment, section, label, "mean_snr", "closed_form", closed),
-                ResultRow(cfg.experiment, section, label, "relative_gap", "monte_carlo",
-                          gaps[mode][n]),
-            ]
-        means[n] = phys["passive"][0]
-    active, passive = gaps["active"], gaps["passive"]
-    rows += sections["active"]
+                ResultRow(cfg.experiment, name, label, "mean_snr", "closed_form", closed),
+                ResultRow(cfg.experiment, name, label, "relative_gap", "monte_carlo", gaps[n]),
+            ])
+        return gaps
+
+    active = section("active", "physical_gap", analytic.mean_snr_closed)
     checks["physical_gap_shrinks"] = {
         "passed": bool(active[64] < active[16]),
         "gap_n16": active[16],
         "gap_n64": active[64],
     }
 
-    v16 = analytic.mean_snr_passive(cfg.d_bi, cfg.d_iu, _network_at(cfg, m_iu=1, n=16))
-    v32 = analytic.mean_snr_passive(cfg.d_bi, cfg.d_iu, _network_at(cfg, m_iu=1, n=32))
+    v16, v32 = (analytic.mean_snr_passive(cfg.d_bi, cfg.d_iu, _network_at(cfg, m_iu=1, n=n))
+                for n in (16, 32))
     quadruple_exact = (v32 == 4.0 * v16)
     rows.append(ResultRow(cfg.experiment, "passive_scaling", "n16_to_n32",
                           "quadrupling_ratio", "closed_form", v32 / v16))
-    rows += sections["passive"]
+    passive = section("passive", "passive_gap", analytic.mean_snr_passive)
     # scaling diagnostics: the measured growth exponent between the two sizes
-    exponent = math.log(means[64] / means[16]) / math.log(4.0)
+    ratio = draws[64]["passive"][0] / draws[16]["passive"][0]
     checks["passive_baseline"] = {
         "passed": bool(quadruple_exact and passive[64] < passive[16]),
         "quadrupling_exact": bool(quadruple_exact),
         "gap_n16": passive[16],
         "gap_n64": passive[64],
         "gap_shrinks": bool(passive[64] < passive[16]),
-        "mc_growth_exponent": exponent,
-        "mc_ratio_64_over_16": means[64] / means[16],
+        "mc_growth_exponent": math.log(ratio) / math.log(4.0),
+        "mc_ratio_64_over_16": ratio,
     }
 
 
@@ -249,8 +244,7 @@ def _run_validate(cfg: ExperimentConfig):
     checks: dict = {}
     _check_glq(cfg, rows, checks)
     _check_direct_link_reductions(cfg, rows, checks)
-    _check_equivalence(cfg, rows, checks)
-    _check_model_mc(cfg, rows, checks)
+    _check_mean_snr_grid(cfg, rows, checks)
     _check_physical(cfg, rows, checks)
     _check_budget_shape(cfg, rows, checks)
     summary = {

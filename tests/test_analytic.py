@@ -163,6 +163,13 @@ class TestEquivalenceTriangle:
             )
             < 1e-7
         )
+        # validate calls each route once on a whole d_IU list; every entry
+        # keeps the bits of the scalar call
+        d_list = (10.0, 30.0, 60.0)
+        for route in (an.mean_snr_integral, an.mean_snr_closed, an.snr_moment_active):
+            scalars = [route(d_bi, d, cfg) for d in d_list]
+            assert all(type(x) is float for x in scalars), route.__name__
+            assert np.array_equal(route(d_bi, d_list, cfg), scalars), route.__name__
 
     @pytest.mark.parametrize("p_f", [0.01, 10.0])
     @pytest.mark.parametrize("d_iu", [0.5, 30.0])

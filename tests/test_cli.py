@@ -435,7 +435,8 @@ class TestCliRuns:
         assert calls == [20000, 20000]
 
     def test_validate_draws_the_model_mc_once_per_d_iu_row(self, tmp_path, monkeypatch):
-        # the d_IU points of one (m_IU, N, d_BI, P_F) group rescale one estimate
+        # the d_IU points of one (m_IU, N, d_BI, P_F) group rescale one estimate,
+        # and each mean-SNR route takes the group's whole d_IU list in one call
         calls = []
         model = simulate.model_snr_moment_mc
 
@@ -444,14 +445,47 @@ class TestCliRuns:
             return model(*args, **kwargs)
 
         monkeypatch.setattr(simulate, "model_snr_moment_mc", counted)
+        routes = {name: [] for name in ("mean_snr_integral", "mean_snr_closed",
+                                        "snr_moment_active")}
+        for name, seen in routes.items():
+            def route(d_bi, d_iu, net, fn=getattr(analytic, name), seen=seen):
+                seen.append((d_bi, tuple(d_iu) if np.ndim(d_iu) else d_iu))
+                return fn(d_bi, d_iu, net)
+
+            monkeypatch.setattr(analytic, name, route)
         out = tmp_path / "x"
         assert main(["validate", "--out", str(out)] + FAST_VALIDATE
                     + ["--set", "validate_d_iu_m=[10,30,60]",
                        "--set", "validate_p_f_w=[0.001,0.1]"]) in (0, 1)
         assert calls == [(100.0, (10.0, 30.0, 60.0), 20000)] * 4
+        grid = [(100.0, (10.0, 30.0, 60.0))] * 4
+        assert routes["mean_snr_integral"] == routes["snr_moment_active"] == grid
+        # the physical and budget checks then call the closed form at scalar points
+        closed = routes["mean_snr_closed"]
+        assert closed[:4] == grid
+        assert all(np.ndim(d_iu) == 0 for _, d_iu in closed[4:])
         check = json.loads((out / "summary.json").read_text())["checks"]["model_mc_agreement"]
         assert (check["points"], check["draw_sets"]) == (12, 4)
         assert check["worst_point"].startswith("m_iu=")
+
+    def test_validate_point_rows_keep_their_order(self, tmp_path):
+        # quadrature/closed-form pairs in (m_IU, N, d_BI, d_IU, P_F) order, the
+        # grid's worst errors, then the model-MC rows (m_IU in mc_m_iu_list only)
+        out = tmp_path / "x"
+        assert main(["validate", "--out", str(out)] + FAST_VALIDATE
+                    + ["--set", "validate_d_iu_m=[10,60]", "--set", "validate_p_f_w=[0.001,0.1]",
+                       "--set", "mc_m_iu_list=[2]"]) in (0, 1)
+        with open(out / "results.csv", newline="") as fh:
+            got = [(row["swept_name"], row["swept_value"], row["method"])
+                   for row in csv.DictReader(fh) if row["swept_name"] in ("point", "equivalence")]
+        labels = {m: [f"m_iu={m}|n=16|d_bi=100|d_iu={d}|p_f={p}"
+                      for d in (10, 60) for p in (0.001, 0.1)] for m in (1, 2)}
+        pairs = [("point", label, method) for m in (1, 2) for label in labels[m]
+                 for method in ("quadrature", "closed_form")]
+        worst = [("equivalence", "grid", method)
+                 for method in ("closed_form", "closed_form", "quadrature")]
+        mc = [("point", label, "monte_carlo") for label in labels[2]]
+        assert got == pairs + worst + mc
 
     def test_density_sweep_draws_each_drop_once_for_both_modes(self, tmp_path, monkeypatch):
         # the amplified and the passive rows are scored on the same drops
@@ -573,6 +607,7 @@ class TestCliRuns:
         assert reason in err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_cell_mc_out_of_float_range_names_the_point(self, tmp_path, capsys):
         # the per-user SNR means stay finite but their variance overflows; this
         # used to write snr_mean 9.1e205 with std_error inf (exit 0)
