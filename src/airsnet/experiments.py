@@ -307,7 +307,12 @@ def _run_density_sweep(cfg: ExperimentConfig):
         m_list = list(cfg.density_m_list)
 
         def z_sep(i, j):
-            return (tp[i].mean - tp[j].mean) / math.hypot(tp[i].std_error, tp[j].std_error)
+            # every M sees the same users: the error is that of the paired differences
+            gap = tp[i].mean - tp[j].mean
+            if gap == 0.0:  # the same M, or every user BS-served
+                return 0.0
+            diff = tp[i].samples - tp[j].samples
+            return float(gap / (diff.std(ddof=1) / math.sqrt(diff.size)))
 
         summary[mode] = {
             "power_budget": cfg.density_power_budget,

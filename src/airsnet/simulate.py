@@ -1,15 +1,19 @@
 """Network-scale Monte Carlo: random drops, association, cell simulation.
 
-A drop is two position arrays, and its association one array of serving
-indices. Randomness is counter-keyed: every (seed, drop, purpose) tuple maps
-to its own SFC64 stream, and within a drop the draw order is fixed. A cell
-simulation runs consecutive drops in groups of a fixed number of channel
-elements (_DROP_BLOCK): each drop draws on its own streams into its slice of
-the group's buffers, then association, path gains and the SNR kernels run
-once per group. Group bounds depend on the configuration alone, so results
-are bit-identical no matter how groups are scheduled across threads.
-Per-user means are concatenated in drop order. The validation estimators draw
-in cache-sized blocks and merge block means and variances.
+Drops are position arrays with a leading drop axis, and their association
+one array of serving indices. Randomness is counter-keyed: every (seed, *key)
+tuple maps to its own SFC64 stream. A cell simulation draws all its drops at
+once, the reflectors from the stream keyed by M and the users from the one
+keyed by the seed alone, so every M and both association policies see the
+same users (common random numbers); drop d's positions do not depend on the
+number of drops. Association and path gains then run on chunks of about
+_DROP_BLOCK user-reflector pairs. Each drop draws its fading on its own
+stream in a fixed order (direct rows, then reflector rows), and groups of
+consecutive drops of about _DROP_BLOCK channel elements are scored together.
+Chunk and group bounds depend on the configuration alone, so results are
+bit-identical no matter how they are scheduled across threads. Per-user
+means are kept in drop order. The validation estimators draw in cache-sized
+blocks and merge block means and variances.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from contextlib import nullcontext
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -44,11 +49,14 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
-_TAG_GEOMETRY = 1
-_TAG_FADING = 2
+_TAG_GEOMETRY = 1  # reflector positions, keyed (seed, M, tag)
+_TAG_FADING = 2  # keyed (seed, drop, tag)
+_TAG_USERS = 5  # user positions, keyed (seed, tag)
 _MODEL_BLOCK = 1 << 16  # model-MC draws per block: its temporaries stay in cache
 _PHYSICAL_BLOCK = 4096  # physical-MC channel rows per block
-_DROP_BLOCK = 1 << 15  # channel elements (users x fading draws x N) per drop group
+# channel elements (users x fading draws x N) per drop group, and user-reflector
+# pairs per association chunk
+_DROP_BLOCK = 1 << 15
 _MODES = ("active", "passive")  # reflector modes, in the order cell results list them
 
 
@@ -56,6 +64,9 @@ _MODES = ("active", "passive")  # reflector modes, in the order cell results lis
 class SimEstimate:
     mean: float
     std_error: float
+    # the per-(drop, user) values behind a cell's spatial throughput, in drop
+    # order, so that estimates on the same drops can be compared pairwise
+    samples: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 class _Moments:
@@ -101,17 +112,29 @@ def _stream(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(key))
 
 
-def drop(cfg: NetworkConfig, seed: int, drop_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """Draw one drop: (M, 2) reflectors area-uniform in the ring, (K, 2) users in the disc."""
+def _ring_points(rng: np.random.Generator, n_drops: int, count: int,
+                 r_in: float, r_out: float) -> np.ndarray:
+    """(n_drops, count, 2) points area-uniform in r_in <= r <= r_out.
+
+    Each drop's 2 * count uniforms are consecutive (radii, then angles), so a
+    drop's points do not depend on how many drops follow it.
+    """
+    u = rng.random((n_drops, 2, count))
+    r = np.sqrt(r_in**2 + u[:, 0] * (r_out**2 - r_in**2))
+    th = 2.0 * math.pi * u[:, 1]
+    return np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
+
+
+def drop(cfg: NetworkConfig, seed: int, n_drops: int) -> tuple[np.ndarray, np.ndarray]:
+    """Draw n_drops drops: (D, M, 2) reflectors uniform in the ring, (D, K, 2) users in the disc.
+
+    Reflectors come from the stream keyed (seed, M), users from the one keyed
+    by the seed alone: every reflector count sees the same users.
+    """
     geo = cfg.geometry
-    rng = _stream(seed, drop_index, _TAG_GEOMETRY)
-    u = rng.uniform(size=geo.m_irs)
-    irs_r = np.sqrt(geo.l_in**2 + u * (geo.l_out**2 - geo.l_in**2))
-    irs_th = rng.uniform(0.0, 2.0 * math.pi, size=geo.m_irs)
-    ue_r = geo.l * np.sqrt(rng.uniform(size=cfg.k_ues))
-    ue_th = rng.uniform(0.0, 2.0 * math.pi, size=cfg.k_ues)
-    irs = np.column_stack([irs_r * np.cos(irs_th), irs_r * np.sin(irs_th)])
-    ue = np.column_stack([ue_r * np.cos(ue_th), ue_r * np.sin(ue_th)])
+    irs = _ring_points(_stream(seed, geo.m_irs, _TAG_GEOMETRY), n_drops, geo.m_irs,
+                       geo.l_in, geo.l_out)
+    ue = _ring_points(_stream(seed, _TAG_USERS), n_drops, cfg.k_ues, 0.0, geo.l)
     return irs, ue
 
 
@@ -132,7 +155,12 @@ def associate(irs: np.ndarray, ue: np.ndarray, policy: str,
     """
     if policy not in ("nearest", "best_irs"):
         raise ConfigError(f"unknown association policy {policy!r}")
-    d_iu = _norm(ue[..., :, None, :] - irs[..., None, :, :])  # (..., users, reflectors)
+    # (..., users, reflectors) distances, rounded as _norm rounds, in place
+    dx, dy = (ue[..., :, None, i] - irs[..., None, :, i] for i in (0, 1))
+    dx *= dx
+    dy *= dy
+    dx += dy
+    d_iu = np.sqrt(dx, out=dx)
     if policy == "nearest":
         choice = np.argmin(d_iu, axis=-1)
     else:
@@ -141,17 +169,41 @@ def associate(irs: np.ndarray, ue: np.ndarray, policy: str,
     return np.where(_norm(ue) < cfg.geometry.l_in, -1, choice)
 
 
-def _group_worker(cfg: NetworkConfig, policy: str, n_fading: int, seed: int,
-                  drops: range) -> tuple[np.ndarray, np.ndarray]:
-    """Fading-averaged SNR and rate of consecutive drops, (amplified/passive, drops x users).
+def _links(cfg: NetworkConfig, policy: str, seed: int, n_drops: int,
+           run) -> tuple[np.ndarray, np.ndarray]:
+    """Draw the drops; return the (D, K) servers and (3, D, K) path gains ζ_BU, ζ_BI, ζ_IU.
 
-    Users are listed drop by drop; both modes are scored on one fading draw.
+    Association and path gains run on chunks of about _DROP_BLOCK
+    user-reflector pairs (at least one drop), mapped by `run`. ζ_BI and ζ_IU
+    of a BS-served user are those of reflector 0; nothing reads them.
     """
-    irs, ue = (np.stack(xy) for xy in zip(*(drop(cfg, seed, d) for d in drops)))
-    server = associate(irs, ue, policy, cfg)
-    n_direct = (server < 0).sum(axis=1)
-    server = server.ravel()
-    ue = ue.reshape(-1, 2)
+    irs, ue = drop(cfg, seed, n_drops)
+    server = np.empty((n_drops, cfg.k_ues), dtype=np.intp)
+    zeta = np.empty((3, n_drops, cfg.k_ues))
+    step = max(1, _DROP_BLOCK // (cfg.k_ues * cfg.geometry.m_irs))
+
+    def chunk(lo: int) -> None:
+        at_drops = slice(lo, lo + step)
+        server[at_drops] = associate(irs[at_drops], ue[at_drops], policy, cfg)
+        at = np.take_along_axis(irs[at_drops], np.maximum(server[at_drops], 0)[..., None],
+                                axis=-2)
+        zeta[:, at_drops] = cfg.path_gain(
+            np.stack([_norm(ue[at_drops]), _norm(at), _norm(ue[at_drops] - at)]))
+
+    list(run(chunk, range(0, n_drops, step)))
+    return server, zeta
+
+
+def _group_worker(cfg: NetworkConfig, n_fading: int, seed: int, server: np.ndarray,
+                  zeta: np.ndarray, out: np.ndarray, drops: range) -> None:
+    """Fading-averaged SNR and rate of consecutive drops, into out[:, :, their users].
+
+    `out` is (SNR/rate, amplified/passive, users drop by drop); both modes are
+    scored on one fading draw. `server` and `zeta` are _links' arrays.
+    """
+    server = server[drops.start:drops.stop].ravel()
+    zeta_bu, zeta_bi, zeta_iu = zeta[:, drops.start:drops.stop].reshape(3, -1)
+    n_direct = (server < 0).reshape(len(drops), cfg.k_ues).sum(axis=1)
     direct = np.flatnonzero(server < 0)
     relayed = np.flatnonzero(server >= 0)
     pows = np.empty((direct.size, n_fading))
@@ -170,16 +222,17 @@ def _group_worker(cfg: NetworkConfig, policy: str, n_fading: int, seed: int,
 
     p = cfg.power
     snr = np.empty((len(_MODES), server.size, n_fading))
-    snr[:, direct] = snr_direct_batch(pows, cfg.path_gain(_norm(ue[direct]))[:, None], p)
-    at = irs[relayed // cfg.k_ues, server[relayed]]
-    zeta_bi = np.repeat(cfg.path_gain(_norm(at)), n_fading)
-    zeta_iu = np.repeat(cfg.path_gain(_norm(ue[relayed] - at)), n_fading)
+    snr[:, direct] = snr_direct_batch(pows, zeta_bu[direct][:, None], p)
+    zeta_bi = np.repeat(zeta_bi[relayed], n_fading)
+    zeta_iu = np.repeat(zeta_iu[relayed], n_fading)
     cascade = cascade_amplitude(pow_bi, pow_iu)
     rows = (relayed.size, n_fading)
     snr[0, relayed] = snr_active_batch(pow_bi, pow_iu, cascade, zeta_bi, zeta_iu,
                                        p).reshape(rows)
     snr[1, relayed] = snr_passive_batch(cascade, zeta_bi, zeta_iu, p).reshape(rows)
-    return snr.mean(axis=2), np.log2(1.0 + snr).mean(axis=2)
+    users = slice(drops.start * cfg.k_ues, drops.stop * cfg.k_ues)
+    out[0, :, users] = snr.mean(axis=2)
+    out[1, :, users] = np.log2(1.0 + snr).mean(axis=2)
 
 
 def simulate_cell(cfg: NetworkConfig, policy: str = "nearest", *,
@@ -192,9 +245,11 @@ def simulate_cell(cfg: NetworkConfig, policy: str = "nearest", *,
     Each (drop, user) contributes its fading-averaged value; the returned
     standard errors treat those per-user means as the independent samples
     (fading draws at a fixed position are not independent positional
-    samples). spatial throughput = positional rate average / cell area.
-    Drops run in groups of about _DROP_BLOCK channel elements (at least one
-    drop each), and at most os.cpu_count() threads run the groups. An
+    samples). spatial throughput = positional rate average / cell area; its
+    estimates carry those per-user values as samples. Association and path
+    gains run on chunks of drops of about _DROP_BLOCK user-reflector pairs,
+    fading and scoring on groups of about _DROP_BLOCK channel elements (at
+    least one drop each), and at most os.cpu_count() threads run them. An
     estimate whose mean or standard error leaves the float range raises
     InvalidDistributionError naming the point.
     """
@@ -203,19 +258,19 @@ def simulate_cell(cfg: NetworkConfig, policy: str = "nearest", *,
 
     size = max(1, _DROP_BLOCK // (cfg.k_ues * n_fading * cfg.geometry.n_elements))
     groups = [range(lo, min(lo + size, n_drops)) for lo in range(0, n_drops, size)]
-    work = partial(_group_worker, cfg, policy, n_fading, seed)
+    snr_ue, rate_ue = out = np.empty((2, len(_MODES), n_drops * cfg.k_ues))
     workers = min(threads, os.cpu_count() or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_group = list(pool.map(work, groups))
-    else:
-        per_group = list(map(work, groups))
-    snr_ue, rate_ue = np.concatenate(per_group, axis=2)
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        run = pool.map if pool else map
+        server, zeta = _links(cfg, policy, seed, n_drops, run)
+        list(run(partial(_group_worker, cfg, n_fading, seed, server, zeta, out), groups))
 
     def estimate(mode: str, metric: str, values: np.ndarray, scale: float) -> SimEstimate:
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite estimate raises
             se = values.std(ddof=1) / math.sqrt(values.size) if values.size > 1 else 0.0
-        est = SimEstimate(mean=float(values.mean() * scale), std_error=float(se * scale))
+        samples = values * scale if metric == "spatial_throughput" else None
+        est = SimEstimate(mean=float(values.mean() * scale), std_error=float(se * scale),
+                          samples=samples)
         if not (math.isfinite(est.mean) and math.isfinite(est.std_error)):
             raise InvalidDistributionError(
                 f"simulate_cell at {analytic._point(cfg)}, m_irs={cfg.geometry.m_irs}, "
@@ -238,6 +293,8 @@ def sweep_density(cfg: NetworkConfig, n_total_elements: int, m_values,
     Each entry runs simulate_cell with M reflectors of N = n_total/M elements,
     users served by the nearest reflector; returns one row list per reflector
     mode, {"active": [...], "passive": [...]}, both scored on the same drops.
+    Every M sees the same users, so the spatial-throughput samples of two
+    rows pair up user by user.
     power_budget="split-total" (default) gives each reflector p_f_total / M so
     the network-wide amplification power stays constant across the sweep;
     "fixed-per-irs" gives every reflector p_f_total regardless of M (total

@@ -488,23 +488,56 @@ class TestCliRuns:
         assert got == pairs + worst + mc
 
     def test_density_sweep_draws_each_drop_once_for_both_modes(self, tmp_path, monkeypatch):
-        # the amplified and the passive rows are scored on the same drops
+        # the amplified and the passive rows are scored on the same drops,
+        # and each M draws all its drops in one call
         calls = []
-        one_drop = simulate.drop
+        all_drops = simulate.drop
 
         def counted(*args, **kwargs):
             calls.append(args[2])
-            return one_drop(*args, **kwargs)
+            return all_drops(*args, **kwargs)
 
         monkeypatch.setattr(simulate, "drop", counted)
         out = tmp_path / "x"
         assert main(["density-sweep", "--out", str(out), "--set", "sweep_n_drops=3",
                      "--set", "density_m_list=[1,2,4]", "--set", "k_ues=4"]) == 0
-        assert calls == [0, 1, 2] * 3
+        assert calls == [3] * 3
         with open(out / "results.csv", newline="") as fh:
             labels = [row["swept_value"] for row in csv.DictReader(fh)]
         assert [label.split("|")[0] for label in labels] == ["mode=active"] * 9 + [
             "mode=passive"] * 9
+
+    def test_density_sweep_associates_in_bounded_chunks(self, tmp_path, monkeypatch):
+        # no association call holds more user-reflector pairs than one drop or
+        # _DROP_BLOCK, whichever is larger: all drops of a sweep point at once
+        # would hold 30 * 50 * 512 pairs at M = 512
+        pairs = []
+        chunk = simulate.associate
+
+        def measured(irs, ue, policy, cfg):
+            per_drop = cfg.k_ues * cfg.geometry.m_irs
+            pairs.append((ue[..., 0].size * irs.shape[-2], per_drop))
+            return chunk(irs, ue, policy, cfg)
+
+        monkeypatch.setattr(simulate, "associate", measured)
+        assert main(["density-sweep", "--out", str(tmp_path / "x"), "--set", "sweep_n_drops=30",
+                     "--set", "density_m_list=[1,8,64,512]"]) == 0
+        assert sum(n for n, _ in pairs) == 30 * 50 * (1 + 8 + 64 + 512)
+        assert all(n <= max(simulate._DROP_BLOCK, per_drop) for n, per_drop in pairs), pairs
+        assert len(pairs) > 4  # M = 64 and M = 512 take several chunks
+
+    def test_density_z_scores_are_paired(self, tmp_path):
+        # every M sees the same users, so the passive M = 1 lead over M = 32
+        # is separated by the paired differences where the unpaired errors
+        # cannot separate it
+        out = tmp_path / "x"
+        assert main(["density-sweep", "--seed", "12345", "--threads", "1", "--out", str(out),
+                     "--set", "sweep_n_drops=200"]) == 0
+        passive = json.loads((out / "summary.json").read_text())["passive"]
+        assert passive["best_m"] == 1 and passive["z_vs_first"] == 0.0
+        tp, se = passive["throughput"], passive["std_error"]
+        unpaired = (tp[0] - tp[-1]) / math.hypot(se[0], se[-1])
+        assert unpaired < 3.0 <= passive["z_vs_last"]
 
     @pytest.mark.parametrize("experiment, key", [
         ("validate", "n_mc_model"),

@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 
 import numpy as np
@@ -6,7 +7,14 @@ import pytest
 
 from airsnet import analytic as an
 from airsnet import simulate
-from airsnet.channel import PowerParams
+from airsnet.channel import (
+    PowerParams,
+    cascade_amplitude,
+    sample_nakagami_power,
+    snr_active_batch,
+    snr_direct_batch,
+    snr_passive_batch,
+)
 from airsnet.config import ConfigError, GeometryConfig, NetworkConfig
 from airsnet.mathkit import integrate_interval_with_error
 from airsnet.mixgamma import InvalidDistributionError
@@ -37,53 +45,138 @@ def all_direct_cfg(**kw):
     return make_cfg(geom={"l_in": 199.999997, "l_out": 199.999998, "l": 200.0}, **kw)
 
 
+def one_drop(cfg, seed, index):
+    """Drop `index` alone: (M, 2) reflectors and (K, 2) users."""
+    irs, ue = drop(cfg, seed, index + 1)
+    return irs[index], ue[index]
+
+
+def keyed_stream(*key):
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(list(key))))
+
+
+def reference_cell(cfg, policy, n_drops, n_fading, seed):
+    """simulate_cell built one drop at a time from the keyed streams.
+
+    Reflectors come from the stream keyed (seed, M, 1) and users from the one
+    keyed (seed, 5), each drop's radii then angles; each drop is then
+    associated, its path gains taken with np.linalg.norm, and its fading drawn
+    on the stream keyed (seed, drop, 2), direct rows first, then the BI rows,
+    then the IU rows.
+    """
+    geo, p = cfg.geometry, cfg.power
+
+    def points(rng, count, r_in, r_out):
+        r = np.sqrt(r_in**2 + rng.random(count) * (r_out**2 - r_in**2))
+        th = 2.0 * math.pi * rng.random(count)
+        return np.column_stack([r * np.cos(th), r * np.sin(th)])
+
+    def norm(xy):
+        return np.linalg.norm(xy, axis=1)
+
+    rng_irs, rng_ue = keyed_stream(seed, geo.m_irs, 1), keyed_stream(seed, 5)
+    snr_ue, rate_ue = [], []
+    for d in range(n_drops):
+        irs = points(rng_irs, geo.m_irs, geo.l_in, geo.l_out)
+        ue = points(rng_ue, cfg.k_ues, 0.0, geo.l)
+        server = associate(irs, ue, policy, cfg)
+        direct, relayed = server < 0, server >= 0
+        rng = keyed_stream(seed, d, 2)
+        pow_bu = sample_nakagami_power(cfg.m_bu, rng, (direct.sum(), n_fading))
+        shape = (relayed.sum() * n_fading, geo.n_elements)
+        pow_bi = sample_nakagami_power(cfg.m_bi, rng, shape)
+        pow_iu = sample_nakagami_power(cfg.m_iu, rng, shape)
+        at = irs[server[relayed]]
+        zeta_bi = np.repeat(cfg.path_gain(norm(at)), n_fading)
+        zeta_iu = np.repeat(cfg.path_gain(norm(ue[relayed] - at)), n_fading)
+        cascade = cascade_amplitude(pow_bi, pow_iu)
+        snr = np.empty((2, cfg.k_ues, n_fading))
+        snr[:, direct] = snr_direct_batch(pow_bu, cfg.path_gain(norm(ue[direct]))[:, None], p)
+        rows = (relayed.sum(), n_fading)
+        snr[0, relayed] = snr_active_batch(pow_bi, pow_iu, cascade, zeta_bi, zeta_iu,
+                                           p).reshape(rows)
+        snr[1, relayed] = snr_passive_batch(cascade, zeta_bi, zeta_iu, p).reshape(rows)
+        snr_ue.append(snr.mean(axis=2))
+        rate_ue.append(np.log2(1.0 + snr).mean(axis=2))
+    out = {}
+    for mode, snr, rate in zip(("active", "passive"), np.concatenate(snr_ue, axis=1),
+                               np.concatenate(rate_ue, axis=1)):
+        out[mode] = {}
+        for metric, values, scale in (("snr_mean", snr, 1.0), ("achievable_rate", rate, 1.0),
+                                      ("spatial_throughput", rate, 1.0 / geo.s_total)):
+            se = values.std(ddof=1) / math.sqrt(values.size)
+            out[mode][metric] = (float(values.mean() * scale), float(se * scale))
+    return out
+
+
+def estimates(est):
+    return {mode: {metric: (e.mean, e.std_error) for metric, e in per_mode.items()}
+            for mode, per_mode in est.items()}
+
+
 class TestDrop:
     def test_ring_radius_second_moment(self):
         cfg = make_cfg(geom={"m_irs": 8})
-        total, count = 0.0, 0
-        for i in range(2000):
-            irs, _ = drop(cfg, seed=11, drop_index=i)
-            r2 = (irs**2).sum(axis=1)
-            total += r2.sum()
-            count += r2.size
+        irs, _ = drop(cfg, 11, 2000)
+        r2 = (irs**2).sum(axis=-1)
         expected = (cfg.geometry.l_in**2 + cfg.geometry.l_out**2) / 2.0
-        assert abs(total / count / expected - 1.0) < 0.005
+        assert abs(r2.mean() / expected - 1.0) < 0.005
 
     def test_ue_inside_coverage_fraction(self):
         cfg = make_cfg()
-        inside, total = 0, 0
-        for i in range(400):
-            _, ue = drop(cfg, seed=2, drop_index=i)
-            radius = np.linalg.norm(ue, axis=1)
-            inside += int((radius < cfg.geometry.l_in).sum())
-            total += radius.size
+        _, ue = drop(cfg, 2, 400)
+        radius = np.linalg.norm(ue, axis=-1)
+        inside = int((radius < cfg.geometry.l_in).sum())
+        total = radius.size
         p = cfg.geometry.l_in**2 / cfg.geometry.l**2
         sigma = math.sqrt(p * (1 - p) / total)
         assert abs(inside / total - p) < 3.0 * sigma
 
     def test_positions_within_bounds(self):
         cfg = make_cfg()
-        irs, ue = drop(cfg, seed=5, drop_index=0)
-        assert irs.shape == (cfg.geometry.m_irs, 2) and ue.shape == (cfg.k_ues, 2)
-        irs_r = np.linalg.norm(irs, axis=1)
-        ue_r = np.linalg.norm(ue, axis=1)
+        irs, ue = drop(cfg, 5, 3)
+        assert irs.shape == (3, cfg.geometry.m_irs, 2) and ue.shape == (3, cfg.k_ues, 2)
+        irs_r = np.linalg.norm(irs, axis=-1)
+        ue_r = np.linalg.norm(ue, axis=-1)
         assert np.all((irs_r >= cfg.geometry.l_in) & (irs_r <= cfg.geometry.l_out))
         assert np.all(ue_r <= cfg.geometry.l)
 
     def test_deterministic_per_index(self):
         cfg = make_cfg()
-        a_irs, a_ue = drop(cfg, seed=9, drop_index=17)
-        b_irs, b_ue = drop(cfg, seed=9, drop_index=17)
+        a_irs, a_ue = drop(cfg, 9, 18)
+        b_irs, b_ue = drop(cfg, 9, 18)
         assert np.array_equal(a_irs, b_irs)
         assert np.array_equal(a_ue, b_ue)
-        _, c_ue = drop(cfg, seed=9, drop_index=18)
-        assert not np.array_equal(a_ue, c_ue)
+        assert not np.array_equal(a_ue[17], a_ue[16])
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (7, 3), (40, 39)])
+    def test_fewer_drops_are_a_prefix(self, n, k):
+        cfg = make_cfg(geom={"m_irs": 5}, k_ues=9)
+        irs, ue = drop(cfg, 31, n + 5)
+        first_irs, first_ue = drop(cfg, 31, k)
+        assert np.array_equal(irs[:k], first_irs)
+        assert np.array_equal(ue[:k], first_ue)
+
+    def test_users_shared_across_reflector_counts(self):
+        # every M sees the same users; the reflectors are M's own
+        users, reflectors = [], []
+        for m, n in [(1, 512), (2, 256), (4, 128), (32, 16)]:
+            irs, ue = drop(make_cfg(geom={"m_irs": m, "n_elements": n}), 12345, 20)
+            users.append(ue)
+            reflectors.append(irs[:, 0])
+        for ue in users[1:]:
+            assert np.array_equal(ue, users[0])
+        for i, first in enumerate(reflectors):
+            for other in reflectors[i + 1:]:
+                assert not np.any(first == other)
+        _, ue = drop(make_cfg(), 12346, 20)
+        assert not np.any(ue == users[0])
 
 
 class TestAssociate:
     def test_single_irs_policies_agree(self):
         cfg = make_cfg(geom={"m_irs": 1})
-        irs, ue = drop(cfg, seed=1, drop_index=0)
+        irs, ue = one_drop(cfg, 1, 0)
         near = associate(irs, ue, "nearest", cfg)
         best = associate(irs, ue, "best_irs", cfg)
         assert np.array_equal(near, best)
@@ -126,7 +219,7 @@ class TestAssociate:
         # oracle: the per-pair argmax of the independent per-node quadrature
         cfg = make_cfg(geom={"m_irs": 6, "n_elements": 32}, k_ues=12, m_iu=m_iu)
         for drop_index in (0, 1):
-            irs, ue = drop(cfg, seed=404, drop_index=drop_index)
+            irs, ue = one_drop(cfg, 404, drop_index)
             best = associate(irs, ue, "best_irs", cfg)
             d_bi = np.linalg.norm(irs, axis=1)
             outside = np.linalg.norm(ue, axis=1) >= cfg.geometry.l_in
@@ -139,17 +232,15 @@ class TestAssociate:
     @pytest.mark.parametrize("policy", ["nearest", "best_irs"])
     def test_stacked_drops_match_per_drop_calls(self, policy):
         cfg = make_cfg(geom={"m_irs": 6, "n_elements": 32}, k_ues=12, m_iu=2.0)
-        drops = [drop(cfg, seed=405, drop_index=i) for i in range(5)]
-        irs = np.stack([d[0] for d in drops])
-        ue = np.stack([d[1] for d in drops])
+        irs, ue = drop(cfg, 405, 5)
         stacked = associate(irs, ue, policy, cfg)
         assert stacked.shape == (5, 12)
-        for g, (irs_g, ue_g) in enumerate(drops):
-            assert np.array_equal(stacked[g], associate(irs_g, ue_g, policy, cfg)), g
+        for g in range(5):
+            assert np.array_equal(stacked[g], associate(irs[g], ue[g], policy, cfg)), g
 
     def test_partition_depends_only_on_radius(self):
         cfg = make_cfg()
-        irs, ue = drop(cfg, seed=21, drop_index=0)
+        irs, ue = one_drop(cfg, 21, 0)
         radius = np.linalg.norm(ue, axis=1)
         for policy in ("nearest", "best_irs"):
             out = associate(irs, ue, policy, cfg)
@@ -157,7 +248,7 @@ class TestAssociate:
 
     def test_unknown_policy(self):
         cfg = make_cfg()
-        irs, ue = drop(cfg, seed=0, drop_index=0)
+        irs, ue = one_drop(cfg, 0, 0)
         with pytest.raises(ConfigError):
             associate(irs, ue, "strongest", cfg)
 
@@ -187,7 +278,7 @@ class TestSimulateCell:
         # dedicated fixed-distance physical MC at the same (d_BI, d_IU), and
         # its gap to the analytic mean is the known model-vs-physical gap
         cfg = make_cfg(geom={"m_irs": 1, "n_elements": 16}, k_ues=1)
-        irs, ue = drop(cfg, seed=77, drop_index=0)
+        irs, ue = one_drop(cfg, 77, 0)
         assert associate(irs, ue, "nearest", cfg)[0] == 0
         d_bi = float(np.linalg.norm(irs[0]))
         d_iu = float(np.linalg.norm(ue[0] - irs[0]))
@@ -220,28 +311,28 @@ class TestSimulateCell:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_drop_path_bits_are_frozen(self, threads):
-        # every drop holds BS-served and reflector-served users, and best_irs
-        # moves five of the 24 users off their nearest reflector; frozen from
-        # the per-drop record form of the drop path
+        # drop 1 holds two BS-served users, and best_irs moves six of the 22
+        # reflector-served users off their nearest reflector; frozen from
+        # reference_cell, which builds the drops one at a time
         cfg = make_cfg(geom={"l_in": 60.0, "l_out": 150.0, "m_irs": 4, "n_elements": 8},
                        k_ues=8)
         frozen = {
             ("active", "nearest"): [
-                (73.25156651456732, 37.088928544959366),
-                (3.1903212011194912, 0.514597302479037),
-                (2.5387769460451992e-05, 4.0950352195647e-06)],
+                (243.41808311268173, 161.05636277712986),
+                (3.817681580914042, 0.5253236001594775),
+                (3.038014473766757e-05, 4.180392384410561e-06)],
             ("active", "best_irs"): [
-                (74.47284161475397, 37.029645255408795),
-                (3.244401225259699, 0.523311643485336),
-                (2.5818124618674147e-05, 4.164381741911744e-06)],
+                (243.07269668575586, 161.0787096709082),
+                (3.6968706063914003, 0.5429558319210102),
+                (2.9418761548916195e-05, 4.320705226540053e-06)],
             ("passive", "nearest"): [
-                (64.73655581030067, 37.650199739204076),
-                (1.0456668284679005, 0.5777464975664107),
-                (8.32115222889457e-06, 4.597560547086197e-06)],
+                (231.08908560465042, 161.7863265761439),
+                (0.9208957340936879, 0.6373591686134885),
+                (7.328255407662504e-06, 5.071943110488875e-06)],
             ("passive", "best_irs"): [
-                (64.73656269301442, 37.65019922467092),
-                (1.0456767566141865, 0.5777457164360342),
-                (8.321231234572426e-06, 4.597554331048167e-06)],
+                (231.08908650287358, 161.78632652036188),
+                (0.9208970299486671, 0.6373590872083169),
+                (7.328265719748777e-06, 5.071942462687102e-06)],
         }
         for policy in ("nearest", "best_irs"):
             est = simulate_cell(cfg, policy, n_drops=3, n_fading=4, seed=2025,
@@ -254,9 +345,9 @@ class TestSimulateCell:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_grouped_drop_bits_are_frozen(self, threads):
         # 17 drops of 6 users at N = 256 span three drop groups, the last one
-        # short; 7 users are BS-served and best_irs moves 23 of the others
-        # off their nearest reflector. Frozen from the one-drop-at-a-time
-        # form of the drop path.
+        # short; 7 users are BS-served and best_irs moves 22 of the others
+        # off their nearest reflector. Frozen from reference_cell, which
+        # builds the drops one at a time.
         cfg = make_cfg(geom={"l_in": 60.0, "l_out": 150.0, "m_irs": 4, "n_elements": 256},
                        k_ues=6)
         n_drops, n_fading = 17, 3
@@ -264,21 +355,21 @@ class TestSimulateCell:
         assert 1 < group and 2 * group < n_drops < 3 * group
         frozen = {
             ("active", "nearest"): [
-                (565.0108466189408, 173.2411491574019),
-                (7.508136210599346, 0.1842915890743372),
-                (5.974784956620688e-05, 1.466545868572055e-06)],
+                (504.33337053685915, 126.50833989256509),
+                (7.495999374246483, 0.19325850044336024),
+                (5.96512676912541e-05, 1.5379022820044013e-06)],
             ("active", "best_irs"): [
-                (558.889846080986, 173.3922783199532),
-                (7.4155843801468775, 0.19055556321531913),
-                (5.901134550077121e-05, 1.5163929909689091e-06)],
+                (498.301789341246, 126.70117643917659),
+                (7.377772920006018, 0.2017820978054582),
+                (5.871045146142422e-05, 1.605730914659548e-06)],
             ("passive", "nearest"): [
-                (275.5177484397935, 172.93516241285982),
-                (0.7122228211942441, 0.25026981487021394),
-                (5.667689128795953e-06, 1.991583907164404e-06)],
+                (207.56490939160443, 124.35972706662693),
+                (0.8026161695076378, 0.26602457192166146),
+                (6.387016539131156e-06, 2.1169562802618925e-06)],
             ("passive", "best_irs"): [
-                (275.5189878989823, 172.93514286320752),
-                (0.7139683736380822, 0.2502229380639335),
-                (5.681579793789102e-06, 1.991210873392609e-06)],
+                (207.56574117883292, 124.35971332140488),
+                (0.8038080921157762, 0.26598936850737553),
+                (6.396501557874566e-06, 2.1166761403920266e-06)],
         }
         for policy in ("nearest", "best_irs"):
             est = simulate_cell(cfg, policy, n_drops=n_drops, n_fading=n_fading, seed=31,
@@ -287,6 +378,36 @@ class TestSimulateCell:
                 got = [(est[irs_mode][k].mean, est[irs_mode][k].std_error)
                        for k in ("snr_mean", "achievable_rate", "spatial_throughput")]
                 assert got == frozen[irs_mode, policy], (irs_mode, policy)
+
+    @pytest.mark.parametrize("block", [200, 1 << 14])
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("policy", ["nearest", "best_irs"])
+    def test_chunked_drop_path_matches_one_drop_at_a_time(self, monkeypatch, block, threads,
+                                                          policy):
+        # block 200 associates 17 drops in chunks of 8, 8 and 1 and scores
+        # them one at a time; block 2^14 associates them in one chunk and
+        # scores them in groups of 3, the last one short
+        monkeypatch.setattr(simulate, "_DROP_BLOCK", block)
+        cfg = make_cfg(geom={"l_in": 60.0, "l_out": 150.0, "m_irs": 4, "n_elements": 256},
+                       k_ues=6)
+        est = simulate_cell(cfg, policy, n_drops=17, n_fading=3, seed=31, threads=threads)
+        assert estimates(est) == reference_cell(cfg, policy, 17, 3, 31)
+
+    def test_many_threads_fill_their_own_slices(self, monkeypatch):
+        # eight threads on any core count, switching every microsecond, write
+        # disjoint slices of the shared server, path-gain and output arrays
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(simulate, "_DROP_BLOCK", 200)
+        cfg = make_cfg(geom={"l_in": 60.0, "l_out": 150.0, "m_irs": 4, "n_elements": 64},
+                       k_ues=6)
+        one = estimates(simulate_cell(cfg, n_drops=40, n_fading=3, seed=8, threads=1))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            many = estimates(simulate_cell(cfg, n_drops=40, n_fading=3, seed=8, threads=8))
+        finally:
+            sys.setswitchinterval(interval)
+        assert many == one
 
     def test_thread_pool_capped_at_cpu_count(self, monkeypatch):
         # a stub pool records its size and maps in the calling thread, so the
@@ -367,6 +488,24 @@ class TestSweepDensity:
             assert (rows[mode][0]["spatial_throughput"].mean
                     == direct[mode]["spatial_throughput"].mean)
             assert rows[mode][1]["n_elements"] == 32
+
+    def test_bs_served_users_match_across_reflector_counts(self):
+        # the users and their direct-link fading do not depend on M, so the
+        # throughput samples of BS-served users agree row to row
+        cfg = make_cfg(k_ues=10)
+        rows = sweep_density(cfg, 64, [1, 4, 16], seed=6, p_f_total=0.01, n_drops=20,
+                             n_fading=2)
+        _, ue = drop(cfg, 6, 20)
+        inside = (np.linalg.norm(ue, axis=-1) < cfg.geometry.l_in).ravel()
+        assert 0 < inside.sum() < inside.size
+        for mode in ("active", "passive"):
+            first = rows[mode][0]["spatial_throughput"]
+            assert first.samples.shape == (200,)
+            assert first.mean == pytest.approx(first.samples.mean(), rel=1e-12)
+            for row in rows[mode][1:]:
+                samples = row["spatial_throughput"].samples
+                assert np.array_equal(samples[inside], first.samples[inside])
+                assert not np.any(samples[~inside] == first.samples[~inside])
 
     def test_non_divisor_rejected_with_divisor_list(self):
         cfg = make_cfg()
