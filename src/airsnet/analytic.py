@@ -45,6 +45,7 @@ from .config import NetworkConfig
 from .mathkit import (
     IntegrationError,
     exp_en_scaled,
+    gauss_laguerre,
     integrate_interval_with_error,
     integrate_semi_infinite_with_error,
 )
@@ -142,9 +143,9 @@ def _kappa(d_bi, cfg: NetworkConfig):
 
 
 @lru_cache(maxsize=64)
-def _unit_cascade(cfg: NetworkConfig) -> MixtureGamma:
-    """The cascade mixture at scale v = 1, built once per configuration."""
-    return cascaded_power_dist(cfg.m_bi, cfg.m_iu, 1.0, cfg.rule())
+def _unit_cascade(m_bi: float, m_iu: float, glq_order: int) -> MixtureGamma:
+    """The cascade mixture at scale v = 1, built once per (m_BI, m_IU, glq_order)."""
+    return cascaded_power_dist(m_bi, m_iu, 1.0, gauss_laguerre(glq_order, m_iu - 1.0))
 
 
 def _noise_mixture(d_bi: float, cfg: NetworkConfig):
@@ -154,7 +155,7 @@ def _noise_mixture(d_bi: float, cfg: NetworkConfig):
     """
     rule = cfg.rule()
     m = cfg.m_iu
-    masses = _unit_cascade(cfg).mass
+    masses = _unit_cascade(cfg.m_bi, cfg.m_iu, cfg.glq_order).mass
     kappa = _kappa(d_bi, cfg)
     inv_t = 1.0 / rule.nodes
 

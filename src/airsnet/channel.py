@@ -42,9 +42,12 @@ def sample_nakagami_power(m: float, rng: np.random.Generator, size=None, *, out=
     return power
 
 
-def cascade_amplitude(pow_bi: np.ndarray, pow_iu: np.ndarray) -> np.ndarray:
-    """Phase-aligned cascade amplitude sum_i |g_BI,i| |g_IU,i| per row of (B, N) powers."""
-    prod = pow_bi * pow_iu
+def cascade_amplitude(pow_bi: np.ndarray, pow_iu: np.ndarray, *, out=None) -> np.ndarray:
+    """Phase-aligned cascade amplitude sum_i |g_BI,i| |g_IU,i| per row of (B, N) powers.
+
+    With `out` (a (B, N) array) the elementwise product is formed in it.
+    """
+    prod = np.multiply(pow_bi, pow_iu, out=out)
     return np.sqrt(prod, out=prod).sum(axis=1)
 
 

@@ -106,12 +106,13 @@ def _check_mean_snr_grid(cfg: ExperimentConfig, rows, checks):
     """Quadrature, closed form, moment route and model MC over the validate grid.
 
     Each (m_IU, N, d_BI, P_F) group calls each route once on the whole d_IU
-    list; the model MC runs only for m_IU in mc_m_iu_list. Rows list the
+    list; the model MC runs once, on the groups whose m_IU is in mc_m_iu_list,
+    drawing once per m_IU (simulate.model_snr_moment_mc). Rows list the
     quadrature/closed-form pairs in (m_IU, N, d_BI, d_IU, P_F) order, then the
     grid's worst errors, then the MC rows in the same order.
     """
     d_iu_list = cfg.validate_d_iu_list
-    routes, draw_sets = {}, {}
+    routes, mc_groups = {}, {}
     for group in itertools.product(cfg.validate_m_iu_list, cfg.validate_n_list,
                                    cfg.validate_d_bi_list, cfg.validate_p_f_list):
         m_iu, n, d_bi, p_f = group
@@ -119,8 +120,10 @@ def _check_mean_snr_grid(cfg: ExperimentConfig, rows, checks):
         routes[group] = [route(d_bi, d_iu_list, net) for route in (
             analytic.mean_snr_integral, analytic.mean_snr_closed, analytic.snr_moment_active)]
         if m_iu in cfg.mc_m_iu_list:
-            draw_sets[group] = simulate.model_snr_moment_mc(net, d_bi, d_iu_list,
-                                                            n=cfg.n_mc_model, seed=cfg.seed)
+            mc_groups[group] = (net, d_bi)
+    model_mc = dict(zip(mc_groups, simulate.model_snr_moment_mc(
+        mc_groups.values(), d_iu_list, n=cfg.n_mc_model, seed=cfg.seed)))
+    estimates = {simulate._model_mc_key(*at) for at in mc_groups.values()}
     worst_cq = worst_ray = worst_l1 = 0.0
     mc_rows, z = [], {}
     for m_iu, n, d_bi, (j, d_iu), p_f in itertools.product(
@@ -136,8 +139,8 @@ def _check_mean_snr_grid(cfg: ExperimentConfig, rows, checks):
         worst_l1 = max(worst_l1, abs(route13 - quad) / quad)
         rows.append(ResultRow(cfg.experiment, "point", label, "mean_snr", "quadrature", quad))
         rows.append(ResultRow(cfg.experiment, "point", label, "mean_snr", "closed_form", closed))
-        if group in draw_sets:
-            mc, se = (float(x[j]) for x in draw_sets[group])
+        if group in model_mc:
+            mc, se = (float(x[j]) for x in model_mc[group])
             z[label] = abs(mc - closed) / se if se > 0 else math.inf
             mc_rows.append(ResultRow(cfg.experiment, "point", label, "mean_snr", "monte_carlo",
                                      mc, se))
@@ -159,8 +162,9 @@ def _check_mean_snr_grid(cfg: ExperimentConfig, rows, checks):
     }
     worst = max(z, key=z.get)
     checks["model_mc_agreement"] = {"passed": bool(z[worst] <= 3.0), "max_abs_z": z[worst],
-                                    "points": len(z), "draw_sets": len(draw_sets),
-                                    "worst_point": worst}
+                                    "points": len(z),
+                                    "draw_sets": len({mixture for mixture, _ in estimates}),
+                                    "estimates": len(estimates), "worst_point": worst}
 
 
 def _check_physical(cfg: ExperimentConfig, rows, checks):
@@ -262,20 +266,18 @@ def _run_validate(cfg: ExperimentConfig):
 
 
 def _run_mean_snr_vs_pf(cfg: ExperimentConfig):
+    nets = [_network_at(cfg, p_f=p_f) for p_f in cfg.pf_grid]
+    routes = [(analytic.mean_snr_integral(cfg.d_bi, cfg.d_iu, net),
+               analytic.mean_snr_closed(cfg.d_bi, cfg.d_iu, net)) for net in nets]
+    model_mc = simulate.model_snr_moment_mc([(net, cfg.d_bi) for net in nets], cfg.d_iu,
+                                            n=cfg.n_mc_model, seed=cfg.seed)
     rows: list[ResultRow] = []
-    values = []
-    for p_f in cfg.pf_grid:
-        net = _network_at(cfg, p_f=p_f)
+    for p_f, (quad, closed), (mc, se) in zip(cfg.pf_grid, routes, model_mc):
         label = f"{p_f:g}"
-        quad = analytic.mean_snr_integral(cfg.d_bi, cfg.d_iu, net)
-        values.append(quad)
         rows.append(ResultRow(cfg.experiment, "p_f_w", label, "mean_snr", "quadrature", quad))
-        closed = analytic.mean_snr_closed(cfg.d_bi, cfg.d_iu, net)
         rows.append(ResultRow(cfg.experiment, "p_f_w", label, "mean_snr", "closed_form", closed))
-        mc, se = simulate.model_snr_moment_mc(net, cfg.d_bi, cfg.d_iu, n=cfg.n_mc_model,
-                                              seed=cfg.seed)
         rows.append(ResultRow(cfg.experiment, "p_f_w", label, "mean_snr", "monte_carlo", mc, se))
-    return rows, _budget_shape(list(cfg.pf_grid), values), 0
+    return rows, _budget_shape(list(cfg.pf_grid), [quad for quad, _ in routes]), 0
 
 
 def _require_two_samples(cfg: ExperimentConfig, drops_key: str):

@@ -11,15 +11,19 @@ _DROP_BLOCK user-reflector pairs. Each drop draws its fading on its own
 stream in a fixed order (direct rows, then reflector rows), and groups of
 consecutive drops of about _DROP_BLOCK channel elements are scored together.
 Chunk and group bounds depend on the configuration alone, so results are
-bit-identical no matter how they are scheduled across threads. Per-user
-means are kept in drop order. The validation estimators draw in cache-sized
-blocks and merge block means and variances.
+bit-identical no matter how they are scheduled across threads; each
+worker thread writes its groups' channel powers into one reused buffer.
+Per-user means are kept in drop order. The validation estimators draw in
+cache-sized blocks and merge block means and variances; the model MC draws
+once per unit cascade mixture (m_BI, m_IU, glq_order) and scores every
+group of that mixture on the same draws.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
@@ -195,11 +199,14 @@ def _links(cfg: NetworkConfig, policy: str, seed: int, n_drops: int,
 
 
 def _group_worker(cfg: NetworkConfig, n_fading: int, seed: int, server: np.ndarray,
-                  zeta: np.ndarray, out: np.ndarray, drops: range) -> None:
+                  zeta: np.ndarray, out: np.ndarray, scratch, drops: range) -> None:
     """Fading-averaged SNR and rate of consecutive drops, into out[:, :, their users].
 
     `out` is (SNR/rate, amplified/passive, users drop by drop); both modes are
     scored on one fading draw. `server` and `zeta` are _links' arrays.
+    `scratch()` returns the calling thread's (3, rows, N) buffer, rows at
+    least the group's reflector-served users times n_fading; the BI and IU
+    powers and their product are written into it.
     """
     server = server[drops.start:drops.stop].ravel()
     zeta_bu, zeta_bi, zeta_iu = zeta[:, drops.start:drops.stop].reshape(3, -1)
@@ -207,8 +214,7 @@ def _group_worker(cfg: NetworkConfig, n_fading: int, seed: int, server: np.ndarr
     direct = np.flatnonzero(server < 0)
     relayed = np.flatnonzero(server >= 0)
     pows = np.empty((direct.size, n_fading))
-    pow_bi = np.empty((relayed.size * n_fading, cfg.geometry.n_elements))
-    pow_iu = np.empty_like(pow_bi)
+    pow_bi, pow_iu, prod = scratch()[:, :relayed.size * n_fading]
     # Each drop draws on its own stream in a fixed order (direct rows, then
     # reflector rows), so results do not depend on grouping or scheduling.
     d_lo = r_lo = 0
@@ -225,7 +231,7 @@ def _group_worker(cfg: NetworkConfig, n_fading: int, seed: int, server: np.ndarr
     snr[:, direct] = snr_direct_batch(pows, zeta_bu[direct][:, None], p)
     zeta_bi = np.repeat(zeta_bi[relayed], n_fading)
     zeta_iu = np.repeat(zeta_iu[relayed], n_fading)
-    cascade = cascade_amplitude(pow_bi, pow_iu)
+    cascade = cascade_amplitude(pow_bi, pow_iu, out=prod)
     rows = (relayed.size, n_fading)
     snr[0, relayed] = snr_active_batch(pow_bi, pow_iu, cascade, zeta_bi, zeta_iu,
                                        p).reshape(rows)
@@ -259,11 +265,21 @@ def simulate_cell(cfg: NetworkConfig, policy: str = "nearest", *,
     size = max(1, _DROP_BLOCK // (cfg.k_ues * n_fading * cfg.geometry.n_elements))
     groups = [range(lo, min(lo + size, n_drops)) for lo in range(0, n_drops, size)]
     snr_ue, rate_ue = out = np.empty((2, len(_MODES), n_drops * cfg.k_ues))
+    local = threading.local()
+
+    def scratch() -> np.ndarray:
+        # one buffer per worker thread, sized to a group of reflector-served users
+        if not hasattr(local, "buf"):
+            rows = len(groups[0]) * cfg.k_ues * n_fading
+            local.buf = np.empty((3, rows, cfg.geometry.n_elements))
+        return local.buf
+
     workers = min(threads, os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         run = pool.map if pool else map
         server, zeta = _links(cfg, policy, seed, n_drops, run)
-        list(run(partial(_group_worker, cfg, n_fading, seed, server, zeta, out), groups))
+        list(run(partial(_group_worker, cfg, n_fading, seed, server, zeta, out, scratch),
+                 groups))
 
     def estimate(mode: str, metric: str, values: np.ndarray, scale: float) -> SimEstimate:
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite estimate raises
@@ -335,10 +351,21 @@ def sweep_density(cfg: NetworkConfig, n_total_elements: int, m_values,
 # ---------------------------------------------------------------------------
 
 
+def _model_mc_key(cfg: NetworkConfig, d_bi: float) -> tuple[tuple, tuple]:
+    """(unit mixture, noise law) of a model-MC group.
+
+    The unit mixture (m_BI, m_IU, glq_order) fixes the draws; the noise law
+    (P_t, sigma^2, eta sigma_F^2) fixes how they are scored. N enters only
+    through the cascade scale v, so groups that differ in N share an estimate.
+    """
+    p = cfg.power
+    return ((cfg.m_bi, cfg.m_iu, cfg.glq_order),
+            (p.p_t, p.sigma2, analytic.averaged_amp_gain(d_bi, cfg) * p.sigma_f2))
+
+
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")  # a non-finite result raises
-def model_snr_moment_mc(cfg: NetworkConfig, d_bi: float, d_iu,
-                        n: int = 1_000_000, seed: int = 0):
-    """Monte-Carlo mean SNR under the analytic model itself.
+def model_snr_moment_mc(groups, d_iu, n: int = 1_000_000, seed: int = 0) -> list[tuple]:
+    """Monte-Carlo mean SNR under the analytic model itself, for (cfg, d_BI) groups.
 
     Samples the cascaded power from its Laguerre mixture and the amplified
     noise from the unit-mean Gamma(m_IU) law of the noise Laplace transform.
@@ -358,79 +385,110 @@ def model_snr_moment_mc(cfg: NetworkConfig, d_bi: float, d_iu,
     depends on d_BI alone, so each d_IU's mean and standard error are the
     unit estimate's divided by its v, with no closed form in the rescaling.
 
-    The draws run in blocks of _MODEL_BLOCK whose means and variances are
-    merged, so no full-length temporary is ever built. Returns (mean,
-    standard error): floats for a scalar d_iu, else arrays in its shape. A
-    cascade scale or an estimate outside the float range raises
-    InvalidDistributionError naming the point.
+    The draws depend on the unit mixture alone (_model_mc_key): groups that
+    share it read one draw from the stream keyed (seed, 999, 3), and each
+    distinct noise law among them scores that draw into one estimate, which
+    groups that differ only in N share. So the estimates of one mixture are
+    correlated (common random numbers), and each equals the one that group
+    would get alone. The draws run in blocks of _MODEL_BLOCK whose means and
+    variances are merged, so no full-length temporary is ever built.
+
+    Returns one (mean, standard error) per group, in order: floats for a
+    scalar d_iu, else arrays in its shape. A cascade scale or an estimate
+    outside the float range raises InvalidDistributionError naming the group.
     """
-    def failure(reason) -> InvalidDistributionError:
+    groups = list(groups)
+
+    def failure(cfg: NetworkConfig, d_bi: float, reason) -> InvalidDistributionError:
         where = ", ".join(f"{d:g}" for d in np.ravel(d_iu))
         where = where if np.ndim(d_iu) == 0 else f"[{where}]"
         return InvalidDistributionError(f"model_snr_moment_mc at {analytic._point(cfg)}, "
                                         f"d_bi={d_bi:g} m, d_iu={where} m: {reason}")
 
-    rng = _stream(seed, 999, 3)
-    v = analytic.cascade_scale(d_bi, d_iu, cfg)
-    if not np.all((v > 0) & np.isfinite(v)):
-        raise failure(f"cascade scale v={v} is not a positive finite value")
-    mix = analytic._unit_cascade(cfg)
-    eta = analytic.averaged_amp_gain(d_bi, cfg)
-    p = cfg.power
-    m = cfg.m_iu
-    noise_scale = eta * p.sigma_f2
+    scales, estimates, laws, first = [], [], {}, {}
+    for cfg, d_bi in groups:
+        v = analytic.cascade_scale(d_bi, d_iu, cfg)
+        if not np.all((v > 0) & np.isfinite(v)):
+            raise failure(cfg, d_bi, f"cascade scale v={v} is not a positive finite value")
+        scales.append(v)
+        mixture, law = _model_mc_key(cfg, d_bi)
+        first.setdefault(mixture, (cfg, d_bi))
+        estimates.append(laws.setdefault(mixture, {}).setdefault(law, _Moments()))
+    for mixture, by_law in laws.items():
+        try:
+            _score_unit_mixture(mixture, by_law, n, seed)
+        except InvalidDistributionError as exc:
+            raise failure(*first[mixture], exc) from exc
+    results = []
+    for (cfg, d_bi), v, acc in zip(groups, scales, estimates):
+        mean, se = (x / v for x in acc.mean_se())
+        if not np.all(np.isfinite(mean) & np.isfinite(se)):
+            raise failure(cfg, d_bi, f"the estimate is not finite (mean {mean}, standard error "
+                          f"{se}): the SNR or its importance weights leave the floating-point "
+                          "range")
+        results.append((mean, se))
+    return results
 
-    kappa = p.sigma2 / noise_scale
-    lo = min(kappa, 0.1)
+
+def _score_unit_mixture(mixture: tuple, laws: dict, n: int, seed: int) -> None:
+    """Draw n model-MC samples of one unit mixture; add each noise law's SNRs to its moments.
+
+    `laws` maps (P_t, sigma^2, eta sigma_F^2) to its _Moments. Every block is
+    drawn once (mixture sample, proposal pick, bulk Gamma, fade and bridge
+    uniforms) and scored under each law with that law's kappa, in one reused
+    work buffer.
+    """
+    m = mixture[1]
+    mix = analytic._unit_cascade(*mixture)
     hi = 10.0 * max(1.0, m)
-    log_range = math.log(hi / lo)
     log_norm = m * math.log(m) - math.lgamma(m)
-
-    acc = _Moments()
+    rng = _stream(seed, 999, 3)
+    work = np.empty((5, min(n, _MODEL_BLOCK)))
     for start in range(0, n, _MODEL_BLOCK):
         b = min(_MODEL_BLOCK, n - start)
+        g, pdf, mix_pdf, snr, tmp = work[:, :b]
         # x1 comes back grouped by mixture component; that is harmless only
         # because g below is drawn in iid order (pick), never grouped by part.
-        try:
-            x1 = mix.sample(rng, b)
-        except InvalidDistributionError as exc:
-            raise failure(exc) from exc
+        x1 = mix.sample(rng, b)
         pick = rng.random(b)
         bulk = np.flatnonzero(pick < 0.5)
         fade = np.flatnonzero((pick >= 0.5) & (pick < 0.75))
         bridge = np.flatnonzero(pick >= 0.75)
-        g = np.empty(b)
-        g[bulk] = rng.standard_gamma(m, bulk.size) / m
+        g_bulk = rng.standard_gamma(m, bulk.size) / m
         u = rng.random(fade.size)
-        g[fade] = kappa * u / (1.0 - u)
-        g[bridge] = lo * np.exp(rng.uniform(0.0, log_range, bridge.size))
+        # L * U is what rng.uniform(0, L) returns, bit for bit, on the same draws
+        u_bridge = rng.random(bridge.size)
+        for (p_t, sigma2, noise_scale), acc in laws.items():
+            kappa = sigma2 / noise_scale
+            lo = min(kappa, 0.1)
+            log_range = math.log(hi / lo)
+            g[bulk] = g_bulk
+            g[fade] = kappa * u / (1.0 - u)
+            g[bridge] = lo * np.exp(log_range * u_bridge)
 
-        # nominal Gamma(m, m) density of g
-        pdf = np.log(g)
-        pdf *= m - 1.0
-        pdf -= m * g
-        pdf += log_norm
-        np.exp(pdf, out=pdf)
-        # proposal density 0.5 pdf + 0.25 kappa/(g+kappa)^2 + 0.25 log-uniform
-        mix_pdf = g + kappa
-        mix_pdf *= mix_pdf
-        np.divide(kappa, mix_pdf, out=mix_pdf)
-        np.add(mix_pdf, np.divide(1.0 / log_range, g), out=mix_pdf,
-               where=(g >= lo) & (g <= hi))
-        mix_pdf *= 0.25
-        mix_pdf += 0.5 * pdf
-        # SNR times the importance weight pdf / mix_pdf
-        snr = noise_scale * g
-        snr += p.sigma2
-        np.divide(p.p_t * x1, snr, out=snr)
-        snr *= pdf
-        snr /= mix_pdf
-        acc.add(snr)
-    mean, se = (x / v for x in acc.mean_se())
-    if not np.all(np.isfinite(mean) & np.isfinite(se)):
-        raise failure(f"the estimate is not finite (mean {mean}, standard error {se}): the "
-                      "SNR or its importance weights leave the floating-point range")
-    return mean, se
+            # nominal Gamma(m, m) density of g
+            np.log(g, out=pdf)
+            pdf *= m - 1.0
+            pdf -= np.multiply(m, g, out=tmp)
+            pdf += log_norm
+            np.exp(pdf, out=pdf)
+            # proposal density 0.5 pdf + 0.25 kappa/(g+kappa)^2 + 0.25 log-uniform,
+            # the last term added as 0 outside [lo, hi] (x + 0 is x)
+            np.add(g, kappa, out=mix_pdf)
+            mix_pdf *= mix_pdf
+            np.divide(kappa, mix_pdf, out=mix_pdf)
+            np.divide(1.0 / log_range, g, out=tmp)
+            np.putmask(tmp, ~((g >= lo) & (g <= hi)), 0.0)
+            mix_pdf += tmp
+            mix_pdf *= 0.25
+            mix_pdf += np.multiply(0.5, pdf, out=tmp)
+            # SNR times the importance weight pdf / mix_pdf
+            np.multiply(noise_scale, g, out=snr)
+            snr += sigma2
+            np.divide(np.multiply(p_t, x1, out=tmp), snr, out=snr)
+            snr *= pdf
+            snr /= mix_pdf
+            acc.add(snr)
 
 
 def physical_snr_mc(cfg: NetworkConfig, d_bi: float, d_iu: float,

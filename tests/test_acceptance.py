@@ -117,20 +117,19 @@ def test_criterion_03_gauss_laguerre_exactness():
 
 
 def test_criterion_04_model_consistent_mc():
-    # one 1e6-draw estimate per (m_iu, N, d_BI, P_F), rescaled to each d_IU
+    # one 1e6-draw set per m_iu, scored once per (d_BI, P_F) and rescaled to
+    # each N and d_IU
+    points = [(m_iu, n, d_bi, p_f) for m_iu in (1, 2) for n in N_GRID
+              for d_bi in D_BI_GRID for p_f in P_F_GRID]
+    groups = [(grid_cfg(m_iu, n, p_f), d_bi) for m_iu, n, d_bi, p_f in points]
+    estimates = model_snr_moment_mc(groups, np.array(D_IU_GRID), n=1_000_000, seed=SEED)
     worst_z = 0.0
     worst_pt = None
-    for m_iu in (1, 2):
-        for n in N_GRID:
-            for d_bi in D_BI_GRID:
-                for p_f in P_F_GRID:
-                    cfg = grid_cfg(m_iu, n, p_f)
-                    closed = an.mean_snr_closed(d_bi, np.array(D_IU_GRID), cfg)
-                    mc, se = model_snr_moment_mc(cfg, d_bi, np.array(D_IU_GRID),
-                                                 n=1_000_000, seed=SEED)
-                    for d_iu, z in zip(D_IU_GRID, np.abs(mc - closed) / se):
-                        if z > worst_z:
-                            worst_z, worst_pt = z, (m_iu, n, d_bi, d_iu, p_f)
+    for (m_iu, n, d_bi, p_f), (cfg, _), (mc, se) in zip(points, groups, estimates):
+        closed = an.mean_snr_closed(d_bi, np.array(D_IU_GRID), cfg)
+        for d_iu, z in zip(D_IU_GRID, np.abs(mc - closed) / se):
+            if z > worst_z:
+                worst_z, worst_pt = z, (m_iu, n, d_bi, d_iu, p_f)
     passed = worst_z <= 3.0
     report("04 model-consistent MC agreement", passed,
            f"162 points x 1e6 draws, worst |z| = {worst_z:.2f} at {worst_pt} (tol 3)")

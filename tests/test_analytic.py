@@ -265,7 +265,7 @@ class TestSnrMomentActive:
 
     def test_first_moment_against_model_mc(self):
         cfg = make_cfg(m_iu=2, n=64)
-        mc, se = model_snr_moment_mc(cfg, 100.0, 30.0, n=500_000, seed=7)
+        [(mc, se)] = model_snr_moment_mc([(cfg, 100.0)], 30.0, n=500_000, seed=7)
         got = an.snr_moment_active(100.0, 30.0, cfg)
         assert abs(got - mc) < 3.0 * se
 

@@ -14,6 +14,7 @@ from airsnet.config import (ConfigError, ExperimentConfig, GeometryConfig, Netwo
                             PowerParams, dbm_to_watts, effective_dict, parse_config)
 from airsnet.experiments import run_experiment
 from airsnet.mathkit import IntegrationError, gauss_laguerre
+from airsnet.mixgamma import MixtureGamma
 
 
 FAST_VALIDATE = [
@@ -436,13 +437,16 @@ class TestCliRuns:
 
     def test_validate_draws_the_model_mc_once_per_d_iu_row(self, tmp_path, monkeypatch):
         # the d_IU points of one (m_IU, N, d_BI, P_F) group rescale one estimate,
-        # and each mean-SNR route takes the group's whole d_IU list in one call
+        # every group goes to one model-MC call, and each mean-SNR route takes
+        # the group's whole d_IU list in one call
         calls = []
         model = simulate.model_snr_moment_mc
 
-        def counted(*args, **kwargs):
-            calls.append((args[1], tuple(args[2]), kwargs["n"]))
-            return model(*args, **kwargs)
+        def counted(groups, d_iu, **kwargs):
+            groups = list(groups)
+            calls.append(([(net.m_iu, net.geometry.n_elements, d_bi, net.power.p_f)
+                           for net, d_bi in groups], tuple(d_iu), kwargs["n"]))
+            return model(groups, d_iu, **kwargs)
 
         monkeypatch.setattr(simulate, "model_snr_moment_mc", counted)
         routes = {name: [] for name in ("mean_snr_integral", "mean_snr_closed",
@@ -457,7 +461,8 @@ class TestCliRuns:
         assert main(["validate", "--out", str(out)] + FAST_VALIDATE
                     + ["--set", "validate_d_iu_m=[10,30,60]",
                        "--set", "validate_p_f_w=[0.001,0.1]"]) in (0, 1)
-        assert calls == [(100.0, (10.0, 30.0, 60.0), 20000)] * 4
+        groups = [(m_iu, 16, 100.0, p_f) for m_iu in (1.0, 2.0) for p_f in (0.001, 0.1)]
+        assert calls == [(groups, (10.0, 30.0, 60.0), 20000)]
         grid = [(100.0, (10.0, 30.0, 60.0))] * 4
         assert routes["mean_snr_integral"] == routes["snr_moment_active"] == grid
         # the physical and budget checks then call the closed form at scalar points
@@ -465,8 +470,27 @@ class TestCliRuns:
         assert closed[:4] == grid
         assert all(np.ndim(d_iu) == 0 for _, d_iu in closed[4:])
         check = json.loads((out / "summary.json").read_text())["checks"]["model_mc_agreement"]
-        assert (check["points"], check["draw_sets"]) == (12, 4)
+        # one draw per m_IU, one estimate per (m_IU, P_F)
+        assert (check["points"], check["draw_sets"], check["estimates"]) == (12, 2, 4)
         assert check["worst_point"].startswith("m_iu=")
+
+    def test_validate_samples_each_mixture_once_per_block(self, tmp_path, monkeypatch):
+        # every group of one m_IU reads the same draws: the mixture is sampled
+        # ceil(n / block) times per m_IU, not once per group
+        calls = {}
+        sample = MixtureGamma.sample
+
+        def counted(mix, rng, size=1):
+            calls[id(mix)] = calls.get(id(mix), 0) + 1
+            return sample(mix, rng, size)
+
+        monkeypatch.setattr(MixtureGamma, "sample", counted)
+        n = 2 * simulate._MODEL_BLOCK + 1
+        assert main(["validate", "--out", str(tmp_path / "x")] + FAST_VALIDATE
+                    + ["--set", "validate_n_list=[16,64]", "--set", "validate_d_bi_m=[80,100]",
+                       "--set", "validate_p_f_w=[0.001,0.1]",
+                       "--set", f"n_mc_model={n}"]) in (0, 1)
+        assert sorted(calls.values()) == [3, 3]
 
     def test_validate_point_rows_keep_their_order(self, tmp_path):
         # quadrature/closed-form pairs in (m_IU, N, d_BI, d_IU, P_F) order, the

@@ -17,7 +17,7 @@ from airsnet.channel import (
 )
 from airsnet.config import ConfigError, GeometryConfig, NetworkConfig
 from airsnet.mathkit import integrate_interval_with_error
-from airsnet.mixgamma import InvalidDistributionError
+from airsnet.mixgamma import InvalidDistributionError, cascaded_power_dist
 from airsnet.simulate import (
     _MODEL_BLOCK,
     _PHYSICAL_BLOCK,
@@ -107,6 +107,58 @@ def reference_cell(cfg, policy, n_drops, n_fading, seed):
             se = values.std(ddof=1) / math.sqrt(values.size)
             out[mode][metric] = (float(values.mean() * scale), float(se * scale))
     return out
+
+
+def reference_model_mc(cfg, d_bi, d_iu, n, seed):
+    """model_snr_moment_mc of one group on its own stream, block by block.
+
+    The per-group estimator the grouped one replaced: every group draws its
+    own copy of the stream keyed (seed, 999, 3).
+    """
+    rng = keyed_stream(seed, 999, 3)
+    v = an.cascade_scale(d_bi, d_iu, cfg)
+    mix = cascaded_power_dist(cfg.m_bi, cfg.m_iu, 1.0, cfg.rule())
+    p = cfg.power
+    m = cfg.m_iu
+    noise_scale = an.averaged_amp_gain(d_bi, cfg) * p.sigma_f2
+    kappa = p.sigma2 / noise_scale
+    lo = min(kappa, 0.1)
+    hi = 10.0 * max(1.0, m)
+    log_range = math.log(hi / lo)
+    log_norm = m * math.log(m) - math.lgamma(m)
+    acc = _Moments()
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for start in range(0, n, _MODEL_BLOCK):
+            b = min(_MODEL_BLOCK, n - start)
+            x1 = mix.sample(rng, b)
+            pick = rng.random(b)
+            bulk = np.flatnonzero(pick < 0.5)
+            fade = np.flatnonzero((pick >= 0.5) & (pick < 0.75))
+            bridge = np.flatnonzero(pick >= 0.75)
+            g = np.empty(b)
+            g[bulk] = rng.standard_gamma(m, bulk.size) / m
+            u = rng.random(fade.size)
+            g[fade] = kappa * u / (1.0 - u)
+            g[bridge] = lo * np.exp(rng.uniform(0.0, log_range, bridge.size))
+            pdf = np.log(g)
+            pdf *= m - 1.0
+            pdf -= m * g
+            pdf += log_norm
+            np.exp(pdf, out=pdf)
+            mix_pdf = g + kappa
+            mix_pdf *= mix_pdf
+            np.divide(kappa, mix_pdf, out=mix_pdf)
+            np.add(mix_pdf, np.divide(1.0 / log_range, g), out=mix_pdf,
+                   where=(g >= lo) & (g <= hi))
+            mix_pdf *= 0.25
+            mix_pdf += 0.5 * pdf
+            snr = noise_scale * g
+            snr += p.sigma2
+            np.divide(p.p_t * x1, snr, out=snr)
+            snr *= pdf
+            snr /= mix_pdf
+            acc.add(snr)
+        return tuple(x / v for x in acc.mean_se())
 
 
 def estimates(est):
@@ -395,7 +447,8 @@ class TestSimulateCell:
 
     def test_many_threads_fill_their_own_slices(self, monkeypatch):
         # eight threads on any core count, switching every microsecond, write
-        # disjoint slices of the shared server, path-gain and output arrays
+        # disjoint slices of the shared server, path-gain and output arrays,
+        # and draw their fading into their own scratch buffers
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: 8)
         monkeypatch.setattr(simulate, "_DROP_BLOCK", 200)
         cfg = make_cfg(geom={"l_in": 60.0, "l_out": 150.0, "m_irs": 4, "n_elements": 64},
@@ -578,7 +631,7 @@ class TestDensityFindings:
 class TestModelMc:
     def test_importance_weights_unbiased_on_closed_form(self):
         cfg = make_cfg(geom={"n_elements": 64})
-        mc, se = model_snr_moment_mc(cfg, 100.0, 30.0, n=400_000, seed=3)
+        [(mc, se)] = model_snr_moment_mc([(cfg, 100.0)], 30.0, n=400_000, seed=3)
         closed = an.mean_snr_closed(100.0, 30.0, cfg)
         assert abs(mc - closed) < 3.0 * se
         assert se / closed < 0.02
@@ -590,18 +643,46 @@ class TestModelMc:
         cfg = make_cfg(m_iu=m_iu, geom={"n_elements": 64})
         d_iu = np.array([0.5, 10.0, 30.0, 60.0])
         n = _MODEL_BLOCK + 1000
-        means, ses = model_snr_moment_mc(cfg, 100.0, d_iu, n=n, seed=4)
+        [(means, ses)] = model_snr_moment_mc([(cfg, 100.0)], d_iu, n=n, seed=4)
         assert means.shape == ses.shape == d_iu.shape
         for k, d in enumerate(d_iu):
-            mean, se = model_snr_moment_mc(cfg, 100.0, float(d), n=n, seed=4)
+            [(mean, se)] = model_snr_moment_mc([(cfg, 100.0)], float(d), n=n, seed=4)
             assert type(mean) is float and type(se) is float
             assert rel_err(means[k], mean) <= 1e-15
             assert rel_err(ses[k], se) <= 1e-15
 
+    @pytest.mark.parametrize("d_iu", [30.0, np.array([0.5, 10.0, 60.0])],
+                             ids=["scalar", "array"])
+    def test_grouped_call_equals_each_group_alone(self, d_iu):
+        # groups of one m_IU share draws and groups that differ only in N share
+        # an estimate, yet each result is bit for bit the group's own estimate
+        points = [(m_iu, n_el, d_bi, p_f) for m_iu in (1.0, 2.5) for n_el in (16, 64, 256)
+                  for d_bi in (50.0, 100.0) for p_f in (1e-3, 0.1)]
+        groups = [(make_cfg(m_iu=m_iu, geom={"n_elements": n_el},
+                            power=PowerParams(p_t=1.0, p_f=p_f, sigma2=1e-11, sigma_f2=1e-10)),
+                   d_bi) for m_iu, n_el, d_bi, p_f in points]
+        n = _MODEL_BLOCK + 1000
+        got = model_snr_moment_mc(groups, d_iu, n=n, seed=11)
+        assert len(got) == len(groups)
+        for (cfg, d_bi), (mean, se) in zip(groups, got):
+            ref_mean, ref_se = reference_model_mc(cfg, d_bi, d_iu, n, 11)
+            assert type(mean) is type(ref_mean)
+            assert np.array_equal(mean, ref_mean) and np.array_equal(se, ref_se)
+
+    def test_overflowing_group_is_named(self):
+        # one group's importance-weighted SNR overflows; the others are fine
+        fine = make_cfg()
+        hot = make_cfg(power=PowerParams(p_t=1e300, p_f=0.1, sigma2=1e-11, sigma_f2=1e-10))
+        with pytest.raises(InvalidDistributionError) as info:
+            model_snr_moment_mc([(fine, 100.0), (hot, 50.0), (fine, 80.0)], 30.0, n=1000)
+        assert str(info.value).startswith(
+            "model_snr_moment_mc at m_bi=1, m_iu=1, glq_order=20, p_f=0.1 W, d_bi=50 m, "
+            "d_iu=30 m: the estimate is not finite")
+
     def test_unsamplable_array_names_the_d_iu_group(self):
         # the path-gain product overflows, so the cascade scale v is 0
         with pytest.raises(InvalidDistributionError, match=r"d_bi=100 m, d_iu=\[10, 30, 60\] m"):
-            model_snr_moment_mc(make_cfg(epsilon_ref=1e200), 100.0, np.array([10.0, 30.0, 60.0]),
+            model_snr_moment_mc([(make_cfg(epsilon_ref=1e200), 100.0)], np.array([10.0, 30.0, 60.0]),
                                 n=1000)
 
     def test_physical_mc_reproducible(self):
@@ -639,9 +720,9 @@ class TestBlockBoundaries:
     @pytest.mark.parametrize("n", [1, 1000, 3 * _MODEL_BLOCK + 1])
     def test_model_mc_finite_and_reproducible(self, n):
         cfg = make_cfg(m_iu=2.0)
-        first = model_snr_moment_mc(cfg, 100.0, 30.0, n=n, seed=5)
+        [first] = model_snr_moment_mc([(cfg, 100.0)], 30.0, n=n, seed=5)
         assert all(math.isfinite(v) for v in first)
-        assert model_snr_moment_mc(cfg, 100.0, 30.0, n=n, seed=5) == first
+        assert model_snr_moment_mc([(cfg, 100.0)], 30.0, n=n, seed=5) == [first]
 
     @pytest.mark.parametrize("irs_mode", ["active", "passive"])
     @pytest.mark.parametrize("n", [1, 1000, 3 * _PHYSICAL_BLOCK + 1])
