@@ -71,16 +71,16 @@ def _add_experiment_flags(sub: argparse.ArgumentParser) -> None:
                      metavar="KEY=VALUE", help="override a config key (repeatable)")
     sub.add_argument("--seed", type=int, default=None, help="64-bit run seed")
     sub.add_argument("--out", metavar="DIR", default=None, help="output directory")
-    sub.add_argument("--threads", type=int, default=None, help="worker cap")
+    # the benchmark (perfbench/workloads.py) passes --threads 1 to every
+    # workload; the flag takes that one value and sets nothing
+    sub.add_argument("--threads", type=int, choices=(1,), help=argparse.SUPPRESS)
     sub.add_argument("--tolerance", type=float, default=None,
                      help="closed-form vs quadrature tolerance for validate")
 
 
 def _cmd_experiment(name: str, args: argparse.Namespace) -> int:
-    cfg = parse_config(
-        args.config, args.overrides, experiment=name, seed=args.seed,
-        threads=args.threads, tolerance=args.tolerance,
-    )
+    cfg = parse_config(args.config, args.overrides, experiment=name, seed=args.seed,
+                       tolerance=args.tolerance)
     for note in cfg.conversions:
         print(f"note: {note}", file=sys.stderr)
     start = time.monotonic()

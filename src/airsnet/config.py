@@ -184,7 +184,6 @@ class ExperimentConfig:
     network: NetworkConfig
     experiment: str = _key("experiment", "validate", _choice(*EXPERIMENTS))
     seed: int = _key("seed", 12345, _seed)
-    threads: int = _key("threads", 1, _positive)
     tolerance: float = _key("tolerance", 1e-6, _positive)
     # fixed-distance evaluation points
     d_bu: float = _key("d_bu_m", 80.0, _positive)
@@ -273,7 +272,6 @@ def _parse_override(item: str):
 
 def parse_config(path: str | None = None, overrides: list[str] | None = None,
                  experiment: str | None = None, seed: int | None = None,
-                 threads: int | None = None,
                  tolerance: float | None = None) -> ExperimentConfig:
     """Build a fully validated ExperimentConfig from JSON, overrides and flags.
 
@@ -295,8 +293,7 @@ def parse_config(path: str | None = None, overrides: list[str] | None = None,
     for item in overrides or []:
         key, value = _parse_override(item)
         raw[key] = value
-    flags = {"experiment": experiment, "seed": seed, "threads": threads,
-             "tolerance": tolerance}
+    flags = {"experiment": experiment, "seed": seed, "tolerance": tolerance}
     raw.update({k: v for k, v in flags.items() if v is not None})
 
     unknown = sorted(set(raw) - set(_FIELDS) - set(_DBM_ALIASES))

@@ -295,7 +295,7 @@ def _run_density_sweep(cfg: ExperimentConfig):
     tables = simulate.sweep_density(
         cfg.network, cfg.n_total_elements, cfg.density_m_list, seed=cfg.seed,
         p_f_total=cfg.p_f_total, n_drops=cfg.sweep_n_drops, n_fading=cfg.sweep_n_fading,
-        threads=cfg.threads, power_budget=cfg.density_power_budget)
+        power_budget=cfg.density_power_budget)
     for mode, table in tables.items():
         tp = []
         for entry in table:
@@ -338,7 +338,7 @@ def _run_association_compare(cfg: ExperimentConfig):
         # best_irs first: off the float range its analytic scores name the point
         estimates = {policy: simulate.simulate_cell(
             net, policy=policy, n_drops=cfg.assoc_n_drops,
-            n_fading=cfg.sweep_n_fading, seed=cfg.seed, threads=cfg.threads,
+            n_fading=cfg.sweep_n_fading, seed=cfg.seed,
         )["active"]["spatial_throughput"] for policy in ("best_irs", "nearest")}
         for policy in ("nearest", "best_irs"):
             est = estimates[policy]
@@ -346,14 +346,14 @@ def _run_association_compare(cfg: ExperimentConfig):
                                   _point_label(n=n, policy=policy),
                                   "spatial_throughput", "monte_carlo",
                                   est.mean, est.std_error))
-        ratio = estimates["nearest"].mean / estimates["best_irs"].mean
-        rel_se = math.hypot(
-            estimates["nearest"].std_error / estimates["nearest"].mean,
-            estimates["best_irs"].std_error / estimates["best_irs"].mean,
-        )
+        near, best = estimates["nearest"], estimates["best_irs"]
+        ratio = near.mean / best.mean
+        # both policies see the same drops, users and fading: the delta-method
+        # error of the paired samples
+        rel = near.samples / near.mean - best.samples / best.mean
         summary[f"n{n}"] = {
             "ratio_nearest_over_best": ratio,
-            "ratio_se": ratio * rel_se,
+            "ratio_se": abs(ratio) * float(rel.std(ddof=1)) / math.sqrt(rel.size),
             "threshold": cfg.assoc_threshold,
             "meets_threshold": bool(ratio >= cfg.assoc_threshold),
         }

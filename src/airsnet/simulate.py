@@ -9,10 +9,8 @@ same users (common random numbers); drop d's positions do not depend on the
 number of drops. Association and path gains then run on chunks of about
 _DROP_BLOCK user-reflector pairs. Each drop draws its fading on its own
 stream in a fixed order (direct rows, then reflector rows), and groups of
-consecutive drops of about _DROP_BLOCK channel elements are scored together.
-Chunk and group bounds depend on the configuration alone, so results are
-bit-identical no matter how they are scheduled across threads; each
-worker thread writes its groups' channel powers into one reused buffer.
+consecutive drops of about _DROP_BLOCK channel elements are scored together,
+each writing its channel powers into one reused buffer.
 Per-user means are kept in drop order. The validation estimators draw in
 cache-sized blocks and merge block means and variances; the model MC draws
 once per unit cascade mixture (m_BI, m_IU, glq_order) and scores every
@@ -22,12 +20,7 @@ group of that mixture on the same draws.
 from __future__ import annotations
 
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -95,7 +88,7 @@ class _Moments:
         n_b = block.size
         mean_b = float(dev.mean())
         dev -= mean_b
-        m2_b = float(np.dot(dev, dev))
+        m2_b = float(np.square(dev, out=dev).sum())
         total = self.count + n_b
         delta = mean_b - self.mean
         self.mean += delta * n_b / total
@@ -173,40 +166,36 @@ def associate(irs: np.ndarray, ue: np.ndarray, policy: str,
     return np.where(_norm(ue) < cfg.geometry.l_in, -1, choice)
 
 
-def _links(cfg: NetworkConfig, policy: str, seed: int, n_drops: int,
-           run) -> tuple[np.ndarray, np.ndarray]:
+def _links(cfg: NetworkConfig, policy: str, seed: int,
+           n_drops: int) -> tuple[np.ndarray, np.ndarray]:
     """Draw the drops; return the (D, K) servers and (3, D, K) path gains ζ_BU, ζ_BI, ζ_IU.
 
     Association and path gains run on chunks of about _DROP_BLOCK
-    user-reflector pairs (at least one drop), mapped by `run`. ζ_BI and ζ_IU
-    of a BS-served user are those of reflector 0; nothing reads them.
+    user-reflector pairs (at least one drop). ζ_BI and ζ_IU of a BS-served
+    user are those of reflector 0; nothing reads them.
     """
     irs, ue = drop(cfg, seed, n_drops)
     server = np.empty((n_drops, cfg.k_ues), dtype=np.intp)
     zeta = np.empty((3, n_drops, cfg.k_ues))
     step = max(1, _DROP_BLOCK // (cfg.k_ues * cfg.geometry.m_irs))
-
-    def chunk(lo: int) -> None:
+    for lo in range(0, n_drops, step):
         at_drops = slice(lo, lo + step)
         server[at_drops] = associate(irs[at_drops], ue[at_drops], policy, cfg)
         at = np.take_along_axis(irs[at_drops], np.maximum(server[at_drops], 0)[..., None],
                                 axis=-2)
         zeta[:, at_drops] = cfg.path_gain(
             np.stack([_norm(ue[at_drops]), _norm(at), _norm(ue[at_drops] - at)]))
-
-    list(run(chunk, range(0, n_drops, step)))
     return server, zeta
 
 
-def _group_worker(cfg: NetworkConfig, n_fading: int, seed: int, server: np.ndarray,
-                  zeta: np.ndarray, out: np.ndarray, scratch, drops: range) -> None:
+def _score_group(cfg: NetworkConfig, n_fading: int, seed: int, server: np.ndarray,
+                 zeta: np.ndarray, out: np.ndarray, buf: np.ndarray, drops: range) -> None:
     """Fading-averaged SNR and rate of consecutive drops, into out[:, :, their users].
 
     `out` is (SNR/rate, amplified/passive, users drop by drop); both modes are
-    scored on one fading draw. `server` and `zeta` are _links' arrays.
-    `scratch()` returns the calling thread's (3, rows, N) buffer, rows at
-    least the group's reflector-served users times n_fading; the BI and IU
-    powers and their product are written into it.
+    scored on one fading draw. `server` and `zeta` are _links' arrays. `buf`
+    is a (3, rows, N) buffer, rows at least the group's reflector-served users
+    times n_fading; the BI and IU powers and their product are written into it.
     """
     server = server[drops.start:drops.stop].ravel()
     zeta_bu, zeta_bi, zeta_iu = zeta[:, drops.start:drops.stop].reshape(3, -1)
@@ -214,9 +203,9 @@ def _group_worker(cfg: NetworkConfig, n_fading: int, seed: int, server: np.ndarr
     direct = np.flatnonzero(server < 0)
     relayed = np.flatnonzero(server >= 0)
     pows = np.empty((direct.size, n_fading))
-    pow_bi, pow_iu, prod = scratch()[:, :relayed.size * n_fading]
+    pow_bi, pow_iu, prod = buf[:, :relayed.size * n_fading]
     # Each drop draws on its own stream in a fixed order (direct rows, then
-    # reflector rows), so results do not depend on grouping or scheduling.
+    # reflector rows), so results do not depend on grouping.
     d_lo = r_lo = 0
     for d, d_hi, r_hi in zip(drops, np.cumsum(n_direct),
                              np.cumsum(cfg.k_ues - n_direct) * n_fading):
@@ -242,8 +231,8 @@ def _group_worker(cfg: NetworkConfig, n_fading: int, seed: int, server: np.ndarr
 
 
 def simulate_cell(cfg: NetworkConfig, policy: str = "nearest", *,
-                  n_drops: int, n_fading: int, seed: int = 0,
-                  threads: int = 1) -> dict[str, dict[str, SimEstimate]]:
+                  n_drops: int, n_fading: int,
+                  seed: int = 0) -> dict[str, dict[str, SimEstimate]]:
     """Monte-Carlo estimates of mean SNR, achievable rate and spatial throughput.
 
     Both reflector modes are scored on the same drops, associations and
@@ -255,31 +244,21 @@ def simulate_cell(cfg: NetworkConfig, policy: str = "nearest", *,
     estimates carry those per-user values as samples. Association and path
     gains run on chunks of drops of about _DROP_BLOCK user-reflector pairs,
     fading and scoring on groups of about _DROP_BLOCK channel elements (at
-    least one drop each), and at most os.cpu_count() threads run them. An
-    estimate whose mean or standard error leaves the float range raises
-    InvalidDistributionError naming the point.
+    least one drop each). An estimate whose mean or standard error leaves the
+    float range raises InvalidDistributionError naming the point.
     """
     if n_drops < 1 or n_fading < 1:
         raise ConfigError("n_drops and n_fading must be >= 1")
 
     size = max(1, _DROP_BLOCK // (cfg.k_ues * n_fading * cfg.geometry.n_elements))
-    groups = [range(lo, min(lo + size, n_drops)) for lo in range(0, n_drops, size)]
+    server, zeta = _links(cfg, policy, seed, n_drops)
     snr_ue, rate_ue = out = np.empty((2, len(_MODES), n_drops * cfg.k_ues))
-    local = threading.local()
-
-    def scratch() -> np.ndarray:
-        # one buffer per worker thread, sized to a group of reflector-served users
-        if not hasattr(local, "buf"):
-            rows = len(groups[0]) * cfg.k_ues * n_fading
-            local.buf = np.empty((3, rows, cfg.geometry.n_elements))
-        return local.buf
-
-    workers = min(threads, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        run = pool.map if pool else map
-        server, zeta = _links(cfg, policy, seed, n_drops, run)
-        list(run(partial(_group_worker, cfg, n_fading, seed, server, zeta, out, scratch),
-                 groups))
+    # allocated once _links' association temporaries are freed, sized to a
+    # group of reflector-served users
+    buf = np.empty((3, min(size, n_drops) * cfg.k_ues * n_fading, cfg.geometry.n_elements))
+    for lo in range(0, n_drops, size):
+        _score_group(cfg, n_fading, seed, server, zeta, out, buf,
+                     range(lo, min(lo + size, n_drops)))
 
     def estimate(mode: str, metric: str, values: np.ndarray, scale: float) -> SimEstimate:
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite estimate raises
@@ -303,7 +282,7 @@ def simulate_cell(cfg: NetworkConfig, policy: str = "nearest", *,
 
 def sweep_density(cfg: NetworkConfig, n_total_elements: int, m_values,
                   seed: int = 0, *, p_f_total: float, n_drops: int, n_fading: int,
-                  threads: int = 1, power_budget: str = "split-total") -> dict[str, list[dict]]:
+                  power_budget: str = "split-total") -> dict[str, list[dict]]:
     """Spatial throughput versus reflector count at a fixed element budget.
 
     Each entry runs simulate_cell with M reflectors of N = n_total/M elements,
@@ -339,8 +318,7 @@ def sweep_density(cfg: NetworkConfig, n_total_elements: int, m_values,
             geometry=replace(cfg.geometry, m_irs=m, n_elements=n_per),
             power=replace(cfg.power, p_f=p_f_each),
         )
-        est = simulate_cell(swept, n_drops=n_drops, n_fading=n_fading, seed=seed,
-                            threads=threads)
+        est = simulate_cell(swept, n_drops=n_drops, n_fading=n_fading, seed=seed)
         for mode in _MODES:
             rows[mode].append({"m_irs": m, "n_elements": n_per, **est[mode]})
     return rows

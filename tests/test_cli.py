@@ -331,17 +331,6 @@ class TestCliRuns:
         assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
         assert (out1 / "config.echo.json").read_bytes() == (out2 / "config.echo.json").read_bytes()
 
-    def test_thread_count_does_not_change_bytes(self, tmp_path):
-        base = ["density-sweep", "--seed", "3",
-                "--set", "n_total_elements=32",
-                "--set", "density_m_list=[1,2,4]",
-                "--set", "sweep_n_drops=6", "--set", "sweep_n_fading=2",
-                "--set", "k_ues=8"]
-        out1, out2 = tmp_path / "t1", tmp_path / "t2"
-        assert main(base + ["--threads", "1", "--out", str(out1)]) == 0
-        assert main(base + ["--threads", "3", "--out", str(out2)]) == 0
-        assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
-
     def test_echo_round_trip(self, tmp_path):
         out1 = tmp_path / "r1"
         assert main(["mean-snr-vs-pf", "--seed", "21", "--out", str(out1),
@@ -372,6 +361,34 @@ class TestCliRuns:
         assert "n16" in summary
         assert summary["n16"]["ratio_nearest_over_best"] > 0.5
 
+    def test_association_ratio_se_is_paired(self, tmp_path, monkeypatch):
+        # both policies score the same drops, users and fading, so ratio_se is
+        # the delta-method error of the paired samples, recomputed here from
+        # their covariance
+        seen = {}
+        simulate_cell = simulate.simulate_cell
+
+        def recorded(net, policy, **kw):
+            est = simulate_cell(net, policy, **kw)
+            seen[policy] = est["active"]["spatial_throughput"]
+            return est
+
+        monkeypatch.setattr(simulate, "simulate_cell", recorded)
+        out = tmp_path / "assoc"
+        assert main(["association-compare", "--out", str(out), "--seed", "2",
+                     "--set", "assoc_n_list=[16]", "--set", "assoc_n_drops=30",
+                     "--set", "k_ues=10"]) == 0
+        got = json.loads((out / "summary.json").read_text())["n16"]
+        a, b = seen["nearest"], seen["best_irs"]
+        ratio = a.mean / b.mean
+        (var_a, cov), (_, var_b) = np.cov(a.samples, b.samples)
+        rel_var = var_a / a.mean**2 + var_b / b.mean**2 - 2.0 * cov / (a.mean * b.mean)
+        assert got["ratio_nearest_over_best"] == ratio
+        assert got["ratio_se"] == pytest.approx(ratio * math.sqrt(rel_var / a.samples.size),
+                                                rel=1e-9)
+        # the independent-errors figure it replaces is larger
+        assert got["ratio_se"] < ratio * math.hypot(a.std_error / a.mean, b.std_error / b.mean)
+
     def test_ring_sweep_smoke(self, tmp_path, capsys):
         out = tmp_path / "ring"
         args = ["ring-sweep", "--out", str(out),
@@ -384,9 +401,20 @@ class TestCliRuns:
         assert main(args + ["--set", "ring_metric=achievable_rate"]) == 2
         assert "ring_metric" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", [["--tolerance", "-1"], ["--threads", "0"]])
+    @pytest.mark.parametrize("flag", [["--tolerance", "-1"], ["--seed", "-1"]])
     def test_flags_pass_the_config_validators(self, tmp_path, flag):
         assert main(["validate", "--out", str(tmp_path / "x")] + flag + FAST_VALIDATE) == 2
+
+    def test_threads_flag_takes_one_value_and_is_no_key(self, tmp_path, capsys):
+        # --threads 1 is accepted and sets nothing; every run is single-threaded
+        sweep = ["density-sweep", "--set", "n_total_elements=8", "--set", "density_m_list=[1,2]",
+                 "--set", "sweep_n_drops=2", "--set", "k_ues=4"]
+        assert main(sweep + ["--threads", "1", "--out", str(tmp_path / "a")]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(sweep + ["--threads", "2", "--out", str(tmp_path / "b")])
+        assert exc.value.code == 2
+        assert main(sweep + ["--set", "threads=1", "--out", str(tmp_path / "c")]) == 2
+        assert "unknown config keys: threads" in capsys.readouterr().err
 
     def test_bad_config_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -555,7 +583,7 @@ class TestCliRuns:
         # is separated by the paired differences where the unpaired errors
         # cannot separate it
         out = tmp_path / "x"
-        assert main(["density-sweep", "--seed", "12345", "--threads", "1", "--out", str(out),
+        assert main(["density-sweep", "--seed", "12345", "--out", str(out),
                      "--set", "sweep_n_drops=200"]) == 0
         passive = json.loads((out / "summary.json").read_text())["passive"]
         assert passive["best_m"] == 1 and passive["z_vs_first"] == 0.0

@@ -169,7 +169,7 @@ def test_each_config_key_is_declared_once_on_its_field():
     # a repeated key would silently shadow another in the parser's key map
     assert len(set(keys)) == len(keys)
     # the number of keys config.echo.json records
-    assert len(keys) == 44
+    assert len(keys) == 43
 
 
 if __name__ == "__main__":

@@ -1,5 +1,4 @@
 import math
-import sys
 import time
 
 import numpy as np
@@ -352,17 +351,7 @@ class TestSimulateCell:
         ratio = e2["achievable_rate"].std_error ** 2 / e1["achievable_rate"].std_error ** 2
         assert 0.4 <= ratio <= 0.6
 
-    def test_bitwise_determinism_across_threads(self):
-        cfg = make_cfg(k_ues=10)
-        a = simulate_cell(cfg, n_drops=8, n_fading=5, seed=4, threads=1)
-        b = simulate_cell(cfg, n_drops=8, n_fading=5, seed=4, threads=4)
-        for mode in ("active", "passive"):
-            for key in a[mode]:
-                assert a[mode][key].mean == b[mode][key].mean
-                assert a[mode][key].std_error == b[mode][key].std_error
-
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_drop_path_bits_are_frozen(self, threads):
+    def test_drop_path_bits_are_frozen(self):
         # drop 1 holds two BS-served users, and best_irs moves six of the 22
         # reflector-served users off their nearest reflector; frozen from
         # reference_cell, which builds the drops one at a time
@@ -387,15 +376,13 @@ class TestSimulateCell:
                 (7.328265719748777e-06, 5.071942462687102e-06)],
         }
         for policy in ("nearest", "best_irs"):
-            est = simulate_cell(cfg, policy, n_drops=3, n_fading=4, seed=2025,
-                                threads=threads)
+            est = simulate_cell(cfg, policy, n_drops=3, n_fading=4, seed=2025)
             for irs_mode in ("active", "passive"):
                 got = [(est[irs_mode][k].mean, est[irs_mode][k].std_error)
                        for k in ("snr_mean", "achievable_rate", "spatial_throughput")]
                 assert got == frozen[irs_mode, policy], (irs_mode, policy)
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_grouped_drop_bits_are_frozen(self, threads):
+    def test_grouped_drop_bits_are_frozen(self):
         # 17 drops of 6 users at N = 256 span three drop groups, the last one
         # short; 7 users are BS-served and best_irs moves 22 of the others
         # off their nearest reflector. Frozen from reference_cell, which
@@ -424,69 +411,23 @@ class TestSimulateCell:
                 (6.396501557874566e-06, 2.1166761403920266e-06)],
         }
         for policy in ("nearest", "best_irs"):
-            est = simulate_cell(cfg, policy, n_drops=n_drops, n_fading=n_fading, seed=31,
-                                threads=threads)
+            est = simulate_cell(cfg, policy, n_drops=n_drops, n_fading=n_fading, seed=31)
             for irs_mode in ("active", "passive"):
                 got = [(est[irs_mode][k].mean, est[irs_mode][k].std_error)
                        for k in ("snr_mean", "achievable_rate", "spatial_throughput")]
                 assert got == frozen[irs_mode, policy], (irs_mode, policy)
 
     @pytest.mark.parametrize("block", [200, 1 << 14])
-    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("policy", ["nearest", "best_irs"])
-    def test_chunked_drop_path_matches_one_drop_at_a_time(self, monkeypatch, block, threads,
-                                                          policy):
+    def test_chunked_drop_path_matches_one_drop_at_a_time(self, monkeypatch, block, policy):
         # block 200 associates 17 drops in chunks of 8, 8 and 1 and scores
         # them one at a time; block 2^14 associates them in one chunk and
         # scores them in groups of 3, the last one short
         monkeypatch.setattr(simulate, "_DROP_BLOCK", block)
         cfg = make_cfg(geom={"l_in": 60.0, "l_out": 150.0, "m_irs": 4, "n_elements": 256},
                        k_ues=6)
-        est = simulate_cell(cfg, policy, n_drops=17, n_fading=3, seed=31, threads=threads)
+        est = simulate_cell(cfg, policy, n_drops=17, n_fading=3, seed=31)
         assert estimates(est) == reference_cell(cfg, policy, 17, 3, 31)
-
-    def test_many_threads_fill_their_own_slices(self, monkeypatch):
-        # eight threads on any core count, switching every microsecond, write
-        # disjoint slices of the shared server, path-gain and output arrays,
-        # and draw their fading into their own scratch buffers
-        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 8)
-        monkeypatch.setattr(simulate, "_DROP_BLOCK", 200)
-        cfg = make_cfg(geom={"l_in": 60.0, "l_out": 150.0, "m_irs": 4, "n_elements": 64},
-                       k_ues=6)
-        one = estimates(simulate_cell(cfg, n_drops=40, n_fading=3, seed=8, threads=1))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            many = estimates(simulate_cell(cfg, n_drops=40, n_fading=3, seed=8, threads=8))
-        finally:
-            sys.setswitchinterval(interval)
-        assert many == one
-
-    def test_thread_pool_capped_at_cpu_count(self, monkeypatch):
-        # a stub pool records its size and maps in the calling thread, so the
-        # oversized request starts no thread
-        sizes = []
-
-        class StubPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(simulate, "ThreadPoolExecutor", StubPool)
-        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
-        cfg = make_cfg(k_ues=4)
-        capped = simulate_cell(cfg, n_drops=5, n_fading=2, seed=6, threads=100_000)
-        assert sizes == [3]
-        assert capped == simulate_cell(cfg, n_drops=5, n_fading=2, seed=6, threads=1)
-        assert sizes == [3]
 
     def test_estimator_honesty_all_direct(self):
         cfg = all_direct_cfg(k_ues=25)
