@@ -351,10 +351,13 @@ class TestSimulateCell:
         ratio = e2["achievable_rate"].std_error ** 2 / e1["achievable_rate"].std_error ** 2
         assert 0.4 <= ratio <= 0.6
 
-    def test_drop_path_bits_are_frozen(self):
+    @pytest.mark.parametrize("calls", [1, 2])
+    def test_drop_path_bits_are_frozen(self, calls):
         # drop 1 holds two BS-served users, and best_irs moves six of the 22
         # reflector-served users off their nearest reflector; frozen from
-        # reference_cell, which builds the drops one at a time
+        # reference_cell, which builds the drops one at a time. With calls = 2
+        # every policy is simulated twice in a row, so a call that leaned on
+        # state an earlier one left behind would show.
         cfg = make_cfg(geom={"l_in": 60.0, "l_out": 150.0, "m_irs": 4, "n_elements": 8},
                        k_ues=8)
         frozen = {
@@ -376,17 +379,20 @@ class TestSimulateCell:
                 (7.328265719748777e-06, 5.071942462687102e-06)],
         }
         for policy in ("nearest", "best_irs"):
-            est = simulate_cell(cfg, policy, n_drops=3, n_fading=4, seed=2025)
-            for irs_mode in ("active", "passive"):
-                got = [(est[irs_mode][k].mean, est[irs_mode][k].std_error)
-                       for k in ("snr_mean", "achievable_rate", "spatial_throughput")]
-                assert got == frozen[irs_mode, policy], (irs_mode, policy)
+            for _ in range(calls):
+                est = simulate_cell(cfg, policy, n_drops=3, n_fading=4, seed=2025)
+                for irs_mode in ("active", "passive"):
+                    got = [(est[irs_mode][k].mean, est[irs_mode][k].std_error)
+                           for k in ("snr_mean", "achievable_rate", "spatial_throughput")]
+                    assert got == frozen[irs_mode, policy], (irs_mode, policy)
 
-    def test_grouped_drop_bits_are_frozen(self):
+    @pytest.mark.parametrize("calls", [1, 2])
+    def test_grouped_drop_bits_are_frozen(self, calls):
         # 17 drops of 6 users at N = 256 span three drop groups, the last one
         # short; 7 users are BS-served and best_irs moves 22 of the others
         # off their nearest reflector. Frozen from reference_cell, which
-        # builds the drops one at a time.
+        # builds the drops one at a time. calls = 2 repeats each policy's
+        # simulation back to back.
         cfg = make_cfg(geom={"l_in": 60.0, "l_out": 150.0, "m_irs": 4, "n_elements": 256},
                        k_ues=6)
         n_drops, n_fading = 17, 3
@@ -411,23 +417,29 @@ class TestSimulateCell:
                 (6.396501557874566e-06, 2.1166761403920266e-06)],
         }
         for policy in ("nearest", "best_irs"):
-            est = simulate_cell(cfg, policy, n_drops=n_drops, n_fading=n_fading, seed=31)
-            for irs_mode in ("active", "passive"):
-                got = [(est[irs_mode][k].mean, est[irs_mode][k].std_error)
-                       for k in ("snr_mean", "achievable_rate", "spatial_throughput")]
-                assert got == frozen[irs_mode, policy], (irs_mode, policy)
+            for _ in range(calls):
+                est = simulate_cell(cfg, policy, n_drops=n_drops, n_fading=n_fading, seed=31)
+                for irs_mode in ("active", "passive"):
+                    got = [(est[irs_mode][k].mean, est[irs_mode][k].std_error)
+                           for k in ("snr_mean", "achievable_rate", "spatial_throughput")]
+                    assert got == frozen[irs_mode, policy], (irs_mode, policy)
 
     @pytest.mark.parametrize("block", [200, 1 << 14])
+    @pytest.mark.parametrize("calls", [1, 2])
     @pytest.mark.parametrize("policy", ["nearest", "best_irs"])
-    def test_chunked_drop_path_matches_one_drop_at_a_time(self, monkeypatch, block, policy):
+    def test_chunked_drop_path_matches_one_drop_at_a_time(self, monkeypatch, block, calls,
+                                                          policy):
         # block 200 associates 17 drops in chunks of 8, 8 and 1 and scores
         # them one at a time; block 2^14 associates them in one chunk and
-        # scores them in groups of 3, the last one short
+        # scores them in groups of 3, the last one short. Each of the `calls`
+        # back-to-back simulations must match the reference.
         monkeypatch.setattr(simulate, "_DROP_BLOCK", block)
         cfg = make_cfg(geom={"l_in": 60.0, "l_out": 150.0, "m_irs": 4, "n_elements": 256},
                        k_ues=6)
-        est = simulate_cell(cfg, policy, n_drops=17, n_fading=3, seed=31)
-        assert estimates(est) == reference_cell(cfg, policy, 17, 3, 31)
+        want = reference_cell(cfg, policy, 17, 3, 31)
+        for _ in range(calls):
+            est = simulate_cell(cfg, policy, n_drops=17, n_fading=3, seed=31)
+            assert estimates(est) == want
 
     def test_estimator_honesty_all_direct(self):
         cfg = all_direct_cfg(k_ues=25)
