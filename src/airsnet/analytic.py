@@ -193,8 +193,9 @@ def mean_snr_integral(d_bi: float, d_iu, cfg: NetworkConfig):
     out-of-range mean raises naming the point.
     """
     kappa = _kappa(d_bi, cfg)
-    psi = _quad(lambda v: np.exp(-v - cfg.m_iu * np.log1p(v / kappa)),
-                f"mean_snr_integral at {_point(cfg)}, d_bi={d_bi:g} m, d_iu", d_iu)
+    with np.errstate(over="ignore"):  # v/kappa past the float range gives a 0 kernel
+        psi = _quad(lambda v: np.exp(-v - cfg.m_iu * np.log1p(v / kappa)),
+                    f"mean_snr_integral at {_point(cfg)}, d_bi={d_bi:g} m, d_iu", d_iu)
     with np.errstate(divide="ignore"):
         mean = cfg.m_bi * cfg.m_iu / _s_scale(d_bi, d_iu, cfg) * (psi / kappa)
     return _checked("mean_snr_integral", mean, d_bi, d_iu, cfg)

@@ -2,11 +2,12 @@
 
 The reflecting surface applies one common amplification factor chosen to
 exhaust its power budget; phases are aligned, so after alignment only the
-per-element channel powers |g|^2 matter. The SNR kernels take (B, N) blocks
-of powers, or the block's aligned cascade amplitude
-sum_i sqrt(|g_BI,i|^2 |g_IU,i|^2), which the caller computes once with
-cascade_amplitude and passes to both reflector modes. Path gains may be
-scalars or one value per row.
+per-element channel powers |g|^2 matter. The reflector SNR kernels take,
+per channel draw, sums over the N elements: ||g_BI||^2, ||g_IU||^2 and the
+aligned cascade amplitude sum_i sqrt(|g_BI,i|^2 |g_IU,i|^2), whose terms
+cascade_amplitude forms. The caller sums them over whichever axis holds the
+elements and passes one cascade to both reflector modes. Path gains may be
+scalars or one value per draw.
 """
 
 from __future__ import annotations
@@ -43,12 +44,13 @@ def sample_nakagami_power(m: float, rng: np.random.Generator, size=None, *, out=
 
 
 def cascade_amplitude(pow_bi: np.ndarray, pow_iu: np.ndarray, *, out=None) -> np.ndarray:
-    """Phase-aligned cascade amplitude sum_i |g_BI,i| |g_IU,i| per row of (B, N) powers.
+    """Per-element phase-aligned amplitudes |g_BI,i| |g_IU,i|; their sum is the cascade.
 
-    With `out` (a (B, N) array) the elementwise product is formed in it.
+    With `out` (an array of the powers' shape, which may be one of them) the
+    amplitudes are formed in it.
     """
     prod = np.multiply(pow_bi, pow_iu, out=out)
-    return np.sqrt(prod, out=prod).sum(axis=1)
+    return np.sqrt(prod, out=prod)
 
 
 def snr_direct_batch(pow_bu: np.ndarray, bu_path_loss, power: PowerParams) -> np.ndarray:
@@ -56,16 +58,13 @@ def snr_direct_batch(pow_bu: np.ndarray, bu_path_loss, power: PowerParams) -> np
     return power.p_t * bu_path_loss * np.asarray(pow_bu) / power.sigma2
 
 
-def snr_active_batch(pow_bi: np.ndarray, pow_iu: np.ndarray, cascade: np.ndarray,
-                     zeta_bi, zeta_iu, power: PowerParams) -> np.ndarray:
-    """Amplified SNR per row of (B, N) channel-power blocks, given their cascade amplitude.
+def snr_active_batch(g_bi_norm_sq: np.ndarray, g_iu_norm_sq: np.ndarray, cascade: np.ndarray,
+                     n: int, zeta_bi, zeta_iu, power: PowerParams) -> np.ndarray:
+    """Amplified SNR per channel draw of an N-element surface, from its element sums.
 
-    Computes the budget-exhausting gain from ||g_BI||^2 and the
-    amplified-noise denominator from ||g_IU||^2 per row.
+    The budget-exhausting gain follows from ||g_BI||^2, the amplified-noise
+    denominator from ||g_IU||^2.
     """
-    n = pow_bi.shape[1]
-    g_bi_norm_sq = pow_bi.sum(axis=1)
-    g_iu_norm_sq = pow_iu.sum(axis=1)
     amp_sq = power.p_f / (power.p_t * zeta_bi * g_bi_norm_sq + n * power.sigma_f2)
     signal = power.p_t * amp_sq * zeta_bi * zeta_iu * cascade * cascade
     noise = amp_sq * zeta_iu * g_iu_norm_sq * power.sigma_f2 + power.sigma2
@@ -73,6 +72,6 @@ def snr_active_batch(pow_bi: np.ndarray, pow_iu: np.ndarray, cascade: np.ndarray
 
 
 def snr_passive_batch(cascade: np.ndarray, zeta_bi, zeta_iu, power: PowerParams) -> np.ndarray:
-    """Phase-only reflection SNR per row, from the rows' cascade amplitude."""
+    """Phase-only reflection SNR per channel draw, from its cascade amplitude."""
     with np.errstate(over="ignore"):  # inf off the float range; the caller names the point
         return power.p_t * zeta_bi * zeta_iu * cascade * cascade / power.sigma2

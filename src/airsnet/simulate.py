@@ -7,11 +7,15 @@ once, the reflectors from the stream keyed by M and the users from the one
 keyed by the seed alone, so every M and both association policies see the
 same users (common random numbers); drop d's positions do not depend on the
 number of drops. Association and path gains then run on chunks of about
-_DROP_BLOCK user-reflector pairs. Each drop draws its fading on its own
-stream in a fixed order (direct rows, then reflector rows), and groups of
-consecutive drops of about _DROP_BLOCK channel elements are scored together,
-each writing its channel powers into one reused buffer.
-Per-user means are kept in drop order. The validation estimators draw in
+_DROP_BLOCK user-reflector pairs. Each drop draws its fading once, element
+major: on the stream (seed, d, 2) the BS-served users' powers, then the
+BS-reflector powers as one plane of (reflector-served users x fading draws)
+per element; on (seed, d, 6) the reflector-user powers in the same shape.
+A surface of N elements reads the first N planes, so one draw per drop, for
+the largest surface, serves every reflector count of a density sweep, and
+each count's estimates equal simulate_cell's at that count alone.
+Per-user rates are kept in drop order, per-user SNRs only as each drop's
+mean and sum of squared deviations. The validation estimators draw in
 cache-sized blocks and merge block means and variances; the model MC draws
 once per unit cascade mixture (m_BI, m_IU, glq_order) and scores every
 group of that mixture on the same draws.
@@ -47,12 +51,12 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _TAG_GEOMETRY = 1  # reflector positions, keyed (seed, M, tag)
-_TAG_FADING = 2  # keyed (seed, drop, tag)
+_TAG_FADING = 2  # BS-user and BS-reflector powers, keyed (seed, drop, tag)
 _TAG_USERS = 5  # user positions, keyed (seed, tag)
+_TAG_FADING_IU = 6  # reflector-user powers, keyed (seed, drop, tag)
 _MODEL_BLOCK = 1 << 16  # model-MC draws per block: its temporaries stay in cache
 _PHYSICAL_BLOCK = 4096  # physical-MC channel rows per block
-# channel elements (users x fading draws x N) per drop group, and user-reflector
-# pairs per association chunk
+# user-reflector pairs per association chunk, and element sums per scoring group
 _DROP_BLOCK = 1 << 15
 _MODES = ("active", "passive")  # reflector modes, in the order cell results list them
 
@@ -166,19 +170,19 @@ def associate(irs: np.ndarray, ue: np.ndarray, policy: str,
     return np.where(_norm(ue) < cfg.geometry.l_in, -1, choice)
 
 
-def _links(cfg: NetworkConfig, policy: str, seed: int,
-           n_drops: int) -> tuple[np.ndarray, np.ndarray]:
-    """Draw the drops; return the (D, K) servers and (3, D, K) path gains ζ_BU, ζ_BI, ζ_IU.
+def _links(cfg: NetworkConfig, policy: str, irs: np.ndarray,
+           ue: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (D, K) servers and (3, D, K) path gains ζ_BU, ζ_BI, ζ_IU of D drops.
 
+    `irs` and `ue` are the drops' (D, M, 2) reflectors and (D, K, 2) users.
     Association and path gains run on chunks of about _DROP_BLOCK
     user-reflector pairs (at least one drop). ζ_BI and ζ_IU of a BS-served
     user are those of reflector 0; nothing reads them.
     """
-    irs, ue = drop(cfg, seed, n_drops)
-    server = np.empty((n_drops, cfg.k_ues), dtype=np.intp)
-    zeta = np.empty((3, n_drops, cfg.k_ues))
+    server = np.empty(ue.shape[:2], dtype=np.intp)
+    zeta = np.empty((3, *ue.shape[:2]))
     step = max(1, _DROP_BLOCK // (cfg.k_ues * cfg.geometry.m_irs))
-    for lo in range(0, n_drops, step):
+    for lo in range(0, len(ue), step):
         at_drops = slice(lo, lo + step)
         server[at_drops] = associate(irs[at_drops], ue[at_drops], policy, cfg)
         at = np.take_along_axis(irs[at_drops], np.maximum(server[at_drops], 0)[..., None],
@@ -188,46 +192,136 @@ def _links(cfg: NetworkConfig, policy: str, seed: int,
     return server, zeta
 
 
-def _score_group(cfg: NetworkConfig, n_fading: int, seed: int, server: np.ndarray,
-                 zeta: np.ndarray, out: np.ndarray, buf: np.ndarray, drops: range) -> None:
-    """Fading-averaged SNR and rate of consecutive drops, into out[:, :, their users].
+def _draw_fading(cfg: NetworkConfig, seed: int, drops: range, n_relayed: np.ndarray,
+                 n_fading: int, sizes: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Draw consecutive drops' fading once, for the largest of `sizes` (surface sizes N).
 
-    `out` is (SNR/rate, amplified/passive, users drop by drop); both modes are
-    scored on one fading draw. `server` and `zeta` are _links' arrays. `buf`
-    is a (3, rows, N) buffer, rows at least the group's reflector-served users
-    times n_fading; the BI and IU powers and their product are written into it.
+    `n_relayed` holds each drop's count of reflector-served users. Returns
+    the BS-served users' (users, n_fading) powers and the (sizes, 3, columns)
+    element sums ||g_BI||^2, ||g_IU||^2 and cascade amplitude over the first N
+    elements, one column per reflector-served user and fading draw, drop by
+    drop. Each drop draws on the stream (seed, d, 2) its BS-served users'
+    powers, then the BI powers as N_max planes of (reflector-served users x
+    n_fading) values, and on (seed, d, 6) the IU powers in the same shape.
     """
-    server = server[drops.start:drops.stop].ravel()
-    zeta_bu, zeta_bi, zeta_iu = zeta[:, drops.start:drops.stop].reshape(3, -1)
-    n_direct = (server < 0).reshape(len(drops), cfg.k_ues).sum(axis=1)
-    direct = np.flatnonzero(server < 0)
-    relayed = np.flatnonzero(server >= 0)
-    pows = np.empty((direct.size, n_fading))
-    pow_bi, pow_iu, prod = buf[:, :relayed.size * n_fading]
-    # Each drop draws on its own stream in a fixed order (direct rows, then
-    # reflector rows), so results do not depend on grouping.
-    d_lo = r_lo = 0
-    for d, d_hi, r_hi in zip(drops, np.cumsum(n_direct),
-                             np.cumsum(cfg.k_ues - n_direct) * n_fading):
+    n_max = sizes[-1]
+    width = n_relayed * n_fading
+    col = np.concatenate([[0], np.cumsum(width)])  # the i-th drop's columns: col[i]:col[i + 1]
+    row = np.concatenate([[0], np.cumsum(cfg.k_ues - n_relayed)])  # its BS-served users
+    pow_bu = np.empty((row[-1], n_fading))
+    sums = np.empty((len(sizes), 3, col[-1]))
+    pows = np.empty((2, n_max * int(width.max())))  # one drop's BI and IU powers
+    for i, d in enumerate(drops):
         rng = _stream(seed, d, _TAG_FADING)
-        sample_nakagami_power(cfg.m_bu, rng, out=pows[d_lo:d_hi])
-        sample_nakagami_power(cfg.m_bi, rng, out=pow_bi[r_lo:r_hi])
-        sample_nakagami_power(cfg.m_iu, rng, out=pow_iu[r_lo:r_hi])
-        d_lo, r_lo = d_hi, r_hi
+        sample_nakagami_power(cfg.m_bu, rng, out=pow_bu[row[i]:row[i + 1]])
+        if width[i] == 0:
+            continue
+        pow_bi, pow_iu = (pows[j, :n_max * width[i]].reshape(n_max, width[i]) for j in (0, 1))
+        sample_nakagami_power(cfg.m_bi, rng, out=pow_bi)
+        sample_nakagami_power(cfg.m_iu, _stream(seed, d, _TAG_FADING_IU), out=pow_iu)
+        at = slice(col[i], col[i + 1])
+        for j, n in enumerate(sizes):
+            pow_bi[:n].sum(axis=0, out=sums[j, 0, at])
+            pow_iu[:n].sum(axis=0, out=sums[j, 1, at])
+        amp = cascade_amplitude(pow_bi, pow_iu, out=pow_bi)
+        for j, n in enumerate(sizes):
+            amp[:n].sum(axis=0, out=sums[j, 2, at])
+    return pow_bu, sums
 
-    p = cfg.power
-    snr = np.empty((len(_MODES), server.size, n_fading))
-    snr[:, direct] = snr_direct_batch(pows, zeta_bu[direct][:, None], p)
-    zeta_bi = np.repeat(zeta_bi[relayed], n_fading)
-    zeta_iu = np.repeat(zeta_iu[relayed], n_fading)
-    cascade = cascade_amplitude(pow_bi, pow_iu, out=prod)
-    rows = (relayed.size, n_fading)
-    snr[0, relayed] = snr_active_batch(pow_bi, pow_iu, cascade, zeta_bi, zeta_iu,
-                                       p).reshape(rows)
-    snr[1, relayed] = snr_passive_batch(cascade, zeta_bi, zeta_iu, p).reshape(rows)
-    users = slice(drops.start * cfg.k_ues, drops.stop * cfg.k_ues)
-    out[0, :, users] = snr.mean(axis=2)
-    out[1, :, users] = np.log2(1.0 + snr).mean(axis=2)
+
+def _simulate(layouts: list[NetworkConfig], policy: str, n_drops: int, n_fading: int,
+              seed: int) -> list[dict[str, dict[str, SimEstimate]]]:
+    """simulate_cell's estimates for each layout, all scored on one fading draw per drop.
+
+    The layouts differ at most in m_irs, n_elements and p_f, so they see the
+    same users and BS-serve the same ones. Each drop's fading is drawn once,
+    for the largest surface (_draw_fading); a surface of N elements reads its
+    first N element planes, which are what a draw of N planes gives, so each
+    layout's estimates are those of simulate_cell on that layout alone. Drops
+    are handled in groups whose element sums, one set per surface size, hold
+    about _DROP_BLOCK values; only the per-user results outlive a group.
+    """
+    if n_drops < 1 or n_fading < 1:
+        raise ConfigError("n_drops and n_fading must be >= 1")
+    cfg = layouts[0]
+    k, f = cfg.k_ues, n_fading
+    irs = []
+    for layout in layouts:
+        at, ue = drop(layout, seed, n_drops)
+        irs.append(at)
+    sizes = sorted({layout.geometry.n_elements for layout in layouts})
+    step = max(1, _DROP_BLOCK // (3 * len(sizes) * k * f))
+    shape = (len(layouts), len(_MODES))
+    rate_ue = np.empty((*shape, n_drops * k))
+    snr_drop = np.empty((2, *shape, n_drops))  # per drop, its users' SNR mean and M2
+    for lo in range(0, n_drops, step):
+        drops = range(lo, min(lo + step, n_drops))
+        links = [_links(layout, policy, at[lo:drops.stop], ue[lo:drops.stop])
+                 for layout, at in zip(layouts, irs)]
+        relayed = links[0][0].ravel() >= 0
+        pow_bu, sums = _draw_fading(cfg, seed, drops, relayed.reshape(-1, k).sum(axis=1), f,
+                                    sizes)
+        snr_ue, rate = np.empty((*shape, len(drops) * k)), rate_ue[..., lo * k:drops.stop * k]
+        snr = snr_direct_batch(pow_bu, links[0][1][0].ravel()[~relayed][:, None], cfg.power)
+        snr_ue[..., ~relayed] = snr.mean(axis=1)
+        rate[..., ~relayed] = np.log2(1.0 + snr).mean(axis=1)
+        for i, (layout, (_, zeta)) in enumerate(zip(layouts, links)):
+            n = layout.geometry.n_elements
+            g_bi, g_iu, cascade = sums[sizes.index(n)]
+            zeta_bi, zeta_iu = (np.repeat(z.ravel()[relayed], f) for z in zeta[1:])
+            snr = np.stack([
+                snr_active_batch(g_bi, g_iu, cascade, n, zeta_bi, zeta_iu, layout.power),
+                snr_passive_batch(cascade, zeta_bi, zeta_iu, layout.power),
+            ]).reshape(len(_MODES), -1, f)
+            snr_ue[i][:, relayed] = snr.mean(axis=2)
+            rate[i][:, relayed] = np.log2(1.0 + snr).mean(axis=2)
+        snr_ue = snr_ue.reshape(*shape, len(drops), k)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite estimate raises
+            mean = snr_ue.mean(axis=-1, out=snr_drop[0, ..., lo:drops.stop])
+            snr_ue -= mean[..., None]
+            np.square(snr_ue, out=snr_ue).sum(axis=-1, out=snr_drop[1, ..., lo:drops.stop])
+    return [_estimates(layout, policy, k, snr_drop[:, i], rate_ue[i])
+            for i, layout in enumerate(layouts)]
+
+
+def _estimates(cfg: NetworkConfig, policy: str, k: int, snr_drop: np.ndarray,
+               rate_ue: np.ndarray) -> dict[str, dict[str, SimEstimate]]:
+    """Per mode, the estimates from per-drop SNR moments and per-user rates.
+
+    `snr_drop` holds, per mode and drop, the mean and the sum of squared
+    deviations (M2) of the drop's k per-user SNRs, which merge into the
+    mean and M2 over all users. `rate_ue` holds the (mode, user)
+    per-user rates; its rows, scaled in place, become the spatial-throughput
+    samples once the achievable rate has been estimated from them.
+    """
+    n = rate_ue.shape[-1]
+
+    def checked(mode: str, metric: str, mean, se, samples=None) -> SimEstimate:
+        est = SimEstimate(mean=float(mean), std_error=float(se), samples=samples)
+        if not (math.isfinite(est.mean) and math.isfinite(est.std_error)):
+            raise InvalidDistributionError(
+                f"simulate_cell at {analytic._point(cfg)}, m_irs={cfg.geometry.m_irs}, "
+                f"n_elements={cfg.geometry.n_elements}, policy={policy}: the {mode} {metric} "
+                f"estimate is not finite (mean {est.mean}, standard error {est.std_error})")
+        return est
+
+    per_area = 1.0 / cfg.geometry.s_total
+    out = {}
+    for mode, (drop_mean, drop_m2), rate in zip(_MODES, snr_drop.swapaxes(0, 1), rate_ue):
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite estimate raises
+            snr_mean = drop_mean.mean()
+            m2 = drop_m2.sum() + k * np.square(drop_mean - snr_mean).sum()
+            snr_se = math.sqrt(m2 / (n - 1) / n) if n > 1 else 0.0
+            rate_mean = rate.mean()
+            rate_se = rate.std(ddof=1) / math.sqrt(n) if n > 1 else 0.0
+        out[mode] = {
+            "snr_mean": checked(mode, "snr_mean", snr_mean, snr_se),
+            "achievable_rate": checked(mode, "achievable_rate", rate_mean, rate_se),
+            "spatial_throughput": checked(mode, "spatial_throughput", rate_mean * per_area,
+                                          rate_se * per_area,
+                                          np.multiply(rate, per_area, out=rate)),
+        }
+    return out
 
 
 def simulate_cell(cfg: NetworkConfig, policy: str = "nearest", *,
@@ -243,41 +337,11 @@ def simulate_cell(cfg: NetworkConfig, policy: str = "nearest", *,
     samples). spatial throughput = positional rate average / cell area; its
     estimates carry those per-user values as samples. Association and path
     gains run on chunks of drops of about _DROP_BLOCK user-reflector pairs,
-    fading and scoring on groups of about _DROP_BLOCK channel elements (at
-    least one drop each). An estimate whose mean or standard error leaves the
+    the reflector kernels on groups of drops whose element sums hold about
+    _DROP_BLOCK values. An estimate whose mean or standard error leaves the
     float range raises InvalidDistributionError naming the point.
     """
-    if n_drops < 1 or n_fading < 1:
-        raise ConfigError("n_drops and n_fading must be >= 1")
-
-    size = max(1, _DROP_BLOCK // (cfg.k_ues * n_fading * cfg.geometry.n_elements))
-    server, zeta = _links(cfg, policy, seed, n_drops)
-    snr_ue, rate_ue = out = np.empty((2, len(_MODES), n_drops * cfg.k_ues))
-    # allocated once _links' association temporaries are freed, sized to a
-    # group of reflector-served users
-    buf = np.empty((3, min(size, n_drops) * cfg.k_ues * n_fading, cfg.geometry.n_elements))
-    for lo in range(0, n_drops, size):
-        _score_group(cfg, n_fading, seed, server, zeta, out, buf,
-                     range(lo, min(lo + size, n_drops)))
-
-    def estimate(mode: str, metric: str, values: np.ndarray, scale: float) -> SimEstimate:
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite estimate raises
-            se = values.std(ddof=1) / math.sqrt(values.size) if values.size > 1 else 0.0
-        samples = values * scale if metric == "spatial_throughput" else None
-        est = SimEstimate(mean=float(values.mean() * scale), std_error=float(se * scale),
-                          samples=samples)
-        if not (math.isfinite(est.mean) and math.isfinite(est.std_error)):
-            raise InvalidDistributionError(
-                f"simulate_cell at {analytic._point(cfg)}, m_irs={cfg.geometry.m_irs}, "
-                f"n_elements={cfg.geometry.n_elements}, policy={policy}: the {mode} {metric} "
-                f"estimate is not finite (mean {est.mean}, standard error {est.std_error})")
-        return est
-
-    per_area = 1.0 / cfg.geometry.s_total
-    return {mode: {metric: estimate(mode, metric, values, scale) for metric, values, scale
-                   in (("snr_mean", snr, 1.0), ("achievable_rate", rate, 1.0),
-                       ("spatial_throughput", rate, per_area))}
-            for mode, snr, rate in zip(_MODES, snr_ue, rate_ue)}
+    return _simulate([cfg], policy, n_drops, n_fading, seed)[0]
 
 
 def sweep_density(cfg: NetworkConfig, n_total_elements: int, m_values,
@@ -285,10 +349,11 @@ def sweep_density(cfg: NetworkConfig, n_total_elements: int, m_values,
                   power_budget: str = "split-total") -> dict[str, list[dict]]:
     """Spatial throughput versus reflector count at a fixed element budget.
 
-    Each entry runs simulate_cell with M reflectors of N = n_total/M elements,
-    users served by the nearest reflector; returns one row list per reflector
-    mode, {"active": [...], "passive": [...]}, both scored on the same drops.
-    Every M sees the same users, so the spatial-throughput samples of two
+    Each entry is simulate_cell's estimate with M reflectors of
+    N = n_total/M elements, users served by the nearest reflector; returns
+    one row list per reflector mode, {"active": [...], "passive": [...]},
+    both scored on the same drops. Every M sees the same users and the same
+    fading on its first N elements, so the spatial-throughput samples of two
     rows pair up user by user.
     power_budget="split-total" (default) gives each reflector p_f_total / M so
     the network-wide amplification power stays constant across the sweep;
@@ -309,19 +374,15 @@ def sweep_density(cfg: NetworkConfig, n_total_elements: int, m_values,
         )
     if power_budget not in ("split-total", "fixed-per-irs"):
         raise ConfigError(f"unknown power_budget {power_budget!r}")
-    rows: dict[str, list[dict]] = {mode: [] for mode in _MODES}
-    for m in m_values:
-        n_per = n_total_elements // m
-        p_f_each = p_f_total / m if power_budget == "split-total" else p_f_total
-        swept = replace(
-            cfg,
-            geometry=replace(cfg.geometry, m_irs=m, n_elements=n_per),
-            power=replace(cfg.power, p_f=p_f_each),
-        )
-        est = simulate_cell(swept, n_drops=n_drops, n_fading=n_fading, seed=seed)
-        for mode in _MODES:
-            rows[mode].append({"m_irs": m, "n_elements": n_per, **est[mode]})
-    return rows
+    layouts = [replace(cfg,
+                       geometry=replace(cfg.geometry, m_irs=m, n_elements=n_total_elements // m),
+                       power=replace(cfg.power, p_f=p_f_total / m if power_budget == "split-total"
+                                     else p_f_total))
+               for m in m_values]
+    estimates = _simulate(layouts, "nearest", n_drops, n_fading, seed)
+    return {mode: [{"m_irs": layout.geometry.m_irs, "n_elements": layout.geometry.n_elements,
+                    **est[mode]} for layout, est in zip(layouts, estimates)]
+            for mode in _MODES}
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +547,8 @@ def physical_snr_mc(cfg: NetworkConfig, d_bi: float, d_iu: float,
         b = min(_PHYSICAL_BLOCK, n - start)
         pow_bi = sample_nakagami_power(cfg.m_bi, rng, (b, n_el))
         pow_iu = sample_nakagami_power(cfg.m_iu, rng, (b, n_el))
-        cascade = cascade_amplitude(pow_bi, pow_iu)
-        active.add(snr_active_batch(pow_bi, pow_iu, cascade, zeta_bi, zeta_iu, cfg.power))
+        cascade = cascade_amplitude(pow_bi, pow_iu).sum(axis=1)
+        active.add(snr_active_batch(pow_bi.sum(axis=1), pow_iu.sum(axis=1), cascade, n_el,
+                                    zeta_bi, zeta_iu, cfg.power))
         passive.add(snr_passive_batch(cascade, zeta_bi, zeta_iu, cfg.power))
     return {"active": active.mean_se(), "passive": passive.mean_se()}

@@ -17,13 +17,15 @@ POWER = PowerParams(p_t=1.0, p_f=0.01, sigma2=1e-11, sigma_f2=1e-10)
 
 
 def active(p_bi, p_iu, bi, iu, power=POWER):
-    """snr_active_batch on (B, N) channel-power blocks, fed their cascade amplitude."""
-    return snr_active_batch(p_bi, p_iu, cascade_amplitude(p_bi, p_iu), bi, iu, power)
+    """snr_active_batch on (B, N) channel-power blocks, fed their row sums."""
+    return snr_active_batch(p_bi.sum(axis=1), p_iu.sum(axis=1),
+                            cascade_amplitude(p_bi, p_iu).sum(axis=1), p_bi.shape[1], bi, iu,
+                            power)
 
 
 def passive(p_bi, p_iu, bi, iu, power=POWER):
     """snr_passive_batch on the cascade amplitude of (B, N) channel-power blocks."""
-    return snr_passive_batch(cascade_amplitude(p_bi, p_iu), bi, iu, power)
+    return snr_passive_batch(cascade_amplitude(p_bi, p_iu).sum(axis=1), bi, iu, power)
 
 
 def snr_row(kernel, p_bi, p_iu, bi, iu, power=POWER):

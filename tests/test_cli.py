@@ -705,6 +705,19 @@ class TestCliRuns:
         assert "estimate is not finite" in err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_mean_snr_integral_at_a_vanishing_noise_floor_names_the_point(self, tmp_path,
+                                                                        capsys):
+        # kappa ~ 1e-289 sends the kernel's v/kappa past the float range; that
+        # used to print an overflow RuntimeWarning ahead of the error line
+        out = tmp_path / "x"
+        assert main(["mean-snr-vs-pf", "--out", str(out), "--set", "sigma2_w=1e-300",
+                     "--set", "pf_grid_w=[0.01]", "--set", "n_mc_model=20000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: mean_snr_integral at m_bi=1, m_iu=1, glq_order=20, "
+                              "p_f=0.01 W, d_bi=100 m, d_iu=30 m: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("epsilon_ref", ["1e200", "1e-300"])
     def test_validate_out_of_float_range_names_the_point(self, tmp_path, capsys, epsilon_ref):
         # the path-gain product overflows (mean SNR inf) or underflows (0);

@@ -59,9 +59,12 @@ def reference_cell(cfg, policy, n_drops, n_fading, seed):
 
     Reflectors come from the stream keyed (seed, M, 1) and users from the one
     keyed (seed, 5), each drop's radii then angles; each drop is then
-    associated, its path gains taken with np.linalg.norm, and its fading drawn
-    on the stream keyed (seed, drop, 2), direct rows first, then the BI rows,
-    then the IU rows.
+    associated and its path gains taken with np.linalg.norm. Its fading is
+    drawn element-major: on the stream keyed (seed, drop, 2) the BS-served
+    users' (users, n_fading) powers, then the BI powers as N planes of
+    (reflector-served users x n_fading) values; on the stream keyed
+    (seed, drop, 6) the IU powers in the same shape. The element sums run
+    down each column.
     """
     geo, p = cfg.geometry, cfg.power
 
@@ -74,7 +77,7 @@ def reference_cell(cfg, policy, n_drops, n_fading, seed):
         return np.linalg.norm(xy, axis=1)
 
     rng_irs, rng_ue = keyed_stream(seed, geo.m_irs, 1), keyed_stream(seed, 5)
-    snr_ue, rate_ue = [], []
+    snr_drop, rate_ue = [], []
     for d in range(n_drops):
         irs = points(rng_irs, geo.m_irs, geo.l_in, geo.l_out)
         ue = points(rng_ue, cfg.k_ues, 0.0, geo.l)
@@ -82,29 +85,36 @@ def reference_cell(cfg, policy, n_drops, n_fading, seed):
         direct, relayed = server < 0, server >= 0
         rng = keyed_stream(seed, d, 2)
         pow_bu = sample_nakagami_power(cfg.m_bu, rng, (direct.sum(), n_fading))
-        shape = (relayed.sum() * n_fading, geo.n_elements)
+        shape = (geo.n_elements, relayed.sum() * n_fading)
         pow_bi = sample_nakagami_power(cfg.m_bi, rng, shape)
-        pow_iu = sample_nakagami_power(cfg.m_iu, rng, shape)
+        pow_iu = sample_nakagami_power(cfg.m_iu, keyed_stream(seed, d, 6), shape)
         at = irs[server[relayed]]
         zeta_bi = np.repeat(cfg.path_gain(norm(at)), n_fading)
         zeta_iu = np.repeat(cfg.path_gain(norm(ue[relayed] - at)), n_fading)
-        cascade = cascade_amplitude(pow_bi, pow_iu)
+        cascade = cascade_amplitude(pow_bi, pow_iu).sum(axis=0)
         snr = np.empty((2, cfg.k_ues, n_fading))
         snr[:, direct] = snr_direct_batch(pow_bu, cfg.path_gain(norm(ue[direct]))[:, None], p)
         rows = (relayed.sum(), n_fading)
-        snr[0, relayed] = snr_active_batch(pow_bi, pow_iu, cascade, zeta_bi, zeta_iu,
-                                           p).reshape(rows)
+        snr[0, relayed] = snr_active_batch(pow_bi.sum(axis=0), pow_iu.sum(axis=0), cascade,
+                                           geo.n_elements, zeta_bi, zeta_iu, p).reshape(rows)
         snr[1, relayed] = snr_passive_batch(cascade, zeta_bi, zeta_iu, p).reshape(rows)
-        snr_ue.append(snr.mean(axis=2))
+        per_user = snr.mean(axis=2)
+        drop_mean = per_user.mean(axis=1)
+        snr_drop.append((drop_mean, np.square(per_user - drop_mean[:, None]).sum(axis=1)))
         rate_ue.append(np.log2(1.0 + snr).mean(axis=2))
     out = {}
-    for mode, snr, rate in zip(("active", "passive"), np.concatenate(snr_ue, axis=1),
-                               np.concatenate(rate_ue, axis=1)):
-        out[mode] = {}
-        for metric, values, scale in (("snr_mean", snr, 1.0), ("achievable_rate", rate, 1.0),
-                                      ("spatial_throughput", rate, 1.0 / geo.s_total)):
-            se = values.std(ddof=1) / math.sqrt(values.size)
-            out[mode][metric] = (float(values.mean() * scale), float(se * scale))
+    n = n_drops * cfg.k_ues
+    for i, (mode, rate) in enumerate(zip(("active", "passive"),
+                                         np.concatenate(rate_ue, axis=1))):
+        # the SNR mean and M2 over all users, merged from the per-drop ones
+        drop_mean, drop_m2 = (np.array([moment[i] for moment in moments])
+                              for moments in zip(*snr_drop))
+        snr = drop_mean.mean()
+        m2 = drop_m2.sum() + cfg.k_ues * np.square(drop_mean - snr).sum()
+        out[mode] = {"snr_mean": (float(snr), float(math.sqrt(m2 / (n - 1) / n)))}
+        for metric, scale in (("achievable_rate", 1.0), ("spatial_throughput", 1.0 / geo.s_total)):
+            se = rate.std(ddof=1) / math.sqrt(n)
+            out[mode][metric] = (float(rate.mean() * scale), float(se * scale))
     return out
 
 
@@ -199,6 +209,33 @@ class TestDrop:
         assert np.array_equal(a_irs, b_irs)
         assert np.array_equal(a_ue, b_ue)
         assert not np.array_equal(a_ue[17], a_ue[16])
+
+    @pytest.mark.parametrize("seed", [12345, 2**40 + 7])
+    def test_stream_keys_are_pairwise_distinct(self, monkeypatch, seed):
+        # every keyed stream simulate opens has one of six forms, and over
+        # drop and reflector counts up to a few thousand no two of them start
+        # alike: a key such as (seed, tag, M) would hand the M = 2 reflectors
+        # drop 1's fading stream (seed, 1, 2)
+        n = 3000
+        forms = {(m, simulate._TAG_GEOMETRY) for m in range(1, n)}
+        forms |= {(d, tag) for d in range(n)
+                  for tag in (simulate._TAG_FADING, simulate._TAG_FADING_IU)}
+        forms |= {(simulate._TAG_USERS,), (999, 3), (998, 4)}
+        opened = []
+        stream = simulate._stream
+
+        def recorded(key_seed, *path):
+            opened.append(path)
+            return stream(key_seed, *path)
+
+        monkeypatch.setattr(simulate, "_stream", recorded)
+        cfg = make_cfg(k_ues=6)
+        sweep_density(cfg, 16, [1, 4], seed=seed, p_f_total=0.01, n_drops=3, n_fading=2)
+        model_snr_moment_mc([(cfg, 100.0)], 30.0, n=10, seed=seed)
+        physical_snr_mc(cfg, 100.0, 30.0, n=10, seed=seed)
+        assert {(1, 1), (0, 2), (2, 6), (5,), (999, 3), (998, 4)} <= set(opened) <= forms
+        starts = {tuple(stream(seed, *path).integers(0, 2**63, 2)) for path in forms}
+        assert len(starts) == len(forms)
 
     @pytest.mark.parametrize("n, k", [(1, 1), (7, 3), (40, 39)])
     def test_fewer_drops_are_a_prefix(self, n, k):
@@ -362,21 +399,21 @@ class TestSimulateCell:
                        k_ues=8)
         frozen = {
             ("active", "nearest"): [
-                (243.41808311268173, 161.05636277712986),
-                (3.817681580914042, 0.5253236001594775),
-                (3.038014473766757e-05, 4.180392384410561e-06)],
+                (243.57765369289612, 161.0478923366749),
+                (3.8292541519975174, 0.5266969036620908),
+                (3.047223633227844e-05, 4.191320786450877e-06)],
             ("active", "best_irs"): [
-                (243.07269668575586, 161.0787096709082),
-                (3.6968706063914003, 0.5429558319210102),
-                (2.9418761548916195e-05, 4.320705226540053e-06)],
+                (243.1529858491639, 161.0753474157994),
+                (3.691080537369189, 0.5462947017145784),
+                (2.9372685643629786e-05, 4.347275108139383e-06)],
             ("passive", "nearest"): [
-                (231.08908560465042, 161.7863265761439),
-                (0.9208957340936879, 0.6373591686134885),
-                (7.328255407662504e-06, 5.071943110488875e-06)],
+                (231.08908658980093, 161.78632651496366),
+                (0.9208971560572025, 0.6373590793966454),
+                (7.328266723288616e-06, 5.071942400523795e-06)],
             ("passive", "best_irs"): [
-                (231.08908650287358, 161.78632652036188),
-                (0.9208970299486671, 0.6373590872083169),
-                (7.328265719748777e-06, 5.071942462687102e-06)],
+                (231.08908752118836, 161.7863264571221),
+                (0.9208984997556645, 0.6373589949859821),
+                (7.328277416101229e-06, 5.07194172880508e-06)],
         }
         for policy in ("nearest", "best_irs"):
             for _ in range(calls):
@@ -388,33 +425,31 @@ class TestSimulateCell:
 
     @pytest.mark.parametrize("calls", [1, 2])
     def test_grouped_drop_bits_are_frozen(self, calls):
-        # 17 drops of 6 users at N = 256 span three drop groups, the last one
-        # short; 7 users are BS-served and best_irs moves 22 of the others
-        # off their nearest reflector. Frozen from reference_cell, which
-        # builds the drops one at a time. calls = 2 repeats each policy's
-        # simulation back to back.
+        # 17 drops of 6 users at N = 256: 7 users are BS-served and best_irs
+        # moves 22 of the others off their nearest reflector. Frozen from
+        # reference_cell, which builds the drops one at a time (grouping is
+        # test_chunked_drop_path_matches_one_drop_at_a_time's). calls = 2
+        # repeats each policy's simulation back to back.
         cfg = make_cfg(geom={"l_in": 60.0, "l_out": 150.0, "m_irs": 4, "n_elements": 256},
                        k_ues=6)
         n_drops, n_fading = 17, 3
-        group = simulate._DROP_BLOCK // (cfg.k_ues * n_fading * cfg.geometry.n_elements)
-        assert 1 < group and 2 * group < n_drops < 3 * group
         frozen = {
             ("active", "nearest"): [
-                (504.33337053685915, 126.50833989256509),
-                (7.495999374246483, 0.19325850044336024),
-                (5.96512676912541e-05, 1.5379022820044013e-06)],
+                (501.77116462201377, 126.41566003013854),
+                (7.4945028483558325, 0.19270234456174182),
+                (5.9639358716606e-05, 1.5334765341199414e-06)],
             ("active", "best_irs"): [
-                (498.301789341246, 126.70117643917659),
-                (7.377772920006018, 0.2017820978054582),
-                (5.871045146142422e-05, 1.605730914659548e-06)],
+                (495.81080686376686, 126.60389915948744),
+                (7.376397989664716, 0.20144074223749572),
+                (5.869951011341295e-05, 1.6030144933598894e-06)],
             ("passive", "nearest"): [
-                (207.56490939160443, 124.35972706662693),
-                (0.8026161695076378, 0.26602457192166146),
-                (6.387016539131156e-06, 2.1169562802618925e-06)],
+                (207.69007193225139, 124.35918192197677),
+                (0.8034137401492979, 0.26631636253787044),
+                (6.393363404635415e-06, 2.1192782762077668e-06)],
             ("passive", "best_irs"): [
-                (207.56574117883292, 124.35971332140488),
-                (0.8038080921157762, 0.26598936850737553),
-                (6.396501557874566e-06, 2.1166761403920266e-06)],
+                (207.69091114235607, 124.35916804566673),
+                (0.804616325972377, 0.26628084557567466),
+                (6.402933278547178e-06, 2.1189956412029137e-06)],
         }
         for policy in ("nearest", "best_irs"):
             for _ in range(calls):
@@ -429,10 +464,9 @@ class TestSimulateCell:
     @pytest.mark.parametrize("policy", ["nearest", "best_irs"])
     def test_chunked_drop_path_matches_one_drop_at_a_time(self, monkeypatch, block, calls,
                                                           policy):
-        # block 200 associates 17 drops in chunks of 8, 8 and 1 and scores
-        # them one at a time; block 2^14 associates them in one chunk and
-        # scores them in groups of 3, the last one short. Each of the `calls`
-        # back-to-back simulations must match the reference.
+        # block 200 handles 17 drops in groups of 3, the last one short, each
+        # associated in one chunk; block 2^14 handles them in one group. Each
+        # of the `calls` back-to-back simulations must match the reference.
         monkeypatch.setattr(simulate, "_DROP_BLOCK", block)
         cfg = make_cfg(geom={"l_in": 60.0, "l_out": 150.0, "m_irs": 4, "n_elements": 256},
                        k_ues=6)
@@ -476,24 +510,29 @@ class TestSimulateCell:
 
 class TestSweepDensity:
     def test_m_one_row_matches_direct_call(self):
+        # one fading draw per drop serves every M: under both budget readings
+        # each row is simulate_cell alone at that (M, N, P_F), bit for bit,
+        # samples included
         from dataclasses import replace
 
         cfg = make_cfg(k_ues=10)
-        rows = sweep_density(
-            cfg, 64, [1, 2], seed=6, p_f_total=0.01, n_drops=5, n_fading=2
-        )
-        swept = replace(
-            cfg,
-            geometry=replace(cfg.geometry, m_irs=1, n_elements=64),
-            power=replace(cfg.power, p_f=0.01),
-        )
-        direct = simulate_cell(swept, n_drops=5, n_fading=2, seed=6)
-        for mode in ("active", "passive"):
-            assert rows[mode][0]["m_irs"] == 1
-            assert rows[mode][0]["n_elements"] == 64
-            assert (rows[mode][0]["spatial_throughput"].mean
-                    == direct[mode]["spatial_throughput"].mean)
-            assert rows[mode][1]["n_elements"] == 32
+        m_values = [1, 2, 8]
+        for budget in ("split-total", "fixed-per-irs"):
+            rows = sweep_density(cfg, 64, m_values, seed=6, p_f_total=0.01, n_drops=5,
+                                 n_fading=2, power_budget=budget)
+            for i, m in enumerate(m_values):
+                p_f = 0.01 / m if budget == "split-total" else 0.01
+                swept = replace(cfg, geometry=replace(cfg.geometry, m_irs=m, n_elements=64 // m),
+                                power=replace(cfg.power, p_f=p_f))
+                direct = simulate_cell(swept, n_drops=5, n_fading=2, seed=6)
+                for mode in ("active", "passive"):
+                    row, want = rows[mode][i], direct[mode]
+                    assert (row["m_irs"], row["n_elements"]) == (m, 64 // m)
+                    for metric in ("snr_mean", "achievable_rate", "spatial_throughput"):
+                        assert ((row[metric].mean, row[metric].std_error)
+                                == (want[metric].mean, want[metric].std_error)), (budget, m, mode)
+                    assert np.array_equal(row["spatial_throughput"].samples,
+                                          want["spatial_throughput"].samples)
 
     def test_bs_served_users_match_across_reflector_counts(self):
         # the users and their direct-link fading do not depend on M, so the
