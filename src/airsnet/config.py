@@ -210,7 +210,8 @@ class ExperimentConfig:
     ring_l_out_grid: tuple[float, ...] = _key(
         "ring_l_out_grid_m", (110.0, 130.0, 150.0), _positive)
     # validate
-    validate_m_iu_list: tuple[int, ...] = _key("validate_m_iu_list", (1, 2, 3, 4), _positive)
+    validate_m_iu_list: tuple[float, ...] = _key(
+        "validate_m_iu_list", (1, 2, 3, 4), _shape, _m_iu_ceiling)
     validate_n_list: tuple[int, ...] = _key("validate_n_list", (16, 64, 256), _positive)
     validate_d_bi_list: tuple[float, ...] = _key(
         "validate_d_bi_m", (80.0, 100.0, 130.0), _positive)
@@ -218,7 +219,7 @@ class ExperimentConfig:
         "validate_d_iu_m", (10.0, 30.0, 60.0), _positive)
     validate_p_f_list: tuple[float, ...] = _key(
         "validate_p_f_w", (0.001, 0.01, 0.1), _positive)
-    mc_m_iu_list: tuple[int, ...] = _key("mc_m_iu_list", (1, 2), _positive)
+    mc_m_iu_list: tuple[float, ...] = _key("mc_m_iu_list", (1, 2), _shape, _m_iu_ceiling)
     n_mc_model: int = _key("n_mc_model", 1_000_000, _two_draws)
     n_mc_physical: int = _key("n_mc_physical", 1_000_000, _two_draws)
     conversions: tuple = ()

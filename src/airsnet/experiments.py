@@ -170,13 +170,15 @@ def _check_mean_snr_grid(cfg: ExperimentConfig, rows, checks):
 def _check_physical(cfg: ExperimentConfig, rows, checks):
     """Physical MC vs the closed forms at m_IU=1, N=16 and 64.
 
-    One channel draw per N feeds both the amplified section (physical_gap,
-    against mean_snr_closed) and the passive one (passive_gap, against
+    One channel draw, made for N=64 (N=16 reads its first 16 element planes),
+    feeds both sizes of the amplified section (physical_gap, against
+    mean_snr_closed) and of the passive one (passive_gap, against
     mean_snr_passive); the passive_scaling row sits between the two.
     """
-    draws = {n: simulate.physical_snr_mc(_network_at(cfg, m_iu=1, n=n), cfg.d_bi, cfg.d_iu,
-                                         n=cfg.n_mc_physical, seed=cfg.seed)
-             for n in (16, 64)}
+    sizes = (16, 64)
+    draws = dict(zip(sizes, simulate.physical_snr_mc(
+        [_network_at(cfg, m_iu=1, n=n) for n in sizes], cfg.d_bi, cfg.d_iu,
+        n=cfg.n_mc_physical, seed=cfg.seed)))
 
     def section(mode, name, closed_form):
         """The section's three rows per N; returns its relative gap per N."""
@@ -242,7 +244,8 @@ def _check_budget_shape(cfg: ExperimentConfig, rows, checks):
 def _run_validate(cfg: ExperimentConfig):
     stray = sorted(set(cfg.mc_m_iu_list) - set(cfg.validate_m_iu_list))
     if stray:
-        raise ConfigError(f"mc_m_iu_list values {stray} are not in validate_m_iu_list, "
+        listed = ", ".join(f"{m:g}" for m in stray)
+        raise ConfigError(f"mc_m_iu_list values [{listed}] are not in validate_m_iu_list, "
                           "the only grid the model MC runs on")
     rows: list[ResultRow] = []
     checks: dict = {}
@@ -333,13 +336,14 @@ def _run_association_compare(cfg: ExperimentConfig):
     _require_two_samples(cfg, "assoc_n_drops")
     rows: list[ResultRow] = []
     summary: dict = {}
+    # best_irs first: off the float range its analytic scores name the point
+    policies = ("best_irs", "nearest")
+    results = iter(simulate.simulate_cell(
+        [(_network_at(cfg, n=n), policy) for n in cfg.assoc_n_list for policy in policies],
+        n_drops=cfg.assoc_n_drops, n_fading=cfg.sweep_n_fading, seed=cfg.seed))
     for n in cfg.assoc_n_list:
-        net = _network_at(cfg, n=n)
-        # best_irs first: off the float range its analytic scores name the point
-        estimates = {policy: simulate.simulate_cell(
-            net, policy=policy, n_drops=cfg.assoc_n_drops,
-            n_fading=cfg.sweep_n_fading, seed=cfg.seed,
-        )["active"]["spatial_throughput"] for policy in ("best_irs", "nearest")}
+        estimates = {policy: next(results)["active"]["spatial_throughput"]
+                     for policy in policies}
         for policy in ("nearest", "best_irs"):
             est = estimates[policy]
             rows.append(ResultRow(cfg.experiment, "n_elements",

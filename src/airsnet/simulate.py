@@ -6,14 +6,12 @@ tuple maps to its own SFC64 stream. A cell simulation draws all its drops at
 once, the reflectors from the stream keyed by M and the users from the one
 keyed by the seed alone, so every M and both association policies see the
 same users (common random numbers); drop d's positions do not depend on the
-number of drops. Association and path gains then run on chunks of about
-_DROP_BLOCK user-reflector pairs. Each drop draws its fading once, element
-major: on the stream (seed, d, 2) the BS-served users' powers, then the
-BS-reflector powers as one plane of (reflector-served users x fading draws)
-per element; on (seed, d, 6) the reflector-user powers in the same shape.
-A surface of N elements reads the first N planes, so one draw per drop, for
-the largest surface, serves every reflector count of a density sweep, and
-each count's estimates equal simulate_cell's at that count alone.
+number of drops. Each drop draws its fading once, element major: on the
+stream (seed, d, 2) the BS-served users' powers, then the BS-reflector
+powers as one plane of (reflector-served users x fading draws) per element;
+on (seed, d, 6) the reflector-user powers likewise. A surface of N elements
+reads the first N planes (_element_sums), so one draw, for the largest
+surface, serves every case of a simulate_cell or physical-MC call.
 Per-user rates are kept in drop order, per-user SNRs only as each drop's
 mean and sum of squared deviations. The validation estimators draw in
 cache-sized blocks and merge block means and variances; the model MC draws
@@ -56,7 +54,7 @@ _TAG_USERS = 5  # user positions, keyed (seed, tag)
 _TAG_FADING_IU = 6  # reflector-user powers, keyed (seed, drop, tag)
 _MODEL_BLOCK = 1 << 16  # model-MC draws per block: its temporaries stay in cache
 _PHYSICAL_BLOCK = 4096  # physical-MC channel rows per block
-# user-reflector pairs per association chunk, and element sums per scoring group
+# per scoring group: user-reflector pairs of its association, and element sums
 _DROP_BLOCK = 1 << 15
 _MODES = ("active", "passive")  # reflector modes, in the order cell results list them
 
@@ -175,21 +173,35 @@ def _links(cfg: NetworkConfig, policy: str, irs: np.ndarray,
     """The (D, K) servers and (3, D, K) path gains ζ_BU, ζ_BI, ζ_IU of D drops.
 
     `irs` and `ue` are the drops' (D, M, 2) reflectors and (D, K, 2) users.
-    Association and path gains run on chunks of about _DROP_BLOCK
-    user-reflector pairs (at least one drop). ζ_BI and ζ_IU of a BS-served
-    user are those of reflector 0; nothing reads them.
+    ζ_BI and ζ_IU of a BS-served user are those of reflector 0; nothing
+    reads them.
     """
-    server = np.empty(ue.shape[:2], dtype=np.intp)
-    zeta = np.empty((3, *ue.shape[:2]))
-    step = max(1, _DROP_BLOCK // (cfg.k_ues * cfg.geometry.m_irs))
-    for lo in range(0, len(ue), step):
-        at_drops = slice(lo, lo + step)
-        server[at_drops] = associate(irs[at_drops], ue[at_drops], policy, cfg)
-        at = np.take_along_axis(irs[at_drops], np.maximum(server[at_drops], 0)[..., None],
-                                axis=-2)
-        zeta[:, at_drops] = cfg.path_gain(
-            np.stack([_norm(ue[at_drops]), _norm(at), _norm(ue[at_drops] - at)]))
-    return server, zeta
+    server = associate(irs, ue, policy, cfg)
+    at = np.take_along_axis(irs, np.maximum(server, 0)[..., None], axis=-2)
+    return server, cfg.path_gain(np.stack([_norm(ue), _norm(at), _norm(ue - at)]))
+
+
+def _element_sums(cfg: NetworkConfig, rng_bi: np.random.Generator, rng_iu: np.random.Generator,
+                  sizes: list[int], width: int, work: np.ndarray) -> np.ndarray:
+    """Draw max(sizes) element planes of `width` values per reflector link, BI then IU.
+
+    Returns the (sizes, 3, width) sums ||g_BI||^2, ||g_IU||^2 and cascade
+    amplitude over the first N planes, for each N of the ascending `sizes`;
+    a draw of N planes is the first N planes of any larger one. The planes
+    fill `work` (>= 2 max(sizes) width values), which callers reuse: fresh
+    planes per drop cost page faults.
+    """
+    pow_bi, pow_iu = work[:2 * sizes[-1] * width].reshape(2, sizes[-1], width)
+    sample_nakagami_power(cfg.m_bi, rng_bi, out=pow_bi)
+    sample_nakagami_power(cfg.m_iu, rng_iu, out=pow_iu)
+    sums = np.empty((len(sizes), 3, width))
+    for j, n in enumerate(sizes):
+        pow_bi[:n].sum(axis=0, out=sums[j, 0])
+        pow_iu[:n].sum(axis=0, out=sums[j, 1])
+    amp = cascade_amplitude(pow_bi, pow_iu, out=pow_bi)
+    for j, n in enumerate(sizes):
+        amp[:n].sum(axis=0, out=sums[j, 2])
+    return sums
 
 
 def _draw_fading(cfg: NetworkConfig, seed: int, drops: range, n_relayed: np.ndarray,
@@ -198,66 +210,62 @@ def _draw_fading(cfg: NetworkConfig, seed: int, drops: range, n_relayed: np.ndar
 
     `n_relayed` holds each drop's count of reflector-served users. Returns
     the BS-served users' (users, n_fading) powers and the (sizes, 3, columns)
-    element sums ||g_BI||^2, ||g_IU||^2 and cascade amplitude over the first N
-    elements, one column per reflector-served user and fading draw, drop by
-    drop. Each drop draws on the stream (seed, d, 2) its BS-served users'
-    powers, then the BI powers as N_max planes of (reflector-served users x
-    n_fading) values, and on (seed, d, 6) the IU powers in the same shape.
+    element sums, one column per reflector-served user and fading draw, drop
+    by drop: the BI planes follow the BS-served powers on the stream
+    (seed, d, 2), the IU planes are on (seed, d, 6).
     """
-    n_max = sizes[-1]
     width = n_relayed * n_fading
     col = np.concatenate([[0], np.cumsum(width)])  # the i-th drop's columns: col[i]:col[i + 1]
     row = np.concatenate([[0], np.cumsum(cfg.k_ues - n_relayed)])  # its BS-served users
     pow_bu = np.empty((row[-1], n_fading))
     sums = np.empty((len(sizes), 3, col[-1]))
-    pows = np.empty((2, n_max * int(width.max())))  # one drop's BI and IU powers
+    work = np.empty(2 * sizes[-1] * int(width.max()))
     for i, d in enumerate(drops):
         rng = _stream(seed, d, _TAG_FADING)
         sample_nakagami_power(cfg.m_bu, rng, out=pow_bu[row[i]:row[i + 1]])
-        if width[i] == 0:
-            continue
-        pow_bi, pow_iu = (pows[j, :n_max * width[i]].reshape(n_max, width[i]) for j in (0, 1))
-        sample_nakagami_power(cfg.m_bi, rng, out=pow_bi)
-        sample_nakagami_power(cfg.m_iu, _stream(seed, d, _TAG_FADING_IU), out=pow_iu)
-        at = slice(col[i], col[i + 1])
-        for j, n in enumerate(sizes):
-            pow_bi[:n].sum(axis=0, out=sums[j, 0, at])
-            pow_iu[:n].sum(axis=0, out=sums[j, 1, at])
-        amp = cascade_amplitude(pow_bi, pow_iu, out=pow_bi)
-        for j, n in enumerate(sizes):
-            amp[:n].sum(axis=0, out=sums[j, 2, at])
+        if width[i] > 0:
+            sums[..., col[i]:col[i + 1]] = _element_sums(
+                cfg, rng, _stream(seed, d, _TAG_FADING_IU), sizes, width[i], work)
     return pow_bu, sums
 
 
-def _simulate(layouts: list[NetworkConfig], policy: str, n_drops: int, n_fading: int,
-              seed: int) -> list[dict[str, dict[str, SimEstimate]]]:
-    """simulate_cell's estimates for each layout, all scored on one fading draw per drop.
+def simulate_cell(cases, *, n_drops: int, n_fading: int,
+                  seed: int = 0) -> list[dict[str, dict[str, SimEstimate]]]:
+    """Monte-Carlo estimates of mean SNR, achievable rate and spatial throughput.
 
-    The layouts differ at most in m_irs, n_elements and p_f, so they see the
-    same users and BS-serve the same ones. Each drop's fading is drawn once,
-    for the largest surface (_draw_fading); a surface of N elements reads its
-    first N element planes, which are what a draw of N planes gives, so each
-    layout's estimates are those of simulate_cell on that layout alone. Drops
-    are handled in groups whose element sums, one set per surface size, hold
-    about _DROP_BLOCK values; only the per-user results outlive a group.
+    `cases` lists (NetworkConfig, policy) pairs that differ at most in
+    m_irs, n_elements, p_f and policy. Returns one {"active": {metric:
+    SimEstimate}, "passive": {...}} per case, both modes scored on the same
+    drops, associations and fading. All cases see the same users and
+    BS-serve those inside the ring; reflectors are drawn once per M, fading
+    once per drop for the largest surface (_draw_fading), so each case's
+    estimates are those of a call with it alone, bit for bit.
+    Each (drop, user) contributes its fading-averaged value; the returned
+    standard errors treat those per-user means as the independent samples
+    (fading draws at a fixed position are not independent positional
+    samples). spatial throughput = positional rate average / cell area; its
+    estimates carry those per-user values as samples. Drops run in groups
+    whose association pairs and element sums each hold about _DROP_BLOCK
+    values. An estimate whose mean or standard error leaves the float range
+    raises InvalidDistributionError naming the point.
     """
     if n_drops < 1 or n_fading < 1:
         raise ConfigError("n_drops and n_fading must be >= 1")
-    cfg = layouts[0]
+    cfg = cases[0][0]
     k, f = cfg.k_ues, n_fading
-    irs = []
-    for layout in layouts:
-        at, ue = drop(layout, seed, n_drops)
-        irs.append(at)
-    sizes = sorted({layout.geometry.n_elements for layout in layouts})
-    step = max(1, _DROP_BLOCK // (3 * len(sizes) * k * f))
-    shape = (len(layouts), len(_MODES))
+    irs = {}
+    for layout, _ in cases:
+        if layout.geometry.m_irs not in irs:
+            irs[layout.geometry.m_irs], ue = drop(layout, seed, n_drops)
+    sizes = sorted({layout.geometry.n_elements for layout, _ in cases})
+    step = max(1, _DROP_BLOCK // (k * max(3 * len(sizes) * f, max(irs))))
+    shape = (len(cases), len(_MODES))
     rate_ue = np.empty((*shape, n_drops * k))
     snr_drop = np.empty((2, *shape, n_drops))  # per drop, its users' SNR mean and M2
     for lo in range(0, n_drops, step):
         drops = range(lo, min(lo + step, n_drops))
-        links = [_links(layout, policy, at[lo:drops.stop], ue[lo:drops.stop])
-                 for layout, at in zip(layouts, irs)]
+        links = [_links(layout, policy, irs[layout.geometry.m_irs][lo:drops.stop],
+                        ue[lo:drops.stop]) for layout, policy in cases]
         relayed = links[0][0].ravel() >= 0
         pow_bu, sums = _draw_fading(cfg, seed, drops, relayed.reshape(-1, k).sum(axis=1), f,
                                     sizes)
@@ -265,7 +273,7 @@ def _simulate(layouts: list[NetworkConfig], policy: str, n_drops: int, n_fading:
         snr = snr_direct_batch(pow_bu, links[0][1][0].ravel()[~relayed][:, None], cfg.power)
         snr_ue[..., ~relayed] = snr.mean(axis=1)
         rate[..., ~relayed] = np.log2(1.0 + snr).mean(axis=1)
-        for i, (layout, (_, zeta)) in enumerate(zip(layouts, links)):
+        for i, ((layout, _), (_, zeta)) in enumerate(zip(cases, links)):
             n = layout.geometry.n_elements
             g_bi, g_iu, cascade = sums[sizes.index(n)]
             zeta_bi, zeta_iu = (np.repeat(z.ravel()[relayed], f) for z in zeta[1:])
@@ -281,7 +289,7 @@ def _simulate(layouts: list[NetworkConfig], policy: str, n_drops: int, n_fading:
             snr_ue -= mean[..., None]
             np.square(snr_ue, out=snr_ue).sum(axis=-1, out=snr_drop[1, ..., lo:drops.stop])
     return [_estimates(layout, policy, k, snr_drop[:, i], rate_ue[i])
-            for i, layout in enumerate(layouts)]
+            for i, (layout, policy) in enumerate(cases)]
 
 
 def _estimates(cfg: NetworkConfig, policy: str, k: int, snr_drop: np.ndarray,
@@ -324,26 +332,6 @@ def _estimates(cfg: NetworkConfig, policy: str, k: int, snr_drop: np.ndarray,
     return out
 
 
-def simulate_cell(cfg: NetworkConfig, policy: str = "nearest", *,
-                  n_drops: int, n_fading: int,
-                  seed: int = 0) -> dict[str, dict[str, SimEstimate]]:
-    """Monte-Carlo estimates of mean SNR, achievable rate and spatial throughput.
-
-    Both reflector modes are scored on the same drops, associations and
-    fading draws: returns {"active": {metric: SimEstimate}, "passive": {...}}.
-    Each (drop, user) contributes its fading-averaged value; the returned
-    standard errors treat those per-user means as the independent samples
-    (fading draws at a fixed position are not independent positional
-    samples). spatial throughput = positional rate average / cell area; its
-    estimates carry those per-user values as samples. Association and path
-    gains run on chunks of drops of about _DROP_BLOCK user-reflector pairs,
-    the reflector kernels on groups of drops whose element sums hold about
-    _DROP_BLOCK values. An estimate whose mean or standard error leaves the
-    float range raises InvalidDistributionError naming the point.
-    """
-    return _simulate([cfg], policy, n_drops, n_fading, seed)[0]
-
-
 def sweep_density(cfg: NetworkConfig, n_total_elements: int, m_values,
                   seed: int = 0, *, p_f_total: float, n_drops: int, n_fading: int,
                   power_budget: str = "split-total") -> dict[str, list[dict]]:
@@ -379,7 +367,8 @@ def sweep_density(cfg: NetworkConfig, n_total_elements: int, m_values,
                        power=replace(cfg.power, p_f=p_f_total / m if power_budget == "split-total"
                                      else p_f_total))
                for m in m_values]
-    estimates = _simulate(layouts, "nearest", n_drops, n_fading, seed)
+    estimates = simulate_cell([(layout, "nearest") for layout in layouts], n_drops=n_drops,
+                              n_fading=n_fading, seed=seed)
     return {mode: [{"m_irs": layout.geometry.m_irs, "n_elements": layout.geometry.n_elements,
                     **est[mode]} for layout, est in zip(layouts, estimates)]
             for mode in _MODES}
@@ -530,25 +519,30 @@ def _score_unit_mixture(mixture: tuple, laws: dict, n: int, seed: int) -> None:
             acc.add(snr)
 
 
-def physical_snr_mc(cfg: NetworkConfig, d_bi: float, d_iu: float,
-                    n: int = 1_000_000, seed: int = 0) -> dict[str, tuple[float, float]]:
+def physical_snr_mc(layouts, d_bi: float, d_iu: float, n: int = 1_000_000,
+                    seed: int = 0) -> list[dict[str, tuple[float, float]]]:
     """Monte-Carlo mean SNR of the physical per-element channel at fixed
     distances, amplified (budget-exhausting gain recomputed per draw) and
     phase-only passive, both from the same channel draws and cascade amplitude.
 
-    Returns {"active": (mean, standard error), "passive": (mean, standard error)}.
+    The layouts differ only in n_elements. Each block of _PHYSICAL_BLOCK
+    draws is one _element_sums draw, for the largest surface, on the stream
+    keyed (seed, 998, 4). Returns one {"active": (mean, standard error),
+    "passive": (mean, standard error)} per layout.
     """
+    cfg = layouts[0]
     rng = _stream(seed, 998, 4)
-    n_el = cfg.geometry.n_elements
-    zeta_bi = cfg.path_gain(d_bi)
-    zeta_iu = cfg.path_gain(d_iu)
-    active, passive = _Moments(), _Moments()
+    sizes = sorted({layout.geometry.n_elements for layout in layouts})
+    zeta_bi, zeta_iu = cfg.path_gain(d_bi), cfg.path_gain(d_iu)
+    moments = [(_Moments(), _Moments()) for _ in layouts]
+    work = np.empty(2 * sizes[-1] * min(n, _PHYSICAL_BLOCK))
     for start in range(0, n, _PHYSICAL_BLOCK):
-        b = min(_PHYSICAL_BLOCK, n - start)
-        pow_bi = sample_nakagami_power(cfg.m_bi, rng, (b, n_el))
-        pow_iu = sample_nakagami_power(cfg.m_iu, rng, (b, n_el))
-        cascade = cascade_amplitude(pow_bi, pow_iu).sum(axis=1)
-        active.add(snr_active_batch(pow_bi.sum(axis=1), pow_iu.sum(axis=1), cascade, n_el,
-                                    zeta_bi, zeta_iu, cfg.power))
-        passive.add(snr_passive_batch(cascade, zeta_bi, zeta_iu, cfg.power))
-    return {"active": active.mean_se(), "passive": passive.mean_se()}
+        sums = _element_sums(cfg, rng, rng, sizes, min(_PHYSICAL_BLOCK, n - start), work)
+        for layout, (active, passive) in zip(layouts, moments):
+            n_el = layout.geometry.n_elements
+            g_bi, g_iu, cascade = sums[sizes.index(n_el)]
+            active.add(snr_active_batch(g_bi, g_iu, cascade, n_el, zeta_bi, zeta_iu,
+                                        layout.power))
+            passive.add(snr_passive_batch(cascade, zeta_bi, zeta_iu, layout.power))
+    return [{"active": active.mean_se(), "passive": passive.mean_se()}
+            for active, passive in moments]

@@ -136,11 +136,17 @@ def test_criterion_04_model_consistent_mc():
     assert passed
 
 
+def physical_draws(*sizes):
+    """{N: its physical MC estimates}, every N read off one 1e6-draw channel draw."""
+    cfgs = [grid_cfg(1, n, 0.01) for n in sizes]
+    return dict(zip(sizes, physical_snr_mc(cfgs, 100.0, 30.0, n=1_000_000, seed=SEED)))
+
+
 def test_criterion_05_physical_gap_monotone():
     gaps = {}
-    for n in (16, 64):
+    for n, draw in physical_draws(16, 64).items():
         cfg = grid_cfg(1, n, 0.01)
-        phys, se = physical_snr_mc(cfg, 100.0, 30.0, n=1_000_000, seed=SEED)["active"]
+        phys, se = draw["active"]
         eq17 = an.mean_snr_closed(100.0, 30.0, cfg)
         gaps[n] = abs(phys - eq17) / eq17
         print(f"  physical N={n}: MC {phys:.4f} +- {se:.4f}, analytic {eq17:.4e}, "
@@ -169,9 +175,9 @@ def test_criterion_06_passive_baseline():
     means = {}
     z_exact = {}
     dev_k = {}
-    for n in (16, 64):
+    for n, draw in physical_draws(16, 64).items():
         cfg = grid_cfg(1, n, 0.01)
-        phys, se = physical_snr_mc(cfg, 100.0, 30.0, n=1_000_000, seed=SEED)["passive"]
+        phys, se = draw["passive"]
         eq18 = an.mean_snr_passive(100.0, 30.0, cfg)
         exact = passive_moment_ratio(n, cfg.m_bi, cfg.m_iu) * eq18
         gaps[n] = abs(phys - eq18) / eq18
@@ -301,17 +307,15 @@ def test_criterion_08_density_sweep_findings():
 
 def test_criterion_09_association_policies():
     worst_ratio = math.inf
+    # one call scores both N and both policies on the same drops and fading
+    cases = [(NetworkConfig(
+        geometry=GeometryConfig(l=200.0, l_in=100.0, l_out=130.0, m_irs=16, n_elements=n),
+        power=PowerParams(p_t=1.0, p_f=0.01, sigma2=1e-11, sigma_f2=1e-10),
+    ), policy) for n in (16, 32) for policy in ("best_irs", "nearest")]
+    results = iter(simulate_cell(cases, n_drops=600, n_fading=2, seed=SEED))
     for n in (16, 32):
-        net = NetworkConfig(
-            geometry=GeometryConfig(l=200.0, l_in=100.0, l_out=130.0, m_irs=16,
-                                    n_elements=n),
-            power=PowerParams(p_t=1.0, p_f=0.01, sigma2=1e-11, sigma_f2=1e-10),
-        )
-        est = {}
-        for policy in ("nearest", "best_irs"):
-            est[policy] = simulate_cell(
-                net, policy=policy, n_drops=600, n_fading=2, seed=SEED
-            )["active"]["spatial_throughput"]
+        est = {policy: next(results)["active"]["spatial_throughput"]
+               for policy in ("best_irs", "nearest")}
         near, best = est["nearest"], est["best_irs"]
         ratio = near.mean / best.mean
         # both policies see the same drops: the delta-method error of the pairs

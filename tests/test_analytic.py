@@ -714,7 +714,7 @@ class TestPhysicalModelGapRecord:
         # the physical mean sits orders of magnitude above it; pin the
         # measured ratio's ballpark so regressions in either side surface
         cfg = make_cfg(m_iu=1, n=64)
-        phys, se = physical_snr_mc(cfg, 100.0, 30.0, n=200_000, seed=5)["active"]
+        phys, se = physical_snr_mc([cfg], 100.0, 30.0, n=200_000, seed=5)[0]["active"]
         model = an.mean_snr_closed(100.0, 30.0, cfg)
         ratio = phys / model
         print(f"physical/model mean-SNR ratio at N=64: {ratio:.3e} "

@@ -81,7 +81,6 @@ class TestParseConfig:
             parse_config(None, ["n_elements"])
 
     @pytest.mark.parametrize("item", [
-        "validate_m_iu_list=[2.5]",
         "validate_n_list=[16.7]",
         "mc_m_iu_list=[true]",
         "density_m_list=[4, true]",
@@ -142,8 +141,13 @@ class TestOneSchema:
         (lambda: replace(NetworkConfig(), m_bi=0.2), "m_bi"),
         (lambda: ExperimentConfig(network=NetworkConfig(), n_mc_model=1), "n_mc_model"),
         (lambda: ExperimentConfig(network=NetworkConfig(), experiment="bogus"), "experiment"),
+        # the shape lists are real-valued, in the m_iu key's own range
+        (lambda: ExperimentConfig(network=NetworkConfig(), validate_m_iu_list=(1, 0.4)),
+         "validate_m_iu_list must be >= 0.5, got 0.4"),
+        (lambda: ExperimentConfig(network=NetworkConfig(), mc_m_iu_list=(1000.5,)),
+         "mc_m_iu_list must be <= 1000, got 1000.5"),
     ], ids=["p_t", "m_irs", "m_iu", "glq_order", "glq_order-coarse", "replace-m_bi",
-            "n_mc_model", "experiment"])
+            "n_mc_model", "experiment", "validate_m_iu_list", "mc_m_iu_list"])
     def test_construction_runs_the_key_validators(self, build, key):
         with pytest.raises(ConfigError, match=key):
             build()
@@ -364,20 +368,23 @@ class TestCliRuns:
     def test_association_ratio_se_is_paired(self, tmp_path, monkeypatch):
         # both policies score the same drops, users and fading, so ratio_se is
         # the delta-method error of the paired samples, recomputed here from
-        # their covariance
-        seen = {}
+        # their covariance. Both come from one simulate_cell call.
+        seen, calls = {}, []
         simulate_cell = simulate.simulate_cell
 
-        def recorded(net, policy, **kw):
-            est = simulate_cell(net, policy, **kw)
-            seen[policy] = est["active"]["spatial_throughput"]
-            return est
+        def recorded(cases, **kw):
+            results = simulate_cell(cases, **kw)
+            calls.append([(net.geometry.n_elements, policy) for net, policy in cases])
+            for (_, policy), est in zip(cases, results):
+                seen[policy] = est["active"]["spatial_throughput"]
+            return results
 
         monkeypatch.setattr(simulate, "simulate_cell", recorded)
         out = tmp_path / "assoc"
         assert main(["association-compare", "--out", str(out), "--seed", "2",
                      "--set", "assoc_n_list=[16]", "--set", "assoc_n_drops=30",
                      "--set", "k_ues=10"]) == 0
+        assert calls == [[(16, "best_irs"), (16, "nearest")]]
         got = json.loads((out / "summary.json").read_text())["n16"]
         a, b = seen["nearest"], seen["best_irs"]
         ratio = a.mean / b.mean
@@ -436,6 +443,21 @@ class TestCliRuns:
             assert part in err
         assert not out.exists()
 
+    def test_validate_runs_real_shapes_below_one(self, tmp_path):
+        # shapes below 1 are where the rate is worst; both lists reach them
+        out = tmp_path / "x"
+        assert main(["validate", "--out", str(out)] + FAST_VALIDATE
+                    + ["--set", "validate_m_iu_list=[0.5,1.5]",
+                       "--set", "mc_m_iu_list=[0.5,1.5]"]) == 1
+        summary = json.loads((out / "summary.json").read_text())
+        red = [name for name, check in summary["checks"].items() if not check["passed"]]
+        assert red == ["passive_baseline"]
+        assert summary["checks"]["model_mc_agreement"]["draw_sets"] == 2
+        with open(out / "results.csv", encoding="utf-8") as fh:
+            labels = {row["swept_value"] for row in csv.DictReader(fh)
+                      if row["method"] == "monte_carlo" and row["swept_name"] == "point"}
+        assert {label.split("|")[0] for label in labels} == {"m_iu=0.5", "m_iu=1.5"}
+
     @pytest.mark.parametrize("experiment, drops_key, extra", [
         ("density-sweep", "sweep_n_drops", []),
         ("association-compare", "assoc_n_drops", ["--set", "assoc_n_list=[16]"]),
@@ -450,18 +472,20 @@ class TestCliRuns:
         err = capsys.readouterr().err
         assert drops_key in err and "k_ues" in err
 
-    def test_validate_draws_the_physical_channel_once_per_n(self, tmp_path, monkeypatch):
-        # the amplified and passive physical checks share each N's draw
+    def test_validate_draws_the_physical_channel_once(self, tmp_path, monkeypatch):
+        # the amplified and passive physical checks at N = 16 and 64 share one
+        # draw, made for N = 64
         calls = []
         physical = simulate.physical_snr_mc
 
-        def counted(*args, **kwargs):
+        def counted(layouts, *args, **kwargs):
             calls.append(kwargs["n"])
-            return physical(*args, **kwargs)
+            assert [net.geometry.n_elements for net in layouts] == [16, 64]
+            return physical(layouts, *args, **kwargs)
 
         monkeypatch.setattr(simulate, "physical_snr_mc", counted)
         assert main(["validate", "--out", str(tmp_path / "x")] + FAST_VALIDATE) in (0, 1)
-        assert calls == [20000, 20000]
+        assert calls == [20000]
 
     def test_validate_draws_the_model_mc_once_per_d_iu_row(self, tmp_path, monkeypatch):
         # the d_IU points of one (m_IU, N, d_BI, P_F) group rescale one estimate,

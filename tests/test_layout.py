@@ -8,8 +8,9 @@ and are exempt. A second walk lists the `@dataclass` fields src/ never
 reads; a read is an attribute load. A third walk lists the src/ code
 outside the quadrature rule and the mixture built on it that reads a rule's
 `.weights`. A fourth lists the top-level defs of analytic.py that call the
-semi-infinite quadrature: only _quad may. Run this file directly to print
-all four lists. Last, each config key is declared once: on its own field of
+semi-infinite quadrature: only _quad may; and those of simulate.py that form
+the cascade amplitude: only _element_sums may. Run this file directly to
+print these lists. Last, each config key is declared once: on its own field of
 one of the four config dataclasses.
 """
 
@@ -94,13 +95,20 @@ def test_weights_walk_flags_a_second_mass_formula(tmp_path):
     assert stray_weights_readers(tmp_path) == ["analytic.py", "cli.py:_cmd_dump"]
 
 
-def quadrature_callers(root: Path = SRC) -> list[str]:
-    """Top-level defs of analytic.py referencing integrate_semi_infinite_with_error."""
-    tree = ast.parse((root / "analytic.py").read_text(encoding="utf-8"))
+def referrers(module: str, name: str, root: Path = SRC) -> list[str]:
+    """Top-level defs of `module` referencing the bare name `name`."""
+    tree = ast.parse((root / module).read_text(encoding="utf-8"))
     return sorted(top.name for top in tree.body if isinstance(top, ast.FunctionDef)
-                  and any(isinstance(node, ast.Name)
-                          and node.id == "integrate_semi_infinite_with_error"
+                  and any(isinstance(node, ast.Name) and node.id == name
                           for node in ast.walk(top)))
+
+
+def quadrature_callers(root: Path = SRC) -> list[str]:
+    return referrers("analytic.py", "integrate_semi_infinite_with_error", root)
+
+
+def cascade_callers(root: Path = SRC) -> list[str]:
+    return referrers("simulate.py", "cascade_amplitude", root)
 
 
 def test_analytic_has_one_semi_infinite_quadrature_call_site():
@@ -115,6 +123,20 @@ def test_quadrature_walk_flags_a_second_call_site(tmp_path):
         "        return integrate_semi_infinite_with_error(g)\n    return inner(f)\n"
         "def mean(f):\n    return _quad(f)\n")
     assert quadrature_callers(tmp_path) == ["_quad", "rate"]
+
+
+def test_simulate_draws_reflector_links_in_one_place():
+    # one helper draws the reflector-link powers and sums them per surface size
+    assert cascade_callers() == ["_element_sums"]
+
+
+def test_cascade_walk_flags_a_second_call_site(tmp_path):
+    (tmp_path / "simulate.py").write_text(
+        "def _element_sums(a, b):\n    return cascade_amplitude(a, b).sum(axis=0)\n"
+        "def physical(a, b):\n    def rows(x, y):\n"
+        "        return cascade_amplitude(x, y).sum(axis=1)\n    return rows(a, b)\n"
+        "def cell(a, b):\n    return _element_sums(a, b)\n")
+    assert cascade_callers(tmp_path) == ["_element_sums", "physical"]
 
 
 def test_every_definition_is_referenced_in_src():
@@ -177,3 +199,4 @@ if __name__ == "__main__":
     print(unread_dataclass_fields())
     print(stray_weights_readers())
     print(quadrature_callers())
+    print(cascade_callers())

@@ -232,7 +232,7 @@ class TestDrop:
         cfg = make_cfg(k_ues=6)
         sweep_density(cfg, 16, [1, 4], seed=seed, p_f_total=0.01, n_drops=3, n_fading=2)
         model_snr_moment_mc([(cfg, 100.0)], 30.0, n=10, seed=seed)
-        physical_snr_mc(cfg, 100.0, 30.0, n=10, seed=seed)
+        physical_snr_mc([cfg], 100.0, 30.0, n=10, seed=seed)
         assert {(1, 1), (0, 2), (2, 6), (5,), (999, 3), (998, 4)} <= set(opened) <= forms
         starts = {tuple(stream(seed, *path).integers(0, 2**63, 2)) for path in forms}
         assert len(starts) == len(forms)
@@ -344,7 +344,7 @@ class TestAssociate:
 class TestSimulateCell:
     def test_all_direct_matches_analytic(self):
         cfg = all_direct_cfg(k_ues=50)
-        est = simulate_cell(cfg, n_drops=100, n_fading=20, seed=31)["active"]
+        est = simulate_cell([(cfg, "nearest")], n_drops=100, n_fading=20, seed=31)[0]["active"]
         s_t = cfg.geometry.s_total
         analytic_rate = an.rate_direct(cfg.distance_floor, cfg) * math.pi / s_t
         analytic_rate += (
@@ -370,8 +370,8 @@ class TestSimulateCell:
         assert associate(irs, ue, "nearest", cfg)[0] == 0
         d_bi = float(np.linalg.norm(irs[0]))
         d_iu = float(np.linalg.norm(ue[0] - irs[0]))
-        est = simulate_cell(cfg, n_drops=1, n_fading=200_000, seed=77)["active"]
-        ref_mean, ref_se = physical_snr_mc(cfg, d_bi, d_iu, n=400_000, seed=123)["active"]
+        est = simulate_cell([(cfg, "nearest")], n_drops=1, n_fading=200_000, seed=77)[0]["active"]
+        ref_mean, ref_se = physical_snr_mc([cfg], d_bi, d_iu, n=400_000, seed=123)[0]["active"]
         got = est["snr_mean"].mean
         # n_fading draws at one position: SE of the per-user mean
         per_draw_se = ref_se * math.sqrt(400_000 / 200_000.0)
@@ -383,8 +383,8 @@ class TestSimulateCell:
 
     def test_doubling_drops_halves_variance(self):
         cfg = make_cfg(k_ues=20)
-        e1 = simulate_cell(cfg, n_drops=60, n_fading=4, seed=13)["active"]
-        e2 = simulate_cell(cfg, n_drops=120, n_fading=4, seed=13)["active"]
+        e1 = simulate_cell([(cfg, "nearest")], n_drops=60, n_fading=4, seed=13)[0]["active"]
+        e2 = simulate_cell([(cfg, "nearest")], n_drops=120, n_fading=4, seed=13)[0]["active"]
         ratio = e2["achievable_rate"].std_error ** 2 / e1["achievable_rate"].std_error ** 2
         assert 0.4 <= ratio <= 0.6
 
@@ -417,7 +417,7 @@ class TestSimulateCell:
         }
         for policy in ("nearest", "best_irs"):
             for _ in range(calls):
-                est = simulate_cell(cfg, policy, n_drops=3, n_fading=4, seed=2025)
+                est = simulate_cell([(cfg, policy)], n_drops=3, n_fading=4, seed=2025)[0]
                 for irs_mode in ("active", "passive"):
                     got = [(est[irs_mode][k].mean, est[irs_mode][k].std_error)
                            for k in ("snr_mean", "achievable_rate", "spatial_throughput")]
@@ -453,7 +453,8 @@ class TestSimulateCell:
         }
         for policy in ("nearest", "best_irs"):
             for _ in range(calls):
-                est = simulate_cell(cfg, policy, n_drops=n_drops, n_fading=n_fading, seed=31)
+                est = simulate_cell([(cfg, policy)], n_drops=n_drops, n_fading=n_fading,
+                                    seed=31)[0]
                 for irs_mode in ("active", "passive"):
                     got = [(est[irs_mode][k].mean, est[irs_mode][k].std_error)
                            for k in ("snr_mean", "achievable_rate", "spatial_throughput")]
@@ -472,7 +473,7 @@ class TestSimulateCell:
                        k_ues=6)
         want = reference_cell(cfg, policy, 17, 3, 31)
         for _ in range(calls):
-            est = simulate_cell(cfg, policy, n_drops=17, n_fading=3, seed=31)
+            est = simulate_cell([(cfg, policy)], n_drops=17, n_fading=3, seed=31)[0]
             assert estimates(est) == want
 
     def test_estimator_honesty_all_direct(self):
@@ -493,7 +494,8 @@ class TestSimulateCell:
         hits = 0
         trials = 20
         for s in range(trials):
-            est = simulate_cell(cfg, n_drops=12, n_fading=4, seed=1000 + s)["active"]
+            est = simulate_cell([(cfg, "nearest")], n_drops=12, n_fading=4,
+                                seed=1000 + s)[0]["active"]
             got = est["achievable_rate"]
             if abs(got.mean - analytic_rate) <= 4.0 * got.std_error:
                 hits += 1
@@ -501,7 +503,7 @@ class TestSimulateCell:
 
     def test_passive_mode(self):
         cfg = make_cfg(k_ues=10)
-        est = simulate_cell(cfg, n_drops=4, n_fading=4, seed=8)["passive"]
+        est = simulate_cell([(cfg, "nearest")], n_drops=4, n_fading=4, seed=8)[0]["passive"]
         assert est["snr_mean"].mean > 0
         assert est["spatial_throughput"].mean == pytest.approx(
             est["achievable_rate"].mean / cfg.geometry.s_total, rel=1e-12
@@ -509,10 +511,20 @@ class TestSimulateCell:
 
 
 class TestSweepDensity:
+    @staticmethod
+    def assert_same(got, want, where):
+        for mode in ("active", "passive"):
+            for metric in ("snr_mean", "achievable_rate", "spatial_throughput"):
+                assert ((got[mode][metric].mean, got[mode][metric].std_error)
+                        == (want[mode][metric].mean, want[mode][metric].std_error)), (where, mode)
+            assert np.array_equal(got[mode]["spatial_throughput"].samples,
+                                  want[mode]["spatial_throughput"].samples)
+
     def test_m_one_row_matches_direct_call(self):
-        # one fading draw per drop serves every M: under both budget readings
-        # each row is simulate_cell alone at that (M, N, P_F), bit for bit,
-        # samples included
+        # one fading draw per drop serves every case: under both budget
+        # readings each row is simulate_cell alone at that (M, N, P_F), bit for
+        # bit, samples included; so is each case of a mixed list of two N,
+        # both policies and a second M
         from dataclasses import replace
 
         cfg = make_cfg(k_ues=10)
@@ -524,15 +536,21 @@ class TestSweepDensity:
                 p_f = 0.01 / m if budget == "split-total" else 0.01
                 swept = replace(cfg, geometry=replace(cfg.geometry, m_irs=m, n_elements=64 // m),
                                 power=replace(cfg.power, p_f=p_f))
-                direct = simulate_cell(swept, n_drops=5, n_fading=2, seed=6)
-                for mode in ("active", "passive"):
-                    row, want = rows[mode][i], direct[mode]
-                    assert (row["m_irs"], row["n_elements"]) == (m, 64 // m)
-                    for metric in ("snr_mean", "achievable_rate", "spatial_throughput"):
-                        assert ((row[metric].mean, row[metric].std_error)
-                                == (want[metric].mean, want[metric].std_error)), (budget, m, mode)
-                    assert np.array_equal(row["spatial_throughput"].samples,
-                                          want["spatial_throughput"].samples)
+                direct = simulate_cell([(swept, "nearest")], n_drops=5, n_fading=2, seed=6)[0]
+                row = {mode: rows[mode][i] for mode in ("active", "passive")}
+                assert all((r["m_irs"], r["n_elements"]) == (m, 64 // m) for r in row.values())
+                self.assert_same(row, direct, (budget, m))
+        cases = [(replace(cfg, geometry=replace(cfg.geometry, m_irs=m, n_elements=n),
+                          power=replace(cfg.power, p_f=p_f)), policy)
+                 for m, n, p_f in ((16, 32, 0.01), (4, 8, 0.02), (16, 8, 0.01))
+                 for policy in ("best_irs", "nearest")]
+        joint = simulate_cell(cases, n_drops=5, n_fading=2, seed=6)
+        for case, got in zip(cases, joint):
+            want = simulate_cell([case], n_drops=5, n_fading=2, seed=6)[0]
+            self.assert_same(got, want, case)
+        # best_irs moves some users off their nearest reflector
+        assert not np.array_equal(joint[0]["active"]["spatial_throughput"].samples,
+                                  joint[1]["active"]["spatial_throughput"].samples)
 
     def test_bs_served_users_match_across_reflector_counts(self):
         # the users and their direct-link fading do not depend on M, so the
@@ -677,10 +695,30 @@ class TestModelMc:
             model_snr_moment_mc([(make_cfg(epsilon_ref=1e200), 100.0)], np.array([10.0, 30.0, 60.0]),
                                 n=1000)
 
+    def test_physical_mc_reads_smaller_surfaces_off_one_draw(self):
+        # one joint call draws each block once, for the largest surface: that
+        # layout equals a call with it alone, and the smaller one sums the
+        # first 4 element planes of the same draw, BI planes then IU planes
+        small, large = (make_cfg(m_iu=2.0, geom={"n_elements": n}) for n in (4, 16))
+        n = _PHYSICAL_BLOCK + 300
+        joint = physical_snr_mc([small, large], 100.0, 30.0, n=n, seed=3)
+        assert joint[1] == physical_snr_mc([large], 100.0, 30.0, n=n, seed=3)[0]
+        rng = keyed_stream(3, 998, 4)
+        zeta_bi, zeta_iu = small.path_gain(100.0), small.path_gain(30.0)
+        want = {"active": _Moments(), "passive": _Moments()}
+        for width in (_PHYSICAL_BLOCK, 300):
+            pow_bi = sample_nakagami_power(small.m_bi, rng, (16, width))[:4]
+            pow_iu = sample_nakagami_power(small.m_iu, rng, (16, width))[:4]
+            cascade = cascade_amplitude(pow_bi, pow_iu).sum(axis=0)
+            want["active"].add(snr_active_batch(pow_bi.sum(axis=0), pow_iu.sum(axis=0),
+                                                cascade, 4, zeta_bi, zeta_iu, small.power))
+            want["passive"].add(snr_passive_batch(cascade, zeta_bi, zeta_iu, small.power))
+        assert joint[0] == {mode: acc.mean_se() for mode, acc in want.items()}
+
     def test_physical_mc_reproducible(self):
         cfg = make_cfg(geom={"n_elements": 16})
-        a = physical_snr_mc(cfg, 100.0, 30.0, n=50_000, seed=12)
-        b = physical_snr_mc(cfg, 100.0, 30.0, n=50_000, seed=12)
+        a = physical_snr_mc([cfg], 100.0, 30.0, n=50_000, seed=12)[0]
+        b = physical_snr_mc([cfg], 100.0, 30.0, n=50_000, seed=12)[0]
         assert a == b
 
 
@@ -720,6 +758,6 @@ class TestBlockBoundaries:
     @pytest.mark.parametrize("n", [1, 1000, 3 * _PHYSICAL_BLOCK + 1])
     def test_physical_mc_finite_and_reproducible(self, n, irs_mode):
         cfg = make_cfg(geom={"n_elements": 16})
-        first = physical_snr_mc(cfg, 100.0, 30.0, n=n, seed=9)[irs_mode]
+        first = physical_snr_mc([cfg], 100.0, 30.0, n=n, seed=9)[0][irs_mode]
         assert all(math.isfinite(v) for v in first)
-        assert physical_snr_mc(cfg, 100.0, 30.0, n=n, seed=9)[irs_mode] == first
+        assert physical_snr_mc([cfg], 100.0, 30.0, n=n, seed=9)[0][irs_mode] == first
