@@ -36,7 +36,7 @@ def _write_outputs(out_dir: Path, cfg, rows, summary: dict, wall_time: float) ->
         lines.append(
             ",".join(
                 [
-                    r.experiment,
+                    cfg.experiment,
                     r.swept_name,
                     r.swept_value.replace(",", ";"),
                     r.metric,

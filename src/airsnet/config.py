@@ -14,7 +14,7 @@ recorded so runs can echo it.
 # annotation as a type object.
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, get_args, get_origin
 
 import numpy as np
@@ -158,6 +158,14 @@ class NetworkConfig:
 
     def __post_init__(self):
         _check_keys(self)
+
+    def at(self, **changes) -> "NetworkConfig":
+        """This network with each named field changed in its section, via `replace`."""
+        for name in ("geometry", "power"):
+            section = getattr(self, name)
+            changes[name] = replace(section, **{f.name: changes.pop(f.name)
+                                                for f in fields(section) if f.name in changes})
+        return replace(self, **changes)
 
     def rule(self) -> QuadratureRule:
         """The cascade mixture's Gauss rule, for the weight t^(m_iu-1) e^-t/Gamma(m_iu)."""

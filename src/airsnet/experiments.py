@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ __all__ = ["ResultRow", "run_experiment"]
 
 @dataclass(frozen=True)
 class ResultRow:
-    experiment: str
     swept_name: str
     swept_value: str
     metric: str
@@ -35,17 +34,6 @@ class ResultRow:
 
 def _point_label(**kv) -> str:
     return "|".join(f"{k}={v:g}" if isinstance(v, float) else f"{k}={v}" for k, v in kv.items())
-
-
-def _network_at(cfg: ExperimentConfig, m_iu=None, n=None, p_f=None):
-    net = cfg.network
-    if n is not None:
-        net = replace(net, geometry=replace(net.geometry, n_elements=int(n)))
-    if m_iu is not None:
-        net = replace(net, m_iu=float(m_iu))
-    if p_f is not None:
-        net = replace(net, power=replace(net.power, p_f=float(p_f)))
-    return net
 
 
 # ---------------------------------------------------------------------------
@@ -61,8 +49,8 @@ def _check_glq(cfg: ExperimentConfig, rows, checks):
         for k in range(2 * order):
             approx = float(rule.weights @ rule.nodes**k)
             worst = max(worst, abs(approx - math.factorial(k)) / math.factorial(k))
-        rows.append(ResultRow(cfg.experiment, "glq_order", str(order),
-                              "glq_exactness_max_rel_err", "quadrature", worst))
+        rows.append(ResultRow("glq_order", str(order), "glq_exactness_max_rel_err", "quadrature",
+                              worst))
         worst_overall = max(worst_overall, worst)
     node_err = max(
         abs(gauss_laguerre(2).nodes[0] - (2.0 - math.sqrt(2.0))),
@@ -91,10 +79,10 @@ def _check_direct_link_reductions(cfg: ExperimentConfig, rows, checks):
         got = p.p_t * mean / p.sigma2
         expected = p.p_t * net.epsilon_ref * d**-net.alpha / p.sigma2
         worst_moment = max(worst_moment, abs(got - expected) / expected)
-    rows.append(ResultRow(cfg.experiment, "direct_gamma", "m_grid",
-                          "pdf_pointwise_max_rel_err", "closed_form", worst_pdf))
-    rows.append(ResultRow(cfg.experiment, "eq12_ell1", "m_grid",
-                          "first_moment_max_rel_err", "closed_form", worst_moment))
+    rows.append(ResultRow("direct_gamma", "m_grid", "pdf_pointwise_max_rel_err", "closed_form",
+                          worst_pdf))
+    rows.append(ResultRow("eq12_ell1", "m_grid", "first_moment_max_rel_err", "closed_form",
+                          worst_moment))
     checks["direct_link_reductions"] = {
         "passed": bool(worst_pdf <= 1e-12 and worst_moment <= 1e-13),
         "pdf_max_rel_err": worst_pdf,
@@ -116,7 +104,7 @@ def _check_mean_snr_grid(cfg: ExperimentConfig, rows, checks):
     for group in itertools.product(cfg.validate_m_iu_list, cfg.validate_n_list,
                                    cfg.validate_d_bi_list, cfg.validate_p_f_list):
         m_iu, n, d_bi, p_f = group
-        net = _network_at(cfg, m_iu=m_iu, n=n, p_f=p_f)
+        net = cfg.network.at(m_iu=m_iu, n_elements=n, p_f=p_f)
         routes[group] = [route(d_bi, d_iu_list, net) for route in (
             analytic.mean_snr_integral, analytic.mean_snr_closed, analytic.snr_moment_active)]
         if m_iu in cfg.mc_m_iu_list:
@@ -137,18 +125,17 @@ def _check_mean_snr_grid(cfg: ExperimentConfig, rows, checks):
         if m_iu == 1:
             worst_ray = max(worst_ray, rel)
         worst_l1 = max(worst_l1, abs(route13 - quad) / quad)
-        rows.append(ResultRow(cfg.experiment, "point", label, "mean_snr", "quadrature", quad))
-        rows.append(ResultRow(cfg.experiment, "point", label, "mean_snr", "closed_form", closed))
+        rows.append(ResultRow("point", label, "mean_snr", "quadrature", quad))
+        rows.append(ResultRow("point", label, "mean_snr", "closed_form", closed))
         if group in model_mc:
             mc, se = (float(x[j]) for x in model_mc[group])
             z[label] = abs(mc - closed) / se if se > 0 else math.inf
-            mc_rows.append(ResultRow(cfg.experiment, "point", label, "mean_snr", "monte_carlo",
-                                     mc, se))
-    rows.append(ResultRow(cfg.experiment, "equivalence", "grid",
+            mc_rows.append(ResultRow("point", label, "mean_snr", "monte_carlo", mc, se))
+    rows.append(ResultRow("equivalence", "grid",
                           "closed_vs_quadrature_max_rel_err", "closed_form", worst_cq))
-    rows.append(ResultRow(cfg.experiment, "equivalence", "grid",
+    rows.append(ResultRow("equivalence", "grid",
                           "rayleigh_vs_quadrature_max_rel_err", "closed_form", worst_ray))
-    rows.append(ResultRow(cfg.experiment, "equivalence", "grid",
+    rows.append(ResultRow("equivalence", "grid",
                           "moment_route_max_rel_err", "quadrature", worst_l1))
     rows += mc_rows
     checks["closed_vs_quadrature"] = {
@@ -176,23 +163,22 @@ def _check_physical(cfg: ExperimentConfig, rows, checks):
     mean_snr_passive); the passive_scaling row sits between the two.
     """
     sizes = (16, 64)
+    nets = {n: cfg.network.at(m_iu=1.0, n_elements=n) for n in (16, 32, 64)}
     draws = dict(zip(sizes, simulate.physical_snr_mc(
-        [_network_at(cfg, m_iu=1, n=n) for n in sizes], cfg.d_bi, cfg.d_iu,
-        n=cfg.n_mc_physical, seed=cfg.seed)))
+        [nets[n] for n in sizes], cfg.d_bi, cfg.d_iu, n=cfg.n_mc_physical, seed=cfg.seed)))
 
     def section(mode, name, closed_form):
         """The section's three rows per N; returns its relative gap per N."""
         gaps = {}
         for n, phys in draws.items():
             mean, se = phys[mode]
-            closed = closed_form(cfg.d_bi, cfg.d_iu, _network_at(cfg, m_iu=1, n=n))
+            closed = closed_form(cfg.d_bi, cfg.d_iu, nets[n])
             gaps[n] = abs(mean - closed) / closed
             label = _point_label(m_iu=1, n=n, d_bi=cfg.d_bi, d_iu=cfg.d_iu)
             rows.extend([
-                ResultRow(cfg.experiment, name, label, "mean_snr_physical", "monte_carlo",
-                          mean, se),
-                ResultRow(cfg.experiment, name, label, "mean_snr", "closed_form", closed),
-                ResultRow(cfg.experiment, name, label, "relative_gap", "monte_carlo", gaps[n]),
+                ResultRow(name, label, "mean_snr_physical", "monte_carlo", mean, se),
+                ResultRow(name, label, "mean_snr", "closed_form", closed),
+                ResultRow(name, label, "relative_gap", "monte_carlo", gaps[n]),
             ])
         return gaps
 
@@ -203,11 +189,10 @@ def _check_physical(cfg: ExperimentConfig, rows, checks):
         "gap_n64": active[64],
     }
 
-    v16, v32 = (analytic.mean_snr_passive(cfg.d_bi, cfg.d_iu, _network_at(cfg, m_iu=1, n=n))
-                for n in (16, 32))
+    v16, v32 = (analytic.mean_snr_passive(cfg.d_bi, cfg.d_iu, nets[n]) for n in (16, 32))
     quadruple_exact = (v32 == 4.0 * v16)
-    rows.append(ResultRow(cfg.experiment, "passive_scaling", "n16_to_n32",
-                          "quadrupling_ratio", "closed_form", v32 / v16))
+    rows.append(ResultRow("passive_scaling", "n16_to_n32", "quadrupling_ratio", "closed_form",
+                          v32 / v16))
     passive = section("passive", "passive_gap", analytic.mean_snr_passive)
     # scaling diagnostics: the measured growth exponent between the two sizes
     ratio = draws[64]["passive"][0] / draws[16]["passive"][0]
@@ -233,10 +218,10 @@ def _budget_shape(grid, values) -> dict:
 
 def _check_budget_shape(cfg: ExperimentConfig, rows, checks):
     grid = list(cfg.pf_grid)
-    values = [analytic.mean_snr_closed(cfg.d_bi, cfg.d_iu, _network_at(cfg, m_iu=1, p_f=p))
+    values = [analytic.mean_snr_closed(cfg.d_bi, cfg.d_iu, cfg.network.at(m_iu=1.0, p_f=p))
               for p in grid]
     for p, v in zip(grid, values):
-        rows.append(ResultRow(cfg.experiment, "p_f_w", f"{p:g}", "mean_snr", "closed_form", v))
+        rows.append(ResultRow("p_f_w", f"{p:g}", "mean_snr", "closed_form", v))
     shape = _budget_shape(grid, values)
     checks["budget_shape"] = {"passed": all(shape.values()), **shape}
 
@@ -269,7 +254,7 @@ def _run_validate(cfg: ExperimentConfig):
 
 
 def _run_mean_snr_vs_pf(cfg: ExperimentConfig):
-    nets = [_network_at(cfg, p_f=p_f) for p_f in cfg.pf_grid]
+    nets = [cfg.network.at(p_f=p_f) for p_f in cfg.pf_grid]
     routes = [(analytic.mean_snr_integral(cfg.d_bi, cfg.d_iu, net),
                analytic.mean_snr_closed(cfg.d_bi, cfg.d_iu, net)) for net in nets]
     model_mc = simulate.model_snr_moment_mc([(net, cfg.d_bi) for net in nets], cfg.d_iu,
@@ -277,9 +262,9 @@ def _run_mean_snr_vs_pf(cfg: ExperimentConfig):
     rows: list[ResultRow] = []
     for p_f, (quad, closed), (mc, se) in zip(cfg.pf_grid, routes, model_mc):
         label = f"{p_f:g}"
-        rows.append(ResultRow(cfg.experiment, "p_f_w", label, "mean_snr", "quadrature", quad))
-        rows.append(ResultRow(cfg.experiment, "p_f_w", label, "mean_snr", "closed_form", closed))
-        rows.append(ResultRow(cfg.experiment, "p_f_w", label, "mean_snr", "monte_carlo", mc, se))
+        rows.append(ResultRow("p_f_w", label, "mean_snr", "quadrature", quad))
+        rows.append(ResultRow("p_f_w", label, "mean_snr", "closed_form", closed))
+        rows.append(ResultRow("p_f_w", label, "mean_snr", "monte_carlo", mc, se))
     return rows, _budget_shape(list(cfg.pf_grid), [quad for quad, _ in routes]), 0
 
 
@@ -305,8 +290,8 @@ def _run_density_sweep(cfg: ExperimentConfig):
             label = _point_label(mode=mode, m_irs=entry["m_irs"], n=entry["n_elements"])
             for metric in ("spatial_throughput", "achievable_rate", "snr_mean"):
                 est = entry[metric]
-                rows.append(ResultRow(cfg.experiment, "m_irs", label, metric,
-                                      "monte_carlo", est.mean, est.std_error))
+                rows.append(ResultRow("m_irs", label, metric, "monte_carlo", est.mean,
+                                      est.std_error))
             tp.append(entry["spatial_throughput"])
         best = int(np.argmax([e.mean for e in tp]))
         m_list = list(cfg.density_m_list)
@@ -339,17 +324,15 @@ def _run_association_compare(cfg: ExperimentConfig):
     # best_irs first: off the float range its analytic scores name the point
     policies = ("best_irs", "nearest")
     results = iter(simulate.simulate_cell(
-        [(_network_at(cfg, n=n), policy) for n in cfg.assoc_n_list for policy in policies],
+        [(cfg.network.at(n_elements=n), policy) for n in cfg.assoc_n_list for policy in policies],
         n_drops=cfg.assoc_n_drops, n_fading=cfg.sweep_n_fading, seed=cfg.seed))
     for n in cfg.assoc_n_list:
         estimates = {policy: next(results)["active"]["spatial_throughput"]
                      for policy in policies}
         for policy in ("nearest", "best_irs"):
             est = estimates[policy]
-            rows.append(ResultRow(cfg.experiment, "n_elements",
-                                  _point_label(n=n, policy=policy),
-                                  "spatial_throughput", "monte_carlo",
-                                  est.mean, est.std_error))
+            rows.append(ResultRow("n_elements", _point_label(n=n, policy=policy),
+                                  "spatial_throughput", "monte_carlo", est.mean, est.std_error))
         near, best = estimates["nearest"], estimates["best_irs"]
         ratio = near.mean / best.mean
         # both policies see the same drops, users and fading: the delta-method
@@ -372,13 +355,9 @@ def _run_ring_sweep(cfg: ExperimentConfig):
         for l_out in cfg.ring_l_out_grid:
             if not (0.0 < l_in < l_out < cfg.network.geometry.l):
                 continue
-            net = replace(
-                cfg.network,
-                geometry=replace(cfg.network.geometry, l_in=l_in, l_out=l_out),
-            )
-            value, err = analytic.average_metric(net)
+            value, err = analytic.average_metric(cfg.network.at(l_in=l_in, l_out=l_out))
             label = _point_label(l_in=l_in, l_out=l_out)
-            rows.append(ResultRow(cfg.experiment, "ring", label, metric, "quadrature", value, err))
+            rows.append(ResultRow("ring", label, metric, "quadrature", value, err))
             if best is None or value > best[2]:
                 best = (l_in, l_out, value)
     if not rows:

@@ -170,6 +170,15 @@ class TestOneSchema:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             build()
 
+    def test_at_changes_each_field_in_its_section(self):
+        net = NetworkConfig().at(m_irs=4, p_f=0.5, m_iu=2.0)
+        assert net == NetworkConfig(geometry=GeometryConfig(m_irs=4), power=PowerParams(p_f=0.5),
+                                    m_iu=2.0)
+        with pytest.raises(ConfigError, match="ring radii"):
+            NetworkConfig().at(l_in=150.0)
+        with pytest.raises(ConfigError, match="p_f_w must be positive"):
+            NetworkConfig().at(p_f=0.0)
+
     def test_construction_keeps_the_values_it_is_given(self):
         # the type check runs for its errors only; an int for a float key is stored as is
         net = NetworkConfig(m_iu=2, geometry=GeometryConfig(l=200))

@@ -9,7 +9,9 @@ reads; a read is an attribute load. A third walk lists the src/ code
 outside the quadrature rule and the mixture built on it that reads a rule's
 `.weights`. A fourth lists the top-level defs of analytic.py that call the
 semi-infinite quadrature: only _quad may; and those of simulate.py that form
-the cascade amplitude: only _element_sums may. Run this file directly to
+the cascade amplitude: only _element_sums may. A fifth lists the `replace`
+calls outside config.py that rebuild a config section (a `geometry=` or
+`power=` keyword): only NetworkConfig.at may. Run this file directly to
 print these lists. Last, each config key is declared once: on its own field of
 one of the four config dataclasses.
 """
@@ -139,6 +141,41 @@ def test_cascade_walk_flags_a_second_call_site(tmp_path):
     assert cascade_callers(tmp_path) == ["_element_sums", "physical"]
 
 
+def section_rebuilders(root: Path = SRC) -> list[str]:
+    """Each top-level def ("module:name") outside config.py whose `replace` call
+    passes a geometry= or power= keyword, or the module for a module statement."""
+    found = set()
+    for path in sorted(root.glob("*.py")):
+        if path.name == "config.py":
+            continue
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            if any(isinstance(node, ast.Call)
+                   and getattr(node.func, "id", getattr(node.func, "attr", None)) == "replace"
+                   and any(kw.arg in ("geometry", "power") for kw in node.keywords)
+                   for node in ast.walk(top)):
+                name = getattr(top, "name", None)
+                found.add(f"{path.name}:{name}" if name else path.name)
+    return sorted(found)
+
+
+def test_only_network_config_at_rebuilds_a_section():
+    # every variant network is cfg.at(...), which routes each field to its section
+    assert section_rebuilders() == []
+
+
+def test_section_walk_flags_a_second_site(tmp_path):
+    (tmp_path / "config.py").write_text(
+        "def at(self, g):\n    return replace(self, geometry=g)\n")
+    (tmp_path / "simulate.py").write_text(
+        "def sweep(cfg, m):\n"
+        "    return replace(cfg, geometry=replace(cfg.geometry, m_irs=m))\n"
+        "def label(row):\n    return row.replace(',', ';')\n")
+    (tmp_path / "experiments.py").write_text(
+        "NET = dataclasses.replace(CFG, power=POWER)\n"
+        "def ring(cfg):\n    return cfg.at(l_in=1.0)\n")
+    assert section_rebuilders(tmp_path) == ["experiments.py", "simulate.py:sweep"]
+
+
 def test_every_definition_is_referenced_in_src():
     assert unreferenced_definitions() == []
 
@@ -200,3 +237,4 @@ if __name__ == "__main__":
     print(stray_weights_readers())
     print(quadrature_callers())
     print(cascade_callers())
+    print(section_rebuilders())

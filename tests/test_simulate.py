@@ -525,8 +525,6 @@ class TestSweepDensity:
         # readings each row is simulate_cell alone at that (M, N, P_F), bit for
         # bit, samples included; so is each case of a mixed list of two N,
         # both policies and a second M
-        from dataclasses import replace
-
         cfg = make_cfg(k_ues=10)
         m_values = [1, 2, 8]
         for budget in ("split-total", "fixed-per-irs"):
@@ -534,14 +532,12 @@ class TestSweepDensity:
                                  n_fading=2, power_budget=budget)
             for i, m in enumerate(m_values):
                 p_f = 0.01 / m if budget == "split-total" else 0.01
-                swept = replace(cfg, geometry=replace(cfg.geometry, m_irs=m, n_elements=64 // m),
-                                power=replace(cfg.power, p_f=p_f))
+                swept = cfg.at(m_irs=m, n_elements=64 // m, p_f=p_f)
                 direct = simulate_cell([(swept, "nearest")], n_drops=5, n_fading=2, seed=6)[0]
                 row = {mode: rows[mode][i] for mode in ("active", "passive")}
                 assert all((r["m_irs"], r["n_elements"]) == (m, 64 // m) for r in row.values())
                 self.assert_same(row, direct, (budget, m))
-        cases = [(replace(cfg, geometry=replace(cfg.geometry, m_irs=m, n_elements=n),
-                          power=replace(cfg.power, p_f=p_f)), policy)
+        cases = [(cfg.at(m_irs=m, n_elements=n, p_f=p_f), policy)
                  for m, n, p_f in ((16, 32, 0.01), (4, 8, 0.02), (16, 8, 0.01))
                  for policy in ("best_irs", "nearest")]
         joint = simulate_cell(cases, n_drops=5, n_fading=2, seed=6)
@@ -551,6 +547,16 @@ class TestSweepDensity:
         # best_irs moves some users off their nearest reflector
         assert not np.array_equal(joint[0]["active"]["spatial_throughput"].samples,
                                   joint[1]["active"]["spatial_throughput"].samples)
+
+    def test_cases_differing_outside_the_free_fields_are_rejected(self):
+        # both cores read case 0's fading shapes; a second m_iu would be scored
+        # with the first one's fading
+        cfg = make_cfg(k_ues=10)
+        with pytest.raises(ConfigError, match="^simulate_cell case 1 differs from case 0"):
+            simulate_cell([(cfg, "nearest"), (cfg.at(m_iu=2.0), "nearest")], n_drops=5,
+                          n_fading=2, seed=1)
+        with pytest.raises(ConfigError, match="^physical_snr_mc layout 1 differs from layout 0"):
+            physical_snr_mc([cfg, cfg.at(m_iu=2.0)], 100.0, 30.0, n=1000)
 
     def test_bs_served_users_match_across_reflector_counts(self):
         # the users and their direct-link fading do not depend on M, so the
