@@ -284,48 +284,37 @@ def average_metric(cfg: NetworkConfig) -> tuple[float, float]:
     against the radial density 2 pi d / S_t. Region 2 (the ring): rate_active
     with d_BI ~= d_BU and the nearest-reflector distance density over (0, L).
     Region 3 (beyond the ring): d_BI ~= L_out and d_IU ~= d_BU - L_out.
-    Distances are clamped at the 1 m reference, so each region splits at the
-    floor kink.
+    Each region integrates from its own lower edge; the kink that the 1 m
+    distance clamp puts in the rate is a quadrature breakpoint.
     """
     geo = cfg.geometry
     floor = cfg.distance_floor
-    s_t = geo.s_total
     lam = geo.lambda_irs
-    near_mass = 1.0 - math.exp(-lam * math.pi * floor**2)
-    split = min(geo.l_out + floor, geo.l)
 
     def inner_r(b: float) -> float:
-        val, _ = integrate_interval_with_error(
+        return integrate_interval_with_error(
             lambda r: (rate_active(b, r, cfg) * 2.0 * math.pi * lam * r
                        * np.exp(-lam * math.pi * r * r)),
-            floor, geo.l, REGION_TOL,
-        )
-        return rate_active(b, floor, cfg) * near_mass + val
+            0.0, geo.l, REGION_TOL, points=(floor,))[0]
 
-    # Per region: the rate times the area inside the 1 m floor kink, the
-    # rate beyond it as a function of d_BU, and that part's d_BU interval.
+    # Per region: the rate in d_BU, its d_BU interval and the floor kink's d_BU.
     regions = (
         # 1: BS-served disc, radial density 2 pi d / S_t.
-        (lambda: rate_direct(floor, cfg) * math.pi * min(floor, geo.l_in) ** 2,
-         lambda ds: rate_direct(ds, cfg), floor, geo.l_in),
+        (lambda ds: rate_direct(ds, cfg), 0.0, geo.l_in, floor),
         # 2: the ring, d_BI ~= d_BU, nearest-reflector distance density in r.
-        (lambda: 0.0, lambda bs: np.array([inner_r(b) for b in bs]), geo.l_in, geo.l_out),
-        # 3: beyond the ring, d_BI ~= L_out and d_IU = d_BU - L_out, clamped.
-        (lambda: rate_active(geo.l_out, floor, cfg) * math.pi * (split**2 - geo.l_out**2),
-         lambda bs: rate_active(geo.l_out, bs - geo.l_out, cfg), split, geo.l),
+        (lambda bs: np.array([inner_r(b) for b in bs]), geo.l_in, geo.l_out, floor),
+        # 3: beyond the ring, d_BI ~= L_out and d_IU = d_BU - L_out.
+        (lambda bs: rate_active(geo.l_out, bs - geo.l_out, cfg), geo.l_out, geo.l,
+         geo.l_out + floor),
     )
-    value = 0.0
-    err_total = 0.0
-    for k, (at_floor, rate, lo, hi) in enumerate(regions, start=1):
+    value = err_total = 0.0
+    for k, (rate, lo, hi, kink) in enumerate(regions, start=1):
         try:
-            value += at_floor() / s_t
-            if hi > lo:
-                val, err = integrate_interval_with_error(
-                    lambda x: rate(x) * x, lo, hi, REGION_TOL)
-                value += 2.0 * math.pi * val / s_t
-                err_total += 2.0 * math.pi * err / s_t
+            val, err = integrate_interval_with_error(
+                lambda x: rate(x) * x, lo, hi, REGION_TOL, points=(kink,))
         except IntegrationError as exc:
             raise _named(exc, f"average_metric region {k} at {_point(cfg)}, "
                               f"l_in={geo.l_in:g} m, l_out={geo.l_out:g} m") from exc
-    return value / s_t, err_total / s_t
-
+        value, err_total = value + val, err_total + err
+    scale = 2.0 * math.pi / geo.s_total**2
+    return value * scale, err_total * scale

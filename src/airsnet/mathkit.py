@@ -391,17 +391,19 @@ def _adaptive_core(
 
 def integrate_interval_with_error(f: Callable[[np.ndarray], np.ndarray], a: float,
                                   b: float, rel_tol: float = 1e-10,
-                                  max_panels: int = 4096) -> tuple[float, float]:
+                                  max_panels: int = 4096, points=()) -> tuple[float, float]:
     """Adaptive integral of f over the finite interval [a, b].
 
     Returns (value, error bound). f maps a 1-D array of n abscissae to the
     (n,) array of integrand values, or to an (n, K) array of K integrands
     integrated together to K relative tolerances; values and bounds are then
-    (K,) arrays.
+    (K,) arrays. `points` strictly inside (a, b), such as kinks of f, join the
+    initial mesh as breakpoints, so no panel straddles them; others are ignored.
     """
     if not (math.isfinite(a) and math.isfinite(b) and b > a):
         raise DomainError(f"invalid interval [{a}, {b}]")
-    return _adaptive_core(f, np.array([a, b], dtype=float), rel_tol, max_panels)
+    inner = sorted({p for p in points if a < p < b})
+    return _adaptive_core(f, np.array([a, *inner, b], dtype=float), rel_tol, max_panels)
 
 
 # Initial mesh for the u = z/(1+z) map: one breakpoint per decade of z from

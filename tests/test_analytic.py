@@ -497,6 +497,32 @@ class TestAverageMetric:
         got = an.average_metric(cfg)[0] * cfg.geometry.s_total
         assert rel_err(got, expected) < 1e-9
 
+    @pytest.mark.parametrize("geom, expected", [
+        ({"l_in": 0.5}, 0.01731103522090934),
+        ({"l_out": 199.5}, 2.0043951313979593),
+        ({"l_in": 0.5, "l_out": 199.5}, 0.006642800773719763),
+    ])
+    def test_kinks_outside_their_region_pinned(self, geom, expected):
+        # l_in = 0.5 m puts the disc and the ring's inner edge below the 1 m
+        # floor; l_out = 199.5 m puts region 3's floor kink past the cell edge.
+        # Frozen from the sub-floor closed forms that breakpoints replaced,
+        # rerun at REGION_TOL = 1e-10: at its own REGION_TOL = 1e-6 that route
+        # missed the l_in = 0.5 m values by 4.3e-8, as its d_BI integral
+        # straddled the floor kink. Breakpoints agree with the rerun to 2e-10.
+        cfg = make_cfg(geom=geom)
+        got = an.average_metric(cfg)[0] * cfg.geometry.s_total
+        assert rel_err(got, expected) < 1e-9
+
+    def test_floor_beyond_the_cell_gives_area_weighted_rates(self):
+        # with every distance below a 250 m floor each rate is a constant, so
+        # the average is the area-weighted mean of two of them
+        cfg = make_cfg(distance_floor=250.0)
+        geo = cfg.geometry
+        disc = math.pi * geo.l_in**2
+        expected = (an.rate_direct(250.0, cfg) * disc
+                    + an.rate_active(250.0, 250.0, cfg) * (geo.s_total - disc))
+        assert rel_err(an.average_metric(cfg)[0] * geo.s_total**2, expected) < 1e-12
+
     def test_collapsed_ring_reduces_to_direct_average(self):
         cfg = make_cfg(
             geom={"l": 200.0, "l_in": 199.9999, "l_out": 199.99995}

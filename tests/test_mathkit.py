@@ -296,6 +296,26 @@ class TestIntegrandContract:
         assert rel_err(value, 9.0) < 1e-12
         assert sizes == [15]
 
+    def test_breakpoint_at_a_kink(self):
+        # |x - c| e^x has a kink at c; with c on the initial mesh every panel
+        # is smooth, so the closed form is met with fewer evaluations
+        c = 0.7
+        f = lambda x: np.abs(x - c) * np.exp(x)
+        exact = 2.0 * math.exp(c) - c - 1.0 + (1.0 - c) * math.exp(2.0)
+        with_point, without = [], []
+        value, _ = integrate_interval_with_error(
+            self.recording(f, with_point), 0.0, 2.0, 1e-13, points=(c,))
+        plain, _ = integrate_interval_with_error(
+            self.recording(f, without), 0.0, 2.0, 1e-13)
+        assert rel_err(value, exact) < 1e-13 and rel_err(plain, exact) < 1e-12
+        assert sum(with_point) < sum(without)
+
+    def test_breakpoints_off_the_open_interval_are_ignored(self):
+        f = lambda x: np.sin(3.0 * x) ** 2 + x
+        plain = integrate_interval_with_error(f, 0.0, 5.0, 1e-12)
+        assert integrate_interval_with_error(
+            f, 0.0, 5.0, 1e-12, points=(0.0, 5.0, -1.0, 7.5)) == plain
+
     @pytest.mark.parametrize("a, b", [(1.0, 1.0), (2.0, 1.0), (0.0, math.inf),
                                       (float("nan"), 1.0)])
     def test_invalid_interval(self, a, b):
@@ -315,8 +335,10 @@ class TestColumnIntegrands:
         assert col_value.shape == col_err.shape == (1,)
         assert col_value[0] == value and col_err[0] == err
         g = lambda x: np.sin(3.0 * x) ** 2 + x
-        assert (integrate_interval_with_error(lambda x: g(x)[:, None], 0.0, 5.0, 1e-12)[0][0]
-                == integrate_interval_with_error(g, 0.0, 5.0, 1e-12)[0])
+        for points in ((), (1.3, 4.0)):
+            assert (integrate_interval_with_error(lambda x: g(x)[:, None], 0.0, 5.0, 1e-12,
+                                                  points=points)[0][0]
+                    == integrate_interval_with_error(g, 0.0, 5.0, 1e-12, points=points)[0])
 
     def test_columns_match_their_separate_integrals(self):
         rates = np.array([1e-6, 0.3, 1.0, 40.0])
