@@ -57,6 +57,8 @@ _PHYSICAL_BLOCK = 4096  # physical-MC channel rows per block
 # per scoring group: user-reflector pairs of its association, and element sums
 _DROP_BLOCK = 1 << 15
 _MODES = ("active", "passive")  # reflector modes, in the order cell results list them
+# the estimators' floating-point policy: a fault leaves a non-finite estimate (_finite)
+_ESTIMATOR_ERRSTATE = np.errstate(divide="ignore", over="ignore", invalid="ignore")
 
 
 @dataclass(frozen=True)
@@ -99,10 +101,17 @@ class _Moments:
 
     def mean_se(self) -> tuple[float, float]:
         """(mean, standard error of the mean); the error is 0 below two values."""
-        if self.count < 2:
-            return self.shift + self.mean, 0.0
-        var = self.m2 / (self.count - 1)
-        return self.shift + self.mean, math.sqrt(var / self.count)
+        n = self.count
+        return self.shift + self.mean, math.sqrt(self.m2 / (n - 1) / n) if n > 1 else 0.0
+
+
+def _finite(estimate: tuple, where: str, what: str) -> tuple:
+    """`estimate`, (mean, standard error); InvalidDistributionError at `where` if not finite."""
+    mean, se = estimate
+    if not np.all(np.isfinite(mean) & np.isfinite(se)):
+        raise InvalidDistributionError(f"{where}: {what} estimate is not finite (mean {mean}, "
+                                       f"standard error {se})")
+    return estimate
 
 
 def _stream(seed: int, *path: int) -> np.random.Generator:
@@ -137,10 +146,14 @@ def drop(cfg: NetworkConfig, seed: int, n_drops: int) -> tuple[np.ndarray, np.nd
     return irs, ue
 
 
-def _norm(xy: np.ndarray) -> np.ndarray:
-    """Length of (..., 2) points over the last axis; rounds as np.linalg.norm does."""
-    x, y = xy[..., 0], xy[..., 1]
-    return np.sqrt(x * x + y * y)
+def _norm(a: np.ndarray, b: np.ndarray = np.zeros(2)) -> np.ndarray:
+    """Distances |a - b| of (..., 2) points that broadcast; rounds as np.linalg.norm does."""
+    # per coordinate, in place: a (..., 2) difference would loop over 2 values at a time
+    dx, dy = (a[..., i] - b[..., i] for i in (0, 1))
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
 
 
 def associate(irs: np.ndarray, ue: np.ndarray, policy: str,
@@ -154,12 +167,7 @@ def associate(irs: np.ndarray, ue: np.ndarray, policy: str,
     """
     if policy not in ("nearest", "best_irs"):
         raise ConfigError(f"unknown association policy {policy!r}")
-    # (..., users, reflectors) distances, rounded as _norm rounds, in place
-    dx, dy = (ue[..., :, None, i] - irs[..., None, :, i] for i in (0, 1))
-    dx *= dx
-    dy *= dy
-    dx += dy
-    d_iu = np.sqrt(dx, out=dx)
+    d_iu = _norm(ue[..., :, None, :], irs[..., None, :, :])  # (..., users, reflectors)
     if policy == "nearest":
         choice = np.argmin(d_iu, axis=-1)
     else:
@@ -178,7 +186,7 @@ def _links(cfg: NetworkConfig, policy: str, irs: np.ndarray,
     """
     server = associate(irs, ue, policy, cfg)
     at = np.take_along_axis(irs, np.maximum(server, 0)[..., None], axis=-2)
-    return server, cfg.path_gain(np.stack([_norm(ue), _norm(at), _norm(ue - at)]))
+    return server, cfg.path_gain(np.stack([_norm(ue), _norm(at), _norm(ue, at)]))
 
 
 def _element_sums(cfg: NetworkConfig, rng_bi: np.random.Generator, rng_iu: np.random.Generator,
@@ -229,6 +237,7 @@ def _draw_fading(cfg: NetworkConfig, seed: int, drops: range, n_relayed: np.ndar
     return pow_bu, sums
 
 
+@_ESTIMATOR_ERRSTATE
 def simulate_cell(cases, *, n_drops: int, n_fading: int,
                   seed: int = 0) -> list[dict[str, dict[str, SimEstimate]]]:
     """Monte-Carlo estimates of mean SNR, achievable rate and spatial throughput.
@@ -289,10 +298,9 @@ def simulate_cell(cases, *, n_drops: int, n_fading: int,
             snr_ue[i][:, relayed] = snr.mean(axis=2)
             rate[i][:, relayed] = np.log2(1.0 + snr).mean(axis=2)
         snr_ue = snr_ue.reshape(*shape, len(drops), k)
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite estimate raises
-            mean = snr_ue.mean(axis=-1, out=snr_drop[0, ..., lo:drops.stop])
-            snr_ue -= mean[..., None]
-            np.square(snr_ue, out=snr_ue).sum(axis=-1, out=snr_drop[1, ..., lo:drops.stop])
+        mean = snr_ue.mean(axis=-1, out=snr_drop[0, ..., lo:drops.stop])
+        snr_ue -= mean[..., None]
+        np.square(snr_ue, out=snr_ue).sum(axis=-1, out=snr_drop[1, ..., lo:drops.stop])
     return [_estimates(layout, policy, k, snr_drop[:, i], rate_ue[i])
             for i, (layout, policy) in enumerate(cases)]
 
@@ -308,25 +316,21 @@ def _estimates(cfg: NetworkConfig, policy: str, k: int, snr_drop: np.ndarray,
     samples once the achievable rate has been estimated from them.
     """
     n = rate_ue.shape[-1]
+    where = (f"simulate_cell at {analytic._point(cfg)}, m_irs={cfg.geometry.m_irs}, "
+             f"n_elements={cfg.geometry.n_elements}, policy={policy}")
 
     def checked(mode: str, metric: str, mean, se, samples=None) -> SimEstimate:
-        est = SimEstimate(mean=float(mean), std_error=float(se), samples=samples)
-        if not (math.isfinite(est.mean) and math.isfinite(est.std_error)):
-            raise InvalidDistributionError(
-                f"simulate_cell at {analytic._point(cfg)}, m_irs={cfg.geometry.m_irs}, "
-                f"n_elements={cfg.geometry.n_elements}, policy={policy}: the {mode} {metric} "
-                f"estimate is not finite (mean {est.mean}, standard error {est.std_error})")
-        return est
+        mean, se = _finite((float(mean), float(se)), where, f"the {mode} {metric}")
+        return SimEstimate(mean=mean, std_error=se, samples=samples)
 
     per_area = 1.0 / cfg.geometry.s_total
     out = {}
     for mode, (drop_mean, drop_m2), rate in zip(_MODES, snr_drop.swapaxes(0, 1), rate_ue):
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite estimate raises
-            snr_mean = drop_mean.mean()
-            m2 = drop_m2.sum() + k * np.square(drop_mean - snr_mean).sum()
-            snr_se = math.sqrt(m2 / (n - 1) / n) if n > 1 else 0.0
-            rate_mean = rate.mean()
-            rate_se = rate.std(ddof=1) / math.sqrt(n) if n > 1 else 0.0
+        snr_mean = drop_mean.mean()
+        m2 = drop_m2.sum() + k * np.square(drop_mean - snr_mean).sum()
+        snr_se = math.sqrt(m2 / (n - 1) / n) if n > 1 else 0.0
+        rate_mean = rate.mean()
+        rate_se = rate.std(ddof=1) / math.sqrt(n) if n > 1 else 0.0
         out[mode] = {
             "snr_mean": checked(mode, "snr_mean", snr_mean, snr_se),
             "achievable_rate": checked(mode, "achievable_rate", rate_mean, rate_se),
@@ -394,7 +398,7 @@ def _model_mc_key(cfg: NetworkConfig, d_bi: float) -> tuple[tuple, tuple]:
             (p.p_t, p.sigma2, analytic.averaged_amp_gain(d_bi, cfg) * p.sigma_f2))
 
 
-@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # a non-finite result raises
+@_ESTIMATOR_ERRSTATE
 def model_snr_moment_mc(groups, d_iu, n: int = 1_000_000, seed: int = 0) -> list[tuple]:
     """Monte-Carlo mean SNR under the analytic model itself, for (cfg, d_BI) groups.
 
@@ -430,17 +434,17 @@ def model_snr_moment_mc(groups, d_iu, n: int = 1_000_000, seed: int = 0) -> list
     """
     groups = list(groups)
 
-    def failure(cfg: NetworkConfig, d_bi: float, reason) -> InvalidDistributionError:
-        where = ", ".join(f"{d:g}" for d in np.ravel(d_iu))
-        where = where if np.ndim(d_iu) == 0 else f"[{where}]"
-        return InvalidDistributionError(f"model_snr_moment_mc at {analytic._point(cfg)}, "
-                                        f"d_bi={d_bi:g} m, d_iu={where} m: {reason}")
+    def where(cfg: NetworkConfig, d_bi: float) -> str:
+        at = ", ".join(f"{d:g}" for d in np.ravel(d_iu))
+        at = at if np.ndim(d_iu) == 0 else f"[{at}]"
+        return f"model_snr_moment_mc at {analytic._point(cfg)}, d_bi={d_bi:g} m, d_iu={at} m"
 
     scales, estimates, laws, first = [], [], {}, {}
     for cfg, d_bi in groups:
         v = analytic.cascade_scale(d_bi, d_iu, cfg)
         if not np.all((v > 0) & np.isfinite(v)):
-            raise failure(cfg, d_bi, f"cascade scale v={v} is not a positive finite value")
+            raise InvalidDistributionError(
+                f"{where(cfg, d_bi)}: cascade scale v={v} is not a positive finite value")
         scales.append(v)
         mixture, law = _model_mc_key(cfg, d_bi)
         first.setdefault(mixture, (cfg, d_bi))
@@ -449,16 +453,9 @@ def model_snr_moment_mc(groups, d_iu, n: int = 1_000_000, seed: int = 0) -> list
         try:
             _score_unit_mixture(mixture, by_law, n, seed)
         except InvalidDistributionError as exc:
-            raise failure(*first[mixture], exc) from exc
-    results = []
-    for (cfg, d_bi), v, acc in zip(groups, scales, estimates):
-        mean, se = (x / v for x in acc.mean_se())
-        if not np.all(np.isfinite(mean) & np.isfinite(se)):
-            raise failure(cfg, d_bi, f"the estimate is not finite (mean {mean}, standard error "
-                          f"{se}): the SNR or its importance weights leave the floating-point "
-                          "range")
-        results.append((mean, se))
-    return results
+            raise InvalidDistributionError(f"{where(*first[mixture])}: {exc}") from exc
+    return [_finite(tuple(x / v for x in acc.mean_se()), where(cfg, d_bi), "the")
+            for (cfg, d_bi), v, acc in zip(groups, scales, estimates)]
 
 
 def _score_unit_mixture(mixture: tuple, laws: dict, n: int, seed: int) -> None:
@@ -467,10 +464,10 @@ def _score_unit_mixture(mixture: tuple, laws: dict, n: int, seed: int) -> None:
     `laws` maps (P_t, sigma^2, eta sigma_F^2) to its _Moments. Every block is
     drawn once (mixture sample, proposal pick, bulk Gamma, fade and bridge
     uniforms) and scored under each law with that law's kappa, in one reused
-    work buffer. Plain NumPy expressions give the same bits but ran the model
-    MC 4-30% slower, across two measurements on 2-vCPU hosts, at 12 laws per
-    block (the default mean-snr-vs-pf; the default validate has 9). perfbench
-    validate, at 2 laws per mixture, shows no difference.
+    work buffer. Plain NumPy gives the same bits but ran the model MC 4-30%
+    slower at 12 laws per block (the default mean-snr-vs-pf) in three 2-vCPU
+    measurements; at 2 laws (perfbench validate) its wall time ties, faster in
+    10 of 22 alternating pairs, and its peak RSS is 0.8 MB higher.
     """
     m = mixture[1]
     mix = analytic._unit_cascade(*mixture)
@@ -488,7 +485,7 @@ def _score_unit_mixture(mixture: tuple, laws: dict, n: int, seed: int) -> None:
         bulk = np.flatnonzero(pick < 0.5)
         fade = np.flatnonzero((pick >= 0.5) & (pick < 0.75))
         bridge = np.flatnonzero(pick >= 0.75)
-        g_bulk = rng.standard_gamma(m, bulk.size) / m
+        g_bulk = sample_nakagami_power(m, rng, bulk.size)
         u = rng.random(fade.size)
         # L * U is what rng.uniform(0, L) returns, bit for bit, on the same draws
         u_bridge = rng.random(bridge.size)
@@ -525,6 +522,7 @@ def _score_unit_mixture(mixture: tuple, laws: dict, n: int, seed: int) -> None:
             acc.add(snr)
 
 
+@_ESTIMATOR_ERRSTATE
 def physical_snr_mc(layouts, d_bi: float, d_iu: float, n: int = 1_000_000,
                     seed: int = 0) -> list[dict[str, tuple[float, float]]]:
     """Monte-Carlo mean SNR of the physical per-element channel at fixed
@@ -534,8 +532,8 @@ def physical_snr_mc(layouts, d_bi: float, d_iu: float, n: int = 1_000_000,
     The layouts differ only in n_elements (any other difference from layout
     0 raises ConfigError naming it). Each block of _PHYSICAL_BLOCK draws is
     one _element_sums draw, for the largest surface, on the stream keyed
-    (seed, 998, 4). Returns one {"active": (mean, standard error),
-    "passive": (mean, standard error)} per layout.
+    (seed, 998, 4). Returns per layout {"active" | "passive": (mean, standard
+    error)}; InvalidDistributionError names a non-finite one's point, N and mode.
     """
     cfg = layouts[0]
     for i, layout in enumerate(layouts):
@@ -544,7 +542,7 @@ def physical_snr_mc(layouts, d_bi: float, d_iu: float, n: int = 1_000_000,
     rng = _stream(seed, 998, 4)
     sizes = sorted({layout.geometry.n_elements for layout in layouts})
     zeta_bi, zeta_iu = cfg.path_gain(d_bi), cfg.path_gain(d_iu)
-    moments = [(_Moments(), _Moments()) for _ in layouts]
+    moments = [(_Moments(), _Moments()) for _ in layouts]  # per layout, one per mode
     work = np.empty(2 * sizes[-1] * min(n, _PHYSICAL_BLOCK))
     for start in range(0, n, _PHYSICAL_BLOCK):
         sums = _element_sums(cfg, rng, rng, sizes, min(_PHYSICAL_BLOCK, n - start), work)
@@ -554,5 +552,7 @@ def physical_snr_mc(layouts, d_bi: float, d_iu: float, n: int = 1_000_000,
             active.add(snr_active_batch(g_bi, g_iu, cascade, n_el, zeta_bi, zeta_iu,
                                         layout.power))
             passive.add(snr_passive_batch(cascade, zeta_bi, zeta_iu, layout.power))
-    return [{"active": active.mean_se(), "passive": passive.mean_se()}
-            for active, passive in moments]
+    where = f"physical_snr_mc at {analytic._point(cfg)}, d_bi={d_bi:g} m, d_iu={d_iu:g} m"
+    return [{mode: _finite(acc.mean_se(), f"{where}, n_elements={layout.geometry.n_elements}",
+                           f"the {mode}") for mode, acc in zip(_MODES, accs)}
+            for layout, accs in zip(layouts, moments)]

@@ -763,6 +763,21 @@ class TestCliRuns:
             "d_bi=100 m, d_iu=30 m: the mean SNR is not a positive finite value\n")
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_physical_mc_out_of_float_range_names_the_point(self, tmp_path, capsys):
+        # the mean SNR routes stay finite, the physical MC's squared deviations
+        # do not; this used to print RuntimeWarnings and write inf and nan
+        # std_error rows (exit 1)
+        out = tmp_path / "x"
+        assert main(["validate", "--out", str(out), "--set", "epsilon_ref=1e148"]
+                    + FAST_VALIDATE) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: physical_snr_mc at m_bi=1, m_iu=1, glq_order=20, "
+                              "p_f=0.01 W, d_bi=100 m, d_iu=30 m, n_elements=16: the active "
+                              "estimate is not finite (mean ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("epsilon_ref", ["1e200", "1e-300"])
     @pytest.mark.parametrize("experiment, route, extra", [
         ("association-compare", "mean_snr_closed",

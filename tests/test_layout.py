@@ -11,8 +11,11 @@ outside the quadrature rule and the mixture built on it that reads a rule's
 semi-infinite quadrature: only _quad may; and those of simulate.py that form
 the cascade amplitude: only _element_sums may. A fifth lists the `replace`
 calls outside config.py that rebuild a config section (a `geometry=` or
-`power=` keyword): only NetworkConfig.at may. Run this file directly to
-print these lists. Last, each config key is declared once: on its own field of
+`power=` keyword): only NetworkConfig.at may. A sixth lists the top-level
+defs of simulate.py that draw Gamma or exponential variates themselves
+(channel.sample_nakagami_power draws every fading power), and a seventh
+those that spell the "estimate is not finite" error: only _finite may. Run
+this file directly to print these lists. Last, each config key is declared once: on its own field of
 one of the four config dataclasses.
 """
 
@@ -97,12 +100,16 @@ def test_weights_walk_flags_a_second_mass_formula(tmp_path):
     assert stray_weights_readers(tmp_path) == ["analytic.py", "cli.py:_cmd_dump"]
 
 
-def referrers(module: str, name: str, root: Path = SRC) -> list[str]:
-    """Top-level defs of `module` referencing the bare name `name`."""
+def defs_with(module: str, hit, root: Path = SRC) -> list[str]:
+    """Top-level defs of `module` holding a node for which hit(node) is true."""
     tree = ast.parse((root / module).read_text(encoding="utf-8"))
     return sorted(top.name for top in tree.body if isinstance(top, ast.FunctionDef)
-                  and any(isinstance(node, ast.Name) and node.id == name
-                          for node in ast.walk(top)))
+                  and any(hit(node) for node in ast.walk(top)))
+
+
+def referrers(module: str, name: str, root: Path = SRC) -> list[str]:
+    """Top-level defs of `module` referencing the bare name `name`."""
+    return defs_with(module, lambda node: isinstance(node, ast.Name) and node.id == name, root)
 
 
 def quadrature_callers(root: Path = SRC) -> list[str]:
@@ -139,6 +146,50 @@ def test_cascade_walk_flags_a_second_call_site(tmp_path):
         "        return cascade_amplitude(x, y).sum(axis=1)\n    return rows(a, b)\n"
         "def cell(a, b):\n    return _element_sums(a, b)\n")
     assert cascade_callers(tmp_path) == ["_element_sums", "physical"]
+
+
+def own_gamma_samplers(root: Path = SRC) -> list[str]:
+    """Top-level defs of simulate.py calling a generator's standard_gamma or
+    standard_exponential."""
+    return defs_with("simulate.py", lambda node: isinstance(node, ast.Call)
+                     and isinstance(node.func, ast.Attribute)
+                     and node.func.attr in ("standard_gamma", "standard_exponential"), root)
+
+
+def test_simulate_draws_fading_powers_through_the_channel_sampler():
+    assert own_gamma_samplers() == []
+
+
+def test_gamma_walk_flags_a_second_sampler(tmp_path):
+    (tmp_path / "simulate.py").write_text(
+        "def bulk(rng, m, n):\n    return rng.standard_gamma(m, n) / m\n"
+        "def draw(rng, m):\n    return sample_nakagami_power(m, rng, 4)\n"
+        "def unit(rng):\n    def inner(r):\n"
+        "        return r.standard_exponential(3)\n    return inner(rng)\n")
+    assert own_gamma_samplers(tmp_path) == ["bulk", "unit"]
+
+
+def non_finite_error_writers(root: Path = SRC) -> list[str]:
+    """Top-level defs of simulate.py holding a string with "estimate is not finite"."""
+    return defs_with("simulate.py", lambda node: isinstance(node, ast.Constant)
+                     and isinstance(node.value, str)
+                     and "estimate is not finite" in node.value, root)
+
+
+def test_one_def_forms_the_non_finite_estimate_error():
+    # every estimator names a non-finite estimate through the same helper
+    assert non_finite_error_writers() == ["_finite"]
+
+
+def test_non_finite_walk_flags_a_second_message(tmp_path):
+    (tmp_path / "simulate.py").write_text(
+        "def _finite(where, mean):\n"
+        "    raise ValueError(f'{where}: estimate is not finite (mean {mean})')\n"
+        "def physical(mean):\n    def check(m):\n"
+        "        raise ValueError(f'the active estimate is not finite ({m})')\n"
+        "    return check(mean)\n"
+        "def cell(mean):\n    return _finite('cell', mean)\n")
+    assert non_finite_error_writers(tmp_path) == ["_finite", "physical"]
 
 
 def section_rebuilders(root: Path = SRC) -> list[str]:
@@ -238,3 +289,5 @@ if __name__ == "__main__":
     print(quadrature_callers())
     print(cascade_callers())
     print(section_rebuilders())
+    print(own_gamma_samplers())
+    print(non_finite_error_writers())

@@ -721,6 +721,19 @@ class TestModelMc:
             want["passive"].add(snr_passive_batch(cascade, zeta_bi, zeta_iu, small.power))
         assert joint[0] == {mode: acc.mean_se() for mode, acc in want.items()}
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_physical_mc_non_finite_error_is_named(self):
+        # the active mean (7.9e152) is finite but its squared deviations overflow
+        cfg = make_cfg(epsilon_ref=1e148, geom={"n_elements": 16})
+        with pytest.raises(InvalidDistributionError) as info:
+            physical_snr_mc([cfg], 100.0, 30.0, n=20_000, seed=1)
+        head, mean = str(info.value).split("(mean ")
+        assert head == ("physical_snr_mc at m_bi=1, m_iu=1, glq_order=20, p_f=0.01 W, "
+                        "d_bi=100 m, d_iu=30 m, n_elements=16: the active estimate is not "
+                        "finite ")
+        assert mean.endswith(", standard error inf)")
+        assert 1e152 < float(mean.split(",")[0]) < 1e153
+
     def test_physical_mc_reproducible(self):
         cfg = make_cfg(geom={"n_elements": 16})
         a = physical_snr_mc([cfg], 100.0, 30.0, n=50_000, seed=12)[0]
