@@ -233,8 +233,12 @@ def _rate(m: float, s, laplace, label: str, d):
     s = np.ravel(s)
 
     def kernel(y: np.ndarray) -> np.ndarray:
-        q = -np.expm1(-m * np.log1p(np.divide.outer(y, s)))
-        return q * (laplace(y) / y)[:, None]
+        q = np.divide.outer(y, s)  # then in place: one (n, K) array per call
+        np.log1p(q, out=q)
+        q *= -m
+        np.expm1(q, out=q)
+        q *= (-laplace(y) / y)[:, None]
+        return q
 
     value = LOG2E * _quad(kernel, label, d)
     return float(value[0]) if np.ndim(d) == 0 else value.reshape(np.shape(d))
@@ -284,34 +288,42 @@ def average_metric(cfg: NetworkConfig) -> tuple[float, float]:
     against the radial density 2 pi d / S_t. Region 2 (the ring): rate_active
     with d_BI ~= d_BU and the nearest-reflector distance density over (0, L).
     Region 3 (beyond the ring): d_BI ~= L_out and d_IU ~= d_BU - L_out.
-    Each region integrates from its own lower edge; the kink that the 1 m
-    distance clamp puts in the rate is a quadrature breakpoint.
+    Each region integrates from its own lower edge. A rate depends on a
+    distance d through d^-alpha, so on log d, and has a kink at the distance
+    floor. Every integral over a distance measured from 0 (d_BU in region 1,
+    d_IU in region 2's inner integral and in region 3) gets the breakpoints
+    floor * 4^k, k >= 0: at the default network each then meets REGION_TOL
+    in its first adaptive pass. Region 2's outer d_BI integral, away from 0,
+    keeps the floor kink alone.
     """
     geo = cfg.geometry
     floor = cfg.distance_floor
     lam = geo.lambda_irs
 
+    # floor * 4^k up to the cell radius; the quadrature ignores those past an interval
+    graded = floor * 4.0 ** np.arange(max(1, math.ceil(math.log(geo.l / floor, 4))))
+
     def inner_r(b: float) -> float:
         return integrate_interval_with_error(
             lambda r: (rate_active(b, r, cfg) * 2.0 * math.pi * lam * r
                        * np.exp(-lam * math.pi * r * r)),
-            0.0, geo.l, REGION_TOL, points=(floor,))[0]
+            0.0, geo.l, REGION_TOL, points=graded)[0]
 
-    # Per region: the rate in d_BU, its d_BU interval and the floor kink's d_BU.
+    # Per region: the rate in d_BU, its d_BU interval and its breakpoints in d_BU.
     regions = (
         # 1: BS-served disc, radial density 2 pi d / S_t.
-        (lambda ds: rate_direct(ds, cfg), 0.0, geo.l_in, floor),
+        (lambda ds: rate_direct(ds, cfg), 0.0, geo.l_in, graded),
         # 2: the ring, d_BI ~= d_BU, nearest-reflector distance density in r.
-        (lambda bs: np.array([inner_r(b) for b in bs]), geo.l_in, geo.l_out, floor),
+        (lambda bs: np.array([inner_r(b) for b in bs]), geo.l_in, geo.l_out, (floor,)),
         # 3: beyond the ring, d_BI ~= L_out and d_IU = d_BU - L_out.
         (lambda bs: rate_active(geo.l_out, bs - geo.l_out, cfg), geo.l_out, geo.l,
-         geo.l_out + floor),
+         geo.l_out + graded),
     )
     value = err_total = 0.0
-    for k, (rate, lo, hi, kink) in enumerate(regions, start=1):
+    for k, (rate, lo, hi, points) in enumerate(regions, start=1):
         try:
             val, err = integrate_interval_with_error(
-                lambda x: rate(x) * x, lo, hi, REGION_TOL, points=(kink,))
+                lambda x: rate(x) * x, lo, hi, REGION_TOL, points=points)
         except IntegrationError as exc:
             raise _named(exc, f"average_metric region {k} at {_point(cfg)}, "
                               f"l_in={geo.l_in:g} m, l_out={geo.l_out:g} m") from exc

@@ -335,6 +335,7 @@ def _adaptive_core(
         y = np.moveaxis(y.reshape(*x.shape, -1), -1, 0) if columns else y.reshape(x.shape)
         i15 = (half * (y @ _GK_WK)).reshape(-1, lefts.size)
         i7 = (half * (y @ _GK_WG)).reshape(-1, lefts.size)
+        del y  # freed before the next pass's integrand call allocates its values
         err = np.abs(i15 - i7)
 
         total = i15.sum(axis=1) + done_total
@@ -437,6 +438,8 @@ def integrate_semi_infinite_with_error(f: Callable[[np.ndarray], np.ndarray],
     def transformed(u: np.ndarray) -> np.ndarray:
         w = 1.0 - u
         ok = w > 0.0
+        if ok.all():
+            return (np.asarray(f(u / w), dtype=float).T / (w * w)).T
         ww = w[ok]
         vals = np.asarray(f(u[ok] / ww), dtype=float)
         out = np.zeros(u.shape + vals.shape[1:])

@@ -247,9 +247,10 @@ def simulate_cell(cases, *, n_drops: int, n_fading: int,
     raises ConfigError naming the case. Returns one {"active": {metric:
     SimEstimate}, "passive": {...}} per case, both modes scored on the same
     drops, associations and fading. All cases see the same users and
-    BS-serve those inside the ring; reflectors are drawn once per M, fading
-    once per drop for the largest surface (_draw_fading), so each case's
-    estimates are those of a call with it alone, bit for bit.
+    BS-serve those inside the ring; reflectors are drawn and the nearest
+    association made once per M, fading once per drop for the largest
+    surface (_draw_fading), so each case's estimates are those of a call
+    with it alone, bit for bit.
     Each (drop, user) contributes its fading-averaged value; the returned
     standard errors treat those per-user means as the independent samples
     (fading draws at a fixed position are not independent positional
@@ -276,10 +277,15 @@ def simulate_cell(cases, *, n_drops: int, n_fading: int,
     shape = (len(cases), len(_MODES))
     rate_ue = np.empty((*shape, n_drops * k))
     snr_drop = np.empty((2, *shape, n_drops))  # per drop, its users' SNR mean and M2
+    # the nearest association reads M alone: cases of one M share it
+    keys = [("nearest", layout.geometry.m_irs) if policy == "nearest" else i
+            for i, (layout, policy) in enumerate(cases)]
     for lo in range(0, n_drops, step):
         drops = range(lo, min(lo + step, n_drops))
-        links = [_links(layout, policy, irs[layout.geometry.m_irs][lo:drops.stop],
-                        ue[lo:drops.stop]) for layout, policy in cases]
+        found = {key: _links(layout, policy, irs[layout.geometry.m_irs][lo:drops.stop],
+                             ue[lo:drops.stop])
+                 for key, (layout, policy) in dict(zip(keys, cases)).items()}
+        links = [found[key] for key in keys]
         relayed = links[0][0].ravel() >= 0
         pow_bu, sums = _draw_fading(cfg, seed, drops, relayed.reshape(-1, k).sum(axis=1), f,
                                     sizes)

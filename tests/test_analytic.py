@@ -513,6 +513,33 @@ class TestAverageMetric:
         got = an.average_metric(cfg)[0] * cfg.geometry.s_total
         assert rel_err(got, expected) < 1e-9
 
+    # Converged rows at the default network: average_metric with the 1 m floor
+    # as its only breakpoint, rerun with the module constants monkeypatched to
+    # REGION_TOL = 1e-10 and QUAD_TOL = 1e-11. At its own 1e-6 and 1e-8 that
+    # route was 3.5e-10 off at (120, 150) m.
+    @pytest.mark.parametrize("kw, converged", [
+        ({"l_in": 60.0, "l_out": 110.0}, 7.401210406398609e-06),
+        ({"l_in": 90.0, "l_out": 130.0}, 1.3704549741509672e-05),
+        ({"l_in": 120.0, "l_out": 150.0}, 2.0796348423910135e-05),
+        ({"l_in": 90.0, "l_out": 130.0, "m_iu": 0.5}, 1.3886616529707199e-05),
+        ({"l_in": 90.0, "l_out": 130.0, "alpha": 4.0}, 5.266806024393002e-06),
+    ])
+    def test_ring_rows_match_the_converged_rerun(self, kw, converged):
+        value, err = an.average_metric(NetworkConfig().at(**kw))
+        assert rel_err(value, converged) < 1e-12
+        assert err >= abs(value - converged)
+
+    def test_default_ring_rate_calls_are_bounded(self, monkeypatch):
+        # log-graded breakpoints let each inner d_IU integral converge in its
+        # first pass: 16 rate_active calls, where the floor breakpoint alone
+        # took 111 (7 passes per inner integral)
+        calls = []
+        rate_active = an.rate_active
+        monkeypatch.setattr(an, "rate_active", lambda *args: (
+            calls.append(args) or rate_active(*args)))
+        an.average_metric(NetworkConfig().at(l_in=90.0, l_out=130.0))
+        assert len(calls) <= 20
+
     def test_floor_beyond_the_cell_gives_area_weighted_rates(self):
         # with every distance below a 250 m floor each rate is a constant, so
         # the average is the area-weighted mean of two of them

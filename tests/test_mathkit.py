@@ -288,6 +288,21 @@ class TestIntegrandContract:
         semi_inf(self.recording(lambda z: np.exp(-z), sizes), 1e-10)
         assert sizes and all(n % 15 in (0, 14) for n in sizes)
 
+    @pytest.mark.parametrize("columns", [1, 3])
+    def test_semi_infinite_leaves_the_returned_values_alone(self, columns):
+        # the map to (0, 1) divides by (1 - u)^2 into a new array: an
+        # integrand may return an array it keeps
+        kept = []
+
+        def f(z):
+            y = np.exp(-np.multiply.outer(z, np.arange(1.0, columns + 1.0)))
+            kept.append((y, y.copy()))
+            return y
+
+        value, _ = integrate_semi_infinite_with_error(f, 1e-10)
+        assert np.allclose(value, 1.0 / np.arange(1.0, columns + 1.0), rtol=1e-10)
+        assert kept and all(np.array_equal(y, copy) for y, copy in kept)
+
     def test_interval_calls_are_panel_batches(self):
         sizes = []
         value, _ = integrate_interval_with_error(

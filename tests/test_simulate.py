@@ -476,6 +476,22 @@ class TestSimulateCell:
             est = simulate_cell([(cfg, policy)], n_drops=17, n_fading=3, seed=31)[0]
             assert estimates(est) == want
 
+    @pytest.mark.parametrize("block, groups", [(600, 4), (1 << 15, 1)])
+    def test_nearest_associates_once_per_drop_block(self, monkeypatch, block, groups):
+        # the nearest association reads the reflectors (M) alone, so two N
+        # share it; best_irs scores by each N's mean SNR and runs per case.
+        # Block 600 handles 17 drops of 6 users x 18 element sums in groups of 5.
+        monkeypatch.setattr(simulate, "_DROP_BLOCK", block)
+        policies = []
+        associate = simulate.associate
+        monkeypatch.setattr(simulate, "associate", lambda irs, ue, policy, cfg: (
+            policies.append(policy) or associate(irs, ue, policy, cfg)))
+        cfg = make_cfg(geom={"m_irs": 4}, k_ues=6)
+        cases = [(cfg.at(n_elements=n), policy) for n in (16, 32)
+                 for policy in ("best_irs", "nearest")]
+        simulate_cell(cases, n_drops=17, n_fading=3, seed=31)
+        assert (policies.count("nearest"), policies.count("best_irs")) == (groups, 2 * groups)
+
     def test_estimator_honesty_all_direct(self):
         cfg = all_direct_cfg(k_ues=25)
         s_t = cfg.geometry.s_total
