@@ -15,9 +15,9 @@ from .analytic import (
     snr_moment_active,
 )
 from .config import ExperimentConfig, GeometryConfig, NetworkConfig, PowerParams, parse_config
-from .mathkit import QuadratureRule, exp_en_scaled, gauss_laguerre, ln_gamma
+from .mathkit import QuadratureRule, exp_en_scaled, gauss_laguerre
 from .mixgamma import MixtureGamma, cascaded_power_dist, direct_power_dist
-from .simulate import SimEstimate, simulate_cell, sweep_density
+from .simulate import SimEstimate, simulate_cell
 
 __version__ = "0.1.0"
 
@@ -37,12 +37,10 @@ __all__ = [
     "QuadratureRule",
     "exp_en_scaled",
     "gauss_laguerre",
-    "ln_gamma",
     "MixtureGamma",
     "cascaded_power_dist",
     "direct_power_dist",
     "SimEstimate",
     "simulate_cell",
-    "sweep_density",
     "__version__",
 ]

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import analytic, simulate
 from .config import ConfigError, ExperimentConfig
-from .mathkit import gauss_laguerre, ln_gamma
+from .mathkit import gauss_laguerre
 from .mixgamma import direct_power_dist
 
 __all__ = ["ResultRow", "run_experiment"]
@@ -74,7 +74,7 @@ def _check_direct_link_reductions(cfg: ExperimentConfig, rows, checks):
         mean = dist.moment(1)
         xi = m * d**net.alpha / net.epsilon_ref
         for x in (0.1 * mean, mean, 10.0 * mean):
-            ref = math.exp(m * math.log(xi) + (m - 1.0) * math.log(x) - xi * x - ln_gamma(m))
+            ref = math.exp(m * math.log(xi) + (m - 1.0) * math.log(x) - xi * x - math.lgamma(m))
             worst_pdf = max(worst_pdf, abs(dist.pdf(x) - ref) / ref)
         got = p.p_t * mean / p.sigma2
         expected = p.p_t * net.epsilon_ref * d**-net.alpha / p.sigma2
@@ -277,32 +277,48 @@ def _require_two_samples(cfg: ExperimentConfig, drops_key: str):
 
 
 def _run_density_sweep(cfg: ExperimentConfig):
+    """Spatial throughput versus reflector count M at a fixed element budget.
+
+    M reflectors of n_total_elements / M elements serve users by nearest, all
+    M in one simulate_cell call: the same users and the same fading on the
+    first N elements, so two M's throughput samples pair up user by user.
+    split-total gives each reflector p_f_total / M, holding the network's
+    amplification power fixed; fixed-per-irs gives each p_f_total (total power
+    grows with M), the reading under which decentralizing pays off until
+    per-reflector aperture starves it.
+    """
     _require_two_samples(cfg, "sweep_n_drops")
+    n_total, m_list = cfg.n_total_elements, list(cfg.density_m_list)
+    bad = [m for m in m_list if n_total % m != 0]
+    if bad:
+        small = [d for d in range(1, math.isqrt(n_total) + 1) if n_total % d == 0]
+        divisors = small + [n_total // d for d in reversed(small) if d * d != n_total]
+        raise ConfigError(f"density_m_list {bad} do not divide n_total_elements={n_total}; "
+                          f"valid divisors: {divisors}")
+    split = cfg.density_power_budget == "split-total"
+    cases = [(cfg.network.at(m_irs=m, n_elements=n_total // m,
+                             p_f=cfg.p_f_total / m if split else cfg.p_f_total), "nearest")
+             for m in m_list]
+    results = simulate.simulate_cell(cases, n_drops=cfg.sweep_n_drops,
+                                     n_fading=cfg.sweep_n_fading, seed=cfg.seed)
     rows: list[ResultRow] = []
     summary: dict = {}
-    tables = simulate.sweep_density(
-        cfg.network, cfg.n_total_elements, cfg.density_m_list, seed=cfg.seed,
-        p_f_total=cfg.p_f_total, n_drops=cfg.sweep_n_drops, n_fading=cfg.sweep_n_fading,
-        power_budget=cfg.density_power_budget)
-    for mode, table in tables.items():
-        tp = []
-        for entry in table:
-            label = _point_label(mode=mode, m_irs=entry["m_irs"], n=entry["n_elements"])
+    for mode in ("active", "passive"):
+        for m, estimates in zip(m_list, results):
+            label = _point_label(mode=mode, m_irs=m, n=n_total // m)
             for metric in ("spatial_throughput", "achievable_rate", "snr_mean"):
-                est = entry[metric]
+                est = estimates[mode][metric]
                 rows.append(ResultRow("m_irs", label, metric, "monte_carlo", est.mean,
                                       est.std_error))
-            tp.append(entry["spatial_throughput"])
+        tp = [est[mode]["spatial_throughput"] for est in results]
         best = int(np.argmax([e.mean for e in tp]))
-        m_list = list(cfg.density_m_list)
 
         def z_sep(i, j):
             # every M sees the same users: the error is that of the paired differences
             gap = tp[i].mean - tp[j].mean
             if gap == 0.0:  # the same M, or every user BS-served
                 return 0.0
-            diff = tp[i].samples - tp[j].samples
-            return float(gap / (diff.std(ddof=1) / math.sqrt(diff.size)))
+            return float(gap / simulate.sample_se(tp[i].samples - tp[j].samples))
 
         summary[mode] = {
             "power_budget": cfg.density_power_budget,
@@ -340,7 +356,7 @@ def _run_association_compare(cfg: ExperimentConfig):
         rel = near.samples / near.mean - best.samples / best.mean
         summary[f"n{n}"] = {
             "ratio_nearest_over_best": ratio,
-            "ratio_se": abs(ratio) * float(rel.std(ddof=1)) / math.sqrt(rel.size),
+            "ratio_se": simulate.sample_se(rel, abs(ratio)),
             "threshold": cfg.assoc_threshold,
             "meets_threshold": bool(ratio >= cfg.assoc_threshold),
         }

@@ -23,7 +23,6 @@ __all__ = [
     "IntegrationError",
     "QuadratureRule",
     "gauss_laguerre",
-    "ln_gamma",
     "exp_en_scaled",
     "integrate_interval_with_error",
     "integrate_semi_infinite_with_error",
@@ -142,13 +141,6 @@ def gauss_laguerre(order: int, alpha: float = 0.0) -> QuadratureRule:
 # ---------------------------------------------------------------------------
 # Scalar special functions
 # ---------------------------------------------------------------------------
-
-
-def ln_gamma(x: float) -> float:
-    """Natural log of the Gamma function for x > 0."""
-    if not x > 0:
-        raise DomainError(f"ln_gamma requires x > 0, got {x!r}")
-    return math.lgamma(x)
 
 
 # zeta(k) - 1 for k = 2..27, the coefficients of the ln Gamma(1+a) series.

@@ -42,7 +42,7 @@ __all__ = [
     "drop",
     "associate",
     "simulate_cell",
-    "sweep_density",
+    "sample_se",
     "model_snr_moment_mc",
     "physical_snr_mc",
 ]
@@ -103,6 +103,12 @@ class _Moments:
         """(mean, standard error of the mean); the error is 0 below two values."""
         n = self.count
         return self.shift + self.mean, math.sqrt(self.m2 / (n - 1) / n) if n > 1 else 0.0
+
+
+def sample_se(x: np.ndarray, scale: float = 1.0) -> float:
+    """`scale` times the standard error of the mean of `x`, 0 below two samples; the scale
+    multiplies before the division by sqrt(n), the rounding a ratio's error has always had."""
+    return scale * float(x.std(ddof=1)) / math.sqrt(x.size) if x.size > 1 else 0.0
 
 
 def _finite(estimate: tuple, where: str, what: str) -> tuple:
@@ -336,7 +342,7 @@ def _estimates(cfg: NetworkConfig, policy: str, k: int, snr_drop: np.ndarray,
         m2 = drop_m2.sum() + k * np.square(drop_mean - snr_mean).sum()
         snr_se = math.sqrt(m2 / (n - 1) / n) if n > 1 else 0.0
         rate_mean = rate.mean()
-        rate_se = rate.std(ddof=1) / math.sqrt(n) if n > 1 else 0.0
+        rate_se = sample_se(rate)
         out[mode] = {
             "snr_mean": checked(mode, "snr_mean", snr_mean, snr_se),
             "achievable_rate": checked(mode, "achievable_rate", rate_mean, rate_se),
@@ -345,46 +351,6 @@ def _estimates(cfg: NetworkConfig, policy: str, k: int, snr_drop: np.ndarray,
                                           np.multiply(rate, per_area, out=rate)),
         }
     return out
-
-
-def sweep_density(cfg: NetworkConfig, n_total_elements: int, m_values,
-                  seed: int = 0, *, p_f_total: float, n_drops: int, n_fading: int,
-                  power_budget: str = "split-total") -> dict[str, list[dict]]:
-    """Spatial throughput versus reflector count at a fixed element budget.
-
-    Each entry is simulate_cell's estimate with M reflectors of
-    N = n_total/M elements, users served by the nearest reflector; returns
-    one row list per reflector mode, {"active": [...], "passive": [...]},
-    both scored on the same drops. Every M sees the same users and the same
-    fading on its first N elements, so the spatial-throughput samples of two
-    rows pair up user by user.
-    power_budget="split-total" (default) gives each reflector p_f_total / M so
-    the network-wide amplification power stays constant across the sweep;
-    "fixed-per-irs" gives every reflector p_f_total regardless of M (total
-    power then grows with M), which is the reading under which decentralizing
-    eventually pays off before per-reflector aperture starves it.
-    """
-    m_values = [int(m) for m in m_values]
-    bad = [m for m in m_values if n_total_elements % m != 0]
-    if bad:
-        small = [d for d in range(1, math.isqrt(n_total_elements) + 1)
-                 if n_total_elements % d == 0]
-        divisors = small + [n_total_elements // d for d in reversed(small)
-                            if d * d != n_total_elements]
-        raise ConfigError(
-            f"m_values {bad} do not divide n_total_elements={n_total_elements}; "
-            f"valid divisors: {divisors}"
-        )
-    if power_budget not in ("split-total", "fixed-per-irs"):
-        raise ConfigError(f"unknown power_budget {power_budget!r}")
-    layouts = [cfg.at(m_irs=m, n_elements=n_total_elements // m,
-                      p_f=p_f_total / m if power_budget == "split-total" else p_f_total)
-               for m in m_values]
-    estimates = simulate_cell([(layout, "nearest") for layout in layouts], n_drops=n_drops,
-                              n_fading=n_fading, seed=seed)
-    return {mode: [{"m_irs": layout.geometry.m_irs, "n_elements": layout.geometry.n_elements,
-                    **est[mode]} for layout, est in zip(layouts, estimates)]
-            for mode in _MODES}
 
 
 # ---------------------------------------------------------------------------

@@ -17,14 +17,9 @@ from airsnet import analytic as an
 from airsnet.channel import PowerParams
 from airsnet.cli import main
 from airsnet.config import GeometryConfig, NetworkConfig
-from airsnet.mathkit import gauss_laguerre, ln_gamma
+from airsnet.mathkit import gauss_laguerre
 from airsnet.mixgamma import direct_power_dist
-from airsnet.simulate import (
-    model_snr_moment_mc,
-    physical_snr_mc,
-    simulate_cell,
-    sweep_density,
-)
+from airsnet.simulate import model_snr_moment_mc, physical_snr_mc, simulate_cell
 from conftest import passive_cascade_k, passive_moment_ratio, rayleigh_mean_snr
 
 SEED = 20260808
@@ -84,7 +79,7 @@ def test_criterion_02_direct_link_reductions():
             xi = m * d**3 / 1e-3
             for x in (0.1 * mean, mean, 10.0 * mean):
                 ref = math.exp(
-                    m * math.log(xi) + (m - 1.0) * math.log(x) - xi * x - ln_gamma(m)
+                    m * math.log(xi) + (m - 1.0) * math.log(x) - xi * x - math.lgamma(m)
                 )
                 worst_pdf = max(worst_pdf, abs(dist.pdf(x) - ref) / ref)
         got = 1.0 * direct_power_dist(m, 1e-3 * 100.0**-3.0).moment(1) / 1e-11
@@ -245,13 +240,14 @@ def test_criterion_08_density_sweep_findings():
     )
 
     def sweep(m_values, budget):
-        tables = sweep_density(
-            net, 512, m_values, seed=SEED,
-            p_f_total=1e-5, n_drops=2000, n_fading=2, power_budget=budget,
-        )
+        # the density-sweep experiment's cases: M reflectors of 512 / M elements
+        cases = [(net.at(m_irs=m, n_elements=512 // m,
+                         p_f=1e-5 / m if budget == "split-total" else 1e-5), "nearest")
+                 for m in m_values]
+        results = simulate_cell(cases, n_drops=2000, n_fading=2, seed=SEED)
         out = {}
-        for mode, rows in tables.items():
-            out[mode] = [r["spatial_throughput"] for r in rows]
+        for mode in ("active", "passive"):
+            out[mode] = [r[mode]["spatial_throughput"] for r in results]
             for m, tp in zip(m_values, out[mode]):
                 print(f"  {mode} {budget} M={m:3d}: {tp.mean:.5e} +- {tp.std_error:.2e}")
         return out

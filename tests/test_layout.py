@@ -14,9 +14,11 @@ calls outside config.py that rebuild a config section (a `geometry=` or
 `power=` keyword): only NetworkConfig.at may. A sixth lists the top-level
 defs of simulate.py that draw Gamma or exponential variates themselves
 (channel.sample_nakagami_power draws every fading power), and a seventh
-those that spell the "estimate is not finite" error: only _finite may. Run
-this file directly to print these lists. Last, each config key is declared once: on its own field of
-one of the four config dataclasses.
+those that spell the "estimate is not finite" error: only _finite may. An
+eighth lists the top-level src/ defs that call `.std(...)` with a ddof: only
+simulate.sample_se may. Run this file directly to print these lists. Last,
+each config key is declared once: on its own field of one of the four config
+dataclasses.
 """
 
 import ast
@@ -70,16 +72,22 @@ WEIGHTS_READERS = {"mathkit.py", "mixgamma.py", "experiments.py:_check_glq",
                    "cli.py:_cmd_glq_table"}
 
 
-def weights_readers(root: Path = SRC) -> list[str]:
-    """Each top-level def ("module:name") or module statement reading `.weights`."""
+def tops_with(hit, root: Path = SRC) -> list[str]:
+    """Each top-level def ("module:name") or module statement of src/ holding a
+    node for which hit(node) is true."""
     found = set()
     for path in sorted(root.glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
-            if any(isinstance(node, ast.Attribute) and node.attr == "weights"
-                   for node in ast.walk(top)):
+            if any(hit(node) for node in ast.walk(top)):
                 name = getattr(top, "name", None)
                 found.add(f"{path.name}:{name}" if name else path.name)
     return sorted(found)
+
+
+def weights_readers(root: Path = SRC) -> list[str]:
+    """Each top-level def or module statement reading `.weights`."""
+    return tops_with(lambda node: isinstance(node, ast.Attribute) and node.attr == "weights",
+                     root)
 
 
 def stray_weights_readers(root: Path = SRC) -> list[str]:
@@ -193,20 +201,13 @@ def test_non_finite_walk_flags_a_second_message(tmp_path):
 
 
 def section_rebuilders(root: Path = SRC) -> list[str]:
-    """Each top-level def ("module:name") outside config.py whose `replace` call
-    passes a geometry= or power= keyword, or the module for a module statement."""
-    found = set()
-    for path in sorted(root.glob("*.py")):
-        if path.name == "config.py":
-            continue
-        for top in ast.parse(path.read_text(encoding="utf-8")).body:
-            if any(isinstance(node, ast.Call)
-                   and getattr(node.func, "id", getattr(node.func, "attr", None)) == "replace"
-                   and any(kw.arg in ("geometry", "power") for kw in node.keywords)
-                   for node in ast.walk(top)):
-                name = getattr(top, "name", None)
-                found.add(f"{path.name}:{name}" if name else path.name)
-    return sorted(found)
+    """Each top-level def or module statement outside config.py whose `replace`
+    call passes a geometry= or power= keyword."""
+    return [top for top in tops_with(
+        lambda node: isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "replace"
+        and any(kw.arg in ("geometry", "power") for kw in node.keywords), root)
+        if not top.startswith("config.py")]
 
 
 def test_only_network_config_at_rebuilds_a_section():
@@ -225,6 +226,32 @@ def test_section_walk_flags_a_second_site(tmp_path):
         "NET = dataclasses.replace(CFG, power=POWER)\n"
         "def ring(cfg):\n    return cfg.at(l_in=1.0)\n")
     assert section_rebuilders(tmp_path) == ["experiments.py", "simulate.py:sweep"]
+
+
+def ddof_std_callers(root: Path = SRC) -> list[str]:
+    """Each top-level def or module statement calling `.std(...)` with a ddof keyword."""
+    return tops_with(lambda node: isinstance(node, ast.Call)
+                     and isinstance(node.func, ast.Attribute) and node.func.attr == "std"
+                     and any(kw.arg == "ddof" for kw in node.keywords), root)
+
+
+def test_one_def_forms_the_sample_standard_error():
+    # every paired or per-user standard error is simulate.sample_se
+    assert ddof_std_callers() == ["simulate.py:sample_se"]
+
+
+def test_std_walk_flags_a_second_site(tmp_path):
+    (tmp_path / "simulate.py").write_text(
+        "def sample_se(x):\n    return x.std(ddof=1) / math.sqrt(x.size)\n"
+        "def spread(x):\n    return x.std()\n")
+    (tmp_path / "experiments.py").write_text(
+        "def density(tp):\n    def z(d):\n"
+        "        return d.mean() / (d.std(ddof=1) / math.sqrt(d.size))\n"
+        "    return z(tp)\n"
+        "def assoc(rel):\n    return sample_se(rel)\n"
+        "SE = np.std(X, ddof=1)\n")
+    assert ddof_std_callers(tmp_path) == [
+        "experiments.py", "experiments.py:density", "simulate.py:sample_se"]
 
 
 def test_every_definition_is_referenced_in_src():
@@ -291,3 +318,4 @@ if __name__ == "__main__":
     print(section_rebuilders())
     print(own_gamma_samplers())
     print(non_finite_error_writers())
+    print(ddof_std_callers())

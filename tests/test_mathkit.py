@@ -12,7 +12,6 @@ from airsnet.mathkit import (
     gauss_laguerre,
     integrate_interval_with_error,
     integrate_semi_infinite_with_error,
-    ln_gamma,
 )
 from conftest import e1_series, ref_exp_e1_scaled, rel_err
 
@@ -111,18 +110,6 @@ class TestGaussLaguerre:
     def test_out_of_range_alpha(self, alpha):
         with pytest.raises(DomainError):
             gauss_laguerre(4, alpha)
-
-
-class TestLnGamma:
-    def test_known_values(self):
-        assert ln_gamma(1.0) == pytest.approx(0.0, abs=1e-15)
-        assert rel_err(ln_gamma(0.5), math.log(math.sqrt(math.pi))) < 1e-13
-        assert rel_err(ln_gamma(10.0), math.log(362880.0)) < 1e-13
-
-    @pytest.mark.parametrize("x", [0.0, -1.0, -0.5])
-    def test_domain(self, x):
-        with pytest.raises(DomainError):
-            ln_gamma(x)
 
 
 class TestExpE1Scaled:

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import numpy as np
@@ -14,7 +15,14 @@ from airsnet.channel import (
     snr_direct_batch,
     snr_passive_batch,
 )
-from airsnet.config import ConfigError, GeometryConfig, NetworkConfig
+from airsnet.config import (
+    ConfigError,
+    ExperimentConfig,
+    GeometryConfig,
+    NetworkConfig,
+    parse_config,
+)
+from airsnet.experiments import run_experiment
 from airsnet.mathkit import integrate_interval_with_error
 from airsnet.mixgamma import InvalidDistributionError, cascaded_power_dist
 from airsnet.simulate import (
@@ -26,7 +34,6 @@ from airsnet.simulate import (
     model_snr_moment_mc,
     physical_snr_mc,
     simulate_cell,
-    sweep_density,
 )
 from conftest import rel_err
 
@@ -42,6 +49,20 @@ def make_cfg(**kw):
 def all_direct_cfg(**kw):
     # the ring is pushed to the rim, so in practice every user is BS-served
     return make_cfg(geom={"l_in": 199.999997, "l_out": 199.999998, "l": 200.0}, **kw)
+
+
+def density_sweep(net, n_total, m_values, seed, **knobs):
+    """The density-sweep experiment on `net`: its (rows, summary)."""
+    rows, summary, _ = run_experiment(ExperimentConfig(
+        network=net, experiment="density-sweep", seed=seed, n_total_elements=n_total,
+        density_m_list=tuple(m_values), **knobs))
+    return rows, summary
+
+
+def density_cases(net, n_total, m_values, p_f_total):
+    """The density sweep's split-budget cases: M reflectors of n_total / M elements."""
+    return [(net.at(m_irs=m, n_elements=n_total // m, p_f=p_f_total / m), "nearest")
+            for m in m_values]
 
 
 def one_drop(cfg, seed, index):
@@ -230,7 +251,7 @@ class TestDrop:
 
         monkeypatch.setattr(simulate, "_stream", recorded)
         cfg = make_cfg(k_ues=6)
-        sweep_density(cfg, 16, [1, 4], seed=seed, p_f_total=0.01, n_drops=3, n_fading=2)
+        simulate_cell(density_cases(cfg, 16, [1, 4], 0.01), n_drops=3, n_fading=2, seed=seed)
         model_snr_moment_mc([(cfg, 100.0)], 30.0, n=10, seed=seed)
         physical_snr_mc([cfg], 100.0, 30.0, n=10, seed=seed)
         assert {(1, 1), (0, 2), (2, 6), (5,), (999, 3), (998, 4)} <= set(opened) <= forms
@@ -538,21 +559,24 @@ class TestSweepDensity:
 
     def test_m_one_row_matches_direct_call(self):
         # one fading draw per drop serves every case: under both budget
-        # readings each row is simulate_cell alone at that (M, N, P_F), bit for
-        # bit, samples included; so is each case of a mixed list of two N,
-        # both policies and a second M
+        # readings each density-sweep row is simulate_cell alone at that
+        # (M, N, P_F), bit for bit; so is each case of a mixed list of two N,
+        # both policies and a second M, samples included
         cfg = make_cfg(k_ues=10)
         m_values = [1, 2, 8]
         for budget in ("split-total", "fixed-per-irs"):
-            rows = sweep_density(cfg, 64, m_values, seed=6, p_f_total=0.01, n_drops=5,
-                                 n_fading=2, power_budget=budget)
-            for i, m in enumerate(m_values):
+            rows, _ = density_sweep(cfg, 64, m_values, seed=6, p_f_total=0.01, sweep_n_drops=5,
+                                    sweep_n_fading=2, density_power_budget=budget)
+            got = {(r.swept_value, r.metric): (r.value, r.std_error) for r in rows}
+            assert len(got) == len(rows) == 2 * 3 * len(m_values)
+            for m in m_values:
                 p_f = 0.01 / m if budget == "split-total" else 0.01
                 swept = cfg.at(m_irs=m, n_elements=64 // m, p_f=p_f)
                 direct = simulate_cell([(swept, "nearest")], n_drops=5, n_fading=2, seed=6)[0]
-                row = {mode: rows[mode][i] for mode in ("active", "passive")}
-                assert all((r["m_irs"], r["n_elements"]) == (m, 64 // m) for r in row.values())
-                self.assert_same(row, direct, (budget, m))
+                for mode, estimates in direct.items():
+                    label = f"mode={mode}|m_irs={m}|n={64 // m}"
+                    for metric, est in estimates.items():
+                        assert got[label, metric] == (est.mean, est.std_error), (budget, label)
         cases = [(cfg.at(m_irs=m, n_elements=n, p_f=p_f), policy)
                  for m, n, p_f in ((16, 32, 0.01), (4, 8, 0.02), (16, 8, 0.01))
                  for policy in ("best_irs", "nearest")]
@@ -578,42 +602,46 @@ class TestSweepDensity:
         # the users and their direct-link fading do not depend on M, so the
         # throughput samples of BS-served users agree row to row
         cfg = make_cfg(k_ues=10)
-        rows = sweep_density(cfg, 64, [1, 4, 16], seed=6, p_f_total=0.01, n_drops=20,
-                             n_fading=2)
+        rows = simulate_cell(density_cases(cfg, 64, [1, 4, 16], 0.01), n_drops=20, n_fading=2,
+                             seed=6)
         _, ue = drop(cfg, 6, 20)
         inside = (np.linalg.norm(ue, axis=-1) < cfg.geometry.l_in).ravel()
         assert 0 < inside.sum() < inside.size
         for mode in ("active", "passive"):
-            first = rows[mode][0]["spatial_throughput"]
+            first = rows[0][mode]["spatial_throughput"]
             assert first.samples.shape == (200,)
             assert first.mean == pytest.approx(first.samples.mean(), rel=1e-12)
-            for row in rows[mode][1:]:
-                samples = row["spatial_throughput"].samples
+            for row in rows[1:]:
+                samples = row[mode]["spatial_throughput"].samples
                 assert np.array_equal(samples[inside], first.samples[inside])
                 assert not np.any(samples[~inside] == first.samples[~inside])
 
-    def test_non_divisor_rejected_with_divisor_list(self):
-        cfg = make_cfg()
+    @staticmethod
+    def density_error(n_total, m):
+        """The ConfigError density-sweep raises, before any draw, for M = m."""
+        cfg = parse_config(None, [f"density_m_list=[{m}]", f"n_total_elements={n_total}"],
+                           experiment="density-sweep")
         with pytest.raises(ConfigError) as exc:
-            sweep_density(cfg, 12, [5], seed=0, p_f_total=0.01, n_drops=1, n_fading=1)
-        msg = str(exc.value)
-        assert "valid divisors" in msg
-        assert "6" in msg and "12" in msg
+            run_experiment(cfg)
+        return str(exc.value)
+
+    def test_non_divisor_rejected_with_divisor_list(self):
+        assert self.density_error(12, 5) == (
+            "density_m_list [5] do not divide n_total_elements=12; "
+            "valid divisors: [1, 2, 3, 4, 6, 12]")
 
     @pytest.mark.parametrize("n_total", [1, 2, 12, 36, 97, 360, 1024])
     def test_divisor_list_matches_a_full_scan(self, n_total):
         bad = next(m for m in range(2, n_total + 2) if n_total % m)
-        with pytest.raises(ConfigError) as exc:
-            sweep_density(make_cfg(), n_total, [bad], p_f_total=0.01, n_drops=1, n_fading=1)
         divisors = [d for d in range(1, n_total + 1) if n_total % d == 0]
-        assert str(exc.value).endswith(f"valid divisors: {divisors}")
+        assert self.density_error(n_total, bad).endswith(f"valid divisors: {divisors}")
 
     def test_divisors_of_a_large_budget_are_listed_quickly(self):
         # 10^9 = 2^9 * 5^9 has 100 divisors; a scan of 1..n would take minutes
         start = time.perf_counter()
-        with pytest.raises(ConfigError, match=r"valid divisors: \[1, 2, 4, 5, 8, .*, 1000000000\]"):
-            sweep_density(make_cfg(), 10**9, [3], p_f_total=0.01, n_drops=1, n_fading=1)
+        msg = self.density_error(10**9, 3)
         assert time.perf_counter() - start < 1.0
+        assert re.search(r"valid divisors: \[1, 2, 4, 5, 8, .*, 1000000000\]$", msg)
 
 
 class TestDensityFindings:
@@ -621,43 +649,34 @@ class TestDensityFindings:
         # sharpest-separation geometry found for the centralized-passive
         # claim; the M=1-vs-M=2 pair needs ~5e5 positions to clear 3 sigma
         net = make_cfg(geom={"l": 200.0, "l_in": 30.0, "l_out": 150.0})
-        rows = sweep_density(
-            net, 512, [1, 2, 8, 32], seed=515,
-            p_f_total=1e-5, n_drops=5000, n_fading=2,
-        )["passive"]
-        tps = [r["spatial_throughput"] for r in rows]
+        m_values = [1, 2, 8, 32]
+        _, summary = density_sweep(net, 512, m_values, seed=515, p_f_total=1e-5,
+                                   sweep_n_drops=5000, sweep_n_fading=2)
+        tps, ses = summary["passive"]["throughput"], summary["passive"]["std_error"]
         for other in range(1, len(tps)):
-            z = (tps[0].mean - tps[other].mean) / math.hypot(
-                tps[0].std_error, tps[other].std_error
-            )
-            assert z >= 3.0, (rows[other]["m_irs"], z)
+            z = (tps[0] - tps[other]) / math.hypot(ses[0], ses[other])
+            assert z >= 3.0, (m_values[other], z)
 
     def test_fixed_per_reflector_budget_shows_interior_maximum(self):
         # when every reflector keeps its own amplification budget, spreading
         # elements pays off until per-reflector aperture starves: an interior
         # maximizer separated from both endpoints
-        net = make_cfg()
-        rows = sweep_density(
-            net, 512, [1, 4, 16, 64, 256, 512], seed=99,
-            p_f_total=1e-5, n_drops=600, n_fading=2,
-            power_budget="fixed-per-irs",
-        )["active"]
-        tps = [r["spatial_throughput"] for r in rows]
-        best = max(range(len(tps)), key=lambda i: tps[i].mean)
+        _, summary = density_sweep(make_cfg(), 512, [1, 4, 16, 64, 256, 512], seed=99,
+                                   p_f_total=1e-5, sweep_n_drops=600, sweep_n_fading=2,
+                                   density_power_budget="fixed-per-irs")
+        tps, ses = summary["active"]["throughput"], summary["active"]["std_error"]
+        best = max(range(len(tps)), key=lambda i: tps[i])
         assert 0 < best < len(tps) - 1
 
         def z_sep(i, j):
-            return (tps[i].mean - tps[j].mean) / math.hypot(
-                tps[i].std_error, tps[j].std_error
-            )
+            return (tps[i] - tps[j]) / math.hypot(ses[i], ses[j])
 
         assert z_sep(best, 0) >= 3.0
         assert z_sep(best, len(tps) - 1) >= 3.0
 
     def test_unknown_power_budget_rejected(self):
-        with pytest.raises(ConfigError):
-            sweep_density(make_cfg(), 16, [1], p_f_total=0.01, n_drops=1, n_fading=1,
-                          power_budget="per-element")
+        with pytest.raises(ConfigError, match="density_power_budget"):
+            parse_config(None, ["density_power_budget=per-element"], experiment="density-sweep")
 
 
 class TestModelMc:
