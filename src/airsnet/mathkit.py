@@ -277,9 +277,11 @@ _GAUSS_WEIGHTS = np.array([
 ])
 
 _GK_X = np.concatenate([-_KRONROD_NODES[:-1], _KRONROD_NODES[::-1]])  # 15 ascending
-_GK_WK = np.concatenate([_KRONROD_WEIGHTS[:-1], _KRONROD_WEIGHTS[::-1]])
-_GK_WG = np.zeros(15)
-_GK_WG[1:-1:2] = np.concatenate([_GAUSS_WEIGHTS[:-1], _GAUSS_WEIGHTS[::-1]])
+# (2, 15): the K15 weights, then the G7 weights on the Kronrod abscissae
+_GK_W = np.stack([np.concatenate([_KRONROD_WEIGHTS[:-1], _KRONROD_WEIGHTS[::-1]]),
+                  np.zeros(15)])
+_GK_W[1, 1:-1:2] = np.concatenate([_GAUSS_WEIGHTS[:-1], _GAUSS_WEIGHTS[::-1]])
+_MAX_PASSES = 200
 
 
 def _adaptive_core(
@@ -287,26 +289,29 @@ def _adaptive_core(
     grid: np.ndarray,
     rel_tol: float,
     max_panels: int,
+    jacobian: Callable[[np.ndarray], np.ndarray] | None = None,
 ):
     """Adaptive G7/K15 bisection of the sorted initial mesh `grid`.
 
     Returns (estimate, error bound) of the integral over [grid[0], grid[-1]].
 
     f returns an (n,) array, or an (n, K) array of K integrands sharing the
-    abscissae. Column k is held to rel_tol * |total_k|; a panel is bisected
-    (in vectorized batches) while some unconverged column's Kronrod-vs-Gauss
-    discrepancy there exceeds its width-prorated share of that tolerance.
+    abscissae; `jacobian`, if given, maps the (panels, 15) abscissae to
+    factors folded into the panel weights, so f's array is only read.
+    Column k is held to rel_tol * |total_k|. After each pass the panels are
+    ranked by their largest Kronrod-vs-Gauss error relative to an
+    unconverged column's tolerance; the longest prefix that keeps every
+    unconverged column's accepted error within a quarter of its tolerance is
+    accepted and the rest is bisected (in vectorized batches).
     Returns floats for an (n,) integrand and (K,) arrays otherwise; an
     IntegrationError then carries (K,) estimates and achieved errors.
     Deterministic: the final sums run over panels sorted by left endpoint.
     """
-    a, b = grid[0], grid[-1]
     lefts = grid[:-1].copy()
     rights = grid[1:].copy()
 
-    # Per-panel values and errors are (K, panels): each column's row is
-    # contiguous, so its sums are the same pairwise sums as a 1-D integrand's.
-    # The accepted panels' running sums add up in acceptance order.
+    # Per-panel values and errors are (panels, K); the accepted panels'
+    # running sums add up in acceptance order.
     done_lefts: list[np.ndarray] = []
     done_vals: list[np.ndarray] = []
     done_errs: list[np.ndarray] = []
@@ -318,20 +323,21 @@ def _adaptive_core(
     def result(est, err):
         return (est, err) if columns else (float(est[0]), float(err[0]))
 
-    for _ in range(200):
+    for _ in range(_MAX_PASSES):
         mid = 0.5 * (lefts + rights)
         half = 0.5 * (rights - lefts)
-        x = mid[:, None] + half[:, None] * _GK_X[None, :]
+        x = mid[:, None] + half[:, None] * _GK_X
         y = np.asarray(f(x.ravel()), dtype=float)
         columns = y.ndim == 2
-        y = np.moveaxis(y.reshape(*x.shape, -1), -1, 0) if columns else y.reshape(x.shape)
-        i15 = (half * (y @ _GK_WK)).reshape(-1, lefts.size)
-        i7 = (half * (y @ _GK_WG)).reshape(-1, lefts.size)
+        scale = half[:, None] if jacobian is None else half[:, None] * jacobian(x)
+        # (panels, 2, 15) @ (panels, 15, K): both rules' sums in one read of y
+        sums = np.matmul(scale[:, None, :] * _GK_W, y.reshape(*x.shape, -1))
         del y  # freed before the next pass's integrand call allocates its values
-        err = np.abs(i15 - i7)
+        i15 = sums[:, 0]
+        err = np.abs(i15 - sums[:, 1])
 
-        total = i15.sum(axis=1) + done_total
-        err_all = err.sum(axis=1) + done_err
+        total = i15.sum(axis=0) + done_total
+        err_all = err.sum(axis=0) + done_err
         tol = rel_tol * np.maximum(np.abs(total), 1e-300)
         converged = err_all <= tol
         if converged.all():
@@ -340,18 +346,22 @@ def _adaptive_core(
             done_errs.append(err)
             break
 
-        # Accept panels already below their prorated share of every
-        # unconverged column's tolerance, split the rest.
-        share = np.where(converged, math.inf, 0.25 * tol)[:, None] * (rights - lefts) / (b - a)
-        keep = (err <= share).all(axis=0)
+        # Rank the panels by their worst error against an unconverged
+        # column's tolerance; accept the longest prefix that keeps each such
+        # column's accepted error within a quarter of its tolerance.
+        open_err, open_tol = err[:, ~converged], tol[~converged]
+        rank = np.argsort((open_err / open_tol).max(axis=1), kind="stable")
+        room = (0.25 * tol - done_err)[~converged]
+        fits = (np.cumsum(open_err[rank], axis=0) <= room).all(axis=1)
+        keep = np.zeros(lefts.size, dtype=bool)
+        keep[rank[:np.count_nonzero(fits)]] = True
         # Bisection below float resolution: accept to avoid infinite loops.
-        stuck = (mid - lefts) < np.abs(mid) * 1e-15
-        keep |= stuck
+        keep |= (mid - lefts) < np.abs(mid) * 1e-15
         done_lefts.append(lefts[keep])
-        done_vals.append(i15[:, keep])
-        done_errs.append(err[:, keep])
-        done_total = done_total + done_vals[-1].sum(axis=1)
-        done_err = done_err + done_errs[-1].sum(axis=1)
+        done_vals.append(i15[keep])
+        done_errs.append(err[keep])
+        done_total = done_total + done_vals[-1].sum(axis=0)
+        done_err = done_err + done_errs[-1].sum(axis=0)
 
         split_l, split_r, split_m = lefts[~keep], rights[~keep], mid[~keep]
         n_panels += split_l.size
@@ -368,11 +378,13 @@ def _adaptive_core(
         # depth budget exhausted with panels still pending: their mass was
         # never accumulated, so the estimate cannot be trusted
         est, ach = result(np.zeros(total.shape) + done_total, np.full(total.shape, math.inf))
-        raise IntegrationError("integration depth budget exhausted", est, ach)
+        raise IntegrationError(
+            f"integration depth budget exhausted ({_MAX_PASSES} passes, {n_panels} panels)",
+            est, ach)
 
     order = np.argsort(np.concatenate(done_lefts), kind="stable")
-    estimate = np.concatenate(done_vals, axis=1)[:, order].sum(axis=1)
-    err_bound = np.concatenate(done_errs, axis=1).sum(axis=1)
+    estimate = np.concatenate(done_vals)[order].sum(axis=0)
+    err_bound = np.concatenate(done_errs).sum(axis=0)
     achieved = err_bound / np.maximum(np.abs(estimate), 1e-300)
     if np.any(achieved > rel_tol):
         est, ach = result(estimate, achieved)
@@ -415,27 +427,33 @@ def integrate_semi_infinite_with_error(f: Callable[[np.ndarray], np.ndarray],
     (n,) array of integrand values, or to an (n, K) array of K integrands
     integrated together, each to its own relative tolerance; values and
     bounds are then (K,) arrays. The half line is mapped to (0, 1) via
-    z = u/(1-u) and the transformed integrand is handled by adaptive
-    Gauss-Kronrod bisection over a decade-graded initial mesh, which resolves
-    exponential decay, sharply concentrated kernels and mild (integrable)
-    behavior at z -> 0. Deterministic: identical inputs give identical outputs.
+    z = u/(1-u), whose Jacobian 1/(1-u)^2 goes into the panel weights, and
+    the mapped integral is handled by adaptive Gauss-Kronrod bisection over
+    a decade-graded initial mesh, which resolves exponential decay, sharply
+    concentrated kernels and mild (integrable) behavior at z -> 0.
+    Deterministic: identical inputs give identical outputs.
 
     Raises
     ------
     IntegrationError
-        If the panel budget is exhausted before the tolerance is met; the
-        exception carries the best estimate and the achieved relative error.
+        If the panel or pass budget is exhausted before the tolerance is
+        met; the exception carries the best estimate and the achieved
+        relative error.
     """
 
-    def transformed(u: np.ndarray) -> np.ndarray:
+    def mapped(u: np.ndarray) -> np.ndarray:
         w = 1.0 - u
         ok = w > 0.0
         if ok.all():
-            return (np.asarray(f(u / w), dtype=float).T / (w * w)).T
-        ww = w[ok]
-        vals = np.asarray(f(u[ok] / ww), dtype=float)
+            return f(u / w)
+        vals = np.asarray(f(u[ok] / w[ok]), dtype=float)
         out = np.zeros(u.shape + vals.shape[1:])
-        out[ok] = (vals.T / (ww * ww)).T
+        out[ok] = vals
         return out
 
-    return _adaptive_core(transformed, _DECADE_GRID, rel_tol, max_panels)
+    def jacobian(u: np.ndarray) -> np.ndarray:
+        # dz/du = 1/(1-u)^2; 0 at u = 1 (z = inf), which f never sees
+        w = 1.0 - u
+        return np.divide(1.0, w * w, out=np.zeros_like(w), where=w > 0.0)
+
+    return _adaptive_core(mapped, _DECADE_GRID, rel_tol, max_panels, jacobian)

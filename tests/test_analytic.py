@@ -540,6 +540,17 @@ class TestAverageMetric:
         an.average_metric(NetworkConfig().at(l_in=90.0, l_out=130.0))
         assert len(calls) <= 20
 
+    def test_default_ring_quadrature_points_are_bounded(self, monkeypatch):
+        # the quadrature splits only the panels its tolerance needs: the
+        # ring's 17 semi-infinite y-integrals evaluate 18,073 integrand
+        # points, where a width-prorated error share per panel took 32,503
+        points = []
+        quad = an.integrate_semi_infinite_with_error
+        monkeypatch.setattr(an, "integrate_semi_infinite_with_error", lambda f, *a, **k: quad(
+            lambda z: points.append(z.size) or f(z), *a, **k))
+        an.average_metric(NetworkConfig().at(l_in=90.0, l_out=130.0))
+        assert points and sum(points) <= 20_000
+
     def test_floor_beyond_the_cell_gives_area_weighted_rates(self):
         # with every distance below a 250 m floor each rate is a constant, so
         # the average is the area-weighted mean of two of them

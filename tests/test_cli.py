@@ -742,13 +742,17 @@ class TestCliRuns:
     def test_mean_snr_integral_at_a_vanishing_noise_floor_names_the_point(self, tmp_path,
                                                                         capsys):
         # kappa ~ 1e-289 sends the kernel's v/kappa past the float range; that
-        # used to print an overflow RuntimeWarning ahead of the error line
+        # used to print an overflow RuntimeWarning ahead of the error line.
+        # The kernel's mass sits at v ~ kappa, so bisection towards 0 runs out
+        # of passes long before it runs out of panels.
         out = tmp_path / "x"
         assert main(["mean-snr-vs-pf", "--out", str(out), "--set", "sigma2_w=1e-300",
                      "--set", "pf_grid_w=[0.01]", "--set", "n_mc_model=20000"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: mean_snr_integral at m_bi=1, m_iu=1, glq_order=20, "
-                              "p_f=0.01 W, d_bi=100 m, d_iu=30 m: ")
+                              "p_f=0.01 W, d_bi=100 m, d_iu=30 m: integration depth "
+                              "budget exhausted (200 passes, ")
+        assert err.endswith(" panels)\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("epsilon_ref", ["1e200", "1e-300"])

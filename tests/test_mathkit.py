@@ -277,8 +277,8 @@ class TestIntegrandContract:
 
     @pytest.mark.parametrize("columns", [1, 3])
     def test_semi_infinite_leaves_the_returned_values_alone(self, columns):
-        # the map to (0, 1) divides by (1 - u)^2 into a new array: an
-        # integrand may return an array it keeps
+        # the map to (0, 1) folds its Jacobian into the panel weights and only
+        # reads the values: an integrand may return an array it keeps
         kept = []
 
         def f(z):
@@ -363,6 +363,35 @@ class TestColumnIntegrands:
         assert rel_err(values[0], math.expm1(2.0)) < 1e-11
         small = 1e-30 * (1.0 + math.sin(80.0) / 80.0)
         assert rel_err(values[1], small) < 1e-11
+
+    # e^-z/(z + s_k) with s_k over nine decades: each column's feature sits at
+    # its own scale, and its integral is e^s E1(s)
+    MULTI_SCALE = np.logspace(-6.0, 3.0, 60)
+
+    @classmethod
+    def multi_scale(cls, z):
+        return np.exp(-z)[:, None] / np.add.outer(z, cls.MULTI_SCALE)
+
+    def test_multi_scale_columns_each_meet_their_own_tolerance(self):
+        values, errs = integrate_semi_infinite_with_error(self.multi_scale, 1e-10)
+        for s, value, err in zip(self.MULTI_SCALE, values, errs):
+            assert rel_err(value, ref_exp_e1_scaled(s)) < 1e-10
+            assert 0.0 <= err <= 1e-10 * value
+
+    def test_a_converged_column_is_not_refined(self):
+        # 1/(1+z)^2 meets its tolerance on the initial mesh; beside the
+        # multi-scale columns it adds no abscissa and moves no other column
+        record = TestIntegrandContract.recording
+        easy = lambda z: 1.0 / (1.0 + z) ** 2
+        easy_sizes, sizes, joint_sizes = [], [], []
+        value, _ = integrate_semi_infinite_with_error(record(easy, easy_sizes), 1e-10)
+        assert len(easy_sizes) == 1 and rel_err(value, 1.0) < 1e-10
+        alone, _ = integrate_semi_infinite_with_error(record(self.multi_scale, sizes), 1e-10)
+        joint, _ = integrate_semi_infinite_with_error(
+            record(lambda z: np.column_stack([easy(z), self.multi_scale(z)]), joint_sizes),
+            1e-10)
+        assert len(sizes) > 1 and joint_sizes == sizes
+        assert rel_err(joint[0], 1.0) < 1e-10 and np.array_equal(joint[1:], alone)
 
     def test_budget_error_carries_per_column_arrays(self):
         with pytest.raises(IntegrationError) as exc:

@@ -258,6 +258,15 @@ class TestDrop:
         starts = {tuple(stream(seed, *path).integers(0, 2**63, 2)) for path in forms}
         assert len(starts) == len(forms)
 
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
+    @pytest.mark.parametrize("path", [(), (5, 6), (2**32, 0), (2**40 + 7, 3)])
+    def test_stream_state_is_the_seed_sequence_of_the_key(self, seed, path):
+        # _stream splits the key into uint32 words itself; the state must be
+        # the one SeedSequence([seed, *path]) gives for every word count
+        want = np.random.SFC64(np.random.SeedSequence([seed, *path])).state
+        got = simulate._stream(seed, *path).bit_generator.state
+        assert np.array_equal(got["state"]["state"], want["state"]["state"])
+
     @pytest.mark.parametrize("n, k", [(1, 1), (7, 3), (40, 39)])
     def test_fewer_drops_are_a_prefix(self, n, k):
         cfg = make_cfg(geom={"m_irs": 5}, k_ues=9)
