@@ -482,10 +482,12 @@ def _score_unit_mixture(mixture: tuple, laws: dict, n: int, seed: int) -> None:
             pdf += log_norm
             np.exp(pdf, out=pdf)
             # proposal density 0.5 pdf + 0.25 kappa/(g+kappa)^2 + 0.25 log-uniform,
-            # the last term added as 0 outside [lo, hi] (x + 0 is x)
-            np.add(g, kappa, out=mix_pdf)
-            mix_pdf *= mix_pdf
-            np.divide(kappa, mix_pdf, out=mix_pdf)
+            # the last term added as 0 outside [lo, hi] (x + 0 is x); the middle
+            # one as (kappa/(g+kappa))/(g+kappa), since (g+kappa)^2 leaves the
+            # float range below g+kappa ~ 1e-154 and above ~ 1e154
+            np.add(g, kappa, out=tmp)
+            np.divide(kappa, tmp, out=mix_pdf)
+            mix_pdf /= tmp
             np.divide(1.0 / log_range, g, out=tmp)
             np.putmask(tmp, ~((g >= lo) & (g <= hi)), 0.0)
             mix_pdf += tmp

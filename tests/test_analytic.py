@@ -541,15 +541,34 @@ class TestAverageMetric:
         assert len(calls) <= 20
 
     def test_default_ring_quadrature_points_are_bounded(self, monkeypatch):
-        # the quadrature splits only the panels its tolerance needs: the
-        # ring's 17 semi-infinite y-integrals evaluate 18,073 integrand
-        # points, where a width-prorated error share per panel took 32,503
+        # panels near-uniform in ln y: the ring's 17 semi-infinite y-integrals
+        # evaluate 7,650 integrand points, where the u = y/(1+y) map took
+        # 18,073 (about 4 adaptive passes each)
         points = []
         quad = an.integrate_semi_infinite_with_error
         monkeypatch.setattr(an, "integrate_semi_infinite_with_error", lambda f, *a, **k: quad(
             lambda z: points.append(z.size) or f(z), *a, **k))
         an.average_metric(NetworkConfig().at(l_in=90.0, l_out=130.0))
-        assert points and sum(points) <= 20_000
+        assert points and sum(points) <= 8_000
+
+    def test_default_ring_y_integrals_converge_in_their_first_pass(self, monkeypatch):
+        # every semi-infinite call of the ring evaluates its integrand once:
+        # the initial mesh already meets QUAD_TOL
+        calls = []
+        quad = an.integrate_semi_infinite_with_error
+
+        def counting(f, *args, **kwargs):
+            calls.append(0)
+
+            def g(z):
+                calls[-1] += 1
+                return f(z)
+
+            return quad(g, *args, **kwargs)
+
+        monkeypatch.setattr(an, "integrate_semi_infinite_with_error", counting)
+        an.average_metric(NetworkConfig().at(l_in=90.0, l_out=130.0))
+        assert len(calls) == 17 and set(calls) == {1}
 
     def test_floor_beyond_the_cell_gives_area_weighted_rates(self):
         # with every distance below a 250 m floor each rate is a constant, so

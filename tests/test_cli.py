@@ -712,7 +712,6 @@ class TestCliRuns:
 
     @pytest.mark.parametrize("item, reason", [
         ("p_t_w=1e300", "the estimate is not finite"),
-        ("sigma_f2_w=1e-300", "the estimate is not finite"),
     ])
     def test_model_mc_out_of_float_range_names_the_point(self, tmp_path, capsys, item, reason):
         # overflowed importance weights used to give a nan,nan row (exit 0)
@@ -739,21 +738,21 @@ class TestCliRuns:
         assert not out.exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_mean_snr_integral_at_a_vanishing_noise_floor_names_the_point(self, tmp_path,
-                                                                        capsys):
-        # kappa ~ 1e-289 sends the kernel's v/kappa past the float range; that
-        # used to print an overflow RuntimeWarning ahead of the error line.
-        # The kernel's mass sits at v ~ kappa, so bisection towards 0 runs out
-        # of passes long before it runs out of panels.
+    @pytest.mark.parametrize("item", ["sigma2_w=1e-300", "sigma_f2_w=1e-300"])
+    def test_extreme_noise_power_matches_closed_form(self, tmp_path, item):
+        # sigma2 = 1e-300 puts the v-kernel's mass at kappa ~ 1e-289, which
+        # bisection from a 1e-14 mesh floor could not reach in 200 passes
+        # (exit 2); sigma_f2 = 1e-300 sends kappa to ~1e290, where the model
+        # MC's proposal squared g + kappa to inf and its estimate overflowed
         out = tmp_path / "x"
-        assert main(["mean-snr-vs-pf", "--out", str(out), "--set", "sigma2_w=1e-300",
-                     "--set", "pf_grid_w=[0.01]", "--set", "n_mc_model=20000"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: mean_snr_integral at m_bi=1, m_iu=1, glq_order=20, "
-                              "p_f=0.01 W, d_bi=100 m, d_iu=30 m: integration depth "
-                              "budget exhausted (200 passes, ")
-        assert err.endswith(" panels)\n")
-        assert not out.exists()
+        assert main(["mean-snr-vs-pf", "--out", str(out), "--set", item,
+                     "--set", "pf_grid_w=[0.01]", "--set", "n_mc_model=20000"]) == 0
+        with open(out / "results.csv", encoding="utf-8") as fh:
+            rows = {row["method"]: row for row in csv.DictReader(fh)}
+        closed = float(rows["closed_form"]["value"])
+        assert abs(float(rows["quadrature"]["value"]) / closed - 1.0) <= 1e-10
+        mc = rows["monte_carlo"]
+        assert abs(float(mc["value"]) - closed) < 3.0 * float(mc["std_error"])
 
     @pytest.mark.parametrize("epsilon_ref", ["1e200", "1e-300"])
     def test_validate_out_of_float_range_names_the_point(self, tmp_path, capsys, epsilon_ref):

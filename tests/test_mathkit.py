@@ -243,6 +243,12 @@ class TestIntegrateSemiInfinite:
         got = semi_inf(lambda z: np.exp(-z) / (z + kappa), 1e-9, max_panels=8192)
         assert rel_err(got, ref_exp_e1_scaled(kappa)) < 1e-8
 
+    @pytest.mark.parametrize("a", [1e-280, 1e-14, 1.0, 1e12])
+    def test_scale_kernel_at_any_scale(self, a):
+        # a/(z+a)^2 has its mass at z ~ a with 1/z^2 tails and integrates to 1;
+        # (a/(z+a))/(z+a) keeps it finite where (z+a)^2 would underflow
+        assert rel_err(semi_inf(lambda z: a / (z + a) / (z + a), 1e-10), 1.0) < 1e-10
+
     def test_budget_error_carries_estimate(self):
         with pytest.raises(IntegrationError) as exc:
             integrate_semi_infinite_with_error(
@@ -257,8 +263,8 @@ class TestIntegrateSemiInfinite:
 class TestIntegrandContract:
     """Integrands see only 1-D batches of whole 15-point Kronrod panels.
 
-    No trial call precedes the sweep; the semi-infinite map leaves out the
-    one abscissa at u = 1 (z = inf).
+    No trial call precedes the sweep; the semi-infinite map leaves out only
+    abscissae where z or 1/z is not a normal float, which a first pass never meets.
     """
 
     @staticmethod

@@ -175,9 +175,7 @@ def reference_model_mc(cfg, d_bi, d_iu, n, seed):
             pdf -= m * g
             pdf += log_norm
             np.exp(pdf, out=pdf)
-            mix_pdf = g + kappa
-            mix_pdf *= mix_pdf
-            np.divide(kappa, mix_pdf, out=mix_pdf)
+            mix_pdf = kappa / (g + kappa) / (g + kappa)
             np.add(mix_pdf, np.divide(1.0 / log_range, g), out=mix_pdf,
                    where=(g >= lo) & (g <= hi))
             mix_pdf *= 0.25
@@ -695,6 +693,16 @@ class TestModelMc:
         closed = an.mean_snr_closed(100.0, 30.0, cfg)
         assert abs(mc - closed) < 3.0 * se
         assert se / closed < 0.02
+
+    @pytest.mark.parametrize("sigma2", [1e-300, 1e-200])
+    def test_importance_weights_unbiased_at_a_vanishing_noise_floor(self, sigma2):
+        # kappa ~ 1e-289 and 1e-189: the proposal's kappa/(g+kappa)^2 term once
+        # squared g+kappa, which underflows to 0 below ~1e-154 and weighted
+        # those draws 0 (70 and 24 SE low)
+        cfg = make_cfg(power=PowerParams(p_t=1.0, p_f=0.01, sigma2=sigma2, sigma_f2=1e-10))
+        [(mc, se)] = model_snr_moment_mc([(cfg, 100.0)], 30.0, n=200_000, seed=7)
+        closed = an.mean_snr_closed(100.0, 30.0, cfg)
+        assert abs(mc - closed) < 3.0 * se
 
     @pytest.mark.parametrize("m_iu", [1.0, 2.0])
     def test_d_iu_array_rescales_one_estimate(self, m_iu):
