@@ -161,7 +161,8 @@ def _noise_mixture(d_bi: float, cfg: NetworkConfig):
 
     def f_b(y: np.ndarray) -> np.ndarray:
         yt = np.multiply.outer(y, inv_t)
-        return np.exp(-kappa * yt - m * np.log1p(yt)) @ masses
+        with np.errstate(over="ignore"):  # kappa y/t_i past the float range: e^-inf = 0
+            return np.exp(-kappa * yt - m * np.log1p(yt)) @ masses
 
     return f_b
 
@@ -233,7 +234,8 @@ def _rate(m: float, s, laplace, label: str, d):
     s = np.ravel(s)
 
     def kernel(y: np.ndarray) -> np.ndarray:
-        q = np.divide.outer(y, s)  # then in place: one (n, K) array per call
+        with np.errstate(over="ignore"):  # y/s past the float range: 1 - (1+inf)^-m = 1
+            q = np.divide.outer(y, s)  # then in place: one (n, K) array per call
         np.log1p(q, out=q)
         q *= -m
         np.expm1(q, out=q)

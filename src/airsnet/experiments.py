@@ -356,7 +356,7 @@ def _run_association_compare(cfg: ExperimentConfig):
         rel = near.samples / near.mean - best.samples / best.mean
         summary[f"n{n}"] = {
             "ratio_nearest_over_best": ratio,
-            "ratio_se": simulate.sample_se(rel, abs(ratio)),
+            "ratio_se": abs(ratio) * simulate.sample_se(rel),
             "threshold": cfg.assoc_threshold,
             "meets_threshold": bool(ratio >= cfg.assoc_threshold),
         }

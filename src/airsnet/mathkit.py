@@ -309,16 +309,12 @@ def _adaptive_core(
     accepted and the rest is bisected (in vectorized batches).
     Returns floats for an (n,) integrand and (K,) arrays otherwise; an
     IntegrationError then carries (K,) estimates and achieved errors.
-    Deterministic: the final sums run over panels sorted by left endpoint.
+    Deterministic: each pass adds its accepted panels to running per-column
+    sums in a fixed order, so identical inputs give identical bits.
     """
     lefts = grid[:-1].copy()
     rights = grid[1:].copy()
-
-    # Per-panel values and errors are (panels, K); the accepted panels'
-    # running sums add up in acceptance order.
-    done_lefts: list[np.ndarray] = []
-    done_vals: list[np.ndarray] = []
-    done_errs: list[np.ndarray] = []
+    # running per-column sums over the accepted panels
     done_total = 0.0
     done_err = 0.0
     n_panels = lefts.size
@@ -345,10 +341,7 @@ def _adaptive_core(
         tol = rel_tol * np.maximum(np.abs(total), 1e-300)
         converged = err_all <= tol
         if converged.all():
-            done_lefts.append(lefts)
-            done_vals.append(i15)
-            done_errs.append(err)
-            break
+            return result(total, err_all)
 
         # Rank the panels by their worst error against an unconverged
         # column's tolerance; accept the longest prefix that keeps each such
@@ -361,41 +354,27 @@ def _adaptive_core(
         keep[rank[:np.count_nonzero(fits)]] = True
         # Bisection below float resolution: accept to avoid infinite loops.
         keep |= (mid - lefts) < np.abs(mid) * 1e-15
-        done_lefts.append(lefts[keep])
-        done_vals.append(i15[keep])
-        done_errs.append(err[keep])
-        done_total = done_total + done_vals[-1].sum(axis=0)
-        done_err = done_err + done_errs[-1].sum(axis=0)
+        achieved = err_all / np.maximum(np.abs(total), 1e-300)
+        if keep.all():  # nothing left to bisect: every open panel is stuck
+            raise IntegrationError(
+                f"tolerance {rel_tol} not met (achieved {np.max(achieved):.2e})",
+                *result(total, achieved))
+        done_total = done_total + i15[keep].sum(axis=0)
+        done_err = done_err + err[keep].sum(axis=0)
 
         split_l, split_r, split_m = lefts[~keep], rights[~keep], mid[~keep]
         n_panels += split_l.size
         if n_panels > max_panels:
-            est, ach = result(total, err_all / np.maximum(np.abs(total), 1e-300))
             raise IntegrationError(
-                f"integration budget exceeded ({n_panels} panels)", est, ach
-            )
+                f"integration budget exceeded ({n_panels} panels)", *result(total, achieved))
         lefts = np.concatenate([split_l, split_m])
         rights = np.concatenate([split_m, split_r])
-        if lefts.size == 0:
-            break
-    else:
-        # depth budget exhausted with panels still pending: their mass was
-        # never accumulated, so the estimate cannot be trusted
-        est, ach = result(np.zeros(total.shape) + done_total, np.full(total.shape, math.inf))
-        raise IntegrationError(
-            f"integration depth budget exhausted ({_MAX_PASSES} passes, {n_panels} panels)",
-            est, ach)
 
-    order = np.argsort(np.concatenate(done_lefts), kind="stable")
-    estimate = np.concatenate(done_vals)[order].sum(axis=0)
-    err_bound = np.concatenate(done_errs).sum(axis=0)
-    achieved = err_bound / np.maximum(np.abs(estimate), 1e-300)
-    if np.any(achieved > rel_tol):
-        est, ach = result(estimate, achieved)
-        raise IntegrationError(
-            f"tolerance {rel_tol} not met (achieved {np.max(achieved):.2e})", est, ach
-        )
-    return result(estimate, err_bound)
+    # depth budget exhausted with panels still pending: their mass was never
+    # accumulated, so the estimate cannot be trusted
+    raise IntegrationError(
+        f"integration depth budget exhausted ({_MAX_PASSES} passes, {n_panels} panels)",
+        *result(np.zeros(total.shape) + done_total, np.full(total.shape, math.inf)))
 
 
 def integrate_interval_with_error(f: Callable[[np.ndarray], np.ndarray], a: float,

@@ -105,10 +105,9 @@ class _Moments:
         return self.shift + self.mean, math.sqrt(self.m2 / (n - 1) / n) if n > 1 else 0.0
 
 
-def sample_se(x: np.ndarray, scale: float = 1.0) -> float:
-    """`scale` times the standard error of the mean of `x`, 0 below two samples; the scale
-    multiplies before the division by sqrt(n), the rounding a ratio's error has always had."""
-    return scale * float(x.std(ddof=1)) / math.sqrt(x.size) if x.size > 1 else 0.0
+def sample_se(x: np.ndarray) -> float:
+    """The standard error of the mean of `x`, 0 below two samples."""
+    return float(x.std(ddof=1)) / math.sqrt(x.size) if x.size > 1 else 0.0
 
 
 def _finite(estimate: tuple, where: str, what: str) -> tuple:
@@ -121,14 +120,8 @@ def _finite(estimate: tuple, where: str, what: str) -> tuple:
 
 
 def _stream(seed: int, *path: int) -> np.random.Generator:
-    """SFC64 generator keyed by SeedSequence([seed, *path]); schedule-independent.
-
-    The key goes in as the uint32 words numpy splits each int into
-    (little-endian, 0 as one word): the same state, built in half the time.
-    """
-    words = [(n >> s) & 0xFFFFFFFF for n in (int(seed) & _MASK64, *map(int, path))
-             for s in range(0, max(n.bit_length(), 1), 32)]
-    key = np.random.SeedSequence(np.array(words, dtype=np.uint32))
+    """SFC64 generator keyed by SeedSequence([seed, *path]); schedule-independent."""
+    key = np.random.SeedSequence([int(seed) & _MASK64, *map(int, path)])
     return np.random.Generator(np.random.SFC64(key))
 
 

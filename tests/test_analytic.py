@@ -551,6 +551,17 @@ class TestAverageMetric:
         an.average_metric(NetworkConfig().at(l_in=90.0, l_out=130.0))
         assert points and sum(points) <= 8_000
 
+    def test_vanishing_noise_ring_quadrature_points_are_bounded(self, monkeypatch):
+        # at sigma2 = 1e-300 the rate kernels need refinement; accepting the
+        # panels ranked by error takes 8,913 integrand points, where accepting
+        # each panel's width share of the tolerance took 18,155
+        points = []
+        quad = an.integrate_semi_infinite_with_error
+        monkeypatch.setattr(an, "integrate_semi_infinite_with_error", lambda f, *a, **k: quad(
+            lambda z: points.append(z.size) or f(z), *a, **k))
+        an.average_metric(NetworkConfig().at(l_in=90.0, l_out=130.0, sigma2=1e-300))
+        assert points and sum(points) <= 12_000
+
     def test_default_ring_y_integrals_converge_in_their_first_pass(self, monkeypatch):
         # every semi-infinite call of the ring evaluates its integrand once:
         # the initial mesh already meets QUAD_TOL

@@ -754,6 +754,24 @@ class TestCliRuns:
         mc = rows["monte_carlo"]
         assert abs(float(mc["value"]) - closed) < 3.0 * float(mc["std_error"])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("item", ["sigma2_w=1e-300", "sigma_f2_w=1e-300", "p_t_w=1e300"])
+    def test_ring_sweep_at_extreme_powers_runs_quietly(self, tmp_path, item):
+        # y/s or kappa y/t_i pass the float range in the rate kernels, whose
+        # limits there are exact: 1 - (1 + inf)^-m = 1 and e^-inf = 0
+        def ring_value(setting):
+            out = tmp_path / setting
+            assert main(["ring-sweep", "--out", str(out), "--set", "ring_l_in_grid_m=[90]",
+                         "--set", "ring_l_out_grid_m=[130]", "--set", setting]) == 0
+            with open(out / "results.csv", encoding="utf-8") as fh:
+                (row,) = csv.DictReader(fh)
+            return float(row["value"])
+
+        value = ring_value(item)
+        assert math.isfinite(value) and value > 0
+        if item.startswith("sigma_f2_w"):
+            assert abs(value / ring_value("sigma_f2_w=1e-100") - 1.0) <= 1e-10
+
     @pytest.mark.parametrize("epsilon_ref", ["1e200", "1e-300"])
     def test_validate_out_of_float_range_names_the_point(self, tmp_path, capsys, epsilon_ref):
         # the path-gain product overflows (mean SNR inf) or underflows (0);

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -329,6 +330,26 @@ class TestIntegrandContract:
     def test_invalid_interval(self, a, b):
         with pytest.raises(DomainError):
             integrate_interval_with_error(lambda x: x, a, b)
+
+
+class TestExits:
+    """Each way the adaptive bisection gives up raises its own message."""
+
+    def test_depth_budget(self):
+        # 1/x: every pass leaves the panel at 0 pending, so its mass never counts
+        with pytest.raises(IntegrationError, match=re.escape(
+                "integration depth budget exhausted (200 passes, 219 panels)")) as exc:
+            integrate_interval_with_error(lambda x: 1.0 / x, 0.0, 1.0)
+        assert exc.value.achieved_rel_error == math.inf
+
+    def test_panels_stuck_below_float_resolution(self):
+        # a panel 16 wide at 1e16 is below the 1e-15 relative bisection floor:
+        # the first pass must accept it unconverged and has nothing to bisect
+        with pytest.raises(IntegrationError, match=re.escape(
+                "tolerance 1e-10 not met (achieved 1.16e-01)")) as exc:
+            integrate_interval_with_error(lambda x: (x > 1e16 + 8).astype(float),
+                                          1e16, 1e16 + 16)
+        assert 0.0 < exc.value.estimate < 16.0
 
 
 class TestColumnIntegrands:

@@ -39,6 +39,20 @@ def single(mass, beta, xi):
     return MixtureGamma(mass=np.array([float(mass)]), beta=float(beta), xi=np.array([float(xi)]))
 
 
+def product_density_kernel(m1, m2, z, u):
+    """f1(u) f2(z/u) / u for unit-mean Gamma densities f1, f2 of shapes m1, m2.
+
+    ln(z/u) is formed as ln z - ln u, so a z/u past the float range leaves
+    -m2 z/u = -inf and a 0 kernel, not 0*inf or inf - inf.
+    """
+    with np.errstate(over="ignore"):
+        x2 = z / u
+    lf1 = m1 * math.log(m1) + (m1 - 1.0) * np.log(u) - m1 * u - math.lgamma(m1)
+    lf2 = (m2 * math.log(m2) + (m2 - 1.0) * (np.log(z) - np.log(u)) - m2 * x2
+           - math.lgamma(m2))
+    return np.exp(lf1 + lf2) / u
+
+
 def product_mean_bruteforce(m1, m2):
     """Mean of X1*X2 (independent unit-mean Gammas) via its product density.
 
@@ -47,13 +61,8 @@ def product_mean_bruteforce(m1, m2):
     """
 
     def f_z(z):
-        def inner(u):
-            x2 = z / u
-            lf1 = m1 * math.log(m1) + (m1 - 1.0) * np.log(u) - m1 * u - math.lgamma(m1)
-            lf2 = m2 * math.log(m2) + (m2 - 1.0) * np.log(x2) - m2 * x2 - math.lgamma(m2)
-            return np.exp(lf1 + lf2) / u
-
-        return integrate_semi_infinite_with_error(inner, 1e-9, max_panels=8192)[0]
+        return integrate_semi_infinite_with_error(
+            lambda u: product_density_kernel(m1, m2, z, u), 1e-9, max_panels=8192)[0]
 
     return integrate_semi_infinite_with_error(
         lambda z: np.array([zz * f_z(zz) for zz in z]),
@@ -133,6 +142,12 @@ class TestCascadedPowerDist:
         oracle = product_mean_bruteforce(m_bi, m_iu)
         mix = unit_cascade(m_bi, m_iu)
         assert rel_err(mix.moment(1), oracle) < 1e-6
+
+    @pytest.mark.parametrize("m_bi,m_iu", [(1.0, 1.0), (2.0, 1.0), (2.0, 3.0)])
+    def test_product_density_kernel_vanishes_where_z_over_u_overflows(self, m_bi, m_iu):
+        # z/u = 1e310 is inf: ln(z/u) made (m_iu - 1) ln(z/u) - m_iu z/u a nan
+        value = product_density_kernel(m_bi, m_iu, 1e10, np.array([1e-300]))
+        assert np.array_equal(value, [0.0])
 
     def test_mean_scaling_with_physical_parameters(self):
         product = gain(100.0) * gain(30.0)

@@ -259,8 +259,8 @@ class TestDrop:
     @pytest.mark.parametrize("seed", [0, 1, 12345, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
     @pytest.mark.parametrize("path", [(), (5, 6), (2**32, 0), (2**40 + 7, 3)])
     def test_stream_state_is_the_seed_sequence_of_the_key(self, seed, path):
-        # _stream splits the key into uint32 words itself; the state must be
-        # the one SeedSequence([seed, *path]) gives for every word count
+        # the state is the one SeedSequence([seed, *path]) gives, for seeds and
+        # path entries of one to three uint32 words
         want = np.random.SFC64(np.random.SeedSequence([seed, *path])).state
         got = simulate._stream(seed, *path).bit_generator.state
         assert np.array_equal(got["state"]["state"], want["state"]["state"])
