@@ -14,7 +14,7 @@ from .analytic import (
     rate_direct,
     snr_moment_active,
 )
-from .config import ExperimentConfig, GeometryConfig, NetworkConfig, PowerParams, parse_config
+from .config import ExperimentConfig, NetworkConfig, parse_config
 from .mathkit import QuadratureRule, exp_en_scaled, gauss_laguerre
 from .mixgamma import MixtureGamma, cascaded_power_dist, direct_power_dist
 from .simulate import SimEstimate, simulate_cell
@@ -29,9 +29,7 @@ __all__ = [
     "rate_active",
     "rate_direct",
     "snr_moment_active",
-    "PowerParams",
     "ExperimentConfig",
-    "GeometryConfig",
     "NetworkConfig",
     "parse_config",
     "QuadratureRule",

@@ -73,14 +73,13 @@ REGION_TOL = 1e-6
 
 def averaged_amp_gain(d_bi, cfg: NetworkConfig):
     """eta = P_F / (P_t zeta_BI + sigma_F^2), elementwise; avg amp gain is eta/N."""
-    p = cfg.power
-    return p.p_f / (p.p_t * cfg.path_gain(d_bi) + p.sigma_f2)
+    return cfg.p_f / (cfg.p_t * cfg.path_gain(d_bi) + cfg.sigma_f2)
 
 
 def _point(cfg: NetworkConfig) -> str:
     """The model parameters an error message names beside its distances."""
     return (f"m_bi={cfg.m_bi:g}, m_iu={cfg.m_iu:g}, glq_order={cfg.glq_order}, "
-            f"p_f={cfg.power.p_f:g} W")
+            f"p_f={cfg.p_f:g} W")
 
 
 def _named(exc: IntegrationError, where: str) -> IntegrationError:
@@ -115,7 +114,7 @@ def _checked(where: str, mean, d_bi, d_iu, cfg: NetworkConfig):
 
 def cascade_scale(d_bi, d_iu, cfg: NetworkConfig):
     """The cascade mixture's scale v = W/(amp_sq N^2), W = 1/(zeta_BI zeta_IU), elementwise."""
-    n = cfg.geometry.n_elements
+    n = cfg.n_elements
     amp_sq = averaged_amp_gain(d_bi, cfg) / n
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # v = 0 or inf off range
         gain = np.float64(cfg.path_gain(d_bi)) * cfg.path_gain(d_iu)
@@ -130,16 +129,15 @@ def cascaded_mixture(d_bi: float, d_iu: float, cfg: NetworkConfig) -> MixtureGam
 
 def _s_scale(d_bi, d_iu, cfg: NetworkConfig):
     """S = sigma_F^2 m_BI W / (N P_t): component i's noise rate is S/t_i."""
-    p = cfg.power
-    n = cfg.geometry.n_elements
+    n = cfg.n_elements
     with np.errstate(divide="ignore", over="ignore"):  # S = 0 or inf off the float range
-        return p.sigma_f2 * cfg.m_bi / (n * p.p_t * np.float64(cfg.path_gain(d_bi))
-                                        * cfg.path_gain(d_iu))
+        return cfg.sigma_f2 * cfg.m_bi / (n * cfg.p_t * np.float64(cfg.path_gain(d_bi))
+                                          * cfg.path_gain(d_iu))
 
 
 def _kappa(d_bi, cfg: NetworkConfig):
     """kappa = m_IU sigma^2/(eta sigma_F^2), elementwise; it depends on d_BI alone."""
-    return cfg.m_iu * cfg.power.sigma2 / (averaged_amp_gain(d_bi, cfg) * cfg.power.sigma_f2)
+    return cfg.m_iu * cfg.sigma2 / (averaged_amp_gain(d_bi, cfg) * cfg.sigma_f2)
 
 
 @lru_cache(maxsize=64)
@@ -218,9 +216,9 @@ def mean_snr_closed(d_bi, d_iu, cfg: NetworkConfig):
 
 def mean_snr_passive(d_bi: float, d_iu: float, cfg: NetworkConfig) -> float:
     """Mean phase-only reflection SNR N^2 P_t zeta_BI zeta_IU/sigma^2 (the m_IU cancels)."""
-    n = cfg.geometry.n_elements
+    n = cfg.n_elements
     zeta = cfg.path_gain(d_bi) * cfg.path_gain(d_iu)
-    return _checked("mean_snr_passive", n**2 * cfg.power.p_t * zeta / cfg.power.sigma2,
+    return _checked("mean_snr_passive", n**2 * cfg.p_t * zeta / cfg.sigma2,
                     d_bi, d_iu, cfg)
 
 
@@ -255,7 +253,7 @@ def rate_direct(d_bu, cfg: NetworkConfig):
     one shared y-mesh; returns a float for a scalar distance.
     """
     m = cfg.m_bu
-    s = m * cfg.power.sigma2 / (cfg.power.p_t * cfg.path_gain(d_bu))
+    s = m * cfg.sigma2 / (cfg.p_t * cfg.path_gain(d_bu))
     return _rate(m, s, lambda y: np.exp(-y), f"rate_direct at m_bu={m:g}, d_bu", d_bu)
 
 
@@ -278,8 +276,8 @@ def region2_nearest_pdf_mass(cfg: NetworkConfig) -> float:
     (not renormalized over the ring), so this diagnostic reports how far its
     truncation to the cell falls short of 1.
     """
-    lam = cfg.geometry.lambda_irs
-    return 1.0 - math.exp(-lam * math.pi * cfg.geometry.l**2)
+    lam = cfg.lambda_irs
+    return 1.0 - math.exp(-lam * math.pi * cfg.l**2)
 
 
 def average_metric(cfg: NetworkConfig) -> tuple[float, float]:
@@ -298,28 +296,27 @@ def average_metric(cfg: NetworkConfig) -> tuple[float, float]:
     in its first adaptive pass. Region 2's outer d_BI integral, away from 0,
     keeps the floor kink alone.
     """
-    geo = cfg.geometry
     floor = cfg.distance_floor
-    lam = geo.lambda_irs
+    lam = cfg.lambda_irs
 
     # floor * 4^k up to the cell radius; the quadrature ignores those past an interval
-    graded = floor * 4.0 ** np.arange(max(1, math.ceil(math.log(geo.l / floor, 4))))
+    graded = floor * 4.0 ** np.arange(max(1, math.ceil(math.log(cfg.l / floor, 4))))
 
     def inner_r(b: float) -> float:
         return integrate_interval_with_error(
             lambda r: (rate_active(b, r, cfg) * 2.0 * math.pi * lam * r
                        * np.exp(-lam * math.pi * r * r)),
-            0.0, geo.l, REGION_TOL, points=graded)[0]
+            0.0, cfg.l, REGION_TOL, points=graded)[0]
 
     # Per region: the rate in d_BU, its d_BU interval and its breakpoints in d_BU.
     regions = (
         # 1: BS-served disc, radial density 2 pi d / S_t.
-        (lambda ds: rate_direct(ds, cfg), 0.0, geo.l_in, graded),
+        (lambda ds: rate_direct(ds, cfg), 0.0, cfg.l_in, graded),
         # 2: the ring, d_BI ~= d_BU, nearest-reflector distance density in r.
-        (lambda bs: np.array([inner_r(b) for b in bs]), geo.l_in, geo.l_out, (floor,)),
+        (lambda bs: np.array([inner_r(b) for b in bs]), cfg.l_in, cfg.l_out, (floor,)),
         # 3: beyond the ring, d_BI ~= L_out and d_IU = d_BU - L_out.
-        (lambda bs: rate_active(geo.l_out, bs - geo.l_out, cfg), geo.l_out, geo.l,
-         geo.l_out + graded),
+        (lambda bs: rate_active(cfg.l_out, bs - cfg.l_out, cfg), cfg.l_out, cfg.l,
+         cfg.l_out + graded),
     )
     value = err_total = 0.0
     for k, (rate, lo, hi, points) in enumerate(regions, start=1):
@@ -328,7 +325,7 @@ def average_metric(cfg: NetworkConfig) -> tuple[float, float]:
                 lambda x: rate(x) * x, lo, hi, REGION_TOL, points=points)
         except IntegrationError as exc:
             raise _named(exc, f"average_metric region {k} at {_point(cfg)}, "
-                              f"l_in={geo.l_in:g} m, l_out={geo.l_out:g} m") from exc
+                              f"l_in={cfg.l_in:g} m, l_out={cfg.l_out:g} m") from exc
         value, err_total = value + val, err_total + err
-    scale = 2.0 * math.pi / geo.s_total**2
+    scale = 2.0 * math.pi / cfg.s_total**2
     return value * scale, err_total * scale

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import PowerParams
+from .config import NetworkConfig
 from .mathkit import DomainError
 
 __all__ = [
@@ -53,25 +53,25 @@ def cascade_amplitude(pow_bi: np.ndarray, pow_iu: np.ndarray, *, out=None) -> np
     return np.sqrt(prod, out=prod)
 
 
-def snr_direct_batch(pow_bu: np.ndarray, bu_path_loss, power: PowerParams) -> np.ndarray:
+def snr_direct_batch(pow_bu: np.ndarray, bu_path_loss, cfg: NetworkConfig) -> np.ndarray:
     """Direct-link SNR, elementwise over any array of |g_BU|^2 draws."""
-    return power.p_t * bu_path_loss * np.asarray(pow_bu) / power.sigma2
+    return cfg.p_t * bu_path_loss * np.asarray(pow_bu) / cfg.sigma2
 
 
 def snr_active_batch(g_bi_norm_sq: np.ndarray, g_iu_norm_sq: np.ndarray, cascade: np.ndarray,
-                     n: int, zeta_bi, zeta_iu, power: PowerParams) -> np.ndarray:
-    """Amplified SNR per channel draw of an N-element surface, from its element sums.
+                     zeta_bi, zeta_iu, cfg: NetworkConfig) -> np.ndarray:
+    """Amplified SNR per channel draw of a cfg.n_elements surface, from its element sums.
 
     The budget-exhausting gain follows from ||g_BI||^2, the amplified-noise
     denominator from ||g_IU||^2.
     """
-    amp_sq = power.p_f / (power.p_t * zeta_bi * g_bi_norm_sq + n * power.sigma_f2)
-    signal = power.p_t * amp_sq * zeta_bi * zeta_iu * cascade * cascade
-    noise = amp_sq * zeta_iu * g_iu_norm_sq * power.sigma_f2 + power.sigma2
+    amp_sq = cfg.p_f / (cfg.p_t * zeta_bi * g_bi_norm_sq + cfg.n_elements * cfg.sigma_f2)
+    signal = cfg.p_t * amp_sq * zeta_bi * zeta_iu * cascade * cascade
+    noise = amp_sq * zeta_iu * g_iu_norm_sq * cfg.sigma_f2 + cfg.sigma2
     return signal / noise
 
 
-def snr_passive_batch(cascade: np.ndarray, zeta_bi, zeta_iu, power: PowerParams) -> np.ndarray:
+def snr_passive_batch(cascade: np.ndarray, zeta_bi, zeta_iu, cfg: NetworkConfig) -> np.ndarray:
     """Phase-only reflection SNR per channel draw, from its cascade amplitude."""
     with np.errstate(over="ignore"):  # inf off the float range; the caller names the point
-        return power.p_t * zeta_bi * zeta_iu * cascade * cascade / power.sigma2
+        return cfg.p_t * zeta_bi * zeta_iu * cascade * cascade / cfg.sigma2

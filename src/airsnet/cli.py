@@ -74,13 +74,10 @@ def _add_experiment_flags(sub: argparse.ArgumentParser) -> None:
     # the benchmark (perfbench/workloads.py) passes --threads 1 to every
     # workload; the flag takes that one value and sets nothing
     sub.add_argument("--threads", type=int, choices=(1,), help=argparse.SUPPRESS)
-    sub.add_argument("--tolerance", type=float, default=None,
-                     help="closed-form vs quadrature tolerance for validate")
 
 
 def _cmd_experiment(name: str, args: argparse.Namespace) -> int:
-    cfg = parse_config(args.config, args.overrides, experiment=name, seed=args.seed,
-                       tolerance=args.tolerance)
+    cfg = parse_config(args.config, args.overrides, experiment=name, seed=args.seed)
     for note in cfg.conversions:
         print(f"note: {note}", file=sys.stderr)
     start = time.monotonic()
@@ -143,7 +140,7 @@ def main(argv=None) -> int:
             return _cmd_dump_dist(args)
         return _cmd_experiment(args.command, args)
     except (ConfigError, DomainError, IntegrationError, InvalidDistributionError,
-            FileNotFoundError, json.JSONDecodeError) as exc:
+            OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,4 +1,4 @@
-"""Experiment configuration: geometry, network parameters, strict JSON schema.
+"""Experiment configuration: network parameters, run settings, strict JSON schema.
 
 Each config key is declared once, on its dataclass field (`_key`): the JSON
 name, the default, and the validators that run whenever the dataclass is
@@ -14,7 +14,7 @@ recorded so runs can echo it.
 # annotation as a type object.
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Any, get_args, get_origin
 
 import numpy as np
@@ -23,8 +23,6 @@ from .mathkit import QuadratureRule, gauss_laguerre
 
 __all__ = [
     "ConfigError",
-    "PowerParams",
-    "GeometryConfig",
     "NetworkConfig",
     "ExperimentConfig",
     "EXPERIMENTS",
@@ -98,27 +96,30 @@ def _check_keys(obj) -> None:
 
 
 @dataclass(frozen=True)
-class PowerParams:
-    """Transmit/amplification/noise powers, all in watts."""
+class NetworkConfig:
+    """Everything the analytic and Monte-Carlo layers need about the network.
 
-    p_t: float = _key("p_t_w", 1.0, _positive)
-    p_f: float = _key("p_f_w", 0.01, _positive)
-    sigma2: float = _key("sigma2_w", 1e-11, _positive)
-    sigma_f2: float = _key("sigma_f2_w", 1e-10, _positive)
-
-    def __post_init__(self):
-        _check_keys(self)
-
-
-@dataclass(frozen=True)
-class GeometryConfig:
-    """Cell disc of radius l with the reflector ring [l_in, l_out] inside it."""
+    The cell is a disc of radius l with the reflector ring [l_in, l_out]
+    inside it; powers are in watts.
+    """
 
     l: float = _key("l_m", 200.0, _positive)
     l_in: float = _key("l_in_m", 100.0, _positive)
     l_out: float = _key("l_out_m", 130.0, _positive)
     m_irs: int = _key("m_irs", 16, _positive)
     n_elements: int = _key("n_elements", 64, _positive)
+    p_t: float = _key("p_t_w", 1.0, _positive)
+    p_f: float = _key("p_f_w", 0.01, _positive)
+    sigma2: float = _key("sigma2_w", 1e-11, _positive)
+    sigma_f2: float = _key("sigma_f2_w", 1e-10, _positive)
+    alpha: float = _key("alpha", 3.0, _positive)
+    epsilon_ref: float = _key("epsilon_ref", 1e-3, _positive)
+    m_bu: float = _key("m_bu", 1.0, _shape)
+    m_bi: float = _key("m_bi", 1.0, _shape)
+    m_iu: float = _key("m_iu", 1.0, _shape, _m_iu_ceiling)
+    glq_order: int = _key("glq_order", 20, _glq_order)
+    distance_floor: float = _key("distance_floor_m", 1.0, _positive)
+    k_ues: int = _key("k_ues", 50, _positive)
 
     def __post_init__(self):
         _check_keys(self)
@@ -139,33 +140,6 @@ class GeometryConfig:
     @property
     def lambda_irs(self) -> float:
         return self.m_irs / self.s2
-
-
-@dataclass(frozen=True)
-class NetworkConfig:
-    """Everything the analytic and Monte-Carlo layers need about the network."""
-
-    geometry: GeometryConfig = field(default_factory=GeometryConfig)
-    power: PowerParams = field(default_factory=PowerParams)
-    alpha: float = _key("alpha", 3.0, _positive)
-    epsilon_ref: float = _key("epsilon_ref", 1e-3, _positive)
-    m_bu: float = _key("m_bu", 1.0, _shape)
-    m_bi: float = _key("m_bi", 1.0, _shape)
-    m_iu: float = _key("m_iu", 1.0, _shape, _m_iu_ceiling)
-    glq_order: int = _key("glq_order", 20, _glq_order)
-    distance_floor: float = _key("distance_floor_m", 1.0, _positive)
-    k_ues: int = _key("k_ues", 50, _positive)
-
-    def __post_init__(self):
-        _check_keys(self)
-
-    def at(self, **changes) -> "NetworkConfig":
-        """This network with each named field changed in its section, via `replace`."""
-        for name in ("geometry", "power"):
-            section = getattr(self, name)
-            changes[name] = replace(section, **{f.name: changes.pop(f.name)
-                                                for f in fields(section) if f.name in changes})
-        return replace(self, **changes)
 
     def rule(self) -> QuadratureRule:
         """The cascade mixture's Gauss rule, for the weight t^(m_iu-1) e^-t/Gamma(m_iu)."""
@@ -236,7 +210,7 @@ class ExperimentConfig:
         _check_keys(self)
 
 
-_SECTIONS = (ExperimentConfig, NetworkConfig, GeometryConfig, PowerParams)
+_SECTIONS = (ExperimentConfig, NetworkConfig)
 # config key -> (owning dataclass, field), from the fields that declare a key
 _FIELDS = {f.metadata["key"]: (cls, f)
            for cls in _SECTIONS for f in fields(cls) if "key" in f.metadata}
@@ -280,14 +254,13 @@ def _parse_override(item: str):
 
 
 def parse_config(path: str | None = None, overrides: list[str] | None = None,
-                 experiment: str | None = None, seed: int | None = None,
-                 tolerance: float | None = None) -> ExperimentConfig:
+                 experiment: str | None = None, seed: int | None = None) -> ExperimentConfig:
     """Build a fully validated ExperimentConfig from JSON, overrides and flags.
 
     Later sources win: the file, then KEY=VALUE overrides, then the explicit
     keyword flags; all pass the same validators. Unknown keys are rejected;
     noise powers may come in watts or dBm (one of the two, not both); every
-    physical quantity must be positive and finite; geometry must satisfy
+    physical quantity must be positive and finite; the ring radii must satisfy
     l_in < l_out < l.
     """
     raw: dict[str, Any] = {}
@@ -302,7 +275,7 @@ def parse_config(path: str | None = None, overrides: list[str] | None = None,
     for item in overrides or []:
         key, value = _parse_override(item)
         raw[key] = value
-    flags = {"experiment": experiment, "seed": seed, "tolerance": tolerance}
+    flags = {"experiment": experiment, "seed": seed}
     raw.update({k: v for k, v in flags.items() if v is not None})
 
     unknown = sorted(set(raw) - set(_FIELDS) - set(_DBM_ALIASES))
@@ -326,20 +299,14 @@ def parse_config(path: str | None = None, overrides: list[str] | None = None,
     for key, value in raw.items():
         cls, f = _FIELDS[key]
         sections[cls][f.name] = _coerce(key, f.type, value)
-    network = NetworkConfig(
-        geometry=GeometryConfig(**sections[GeometryConfig]),
-        power=PowerParams(**sections[PowerParams]),
-        **sections[NetworkConfig],
-    )
-    return ExperimentConfig(network=network, conversions=tuple(conversions),
+    return ExperimentConfig(network=NetworkConfig(**sections[NetworkConfig]),
+                            conversions=tuple(conversions),
                             **sections[ExperimentConfig])
 
 
 def effective_dict(cfg: ExperimentConfig) -> dict:
     """Flat, JSON-ready view of the effective configuration (linear units)."""
-    net = cfg.network
-    objects = {ExperimentConfig: cfg, NetworkConfig: net,
-               GeometryConfig: net.geometry, PowerParams: net.power}
+    objects = {ExperimentConfig: cfg, NetworkConfig: cfg.network}
     out = {}
     for key, (cls, f) in _FIELDS.items():
         value = getattr(objects[cls], f.name)

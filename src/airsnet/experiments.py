@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -65,7 +65,6 @@ def _check_glq(cfg: ExperimentConfig, rows, checks):
 
 def _check_direct_link_reductions(cfg: ExperimentConfig, rows, checks):
     net = cfg.network
-    p = net.power
     d = max(cfg.d_bu, net.distance_floor)  # the reference law, written out independently
     worst_pdf = 0.0
     worst_moment = 0.0
@@ -76,8 +75,8 @@ def _check_direct_link_reductions(cfg: ExperimentConfig, rows, checks):
         for x in (0.1 * mean, mean, 10.0 * mean):
             ref = math.exp(m * math.log(xi) + (m - 1.0) * math.log(x) - xi * x - math.lgamma(m))
             worst_pdf = max(worst_pdf, abs(dist.pdf(x) - ref) / ref)
-        got = p.p_t * mean / p.sigma2
-        expected = p.p_t * net.epsilon_ref * d**-net.alpha / p.sigma2
+        got = net.p_t * mean / net.sigma2
+        expected = net.p_t * net.epsilon_ref * d**-net.alpha / net.sigma2
         worst_moment = max(worst_moment, abs(got - expected) / expected)
     rows.append(ResultRow("direct_gamma", "m_grid", "pdf_pointwise_max_rel_err", "closed_form",
                           worst_pdf))
@@ -104,7 +103,7 @@ def _check_mean_snr_grid(cfg: ExperimentConfig, rows, checks):
     for group in itertools.product(cfg.validate_m_iu_list, cfg.validate_n_list,
                                    cfg.validate_d_bi_list, cfg.validate_p_f_list):
         m_iu, n, d_bi, p_f = group
-        net = cfg.network.at(m_iu=m_iu, n_elements=n, p_f=p_f)
+        net = replace(cfg.network, m_iu=m_iu, n_elements=n, p_f=p_f)
         routes[group] = [route(d_bi, d_iu_list, net) for route in (
             analytic.mean_snr_integral, analytic.mean_snr_closed, analytic.snr_moment_active)]
         if m_iu in cfg.mc_m_iu_list:
@@ -163,7 +162,7 @@ def _check_physical(cfg: ExperimentConfig, rows, checks):
     mean_snr_passive); the passive_scaling row sits between the two.
     """
     sizes = (16, 64)
-    nets = {n: cfg.network.at(m_iu=1.0, n_elements=n) for n in (16, 32, 64)}
+    nets = {n: replace(cfg.network, m_iu=1.0, n_elements=n) for n in (16, 32, 64)}
     draws = dict(zip(sizes, simulate.physical_snr_mc(
         [nets[n] for n in sizes], cfg.d_bi, cfg.d_iu, n=cfg.n_mc_physical, seed=cfg.seed)))
 
@@ -218,7 +217,7 @@ def _budget_shape(grid, values) -> dict:
 
 def _check_budget_shape(cfg: ExperimentConfig, rows, checks):
     grid = list(cfg.pf_grid)
-    values = [analytic.mean_snr_closed(cfg.d_bi, cfg.d_iu, cfg.network.at(m_iu=1.0, p_f=p))
+    values = [analytic.mean_snr_closed(cfg.d_bi, cfg.d_iu, replace(cfg.network, m_iu=1.0, p_f=p))
               for p in grid]
     for p, v in zip(grid, values):
         rows.append(ResultRow("p_f_w", f"{p:g}", "mean_snr", "closed_form", v))
@@ -254,7 +253,7 @@ def _run_validate(cfg: ExperimentConfig):
 
 
 def _run_mean_snr_vs_pf(cfg: ExperimentConfig):
-    nets = [cfg.network.at(p_f=p_f) for p_f in cfg.pf_grid]
+    nets = [replace(cfg.network, p_f=p_f) for p_f in cfg.pf_grid]
     routes = [(analytic.mean_snr_integral(cfg.d_bi, cfg.d_iu, net),
                analytic.mean_snr_closed(cfg.d_bi, cfg.d_iu, net)) for net in nets]
     model_mc = simulate.model_snr_moment_mc([(net, cfg.d_bi) for net in nets], cfg.d_iu,
@@ -296,8 +295,8 @@ def _run_density_sweep(cfg: ExperimentConfig):
         raise ConfigError(f"density_m_list {bad} do not divide n_total_elements={n_total}; "
                           f"valid divisors: {divisors}")
     split = cfg.density_power_budget == "split-total"
-    cases = [(cfg.network.at(m_irs=m, n_elements=n_total // m,
-                             p_f=cfg.p_f_total / m if split else cfg.p_f_total), "nearest")
+    cases = [(replace(cfg.network, m_irs=m, n_elements=n_total // m,
+                      p_f=cfg.p_f_total / m if split else cfg.p_f_total), "nearest")
              for m in m_list]
     results = simulate.simulate_cell(cases, n_drops=cfg.sweep_n_drops,
                                      n_fading=cfg.sweep_n_fading, seed=cfg.seed)
@@ -340,7 +339,8 @@ def _run_association_compare(cfg: ExperimentConfig):
     # best_irs first: off the float range its analytic scores name the point
     policies = ("best_irs", "nearest")
     results = iter(simulate.simulate_cell(
-        [(cfg.network.at(n_elements=n), policy) for n in cfg.assoc_n_list for policy in policies],
+        [(replace(cfg.network, n_elements=n), policy)
+         for n in cfg.assoc_n_list for policy in policies],
         n_drops=cfg.assoc_n_drops, n_fading=cfg.sweep_n_fading, seed=cfg.seed))
     for n in cfg.assoc_n_list:
         estimates = {policy: next(results)["active"]["spatial_throughput"]
@@ -369,9 +369,9 @@ def _run_ring_sweep(cfg: ExperimentConfig):
     best = None
     for l_in in cfg.ring_l_in_grid:
         for l_out in cfg.ring_l_out_grid:
-            if not (0.0 < l_in < l_out < cfg.network.geometry.l):
+            if not (0.0 < l_in < l_out < cfg.network.l):
                 continue
-            value, err = analytic.average_metric(cfg.network.at(l_in=l_in, l_out=l_out))
+            value, err = analytic.average_metric(replace(cfg.network, l_in=l_in, l_out=l_out))
             label = _point_label(l_in=l_in, l_out=l_out)
             rows.append(ResultRow("ring", label, metric, "quadrature", value, err))
             if best is None or value > best[2]:

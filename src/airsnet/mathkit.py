@@ -1,7 +1,7 @@
 """Special functions and quadrature primitives used by every other module.
 
-Everything here is pure and deterministic: Gauss-Laguerre rules, log-Gamma,
-the overflow-safe scaled exponential integral e^x*E_p(x), and an adaptive
+Everything here is pure and deterministic: Gauss-Laguerre rules, the
+overflow-safe scaled exponential integral e^x*E_p(x), and an adaptive
 Gauss-Kronrod integrator for finite and semi-infinite intervals. Integrands
 take a 1-D array of abscissae and return an (n,) array, or an (n, K) array of
 K integrands on one shared mesh; the integrators return (value, error bound),

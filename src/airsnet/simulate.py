@@ -22,7 +22,7 @@ group of that mixture on the same draws.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -144,10 +144,9 @@ def drop(cfg: NetworkConfig, seed: int, n_drops: int) -> tuple[np.ndarray, np.nd
     Reflectors come from the stream keyed (seed, M), users from the one keyed
     by the seed alone: every reflector count sees the same users.
     """
-    geo = cfg.geometry
-    irs = _ring_points(_stream(seed, geo.m_irs, _TAG_GEOMETRY), n_drops, geo.m_irs,
-                       geo.l_in, geo.l_out)
-    ue = _ring_points(_stream(seed, _TAG_USERS), n_drops, cfg.k_ues, 0.0, geo.l)
+    irs = _ring_points(_stream(seed, cfg.m_irs, _TAG_GEOMETRY), n_drops, cfg.m_irs,
+                       cfg.l_in, cfg.l_out)
+    ue = _ring_points(_stream(seed, _TAG_USERS), n_drops, cfg.k_ues, 0.0, cfg.l)
     return irs, ue
 
 
@@ -178,7 +177,7 @@ def associate(irs: np.ndarray, ue: np.ndarray, policy: str,
     else:
         d_bi = _norm(irs)[..., None, :]
         choice = np.argmax(analytic.mean_snr_closed(d_bi, d_iu, cfg), axis=-1)
-    return np.where(_norm(ue) < cfg.geometry.l_in, -1, choice)
+    return np.where(_norm(ue) < cfg.l_in, -1, choice)
 
 
 def _links(cfg: NetworkConfig, policy: str, irs: np.ndarray,
@@ -268,26 +267,26 @@ def simulate_cell(cases, *, n_drops: int, n_fading: int,
     if n_drops < 1 or n_fading < 1:
         raise ConfigError("n_drops and n_fading must be >= 1")
     cfg = cases[0][0]
-    fixed = dict(m_irs=cfg.geometry.m_irs, n_elements=cfg.geometry.n_elements, p_f=cfg.power.p_f)
+    fixed = dict(m_irs=cfg.m_irs, n_elements=cfg.n_elements, p_f=cfg.p_f)
     for i, (layout, _) in enumerate(cases):
-        if layout.at(**fixed) != cfg:
+        if replace(layout, **fixed) != cfg:
             raise ConfigError(f"simulate_cell case {i} differs from case 0 outside M, N and P_F")
     k, f = cfg.k_ues, n_fading
     irs = {}
     for layout, _ in cases:
-        if layout.geometry.m_irs not in irs:
-            irs[layout.geometry.m_irs], ue = drop(layout, seed, n_drops)
-    sizes = sorted({layout.geometry.n_elements for layout, _ in cases})
+        if layout.m_irs not in irs:
+            irs[layout.m_irs], ue = drop(layout, seed, n_drops)
+    sizes = sorted({layout.n_elements for layout, _ in cases})
     step = max(1, _DROP_BLOCK // (k * max(3 * len(sizes) * f, max(irs))))
     shape = (len(cases), len(_MODES))
     rate_ue = np.empty((*shape, n_drops * k))
     snr_drop = np.empty((2, *shape, n_drops))  # per drop, its users' SNR mean and M2
     # the nearest association reads M alone: cases of one M share it
-    keys = [("nearest", layout.geometry.m_irs) if policy == "nearest" else i
+    keys = [("nearest", layout.m_irs) if policy == "nearest" else i
             for i, (layout, policy) in enumerate(cases)]
     for lo in range(0, n_drops, step):
         drops = range(lo, min(lo + step, n_drops))
-        found = {key: _links(layout, policy, irs[layout.geometry.m_irs][lo:drops.stop],
+        found = {key: _links(layout, policy, irs[layout.m_irs][lo:drops.stop],
                              ue[lo:drops.stop])
                  for key, (layout, policy) in dict(zip(keys, cases)).items()}
         links = [found[key] for key in keys]
@@ -295,16 +294,15 @@ def simulate_cell(cases, *, n_drops: int, n_fading: int,
         pow_bu, sums = _draw_fading(cfg, seed, drops, relayed.reshape(-1, k).sum(axis=1), f,
                                     sizes)
         snr_ue, rate = np.empty((*shape, len(drops) * k)), rate_ue[..., lo * k:drops.stop * k]
-        snr = snr_direct_batch(pow_bu, links[0][1][0].ravel()[~relayed][:, None], cfg.power)
+        snr = snr_direct_batch(pow_bu, links[0][1][0].ravel()[~relayed][:, None], cfg)
         snr_ue[..., ~relayed] = snr.mean(axis=1)
         rate[..., ~relayed] = np.log2(1.0 + snr).mean(axis=1)
         for i, ((layout, _), (_, zeta)) in enumerate(zip(cases, links)):
-            n = layout.geometry.n_elements
-            g_bi, g_iu, cascade = sums[sizes.index(n)]
+            g_bi, g_iu, cascade = sums[sizes.index(layout.n_elements)]
             zeta_bi, zeta_iu = (np.repeat(z.ravel()[relayed], f) for z in zeta[1:])
             snr = np.stack([
-                snr_active_batch(g_bi, g_iu, cascade, n, zeta_bi, zeta_iu, layout.power),
-                snr_passive_batch(cascade, zeta_bi, zeta_iu, layout.power),
+                snr_active_batch(g_bi, g_iu, cascade, zeta_bi, zeta_iu, layout),
+                snr_passive_batch(cascade, zeta_bi, zeta_iu, layout),
             ]).reshape(len(_MODES), -1, f)
             snr_ue[i][:, relayed] = snr.mean(axis=2)
             rate[i][:, relayed] = np.log2(1.0 + snr).mean(axis=2)
@@ -327,14 +325,14 @@ def _estimates(cfg: NetworkConfig, policy: str, k: int, snr_drop: np.ndarray,
     samples once the achievable rate has been estimated from them.
     """
     n = rate_ue.shape[-1]
-    where = (f"simulate_cell at {analytic._point(cfg)}, m_irs={cfg.geometry.m_irs}, "
-             f"n_elements={cfg.geometry.n_elements}, policy={policy}")
+    where = (f"simulate_cell at {analytic._point(cfg)}, m_irs={cfg.m_irs}, "
+             f"n_elements={cfg.n_elements}, policy={policy}")
 
     def checked(mode: str, metric: str, mean, se, samples=None) -> SimEstimate:
         mean, se = _finite((float(mean), float(se)), where, f"the {mode} {metric}")
         return SimEstimate(mean=mean, std_error=se, samples=samples)
 
-    per_area = 1.0 / cfg.geometry.s_total
+    per_area = 1.0 / cfg.s_total
     out = {}
     for mode, (drop_mean, drop_m2), rate in zip(_MODES, snr_drop.swapaxes(0, 1), rate_ue):
         snr_mean = drop_mean.mean()
@@ -364,9 +362,8 @@ def _model_mc_key(cfg: NetworkConfig, d_bi: float) -> tuple[tuple, tuple]:
     (P_t, sigma^2, eta sigma_F^2) fixes how they are scored. N enters only
     through the cascade scale v, so groups that differ in N share an estimate.
     """
-    p = cfg.power
     return ((cfg.m_bi, cfg.m_iu, cfg.glq_order),
-            (p.p_t, p.sigma2, analytic.averaged_amp_gain(d_bi, cfg) * p.sigma_f2))
+            (cfg.p_t, cfg.sigma2, analytic.averaged_amp_gain(d_bi, cfg) * cfg.sigma_f2))
 
 
 @_ESTIMATOR_ERRSTATE
@@ -510,22 +507,20 @@ def physical_snr_mc(layouts, d_bi: float, d_iu: float, n: int = 1_000_000,
     """
     cfg = layouts[0]
     for i, layout in enumerate(layouts):
-        if layout.at(n_elements=cfg.geometry.n_elements) != cfg:
+        if replace(layout, n_elements=cfg.n_elements) != cfg:
             raise ConfigError(f"physical_snr_mc layout {i} differs from layout 0 outside N")
     rng = _stream(seed, 998, 4)
-    sizes = sorted({layout.geometry.n_elements for layout in layouts})
+    sizes = sorted({layout.n_elements for layout in layouts})
     zeta_bi, zeta_iu = cfg.path_gain(d_bi), cfg.path_gain(d_iu)
     moments = [(_Moments(), _Moments()) for _ in layouts]  # per layout, one per mode
     work = np.empty(2 * sizes[-1] * min(n, _PHYSICAL_BLOCK))
     for start in range(0, n, _PHYSICAL_BLOCK):
         sums = _element_sums(cfg, rng, rng, sizes, min(_PHYSICAL_BLOCK, n - start), work)
         for layout, (active, passive) in zip(layouts, moments):
-            n_el = layout.geometry.n_elements
-            g_bi, g_iu, cascade = sums[sizes.index(n_el)]
-            active.add(snr_active_batch(g_bi, g_iu, cascade, n_el, zeta_bi, zeta_iu,
-                                        layout.power))
-            passive.add(snr_passive_batch(cascade, zeta_bi, zeta_iu, layout.power))
+            g_bi, g_iu, cascade = sums[sizes.index(layout.n_elements)]
+            active.add(snr_active_batch(g_bi, g_iu, cascade, zeta_bi, zeta_iu, layout))
+            passive.add(snr_passive_batch(cascade, zeta_bi, zeta_iu, layout))
     where = f"physical_snr_mc at {analytic._point(cfg)}, d_bi={d_bi:g} m, d_iu={d_iu:g} m"
-    return [{mode: _finite(acc.mean_se(), f"{where}, n_elements={layout.geometry.n_elements}",
+    return [{mode: _finite(acc.mean_se(), f"{where}, n_elements={layout.n_elements}",
                            f"the {mode}") for mode, acc in zip(_MODES, accs)}
             for layout, accs in zip(layouts, moments)]

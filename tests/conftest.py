@@ -46,12 +46,11 @@ def rayleigh_mean_snr(d_bi: float, d_iu: float, cfg) -> float:
     (N P_t zeta_BI zeta_IU / sigma_F^2) e^(Psi/P_F) E1(Psi/P_F) with
     Psi = sigma^2 (P_t zeta_BI + sigma_F^2) / sigma_F^2, on ref_exp_e1_scaled.
     """
-    p = cfg.power
     zeta_bi = cfg.epsilon_ref * max(d_bi, cfg.distance_floor) ** -cfg.alpha
     zeta_iu = cfg.epsilon_ref * max(d_iu, cfg.distance_floor) ** -cfg.alpha
-    psi = p.sigma2 * (p.p_t * zeta_bi + p.sigma_f2) / p.sigma_f2
-    n = cfg.geometry.n_elements
-    return n * p.p_t * zeta_bi * zeta_iu / p.sigma_f2 * ref_exp_e1_scaled(psi / p.p_f)
+    psi = cfg.sigma2 * (cfg.p_t * zeta_bi + cfg.sigma_f2) / cfg.sigma_f2
+    n = cfg.n_elements
+    return n * cfg.p_t * zeta_bi * zeta_iu / cfg.sigma_f2 * ref_exp_e1_scaled(psi / cfg.p_f)
 
 
 def mean_snr_mpmath(d_bi: float, d_iu: float, cfg) -> float:
@@ -64,13 +63,12 @@ def mean_snr_mpmath(d_bi: float, d_iu: float, cfg) -> float:
 
     with mpmath.workdps(40):
         mpf = mpmath.mpf
-        p = cfg.power
         zeta_bi = mpf(cfg.epsilon_ref) * mpf(max(d_bi, cfg.distance_floor)) ** -mpf(cfg.alpha)
         zeta_iu = mpf(cfg.epsilon_ref) * mpf(max(d_iu, cfg.distance_floor)) ** -mpf(cfg.alpha)
-        eta = mpf(p.p_f) / (mpf(p.p_t) * zeta_bi + mpf(p.sigma_f2))
+        eta = mpf(cfg.p_f) / (mpf(cfg.p_t) * zeta_bi + mpf(cfg.sigma_f2))
         m = mpf(cfg.m_iu)
-        kappa = m * mpf(p.sigma2) / (eta * mpf(p.sigma_f2))
-        scale = cfg.geometry.n_elements * mpf(p.p_t) * zeta_bi * zeta_iu * m / mpf(p.sigma_f2)
+        kappa = m * mpf(cfg.sigma2) / (eta * mpf(cfg.sigma_f2))
+        scale = cfg.n_elements * mpf(cfg.p_t) * zeta_bi * zeta_iu * m / mpf(cfg.sigma_f2)
         return float(scale * mpmath.exp(kappa) * mpmath.expint(m, kappa))
 
 
@@ -88,7 +86,7 @@ def rate_direct_mpmath(d_bu: float, cfg) -> float:
         mpf = mpmath.mpf
         m = mpf(cfg.m_bu)
         zeta = mpf(cfg.epsilon_ref) * mpf(max(d_bu, cfg.distance_floor)) ** -mpf(cfg.alpha)
-        gamma = mpf(cfg.power.p_t) * zeta / mpf(cfg.power.sigma2)
+        gamma = mpf(cfg.p_t) * zeta / mpf(cfg.sigma2)
         log_norm = m * mpmath.log(m) - mpmath.loggamma(m)
 
         def h(u):
@@ -116,22 +114,21 @@ def mean_snr_node_sum(d_bi: float, d_iu: float, cfg) -> float:
     """
     import mpmath
 
-    p = cfg.power
     m = cfg.m_iu
-    n = cfg.geometry.n_elements
+    n = cfg.n_elements
     zeta_bi = cfg.epsilon_ref * max(d_bi, cfg.distance_floor) ** -cfg.alpha
     zeta_iu = cfg.epsilon_ref * max(d_iu, cfg.distance_floor) ** -cfg.alpha
     w_big = 1.0 / (zeta_bi * zeta_iu)
-    eta = p.p_f / (p.p_t * zeta_bi + p.sigma_f2)
+    eta = cfg.p_f / (cfg.p_t * zeta_bi + cfg.sigma_f2)
     nodes, masses = cascade_rule(cfg.glq_order, m)
     total = mpmath.mpf(0)
     with mpmath.workdps(20):
         for t, mass in zip(nodes, masses):
             t, mass = mpmath.mpf(t), mpmath.mpf(mass)
             k = (mass * t ** m * mpmath.mpf(cfg.m_bi) ** (1 - m)
-                 * (n * p.p_t / (p.sigma_f2 * w_big)) ** m)
-            a = cfg.m_bi * m * w_big * p.sigma2 / (t * eta * n * p.p_t)
-            d = n * p.p_t * t / (p.sigma_f2 * cfg.m_bi * w_big)
+                 * (n * cfg.p_t / (cfg.sigma_f2 * w_big)) ** m)
+            a = cfg.m_bi * m * w_big * cfg.sigma2 / (t * eta * n * cfg.p_t)
+            d = n * cfg.p_t * t / (cfg.sigma_f2 * cfg.m_bi * w_big)
             breaks = [0]
             x = min(d, 1 / a)
             while x < 100 * max(d, 1 / a):
@@ -200,11 +197,10 @@ def noise_laplace(z, xi_i: float, d_bi: float, cfg, component_rate: bool = True)
     of where the mixture component rate belongs: c = xi_i (component_rate)
     or c = 1.
     """
-    p = cfg.power
     zeta_bi = cfg.epsilon_ref * max(d_bi, cfg.distance_floor) ** -cfg.alpha
-    eta = p.p_f / (p.p_t * zeta_bi + p.sigma_f2)
+    eta = cfg.p_f / (cfg.p_t * zeta_bi + cfg.sigma_f2)
     c = xi_i if component_rate else 1.0
-    return (1.0 + z * eta * p.sigma_f2 * c / (p.p_t * cfg.m_iu)) ** -cfg.m_iu
+    return (1.0 + z * eta * cfg.sigma_f2 * c / (cfg.p_t * cfg.m_iu)) ** -cfg.m_iu
 
 
 def rate_active_oracle(d_bi: float, d_iu: float, cfg) -> float:
@@ -219,11 +215,10 @@ def rate_active_oracle(d_bi: float, d_iu: float, cfg) -> float:
     from airsnet.analytic import averaged_amp_gain, cascaded_mixture
     from airsnet.mathkit import integrate_semi_infinite_with_error
 
-    p = cfg.power
     mix = cascaded_mixture(d_bi, d_iu, cfg)
     _, masses = cascade_rule(cfg.glq_order, cfg.m_iu)
-    decay = mix.xi * p.sigma2 / p.p_t
-    noise_rates = averaged_amp_gain(d_bi, cfg) * p.sigma_f2 * mix.xi / (p.p_t * cfg.m_iu)
+    decay = mix.xi * cfg.sigma2 / cfg.p_t
+    noise_rates = averaged_amp_gain(d_bi, cfg) * cfg.sigma_f2 * mix.xi / (cfg.p_t * cfg.m_iu)
     beta = mix.beta
 
     def kernel(z):
@@ -250,13 +245,12 @@ def rate_active_reference(d_bi: float, d_iu: float, cfg) -> float:
     from scipy.integrate import quad
     from scipy.special import gammaln
 
-    p = cfg.power
     m, m_bi = cfg.m_iu, cfg.m_bi
     zeta_bi = cfg.epsilon_ref * max(d_bi, cfg.distance_floor) ** -cfg.alpha
     zeta_iu = cfg.epsilon_ref * max(d_iu, cfg.distance_floor) ** -cfg.alpha
-    eta = p.p_f / (p.p_t * zeta_bi + p.sigma_f2)
-    s_scale = p.sigma_f2 * m_bi / (cfg.geometry.n_elements * p.p_t * zeta_bi * zeta_iu)
-    kappa = m * p.sigma2 / (eta * p.sigma_f2)
+    eta = cfg.p_f / (cfg.p_t * zeta_bi + cfg.sigma_f2)
+    s_scale = cfg.sigma_f2 * m_bi / (cfg.n_elements * cfg.p_t * zeta_bi * zeta_iu)
+    kappa = m * cfg.sigma2 / (eta * cfg.sigma_f2)
     log_norm = -gammaln(m)
     # s = ln t ~ e^(m s - e^s)/Gamma(m): under e^-36 of its peak outside these
     s_lo, s_hi = math.log(m) - 36.0 / min(m, math.sqrt(m)), math.log(m + 40.0 + 9.0 * math.sqrt(m))

@@ -9,14 +9,14 @@ with the split total budget's monotone sweep asserted as its own finding
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from airsnet import analytic as an
-from airsnet.channel import PowerParams
 from airsnet.cli import main
-from airsnet.config import GeometryConfig, NetworkConfig
+from airsnet.config import NetworkConfig
 from airsnet.mathkit import gauss_laguerre
 from airsnet.mixgamma import direct_power_dist
 from airsnet.simulate import model_snr_moment_mc, physical_snr_mc, simulate_cell
@@ -36,11 +36,8 @@ def report(criterion: str, passed: bool, detail: str) -> None:
 
 
 def grid_cfg(m_iu, n, p_f):
-    return NetworkConfig(
-        geometry=GeometryConfig(n_elements=int(n)),
-        power=PowerParams(p_t=1.0, p_f=float(p_f), sigma2=1e-11, sigma_f2=1e-10),
-        m_iu=float(m_iu),
-    )
+    return NetworkConfig(n_elements=int(n), p_t=1.0, p_f=float(p_f), sigma2=1e-11,
+                         sigma_f2=1e-10, m_iu=float(m_iu))
 
 
 def test_criterion_01_closed_form_quadrature_equivalence():
@@ -234,15 +231,13 @@ def test_criterion_08_density_sweep_findings():
     # noise dominates and 1/M when amplification noise does, so that sweep
     # is maximized at M=1 (08a, split). The passive sweep (08b) is maximized
     # at M=1. See the README section "Install and test".
-    net = NetworkConfig(
-        geometry=GeometryConfig(l=200.0, l_in=30.0, l_out=150.0),
-        power=PowerParams(p_t=1.0, p_f=1e-5, sigma2=1e-11, sigma_f2=1e-10),
-    )
+    net = NetworkConfig(l=200.0, l_in=30.0, l_out=150.0,
+                        p_t=1.0, p_f=1e-5, sigma2=1e-11, sigma_f2=1e-10)
 
     def sweep(m_values, budget):
         # the density-sweep experiment's cases: M reflectors of 512 / M elements
-        cases = [(net.at(m_irs=m, n_elements=512 // m,
-                         p_f=1e-5 / m if budget == "split-total" else 1e-5), "nearest")
+        cases = [(replace(net, m_irs=m, n_elements=512 // m,
+                          p_f=1e-5 / m if budget == "split-total" else 1e-5), "nearest")
                  for m in m_values]
         results = simulate_cell(cases, n_drops=2000, n_fading=2, seed=SEED)
         out = {}
@@ -304,10 +299,8 @@ def test_criterion_08_density_sweep_findings():
 def test_criterion_09_association_policies():
     worst_ratio = math.inf
     # one call scores both N and both policies on the same drops and fading
-    cases = [(NetworkConfig(
-        geometry=GeometryConfig(l=200.0, l_in=100.0, l_out=130.0, m_irs=16, n_elements=n),
-        power=PowerParams(p_t=1.0, p_f=0.01, sigma2=1e-11, sigma_f2=1e-10),
-    ), policy) for n in (16, 32) for policy in ("best_irs", "nearest")]
+    cases = [(NetworkConfig(l=200.0, l_in=100.0, l_out=130.0, m_irs=16, n_elements=n,
+                            p_t=1.0, p_f=0.01, sigma2=1e-11, sigma_f2=1e-10), policy) for n in (16, 32) for policy in ("best_irs", "nearest")]
     results = iter(simulate_cell(cases, n_drops=600, n_fading=2, seed=SEED))
     for n in (16, 32):
         est = {policy: next(results)["active"]["spatial_throughput"]

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from airsnet import analytic as an
-from airsnet.channel import PowerParams
-from airsnet.config import ConfigError, GeometryConfig, NetworkConfig
+from airsnet.config import ConfigError, NetworkConfig
 from airsnet.mathkit import (
     IntegrationError,
     exp_en_scaled,
@@ -27,20 +26,14 @@ from conftest import (
     rel_err,
 )
 
-BASE_POWER = PowerParams(p_t=1.0, p_f=0.01, sigma2=1e-11, sigma_f2=1e-10)
 # reflector->user distances of the kernel accuracy grids; 0.3 m sits below the floor
 D_IU = np.array([0.3, 1.0, 12.0, 190.0])
 
 
-def make_cfg(m_iu=1.0, n=64, p_f=0.01, m_bi=1.0, m_bu=1.0, **kw):
-    return NetworkConfig(
-        geometry=GeometryConfig(n_elements=n, **kw.pop("geom", {})),
-        power=PowerParams(p_t=1.0, p_f=p_f, sigma2=1e-11, sigma_f2=1e-10),
-        m_bu=m_bu,
-        m_bi=m_bi,
-        m_iu=float(m_iu),
-        **kw,
-    )
+def make_cfg(m_iu=1.0, n=64, **kw):
+    base = dict(n_elements=n, p_t=1.0, p_f=0.01, sigma2=1e-11, sigma_f2=1e-10,
+                m_bu=1.0, m_bi=1.0, m_iu=float(m_iu))
+    return NetworkConfig(**{**base, **kw})
 
 
 class TestPathGain:
@@ -68,7 +61,7 @@ class TestPathGain:
 def direct_mean_snr(d_bu, cfg):
     """Direct-link mean SNR P_t E[|h|^2] / sigma^2 from the direct-link Gamma law."""
     dist = direct_power_dist(cfg.m_bu, cfg.path_gain(d_bu))
-    return cfg.power.p_t * dist.moment(1) / cfg.power.sigma2
+    return cfg.p_t * dist.moment(1) / cfg.sigma2
 
 
 class TestSnrMomentDirect:
@@ -76,7 +69,7 @@ class TestSnrMomentDirect:
     def test_first_moment_is_shape_free(self, m):
         cfg = make_cfg(m_bu=m)
         got = direct_mean_snr(100.0, cfg)
-        expected = cfg.power.p_t * cfg.epsilon_ref * 100.0**-3 / cfg.power.sigma2
+        expected = cfg.p_t * cfg.epsilon_ref * 100.0**-3 / cfg.sigma2
         assert rel_err(got, expected) < 1e-13
 
     def test_substitution(self):
@@ -100,9 +93,7 @@ class TestNoiseLaplace:
         assert np.all(kernel_noise_laplace(0.0, 100.0, 30.0, cfg) == 1.0)
 
     def test_unity_without_amplifier_noise(self):
-        cfg = replace(
-            make_cfg(), power=PowerParams(p_t=1.0, p_f=0.01, sigma2=1e-11, sigma_f2=1e-30)
-        )
+        cfg = make_cfg(sigma_f2=1e-30)
         got = kernel_noise_laplace(5.0, 100.0, 30.0, cfg)
         assert np.all(np.abs(got - 1.0) < 1e-12)
 
@@ -114,9 +105,9 @@ class TestNoiseLaplace:
         mix = an.cascaded_mixture(100.0, 30.0, cfg)
         xi = float(mix.xi[7])
         eta = an.averaged_amp_gain(100.0, cfg)
-        z = 0.6 / (eta * cfg.power.sigma_f2 * xi)
+        z = 0.6 / (eta * cfg.sigma_f2 * xi)
         g = rng.standard_gamma(2.0, 1_000_000) / 2.0
-        mc = float(np.exp(-z * eta * cfg.power.sigma_f2 * xi * g / cfg.power.p_t).mean())
+        mc = float(np.exp(-z * eta * cfg.sigma_f2 * xi * g / cfg.p_t).mean())
         with_rate = noise_laplace(z, xi, 100.0, cfg)
         without_rate = noise_laplace(z, xi, 100.0, cfg, component_rate=False)
         assert abs(with_rate - mc) / mc < 0.01
@@ -129,8 +120,8 @@ class TestNoiseLaplace:
         cfg = make_cfg(m_iu=1.0)
         mix = an.cascaded_mixture(100.0, 30.0, cfg)
         eta = an.averaged_amp_gain(100.0, cfg)
-        z = 1.0 / (eta * cfg.power.sigma_f2 * float(mix.xi[10]))
-        expected = 1.0 / (1.0 + z * eta * cfg.power.sigma_f2 * mix.xi / cfg.power.p_t)
+        z = 1.0 / (eta * cfg.sigma_f2 * float(mix.xi[10]))
+        expected = 1.0 / (1.0 + z * eta * cfg.sigma_f2 * mix.xi / cfg.p_t)
         got = kernel_noise_laplace(z, 100.0, 30.0, cfg)
         assert np.all(np.abs(got - expected) <= 1e-12 * expected)
 
@@ -254,12 +245,9 @@ class TestSnrMomentActive:
     def test_noise_free_limit(self):
         # eta sigma_F^2 / sigma^2 ~ 1e-3 here, so the Laplace factor is a
         # ~0.1% correction on its way to 1
-        cfg = replace(
-            make_cfg(),
-            power=PowerParams(p_t=1.0, p_f=1e3, sigma2=1e-11, sigma_f2=1e-26),
-        )
+        cfg = make_cfg(p_f=1e3, sigma_f2=1e-26)
         mix = an.cascaded_mixture(100.0, 30.0, cfg)
-        expected = cfg.power.p_t * mix.moment(1) / cfg.power.sigma2
+        expected = cfg.p_t * mix.moment(1) / cfg.sigma2
         got = an.snr_moment_active(100.0, 30.0, cfg)
         assert rel_err(got, expected) < 5e-3
 
@@ -288,7 +276,7 @@ class TestSnrMomentActive:
         cfg = make_cfg(m_iu=2.5, m_bi=0.5)
         means = an.snr_moment_active(100.0, D_IU, cfg)
         w = (100.0 * np.maximum(D_IU, 1.0)) ** 3 / cfg.epsilon_ref**2
-        s = cfg.power.sigma_f2 * cfg.m_bi * w / (64 * cfg.power.p_t)
+        s = cfg.sigma_f2 * cfg.m_bi * w / (64 * cfg.p_t)
         scaled = means * s
         assert np.all(np.abs(scaled / scaled[0] - 1.0) < 1e-13)
         for d, mean in zip(D_IU, means):
@@ -301,10 +289,8 @@ class TestMeanSnrRayleigh:
     def test_unit_scaled_exponential_integral(self):
         cfg = make_cfg()
         zeta_bi = cfg.epsilon_ref * 100.0**-3
-        psi = cfg.power.sigma2 * (cfg.power.p_t * zeta_bi + cfg.power.sigma_f2) / cfg.power.sigma_f2
-        cfg_pf = replace(
-            cfg, power=PowerParams(p_t=1.0, p_f=psi, sigma2=1e-11, sigma_f2=1e-10)
-        )
+        psi = cfg.sigma2 * (cfg.p_t * zeta_bi + cfg.sigma_f2) / cfg.sigma_f2
+        cfg_pf = replace(cfg, p_f=psi)
         w = (100.0**3 * 30.0**3) / cfg.epsilon_ref**2
         expected = 64 * 1.0 / (w * 1e-10) * 0.5963473623231941
         assert rel_err(an.mean_snr_closed(100.0, 30.0, cfg_pf), expected) < 1e-9
@@ -317,10 +303,8 @@ class TestMeanSnrRayleigh:
     def test_deep_budget_asymptote(self):
         cfg = make_cfg()
         zeta_bi = cfg.epsilon_ref * 100.0**-3
-        psi = cfg.power.sigma2 * (cfg.power.p_t * zeta_bi + cfg.power.sigma_f2) / cfg.power.sigma_f2
-        cfg_pf = replace(
-            cfg, power=PowerParams(p_t=1.0, p_f=psi / 1000.0, sigma2=1e-11, sigma_f2=1e-10)
-        )
+        psi = cfg.sigma2 * (cfg.p_t * zeta_bi + cfg.sigma_f2) / cfg.sigma_f2
+        cfg_pf = replace(cfg, p_f=psi / 1000.0)
         w = (100.0**3 * 30.0**3) / cfg.epsilon_ref**2
         prefactor = 64 * 1.0 / (w * 1e-10)
         got = an.mean_snr_closed(100.0, 30.0, cfg_pf)
@@ -379,7 +363,7 @@ class TestMeanSnrPassive:
         # sum w t^m = Gamma(m+1) exactly, so the value is N^2 P_t/(sigma^2 W)
         cfg = make_cfg(m_iu=m_iu, n=64)
         w = (100.0**3 * 30.0**3) / cfg.epsilon_ref**2
-        expected = 64**2 * cfg.power.p_t / (cfg.power.sigma2 * w)
+        expected = 64**2 * cfg.p_t / (cfg.sigma2 * w)
         assert rel_err(an.mean_snr_passive(100.0, 30.0, cfg), expected) < 1e-12
 
     def test_monotone_in_elements(self):
@@ -390,14 +374,12 @@ class TestMeanSnrPassive:
 class TestRates:
     def test_direct_rayleigh_identity(self):
         cfg = make_cfg()
-        c = 100.0**3 * cfg.power.sigma2 / (cfg.epsilon_ref * cfg.power.p_t)
+        c = 100.0**3 * cfg.sigma2 / (cfg.epsilon_ref * cfg.p_t)
         expected = math.log2(math.e) * exp_en_scaled(1.0, c)
         assert rel_err(an.rate_direct(100.0, cfg), expected) < 1e-8
 
     def test_direct_vanishes_at_zero_snr(self):
-        cfg = replace(
-            make_cfg(), power=PowerParams(p_t=1e-12, p_f=0.01, sigma2=1.0, sigma_f2=1e-10)
-        )
+        cfg = make_cfg(p_t=1e-12, sigma2=1.0)
         assert an.rate_direct(150.0, cfg) < 1e-6
 
     def test_direct_jensen(self):
@@ -407,13 +389,10 @@ class TestRates:
             assert rate <= math.log2(1.0 + direct_mean_snr(90.0, cfg))
 
     def test_active_noise_free_limit_drops_laplace_factor(self):
-        cfg = replace(
-            make_cfg(m_iu=2),
-            power=PowerParams(p_t=1.0, p_f=1e3, sigma2=1e-11, sigma_f2=1e-26),
-        )
+        cfg = make_cfg(m_iu=2, p_f=1e3, sigma_f2=1e-26)
         got = an.rate_active(100.0, 30.0, cfg)
         mix = an.cascaded_mixture(100.0, 30.0, cfg)
-        decay = mix.xi * cfg.power.sigma2 / cfg.power.p_t
+        decay = mix.xi * cfg.sigma2 / cfg.p_t
 
         def no_laplace(z):
             q = -np.expm1(-mix.beta * np.log1p(z)) / z
@@ -429,7 +408,7 @@ class TestRates:
     def test_direct_batch_rayleigh_identity(self):
         cfg = make_cfg()
         got = an.rate_direct(self.D_BU, cfg)
-        c = np.maximum(self.D_BU, 1.0) ** 3 * cfg.power.sigma2 / (cfg.epsilon_ref * cfg.power.p_t)
+        c = np.maximum(self.D_BU, 1.0) ** 3 * cfg.sigma2 / (cfg.epsilon_ref * cfg.p_t)
         expected = math.log2(math.e) * exp_en_scaled(1.0, c)
         assert got.shape == self.D_BU.shape
         assert np.all(np.abs(got / expected - 1.0) < 1e-13)
@@ -469,7 +448,7 @@ class TestRates:
         x1 = mix.sample(rng, n)
         g = rng.standard_gamma(1.0, n)
         rates = np.log2(
-            1.0 + cfg.power.p_t * x1 / (eta * cfg.power.sigma_f2 * g + cfg.power.sigma2)
+            1.0 + cfg.p_t * x1 / (eta * cfg.sigma_f2 * g + cfg.sigma2)
         )
         se = rates.std(ddof=1) / math.sqrt(n)
         assert abs(an.rate_active(100.0, 30.0, cfg) - rates.mean()) < 3.0 * se
@@ -482,7 +461,7 @@ class TestAverageMetric:
         monkeypatch.setattr(an, "rate_direct", lambda d, cfg: 1.0)
         monkeypatch.setattr(an, "rate_active", lambda b, r, cfg: 1.0)
         cfg = make_cfg()
-        assert abs(an.average_metric(cfg)[0] * cfg.geometry.s_total - 1.0) < 1e-9
+        assert abs(an.average_metric(cfg)[0] * cfg.s_total - 1.0) < 1e-9
 
     @pytest.mark.parametrize("kw, expected", [
         ({}, 0.02649146253255729),
@@ -493,8 +472,8 @@ class TestAverageMetric:
         # 0.06% of the cell, so the average reads the amplified-link kernel;
         # positional rates frozen from the per-pair z-domain rate kernel
         # (rate_active_oracle, masses from scipy's rule of the Gamma(m_iu) weight)
-        cfg = make_cfg(geom={"l_in": 5.0, "l_out": 150.0}, **kw)
-        got = an.average_metric(cfg)[0] * cfg.geometry.s_total
+        cfg = make_cfg(l_in=5.0, l_out=150.0, **kw)
+        got = an.average_metric(cfg)[0] * cfg.s_total
         assert rel_err(got, expected) < 1e-9
 
     @pytest.mark.parametrize("geom, expected", [
@@ -509,8 +488,8 @@ class TestAverageMetric:
         # rerun at REGION_TOL = 1e-10: at its own REGION_TOL = 1e-6 that route
         # missed the l_in = 0.5 m values by 4.3e-8, as its d_BI integral
         # straddled the floor kink. Breakpoints agree with the rerun to 2e-10.
-        cfg = make_cfg(geom=geom)
-        got = an.average_metric(cfg)[0] * cfg.geometry.s_total
+        cfg = make_cfg(**geom)
+        got = an.average_metric(cfg)[0] * cfg.s_total
         assert rel_err(got, expected) < 1e-9
 
     # Converged rows at the default network: average_metric with the 1 m floor
@@ -525,7 +504,7 @@ class TestAverageMetric:
         ({"l_in": 90.0, "l_out": 130.0, "alpha": 4.0}, 5.266806024393002e-06),
     ])
     def test_ring_rows_match_the_converged_rerun(self, kw, converged):
-        value, err = an.average_metric(NetworkConfig().at(**kw))
+        value, err = an.average_metric(NetworkConfig(**kw))
         assert rel_err(value, converged) < 1e-12
         assert err >= abs(value - converged)
 
@@ -537,7 +516,7 @@ class TestAverageMetric:
         rate_active = an.rate_active
         monkeypatch.setattr(an, "rate_active", lambda *args: (
             calls.append(args) or rate_active(*args)))
-        an.average_metric(NetworkConfig().at(l_in=90.0, l_out=130.0))
+        an.average_metric(NetworkConfig(l_in=90.0, l_out=130.0))
         assert len(calls) <= 20
 
     def test_default_ring_quadrature_points_are_bounded(self, monkeypatch):
@@ -548,7 +527,7 @@ class TestAverageMetric:
         quad = an.integrate_semi_infinite_with_error
         monkeypatch.setattr(an, "integrate_semi_infinite_with_error", lambda f, *a, **k: quad(
             lambda z: points.append(z.size) or f(z), *a, **k))
-        an.average_metric(NetworkConfig().at(l_in=90.0, l_out=130.0))
+        an.average_metric(NetworkConfig(l_in=90.0, l_out=130.0))
         assert points and sum(points) <= 8_000
 
     def test_vanishing_noise_ring_quadrature_points_are_bounded(self, monkeypatch):
@@ -559,7 +538,7 @@ class TestAverageMetric:
         quad = an.integrate_semi_infinite_with_error
         monkeypatch.setattr(an, "integrate_semi_infinite_with_error", lambda f, *a, **k: quad(
             lambda z: points.append(z.size) or f(z), *a, **k))
-        an.average_metric(NetworkConfig().at(l_in=90.0, l_out=130.0, sigma2=1e-300))
+        an.average_metric(NetworkConfig(l_in=90.0, l_out=130.0, sigma2=1e-300))
         assert points and sum(points) <= 12_000
 
     def test_default_ring_y_integrals_converge_in_their_first_pass(self, monkeypatch):
@@ -578,25 +557,22 @@ class TestAverageMetric:
             return quad(g, *args, **kwargs)
 
         monkeypatch.setattr(an, "integrate_semi_infinite_with_error", counting)
-        an.average_metric(NetworkConfig().at(l_in=90.0, l_out=130.0))
+        an.average_metric(NetworkConfig(l_in=90.0, l_out=130.0))
         assert len(calls) == 17 and set(calls) == {1}
 
     def test_floor_beyond_the_cell_gives_area_weighted_rates(self):
         # with every distance below a 250 m floor each rate is a constant, so
         # the average is the area-weighted mean of two of them
         cfg = make_cfg(distance_floor=250.0)
-        geo = cfg.geometry
-        disc = math.pi * geo.l_in**2
+        disc = math.pi * cfg.l_in**2
         expected = (an.rate_direct(250.0, cfg) * disc
-                    + an.rate_active(250.0, 250.0, cfg) * (geo.s_total - disc))
-        assert rel_err(an.average_metric(cfg)[0] * geo.s_total**2, expected) < 1e-12
+                    + an.rate_active(250.0, 250.0, cfg) * (cfg.s_total - disc))
+        assert rel_err(an.average_metric(cfg)[0] * cfg.s_total**2, expected) < 1e-12
 
     def test_collapsed_ring_reduces_to_direct_average(self):
-        cfg = make_cfg(
-            geom={"l": 200.0, "l_in": 199.9999, "l_out": 199.99995}
-        )
+        cfg = make_cfg(l=200.0, l_in=199.9999, l_out=199.99995)
         got, _ = an.average_metric(cfg)
-        s_t = cfg.geometry.s_total
+        s_t = cfg.s_total
         direct_only = an.rate_direct(cfg.distance_floor, cfg) * math.pi / s_t
         direct_only += (
             2.0
@@ -614,10 +590,9 @@ class TestAverageMetric:
     def test_dense_deployment_approaches_floored_distance(self):
         # with very many reflectors the nearest-distance density piles onto
         # the 1 m floor, so region 2 approaches the floored-d_IU evaluation
-        cfg = make_cfg(geom={"m_irs": 60000}, m_iu=1)
+        cfg = make_cfg(m_irs=60000, m_iu=1)
         got, _ = an.average_metric(cfg)
-        geo = cfg.geometry
-        s_t = geo.s_total
+        s_t = cfg.s_total
 
         r2 = (
             2.0
@@ -628,8 +603,8 @@ class TestAverageMetric:
                     [an.rate_active(x, cfg.distance_floor, cfg) for x in np.atleast_1d(b)]
                 )
                 * b,
-                geo.l_in,
-                geo.l_out,
+                cfg.l_in,
+                cfg.l_out,
                 1e-8,
             )[0]
         )
@@ -641,7 +616,7 @@ class TestAverageMetric:
             * integrate_interval_with_error(
                 lambda d: an.rate_direct(d, cfg) * d,
                 cfg.distance_floor,
-                geo.l_in,
+                cfg.l_in,
                 1e-9,
             )[0]
         )
@@ -650,9 +625,9 @@ class TestAverageMetric:
             * math.pi
             / s_t
             * integrate_interval_with_error(
-                lambda b: an.rate_active(geo.l_out, np.maximum(b - geo.l_out, 1.0), cfg) * b,
-                geo.l_out,
-                geo.l,
+                lambda b: an.rate_active(cfg.l_out, np.maximum(b - cfg.l_out, 1.0), cfg) * b,
+                cfg.l_out,
+                cfg.l,
                 1e-8,
             )[0]
         )
@@ -660,13 +635,13 @@ class TestAverageMetric:
 
     def test_degenerate_geometry_rejected(self):
         with pytest.raises(ConfigError):
-            GeometryConfig(l=200.0, l_in=150.0, l_out=100.0)
+            NetworkConfig(l=200.0, l_in=150.0, l_out=100.0)
 
     def test_pdf_mass_diagnostic(self):
         cfg = make_cfg()
         mass = an.region2_nearest_pdf_mass(cfg)
         assert 0.0 < mass <= 1.0
-        lam = cfg.geometry.lambda_irs
+        lam = cfg.lambda_irs
         assert rel_err(mass, 1.0 - math.exp(-lam * math.pi * 200.0**2)) < 1e-12
 
 

@@ -1,26 +1,27 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from airsnet.channel import (
-    PowerParams,
     cascade_amplitude,
     sample_nakagami_power,
     snr_active_batch,
     snr_direct_batch,
     snr_passive_batch,
 )
+from airsnet.config import NetworkConfig
 from airsnet.mathkit import DomainError
 
-POWER = PowerParams(p_t=1.0, p_f=0.01, sigma2=1e-11, sigma_f2=1e-10)
+POWER = NetworkConfig(p_t=1.0, p_f=0.01, sigma2=1e-11, sigma_f2=1e-10)
 
 
 def active(p_bi, p_iu, bi, iu, power=POWER):
     """snr_active_batch on (B, N) channel-power blocks, fed their row sums."""
     return snr_active_batch(p_bi.sum(axis=1), p_iu.sum(axis=1),
-                            cascade_amplitude(p_bi, p_iu).sum(axis=1), p_bi.shape[1], bi, iu,
-                            power)
+                            cascade_amplitude(p_bi, p_iu).sum(axis=1), bi, iu,
+                            replace(power, n_elements=p_bi.shape[1]))
 
 
 def passive(p_bi, p_iu, bi, iu, power=POWER):
@@ -107,7 +108,7 @@ class TestAmplificationFactor:
     """The budget-exhausting gain inside snr_active_batch."""
 
     def test_vanishing_transmit_power(self):
-        power = PowerParams(p_t=1e-30, p_f=0.01, sigma2=1e-11, sigma_f2=1e-10)
+        power = NetworkConfig(p_t=1e-30, p_f=0.01, sigma2=1e-11, sigma_f2=1e-10)
         n = 16
         ones = np.ones(n)
         a_sq = budget_gain_sq(ones, 1e-9, power)
@@ -165,7 +166,7 @@ class TestSnrActive:
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_vanishing_irs_noise_recovers_scaled_passive(self):
-        power = PowerParams(p_t=1.0, p_f=0.01, sigma2=1e-11, sigma_f2=1e-22)
+        power = NetworkConfig(p_t=1.0, p_f=0.01, sigma2=1e-11, sigma_f2=1e-22)
         bi, iu = gain(10.0), gain(10.0)
         ones = np.ones(4)
         amp_sq = power.p_f / (
@@ -182,7 +183,7 @@ class TestSnrActive:
         bi, iu = gain(100.0), gain(30.0)
         base = snr_row(active, p_bi, p_iu, bi, iu)
         c = 7.3
-        scaled = PowerParams(
+        scaled = NetworkConfig(
             p_t=c * POWER.p_t,
             p_f=c * POWER.p_f,
             sigma2=c * POWER.sigma2,

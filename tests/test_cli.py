@@ -10,8 +10,8 @@ import pytest
 
 from airsnet import analytic, simulate
 from airsnet.cli import main
-from airsnet.config import (ConfigError, ExperimentConfig, GeometryConfig, NetworkConfig,
-                            PowerParams, dbm_to_watts, effective_dict, parse_config)
+from airsnet.config import (ConfigError, ExperimentConfig, NetworkConfig, dbm_to_watts,
+                            effective_dict, parse_config)
 from airsnet.experiments import run_experiment
 from airsnet.mathkit import IntegrationError, gauss_laguerre
 from airsnet.mixgamma import MixtureGamma
@@ -36,16 +36,16 @@ class TestParseConfig:
         cfg = parse_config(str(path))
         net = cfg.network
         assert net.alpha == 3.0
-        assert net.power.p_t == 1.0
-        assert net.geometry.l == 200.0
-        assert net.power.sigma2 == pytest.approx(1e-11)
-        assert net.power.sigma_f2 == pytest.approx(1e-10)
+        assert net.p_t == 1.0
+        assert net.l == 200.0
+        assert net.sigma2 == pytest.approx(1e-11)
+        assert net.sigma_f2 == pytest.approx(1e-10)
 
     def test_dbm_conversion(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"sigma2_dbm": -80}))
         cfg = parse_config(str(path))
-        assert cfg.network.power.sigma2 == pytest.approx(1e-11, rel=1e-12)
+        assert cfg.network.sigma2 == pytest.approx(1e-11, rel=1e-12)
         assert any("sigma2_dbm" in note for note in cfg.conversions)
         assert dbm_to_watts(-70.0) == pytest.approx(1e-10, rel=1e-12)
 
@@ -73,7 +73,7 @@ class TestParseConfig:
 
     def test_overrides_apply(self):
         cfg = parse_config(None, ["n_elements=32", "m_iu=2.0"])
-        assert cfg.network.geometry.n_elements == 32
+        assert cfg.network.n_elements == 32
         assert cfg.network.m_iu == 2.0
 
     def test_bad_override_syntax(self):
@@ -133,8 +133,8 @@ class TestOneSchema:
     """The key validators run at parse time, at construction and on replace."""
 
     @pytest.mark.parametrize("build, key", [
-        (lambda: PowerParams(p_t=0.0), "p_t_w"),
-        (lambda: GeometryConfig(m_irs=0), "m_irs"),
+        (lambda: NetworkConfig(p_t=0.0), "p_t_w"),
+        (lambda: NetworkConfig(m_irs=0), "m_irs"),
         (lambda: NetworkConfig(m_iu=0.3), "m_iu"),
         (lambda: NetworkConfig(glq_order=65), "glq_order"),
         (lambda: NetworkConfig(glq_order=3), "glq_order"),
@@ -153,10 +153,10 @@ class TestOneSchema:
             build()
 
     @pytest.mark.parametrize("build, message", [
-        (lambda: PowerParams(p_f=math.inf), "p_f_w must be finite, got inf"),
+        (lambda: NetworkConfig(p_f=math.inf), "p_f_w must be finite, got inf"),
         (lambda: NetworkConfig(m_iu=True), "m_iu must be a number, got True"),
         (lambda: NetworkConfig(m_iu="2"), "m_iu must be a number, got '2'"),
-        (lambda: GeometryConfig(m_irs=2.0), "m_irs must be an integer, got 2.0"),
+        (lambda: NetworkConfig(m_irs=2.0), "m_irs must be an integer, got 2.0"),
         (lambda: replace(NetworkConfig(), alpha=math.nan), "alpha must be finite, got nan"),
         (lambda: ExperimentConfig(network=NetworkConfig(), pf_grid=(0.01, "0.1")),
          "pf_grid_w must be a number, got '0.1'"),
@@ -170,20 +170,19 @@ class TestOneSchema:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             build()
 
-    def test_at_changes_each_field_in_its_section(self):
-        net = NetworkConfig().at(m_irs=4, p_f=0.5, m_iu=2.0)
-        assert net == NetworkConfig(geometry=GeometryConfig(m_irs=4), power=PowerParams(p_f=0.5),
-                                    m_iu=2.0)
+    def test_replace_changes_fields_and_runs_the_checks(self):
+        net = replace(NetworkConfig(), m_irs=4, p_f=0.5, m_iu=2.0)
+        assert net == NetworkConfig(m_irs=4, p_f=0.5, m_iu=2.0)
         with pytest.raises(ConfigError, match="ring radii"):
-            NetworkConfig().at(l_in=150.0)
+            replace(net, l_in=150.0)
         with pytest.raises(ConfigError, match="p_f_w must be positive"):
-            NetworkConfig().at(p_f=0.0)
+            replace(net, p_f=0.0)
 
     def test_construction_keeps_the_values_it_is_given(self):
         # the type check runs for its errors only; an int for a float key is stored as is
-        net = NetworkConfig(m_iu=2, geometry=GeometryConfig(l=200))
-        assert type(net.m_iu) is int and type(net.geometry.l) is int
-        assert net == NetworkConfig(m_iu=2.0, geometry=GeometryConfig(l=200.0))
+        net = NetworkConfig(m_iu=2, l=200)
+        assert type(net.m_iu) is int and type(net.l) is int
+        assert net == NetworkConfig(m_iu=2.0, l=200.0)
 
     def test_experiment_config_is_frozen(self):
         cfg = parse_config()
@@ -289,7 +288,7 @@ class TestDumpDist:
         cfg = parse_config(None, overrides)
         net = cfg.network
         rule = gauss_laguerre(net.glq_order, net.m_iu - 1.0)
-        n = net.geometry.n_elements
+        n = net.n_elements
         amp_sq = analytic.averaged_amp_gain(cfg.d_bi, net) / n
         v = (1.0 / (net.path_gain(cfg.d_bi) * net.path_gain(cfg.d_iu))) / (amp_sq * float(n) ** 2)
         m_bi, m_iu = net.m_bi, net.m_iu
@@ -383,7 +382,7 @@ class TestCliRuns:
 
         def recorded(cases, **kw):
             results = simulate_cell(cases, **kw)
-            calls.append([(net.geometry.n_elements, policy) for net, policy in cases])
+            calls.append([(net.n_elements, policy) for net, policy in cases])
             for (_, policy), est in zip(cases, results):
                 seen[policy] = est["active"]["spatial_throughput"]
             return results
@@ -417,7 +416,7 @@ class TestCliRuns:
         assert main(args + ["--set", "ring_metric=achievable_rate"]) == 2
         assert "ring_metric" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", [["--tolerance", "-1"], ["--seed", "-1"]])
+    @pytest.mark.parametrize("flag", [["--set", "tolerance=-1"], ["--seed", "-1"]])
     def test_flags_pass_the_config_validators(self, tmp_path, flag):
         assert main(["validate", "--out", str(tmp_path / "x")] + flag + FAST_VALIDATE) == 2
 
@@ -436,6 +435,21 @@ class TestCliRuns:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"l_in_m": -5}))
         assert main(["validate", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("unreadable", ["directory", "latin-1"])
+    @pytest.mark.parametrize("command", [["validate"], ["dump-dist"]],
+                             ids=["validate", "dump-dist"])
+    def test_unreadable_config_exits_2_with_an_error_line(self, tmp_path, capsys, unreadable,
+                                                          command):
+        path = tmp_path / "cfg.json"
+        if unreadable == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes('{"k_ues": 5, "note": "é"}'.encode("latin-1"))
+        out = ["--out", str(tmp_path / "x")] if command == ["validate"] else []
+        assert main(command + ["--config", str(path)] + out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     @pytest.mark.parametrize("shapes, stray", [("[7]", "[7]"), ("[2,7,9]", "[7, 9]")])
     def test_model_mc_shapes_outside_the_validate_grid_rejected(
@@ -489,7 +503,7 @@ class TestCliRuns:
 
         def counted(layouts, *args, **kwargs):
             calls.append(kwargs["n"])
-            assert [net.geometry.n_elements for net in layouts] == [16, 64]
+            assert [net.n_elements for net in layouts] == [16, 64]
             return physical(layouts, *args, **kwargs)
 
         monkeypatch.setattr(simulate, "physical_snr_mc", counted)
@@ -505,7 +519,7 @@ class TestCliRuns:
 
         def counted(groups, d_iu, **kwargs):
             groups = list(groups)
-            calls.append(([(net.m_iu, net.geometry.n_elements, d_bi, net.power.p_f)
+            calls.append(([(net.m_iu, net.n_elements, d_bi, net.p_f)
                            for net, d_bi in groups], tuple(d_iu), kwargs["n"]))
             return model(groups, d_iu, **kwargs)
 
@@ -600,7 +614,7 @@ class TestCliRuns:
         chunk = simulate.associate
 
         def measured(irs, ue, policy, cfg):
-            per_drop = cfg.k_ues * cfg.geometry.m_irs
+            per_drop = cfg.k_ues * cfg.m_irs
             pairs.append((ue[..., 0].size * irs.shape[-2], per_drop))
             return chunk(irs, ue, policy, cfg)
 

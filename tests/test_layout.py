@@ -9,15 +9,13 @@ reads; a read is an attribute load. A third walk lists the src/ code
 outside the quadrature rule and the mixture built on it that reads a rule's
 `.weights`. A fourth lists the top-level defs of analytic.py that call the
 semi-infinite quadrature: only _quad may; and those of simulate.py that form
-the cascade amplitude: only _element_sums may. A fifth lists the `replace`
-calls outside config.py that rebuild a config section (a `geometry=` or
-`power=` keyword): only NetworkConfig.at may. A sixth lists the top-level
+the cascade amplitude: only _element_sums may. A fifth lists the top-level
 defs of simulate.py that draw Gamma or exponential variates themselves
-(channel.sample_nakagami_power draws every fading power), and a seventh
-those that spell the "estimate is not finite" error: only _finite may. An
-eighth lists the top-level src/ defs that call `.std(...)` with a ddof: only
+(channel.sample_nakagami_power draws every fading power), and a sixth
+those that spell the "estimate is not finite" error: only _finite may. A
+seventh lists the top-level src/ defs that call `.std(...)` with a ddof: only
 simulate.sample_se may. Run this file directly to print these lists. Last,
-each config key is declared once: on its own field of one of the four config
+each config key is declared once: on its own field of one of the two config
 dataclasses.
 """
 
@@ -25,7 +23,7 @@ import ast
 import dataclasses
 from pathlib import Path
 
-from airsnet.config import ExperimentConfig, GeometryConfig, NetworkConfig, PowerParams
+from airsnet.config import ExperimentConfig, NetworkConfig
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "airsnet"
 
@@ -200,34 +198,6 @@ def test_non_finite_walk_flags_a_second_message(tmp_path):
     assert non_finite_error_writers(tmp_path) == ["_finite", "physical"]
 
 
-def section_rebuilders(root: Path = SRC) -> list[str]:
-    """Each top-level def or module statement outside config.py whose `replace`
-    call passes a geometry= or power= keyword."""
-    return [top for top in tops_with(
-        lambda node: isinstance(node, ast.Call)
-        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "replace"
-        and any(kw.arg in ("geometry", "power") for kw in node.keywords), root)
-        if not top.startswith("config.py")]
-
-
-def test_only_network_config_at_rebuilds_a_section():
-    # every variant network is cfg.at(...), which routes each field to its section
-    assert section_rebuilders() == []
-
-
-def test_section_walk_flags_a_second_site(tmp_path):
-    (tmp_path / "config.py").write_text(
-        "def at(self, g):\n    return replace(self, geometry=g)\n")
-    (tmp_path / "simulate.py").write_text(
-        "def sweep(cfg, m):\n"
-        "    return replace(cfg, geometry=replace(cfg.geometry, m_irs=m))\n"
-        "def label(row):\n    return row.replace(',', ';')\n")
-    (tmp_path / "experiments.py").write_text(
-        "NET = dataclasses.replace(CFG, power=POWER)\n"
-        "def ring(cfg):\n    return cfg.at(l_in=1.0)\n")
-    assert section_rebuilders(tmp_path) == ["experiments.py", "simulate.py:sweep"]
-
-
 def ddof_std_callers(root: Path = SRC) -> list[str]:
     """Each top-level def or module statement calling `.std(...)` with a ddof keyword."""
     return tops_with(lambda node: isinstance(node, ast.Call)
@@ -292,8 +262,8 @@ def test_walk_flags_what_nothing_references(tmp_path):
         "c.py:Record.named", "c.py:Record.orphan", "c.py:Record.stored"]
 
 
-CONFIG_CLASSES = (ExperimentConfig, NetworkConfig, GeometryConfig, PowerParams)
-UNKEYED_FIELDS = {"network", "geometry", "power", "conversions"}
+CONFIG_CLASSES = (ExperimentConfig, NetworkConfig)
+UNKEYED_FIELDS = {"network", "conversions"}
 
 
 def test_each_config_key_is_declared_once_on_its_field():
@@ -315,7 +285,6 @@ if __name__ == "__main__":
     print(stray_weights_readers())
     print(quadrature_callers())
     print(cascade_callers())
-    print(section_rebuilders())
     print(own_gamma_samplers())
     print(non_finite_error_writers())
     print(ddof_std_callers())

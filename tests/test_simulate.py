@@ -1,6 +1,7 @@
 import math
 import re
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ import pytest
 from airsnet import analytic as an
 from airsnet import simulate
 from airsnet.channel import (
-    PowerParams,
     cascade_amplitude,
     sample_nakagami_power,
     snr_active_batch,
@@ -18,7 +18,6 @@ from airsnet.channel import (
 from airsnet.config import (
     ConfigError,
     ExperimentConfig,
-    GeometryConfig,
     NetworkConfig,
     parse_config,
 )
@@ -39,16 +38,12 @@ from conftest import rel_err
 
 
 def make_cfg(**kw):
-    geom = kw.pop("geom", {})
-    power = kw.pop("power", None) or PowerParams(
-        p_t=1.0, p_f=0.01, sigma2=1e-11, sigma_f2=1e-10
-    )
-    return NetworkConfig(geometry=GeometryConfig(**geom), power=power, **kw)
+    return replace(NetworkConfig(p_t=1.0, p_f=0.01, sigma2=1e-11, sigma_f2=1e-10), **kw)
 
 
 def all_direct_cfg(**kw):
     # the ring is pushed to the rim, so in practice every user is BS-served
-    return make_cfg(geom={"l_in": 199.999997, "l_out": 199.999998, "l": 200.0}, **kw)
+    return make_cfg(l_in=199.999997, l_out=199.999998, l=200.0, **kw)
 
 
 def density_sweep(net, n_total, m_values, seed, **knobs):
@@ -61,7 +56,7 @@ def density_sweep(net, n_total, m_values, seed, **knobs):
 
 def density_cases(net, n_total, m_values, p_f_total):
     """The density sweep's split-budget cases: M reflectors of n_total / M elements."""
-    return [(net.at(m_irs=m, n_elements=n_total // m, p_f=p_f_total / m), "nearest")
+    return [(replace(net, m_irs=m, n_elements=n_total // m, p_f=p_f_total / m), "nearest")
             for m in m_values]
 
 
@@ -87,8 +82,6 @@ def reference_cell(cfg, policy, n_drops, n_fading, seed):
     (seed, drop, 6) the IU powers in the same shape. The element sums run
     down each column.
     """
-    geo, p = cfg.geometry, cfg.power
-
     def points(rng, count, r_in, r_out):
         r = np.sqrt(r_in**2 + rng.random(count) * (r_out**2 - r_in**2))
         th = 2.0 * math.pi * rng.random(count)
@@ -97,16 +90,16 @@ def reference_cell(cfg, policy, n_drops, n_fading, seed):
     def norm(xy):
         return np.linalg.norm(xy, axis=1)
 
-    rng_irs, rng_ue = keyed_stream(seed, geo.m_irs, 1), keyed_stream(seed, 5)
+    rng_irs, rng_ue = keyed_stream(seed, cfg.m_irs, 1), keyed_stream(seed, 5)
     snr_drop, rate_ue = [], []
     for d in range(n_drops):
-        irs = points(rng_irs, geo.m_irs, geo.l_in, geo.l_out)
-        ue = points(rng_ue, cfg.k_ues, 0.0, geo.l)
+        irs = points(rng_irs, cfg.m_irs, cfg.l_in, cfg.l_out)
+        ue = points(rng_ue, cfg.k_ues, 0.0, cfg.l)
         server = associate(irs, ue, policy, cfg)
         direct, relayed = server < 0, server >= 0
         rng = keyed_stream(seed, d, 2)
         pow_bu = sample_nakagami_power(cfg.m_bu, rng, (direct.sum(), n_fading))
-        shape = (geo.n_elements, relayed.sum() * n_fading)
+        shape = (cfg.n_elements, relayed.sum() * n_fading)
         pow_bi = sample_nakagami_power(cfg.m_bi, rng, shape)
         pow_iu = sample_nakagami_power(cfg.m_iu, keyed_stream(seed, d, 6), shape)
         at = irs[server[relayed]]
@@ -114,11 +107,11 @@ def reference_cell(cfg, policy, n_drops, n_fading, seed):
         zeta_iu = np.repeat(cfg.path_gain(norm(ue[relayed] - at)), n_fading)
         cascade = cascade_amplitude(pow_bi, pow_iu).sum(axis=0)
         snr = np.empty((2, cfg.k_ues, n_fading))
-        snr[:, direct] = snr_direct_batch(pow_bu, cfg.path_gain(norm(ue[direct]))[:, None], p)
+        snr[:, direct] = snr_direct_batch(pow_bu, cfg.path_gain(norm(ue[direct]))[:, None], cfg)
         rows = (relayed.sum(), n_fading)
         snr[0, relayed] = snr_active_batch(pow_bi.sum(axis=0), pow_iu.sum(axis=0), cascade,
-                                           geo.n_elements, zeta_bi, zeta_iu, p).reshape(rows)
-        snr[1, relayed] = snr_passive_batch(cascade, zeta_bi, zeta_iu, p).reshape(rows)
+                                           zeta_bi, zeta_iu, cfg).reshape(rows)
+        snr[1, relayed] = snr_passive_batch(cascade, zeta_bi, zeta_iu, cfg).reshape(rows)
         per_user = snr.mean(axis=2)
         drop_mean = per_user.mean(axis=1)
         snr_drop.append((drop_mean, np.square(per_user - drop_mean[:, None]).sum(axis=1)))
@@ -133,7 +126,7 @@ def reference_cell(cfg, policy, n_drops, n_fading, seed):
         snr = drop_mean.mean()
         m2 = drop_m2.sum() + cfg.k_ues * np.square(drop_mean - snr).sum()
         out[mode] = {"snr_mean": (float(snr), float(math.sqrt(m2 / (n - 1) / n)))}
-        for metric, scale in (("achievable_rate", 1.0), ("spatial_throughput", 1.0 / geo.s_total)):
+        for metric, scale in (("achievable_rate", 1.0), ("spatial_throughput", 1.0 / cfg.s_total)):
             se = rate.std(ddof=1) / math.sqrt(n)
             out[mode][metric] = (float(rate.mean() * scale), float(se * scale))
     return out
@@ -148,10 +141,9 @@ def reference_model_mc(cfg, d_bi, d_iu, n, seed):
     rng = keyed_stream(seed, 999, 3)
     v = an.cascade_scale(d_bi, d_iu, cfg)
     mix = cascaded_power_dist(cfg.m_bi, cfg.m_iu, 1.0, cfg.rule())
-    p = cfg.power
     m = cfg.m_iu
-    noise_scale = an.averaged_amp_gain(d_bi, cfg) * p.sigma_f2
-    kappa = p.sigma2 / noise_scale
+    noise_scale = an.averaged_amp_gain(d_bi, cfg) * cfg.sigma_f2
+    kappa = cfg.sigma2 / noise_scale
     lo = min(kappa, 0.1)
     hi = 10.0 * max(1.0, m)
     log_range = math.log(hi / lo)
@@ -181,8 +173,8 @@ def reference_model_mc(cfg, d_bi, d_iu, n, seed):
             mix_pdf *= 0.25
             mix_pdf += 0.5 * pdf
             snr = noise_scale * g
-            snr += p.sigma2
-            np.divide(p.p_t * x1, snr, out=snr)
+            snr += cfg.sigma2
+            np.divide(cfg.p_t * x1, snr, out=snr)
             snr *= pdf
             snr /= mix_pdf
             acc.add(snr)
@@ -196,30 +188,30 @@ def estimates(est):
 
 class TestDrop:
     def test_ring_radius_second_moment(self):
-        cfg = make_cfg(geom={"m_irs": 8})
+        cfg = make_cfg(m_irs=8)
         irs, _ = drop(cfg, 11, 2000)
         r2 = (irs**2).sum(axis=-1)
-        expected = (cfg.geometry.l_in**2 + cfg.geometry.l_out**2) / 2.0
+        expected = (cfg.l_in**2 + cfg.l_out**2) / 2.0
         assert abs(r2.mean() / expected - 1.0) < 0.005
 
     def test_ue_inside_coverage_fraction(self):
         cfg = make_cfg()
         _, ue = drop(cfg, 2, 400)
         radius = np.linalg.norm(ue, axis=-1)
-        inside = int((radius < cfg.geometry.l_in).sum())
+        inside = int((radius < cfg.l_in).sum())
         total = radius.size
-        p = cfg.geometry.l_in**2 / cfg.geometry.l**2
+        p = cfg.l_in**2 / cfg.l**2
         sigma = math.sqrt(p * (1 - p) / total)
         assert abs(inside / total - p) < 3.0 * sigma
 
     def test_positions_within_bounds(self):
         cfg = make_cfg()
         irs, ue = drop(cfg, 5, 3)
-        assert irs.shape == (3, cfg.geometry.m_irs, 2) and ue.shape == (3, cfg.k_ues, 2)
+        assert irs.shape == (3, cfg.m_irs, 2) and ue.shape == (3, cfg.k_ues, 2)
         irs_r = np.linalg.norm(irs, axis=-1)
         ue_r = np.linalg.norm(ue, axis=-1)
-        assert np.all((irs_r >= cfg.geometry.l_in) & (irs_r <= cfg.geometry.l_out))
-        assert np.all(ue_r <= cfg.geometry.l)
+        assert np.all((irs_r >= cfg.l_in) & (irs_r <= cfg.l_out))
+        assert np.all(ue_r <= cfg.l)
 
     def test_deterministic_per_index(self):
         cfg = make_cfg()
@@ -267,7 +259,7 @@ class TestDrop:
 
     @pytest.mark.parametrize("n, k", [(1, 1), (7, 3), (40, 39)])
     def test_fewer_drops_are_a_prefix(self, n, k):
-        cfg = make_cfg(geom={"m_irs": 5}, k_ues=9)
+        cfg = make_cfg(m_irs=5, k_ues=9)
         irs, ue = drop(cfg, 31, n + 5)
         first_irs, first_ue = drop(cfg, 31, k)
         assert np.array_equal(irs[:k], first_irs)
@@ -277,7 +269,7 @@ class TestDrop:
         # every M sees the same users; the reflectors are M's own
         users, reflectors = [], []
         for m, n in [(1, 512), (2, 256), (4, 128), (32, 16)]:
-            irs, ue = drop(make_cfg(geom={"m_irs": m, "n_elements": n}), 12345, 20)
+            irs, ue = drop(make_cfg(m_irs=m, n_elements=n), 12345, 20)
             users.append(ue)
             reflectors.append(irs[:, 0])
         for ue in users[1:]:
@@ -291,7 +283,7 @@ class TestDrop:
 
 class TestAssociate:
     def test_single_irs_policies_agree(self):
-        cfg = make_cfg(geom={"m_irs": 1})
+        cfg = make_cfg(m_irs=1)
         irs, ue = one_drop(cfg, 1, 0)
         near = associate(irs, ue, "nearest", cfg)
         best = associate(irs, ue, "best_irs", cfg)
@@ -300,7 +292,7 @@ class TestAssociate:
     def test_threshold_rule(self):
         cfg = make_cfg()
         irs = np.array([[115.0, 0.0]])
-        ue = np.array([[cfg.geometry.l_in - 1e-6, 0.0], [cfg.geometry.l_in + 1e-6, 0.0]])
+        ue = np.array([[cfg.l_in - 1e-6, 0.0], [cfg.l_in + 1e-6, 0.0]])
         for policy in ("nearest", "best_irs"):
             out = associate(irs, ue, policy, cfg)
             assert out[0] == -1
@@ -309,7 +301,7 @@ class TestAssociate:
     def test_constructed_case_where_nearest_is_not_best(self):
         # reflector B is nearer to the user but has a much longer BS hop;
         # the analytic mean SNR prefers reflector A
-        cfg = make_cfg(geom={"m_irs": 2, "n_elements": 16})
+        cfg = make_cfg(m_irs=2, n_elements=16)
         irs = np.array([[100.0, 0.0], [130.0, 0.0]])
         ue = np.array([[116.0, 0.0]])
         near = associate(irs, ue, "nearest", cfg)
@@ -324,8 +316,7 @@ class TestAssociate:
         # at m_IU = 0.5, glq_order = 64 and a large budget the per-node
         # quadrature of the mean SNR exhausts its panel budget for the user
         # 0.5 m from reflector 0; the closed form has no budget to exhaust
-        cfg = make_cfg(geom={"m_irs": 2}, m_iu=0.5, glq_order=64,
-                       power=PowerParams(p_t=1.0, p_f=10.0, sigma2=1e-11, sigma_f2=1e-10))
+        cfg = make_cfg(m_irs=2, m_iu=0.5, glq_order=64, p_f=10.0)
         irs = np.array([[100.0, 0.0], [0.0, 120.0]])
         ue = np.array([[100.5, 0.0], [0.0, 130.0]])
         assert associate(irs, ue, "best_irs", cfg).tolist() == [0, 1]
@@ -333,12 +324,12 @@ class TestAssociate:
     @pytest.mark.parametrize("m_iu", [2.0, 2.5])
     def test_best_irs_is_quadrature_argmax(self, m_iu):
         # oracle: the per-pair argmax of the independent per-node quadrature
-        cfg = make_cfg(geom={"m_irs": 6, "n_elements": 32}, k_ues=12, m_iu=m_iu)
+        cfg = make_cfg(m_irs=6, n_elements=32, k_ues=12, m_iu=m_iu)
         for drop_index in (0, 1):
             irs, ue = one_drop(cfg, 404, drop_index)
             best = associate(irs, ue, "best_irs", cfg)
             d_bi = np.linalg.norm(irs, axis=1)
-            outside = np.linalg.norm(ue, axis=1) >= cfg.geometry.l_in
+            outside = np.linalg.norm(ue, axis=1) >= cfg.l_in
             assert outside.any()
             for k in np.flatnonzero(outside):
                 d_iu = np.linalg.norm(irs - ue[k], axis=1)
@@ -347,7 +338,7 @@ class TestAssociate:
 
     @pytest.mark.parametrize("policy", ["nearest", "best_irs"])
     def test_stacked_drops_match_per_drop_calls(self, policy):
-        cfg = make_cfg(geom={"m_irs": 6, "n_elements": 32}, k_ues=12, m_iu=2.0)
+        cfg = make_cfg(m_irs=6, n_elements=32, k_ues=12, m_iu=2.0)
         irs, ue = drop(cfg, 405, 5)
         stacked = associate(irs, ue, policy, cfg)
         assert stacked.shape == (5, 12)
@@ -360,7 +351,7 @@ class TestAssociate:
         radius = np.linalg.norm(ue, axis=1)
         for policy in ("nearest", "best_irs"):
             out = associate(irs, ue, policy, cfg)
-            assert np.array_equal(out < 0, radius < cfg.geometry.l_in)
+            assert np.array_equal(out < 0, radius < cfg.l_in)
 
     def test_unknown_policy(self):
         cfg = make_cfg()
@@ -373,7 +364,7 @@ class TestSimulateCell:
     def test_all_direct_matches_analytic(self):
         cfg = all_direct_cfg(k_ues=50)
         est = simulate_cell([(cfg, "nearest")], n_drops=100, n_fading=20, seed=31)[0]["active"]
-        s_t = cfg.geometry.s_total
+        s_t = cfg.s_total
         analytic_rate = an.rate_direct(cfg.distance_floor, cfg) * math.pi / s_t
         analytic_rate += (
             2.0
@@ -382,7 +373,7 @@ class TestSimulateCell:
             * integrate_interval_with_error(
                 lambda d: np.array([an.rate_direct(x, cfg) for x in np.atleast_1d(d)]) * d,
                 cfg.distance_floor,
-                cfg.geometry.l,
+                cfg.l,
                 1e-8,
             )[0]
         )
@@ -393,7 +384,7 @@ class TestSimulateCell:
         # one user, one reflector: the cell estimate must agree with the
         # dedicated fixed-distance physical MC at the same (d_BI, d_IU), and
         # its gap to the analytic mean is the known model-vs-physical gap
-        cfg = make_cfg(geom={"m_irs": 1, "n_elements": 16}, k_ues=1)
+        cfg = make_cfg(m_irs=1, n_elements=16, k_ues=1)
         irs, ue = one_drop(cfg, 77, 0)
         assert associate(irs, ue, "nearest", cfg)[0] == 0
         d_bi = float(np.linalg.norm(irs[0]))
@@ -423,7 +414,7 @@ class TestSimulateCell:
         # reference_cell, which builds the drops one at a time. With calls = 2
         # every policy is simulated twice in a row, so a call that leaned on
         # state an earlier one left behind would show.
-        cfg = make_cfg(geom={"l_in": 60.0, "l_out": 150.0, "m_irs": 4, "n_elements": 8},
+        cfg = make_cfg(l_in=60.0, l_out=150.0, m_irs=4, n_elements=8,
                        k_ues=8)
         frozen = {
             ("active", "nearest"): [
@@ -458,7 +449,7 @@ class TestSimulateCell:
         # reference_cell, which builds the drops one at a time (grouping is
         # test_chunked_drop_path_matches_one_drop_at_a_time's). calls = 2
         # repeats each policy's simulation back to back.
-        cfg = make_cfg(geom={"l_in": 60.0, "l_out": 150.0, "m_irs": 4, "n_elements": 256},
+        cfg = make_cfg(l_in=60.0, l_out=150.0, m_irs=4, n_elements=256,
                        k_ues=6)
         n_drops, n_fading = 17, 3
         frozen = {
@@ -497,7 +488,7 @@ class TestSimulateCell:
         # associated in one chunk; block 2^14 handles them in one group. Each
         # of the `calls` back-to-back simulations must match the reference.
         monkeypatch.setattr(simulate, "_DROP_BLOCK", block)
-        cfg = make_cfg(geom={"l_in": 60.0, "l_out": 150.0, "m_irs": 4, "n_elements": 256},
+        cfg = make_cfg(l_in=60.0, l_out=150.0, m_irs=4, n_elements=256,
                        k_ues=6)
         want = reference_cell(cfg, policy, 17, 3, 31)
         for _ in range(calls):
@@ -514,15 +505,15 @@ class TestSimulateCell:
         associate = simulate.associate
         monkeypatch.setattr(simulate, "associate", lambda irs, ue, policy, cfg: (
             policies.append(policy) or associate(irs, ue, policy, cfg)))
-        cfg = make_cfg(geom={"m_irs": 4}, k_ues=6)
-        cases = [(cfg.at(n_elements=n), policy) for n in (16, 32)
+        cfg = make_cfg(m_irs=4, k_ues=6)
+        cases = [(replace(cfg, n_elements=n), policy) for n in (16, 32)
                  for policy in ("best_irs", "nearest")]
         simulate_cell(cases, n_drops=17, n_fading=3, seed=31)
         assert (policies.count("nearest"), policies.count("best_irs")) == (groups, 2 * groups)
 
     def test_estimator_honesty_all_direct(self):
         cfg = all_direct_cfg(k_ues=25)
-        s_t = cfg.geometry.s_total
+        s_t = cfg.s_total
         analytic_rate = an.rate_direct(cfg.distance_floor, cfg) * math.pi / s_t
         analytic_rate += (
             2.0
@@ -531,7 +522,7 @@ class TestSimulateCell:
             * integrate_interval_with_error(
                 lambda d: np.array([an.rate_direct(x, cfg) for x in np.atleast_1d(d)]) * d,
                 cfg.distance_floor,
-                cfg.geometry.l,
+                cfg.l,
                 1e-8,
             )[0]
         )
@@ -550,7 +541,7 @@ class TestSimulateCell:
         est = simulate_cell([(cfg, "nearest")], n_drops=4, n_fading=4, seed=8)[0]["passive"]
         assert est["snr_mean"].mean > 0
         assert est["spatial_throughput"].mean == pytest.approx(
-            est["achievable_rate"].mean / cfg.geometry.s_total, rel=1e-12
+            est["achievable_rate"].mean / cfg.s_total, rel=1e-12
         )
 
 
@@ -578,13 +569,13 @@ class TestSweepDensity:
             assert len(got) == len(rows) == 2 * 3 * len(m_values)
             for m in m_values:
                 p_f = 0.01 / m if budget == "split-total" else 0.01
-                swept = cfg.at(m_irs=m, n_elements=64 // m, p_f=p_f)
+                swept = replace(cfg, m_irs=m, n_elements=64 // m, p_f=p_f)
                 direct = simulate_cell([(swept, "nearest")], n_drops=5, n_fading=2, seed=6)[0]
                 for mode, estimates in direct.items():
                     label = f"mode={mode}|m_irs={m}|n={64 // m}"
                     for metric, est in estimates.items():
                         assert got[label, metric] == (est.mean, est.std_error), (budget, label)
-        cases = [(cfg.at(m_irs=m, n_elements=n, p_f=p_f), policy)
+        cases = [(replace(cfg, m_irs=m, n_elements=n, p_f=p_f), policy)
                  for m, n, p_f in ((16, 32, 0.01), (4, 8, 0.02), (16, 8, 0.01))
                  for policy in ("best_irs", "nearest")]
         joint = simulate_cell(cases, n_drops=5, n_fading=2, seed=6)
@@ -597,13 +588,17 @@ class TestSweepDensity:
 
     def test_cases_differing_outside_the_free_fields_are_rejected(self):
         # both cores read case 0's fading shapes; a second m_iu would be scored
-        # with the first one's fading
+        # with the first one's fading. One change per kind of field: a shape,
+        # a ring radius, a noise power and the user count.
         cfg = make_cfg(k_ues=10)
-        with pytest.raises(ConfigError, match="^simulate_cell case 1 differs from case 0"):
-            simulate_cell([(cfg, "nearest"), (cfg.at(m_iu=2.0), "nearest")], n_drops=5,
-                          n_fading=2, seed=1)
-        with pytest.raises(ConfigError, match="^physical_snr_mc layout 1 differs from layout 0"):
-            physical_snr_mc([cfg, cfg.at(m_iu=2.0)], 100.0, 30.0, n=1000)
+        for change in ({"m_iu": 2.0}, {"l_in": 90.0}, {"sigma2": 1e-12}, {"k_ues": 12}):
+            other = replace(cfg, **change)
+            with pytest.raises(ConfigError, match="^simulate_cell case 1 differs from case 0"):
+                simulate_cell([(cfg, "nearest"), (other, "nearest")], n_drops=5, n_fading=2,
+                              seed=1)
+            with pytest.raises(ConfigError,
+                               match="^physical_snr_mc layout 1 differs from layout 0"):
+                physical_snr_mc([cfg, other], 100.0, 30.0, n=1000)
 
     def test_bs_served_users_match_across_reflector_counts(self):
         # the users and their direct-link fading do not depend on M, so the
@@ -612,7 +607,7 @@ class TestSweepDensity:
         rows = simulate_cell(density_cases(cfg, 64, [1, 4, 16], 0.01), n_drops=20, n_fading=2,
                              seed=6)
         _, ue = drop(cfg, 6, 20)
-        inside = (np.linalg.norm(ue, axis=-1) < cfg.geometry.l_in).ravel()
+        inside = (np.linalg.norm(ue, axis=-1) < cfg.l_in).ravel()
         assert 0 < inside.sum() < inside.size
         for mode in ("active", "passive"):
             first = rows[0][mode]["spatial_throughput"]
@@ -655,7 +650,7 @@ class TestDensityFindings:
     def test_passive_centralized_dominates_with_separation(self):
         # sharpest-separation geometry found for the centralized-passive
         # claim; the M=1-vs-M=2 pair needs ~5e5 positions to clear 3 sigma
-        net = make_cfg(geom={"l": 200.0, "l_in": 30.0, "l_out": 150.0})
+        net = make_cfg(l=200.0, l_in=30.0, l_out=150.0)
         m_values = [1, 2, 8, 32]
         _, summary = density_sweep(net, 512, m_values, seed=515, p_f_total=1e-5,
                                    sweep_n_drops=5000, sweep_n_fading=2)
@@ -688,7 +683,7 @@ class TestDensityFindings:
 
 class TestModelMc:
     def test_importance_weights_unbiased_on_closed_form(self):
-        cfg = make_cfg(geom={"n_elements": 64})
+        cfg = make_cfg(n_elements=64)
         [(mc, se)] = model_snr_moment_mc([(cfg, 100.0)], 30.0, n=400_000, seed=3)
         closed = an.mean_snr_closed(100.0, 30.0, cfg)
         assert abs(mc - closed) < 3.0 * se
@@ -699,7 +694,7 @@ class TestModelMc:
         # kappa ~ 1e-289 and 1e-189: the proposal's kappa/(g+kappa)^2 term once
         # squared g+kappa, which underflows to 0 below ~1e-154 and weighted
         # those draws 0 (70 and 24 SE low)
-        cfg = make_cfg(power=PowerParams(p_t=1.0, p_f=0.01, sigma2=sigma2, sigma_f2=1e-10))
+        cfg = make_cfg(sigma2=sigma2)
         [(mc, se)] = model_snr_moment_mc([(cfg, 100.0)], 30.0, n=200_000, seed=7)
         closed = an.mean_snr_closed(100.0, 30.0, cfg)
         assert abs(mc - closed) < 3.0 * se
@@ -708,7 +703,7 @@ class TestModelMc:
     def test_d_iu_array_rescales_one_estimate(self, m_iu):
         # one unit-mixture estimate divided by each d_IU's cascade scale v
         # must reproduce the per-point estimate, mean and standard error
-        cfg = make_cfg(m_iu=m_iu, geom={"n_elements": 64})
+        cfg = make_cfg(m_iu=m_iu, n_elements=64)
         d_iu = np.array([0.5, 10.0, 30.0, 60.0])
         n = _MODEL_BLOCK + 1000
         [(means, ses)] = model_snr_moment_mc([(cfg, 100.0)], d_iu, n=n, seed=4)
@@ -726,9 +721,8 @@ class TestModelMc:
         # an estimate, yet each result is bit for bit the group's own estimate
         points = [(m_iu, n_el, d_bi, p_f) for m_iu in (1.0, 2.5) for n_el in (16, 64, 256)
                   for d_bi in (50.0, 100.0) for p_f in (1e-3, 0.1)]
-        groups = [(make_cfg(m_iu=m_iu, geom={"n_elements": n_el},
-                            power=PowerParams(p_t=1.0, p_f=p_f, sigma2=1e-11, sigma_f2=1e-10)),
-                   d_bi) for m_iu, n_el, d_bi, p_f in points]
+        groups = [(make_cfg(m_iu=m_iu, n_elements=n_el, p_f=p_f), d_bi)
+                  for m_iu, n_el, d_bi, p_f in points]
         n = _MODEL_BLOCK + 1000
         got = model_snr_moment_mc(groups, d_iu, n=n, seed=11)
         assert len(got) == len(groups)
@@ -740,7 +734,7 @@ class TestModelMc:
     def test_overflowing_group_is_named(self):
         # one group's importance-weighted SNR overflows; the others are fine
         fine = make_cfg()
-        hot = make_cfg(power=PowerParams(p_t=1e300, p_f=0.1, sigma2=1e-11, sigma_f2=1e-10))
+        hot = make_cfg(p_t=1e300, p_f=0.1)
         with pytest.raises(InvalidDistributionError) as info:
             model_snr_moment_mc([(fine, 100.0), (hot, 50.0), (fine, 80.0)], 30.0, n=1000)
         assert str(info.value).startswith(
@@ -757,7 +751,7 @@ class TestModelMc:
         # one joint call draws each block once, for the largest surface: that
         # layout equals a call with it alone, and the smaller one sums the
         # first 4 element planes of the same draw, BI planes then IU planes
-        small, large = (make_cfg(m_iu=2.0, geom={"n_elements": n}) for n in (4, 16))
+        small, large = (make_cfg(m_iu=2.0, n_elements=n) for n in (4, 16))
         n = _PHYSICAL_BLOCK + 300
         joint = physical_snr_mc([small, large], 100.0, 30.0, n=n, seed=3)
         assert joint[1] == physical_snr_mc([large], 100.0, 30.0, n=n, seed=3)[0]
@@ -769,14 +763,14 @@ class TestModelMc:
             pow_iu = sample_nakagami_power(small.m_iu, rng, (16, width))[:4]
             cascade = cascade_amplitude(pow_bi, pow_iu).sum(axis=0)
             want["active"].add(snr_active_batch(pow_bi.sum(axis=0), pow_iu.sum(axis=0),
-                                                cascade, 4, zeta_bi, zeta_iu, small.power))
-            want["passive"].add(snr_passive_batch(cascade, zeta_bi, zeta_iu, small.power))
+                                                cascade, zeta_bi, zeta_iu, small))
+            want["passive"].add(snr_passive_batch(cascade, zeta_bi, zeta_iu, small))
         assert joint[0] == {mode: acc.mean_se() for mode, acc in want.items()}
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_physical_mc_non_finite_error_is_named(self):
         # the active mean (7.9e152) is finite but its squared deviations overflow
-        cfg = make_cfg(epsilon_ref=1e148, geom={"n_elements": 16})
+        cfg = make_cfg(epsilon_ref=1e148, n_elements=16)
         with pytest.raises(InvalidDistributionError) as info:
             physical_snr_mc([cfg], 100.0, 30.0, n=20_000, seed=1)
         head, mean = str(info.value).split("(mean ")
@@ -787,7 +781,7 @@ class TestModelMc:
         assert 1e152 < float(mean.split(",")[0]) < 1e153
 
     def test_physical_mc_reproducible(self):
-        cfg = make_cfg(geom={"n_elements": 16})
+        cfg = make_cfg(n_elements=16)
         a = physical_snr_mc([cfg], 100.0, 30.0, n=50_000, seed=12)[0]
         b = physical_snr_mc([cfg], 100.0, 30.0, n=50_000, seed=12)[0]
         assert a == b
@@ -828,7 +822,7 @@ class TestBlockBoundaries:
     @pytest.mark.parametrize("irs_mode", ["active", "passive"])
     @pytest.mark.parametrize("n", [1, 1000, 3 * _PHYSICAL_BLOCK + 1])
     def test_physical_mc_finite_and_reproducible(self, n, irs_mode):
-        cfg = make_cfg(geom={"n_elements": 16})
+        cfg = make_cfg(n_elements=16)
         first = physical_snr_mc([cfg], 100.0, 30.0, n=n, seed=9)[0][irs_mode]
         assert all(math.isfinite(v) for v in first)
         assert physical_snr_mc([cfg], 100.0, 30.0, n=n, seed=9)[0][irs_mode] == first
