@@ -57,7 +57,6 @@ def _write_outputs(out_dir: Path, cfg, rows, summary: dict, wall_time: float) ->
         "experiment": cfg.experiment,
         "seed": cfg.seed,
         "wall_time_s": wall_time,
-        "unit_conversions": list(cfg.conversions),
         **summary,
     }
     (out_dir / "summary.json").write_bytes(
@@ -78,8 +77,6 @@ def _add_experiment_flags(sub: argparse.ArgumentParser) -> None:
 
 def _cmd_experiment(name: str, args: argparse.Namespace) -> int:
     cfg = parse_config(args.config, args.overrides, experiment=name, seed=args.seed)
-    for note in cfg.conversions:
-        print(f"note: {note}", file=sys.stderr)
     start = time.monotonic()
     rows, summary, exit_code = run_experiment(cfg)
     wall = time.monotonic() - start

@@ -5,9 +5,7 @@ name, the default, and the validators that run whenever the dataclass is
 built, whether by `parse_config`, by library code or by `dataclasses.replace`.
 The field's annotation is the key's type; a tuple field is a list key.
 
-All internal math runs on linear units (watts, meters); dB(m) keys are
-converted exactly once here, at the parse boundary, and the conversion is
-recorded so runs can echo it.
+Every key and all internal math use linear units (watts, meters).
 """
 
 # No `from __future__ import annotations`: `_coerce` reads each field's
@@ -26,7 +24,6 @@ __all__ = [
     "NetworkConfig",
     "ExperimentConfig",
     "EXPERIMENTS",
-    "dbm_to_watts",
     "parse_config",
     "effective_dict",
 ]
@@ -43,10 +40,6 @@ EXPERIMENTS = (
     "association-compare",
     "ring-sweep",
 )
-
-
-def dbm_to_watts(dbm: float) -> float:
-    return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
 def _each(test, what):
@@ -82,7 +75,8 @@ def _key(name: str, default, *checks):
 
 
 def _check_keys(obj) -> None:
-    """Type-check (never rewriting) and validate every keyed field; lists must be nonempty."""
+    """Type-check (never rewriting) and validate every keyed field; a list must
+    be nonempty and repeat no value, since each value is one row of its sweep."""
     for f in fields(obj):
         if "key" in f.metadata:
             key, value = f.metadata["key"], getattr(obj, f.name)
@@ -93,6 +87,8 @@ def _check_keys(obj) -> None:
                 raise ConfigError(f"{key} must be a nonempty list")
             for check in f.metadata["checks"]:
                 check(key, value)
+            if isinstance(value, tuple) and len(set(value)) < len(value):
+                raise ConfigError(f"{key} must not repeat a value, got {list(value)}")
 
 
 @dataclass(frozen=True)
@@ -166,7 +162,6 @@ class ExperimentConfig:
     network: NetworkConfig
     experiment: str = _key("experiment", "validate", _choice(*EXPERIMENTS))
     seed: int = _key("seed", 12345, _seed)
-    tolerance: float = _key("tolerance", 1e-6, _positive)
     # fixed-distance evaluation points
     d_bu: float = _key("d_bu_m", 80.0, _positive)
     d_bi: float = _key("d_bi_m", 100.0, _positive)
@@ -186,7 +181,6 @@ class ExperimentConfig:
     # association comparison
     assoc_n_list: tuple[int, ...] = _key("assoc_n_list", (16, 32), _positive)
     assoc_n_drops: int = _key("assoc_n_drops", 600, _positive)
-    assoc_threshold: float = _key("assoc_threshold", 0.9, _positive)
     # ring sweep
     ring_l_in_grid: tuple[float, ...] = _key("ring_l_in_grid_m", (60.0, 90.0, 120.0), _positive)
     ring_l_out_grid: tuple[float, ...] = _key(
@@ -204,7 +198,6 @@ class ExperimentConfig:
     mc_m_iu_list: tuple[float, ...] = _key("mc_m_iu_list", (1, 2), _shape, _m_iu_ceiling)
     n_mc_model: int = _key("n_mc_model", 1_000_000, _two_draws)
     n_mc_physical: int = _key("n_mc_physical", 1_000_000, _two_draws)
-    conversions: tuple = ()
 
     def __post_init__(self):
         _check_keys(self)
@@ -214,9 +207,6 @@ _SECTIONS = (ExperimentConfig, NetworkConfig)
 # config key -> (owning dataclass, field), from the fields that declare a key
 _FIELDS = {f.metadata["key"]: (cls, f)
            for cls in _SECTIONS for f in fields(cls) if "key" in f.metadata}
-
-# dBm alias -> watts key; converted before coercion and logged in `conversions`.
-_DBM_ALIASES = {"sigma2_dbm": "sigma2_w", "sigma_f2_dbm": "sigma_f2_w"}
 
 
 def _coerce(key: str, kind, value):
@@ -259,9 +249,8 @@ def parse_config(path: str | None = None, overrides: list[str] | None = None,
 
     Later sources win: the file, then KEY=VALUE overrides, then the explicit
     keyword flags; all pass the same validators. Unknown keys are rejected;
-    noise powers may come in watts or dBm (one of the two, not both); every
-    physical quantity must be positive and finite; the ring radii must satisfy
-    l_in < l_out < l.
+    every physical quantity must be positive and finite; the ring radii must
+    satisfy l_in < l_out < l.
     """
     raw: dict[str, Any] = {}
     if path is not None:
@@ -278,29 +267,15 @@ def parse_config(path: str | None = None, overrides: list[str] | None = None,
     flags = {"experiment": experiment, "seed": seed}
     raw.update({k: v for k, v in flags.items() if v is not None})
 
-    unknown = sorted(set(raw) - set(_FIELDS) - set(_DBM_ALIASES))
+    unknown = sorted(set(raw) - set(_FIELDS))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-
-    conversions = []
-    for dbm_key, w_key in _DBM_ALIASES.items():
-        if dbm_key not in raw:
-            continue
-        if w_key in raw:
-            raise ConfigError(f"give {w_key} or {dbm_key}, not both")
-        try:
-            watts = dbm_to_watts(_coerce(dbm_key, float, raw.pop(dbm_key)))
-        except OverflowError:
-            raise ConfigError(f"{dbm_key} is too large") from None
-        raw[w_key] = watts
-        conversions.append(f"{dbm_key} -> {w_key}={watts:.6g}")
 
     sections: dict[type, dict[str, Any]] = {cls: {} for cls in _SECTIONS}
     for key, value in raw.items():
         cls, f = _FIELDS[key]
         sections[cls][f.name] = _coerce(key, f.type, value)
     return ExperimentConfig(network=NetworkConfig(**sections[NetworkConfig]),
-                            conversions=tuple(conversions),
                             **sections[ExperimentConfig])
 
 

@@ -243,7 +243,7 @@ def _draw_fading(cfg: NetworkConfig, seed: int, drops: range, n_relayed: np.ndar
 
 @_ESTIMATOR_ERRSTATE
 def simulate_cell(cases, *, n_drops: int, n_fading: int,
-                  seed: int = 0) -> list[dict[str, dict[str, SimEstimate]]]:
+                  seed: int) -> list[dict[str, dict[str, SimEstimate]]]:
     """Monte-Carlo estimates of mean SNR, achievable rate and spatial throughput.
 
     `cases` lists (NetworkConfig, policy) pairs that differ at most in
@@ -367,7 +367,7 @@ def _model_mc_key(cfg: NetworkConfig, d_bi: float) -> tuple[tuple, tuple]:
 
 
 @_ESTIMATOR_ERRSTATE
-def model_snr_moment_mc(groups, d_iu, n: int = 1_000_000, seed: int = 0) -> list[tuple]:
+def model_snr_moment_mc(groups, d_iu, *, n: int, seed: int) -> list[tuple]:
     """Monte-Carlo mean SNR under the analytic model itself, for (cfg, d_BI) groups.
 
     Samples the cascaded power from its Laguerre mixture and the amplified
@@ -493,8 +493,8 @@ def _score_unit_mixture(mixture: tuple, laws: dict, n: int, seed: int) -> None:
 
 
 @_ESTIMATOR_ERRSTATE
-def physical_snr_mc(layouts, d_bi: float, d_iu: float, n: int = 1_000_000,
-                    seed: int = 0) -> list[dict[str, tuple[float, float]]]:
+def physical_snr_mc(layouts, d_bi: float, d_iu: float, *, n: int,
+                    seed: int) -> list[dict[str, tuple[float, float]]]:
     """Monte-Carlo mean SNR of the physical per-element channel at fixed
     distances, amplified (budget-exhausting gain recomputed per draw) and
     phase-only passive, both from the same channel draws and cascade amplitude.

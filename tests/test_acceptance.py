@@ -12,7 +12,6 @@ import math
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
 from airsnet import analytic as an
 from airsnet.cli import main

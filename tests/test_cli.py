@@ -3,15 +3,14 @@ import json
 import math
 import re
 from dataclasses import FrozenInstanceError, replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from airsnet import analytic, simulate
 from airsnet.cli import main
-from airsnet.config import (ConfigError, ExperimentConfig, NetworkConfig, dbm_to_watts,
-                            effective_dict, parse_config)
+from airsnet.config import (ConfigError, ExperimentConfig, NetworkConfig, effective_dict,
+                            parse_config)
 from airsnet.experiments import run_experiment
 from airsnet.mathkit import IntegrationError, gauss_laguerre
 from airsnet.mixgamma import MixtureGamma
@@ -41,14 +40,6 @@ class TestParseConfig:
         assert net.sigma2 == pytest.approx(1e-11)
         assert net.sigma_f2 == pytest.approx(1e-10)
 
-    def test_dbm_conversion(self, tmp_path):
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps({"sigma2_dbm": -80}))
-        cfg = parse_config(str(path))
-        assert cfg.network.sigma2 == pytest.approx(1e-11, rel=1e-12)
-        assert any("sigma2_dbm" in note for note in cfg.conversions)
-        assert dbm_to_watts(-70.0) == pytest.approx(1e-10, rel=1e-12)
-
     def test_geometry_invariant_violation(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"l_in_m": 150, "l_out_m": 100}))
@@ -61,11 +52,39 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="banana"):
             parse_config(str(path))
 
-    def test_watts_and_dbm_conflict(self, tmp_path):
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps({"sigma2_w": 1e-11, "sigma2_dbm": -80}))
-        with pytest.raises(ConfigError, match="not both"):
-            parse_config(str(path))
+    @pytest.mark.parametrize("item", [
+        "sigma2_dbm=-80", "sigma_f2_dbm=-70", "tolerance=1e-6", "assoc_threshold=0.9",
+    ])
+    def test_retired_keys_are_unknown(self, tmp_path, capsys, item):
+        # noise powers are given in watts only, and the validate and
+        # association-compare bounds are constants of their checks
+        key = item.split("=")[0]
+        with pytest.raises(ConfigError, match=f"^unknown config keys: {key}$"):
+            parse_config(None, [item])
+        out = tmp_path / "x"
+        assert main(["validate", "--out", str(out), "--set", item]) == 2
+        assert f"unknown config keys: {key}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("item, shown", [
+        ("assoc_n_list=[16,16]", "[16, 16]"),
+        ("ring_l_in_grid_m=[60,90,60]", "[60.0, 90.0, 60.0]"),
+        ("validate_n_list=[64,16,64]", "[64, 16, 64]"),
+        ("mc_m_iu_list=[1,1]", "[1.0, 1.0]"),
+    ])
+    def test_list_keys_reject_a_repeated_value(self, item, shown):
+        # each value of a list is one row of its sweep; a repeat wrote its rows twice
+        key = item.split("=")[0]
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"{key} must not repeat a value, got {shown}")):
+            parse_config(None, [item])
+
+    def test_repeated_assoc_size_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["association-compare", "--out", str(out), "--set", "assoc_n_list=[16,16]",
+                     "--set", "assoc_n_drops=2", "--set", "k_ues=10"]) == 2
+        assert "assoc_n_list must not repeat a value" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ConfigError):
@@ -96,8 +115,6 @@ class TestParseConfig:
         "alpha=Infinity",
         "d_bu_m=Infinity",
         "validate_d_iu_m=[30, Infinity]",
-        "sigma2_dbm=Infinity",
-        "sigma_f2_dbm=1e6",  # finite in dBm, but beyond any float in watts
         "p_t_w=1" + "0" * 400,  # a JSON integer beyond any float
     ])
     def test_non_finite_rejected(self, item):
@@ -416,7 +433,7 @@ class TestCliRuns:
         assert main(args + ["--set", "ring_metric=achievable_rate"]) == 2
         assert "ring_metric" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", [["--set", "tolerance=-1"], ["--seed", "-1"]])
+    @pytest.mark.parametrize("flag", [["--set", "p_f_w=-1"], ["--seed", "-1"]])
     def test_flags_pass_the_config_validators(self, tmp_path, flag):
         assert main(["validate", "--out", str(tmp_path / "x")] + flag + FAST_VALIDATE) == 2
 
@@ -847,7 +864,6 @@ class TestMeanSnrVsPfShape:
         assert summary["slopes_strictly_decreasing"]
 
     def test_effective_dict_round_trips_through_json(self):
-        cfg = parse_config(None, ["sigma2_dbm=-80"])
-        d = effective_dict(cfg)
+        d = effective_dict(parse_config())
         blob = json.dumps(d)
         assert json.loads(blob) == d

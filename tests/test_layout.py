@@ -14,9 +14,10 @@ defs of simulate.py that draw Gamma or exponential variates themselves
 (channel.sample_nakagami_power draws every fading power), and a sixth
 those that spell the "estimate is not finite" error: only _finite may. A
 seventh lists the top-level src/ defs that call `.std(...)` with a ddof: only
-simulate.sample_se may. Run this file directly to print these lists. Last,
-each config key is declared once: on its own field of one of the two config
-dataclasses.
+simulate.sample_se may. An eighth lists each name a module of src/airsnet
+or tests/ imports and never uses. Run this file directly to print these
+lists. Last, each config key is declared once: on its own field of one of the
+two config dataclasses.
 """
 
 import ast
@@ -26,6 +27,7 @@ from pathlib import Path
 from airsnet.config import ExperimentConfig, NetworkConfig
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "airsnet"
+TESTS = Path(__file__).resolve().parent
 
 
 def unreferenced_definitions(root: Path = SRC) -> list[str]:
@@ -262,8 +264,48 @@ def test_walk_flags_what_nothing_references(tmp_path):
         "c.py:Record.named", "c.py:Record.orphan", "c.py:Record.stored"]
 
 
+def unused_imports(*roots: Path) -> list[str]:
+    """Each name ("dir/module:name") a module of the roots imports and never
+    uses; `__future__` imports are exempt and a name in `__all__` is used."""
+    found = []
+    for root in roots:
+        for path in sorted(root.glob("*.py")):
+            imported, used = set(), set()
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                                    and node.module != "__future__"):
+                    imported |= {alias.asname or alias.name.split(".")[0]
+                                 for alias in node.names}
+                elif isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                    used |= {elt.value for elt in node.value.elts}
+            found += [f"{root.name}/{path.name}:{name}" for name in sorted(imported - used)]
+    return found
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    assert unused_imports(SRC, TESTS) == []
+
+
+def test_import_walk_flags_a_second_site(tmp_path):
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "a.py").write_text(
+        "from __future__ import annotations\n"
+        "import os.path\nimport numpy as np\nfrom .b import shown, hidden\n"
+        "__all__ = ['shown']\n"
+        "def f(x):\n    import json\n    return np.sum(os.path.join(x))\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_a.py").write_text(
+        "import pytest\nfrom pathlib import Path as P\n"
+        "def test_a(tmp_path):\n    assert 'pytest' and P\n")
+    assert unused_imports(tmp_path / "pkg", tmp_path / "tests") == [
+        "pkg/a.py:hidden", "pkg/a.py:json", "tests/test_a.py:pytest"]
+
+
 CONFIG_CLASSES = (ExperimentConfig, NetworkConfig)
-UNKEYED_FIELDS = {"network", "conversions"}
+UNKEYED_FIELDS = {"network"}
 
 
 def test_each_config_key_is_declared_once_on_its_field():
@@ -276,7 +318,7 @@ def test_each_config_key_is_declared_once_on_its_field():
     # a repeated key would silently shadow another in the parser's key map
     assert len(set(keys)) == len(keys)
     # the number of keys config.echo.json records
-    assert len(keys) == 43
+    assert len(keys) == 41
 
 
 if __name__ == "__main__":
@@ -288,3 +330,4 @@ if __name__ == "__main__":
     print(own_gamma_samplers())
     print(non_finite_error_writers())
     print(ddof_std_callers())
+    print(unused_imports(SRC, TESTS))

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from airsnet.mathkit import (
-    ConvergenceError,
     DomainError,
     IntegrationError,
     exp_en_scaled,

@@ -598,7 +598,7 @@ class TestSweepDensity:
                               seed=1)
             with pytest.raises(ConfigError,
                                match="^physical_snr_mc layout 1 differs from layout 0"):
-                physical_snr_mc([cfg, other], 100.0, 30.0, n=1000)
+                physical_snr_mc([cfg, other], 100.0, 30.0, n=1000, seed=0)
 
     def test_bs_served_users_match_across_reflector_counts(self):
         # the users and their direct-link fading do not depend on M, so the
@@ -736,7 +736,8 @@ class TestModelMc:
         fine = make_cfg()
         hot = make_cfg(p_t=1e300, p_f=0.1)
         with pytest.raises(InvalidDistributionError) as info:
-            model_snr_moment_mc([(fine, 100.0), (hot, 50.0), (fine, 80.0)], 30.0, n=1000)
+            model_snr_moment_mc([(fine, 100.0), (hot, 50.0), (fine, 80.0)], 30.0, n=1000,
+                                seed=0)
         assert str(info.value).startswith(
             "model_snr_moment_mc at m_bi=1, m_iu=1, glq_order=20, p_f=0.1 W, d_bi=50 m, "
             "d_iu=30 m: the estimate is not finite")
@@ -745,7 +746,7 @@ class TestModelMc:
         # the path-gain product overflows, so the cascade scale v is 0
         with pytest.raises(InvalidDistributionError, match=r"d_bi=100 m, d_iu=\[10, 30, 60\] m"):
             model_snr_moment_mc([(make_cfg(epsilon_ref=1e200), 100.0)], np.array([10.0, 30.0, 60.0]),
-                                n=1000)
+                                n=1000, seed=0)
 
     def test_physical_mc_reads_smaller_surfaces_off_one_draw(self):
         # one joint call draws each block once, for the largest surface: that
