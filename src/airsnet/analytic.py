@@ -253,7 +253,8 @@ def rate_direct(d_bu, cfg: NetworkConfig):
     one shared y-mesh; returns a float for a scalar distance.
     """
     m = cfg.m_bu
-    s = m * cfg.sigma2 / (cfg.p_t * cfg.path_gain(d_bu))
+    with np.errstate(divide="ignore", over="ignore"):  # s = inf off range: _rate's kernel is 0
+        s = m * cfg.sigma2 / (cfg.p_t * cfg.path_gain(d_bu))
     return _rate(m, s, lambda y: np.exp(-y), f"rate_direct at m_bu={m:g}, d_bu", d_bu)
 
 
@@ -277,7 +278,7 @@ def region2_nearest_pdf_mass(cfg: NetworkConfig) -> float:
     truncation to the cell falls short of 1.
     """
     lam = cfg.lambda_irs
-    return 1.0 - math.exp(-lam * math.pi * cfg.l**2)
+    return 1.0 - math.exp(-lam * math.pi * (cfg.l * cfg.l))
 
 
 def average_metric(cfg: NetworkConfig) -> tuple[float, float]:
@@ -302,10 +303,13 @@ def average_metric(cfg: NetworkConfig) -> tuple[float, float]:
     # floor * 4^k up to the cell radius; the quadrature ignores those past an interval
     graded = floor * 4.0 ** np.arange(max(1, math.ceil(math.log(cfg.l / floor, 4))))
 
+    def void(r: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):  # lam pi r^2 past the float range: e^-inf = 0
+            return np.exp(-lam * math.pi * r * r)
+
     def inner_r(b: float) -> float:
         return integrate_interval_with_error(
-            lambda r: (rate_active(b, r, cfg) * 2.0 * math.pi * lam * r
-                       * np.exp(-lam * math.pi * r * r)),
+            lambda r: rate_active(b, r, cfg) * 2.0 * math.pi * lam * r * void(r),
             0.0, cfg.l, REGION_TOL, points=graded)[0]
 
     # Per region: the rate in d_BU, its d_BU interval and its breakpoints in d_BU.
@@ -327,5 +331,5 @@ def average_metric(cfg: NetworkConfig) -> tuple[float, float]:
             raise _named(exc, f"average_metric region {k} at {_point(cfg)}, "
                               f"l_in={cfg.l_in:g} m, l_out={cfg.l_out:g} m") from exc
         value, err_total = value + val, err_total + err
-    scale = 2.0 * math.pi / cfg.s_total**2
+    scale = 2.0 * math.pi / (cfg.s_total * cfg.s_total)
     return value * scale, err_total * scale

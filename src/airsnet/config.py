@@ -127,11 +127,11 @@ class NetworkConfig:
 
     @property
     def s_total(self) -> float:
-        return math.pi * self.l**2
+        return math.pi * (self.l * self.l)
 
     @property
     def s2(self) -> float:
-        return math.pi * (self.l_out**2 - self.l_in**2)
+        return math.pi * (self.l_out * self.l_out - self.l_in * self.l_in)
 
     @property
     def lambda_irs(self) -> float:

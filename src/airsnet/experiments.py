@@ -17,7 +17,7 @@ import numpy as np
 from . import analytic, simulate
 from .config import ConfigError, ExperimentConfig
 from .mathkit import gauss_laguerre
-from .mixgamma import direct_power_dist
+from .mixgamma import InvalidDistributionError, direct_power_dist
 
 __all__ = ["ResultRow", "run_experiment"]
 
@@ -350,6 +350,12 @@ def _run_association_compare(cfg: ExperimentConfig):
             rows.append(ResultRow("n_elements", _point_label(n=n, policy=policy),
                                   "spatial_throughput", "monte_carlo", est.mean, est.std_error))
         near, best = estimates["nearest"], estimates["best_irs"]
+        if near.mean == 0.0 or best.mean == 0.0:
+            net = cfg.network
+            raise InvalidDistributionError(
+                f"association-compare at n_elements={n}, l={net.l:g} m, p_t={net.p_t:g} W, "
+                f"sigma2={net.sigma2:g} W: the nearest/best spatial throughput ratio "
+                f"{near.mean:g}/{best.mean:g} is undefined")
         ratio = near.mean / best.mean
         # both policies see the same drops, users and fading: the delta-method
         # error of the paired samples

@@ -133,7 +133,7 @@ def _ring_points(rng: np.random.Generator, n_drops: int, count: int,
     drop's points do not depend on how many drops follow it.
     """
     u = rng.random((n_drops, 2, count))
-    r = np.sqrt(r_in**2 + u[:, 0] * (r_out**2 - r_in**2))
+    r = np.sqrt(r_in * r_in + u[:, 0] * (r_out * r_out - r_in * r_in))
     th = 2.0 * math.pi * u[:, 1]
     return np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
 

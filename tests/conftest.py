@@ -13,11 +13,22 @@ law itself, by mpmath.
 """
 
 import math
+import shutil
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 EULER_GAMMA = 0.5772156649015328606
+
+
+def pytest_configure(config):
+    # hypothesis caches the constants of the code under test while pytest
+    # collects, even with no example database: keep that cache out of the checkout
+    home = tempfile.mkdtemp(prefix="hypothesis-")
+    config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))
+    set_hypothesis_home_dir(home)
 
 
 def e1_series(x: float) -> float:

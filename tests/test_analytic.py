@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from airsnet import analytic as an
 from airsnet.config import ConfigError, NetworkConfig
@@ -789,3 +791,41 @@ class TestPhysicalModelGapRecord:
         print(f"physical/model mean-SNR ratio at N=64: {ratio:.3e} "
               f"(physical {phys:.4g} +- {se:.2g}, analytic {model:.4g})")
         assert 1e5 < ratio < 5e6
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(lambda x: min(max(math.exp(x), lo), hi))
+
+
+class TestSchemaSweep:
+    """Every admitted link-level point gives finite checked values or a typed error."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(m_bi=log_uniform(0.5, 1000), m_iu=log_uniform(0.5, 1000), m_bu=log_uniform(0.5, 1000),
+           glq_order=log_uniform(4, 64).map(round), p_t=log_uniform(1e-30, 1e30),
+           p_f=log_uniform(1e-30, 1e30), sigma2=log_uniform(1e-30, 1e30),
+           sigma_f2=log_uniform(1e-30, 1e30), n=log_uniform(1, 1e6).map(round),
+           alpha=log_uniform(0.1, 10), epsilon_ref=log_uniform(1e-10, 1),
+           d_bi=log_uniform(1e-3, 1e6),
+           d_iu=st.tuples(log_uniform(1e-3, 1e6), log_uniform(1e-3, 1e6)).map(np.array))
+    def test_link_routes(self, m_bi, m_iu, m_bu, glq_order, p_t, p_f, sigma2, sigma_f2, n,
+                         alpha, epsilon_ref, d_bi, d_iu):
+        try:
+            cfg = NetworkConfig(m_bi=m_bi, m_iu=m_iu, m_bu=m_bu, glq_order=glq_order, p_t=p_t,
+                                p_f=p_f, sigma2=sigma2, sigma_f2=sigma_f2, n_elements=n,
+                                alpha=alpha, epsilon_ref=epsilon_ref)
+            closed = an.mean_snr_closed(d_bi, d_iu, cfg)
+            # the mean-SNR routes agree to the tolerance their quadrature promises
+            for route in (an.mean_snr_integral, an.snr_moment_active):
+                assert np.all(rel_err(route(d_bi, d_iu, cfg), closed) <= an.QUAD_TOL)
+            for rate in (an.rate_direct(d_iu, cfg), an.rate_active(d_bi, d_iu, cfg)):
+                assert np.all(np.isfinite(rate) & (rate >= 0))
+            (mc,) = model_snr_moment_mc([(cfg, d_bi)], d_iu, n=2_000, seed=0)
+            assert np.all(np.isfinite(mc))
+        except (ConfigError, IntegrationError, InvalidDistributionError) as exc:
+            # the only other outcome: a typed error naming the point
+            msg = str(exc)
+            assert (f"m_bi={m_bi:g}, m_iu={m_iu:g}, glq_order={glq_order}" in msg
+                    or f"rate_direct at m_bu={m_bu:g}" in msg
+                    or isinstance(exc, ConfigError) and " must " in msg)

@@ -786,10 +786,12 @@ class TestCliRuns:
         assert abs(float(mc["value"]) - closed) < 3.0 * float(mc["std_error"])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("item", ["sigma2_w=1e-300", "sigma_f2_w=1e-300", "p_t_w=1e300"])
+    @pytest.mark.parametrize("item", ["sigma2_w=1e-300", "sigma_f2_w=1e-300", "p_t_w=1e300",
+                                      "alpha=300", "sigma2_w=1e300"])
     def test_ring_sweep_at_extreme_powers_runs_quietly(self, tmp_path, item):
-        # y/s or kappa y/t_i pass the float range in the rate kernels, whose
-        # limits there are exact: 1 - (1 + inf)^-m = 1 and e^-inf = 0
+        # y/s or kappa y/t_i pass the float range in the rate kernels, and so
+        # does the direct link's s; the limits there are exact:
+        # 1 - (1 + inf)^-m = 1 and e^-inf = 0
         def ring_value(setting):
             out = tmp_path / setting
             assert main(["ring-sweep", "--out", str(out), "--set", "ring_l_in_grid_m=[90]",
@@ -802,6 +804,32 @@ class TestCliRuns:
         assert math.isfinite(value) and value > 0
         if item.startswith("sigma_f2_w"):
             assert abs(value / ring_value("sigma_f2_w=1e-100") - 1.0) <= 1e-10
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("args, code", [
+        (["ring-sweep", "--set", "l_m=1e80", "--set", "ring_l_in_grid_m=[90]",
+          "--set", "ring_l_out_grid_m=[130]"], 0),
+        (["density-sweep", "--set", "l_m=1e160", "--set", "sweep_n_drops=5"], 0),
+        (["validate", "--set", "l_m=1e160", "--set", "n_mc_model=100",
+          "--set", "n_mc_physical=100"], 1),
+        (["association-compare", "--set", "l_m=1e12", "--set", "assoc_n_drops=2",
+          "--set", "assoc_n_list=[16]"], 2),
+    ])
+    def test_huge_cell_radius_gives_a_value_or_an_error_line(self, tmp_path, capsys, args, code):
+        # squares of the radii past the float range are inf as float products,
+        # where ** raised OverflowError; every user's throughput at l = 1e12 m
+        # is 0, which left association-compare's ratio 0/0 (ZeroDivisionError)
+        assert main(args + ["--out", str(tmp_path / "x")]) == code
+        err = capsys.readouterr().err
+        if code == 2:
+            assert err.startswith("error: association-compare at n_elements=16, l=1e+12 m")
+            assert err.count("\n") == 1
+        else:
+            assert err == ""
+        if code == 1:
+            with open(tmp_path / "x" / "summary.json", encoding="utf-8") as fh:
+                checks = json.load(fh)["checks"]
+            assert [name for name, c in checks.items() if not c["passed"]] == ["passive_baseline"]
 
     @pytest.mark.parametrize("epsilon_ref", ["1e200", "1e-300"])
     def test_validate_out_of_float_range_names_the_point(self, tmp_path, capsys, epsilon_ref):

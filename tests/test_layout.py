@@ -266,7 +266,8 @@ def test_walk_flags_what_nothing_references(tmp_path):
 
 def unused_imports(*roots: Path) -> list[str]:
     """Each name ("dir/module:name") a module of the roots imports and never
-    uses; `__future__` imports are exempt and a name in `__all__` is used."""
+    uses; `__future__` imports are exempt, and naming an import in `__all__`
+    does not use it."""
     found = []
     for root in roots:
         for path in sorted(root.glob("*.py")):
@@ -278,9 +279,6 @@ def unused_imports(*roots: Path) -> list[str]:
                                  for alias in node.names}
                 elif isinstance(node, ast.Name):
                     used.add(node.id)
-                elif isinstance(node, ast.Assign) and any(
-                        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-                    used |= {elt.value for elt in node.value.elts}
             found += [f"{root.name}/{path.name}:{name}" for name in sorted(imported - used)]
     return found
 
@@ -301,7 +299,7 @@ def test_import_walk_flags_a_second_site(tmp_path):
         "import pytest\nfrom pathlib import Path as P\n"
         "def test_a(tmp_path):\n    assert 'pytest' and P\n")
     assert unused_imports(tmp_path / "pkg", tmp_path / "tests") == [
-        "pkg/a.py:hidden", "pkg/a.py:json", "tests/test_a.py:pytest"]
+        "pkg/a.py:hidden", "pkg/a.py:json", "pkg/a.py:shown", "tests/test_a.py:pytest"]
 
 
 CONFIG_CLASSES = (ExperimentConfig, NetworkConfig)
